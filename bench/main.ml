@@ -9,6 +9,12 @@
    `dune exec bench/main.exe -- micro-modexp`
                                            — Montgomery vs reference
                                              modular exponentiation.
+   `dune exec bench/main.exe -- micro-prf`
+                                           — the PRF kernel under every
+                                             cell decrypt, token and row
+                                             position: us and minor-heap
+                                             words per call; writes
+                                             BENCH_prf.json.
    `dune exec bench/main.exe -- micro-paillier`
                                            — Paillier kernel comparison;
                                              writes BENCH_paillier.json.
@@ -489,6 +495,89 @@ let run_micro_modexp () =
       Printf.printf "  %6d-bit %11.0f ns %11.0f ns %8.1fx\n" bits ref_ns mont_ns
         (ref_ns /. mont_ns))
     [ 96; 192; 384 ]
+
+(* Per-call cost of the symmetric kernel: wall time and minor-heap words
+   (the allocation the GC has to pay for) per operation. The schedule row
+   is what every DET cell decrypt used to pay before the client derived
+   each column key once; the last row is the client-level decrypt with
+   the key schedule warm. *)
+let run_micro_prf () =
+  section "Micro: PRF kernel (us and minor words per call)";
+  let module C = Snf_crypto in
+  let words_per_op f =
+    let reps = 2_000 in
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    (Gc.minor_words () -. w0) /. float_of_int reps
+  in
+  let key = C.Prf.key_of_string "micro-prf" in
+  let msg8 = String.make 8 'm' and msg24 = String.make 24 'm' in
+  let kr = C.Keyring.create ~master:"micro-prf" in
+  let det = C.Keyring.det_key kr [ "bench"; "leaf"; "attr" ] in
+  let ndet = C.Keyring.ndet_key kr [ "bench"; "leaf"; "attr" ] in
+  let cell = "cell-07" in
+  let det_ct = C.Det.encrypt det cell in
+  let ndet_ct = C.Ndet.encrypt ~rng:(C.Prng.create 7) ndet cell in
+  let ope = C.Ope.create ~key ~domain_bits:Snf_exec.Codec.ordinal_bits () in
+  let ore = C.Ore.create ~key ~bits:Snf_exec.Codec.ordinal_bits in
+  let client =
+    Snf_exec.Enc_relation.make_client ~paillier_prime_bits:16 ~relation_name:"bench"
+      ~master:"micro-prf" ()
+  in
+  let client_ct =
+    match
+      Snf_exec.Enc_relation.eq_token client ~leaf:"leaf" ~attr:"attr" ~scheme:C.Scheme.Det
+        (Snf_relational.Value.Text "cell-07")
+    with
+    | Some (Snf_exec.Enc_relation.Eq_det b) -> Snf_exec.Enc_relation.C_bytes b
+    | _ -> assert false
+  in
+  let slot = ref 0 in
+  let rows =
+    [ ("prf.mac 8B", fun () -> ignore (C.Prf.mac key msg8));
+      ("prf.mac 24B", fun () -> ignore (C.Prf.mac key msg24));
+      ("keyring.det_key", fun () -> ignore (C.Keyring.det_key kr [ "bench"; "leaf"; "attr" ]));
+      ("det.decrypt 7B", fun () -> ignore (C.Det.decrypt det det_ct));
+      ("ndet.decrypt 7B", fun () -> ignore (C.Ndet.decrypt ndet ndet_ct));
+      ( "feistel.permute 4000",
+        fun () ->
+          slot := (!slot + 1) mod 4000;
+          ignore (C.Feistel.permute ~key ~domain:4000 !slot) );
+      ("ope.encrypt", fun () -> ignore (C.Ope.encrypt ope 94_016));
+      ("ore.encrypt", fun () -> ignore (C.Ore.encrypt ore 94_016));
+      ( "client DET cell decrypt",
+        fun () ->
+          ignore
+            (Snf_exec.Enc_relation.decrypt_cell client ~leaf:"leaf" ~attr:"attr"
+               ~scheme:C.Scheme.Det client_ct) ) ]
+  in
+  Printf.printf "  %-26s %12s %14s
+" "primitive" "us/op" "minor words/op";
+  let measured =
+    List.map
+      (fun (name, f) ->
+        let us = ns_per_op f /. 1e3 in
+        let words = words_per_op f in
+        Printf.printf "  %-26s %12.3f %14.1f\n" name us words;
+        (name, us, words))
+      rows
+  in
+  Report.write_json "BENCH_prf.json"
+    (Report.J_obj
+       [ ("experiment", Report.J_string "prf-kernel");
+         ( "primitives",
+           Report.J_list
+             (List.map
+                (fun (name, us, words) ->
+                  Report.J_obj
+                    [ ("name", Report.J_string name);
+                      ("us_per_op", Report.J_float us);
+                      ("minor_words_per_op", Report.J_float words) ])
+                measured) ) ]);
+  Printf.printf "wrote BENCH_prf.json\n"
 
 (* End-to-end bulk-encryption determinism: outsource a relation with DET,
    NDET and PHE columns under 1 and 3 domains and compare the serialized
@@ -1787,6 +1876,7 @@ let () =
   if wants "sweeps" then run_sweeps ();
   if wants "micro" then run_micro ();
   if wants "micro-modexp" then run_micro_modexp ();
+  if wants "micro-prf" then run_micro_prf ();
   if wants "micro-paillier" then run_micro_paillier ();
   if wants "micro-join" then run_micro_join ();
   if wants "micro-batch" then run_micro_batch ();

@@ -5,20 +5,24 @@ let expand master = { iv_key = Prf.derive master "det-iv"; stream_key = Prf.deri
 let key_gen prng = expand (Prf.random_key prng)
 let key_of_string s = expand (Prf.key_of_string s)
 
-let xor_with a b =
-  String.init (String.length a) (fun i -> Char.chr (Char.code a.[i] lxor Char.code b.[i]))
-
+(* Both directions fill one [Bytes.t]: the synthetic IV is written in
+   place and the body is XOR-ed straight into its slot. *)
 let encrypt k m =
-  let iv = Prf.tag k.iv_key m in
-  let body = xor_with m (Prf.keystream k.stream_key ~nonce:iv (String.length m)) in
-  iv ^ body
+  let n = String.length m in
+  let c = Bytes.create (8 + n) in
+  let iv = Prf.mac k.iv_key m in
+  Bytes.set_int64_le c 0 iv;
+  Prf.keystream_xor k.stream_key ~nonce:iv m ~src_off:0 c ~dst_off:8 ~len:n;
+  Bytes.unsafe_to_string c
 
 let decrypt k c =
   if String.length c < 8 then invalid_arg "Det.decrypt: ciphertext too short";
-  let iv = String.sub c 0 8 in
-  let body = String.sub c 8 (String.length c - 8) in
-  let m = xor_with body (Prf.keystream k.stream_key ~nonce:iv (String.length body)) in
-  if not (String.equal (Prf.tag k.iv_key m) iv) then
+  let n = String.length c - 8 in
+  let iv = String.get_int64_le c 0 in
+  let m = Bytes.create n in
+  Prf.keystream_xor k.stream_key ~nonce:iv c ~src_off:8 m ~dst_off:0 ~len:n;
+  let m = Bytes.unsafe_to_string m in
+  if not (Int64.equal (Prf.mac k.iv_key m) iv) then
     invalid_arg "Det.decrypt: authentication failure";
   m
 

@@ -12,12 +12,19 @@ let create ~key ~bits =
 let encrypt t x =
   if x < 0 || x lsr t.bits <> 0 then invalid_arg "Ore.encrypt: out of domain";
   Snf_obs.Metrics.incr m_encrypt;
+  (* Labels are ["ore:<i>:<prefix>"], assembled in one reusable buffer. *)
+  let lbl = Prf.Label.create 32 in
   Array.init t.bits (fun i ->
       (* Position i counts from the most significant bit. *)
       let shift = t.bits - 1 - i in
       let prefix = if shift + 1 >= 63 then 0 else x lsr (shift + 1) in
       let bit = (x lsr shift) land 1 in
-      let mask = Prf.uniform_int t.key (Printf.sprintf "ore:%d:%d" i prefix) 3 in
+      Prf.Label.reset lbl;
+      Prf.Label.add_string lbl "ore:";
+      Prf.Label.add_int lbl i;
+      Prf.Label.add_char lbl ':';
+      Prf.Label.add_int lbl prefix;
+      let mask = Prf.Label.uniform_int t.key lbl 3 in
       (mask + bit) mod 3)
 
 let compare_ciphertexts a b =

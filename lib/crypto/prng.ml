@@ -63,7 +63,11 @@ let sample_without_replacement t k n =
   go 0 k []
 
 let bytes t n =
-  String.init n (fun _ -> Char.chr (int t 256))
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (int t 256))
+  done;
+  Bytes.unsafe_to_string b
 
 let zipf_sampler t ~s n =
   if n <= 0 then invalid_arg "Prng.zipf_sampler";

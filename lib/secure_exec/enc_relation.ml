@@ -7,6 +7,7 @@ module Ope = Snf_crypto.Ope
 module Ore = Snf_crypto.Ore
 module Paillier = Snf_crypto.Paillier
 module Feistel = Snf_crypto.Feistel
+module Prf = Snf_crypto.Prf
 module Prng = Snf_crypto.Prng
 module Nat = Snf_bignum.Nat
 module Partition = Snf_core.Partition
@@ -74,6 +75,29 @@ type mapping_entry =
 (* (operation kind, leaf, attr, key epoch, scheme code, input identity) *)
 type mapping_key = string * string * string * int * int * string
 
+(* The client's key schedule: every subkey a column or a leaf can need,
+   derived from the keyring once per client instead of on every cell
+   decrypt, token, row position and seal (one derivation is a dozen
+   SipHash calls). Entries depend only on the master and the path, so
+   they stay valid across key epochs. *)
+type column_keys = {
+  k_det : Det.key;
+  k_ndet : Ndet.key;
+  k_ope : Ope.t;
+  k_ore : Ore.t;
+  k_cell_rng : Prf.key;  (* per-slot randomness of randomized cells *)
+  k_phe_pool : Prf.key;
+}
+
+type leaf_keys = {
+  k_tid : Ndet.key;
+  k_tid_rng : Prf.key;
+  k_shuffle : Prf.key;  (* the leaf's row permutation *)
+  k_binning : Prf.key;
+  k_oram_seal : Ndet.key;
+  k_oram_rng : Prf.key;
+}
+
 type client = {
   keyring : Keyring.t;
   paillier : Paillier.keypair;
@@ -92,6 +116,11 @@ type client = {
      so repeated queries skip Paillier/OPE/ORE work entirely. *)
   mapping_cache : (mapping_key, mapping_entry) Hashtbl.t;
   mapping_mutex : Mutex.t;
+  (* Key schedule, filled on first use; [encrypt] fans out over domains,
+     so lookups go through [schedule_mutex]. *)
+  column_schedule : (string * string, column_keys) Hashtbl.t;
+  leaf_schedule : (string, leaf_keys) Hashtbl.t;
+  schedule_mutex : Mutex.t;
 }
 
 let make_client ?(seed = 0x0c11e47) ?(paillier_prime_bits = 48) ~relation_name ~master () =
@@ -103,7 +132,10 @@ let make_client ?(seed = 0x0c11e47) ?(paillier_prime_bits = 48) ~relation_name ~
     key_epoch = 0;
     tid_cache = Hashtbl.create 8;
     mapping_cache = Hashtbl.create 64;
-    mapping_mutex = Mutex.create () }
+    mapping_mutex = Mutex.create ();
+    column_schedule = Hashtbl.create 16;
+    leaf_schedule = Hashtbl.create 8;
+    schedule_mutex = Mutex.create () }
 
 let key_epoch c = c.key_epoch
 
@@ -164,69 +196,85 @@ let mapping_memo c key compute =
 
 let client_paillier c = c.paillier
 
-let path c ~leaf ~attr = [ c.name; leaf; attr ]
+(* --- key schedule ---------------------------------------------------------- *)
 
-let det_key c ~leaf ~attr = Keyring.det_key c.keyring (path c ~leaf ~attr)
-let ndet_key c ~leaf ~attr = Keyring.ndet_key c.keyring (path c ~leaf ~attr)
-let tid_key c ~leaf = Keyring.ndet_key c.keyring [ c.name; leaf; Partition.tid_name ]
+(* Keyring paths. Each leaf stores its rows under an independent keyed
+   shuffle: without it, row position alone would link sub-relations and
+   the encrypted tid would protect nothing. The permutation is derived
+   from the keyring, so the owner (and the enclave) can compute a tid's
+   slot directly. Randomness discipline for bulk encryption: every
+   randomized cell (and tid, and sealed ORAM block) draws from a private
+   stream derived from (keyring, leaf, attr, slot), never from the shared
+   client PRNG, so ciphertexts depend only on the master key and the
+   cell's position — bit-identical under any domain count (see
+   [Parallel]). *)
+let derive_column_keys c ~leaf ~attr =
+  let path = [ c.name; leaf; attr ] in
+  let kr = c.keyring in
+  { k_det = Keyring.det_key kr path;
+    k_ndet = Keyring.ndet_key kr path;
+    k_ope = Keyring.ope kr path ~domain_bits:Codec.ordinal_bits;
+    k_ore = Keyring.ore kr path ~bits:Codec.ordinal_bits;
+    k_cell_rng = Keyring.derive kr ("cellrng" :: path);
+    k_phe_pool = Keyring.derive kr ("phepool" :: path) }
 
-let ope_of c ~leaf ~attr =
-  Keyring.ope c.keyring (path c ~leaf ~attr) ~domain_bits:Codec.ordinal_bits
+let derive_leaf_keys c ~leaf =
+  let at suffix = [ c.name; leaf; suffix ] in
+  let kr = c.keyring in
+  { k_tid = Keyring.ndet_key kr (at Partition.tid_name);
+    k_tid_rng = Keyring.derive kr (at "__tidrng");
+    k_shuffle = Keyring.derive kr (at "__shuffle");
+    k_binning = Keyring.derive kr (at "__binning");
+    k_oram_seal = Keyring.ndet_key kr (at "__oramseal");
+    k_oram_rng = Keyring.derive kr (at "__oramrng") }
 
-let ore_of c ~leaf ~attr =
-  Keyring.ore c.keyring (path c ~leaf ~attr) ~bits:Codec.ordinal_bits
+let scheduled c table key derive =
+  Mutex.protect c.schedule_mutex (fun () ->
+      match Hashtbl.find_opt table key with
+      | Some k -> k
+      | None ->
+        let k = derive () in
+        Hashtbl.add table key k;
+        k)
 
-(* Each leaf stores its rows under an independent keyed shuffle: without
-   it, row position alone would link sub-relations and the encrypted tid
-   would protect nothing. The permutation is derived from the keyring, so
-   the owner (and the enclave) can compute a tid's slot directly. *)
-let perm_key c ~leaf = Keyring.derive c.keyring [ c.name; leaf; "__shuffle" ]
+let column_keys c ~leaf ~attr =
+  scheduled c c.column_schedule (leaf, attr) (fun () -> derive_column_keys c ~leaf ~attr)
+
+let leaf_keys c ~leaf = scheduled c c.leaf_schedule leaf (fun () -> derive_leaf_keys c ~leaf)
 
 let row_position c ~leaf ~rows tid =
-  if rows < 2 then tid else Feistel.permute ~key:(perm_key c ~leaf) ~domain:rows tid
+  if rows < 2 then tid
+  else Feistel.permute ~key:(leaf_keys c ~leaf).k_shuffle ~domain:rows tid
 
 let tid_at c ~leaf ~rows slot =
-  if rows < 2 then slot else Feistel.unpermute ~key:(perm_key c ~leaf) ~domain:rows slot
+  if rows < 2 then slot
+  else Feistel.unpermute ~key:(leaf_keys c ~leaf).k_shuffle ~domain:rows slot
 
-let binning_key c ~leaf = Keyring.derive c.keyring [ c.name; leaf; "__binning" ]
+let binning_key c ~leaf = (leaf_keys c ~leaf).k_binning
 
 (* ORAM blocks travel to the server sealed: the server stores and serves
    opaque authenticated ciphertexts, so block contents leak nothing beyond
    their (padded, uniform) length and the access pattern the ORAM already
-   hides. Sealing randomness is slot-derived so the blocks are
-   bit-identical for any domain count, like every other ciphertext. *)
-let oram_key c ~leaf = Keyring.ndet_key c.keyring [ c.name; leaf; "__oramseal" ]
-let oram_rng_key c ~leaf = Keyring.derive c.keyring [ c.name; leaf; "__oramrng" ]
-
+   hides. *)
 let oram_seal c ~leaf ~slot payload =
-  let rng = Parallel.item_prng ~key:(oram_rng_key c ~leaf) slot in
-  Ndet.encrypt ~rng (oram_key c ~leaf) payload
+  let lk = leaf_keys c ~leaf in
+  Ndet.encrypt ~rng:(Parallel.item_prng ~key:lk.k_oram_rng slot) lk.k_oram_seal payload
 
 let oram_open c ~leaf block =
-  try Ndet.decrypt (oram_key c ~leaf) block
+  try Ndet.decrypt (leaf_keys c ~leaf).k_oram_seal block
   with Invalid_argument msg -> Integrity.fail ~leaf ~where:"oram" msg
 
-(* Randomness discipline for bulk encryption: every randomized cell draws
-   from a private stream derived from (keyring, leaf, attr, slot), never
-   from the shared client PRNG. Ciphertexts therefore depend only on the
-   master key and the cell's position — bit-identical under any domain
-   count (see [Parallel]). *)
-let cell_rng_key c ~leaf ~attr = Keyring.derive c.keyring ("cellrng" :: path c ~leaf ~attr)
-let tid_rng_key c ~leaf = Keyring.derive c.keyring [ c.name; leaf; "__tidrng" ]
-let phe_pool_key c ~leaf ~attr = Keyring.derive c.keyring ("phepool" :: path c ~leaf ~attr)
-
-let encrypt_cell c ~leaf ~attr ?pool ~slot ~rng scheme v =
+let encrypt_cell c (ck : column_keys) ?pool ~slot ~rng scheme v =
   match (scheme : Scheme.kind) with
   | Scheme.Plain -> C_plain v
-  | Scheme.Det -> C_bytes (Det.encrypt (det_key c ~leaf ~attr) (Value.encode v))
-  | Scheme.Ndet ->
-    C_bytes (Ndet.encrypt ~rng (ndet_key c ~leaf ~attr) (Value.encode v))
+  | Scheme.Det -> C_bytes (Det.encrypt ck.k_det (Value.encode v))
+  | Scheme.Ndet -> C_bytes (Ndet.encrypt ~rng ck.k_ndet (Value.encode v))
   | Scheme.Ope ->
-    let ord = Ope.encrypt (ope_of c ~leaf ~attr) (Codec.to_ordinal v) in
-    C_ord { ord; payload = Det.encrypt (det_key c ~leaf ~attr) (Value.encode v) }
+    let ord = Ope.encrypt ck.k_ope (Codec.to_ordinal v) in
+    C_ord { ord; payload = Det.encrypt ck.k_det (Value.encode v) }
   | Scheme.Ore ->
-    let ore = Ore.encrypt (ore_of c ~leaf ~attr) (Codec.to_ordinal v) in
-    C_ore { ore; payload = Det.encrypt (det_key c ~leaf ~attr) (Value.encode v) }
+    let ore = Ore.encrypt ck.k_ore (Codec.to_ordinal v) in
+    C_ore { ore; payload = Det.encrypt ck.k_det (Value.encode v) }
   | Scheme.Phe ->
     let m =
       match v with
@@ -248,29 +296,27 @@ let encrypt client r rep =
       (fun ((l : Partition.leaf), piece) ->
         Span.with_ ~name:"enc.leaf" ~attrs:[ ("leaf", l.label) ] @@ fun () ->
         let n = Relation.cardinality piece in
-        let key = tid_key client ~leaf:l.label in
+        let lk = leaf_keys client ~leaf:l.label in
         (* slot_to_tid.(slot) = original row stored at that slot. *)
         let slot_to_tid = Array.init n (tid_at client ~leaf:l.label ~rows:n) in
-        let trk = tid_rng_key client ~leaf:l.label in
         Metrics.add m_tids n;
         let tids =
           Parallel.tabulate n (fun slot ->
-              let rng = Parallel.item_prng ~key:trk slot in
-              Ndet.encrypt ~rng key (Value.encode (Value.Int slot_to_tid.(slot))))
+              let rng = Parallel.item_prng ~key:lk.k_tid_rng slot in
+              Ndet.encrypt ~rng lk.k_tid (Value.encode (Value.Int slot_to_tid.(slot))))
         in
         let columns =
           List.map
             (fun (cs : Partition.column_spec) ->
               let col = Relation.column piece cs.name in
+              let ck = column_keys client ~leaf:l.label ~attr:cs.name in
               let pool =
                 match cs.scheme with
                 | Scheme.Phe ->
                   (* Precompute the r^n randomizers in parallel; each cell
                      then costs one modular multiplication. *)
                   let pool =
-                    Paillier.pool
-                      ~key:(phe_pool_key client ~leaf:l.label ~attr:cs.name)
-                      client.paillier.Paillier.public
+                    Paillier.pool ~key:ck.k_phe_pool client.paillier.Paillier.public
                   in
                   Paillier.pool_fill pool ~tabulate:(fun k f -> Parallel.tabulate k f) n;
                   (* Pooled encryptions are batch-counted here rather than
@@ -280,15 +326,13 @@ let encrypt client r rep =
                   Some pool
                 | _ -> None
               in
-              let crk = cell_rng_key client ~leaf:l.label ~attr:cs.name in
               Metrics.add m_cells n;
               { attr = cs.name;
                 scheme = cs.scheme;
                 cells =
                   Parallel.tabulate n (fun slot ->
-                      let rng = Parallel.item_prng ~key:crk slot in
-                      encrypt_cell client ~leaf:l.label ~attr:cs.name ?pool ~slot ~rng
-                        cs.scheme
+                      let rng = Parallel.item_prng ~key:ck.k_cell_rng slot in
+                      encrypt_cell client ck ?pool ~slot ~rng cs.scheme
                         col.(slot_to_tid.(slot))) })
             l.columns
         in
@@ -318,30 +362,27 @@ let decrypt_cell_nocache c ~leaf ~attr ~scheme cell =
   let authenticated f =
     try f () with Invalid_argument msg -> Integrity.fail ~leaf ~attr ~where:"cell" msg
   in
+  let keys () = column_keys c ~leaf ~attr in
   match ((scheme : Scheme.kind), cell) with
   | Scheme.Plain, C_plain v -> v
   | Scheme.Det, C_bytes b ->
-    authenticated (fun () -> Value.decode (Det.decrypt (det_key c ~leaf ~attr) b))
+    authenticated (fun () -> Value.decode (Det.decrypt (keys ()).k_det b))
   | Scheme.Ndet, C_bytes b ->
-    authenticated (fun () -> Value.decode (Ndet.decrypt (ndet_key c ~leaf ~attr) b))
+    authenticated (fun () -> Value.decode (Ndet.decrypt (keys ()).k_ndet b))
   | Scheme.Ope, C_ord { ord; payload } ->
-    let v =
-      authenticated (fun () -> Value.decode (Det.decrypt (det_key c ~leaf ~attr) payload))
-    in
+    let ck = keys () in
+    let v = authenticated (fun () -> Value.decode (Det.decrypt ck.k_det payload)) in
     (* The order part drives server-side comparisons but carries no
        authenticator of its own: re-derive it from the authenticated
        payload and reject onions whose halves disagree. *)
-    if Ope.encrypt (ope_of c ~leaf ~attr) (Codec.to_ordinal v) <> ord then
+    if Ope.encrypt ck.k_ope (Codec.to_ordinal v) <> ord then
       Integrity.fail ~leaf ~attr ~where:"cell"
         "OPE onion mismatch: order part disagrees with authenticated payload";
     v
   | Scheme.Ore, C_ore { ore; payload } ->
-    let v =
-      authenticated (fun () -> Value.decode (Det.decrypt (det_key c ~leaf ~attr) payload))
-    in
-    if Ore.compare_ciphertexts (Ore.encrypt (ore_of c ~leaf ~attr) (Codec.to_ordinal v)) ore
-       <> 0
-    then
+    let ck = keys () in
+    let v = authenticated (fun () -> Value.decode (Det.decrypt ck.k_det payload)) in
+    if Ore.compare_ciphertexts (Ore.encrypt ck.k_ore (Codec.to_ordinal v)) ore <> 0 then
       Integrity.fail ~leaf ~attr ~where:"cell"
         "ORE onion mismatch: order part disagrees with authenticated payload";
     v
@@ -374,14 +415,18 @@ let decrypt_cell ?(cache = false) c ~leaf ~attr ~scheme cell =
 let decrypt_column c ~leaf (col : enc_column) =
   Array.map (decrypt_cell c ~leaf ~attr:col.attr ~scheme:col.scheme) col.cells
 
-let decrypt_tid c ~leaf ct =
-  try Value.to_int_exn (Value.decode (Ndet.decrypt (tid_key c ~leaf) ct))
+let decrypt_tid_with key ~leaf ct =
+  try Value.to_int_exn (Value.decode (Ndet.decrypt key ct))
   with Invalid_argument msg -> Integrity.fail ~leaf ~where:"tid" msg
+
+let decrypt_tid c ~leaf ct = decrypt_tid_with (leaf_keys c ~leaf).k_tid ~leaf ct
 
 (* Bulk tid decryption is pure per ciphertext, so it fans out over
    domains — the per-row crypto cost of a join's enclave side. *)
 let decrypt_tids c (l : enc_leaf) =
-  Parallel.tabulate (Array.length l.tids) (fun i -> decrypt_tid c ~leaf:l.label l.tids.(i))
+  let key = (leaf_keys c ~leaf:l.label).k_tid in
+  Parallel.tabulate (Array.length l.tids) (fun i ->
+      decrypt_tid_with key ~leaf:l.label l.tids.(i))
 
 let decrypt_tids_cached c (l : enc_leaf) =
   let key = (l.label, c.key_epoch) in
@@ -411,7 +456,10 @@ let check_leaf l =
 let check_shape t = List.iter check_leaf t.leaves
 
 let decrypt_leaf c (l : enc_leaf) =
-  let tid_col = Array.map (fun ct -> Value.Int (decrypt_tid c ~leaf:l.label ct)) l.tids in
+  let key = (leaf_keys c ~leaf:l.label).k_tid in
+  let tid_col =
+    Array.map (fun ct -> Value.Int (decrypt_tid_with key ~leaf:l.label ct)) l.tids
+  in
   let value_columns =
     List.map (fun col -> decrypt_column c ~leaf:l.label col) l.columns
   in
@@ -443,11 +491,12 @@ let decrypt_leaf c (l : enc_leaf) =
    above; only the minting functions are here. *)
 
 let mint_eq_token c ~leaf ~attr ~scheme v =
+  let keys () = column_keys c ~leaf ~attr in
   match (scheme : Scheme.kind) with
   | Scheme.Plain -> Some (Eq_plain v)
-  | Scheme.Det -> Some (Eq_det (Det.encrypt (det_key c ~leaf ~attr) (Value.encode v)))
-  | Scheme.Ope -> Some (Eq_ord (Ope.encrypt (ope_of c ~leaf ~attr) (Codec.to_ordinal v)))
-  | Scheme.Ore -> Some (Eq_ore (Ore.encrypt (ore_of c ~leaf ~attr) (Codec.to_ordinal v)))
+  | Scheme.Det -> Some (Eq_det (Det.encrypt (keys ()).k_det (Value.encode v)))
+  | Scheme.Ope -> Some (Eq_ord (Ope.encrypt (keys ()).k_ope (Codec.to_ordinal v)))
+  | Scheme.Ore -> Some (Eq_ore (Ore.encrypt (keys ()).k_ore (Codec.to_ordinal v)))
   | Scheme.Ndet | Scheme.Phe -> None
 
 let eq_token ?(cache = false) c ~leaf ~attr ~scheme v =
@@ -462,10 +511,10 @@ let mint_range_token c ~leaf ~attr ~scheme ~lo ~hi =
   match (scheme : Scheme.kind) with
   | Scheme.Plain -> Some (Rng_plain (lo, hi))
   | Scheme.Ope ->
-    let e = Ope.encrypt (ope_of c ~leaf ~attr) in
+    let e = Ope.encrypt (column_keys c ~leaf ~attr).k_ope in
     Some (Rng_ord (e (Codec.to_ordinal lo), e (Codec.to_ordinal hi)))
   | Scheme.Ore ->
-    let e = Ore.encrypt (ore_of c ~leaf ~attr) in
+    let e = Ore.encrypt (column_keys c ~leaf ~attr).k_ore in
     Some (Rng_ore (e (Codec.to_ordinal lo), e (Codec.to_ordinal hi)))
   | Scheme.Det | Scheme.Ndet | Scheme.Phe -> None
 

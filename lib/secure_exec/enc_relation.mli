@@ -42,6 +42,12 @@ type t = {
 }
 
 type client
+(** The data owner's side: keyring, Paillier keypair, decode caches and
+    a key schedule. Every subkey of a [(leaf, attr)] column (DET, NDET,
+    OPE, ORE, cell randomness, PHE pool) and of a leaf (tid, tid
+    randomness, row shuffle, binning, ORAM seal) is derived from the
+    keyring once, on first use, and reused by every later cell, token,
+    row position and seal; lookups are safe from any domain. *)
 
 val make_client :
   ?seed:int -> ?paillier_prime_bits:int ->

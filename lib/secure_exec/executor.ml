@@ -368,19 +368,14 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed
       window ~cache client conn ~scheme_of ~label ~attrs:needed
         ~slots:(List.init n Fun.id)
   in
-  let payload slot =
-    Marshal.to_string (List.map (fun a -> (a, value_at a slot)) needed) []
+  let payloads =
+    Array.init n (fun slot ->
+        Marshal.to_string (List.map (fun a -> (a, value_at a slot)) needed) [])
   in
-  let block_size =
-    let m = ref 1 in
-    for slot = 0 to n - 1 do
-      m := max !m (String.length (payload slot))
-    done;
-    !m
-  in
+  let block_size = Array.fold_left (fun m p -> max m (String.length p)) 1 payloads in
   let pad s = s ^ String.make (block_size - String.length s) '\x00' in
   let blocks =
-    Array.init n (fun slot -> Enc_relation.oram_seal client ~leaf:label ~slot (pad (payload slot)))
+    Array.mapi (fun slot p -> Enc_relation.oram_seal client ~leaf:label ~slot (pad p)) payloads
   in
   let setup_touches =
     Server_api.oram_init conn ~leaf:label ~seed

@@ -92,7 +92,18 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
    already holds, never the bytes themselves. *)
 let fp s = String.sub (Digest.to_hex (Digest.string s)) 0 16
 
-let dispatch view orams (req : Wire.request) : Wire.response =
+(* A session's server-side ORAM trees, one per partner leaf. The client
+   (re)installs every partner of an ORAM fetch before reading any of
+   them, so the first [Oram_init] after an [Oram_read] opens a new fetch
+   and the trees of earlier fetches are dead: they are dropped then,
+   keeping a session's memory to the current fetch's partners. *)
+type session = {
+  view : store_view;
+  orams : (string, Path_oram.t) Hashtbl.t;
+  mutable reading : bool;  (* an [Oram_read] was served since the last init *)
+}
+
+let dispatch ({ view; orams; _ } as session) (req : Wire.request) : Wire.response =
   match req with
   | Wire.Describe ->
     let relation_name, leaves = view.describe () in
@@ -127,6 +138,10 @@ let dispatch view orams (req : Wire.request) : Wire.response =
     Wire.R_rows (Array.of_list cols)
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
   | Wire.Oram_init { leaf; seed; block_size; blocks } ->
+    if session.reading then begin
+      Hashtbl.reset orams;
+      session.reading <- false
+    end;
     let oram =
       Path_oram.create ~num_blocks:(max (Array.length blocks) 1) ~block_size
         (Prng.create seed)
@@ -135,6 +150,7 @@ let dispatch view orams (req : Wire.request) : Wire.response =
     Hashtbl.replace orams leaf oram;
     Wire.R_oram { block = None; touches = Path_oram.bucket_touches oram }
   | Wire.Oram_read { leaf; slot } -> (
+    session.reading <- true;
     match Hashtbl.find_opt orams leaf with
     | None -> Wire.R_error { not_found = true; msg = "no ORAM session for this leaf" }
     | Some oram ->
@@ -199,9 +215,14 @@ let dispatch view orams (req : Wire.request) : Wire.response =
     in
     Wire.R_store_stats { leaves = stats }
 
-let serve view orams request_bytes =
+let session view = { view; orams = Hashtbl.create 4; reading = false }
+
+let session_oram_leaves s =
+  List.sort compare (Hashtbl.fold (fun leaf _ acc -> leaf :: acc) s.orams [])
+
+let session_handle session request_bytes =
   let resp =
-    match dispatch view orams (Wire.request_of_string request_bytes) with
+    match dispatch session (Wire.request_of_string request_bytes) with
     | resp -> resp
     | exception Integrity.Corruption c -> Wire.R_corrupt c
     | exception Not_found ->
@@ -210,9 +231,7 @@ let serve view orams request_bytes =
   in
   Wire.response_to_string resp
 
-let session_handler view =
-  let orams = Hashtbl.create 4 in
-  serve view orams
+let session_handler view = session_handle (session view)
 
 (* --- the connection -------------------------------------------------------- *)
 

@@ -50,15 +50,33 @@ exception Busy
     ([Wire.R_busy]): the request was never executed and is safe to
     retry. In-process backends never raise it. *)
 
+type session
+(** One server session over a view: its ORAM trees live here. *)
+
+val session : store_view -> session
+
+val session_handle : session -> string -> string
+(** Decode request bytes, dispatch, serialize the response. Typed
+    failures ([Integrity.Corruption], [Not_found], [Invalid_argument] —
+    which covers malformed request bytes) come back as
+    [R_corrupt]/[R_error] payloads, never as raised exceptions.
+
+    ORAM memory is bounded by generations. A session keeps one Path ORAM
+    tree per leaf it was sent an [Oram_init] for, and the first
+    [Oram_init] after an [Oram_read] starts a new generation: every tree
+    of the previous one is dropped. The executor installs all partners
+    of an anchor fetch before it reads any of them, so a fetch keeps all
+    of its partner trees (three-leaf queries keep both), and a session
+    holds no more trees than the latest fetch's partners. A read of a
+    leaf whose tree was dropped answers [R_error] like an unknown leaf. *)
+
+val session_oram_leaves : session -> string list
+(** Leaves with a live ORAM tree, sorted. *)
+
 val session_handler : store_view -> string -> string
-(** One server session over a view: decode request bytes, dispatch,
-    serialize the response. Each call to [session_handler view] makes a
-    fresh session (its own ORAM table) — this is the server half of
-    {!connect}, exposed so a network server can run one session per
-    accepted socket against a shared view. Typed failures
-    ([Integrity.Corruption], [Not_found], [Invalid_argument] — which
-    covers malformed request bytes) come back as [R_corrupt]/[R_error]
-    payloads, never as raised exceptions. *)
+(** [session_handle (session view)]: each call makes a fresh session —
+    the server half of {!connect}, exposed so a network server can run
+    one session per accepted socket against a shared view. *)
 
 val connect : (module BACKEND with type t = 'a) -> 'a -> conn
 (** Open a session over a backend instance. Each connection gets its own
