@@ -125,6 +125,39 @@ let batch_counter_mismatches ?planned traces deltas =
          else
            Some (Printf.sprintf "%s: traces sum to %d, counter moved %d" n want got))
 
+(* A batch of one must be indistinguishable from the single query: the
+   same trace record up to the planner's cache outcome (a hit prices no
+   candidates, so [d_enumerated] follows [d_cache]) and, when both SNFT
+   traces were recorded, the same bytes once timestamps are zeroed. *)
+let batch_of_one_mismatches (single : Executor.trace) single_snft
+    (batched : Executor.trace) batched_snft =
+  let normal (t : Executor.trace) =
+    { t with
+      Executor.decision =
+        { t.Executor.decision with Planner.d_cache = `Hit; d_enumerated = 0 } }
+  in
+  let snft_bytes (tr : Snf_obs.Wiretrace.trace) =
+    Snf_obs.Wiretrace.to_binary_string
+      { tr with
+        events =
+          List.map (fun e -> { e with Snf_obs.Wiretrace.ts_us = 0.0 }) tr.events }
+  in
+  (if normal single = normal batched then []
+   else [ "batch-of-one trace record differs from the single query's" ])
+  @
+  match (single_snft, batched_snft) with
+  | Some a, Some b when snft_bytes a <> snft_bytes b ->
+    [ "batch-of-one SNFT bytes differ from the single query's" ]
+  | _ -> []
+
+(* Record the SNFT trace of [f] unless a recording is already running (an
+   outer [--wire-trace-out] soak keeps the whole run in one trace). *)
+let recorded f =
+  if Snf_obs.Wiretrace.recording () then (f (), None)
+  else
+    let v, trace = System.record_wire_trace f in
+    (v, Some trace)
+
 let chunks n l =
   let n = max 1 n in
   let cur, acc =
@@ -412,17 +445,33 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
             let bags_by_rep =
               List.filter_map
                 (fun (label, owner) ->
+                  let planner = List.assoc label handles in
+                  (* A size-1 chunk is first run as the single query it is. *)
+                  let single =
+                    match chunk with
+                    | [ q ] ->
+                      Some (recorded (fun () -> System.query_checked ~mode ?planner owner q))
+                    | _ -> None
+                  in
                   let before = Metrics.snapshot () in
                   match
-                    System.query_batch ~mode ?planner:(List.assoc label handles) owner
-                      chunk
+                    recorded (fun () -> System.query_batch ~mode ?planner owner chunk)
                   with
                   | exception Integrity.Corruption c ->
                     fail ~rep:label ~mode:mstr ~kind:"batch"
                       ("batch flagged corruption: " ^ Integrity.to_string c);
                     None
-                  | results ->
+                  | results, batch_snft ->
                     let deltas = Metrics.counter_diff before (Metrics.snapshot ()) in
+                    (match (single, results) with
+                     | Some (Ok (_, st), single_snft), [ Ok (_, bt) ] ->
+                       List.iter
+                         (fail ~query:(List.hd chunk) ~rep:label ~mode:mstr ~kind:"batch")
+                         (batch_of_one_mismatches st single_snft bt batch_snft)
+                     | Some (Error _, _), [ Error _ ] | None, _ -> ()
+                     | Some _, _ ->
+                       fail ~query:(List.hd chunk) ~rep:label ~mode:mstr ~kind:"batch"
+                         "batch of one and the single query disagree on the outcome");
                     let traces =
                       List.filter_map
                         (function Ok (_, t) -> Some t | Error _ -> None)

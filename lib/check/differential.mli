@@ -66,7 +66,7 @@ val run_instance :
   outcome
 (** Default [queries] 25; all checks on. An empty [failures] list is
     the conformance verdict. [tid_cache] controls the join tid-decrypt
-    cache ({!Snf_exec.Executor.run}'s [use_tid_cache]): [`Rotate]
+    cache ({!Snf_exec.Executor.run_batch}'s [use_tid_cache]): [`Rotate]
     (default) alternates it per query so every run covers both paths —
     answers must be identical either way; [`On] / [`Off] pin it. A
     disabled-cache execution is tagged ["-nocache"] in failure modes.
@@ -100,7 +100,12 @@ val run_instance :
     Checked: batched answers agree with the oracle and across
     representations, and each batch's summed per-query traces reconcile
     exactly with the [exec.query.*] / [exec.wire.*] counter deltas it
-    moved — disagreements are tagged ["batch"].
+    moved. Each size-1 chunk is also run first as the single query
+    ([System.query_checked]) and must reproduce it: the same outcome, the
+    same trace record field-for-field except the planner's cache outcome
+    ([d_cache], and the [d_enumerated] it implies), and the same SNFT
+    bytes with timestamps zeroed — the latter only when no outer
+    recording is running. Disagreements are tagged ["batch"].
 
     [planner] (default [`Greedy]) selects the planning handle for the
     differential and batched passes; [`Cost] builds a per-owner

@@ -9,10 +9,10 @@
 
     {2 Determinism}
 
-    The only concurrent server calls in the system are the per-leaf
-    [Filter] fan-out inside [Executor.run_conn]; that region is wrapped
-    in {!unordered}, and at {!stop} every maximal run of rounds recorded
-    inside one unordered section is canonicalised: rounds are reordered
+    The only concurrent server calls in the system are a lone query's
+    per-leaf [Filter] fan-out in [Executor.run_batch]; that region is
+    wrapped in {!unordered}, and at {!stop} every maximal run of rounds
+    recorded inside one unordered section is canonicalised: rounds are reordered
     by content (phase, tags, byte lengths, summaries — never
     timestamps), and the timestamps observed in the run are re-dealt in
     ascending order onto the reordered rounds. With a pinned {!Clock}

@@ -105,19 +105,11 @@ let record_answered t q ans (trace : Executor.trace) =
   t.wire_bytes_up <- t.wire_bytes_up + trace.Executor.wire_bytes_up;
   t.wire_bytes_down <- t.wire_bytes_down + trace.Executor.wire_bytes_down
 
-let query ?mode ?use_index ?use_tid_cache ?use_mapping_cache t q =
-  let before = Metrics.snapshot () in
-  match System.query ?mode ?use_index ?use_tid_cache ?use_mapping_cache t.owner q with
-  | Error _ as e -> e
-  | Ok (ans, trace) ->
-    record_answered t q ans trace;
-    t.query_metrics <- Metrics.counter_diff before (Metrics.snapshot ()) :: t.query_metrics;
-    Ok (ans, trace)
-
 (* A batch moves the process counters once, for everyone: the whole delta
    is attached to the first answered query's [query_metrics] entry (the one
    the executor also charges the shared traffic to) and the rest get [],
-   so summing per-query entries still reconciles with the process totals. *)
+   so summing per-query entries still reconciles with the process totals.
+   A batch of one therefore records exactly its own delta. *)
 let query_batch ?mode ?use_index ?use_tid_cache ?use_mapping_cache t qs =
   let before = Metrics.snapshot () in
   let results =
@@ -134,6 +126,9 @@ let query_batch ?mode ?use_index ?use_tid_cache ?use_mapping_cache t qs =
         t.query_metrics <- entry :: t.query_metrics)
     qs results;
   results
+
+let query ?mode ?use_index ?use_tid_cache ?(use_mapping_cache = false) t q =
+  List.hd (query_batch ?mode ?use_index ?use_tid_cache ~use_mapping_cache t [ q ])
 
 type attr_report = {
   attr : string;

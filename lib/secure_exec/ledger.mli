@@ -25,7 +25,9 @@ val query :
   ?mode:Executor.mode -> ?use_index:bool -> ?use_tid_cache:bool ->
   ?use_mapping_cache:bool ->
   t -> Query.t -> (Snf_relational.Relation.t * Executor.trace, string) result
-(** Execute and record. Failed (unplannable) queries are not recorded. *)
+(** Execute and record: {!query_batch} of [[q]], with the mapping cache
+    off by default as in {!System.query}. Failed (unplannable) queries are
+    not recorded. *)
 
 val query_batch :
   ?mode:Executor.mode -> ?use_index:bool -> ?use_tid_cache:bool ->
@@ -81,10 +83,13 @@ type report = {
   mapping_cache_misses : int;          (** mapping-cache misses (crypto
                                            actually performed) *)
   batches : int;
-    (** [run_batch] passes since [create] — delta of the process-wide
-        ["exec.batch.count"] counter *)
+    (** [Q_batch] passes (batches of two or more executable queries)
+        since [create] — delta of the process-wide ["exec.batch.count"]
+        counter *)
   batch_queries : int;                 (** queries carried by those batches *)
-  batch_shared_joins : int;            (** shared oblivious alignments built *)
+  batch_shared_joins : int;
+    (** oblivious alignments built for a leaf set that two or more
+        queries of one batch join *)
   batch_join_reuses : int;             (** alignment reuses within batches *)
   query_metrics : (string * int) list list;
     (** per query, in execution order: every [Snf_obs] counter the query

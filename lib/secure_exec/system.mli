@@ -133,8 +133,8 @@ val query :
   ?drop_tid:(int -> bool) ->
   owner -> Query.t -> (Relation.t * Executor.trace, string) result
 (** [Error] is a planning failure. Detected storage corruption raises
-    [Integrity.Corruption] (see [Executor.run]); use {!query_checked} to
-    receive it as a result instead. [use_tid_cache] (default true) and
+    [Integrity.Corruption] (see [Executor.run_batch]); use
+    {!query_checked} to receive it as a result instead. [use_tid_cache] (default true) and
     [use_mapping_cache] (default false) are passed through to
     [Executor.run_conn] — identical answers either way. [planner]
     (default greedy) selects the planning handle; see {!cost_planner}. *)
@@ -166,7 +166,8 @@ val query_batch :
   owner -> Query.t list -> (Relation.t * Executor.trace, string) result list
 (** K queries through one shared pass over the owner's connection
     ([Executor.run_batch]): one [Wire.Q_batch] round trip for all
-    filters, one shared oblivious alignment per distinct leaf set, and
+    filters when two or more queries are executable, one shared
+    oblivious alignment per leaf set that two or more of them join, and
     the crypto-free mapping cache on by default. Positional results;
     answers bag-identical to K {!query} calls. *)
 

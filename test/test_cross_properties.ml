@@ -76,8 +76,14 @@ let prop_wire_preserves_answers =
       let enc' = Snf_exec.Wire.of_string (Snf_exec.Wire.to_string o.Snf_exec.System.enc) in
       let q = Snf_exec.Query.point ~select:[ "v" ] [ ("k", Value.Int needle) ] in
       let rep = o.Snf_exec.System.plan.Snf_core.Normalizer.representation in
+      let conn =
+        Snf_exec.Server_api.connect
+          (module Snf_exec.Backend_mem)
+          (Snf_exec.Backend_mem.of_store enc')
+      in
+      Fun.protect ~finally:(fun () -> Snf_exec.Server_api.close conn) @@ fun () ->
       match
-        ( Snf_exec.Executor.run o.Snf_exec.System.client enc' rep q,
+        ( Snf_exec.Executor.run_conn o.Snf_exec.System.client conn rep q,
           Snf_exec.System.query o q )
       with
       | Ok (a, _), Ok (b, _) -> Helpers.bag a = Helpers.bag b

@@ -62,12 +62,18 @@ let test_roundtrip () =
     (Snf_bignum.Nat.equal enc.Enc_relation.paillier_public.Snf_crypto.Paillier.n
        enc'.Enc_relation.paillier_public.Snf_crypto.Paillier.n)
 
+(* One query over a fresh in-process connection adopting [enc]. *)
+let run_over ?use_index (o : System.owner) enc rep q =
+  let conn = Server_api.connect (module Backend_mem) (Backend_mem.of_store enc) in
+  Fun.protect ~finally:(fun () -> Server_api.close conn) @@ fun () ->
+  Executor.run_conn ?use_index o.System.client conn rep q
+
 let test_loaded_store_is_queryable () =
   let o = owner () in
   let enc' = Wire.of_string (Wire.to_string o.System.enc) in
   let rep = o.System.plan.Snf_core.Normalizer.representation in
   let q = Query.point ~select:[ "note" ] [ ("code", Value.Text "c1") ] in
-  match Executor.run o.System.client enc' rep q with
+  match run_over o enc' rep q with
   | Ok (ans, _) ->
     Alcotest.(check int) "answers from the loaded image" 3 (Relation.cardinality ans);
     Alcotest.(check bool) "agrees with reference" true
@@ -118,7 +124,7 @@ let test_loaded_store_indexed_differential () =
       Query.point ~select:[ "id" ] [ ("code", Value.Text "missing") ] ]
   in
   let run enc q =
-    match Executor.run ~use_index:true o.System.client enc rep q with
+    match run_over ~use_index:true o enc rep q with
     | Ok (ans, tr) -> (Helpers.bag ans, tr)
     | Error e -> Alcotest.fail e
   in
