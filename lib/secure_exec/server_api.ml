@@ -246,12 +246,14 @@ type conn = {
   c_requests : int Atomic.t;
   c_bytes_up : int Atomic.t;
   c_bytes_down : int Atomic.t;
-  (* Decoded-tid memo: the server is still asked on every call (the
-     traffic is real and counted), but when the response bytes are
-     unchanged the previously decoded array is returned {e physically}
-     unchanged — which is what lets [Enc_relation.decrypt_tids_cached]
-     recognize a stable leaf across queries on a connection. *)
-  tid_memo : (string, string array) Hashtbl.t;
+  (* Decoded-tid memo, per leaf: the last [Fetch_tids] response bytes and
+     the array decoded from them. The server is still asked on every call
+     (the traffic is real and counted), but when the response bytes are
+     unchanged they are not decoded again and the memoised array is
+     returned {e physically} unchanged — which is what lets
+     [Enc_relation.decrypt_tids_cached] recognize a stable leaf across
+     queries on a connection. *)
+  tid_memo : (string, string * string array) Hashtbl.t;
   memo_mutex : Mutex.t;
 }
 
@@ -393,8 +395,10 @@ let summarize_response (resp : Wire.response) =
    server-reported failures as the typed exceptions the pre-split code
    threw from the same situations. When the SNFT recorder is on, the
    round is logged before error re-raising, so failed round trips leak
-   (and are recorded) exactly like successful ones. *)
-let call conn ph req =
+   (and are recorded) exactly like successful ones. [decode] replaces
+   [Wire.response_of_string] for stubs that can skip decoding bytes they
+   have seen before. *)
+let call ?(decode = Wire.response_of_string) conn ph req =
   let up = Wire.request_to_string req in
   let down = conn.handle up in
   Atomic.incr conn.c_requests;
@@ -406,7 +410,7 @@ let call conn ph req =
   Metrics.incr ph.p_requests;
   Metrics.add ph.p_bytes_up (String.length up);
   Metrics.add ph.p_bytes_down (String.length down);
-  let resp = Wire.response_of_string down in
+  let resp = decode down in
   if Wiretrace.recording () then
     Wiretrace.record_round ~phase:ph.p_name
       ~up:(Wire.request_tag req, String.length up, summarize_request req)
@@ -471,15 +475,26 @@ let fetch_rows conn ~leaf ~attrs ~slots =
   | Wire.R_rows rows -> rows
   | _ -> protocol_error "Fetch_rows"
 
+(* Bytes equal to the last response for this leaf decode to the memoised
+   array without being parsed; any other bytes are decoded afresh and, if
+   they are a tid column, become the new memo. *)
 let fetch_tids conn ~leaf =
-  match call conn ph_fetch (Wire.Fetch_tids { leaf }) with
-  | Wire.R_tids tids ->
-    Mutex.protect conn.memo_mutex (fun () ->
-        match Hashtbl.find_opt conn.tid_memo leaf with
-        | Some memo when memo = tids -> memo
-        | _ ->
-          Hashtbl.replace conn.tid_memo leaf tids;
-          tids)
+  let decode down =
+    match
+      Mutex.protect conn.memo_mutex (fun () -> Hashtbl.find_opt conn.tid_memo leaf)
+    with
+    | Some (bytes, tids) when String.equal bytes down -> Wire.R_tids tids
+    | _ ->
+      let resp = Wire.response_of_string down in
+      (match resp with
+       | Wire.R_tids tids ->
+         Mutex.protect conn.memo_mutex (fun () ->
+             Hashtbl.replace conn.tid_memo leaf (down, tids))
+       | _ -> ());
+      resp
+  in
+  match call ~decode conn ph_fetch (Wire.Fetch_tids { leaf }) with
+  | Wire.R_tids tids -> tids
   | _ -> protocol_error "Fetch_tids"
 
 let oram_init conn ~leaf ~seed ~block_size ~blocks =

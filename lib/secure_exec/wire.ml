@@ -11,11 +11,9 @@ let version = 1
 let w_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
 
 let w_int buf n =
-  (* 63-bit non-negative, 8 bytes LE *)
+  (* 63-bit non-negative, 8 bytes LE: the top two bits are always clear *)
   if n < 0 then invalid_arg "Wire: negative integer";
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((n lsr (8 * i)) land 0xff))
-  done
+  Buffer.add_int64_le buf (Int64.of_int n)
 
 let w_string buf s =
   w_int buf (String.length s);
@@ -33,15 +31,15 @@ let r_u8 c =
   c.pos <- c.pos + 1;
   v
 
+(* Canonical: bit 62 would make a negative native int and bit 63 does not
+   fit one at all, so an 8-byte word with either set is no integer [w_int]
+   writes — reject it rather than drop a bit and alias another encoding. *)
 let r_int c =
   if c.pos + 8 > String.length c.data then fail "truncated";
-  let v = ref 0 in
-  for i = 7 downto 0 do
-    v := (!v lsl 8) lor Char.code c.data.[c.pos + i]
-  done;
+  let v = String.get_int64_le c.data c.pos in
+  if Int64.shift_right_logical v 62 <> 0L then fail "integer out of range";
   c.pos <- c.pos + 8;
-  if !v < 0 then fail "negative integer";
-  !v
+  Int64.to_int v
 
 let r_string c =
   let n = r_int c in
@@ -659,8 +657,8 @@ let r_response c =
   | 13 -> R_store_stats { leaves = r_list r_leaf_stats c }
   | n -> fail (Printf.sprintf "unknown response tag %d" n)
 
-let msg_to_string w x =
-  let buf = Buffer.create 256 in
+let msg_to_string ?(size = 256) w x =
+  let buf = Buffer.create size in
   Buffer.add_string buf msg_magic;
   w_u8 buf msg_version;
   w buf x;
@@ -678,7 +676,26 @@ let msg_of_string r data =
 
 let request_to_string r = msg_to_string w_request r
 let request_of_string s = msg_of_string r_request s
-let response_to_string r = msg_to_string w_response r
+(* Initial buffer capacity for a response: the column-sized answers
+   ([R_tids], [R_rows]) are sized from their payload instead of growing
+   the buffer by doubling from 256 B. Cells whose length is not at hand
+   are guessed; a short guess only costs a regrowth. *)
+let cell_size_hint (cell : Enc_relation.cell) =
+  match cell with
+  | Enc_relation.C_bytes b -> 9 + String.length b
+  | Enc_relation.C_ord { payload; _ } -> 17 + String.length payload
+  | Enc_relation.C_ore { payload; _ } -> 64 + String.length payload
+  | Enc_relation.C_plain _ | Enc_relation.C_nat _ -> 32
+
+let response_size_hint = function
+  | R_tids tids -> Array.fold_left (fun acc t -> acc + 8 + String.length t) 32 tids
+  | R_rows cols ->
+    Array.fold_left
+      (fun acc col -> Array.fold_left (fun acc cell -> acc + cell_size_hint cell) (acc + 8) col)
+      32 cols
+  | _ -> 256
+
+let response_to_string r = msg_to_string ~size:(response_size_hint r) w_response r
 let response_of_string s = msg_of_string r_response s
 
 (* --- manifest primitives ---------------------------------------------------------- *)

@@ -318,9 +318,59 @@ let flip s pos byte =
   Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 + (byte mod 255))));
   Bytes.to_string b
 
+(* {1 Canonical integers}
+
+   [w_int] writes 8-byte words whose top two bits are clear. A word with
+   bit 62 or bit 63 set is no encoding of any integer, and every reader —
+   messages, store images, the disk manifest — must reject it with the
+   typed error instead of dropping the bit and aliasing another frame. *)
+
+let with_bits s ~word ~mask =
+  let b = Bytes.of_string s in
+  let pos = word + 7 in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lor mask));
+  Bytes.to_string b
+
+let out_of_range = Invalid_argument "Wire: integer out of range"
+
+let test_high_integer_bits_rejected () =
+  List.iter
+    (fun mask ->
+      let what = Printf.sprintf "top bits %#x" mask in
+      (* R_tids: magic (4) + version (1) + tag (1), then the count. *)
+      let tids = Wire.response_to_string (Wire.R_tids [| "t1"; "t2" |]) in
+      Alcotest.check_raises ("R_tids count, " ^ what) out_of_range (fun () ->
+          ignore (Wire.response_of_string (with_bits tids ~word:6 ~mask)));
+      (* SNFE store image: magic (4) + version (1), then the name length. *)
+      let leaf =
+        { Enc_relation.label = "L"; row_count = 1; tids = [| "x" |]; columns = [] }
+      in
+      let image =
+        Wire.to_string
+          { Enc_relation.relation_name = "R";
+            leaves = [ leaf ];
+            paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35);
+            index_cache = Hashtbl.create 1 }
+      in
+      Alcotest.check_raises ("SNFE name length, " ^ what) out_of_range (fun () ->
+          ignore (Wire.of_string (with_bits image ~word:5 ~mask)));
+      Alcotest.check_raises ("leaf label length, " ^ what) out_of_range (fun () ->
+          ignore (Wire.leaf_of_string (with_bits (Wire.leaf_to_string leaf) ~word:0 ~mask)));
+      (* The manifest primitives. *)
+      let buf = Buffer.create 8 in
+      Wire.Prim.w_int buf 12345;
+      Alcotest.check_raises ("Prim.r_int, " ^ what) out_of_range (fun () ->
+          ignore (Wire.Prim.r_int (Wire.Prim.cursor (with_bits (Buffer.contents buf) ~word:0 ~mask)))))
+    [ 0x80; 0x40; 0xc0 ];
+  let buf = Buffer.create 8 in
+  Wire.Prim.w_int buf max_int;
+  Alcotest.(check int) "max_int still round-trips" max_int
+    (Wire.Prim.r_int (Wire.Prim.cursor (Buffer.contents buf)))
+
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;
     t "every strict prefix rejected" test_every_prefix_rejected;
+    t "integers with the top bits set rejected" test_high_integer_bits_rejected;
     Helpers.qtest ~count:300 "random requests roundtrip" gen_request
       req_roundtrips;
     Helpers.qtest ~count:300 "random responses roundtrip" gen_response
