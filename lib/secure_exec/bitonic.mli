@@ -27,12 +27,18 @@ val sort : ?counter:int ref -> cmp:('a -> 'a -> int) -> 'a array -> unit
 
 val sort_ints : ?counter:int ref -> int array -> unit
 (** Monomorphic ascending in-place sort over the same network: packed keys
-    compare as plain ints, so the compare-exchange is branch-cheap and
-    allocation-free. Elements must be [< max_int] — [max_int] is the
-    padding sentinel (the int-level twin of the generic network's [None]).
-    On large inputs the outer stages fan out across [Parallel] domains
-    once the sub-networks are independent; the schedule, the resulting
-    order and the [counter] value are identical for every domain count
-    (and equal to what {!sort} with [Int.compare] would report). *)
+    compare as plain ints, and the compare-exchange is branch-free and
+    allocation-free. Every comparator reads both slots and writes both
+    back, swapped or not, through an xor mask, so the control flow and
+    the memory trace of reads {e and} writes depend only on the length.
+    (The generic {!sort} writes only on a swap, so there the claim above
+    holds for its reads alone.) Any int is a valid key except [max_int],
+    the padding sentinel (the int-level twin of the generic network's
+    [None]); negative keys down to [min_int] are fine, as no comparator
+    subtracts keys. On large inputs the outer stages fan out across
+    [Parallel] domains once the sub-networks are independent; the
+    schedule, the resulting order and the [counter] value are identical
+    for every domain count (and equal to what {!sort} with [Int.compare]
+    would report). *)
 
 val is_sorted : cmp:('a -> 'a -> int) -> 'a array -> bool

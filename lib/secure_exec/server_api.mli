@@ -158,9 +158,13 @@ val fetch_rows :
 
 val fetch_tids : conn -> leaf:string -> string array
 (** The leaf's tid ciphertext column. The server is asked on every call
-    (the traffic is real); when the bytes are unchanged since the last
-    call on this connection the same physical array is returned, so
-    [Enc_relation.decrypt_tids_cached] can recognize a stable leaf. *)
+    (the traffic is real). The connection memoises, per leaf, the last
+    response bytes with the array decoded from them: a response whose
+    bytes are equal to the memoised ones is not decoded again and returns
+    the same physical array, so [Enc_relation.decrypt_tids_cached] can
+    recognize a stable leaf. Any other bytes — one flipped tid byte is
+    enough — are decoded afresh into a new array, which replaces the
+    memo; the memo never stands in for bytes it was not decoded from. *)
 
 val oram_init :
   conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array -> int

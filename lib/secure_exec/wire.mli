@@ -20,7 +20,9 @@
 
     All decoders reject malformed input with a typed [Invalid_argument]
     (message ["Wire: ..."]) — never a crash, never a silently wrong
-    value. *)
+    value. Integers are canonical: an 8-byte word with bit 62 or bit 63
+    set encodes no integer and is rejected, so every value has exactly
+    one encoding and equal messages have equal bytes. *)
 
 val to_string : Enc_relation.t -> string
 
