@@ -24,6 +24,13 @@
                                              checked against List.sort
                                              and the generic network;
                                              writes BENCH_sort.json.
+   `dune exec bench/main.exe -- micro-fanout`
+                                           — one empty fan-out at 2 and 4
+                                             lanes through the domain
+                                             pool vs spawning a domain
+                                             per lane: wall and CPU us
+                                             per call; writes
+                                             BENCH_fanout.json.
    `dune exec bench/main.exe -- micro-paillier`
                                            — Paillier kernel comparison;
                                              writes BENCH_paillier.json.
@@ -665,6 +672,71 @@ let run_micro_sort () =
                       ("minor_words_per_sort", Report.J_float words) ])
                 rows) ) ]);
   Printf.printf "wrote BENCH_sort.json\n"
+
+(* The cost of one empty fan-out (one trivial item per lane) at 2 and 4
+   lanes: through [Parallel.tabulate]'s persistent pool, and through a
+   spawn-per-call reference (the caller runs lane 0 and spawns then joins
+   a fresh domain for each other lane). Wall and process CPU us per call,
+   best of five rounds by wall time. Fails unless every output equals
+   [Array.init]. *)
+let run_micro_fanout () =
+  section "Micro: empty fan-out (us per call, pool vs spawn per call)";
+  let spawn_per_call lanes f =
+    let others = List.init (lanes - 1) (fun i -> Domain.spawn (fun () -> f (i + 1))) in
+    let first = f 0 in
+    Array.of_list (first :: List.map Domain.join others)
+  in
+  let methods =
+    [ ("pool", fun lanes f -> Snf_exec.Parallel.tabulate ~domains:lanes lanes f);
+      ("spawn", spawn_per_call) ]
+  in
+  Printf.printf "  %6s %6s %12s %12s\n" "lanes" "method" "wall us" "cpu us";
+  let rows =
+    List.concat_map
+      (fun lanes ->
+        let want = Array.init lanes Fun.id in
+        List.map
+          (fun (name, fan_out) ->
+            let call () =
+              if fan_out lanes Fun.id <> want then
+                failwith (Printf.sprintf "micro-fanout: %s at %d lanes is not Array.init" name lanes)
+            in
+            let round () =
+              call ();
+              let reps = ref 0 in
+              let w0 = Unix.gettimeofday () and c0 = Sys.time () in
+              while Unix.gettimeofday () -. w0 < 0.2 do
+                call ();
+                incr reps
+              done;
+              let per x = x /. float_of_int !reps *. 1e6 in
+              (per (Unix.gettimeofday () -. w0), per (Sys.time () -. c0))
+            in
+            let wall, cpu =
+              List.fold_left
+                (fun best r -> if fst r < fst best then r else best)
+                (infinity, infinity) (List.init 5 (fun _ -> round ()))
+            in
+            Printf.printf "  %6d %6s %12.1f %12.1f\n" lanes name wall cpu;
+            (lanes, name, wall, cpu))
+          methods)
+      [ 2; 4 ]
+  in
+  Report.write_json "BENCH_fanout.json"
+    (Report.J_obj
+       [ ("experiment", Report.J_string "empty-fan-out");
+         ("cores", Report.J_int (Domain.recommended_domain_count ()));
+         ( "fan_outs",
+           Report.J_list
+             (List.map
+                (fun (lanes, name, wall, cpu) ->
+                  Report.J_obj
+                    [ ("lanes", Report.J_int lanes);
+                      ("method", Report.J_string name);
+                      ("wall_us_per_call", Report.J_float wall);
+                      ("cpu_us_per_call", Report.J_float cpu) ])
+                rows) ) ]);
+  Printf.printf "wrote BENCH_fanout.json\n"
 
 (* End-to-end bulk-encryption determinism: outsource a relation with DET,
    NDET and PHE columns under 1 and 3 domains and compare the serialized
@@ -1965,6 +2037,7 @@ let () =
   if wants "micro-modexp" then run_micro_modexp ();
   if wants "micro-prf" then run_micro_prf ();
   if wants "micro-sort" then run_micro_sort ();
+  if wants "micro-fanout" then run_micro_fanout ();
   if wants "micro-paillier" then run_micro_paillier ();
   if wants "micro-join" then run_micro_join ();
   if wants "micro-batch" then run_micro_batch ();

@@ -3,8 +3,9 @@
    Updates go to a domain-local int array (no locks, no cross-domain
    cache traffic on the hot path); [flush] folds the calling domain's
    shard into the global accumulator under a mutex and zeroes it.
-   [Snf_exec.Parallel] flushes at every join point, so totals are plain
-   integer sums — identical for any SNF_DOMAINS. Readers ([value],
+   [Snf_exec.Parallel]'s pool workers flush after every chunk, before the
+   chunk counts as finished, so totals are plain integer sums — identical
+   for any SNF_DOMAINS. Readers ([value],
    [snapshot]) flush the calling domain first, which makes single-domain
    reads exact without any extra discipline. *)
 
@@ -174,8 +175,9 @@ let counters_with_prefix prefix counters =
 
 let reset () =
   (* Discard, don't merge: zero the calling domain's shard and the global
-     accumulator. Worker domains never outlive a [Parallel] region, so no
-     other live shard can hold residue. *)
+     accumulator. [Parallel]'s pool workers outlive every call, but each
+     flushes its shard before a chunk counts as finished, so between calls
+     no other live shard holds residue. *)
   let r = Domain.DLS.get shard_key in
   Array.fill !r 0 (Array.length !r) 0;
   locked (fun () ->

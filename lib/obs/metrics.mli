@@ -1,9 +1,9 @@
 (** Process-wide metrics: named counters, gauges, and log-scale histograms.
 
     Counters and histograms are {e domain-safe and deterministic}: updates
-    land in a per-domain shard and [Snf_exec.Parallel] merges shards into
-    the global accumulator at every join point, so totals are integer sums
-    independent of [SNF_DOMAINS]. Registration is idempotent by name —
+    land in a per-domain shard and [Snf_exec.Parallel]'s pool workers
+    merge theirs into the global accumulator after every chunk, so totals
+    are integer sums independent of [SNF_DOMAINS]. Registration is idempotent by name —
     any layer may call [counter "exec.eq_index.hits"] and obtain the same
     underlying counter (how [Ledger] and the index ablation share one
     accounting source).
@@ -65,8 +65,12 @@ val counters_with_prefix : string -> (string * int) list -> (string * int) list
 
 val flush : unit -> unit
 (** Merge the calling domain's shard into the global accumulator.
-    [Snf_exec.Parallel] calls this as each chunk finishes; only code
-    spawning raw [Domain]s outside [Parallel] needs it directly. *)
+    [Snf_exec.Parallel]'s pool workers call this after every chunk, before
+    the chunk counts as finished; only code running its own [Domain]s
+    outside [Parallel] needs it directly. *)
 
 val reset : unit -> unit
-(** Zero every counter, histogram, and gauge (registrations persist). *)
+(** Zero every counter, histogram, and gauge (registrations persist).
+    Only the calling domain's shard and the global accumulator are
+    cleared: exact when no other domain holds unflushed updates, which
+    holds for [Parallel]'s workers between calls. *)

@@ -2,7 +2,7 @@
     secure-execution path.
 
     - {!Metrics}: always-on named counters, gauges, and log-scale
-      histograms, sharded per domain and merged at [Parallel] joins so
+      histograms, sharded per domain and merged after each [Parallel] chunk so
       totals are deterministic under any [SNF_DOMAINS].
     - {!Span}: nested monotonic spans, off by default
       ([Span.set_enabled true] to record), exported as Chrome
@@ -29,4 +29,5 @@ let flush () =
   Metrics.flush ();
   Span.flush ()
 (** Merge this domain's metric shard and span buffer into the global
-    accumulators. Called by [Snf_exec.Parallel] as each chunk finishes. *)
+    accumulators. Called by [Snf_exec.Parallel]'s pool workers after each
+    chunk. *)

@@ -3,7 +3,8 @@
     [with_ ~name f] runs [f]; when the tracer is enabled it records a
     completed span (start, duration, nesting depth, domain). Spans nest
     lexically per domain; completed spans buffer domain-locally and merge
-    on [flush] / at [Snf_exec.Parallel] join points. Export with
+    on [flush], which [Snf_exec.Parallel]'s pool workers call after every
+    chunk. Export with
     {!Export.chrome_trace}. *)
 
 type event = {

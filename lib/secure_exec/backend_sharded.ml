@@ -212,18 +212,14 @@ let shard_call t conns i req =
 let protocol_error what =
   invalid_arg ("Backend_sharded: unexpected shard response to " ^ what)
 
-(* Run [f] once per shard, one Parallel lane each — domains for
-   in-process shards, genuine concurrency for socket shards. Every leg
-   runs to completion even if another raises (a dead shard must not
-   strand the survivors' work or their counter flushes); the first
-   failure by shard index is re-raised after the join. *)
-let fan_out t f =
-  let res =
-    Parallel.tabulate ~domains:t.shards t.shards (fun i ->
-        match f i with r -> Ok r | exception e -> Error e)
-  in
-  Array.iter (function Error e -> raise e | Ok _ -> ()) res;
-  Array.map (function Ok r -> r | Error _ -> assert false) res
+(* Run [f] once per shard, one Parallel lane each, whatever
+   [SNF_DOMAINS] says: the calling domain runs leg 0 and any leg no pool
+   worker has picked up yet, so in-process shards share the pool's
+   domains and socket shards get genuine concurrency. Every leg runs to
+   completion even if another raises (a dead shard must not strand the
+   survivors' work or their counter flushes); [tabulate] re-raises the
+   first failure by shard index once all legs are done. *)
+let fan_out t f = Parallel.tabulate ~domains:t.shards t.shards f
 
 let leaf_meta t leaf =
   match t.meta with

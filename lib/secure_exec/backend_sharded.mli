@@ -45,7 +45,7 @@
     so boundary counters ([exec.wire.*], SNFT) count the outer
     connection exactly once; the coordinator accounts its fan-out in
     per-shard [exec.wire.shard<i>.{requests,bytes_up,bytes_down}]
-    counters, flushed at [Parallel] join points — totals are
+    counters, flushed by [Parallel] as each leg finishes — totals are
     bit-identical for any [SNF_DOMAINS], and shard imbalance shows up
     per query in [Ledger] reports. Per-shard row placement is published
     in [exec.shard<i>.rows] gauges at install. *)

@@ -146,8 +146,12 @@ let run_substages (work : int array) ~k ~j_hi ~j_lo ~lo ~hi =
    in block order. *)
 let in_blocks bc f = Array.fold_left ( + ) 0 (Parallel.tabulate ~domains:bc bc f)
 
-(* Below this padded size the per-substage Domain.spawn overhead outweighs
-   the sort itself. *)
+(* Below this padded size the sort runs on one domain. The value dates from
+   a Domain.spawn per lane on each of the O(log^2 m) parallel passes; on
+   the pool a pass hands off in a few us (bench micro-fanout), and at this
+   size (12,000 keys) bench micro-sort measures ≈2,500 us per sort on one
+   domain against ≈1,700 us on two (2-core VM). It is kept as is until it
+   is re-derived from those measurements. *)
 let min_parallel_size = 1 lsl 14
 
 (* Largest power of two <= d, capped so each block keeps >= 4096 slots. *)
