@@ -125,22 +125,49 @@ let batch_counter_mismatches ?planned traces deltas =
          else
            Some (Printf.sprintf "%s: traces sum to %d, counter moved %d" n want got))
 
-(* A batch of one must be indistinguishable from the single query: the
-   same trace record up to the planner's cache outcome (a hit prices no
-   candidates, so [d_enumerated] follows [d_cache]) and, when both SNFT
-   traces were recorded, the same bytes once timestamps are zeroed. *)
+let snft_bytes (tr : Snf_obs.Wiretrace.trace) =
+  Snf_obs.Wiretrace.to_binary_string
+    { tr with
+      events = List.map (fun e -> { e with Snf_obs.Wiretrace.ts_us = 0.0 }) tr.events }
+
+(* A repeated query starts from a warm client: its leaves' tid orders are
+   cached, so it runs no sorting network. Everything else must repeat:
+   the outcome, the answer, the wire counts and, when both SNFT traces
+   were recorded, the bytes once timestamps are zeroed. *)
+let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
+  (match (first, repeat) with
+   | Ok (a, (t : Executor.trace)), Ok (b, (r : Executor.trace)) ->
+     let wire (t : Executor.trace) =
+       (t.Executor.wire_requests, t.Executor.wire_bytes_up, t.Executor.wire_bytes_down)
+     in
+     (if Oracle.bag a = Oracle.bag b then []
+      else [ "warm repeat returned a different answer" ])
+     @ (if wire t = wire r then []
+        else [ "warm repeat moved different wire counts" ])
+     @
+     if r.Executor.comparisons = 0 && r.Executor.rows_processed = 0 then []
+     else
+       [ Printf.sprintf "warm repeat still ran %d comparisons over %d rows"
+           r.Executor.comparisons r.Executor.rows_processed ]
+   | Error a, Error b when a = b -> []
+   | _ -> [ "warm repeat disagrees with the first run on the outcome" ])
+  @
+  match (first_snft, repeat_snft) with
+  | Some a, Some b when snft_bytes a <> snft_bytes b ->
+    [ "warm repeat SNFT bytes differ from the first run's" ]
+  | _ -> []
+
+(* A batch of one must be indistinguishable from the single query run
+   from the same cache state: the same trace record up to the planner's
+   cache outcome (a hit prices no candidates, so [d_enumerated] follows
+   [d_cache]) and, when both SNFT traces were recorded, the same bytes
+   once timestamps are zeroed. *)
 let batch_of_one_mismatches (single : Executor.trace) single_snft
     (batched : Executor.trace) batched_snft =
   let normal (t : Executor.trace) =
     { t with
       Executor.decision =
         { t.Executor.decision with Planner.d_cache = `Hit; d_enumerated = 0 } }
-  in
-  let snft_bytes (tr : Snf_obs.Wiretrace.trace) =
-    Snf_obs.Wiretrace.to_binary_string
-      { tr with
-        events =
-          List.map (fun e -> { e with Snf_obs.Wiretrace.ts_us = 0.0 }) tr.events }
   in
   (if normal single = normal batched then []
    else [ "batch-of-one trace record differs from the single query's" ])
@@ -446,11 +473,22 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
               List.filter_map
                 (fun (label, owner) ->
                   let planner = List.assoc label handles in
-                  (* A size-1 chunk is first run as the single query it is. *)
+                  (* A size-1 chunk is first run as the single query it is,
+                     twice: the first run warms the client's tid orders, so
+                     the repeat and the batch of one start from the same
+                     cache state. *)
                   let single =
                     match chunk with
                     | [ q ] ->
-                      Some (recorded (fun () -> System.query_checked ~mode ?planner owner q))
+                      let run () =
+                        recorded (fun () -> System.query_checked ~mode ?planner owner q)
+                      in
+                      let first = run () in
+                      let repeat = run () in
+                      List.iter
+                        (fail ~query:q ~rep:label ~mode:mstr ~kind:"batch")
+                        (warm_repeat_mismatches first repeat);
+                      Some repeat
                     | _ -> None
                   in
                   let before = Metrics.snapshot () in

@@ -44,18 +44,11 @@ let desc_token ~kind ~scheme ~key ~attr =
   let k = match kind with `Eq -> "eq" | `Range -> "range" in
   String.concat ":" [ k; scheme; key; attr ]
 
-(* Bit k of byte i is slot [8i+k]; bytes hex-encoded, high nibble first. *)
-let mask_to_hex mask =
-  let n = (Array.length mask + 7) / 8 in
-  let bytes = Bytes.make n '\000' in
-  Array.iteri
-    (fun j set ->
-      if set then
-        let i = j / 8 in
-        Bytes.set bytes i (Char.chr (Char.code (Bytes.get bytes i) lor (1 lsl (j mod 8)))))
-    mask;
-  let hex = Buffer.create (2 * n) in
-  Bytes.iter (fun c -> Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c))) bytes;
+(* A packed mask, bit k of byte i = slot [8i+k], hex-encoded high nibble
+   first: the SNFT summary is the very bytes the response carried. *)
+let mask_to_hex packed =
+  let hex = Buffer.create (2 * String.length packed) in
+  String.iter (fun c -> Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c))) packed;
   Buffer.contents hex
 
 let slots_of_hex hex =

@@ -57,8 +57,10 @@ val desc_token :
   kind:[ `Eq | `Range ] -> scheme:string -> key:string -> attr:string -> string
 (** Token op descriptor: ["eq:det:<fp>:zip"], ["range:ord:10..20:bal"]. *)
 
-val mask_to_hex : bool array -> string
-(** Bit [k] of byte [i] is slot [8i+k]; bytes hex-encoded. *)
+val mask_to_hex : string -> string
+(** Hex of a packed mask's bytes (bit [k] of byte [i] is slot [8i+k]),
+    high nibble first — [Snf_exec.Bitmask]'s layout, which is also the
+    wire's. *)
 
 val slots_of_hex : string -> int list
 (** Set bit positions, ascending. Inverse of {!mask_to_hex}. *)

@@ -246,12 +246,14 @@ let translate lm i ops =
    scanned-cell counts add up to exactly the single-backend figure
    (every global cell is scanned once, on its owner). *)
 let merge_masks lm per_shard =
-  let mask = Array.make lm.lm_rows false in
+  let mask = Bitmask.create lm.lm_rows false in
   let scanned = ref 0 in
   Array.iteri
     (fun s (m, sc) ->
       scanned := !scanned + sc;
-      Array.iteri (fun j v -> if v then mask.(lm.lm_locals.(s).(j)) <- true) m)
+      for j = 0 to Bitmask.length m - 1 do
+        if Bitmask.get m j then Bitmask.set mask lm.lm_locals.(s).(j)
+      done)
     per_shard;
   (mask, !scanned)
 

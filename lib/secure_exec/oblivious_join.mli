@@ -91,3 +91,39 @@ val join_many_cascade :
     differential oracle for {!join_many} (same answers; [k - 1] joins
     charged to [stats], generic boxed sorts inside).
     @raise Invalid_argument on an empty list. *)
+
+(** {1 Cached tid orders}
+
+    Aligning leaves on tids does not depend on the query: a leaf's {e tid
+    order} — its slots sorted by tid — is built once per key epoch
+    ([Enc_relation.tid_order_cached]) and every later sort-merge query is
+    one linear {!lockstep} pass over the cached orders. *)
+
+val tid_order : stats -> int array -> int array option
+(** The tid order of a leaf with these decrypted tids (slot [i] holds
+    [tids.(i)]): its packed [(tid, slot)] keys ({!Packed} with side 0,
+    selection clear) sorted by one {!Bitonic.sort_ints} network, so
+    [Packed.tid] / [Packed.row] of rank [r] are the [r]-th smallest tid
+    and its slot. Charged to [stats]: the network's comparisons and one
+    processed row per slot. [None], uncharged, when a tid or the row
+    count does not fit {!Packed}. *)
+
+val lockstep :
+  stats -> drop_tid:(int -> bool) -> int array array -> Bitmask.t array ->
+  int array array option
+(** One pass over ranks [0 .. n-1] of k {!tid_order}s under k masks of the
+    same leaves. A tid matches iff the k tids at its rank are equal; it is
+    selected iff every leaf's mask bit at the slot its order names is set,
+    and then kept unless [drop_tid]. The result holds, per leaf, the
+    slots of the kept tids in ascending tid order ([result.(i).(j)] is
+    leaf [i]'s slot of match [j]) — exactly {!join_many}'s rows under the
+    same masks, with [drop_tid] applied.
+
+    The same pass checks that the store is aligned: equal row counts, equal
+    tids at every rank and strictly increasing tids (a duplicate must not
+    match twice). [None] when any check fails — a property of the store,
+    not of the query — and the caller joins with {!join_many} instead.
+    Charged as one join with no comparisons: the networks ran when the
+    orders were built.
+    @raise Invalid_argument unless there are as many masks as orders, at
+    least one, and each mask is as long as the orders. *)

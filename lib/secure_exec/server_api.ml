@@ -61,20 +61,23 @@ let singleton_store view l =
     index_cache = Hashtbl.create 1 }
 
 (* Mirrors the pre-split [Executor.server_filter]: pure ciphertext work,
-   same scan accounting ([row_count] cells per scan op). *)
+   same scan accounting ([row_count] cells per scan op). The mask is
+   built packed, in the bytes the response carries. *)
 let eval_filter (l : Enc_relation.enc_leaf) ops =
   let n = l.Enc_relation.row_count in
-  let mask = Array.make n true in
+  let mask = Bitmask.create n true in
   let scanned = ref 0 in
   let apply_slots slots =
-    let keep = Array.make n false in
-    List.iter (fun s -> keep.(s) <- true) slots;
-    Array.iteri (fun i m -> if m && not keep.(i) then mask.(i) <- false) mask
+    let keep = Bitmask.create n false in
+    List.iter (fun s -> Bitmask.set keep s) slots;
+    for i = 0 to n - 1 do
+      if not (Bitmask.get keep i) then Bitmask.clear mask i
+    done
   in
   let scan col test =
     scanned := !scanned + n;
     Array.iteri
-      (fun i cell -> if mask.(i) && not (test cell) then mask.(i) <- false)
+      (fun i cell -> if Bitmask.get mask i && not (test cell) then Bitmask.clear mask i)
       col.Enc_relation.cells
   in
   List.iter
@@ -348,8 +351,6 @@ let summarize_request (req : Wire.request) =
             queries)
   | Wire.Q_store_stats -> []
 
-let matched mask = Array.fold_left (fun a b -> if b then a + 1 else a) 0 mask
-
 let summarize_response (resp : Wire.response) =
   match resp with
   | Wire.R_unit | Wire.R_nat _ -> []
@@ -362,9 +363,9 @@ let summarize_response (resp : Wire.response) =
   | Wire.R_slots (Some slots) ->
     [ ("n", string_of_int (List.length slots)); ("slots", csv_int slots) ]
   | Wire.R_mask { mask; scanned } ->
-    [ ("matched", string_of_int (matched mask));
+    [ ("matched", string_of_int (Bitmask.popcount mask));
       ("scanned", string_of_int scanned);
-      ("mask", Leakage.mask_to_hex mask) ]
+      ("mask", Bitmask.to_hex mask) ]
   | Wire.R_rows cols ->
     [ ("cols", string_of_int (Array.length cols));
       ("rows", string_of_int (if Array.length cols = 0 then 0 else Array.length cols.(0)))
@@ -383,8 +384,8 @@ let summarize_response (resp : Wire.response) =
            :: List.map
                 (fun (mask, scanned) ->
                   ( "mask",
-                    Printf.sprintf "%d:%d:%s" (matched mask) scanned
-                      (Leakage.mask_to_hex mask) ))
+                    Printf.sprintf "%d:%d:%s" (Bitmask.popcount mask) scanned
+                      (Bitmask.to_hex mask) ))
                 rs)
          results)
   | Wire.R_busy -> [ ("error", "busy") ]

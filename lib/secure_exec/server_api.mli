@@ -135,13 +135,15 @@ val index_probe :
     even with [key = None] — index accounting must not depend on the
     token's shape. [None] result: the column has no canonical index. *)
 
-val filter : conn -> leaf:string -> ops:Wire.filter_op list -> bool array * int
-(** Selection mask over the leaf's slots plus cells scanned. *)
+val filter : conn -> leaf:string -> ops:Wire.filter_op list -> Bitmask.t * int
+(** Selection mask over the leaf's slots plus cells scanned. The mask is
+    the packed {!Bitmask} decoded straight from the [R_mask] bytes: one
+    bit per slot, never widened to a [bool array]. *)
 
 val filter_batch :
   conn ->
   queries:(string * Wire.filter_op list) list list ->
-  (bool array * int) list list
+  (Bitmask.t * int) list list
 (** K filter workloads in ONE round trip ([Wire.Q_batch]): per query an
     ordered [(leaf, ops)] list, answered positionally with (mask,
     scanned) pairs. The server loads each distinct leaf once for the

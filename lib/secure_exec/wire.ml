@@ -85,28 +85,20 @@ let r_array r c =
   let n = r_count c in
   Array.init n (fun _ -> r c)
 
-(* Bit-packed bool array: the on-wire form of a filter mask, one bit per
-   stored slot. *)
-let w_bools buf a =
-  let n = Array.length a in
-  w_int buf n;
-  let nbytes = (n + 7) / 8 in
-  for i = 0 to nbytes - 1 do
-    let b = ref 0 in
-    for j = 0 to 7 do
-      let k = (i * 8) + j in
-      if k < n && a.(k) then b := !b lor (1 lsl j)
-    done;
-    w_u8 buf !b
-  done
+(* A filter mask: its slot count, then the packed bytes [Bitmask] holds.
+   Padding bits must be clear, so every mask has exactly one encoding. *)
+let w_mask buf m =
+  w_int buf (Bitmask.length m);
+  Bitmask.write buf m
 
-let r_bools c =
+let r_mask c =
   let n = r_int c in
-  let nbytes = (n + 7) / 8 in
-  if n < 0 || c.pos + nbytes > String.length c.data then fail "truncated mask";
-  let a = Array.init n (fun k -> Char.code c.data.[c.pos + (k / 8)] lsr (k mod 8) land 1 = 1) in
-  c.pos <- c.pos + nbytes;
-  a
+  if (n + 7) / 8 > String.length c.data - c.pos then fail "truncated mask";
+  match Bitmask.read ~length:n c.data ~pos:c.pos with
+  | None -> fail "nonzero mask padding"
+  | Some m ->
+    c.pos <- c.pos + ((n + 7) / 8);
+    m
 
 (* --- scheme and cell codecs -------------------------------------------------- *)
 
@@ -283,7 +275,7 @@ type response =
   | R_unit
   | R_described of { relation_name : string; leaves : (string * int) list }
   | R_slots of int list option
-  | R_mask of { mask : bool array; scanned : int }
+  | R_mask of { mask : Bitmask.t; scanned : int }
   | R_rows of Enc_relation.cell array array
   | R_tids of string array
   | R_oram of { block : string option; touches : int }
@@ -291,7 +283,7 @@ type response =
   | R_groups of (Enc_relation.cell * Nat.t) list
   | R_error of { not_found : bool; msg : string }
   | R_corrupt of Integrity.corruption
-  | R_batch of { results : (bool array * int) list list }
+  | R_batch of { results : (Bitmask.t * int) list list }
   | R_busy
   | R_store_stats of { leaves : leaf_stats list }
 
@@ -570,7 +562,7 @@ let w_response buf = function
     w_option (w_list w_int) buf slots
   | R_mask { mask; scanned } ->
     w_u8 buf 3;
-    w_bools buf mask;
+    w_mask buf mask;
     w_int buf scanned
   | R_rows cols ->
     w_u8 buf 4;
@@ -603,7 +595,7 @@ let w_response buf = function
     w_u8 buf 11;
     w_list
       (w_list (fun buf (mask, scanned) ->
-           w_bools buf mask;
+           w_mask buf mask;
            w_int buf scanned))
       buf results
   | R_busy -> w_u8 buf 12
@@ -626,7 +618,7 @@ let r_response c =
     R_described { relation_name; leaves }
   | 2 -> R_slots (r_option (r_list r_int) c)
   | 3 ->
-    let mask = r_bools c in
+    let mask = r_mask c in
     R_mask { mask; scanned = r_int c }
   | 4 -> R_rows (r_array (r_array r_cell) c)
   | 5 -> R_tids (r_array r_string c)
@@ -650,7 +642,7 @@ let r_response c =
       { results =
           r_list
             (r_list (fun c ->
-                 let mask = r_bools c in
+                 let mask = r_mask c in
                  (mask, r_int c)))
             c }
   | 12 -> R_busy

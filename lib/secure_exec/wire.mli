@@ -21,8 +21,9 @@
     All decoders reject malformed input with a typed [Invalid_argument]
     (message ["Wire: ..."]) — never a crash, never a silently wrong
     value. Integers are canonical: an 8-byte word with bit 62 or bit 63
-    set encodes no integer and is rejected, so every value has exactly
-    one encoding and equal messages have equal bytes. *)
+    set encodes no integer and is rejected. Masks are canonical too: a
+    set padding bit past the last slot is rejected. So every value has
+    exactly one encoding and equal messages have equal bytes. *)
 
 val to_string : Enc_relation.t -> string
 
@@ -99,8 +100,10 @@ type response =
   | R_described of { relation_name : string; leaves : (string * int) list }
   | R_slots of int list option
       (** [None]: no canonical index exists for that column *)
-  | R_mask of { mask : bool array; scanned : int }
-      (** bit-packed on the wire; [scanned] = cells the server touched *)
+  | R_mask of { mask : Bitmask.t; scanned : int }
+      (** the packed mask travels as its slot count and its {!Bitmask}
+          bytes, padding bits clear (a set one is rejected like a
+          non-canonical integer); [scanned] = cells the server touched *)
   | R_rows of Enc_relation.cell array array
       (** one inner array per requested attribute, in request order *)
   | R_tids of string array
@@ -112,7 +115,7 @@ type response =
       (** surfaced client-side as [Not_found] / [Invalid_argument] *)
   | R_corrupt of Integrity.corruption
       (** surfaced client-side as [Integrity.Corruption] *)
-  | R_batch of { results : (bool array * int) list list }
+  | R_batch of { results : (Bitmask.t * int) list list }
       (** positional answers to {!Q_batch}: per query, per [(leaf, ops)]
           entry, the bit-packed match mask and the scanned-cell count —
           the same payload K [R_mask] responses would carry, split back
