@@ -823,10 +823,76 @@ let run_micro_paillier () =
          ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
   Printf.printf "wrote BENCH_paillier.json\n"
 
+(* Per-leaf slot arrays of a [join_many]-shaped answer: the shape the
+   lockstep pass returns. *)
+let slots_of_joined k joined =
+  Array.init k (fun i -> Array.map (fun (_, rows) -> List.nth rows i) joined)
+
+(* The sort-merge reconstruction the executor runs, on k keyed shuffles
+   of the same [rows] tids under a fixed mask pattern: µs per
+   reconstruction cold (every leaf's tid order built, then the lockstep
+   pass), warm (the pass over cached orders) and by [join_many]. Fails
+   unless the pass equals [join_many] on the same inputs. *)
+let lockstep_reconstruction ~rows ~k =
+  let module OJ = Snf_exec.Oblivious_join in
+  let prng = Snf_crypto.Prng.create (17 + k) in
+  let tids =
+    List.init k (fun _ ->
+        let a = Array.init rows Fun.id in
+        Snf_crypto.Prng.shuffle prng a;
+        a)
+  in
+  let masks =
+    Array.of_list
+      (List.mapi
+         (fun i _ -> Snf_exec.Bitmask.of_bools (Array.init rows (fun s -> (s + i) mod 3 <> 0)))
+         tids)
+  in
+  let orders () =
+    Array.of_list (List.map (fun t -> Option.get (OJ.tid_order (OJ.fresh_stats ()) t)) tids)
+  in
+  let pass orders = OJ.lockstep (OJ.fresh_stats ()) ~drop_tid:(fun _ -> false) orders masks in
+  let leaves =
+    List.mapi
+      (fun i t ->
+        ( { Snf_exec.Enc_relation.label = Printf.sprintf "L%d" i; row_count = rows;
+            tids = [||]; columns = [] },
+          t ))
+      tids
+  in
+  let client =
+    Snf_exec.Enc_relation.make_client ~relation_name:"microjoin.lockstep" ~master:"lockstep" ()
+  in
+  let join_many () =
+    OJ.join_many
+      ~tids_for:(fun l -> List.assoc l leaves)
+      ~masks:(List.mapi (fun i (l, _) -> (l, Snf_exec.Bitmask.to_bools masks.(i))) leaves)
+      (OJ.fresh_stats ()) client
+  in
+  let warm_orders = orders () in
+  if pass warm_orders <> Some (slots_of_joined k (join_many ())) then
+    failwith (Printf.sprintf "micro-join: lockstep pass disagrees with join_many (k=%d)" k);
+  let us_per reps f =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      let _, dt =
+        time (fun () ->
+            for _ = 1 to reps do
+              ignore (Sys.opaque_identity (f ()))
+            done)
+      in
+      best := Float.min !best (dt /. float_of_int reps)
+    done;
+    !best *. 1e6
+  in
+  (us_per 5 (fun () -> pass (orders ())), us_per 50 (fun () -> pass warm_orders), us_per 5 join_many)
+
 (* Join hot-path benchmark: the packed single-pass k-way join (with and
    without the tid-decrypt cache, under 1 and 4 domains) against the
    pairwise cascade it replaced, which is kept as the in-tree baseline
-   (`Oblivious_join.join_many_cascade`). Also runs a correctness grid
+   (`Oblivious_join.join_many_cascade`), then the executor's sort-merge
+   path — tid orders and one lockstep pass, checked against the join and
+   timed cold and warm at k = 2 and 3. Also runs a correctness grid
    (five representations x three reconstruction modes x cache x domains,
    every answer bag-checked against the plaintext oracle) and four
    differential soaks, then writes BENCH_figure3.json. *)
@@ -924,6 +990,36 @@ let run_micro_join () =
   Printf.printf "  tid cache during timing: %d hits, %d misses\n" cache_hits
     cache_misses;
   Printf.printf "  answers identical across variants: %b\n" identical;
+  (* The executor's path on the same leaves: tid orders, then one
+     lockstep pass, must reproduce the join's answer. *)
+  let lockstep_identical =
+    let module OJ = Snf_exec.Oblivious_join in
+    let stats = OJ.fresh_stats () in
+    let orders =
+      List.map
+        (fun (l, _) -> Option.get (OJ.tid_order stats (Snf_exec.Enc_relation.decrypt_tids client l)))
+        masks
+    in
+    OJ.lockstep stats ~drop_tid:(fun _ -> false) (Array.of_list orders)
+      (Array.of_list (List.map (fun (_, m) -> Snf_exec.Bitmask.of_bools m) masks))
+    = Some (slots_of_joined (List.length leaves) reference)
+  in
+  if not lockstep_identical then failwith "micro-join: lockstep pass disagrees with the join";
+  Printf.printf "  lockstep pass identical to the join: %b\n" lockstep_identical;
+  let lockstep =
+    List.map
+      (fun k ->
+        let cold, warm, join = lockstep_reconstruction ~rows ~k in
+        Printf.printf
+          "  reconstruction k=%d: cold %8.1f us  warm %8.1f us  (join_many %8.1f us)\n" k
+          cold warm join;
+        Report.J_obj
+          [ ("k", Report.J_int k);
+            ("cold_us", Report.J_float cold);
+            ("warm_us", Report.J_float warm);
+            ("join_many_us", Report.J_float join) ])
+      [ 2; 3 ]
+  in
   (* Correctness grid: five representations x reconstruction modes x cache
      x domains at reduced scale, every cell bag-checked against the
      plaintext oracle. *)
@@ -1032,6 +1128,8 @@ let run_micro_join () =
                ("tid_cache_hits", Report.J_int cache_hits);
                ("tid_cache_misses", Report.J_int cache_misses);
                ("answers_identical", Report.J_bool identical) ] );
+         ("lockstep_identical", Report.J_bool lockstep_identical);
+         ("lockstep_reconstruction", Report.J_list lockstep);
          ("grid_rows", Report.J_int grid_rows);
          ("grid_all_match_oracle", Report.J_bool !grid_ok);
          ("grid", Report.J_list (List.rev !grid));
