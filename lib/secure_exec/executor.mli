@@ -30,17 +30,21 @@
        once, each query gets its own window inside a
        [batch.begin]/[batch.end] pair, and [exec.batch.{count,queries}]
        tick.}
-    {- {e Sort-merge alignment.} A leaf set that two or more executable
-       queries join is aligned once with all-true masks, and each of
-       them filters that alignment by its own selection masks inside the
-       enclave — one sort, not several ([exec.batch.shared_joins] per
-       alignment built, [exec.batch.join_reuses] per reuse). Any other
-       leaf set is joined under its query's masks, in plan order.}}
+    {- {e Tid-column fetch order.} The tid columns of a leaf set that
+       two or more executable queries join are fetched once, in label
+       order, by the first of them ([exec.batch.shared_joins] per set
+       fetched, [exec.batch.join_reuses] per member reusing it). Any
+       other leaf set is fetched in plan order.}}
 
     Three reconstruction mechanisms ({!mode}); single-leaf plans need
     none:
-    - [`Sort_merge] — bitonic oblivious sort-merge join over full leaves
-      (selection masks applied inside the enclave, after the network);
+    - [`Sort_merge] — oblivious sort-merge over full leaves: each leaf's
+      tid order (slots sorted by tid through one bitonic network) is
+      built once per key epoch and cached with its tid decrypts, and
+      every query runs one lockstep pass over the orders, reading every
+      rank and the selection mask bit at every slot the orders name
+      ([Oblivious_join.lockstep]); a store the pass finds misaligned is
+      joined by [Oblivious_join.join_many] instead;
     - [`Oram] — anchor-leaf selection, partner rows fetched through a
       per-leaf Path ORAM;
     - [`Binning of bin_size] — partner rows fetched by fixed-size keyed
@@ -63,7 +67,10 @@ type trace = {
   mode : mode;
   scanned_cells : int;          (** server predicate evaluations (scans) *)
   index_probes : int;           (** predicate work served by equality indexes *)
-  comparisons : int;            (** enclave compare-exchanges *)
+  comparisons : int;            (** enclave compare-exchanges; under
+                                    sort-merge, those of the tid orders
+                                    this query built — 0 when all were
+                                    cached *)
   rows_processed : int;         (** rows through oblivious networks *)
   oram_bucket_touches : int;
   binning_retrieved : int;      (** rows fetched incl. decoys *)
@@ -99,9 +106,11 @@ val run_conn :
     exhaustive [Planner.optimal]. The resulting {!Planner.decision} is
     carried in the trace's [decision] field.
 
-    [use_tid_cache] (default true) memoizes the sort-merge join's
-    per-leaf tid decrypts through [Enc_relation.decrypt_tids_cached]; on
-    a persistent connection it keeps working across queries because
+    [use_tid_cache] (default true) memoizes the sort-merge path's
+    per-leaf tid decrypts and tid orders through
+    [Enc_relation.tid_order_cached]; without it the orders are rebuilt
+    for every query. On a persistent connection it keeps working across
+    queries because
     [Server_api.fetch_tids] returns a physically stable array while the
     server's tid bytes are unchanged. [use_mapping_cache] (default false
     here, true in {!run_batch}) additionally memoizes token minting and
