@@ -367,6 +367,109 @@ let test_differential_sharded_twin () =
   Alcotest.(check bool) "queries actually ran" true
     (outcome.Snf_check.Differential.queries_run >= 6)
 
+(* --- shard responses of the wrong length ----------------------------------
+   The coordinator placed a known number of rows on every shard, so a
+   shard whose mask, tid column or fetched rows is one row short or one
+   row long is damaged storage: the query must end in a typed
+   [`Corruption], never a silently shorter answer or a raw exception. *)
+
+let resize_bitmask m n =
+  let out = Bitmask.create n false in
+  for j = 0 to min n (Bitmask.length m) - 1 do
+    if Bitmask.get m j then Bitmask.set out j
+  done;
+  out
+
+let resize_array a n fill =
+  Array.init n (fun j -> if j < Array.length a then a.(j) else fill)
+
+(* [delta] rows added to (or removed from) every answer of [kind] that
+   shard 0 sends; other shards and other responses pass untouched. *)
+let misreport ~kind ~delta (resp : Wire.response) =
+  let n len = max 0 (len + delta) in
+  match (kind, resp) with
+  | `Mask, Wire.R_mask { mask; scanned } ->
+    Wire.R_mask { mask = resize_bitmask mask (n (Bitmask.length mask)); scanned }
+  | `Tids, Wire.R_tids tids ->
+    let fill = if Array.length tids = 0 then "" else tids.(0) in
+    Wire.R_tids (resize_array tids (n (Array.length tids)) fill)
+  | `Rows, Wire.R_rows cols ->
+    Wire.R_rows
+      (Array.map
+         (fun col ->
+           let fill = if Array.length col = 0 then Enc_relation.C_bytes "" else col.(0) in
+           resize_array col (n (Array.length col)) fill)
+         cols)
+  | _ -> resp
+
+let misreporting_connect ~kind ~delta i =
+  let session = Server_api.session (Backend_mem.view (Backend_mem.empty ())) in
+  let handle up =
+    let down = Server_api.session_handle session up in
+    if i <> 0 then down
+    else
+      Wire.response_to_string (misreport ~kind ~delta (Wire.response_of_string down))
+  in
+  Server_api.connect_handler ~name:"mem" ~handle ~close:ignore
+
+(* Placement follows a leaf's first canonical column, so the distinct
+   [k] spreads both leaves over both shards. *)
+let misreport_owner () =
+  let attrs = [ "k"; "a"; "b" ] in
+  let r =
+    Relation.create
+      (Schema.of_attributes (List.map Attribute.int attrs))
+      (List.init 40 (fun i -> [| Value.Int i; Value.Int (i mod 3); Value.Int (i * 7) |]))
+  in
+  let policy =
+    Snf_core.Policy.create [ ("k", Scheme.Det); ("a", Scheme.Det); ("b", Scheme.Det) ]
+  in
+  System.outsource_prepared ~name:"shard-misreport"
+    ~graph:(Snf_deps.Dep_graph.create attrs)
+    ~representation:
+      [ Snf_core.Partition.leaf "la" [ ("k", Scheme.Det); ("a", Scheme.Det) ];
+        Snf_core.Partition.leaf "lb" [ ("b", Scheme.Det) ] ]
+    r policy
+
+let test_shard_length_misreports_typed () =
+  let mem = misreport_owner () in
+  Fun.protect ~finally:(fun () -> System.release mem) @@ fun () ->
+  let queries =
+    [ ("single leaf", Query.point ~select:[ "a" ] [ ("a", Value.Int 1) ]);
+      ("join", Query.point ~select:[ "b" ] [ ("a", Value.Int 1) ]) ]
+  in
+  List.iter
+    (fun (kind, kind_name, applies) ->
+      List.iter
+        (fun delta ->
+          List.iter
+            (fun (qname, q) ->
+              if applies qname then begin
+                let st =
+                  Backend_sharded.create ~policy:Backend_sharded.Hash
+                    ~connect:(misreporting_connect ~kind ~delta) ~shards:2 ()
+                in
+                let tw = System.with_backend mem (System.sharded st) in
+                Fun.protect ~finally:(fun () -> System.release tw) @@ fun () ->
+                let name = Printf.sprintf "%s %+d on a %s query" kind_name delta qname in
+                match System.query_checked tw q with
+                | Error (`Corruption c) ->
+                  Alcotest.(check string) (name ^ ": typed store corruption") "store"
+                    c.Integrity.where
+                | Error (`Plan e) -> Alcotest.failf "%s: planner error %s" name e
+                | Ok (ans, _) ->
+                  Alcotest.failf "%s: answered %d rows (oracle %d)" name
+                    (Relation.cardinality ans)
+                    (Relation.cardinality (System.reference mem q))
+                | exception e ->
+                  Alcotest.failf "%s: untyped %s" name (Printexc.to_string e)
+              end)
+            queries)
+        [ -1; 1 ])
+    [ (`Mask, "R_mask", fun _ -> true);
+      (`Tids, "R_tids", fun q -> q = "join");
+      (`Rows, "R_rows", fun _ -> true) ]
+
 let suite =
   [ t "policy names round-trip" test_policy_names;
     t "assignment deterministic, total, in range" test_assignment_deterministic;
@@ -378,4 +481,6 @@ let suite =
       test_sharded_mem_parity;
     t "mem/sharded parity: homomorphic aggregation"
       test_sharded_aggregation_parity;
-    t "differential sharded twin green" test_differential_sharded_twin ]
+    t "differential sharded twin green" test_differential_sharded_twin;
+    t "shard answers of the wrong length are typed corruption"
+      test_shard_length_misreports_typed ]
