@@ -101,10 +101,16 @@ val run_instance :
     representations, and each batch's summed per-query traces reconcile
     exactly with the [exec.query.*] / [exec.wire.*] counter deltas it
     moved. Each size-1 chunk is also run first as the single query
-    ([System.query_checked]) and must reproduce it: the same outcome, the
-    same trace record field-for-field except the planner's cache outcome
-    ([d_cache], and the [d_enumerated] it implies), and the same SNFT
-    bytes with timestamps zeroed — the latter only when no outer
+    ([System.query_checked]), twice. The repeat starts warm and must
+    match the first run's outcome and answer, send no [Fetch_tids], run
+    0 comparisons over 0 network rows, and — when no outer recording is
+    running — have the first run's SNFT bytes (timestamps zeroed) and
+    wire counts once the first run's [Fetch_tids] rounds are removed;
+    under an outer recording its wire counts must not exceed the first
+    run's. The batch of one must then reproduce the repeat: the same
+    outcome, the same trace record field-for-field except the planner's
+    cache outcome ([d_cache], and the [d_enumerated] it implies), and the
+    same SNFT bytes with timestamps zeroed, again only when no outer
     recording is running. Disagreements are tagged ["batch"].
 
     [planner] (default [`Greedy]) selects the planning handle for the

@@ -1,10 +1,17 @@
 module Nat = Snf_bignum.Nat
 module Paillier = Snf_crypto.Paillier
 
+type entry = {
+  label : string;
+  rows : int;
+  digest : string;  (* Wire.tids_digest of the leaf's tid column *)
+  file : string;
+}
+
 type manifest = {
   relation_name : string;
   paillier_n : Nat.t;
-  entries : (string * int * string) list;  (* label, row count, file name *)
+  entries : entry list;  (* stored leaf order *)
 }
 
 type t = {
@@ -19,10 +26,21 @@ type t = {
 let name = "disk"
 let dir t = t.dir
 
-(* --- manifest codec -------------------------------------------------------- *)
+(* --- manifest codec --------------------------------------------------------
+   SNFD version 2, in [Wire.Prim] primitives:
+
+     "SNFD" | u8 version = 2 | string relation name | nat Paillier n
+     | int entry count | per entry, in stored leaf order:
+         string label | int row count | string tid digest (16 bytes)
+         | string leaf file name
+
+   The tid digest ([Wire.tids_digest]) is computed once at Install, so
+   Describe answers from the manifest without paging a leaf in. Version 1
+   had no digests; a version-1 manifest is refused like any unknown
+   version, and the store must be installed again. *)
 
 let manifest_magic = "SNFD"
-let manifest_version = 1
+let manifest_version = 2
 let manifest_file = "manifest.snfd"
 let manifest_path d = Filename.concat d manifest_file
 
@@ -34,10 +52,11 @@ let manifest_to_string m =
   Wire.Prim.w_nat buf m.paillier_n;
   Wire.Prim.w_int buf (List.length m.entries);
   List.iter
-    (fun (label, rows, file) ->
-      Wire.Prim.w_string buf label;
-      Wire.Prim.w_int buf rows;
-      Wire.Prim.w_string buf file)
+    (fun e ->
+      Wire.Prim.w_string buf e.label;
+      Wire.Prim.w_int buf e.rows;
+      Wire.Prim.w_string buf e.digest;
+      Wire.Prim.w_string buf e.file)
     m.entries;
   Buffer.contents buf
 
@@ -55,7 +74,10 @@ let manifest_of_string data =
     List.init n (fun _ ->
         let label = Wire.Prim.r_string c in
         let rows = Wire.Prim.r_int c in
-        (label, rows, Wire.Prim.r_string c))
+        let digest = Wire.Prim.r_string c in
+        if String.length digest <> 16 then
+          invalid_arg "Backend_disk: manifest tid digest is not 16 bytes";
+        { label; rows; digest; file = Wire.Prim.r_string c })
   in
   Wire.Prim.expect_end c;
   { relation_name; paillier_n; entries }
@@ -99,7 +121,7 @@ let close t =
   if t.owns_dir then begin
     (match t.manifest with
      | Some m ->
-       List.iter (fun (_, _, file) -> remove_if_exists (Filename.concat t.dir file)) m.entries
+       List.iter (fun e -> remove_if_exists (Filename.concat t.dir e.file)) m.entries
      | None -> ());
     remove_if_exists (manifest_path t.dir);
     try Sys.rmdir t.dir with Sys_error _ -> ()
@@ -121,7 +143,7 @@ let install t image =
   Mutex.protect t.mutex @@ fun () ->
   (match t.manifest with
    | Some m ->
-     List.iter (fun (_, _, file) -> remove_if_exists (Filename.concat t.dir file)) m.entries
+     List.iter (fun e -> remove_if_exists (Filename.concat t.dir e.file)) m.entries
    | None -> ());
   Hashtbl.reset t.resident;
   Hashtbl.reset t.index_cache;
@@ -130,7 +152,10 @@ let install t image =
       (fun i (l : Enc_relation.enc_leaf) ->
         let file = leaf_file i in
         write_file (Filename.concat t.dir file) (Wire.leaf_to_string l);
-        (l.Enc_relation.label, l.Enc_relation.row_count, file))
+        { label = l.Enc_relation.label;
+          rows = l.Enc_relation.row_count;
+          digest = Wire.tids_digest l.Enc_relation.tids;
+          file })
       enc.Enc_relation.leaves
   in
   let m =
@@ -151,8 +176,8 @@ let ensure t label =
   | Some l -> l
   | None ->
     let m = manifest t in
-    let _, rows, file =
-      match List.find_opt (fun (l, _, _) -> l = label) m.entries with
+    let { rows; file; _ } =
+      match List.find_opt (fun e -> e.label = label) m.entries with
       | Some e -> e
       | None -> raise Not_found
     in
@@ -190,7 +215,7 @@ let view t =
   { Server_api.describe =
       (fun () ->
         let m = manifest t in
-        (m.relation_name, List.map (fun (label, rows, _) -> (label, rows)) m.entries));
+        (m.relation_name, List.map (fun e -> (e.label, e.rows, e.digest)) m.entries));
     check_shape =
       (fun () ->
         ignore (manifest t);

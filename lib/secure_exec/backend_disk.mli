@@ -11,7 +11,11 @@
 
     Every leaf is validated when paged in — undecodable files, label or
     row-count disagreements with the manifest, and shape violations all
-    raise typed [Integrity.Corruption]. *)
+    raise typed [Integrity.Corruption].
+
+    The manifest (SNFD version 2, layout in backend_disk.ml) records each
+    leaf's label, row count, tid digest ([Wire.tids_digest], computed at
+    Install) and file, so Describe pages nothing in. *)
 
 type t
 
@@ -21,7 +25,9 @@ val create : ?owns_dir:bool -> dir:string -> unit -> t
 (** Open a store directory (created if missing); an existing manifest is
     loaded, so a previously installed store is served again. With
     [owns_dir] the directory and its store files are removed on
-    {!close}. *)
+    {!close}.
+    @raise Invalid_argument on a malformed manifest or one of another
+    version — a version-1 manifest, which has no tid digests, included. *)
 
 val create_temp : unit -> t
 (** A fresh private temp directory, owned: {!close} cleans it up. *)

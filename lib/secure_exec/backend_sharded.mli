@@ -18,6 +18,9 @@
        accounting uniform); local hit lists map to global slots and the
        union is sorted descending — the exact order a single backend's
        prepend-during-ascending-scan index produces.}
+    {- [Describe]: answered by the coordinator alone, with no fan-out.
+       Each leaf's tid digest is computed at [Install] from the full
+       image, so it is the digest a single backend would describe.}
     {- [Fetch_rows] / [Fetch_tids]: positional reassembly of the owning
        shards' cells.}
     {- [Phe_sum] / [Group_sum]: per-shard Paillier partials combine with
@@ -40,6 +43,12 @@
     exactly what a single server would have seen — no new leakage is
     minted; placement itself is computed only from server-visible
     canonical ciphertext bytes ({!Enc_relation.canonical_key}).
+
+    {b Shard answers are checked.} Every shard's mask, tid column and
+    fetched rows must cover exactly the rows placed on that shard, and
+    its batch answer must have the batch's shape; anything else raises
+    [Integrity.Corruption] (where ["store"]). An index slot outside a
+    shard's rows is corruption where ["index"].
 
     {b Accounting.} Inner traffic crosses {!Server_api.exchange_raw},
     so boundary counters ([exec.wire.*], SNFT) count the outer

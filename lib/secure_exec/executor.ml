@@ -56,10 +56,10 @@ let pred_holds (p : Query.pred) v =
   | Query.Point (_, want) -> Value.equal v want
   | Query.Range (_, lo, hi) -> Value.compare lo v <= 0 && Value.compare v hi <= 0
 
-(* The client's view of a planned leaf: label and row count, as reported
-   by the server's Describe response. Everything else — ciphertexts,
-   masks, index slots — arrives through further messages. *)
-type leaf_view = { lv_label : string; lv_rows : int }
+(* The client's view of a planned leaf: label, row count and tid digest,
+   as reported by the server's Describe response. Everything else —
+   ciphertexts, masks, index slots — arrives through further messages. *)
+type leaf_view = { lv_label : string; lv_rows : int; lv_digest : string }
 
 (* Column schemes come from the representation — client knowledge — never
    from server metadata: a lying scheme tag could otherwise redirect
@@ -280,13 +280,14 @@ let run_single ~drop_tid ~cache client conn ~scheme_of q plan (lv : leaf_view) c
 
 (* --- sort-merge reconstruction ------------------------------------------ *)
 
-(* The join works on tid ciphertext columns; fetch each planned leaf's
+(* The join works on tid ciphertext columns; get each planned leaf's
    column and rebuild a minimal [enc_leaf] around it. [Server_api]
-   returns the same physical array while the server's bytes are
-   unchanged, so [Enc_relation.decrypt_tids_cached] still recognizes a
-   stable leaf across queries on one connection. *)
+   returns the same physical array, without a round trip, while Describe
+   announces the digest it was checked against, so
+   [Enc_relation.decrypt_tids_cached] still recognizes a stable leaf
+   across queries on one connection. *)
 let synthetic_leaf conn (lv : leaf_view) =
-  let tids = Server_api.fetch_tids conn ~leaf:lv.lv_label in
+  let tids = Server_api.fetch_tids conn ~leaf:lv.lv_label ~digest:lv.lv_digest in
   if Array.length tids <> lv.lv_rows then
     Integrity.fail ~leaf:lv.lv_label ~where:"store"
       "tid column length disagrees with the described row count";
@@ -569,8 +570,8 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
        planner errors — the plans were built from the representation). *)
     Server_api.check_shape conn;
     let leaf_view label =
-      match List.assoc_opt label leaf_dir with
-      | Some rows -> { lv_label = label; lv_rows = rows }
+      match List.find_opt (fun (l, _, _) -> l = label) leaf_dir with
+      | Some (_, rows, digest) -> { lv_label = label; lv_rows = rows; lv_digest = digest }
       | None ->
         Integrity.fail ~leaf:label ~where:"store"
           "planned leaf missing from the encrypted store"
@@ -627,17 +628,18 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
                  List.map2 (fun lv ops -> (lv.lv_label, filter_ops ops)) m.lvs m.compiled)
                executed)
     in
-    (* Sort-merge reconstruction: each planned leaf's tid column is fetched
-       and its tid order (slots sorted by tid, one fixed bitonic network)
-       comes from the tid cache, built once per leaf and key epoch by the
-       first query that needs it and charged to that query; a lockstep
-       pass over the orders then answers the query under its own masks.
-       A leaf set joined by two or more members is fetched and resolved
-       once, in label order, by the first member; any other set is
-       fetched in plan order. [use_tid_cache:false] rebuilds the orders
-       instead of memoising them. A store the pass finds misaligned is
-       joined by [Oblivious_join.join_many] on the leaves already
-       fetched. *)
+    (* Sort-merge reconstruction: each planned leaf's tid column comes
+       from the connection's memo while Describe announces the digest it
+       was checked against, and is fetched otherwise. Its tid order
+       (slots sorted by tid, one fixed bitonic network) comes from the
+       tid cache, built once per leaf and key epoch by the first query
+       that needs it and charged to that query; a lockstep pass over the
+       orders then answers the query under its own masks. A leaf set
+       joined by two or more members is resolved once, in label order,
+       by the first member; any other set is resolved in plan order.
+       [use_tid_cache:false] rebuilds the orders instead of memoising
+       them. A store the pass finds misaligned is joined by
+       [Oblivious_join.join_many] on the columns already at hand. *)
     let uses = Hashtbl.create 4 in
     List.iter (fun m -> Hashtbl.add uses (leaf_set m.lvs) ()) executed;
     let tids_for =

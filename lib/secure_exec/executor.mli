@@ -110,9 +110,10 @@ val run_conn :
     per-leaf tid decrypts and tid orders through
     [Enc_relation.tid_order_cached]; without it the orders are rebuilt
     for every query. On a persistent connection it keeps working across
-    queries because
-    [Server_api.fetch_tids] returns a physically stable array while the
-    server's tid bytes are unchanged. [use_mapping_cache] (default false
+    queries because [Server_api.fetch_tids] returns the physically same
+    array, without a round trip, while Describe announces the tid digest
+    that array was checked against; a re-installed or changed column has
+    another digest and is fetched, checked and decrypted afresh. [use_mapping_cache] (default false
     here, true in {!run_batch}) additionally memoizes token minting and
     cell decrypts in the client's crypto-free mapping cache. Answers are
     identical either way: both caches are keyed by key epoch and input

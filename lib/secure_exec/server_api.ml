@@ -36,7 +36,7 @@ let ph_phe = phase_counters "phe"
 (* --- the server side ------------------------------------------------------ *)
 
 type store_view = {
-  describe : unit -> string * (string * int) list;
+  describe : unit -> string * (string * int * string) list;
   check_shape : unit -> unit;
   install : string -> unit;
   leaf : string -> Enc_relation.enc_leaf;
@@ -196,7 +196,7 @@ let dispatch ({ view; orams; _ } as session) (req : Wire.request) : Wire.respons
     let _, leaves = view.describe () in
     let stats =
       List.map
-        (fun (label, rows) ->
+        (fun (label, rows, _) ->
           let l = view.leaf label in
           let attrs =
             List.filter_map
@@ -249,13 +249,12 @@ type conn = {
   c_requests : int Atomic.t;
   c_bytes_up : int Atomic.t;
   c_bytes_down : int Atomic.t;
-  (* Decoded-tid memo, per leaf: the last [Fetch_tids] response bytes and
-     the array decoded from them. The server is still asked on every call
-     (the traffic is real and counted), but when the response bytes are
-     unchanged they are not decoded again and the memoised array is
-     returned {e physically} unchanged — which is what lets
-     [Enc_relation.decrypt_tids_cached] recognize a stable leaf across
-     queries on a connection. *)
+  (* Tid-column memo, per leaf: the described digest of the last column
+     fetched and checked, and the array decoded from it. While Describe
+     keeps announcing that digest the column is not fetched again, and
+     the memoised array is returned {e physically} unchanged — which is
+     what lets [Enc_relation.decrypt_tids_cached] recognize a stable leaf
+     across queries on a connection. *)
   tid_memo : (string, string * string array) Hashtbl.t;
   memo_mutex : Mutex.t;
 }
@@ -358,7 +357,7 @@ let summarize_response (resp : Wire.response) =
     [ ("relation", relation_name);
       ( "leaves",
         String.concat ","
-          (List.map (fun (l, n) -> Printf.sprintf "%s=%d" l n) leaves) ) ]
+          (List.map (fun (l, n, _) -> Printf.sprintf "%s=%d" l n) leaves) ) ]
   | Wire.R_slots None -> [ ("slots", "none") ]
   | Wire.R_slots (Some slots) ->
     [ ("n", string_of_int (List.length slots)); ("slots", csv_int slots) ]
@@ -476,27 +475,30 @@ let fetch_rows conn ~leaf ~attrs ~slots =
   | Wire.R_rows rows -> rows
   | _ -> protocol_error "Fetch_rows"
 
-(* Bytes equal to the last response for this leaf decode to the memoised
-   array without being parsed; any other bytes are decoded afresh and, if
-   they are a tid column, become the new memo. *)
-let fetch_tids conn ~leaf =
-  let decode down =
-    match
-      Mutex.protect conn.memo_mutex (fun () -> Hashtbl.find_opt conn.tid_memo leaf)
-    with
-    | Some (bytes, tids) when String.equal bytes down -> Wire.R_tids tids
-    | _ ->
-      let resp = Wire.response_of_string down in
-      (match resp with
-       | Wire.R_tids tids ->
-         Mutex.protect conn.memo_mutex (fun () ->
-             Hashtbl.replace conn.tid_memo leaf (down, tids))
-       | _ -> ());
-      resp
-  in
-  match call ~decode conn ph_fetch (Wire.Fetch_tids { leaf }) with
-  | Wire.R_tids tids -> tids
-  | _ -> protocol_error "Fetch_tids"
+(* A column memoised under the described digest is served without a
+   round trip. Otherwise the column is fetched, and its response bytes
+   must hash to the described digest before the decoded array replaces
+   the memo; the round is recorded before a mismatch raises. *)
+let fetch_tids conn ~leaf ~digest =
+  match
+    Mutex.protect conn.memo_mutex (fun () -> Hashtbl.find_opt conn.tid_memo leaf)
+  with
+  | Some (held, tids) when String.equal held digest -> tids
+  | _ -> (
+    let received = ref "" in
+    let decode down =
+      received := Digest.string down;
+      Wire.response_of_string down
+    in
+    match call ~decode conn ph_fetch (Wire.Fetch_tids { leaf }) with
+    | Wire.R_tids tids ->
+      if not (String.equal !received digest) then
+        Integrity.fail ~leaf ~where:"store"
+          "tid column disagrees with its described digest";
+      Mutex.protect conn.memo_mutex (fun () ->
+          Hashtbl.replace conn.tid_memo leaf (digest, tids));
+      tids
+    | _ -> protocol_error "Fetch_tids")
 
 let oram_init conn ~leaf ~seed ~block_size ~blocks =
   match call conn ph_oram (Wire.Oram_init { leaf; seed; block_size; blocks }) with

@@ -24,8 +24,13 @@
     backend-independent; [describe]/[leaf] raise [Not_found] or
     [Invalid_argument] on unknown names / empty stores. *)
 type store_view = {
-  describe : unit -> string * (string * int) list;
-      (** relation name and (leaf label, row count) in stored order *)
+  describe : unit -> string * (string * int * string) list;
+      (** relation name and (leaf label, row count, tid digest) in stored
+          order. The digest is [Wire.tids_digest] of the leaf's tid
+          column. A backend keeps it at hand rather than re-encoding the
+          column per call: the memory backend memoises it per tids
+          array, the disk backend keeps it in its manifest, so Describe
+          pages nothing in. *)
   check_shape : unit -> unit;
   install : string -> unit;  (** parse and adopt a [Wire] store image *)
   leaf : string -> Enc_relation.enc_leaf;
@@ -125,7 +130,10 @@ val exchange_raw : conn -> string -> string
     [Integrity.Corruption], [R_error] as [Not_found] /
     [Invalid_argument]. *)
 
-val describe : conn -> string * (string * int) list
+val describe : conn -> string * (string * int * string) list
+(** Relation name and, per stored leaf, its label, row count and tid
+    digest ([Wire.tids_digest]). *)
+
 val check_shape : conn -> unit
 val install : conn -> string -> unit
 
@@ -158,15 +166,22 @@ val fetch_rows :
 (** Ciphertext cells, one inner array per requested attribute (request
     order), each in [slots] order. *)
 
-val fetch_tids : conn -> leaf:string -> string array
-(** The leaf's tid ciphertext column. The server is asked on every call
-    (the traffic is real). The connection memoises, per leaf, the last
-    response bytes with the array decoded from them: a response whose
-    bytes are equal to the memoised ones is not decoded again and returns
-    the same physical array, so [Enc_relation.decrypt_tids_cached] can
-    recognize a stable leaf. Any other bytes — one flipped tid byte is
-    enough — are decoded afresh into a new array, which replaces the
-    memo; the memo never stands in for bytes it was not decoded from. *)
+val fetch_tids : conn -> leaf:string -> digest:string -> string array
+(** The leaf's tid ciphertext column, whose tid digest the latest
+    {!describe} announced as [digest]. The connection memoises, per leaf,
+    the last column it fetched together with its digest. When [digest]
+    equals the memoised one, the memoised array is returned — the same
+    physical array, so [Enc_relation.decrypt_tids_cached] recognises a
+    stable leaf — and nothing crosses the wire. Otherwise a [Fetch_tids]
+    round trip is made, and [Digest.string] of the response bytes must
+    equal [digest]: a column that disagrees with its description raises
+    [Integrity.Corruption] (where ["store"]) and leaves the memo as it
+    was. A matching column replaces the memo.
+
+    The memo is never consulted for a digest it was not checked against,
+    so a re-installed store or a changed column is fetched again. Skipping
+    the round trip tells the server only that this connection fetched the
+    leaf before, which its own request history already shows. *)
 
 val oram_init :
   conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array -> int

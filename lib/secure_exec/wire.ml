@@ -241,7 +241,7 @@ let load path =
    magic so a message can never be confused with a database image. *)
 
 let msg_magic = "SNFM"
-let msg_version = 1
+let msg_version = 2
 
 type filter_op =
   | F_slots of int list
@@ -273,7 +273,7 @@ type leaf_stats = { s_label : string; s_rows : int; s_attrs : attr_stats list }
 
 type response =
   | R_unit
-  | R_described of { relation_name : string; leaves : (string * int) list }
+  | R_described of { relation_name : string; leaves : (string * int * string) list }
   | R_slots of int list option
   | R_mask of { mask : Bitmask.t; scanned : int }
   | R_rows of Enc_relation.cell array array
@@ -547,15 +547,29 @@ let r_corruption c : Integrity.corruption =
 let w_nat buf n = w_string buf (Nat.to_bytes_be n)
 let r_nat c = Nat.of_bytes_be (r_string c)
 
+(* A tid digest travels as its 16 raw bytes, no length prefix. *)
+let digest_length = 16
+
+let w_digest buf d =
+  if String.length d <> digest_length then invalid_arg "Wire: tid digest is not 16 bytes";
+  Buffer.add_string buf d
+
+let r_digest c =
+  if c.pos + digest_length > String.length c.data then fail "truncated digest";
+  let d = String.sub c.data c.pos digest_length in
+  c.pos <- c.pos + digest_length;
+  d
+
 let w_response buf = function
   | R_unit -> w_u8 buf 0
   | R_described { relation_name; leaves } ->
     w_u8 buf 1;
     w_string buf relation_name;
     w_list
-      (fun buf (label, rows) ->
+      (fun buf (label, rows, digest) ->
         w_string buf label;
-        w_int buf rows)
+        w_int buf rows;
+        w_digest buf digest)
       buf leaves
   | R_slots slots ->
     w_u8 buf 2;
@@ -612,7 +626,8 @@ let r_response c =
       r_list
         (fun c ->
           let label = r_string c in
-          (label, r_int c))
+          let rows = r_int c in
+          (label, rows, r_digest c))
         c
     in
     R_described { relation_name; leaves }
@@ -689,6 +704,7 @@ let response_size_hint = function
 
 let response_to_string r = msg_to_string ~size:(response_size_hint r) w_response r
 let response_of_string s = msg_of_string r_response s
+let tids_digest tids = Digest.string (response_to_string (R_tids tids))
 
 (* --- manifest primitives ---------------------------------------------------------- *)
 

@@ -241,52 +241,72 @@ let test_tid_cache_physical_identity () =
   H.check_int "copied leaf misses despite equal label+epoch" (m0 + 1)
     (Metrics.value m_misses)
 
-(* [Server_api.fetch_tids] skips decoding only bytes equal to the last
-   response for the leaf. A connection whose server turns dishonest after
-   the first query (one tid byte flipped in every [Fetch_tids] answer)
-   must get the damaged column decoded afresh and rejected, never the
-   memo of the honest one. *)
-let test_fetch_tids_memo_keyed_by_bytes () =
+(* [Server_api.fetch_tids] serves its memo only for the digest it was
+   checked against, and a fetched column must hash to the digest
+   Describe announced. A server whose [Fetch_tids] answers disagree with
+   its description (one byte flipped in every answer) gets a typed
+   Corruption from a cold connection, never a memoised or decoded
+   column; a warm connection never asks it. *)
+let test_fetch_tids_checked_against_digest () =
   let owner, _ = make_owner ~rows:80 ~name:"joinfast.memo" () in
   Fun.protect ~finally:(fun () -> System.release owner) @@ fun () ->
-  let session = Server_api.session (Backend_mem.view (Backend_mem.of_store owner.System.enc)) in
+  let view = Backend_mem.view (Backend_mem.of_store owner.System.enc) in
   let tamper = ref false in
-  let handle up =
-    let down = Server_api.session_handle session up in
-    match Wire.request_of_string up with
-    | Wire.Fetch_tids _ when !tamper ->
-      let b = Bytes.of_string down in
-      let last = Bytes.length b - 1 in
-      Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
-      Bytes.to_string b
-    | _ -> down
+  let conn () =
+    let session = Server_api.session view in
+    let handle up =
+      let down = Server_api.session_handle session up in
+      match Wire.request_of_string up with
+      | Wire.Fetch_tids _ when !tamper ->
+        let b = Bytes.of_string down in
+        let last = Bytes.length b - 1 in
+        Bytes.set b last (Char.chr (Char.code (Bytes.get b last) lxor 1));
+        Bytes.to_string b
+      | _ -> down
+    in
+    Server_api.connect_handler ~name:"mem" ~handle ~close:ignore
   in
-  let conn = Server_api.connect_handler ~name:"mem" ~handle ~close:ignore in
   let rep = owner.System.plan.Snf_core.Normalizer.representation in
   let q =
     Query.point ~select:[ "b" ]
       [ ("a", Snf_relational.Value.Int 5); ("c", Snf_relational.Value.Int 3) ]
   in
-  let run () = Executor.run_conn ~mode:`Sort_merge owner.System.client conn rep q in
-  let leaf = (List.hd owner.System.enc.Enc_relation.leaves).Enc_relation.label in
-  (* Unchanged bytes: the memoised array, physically, and a tid-cache hit. *)
-  let t1 = Server_api.fetch_tids conn ~leaf in
-  let t2 = Server_api.fetch_tids conn ~leaf in
-  H.check_bool "unchanged bytes return the memoised array" true (t1 == t2);
-  (match run () with
+  let warm = conn () in
+  let run conn = Executor.run_conn ~mode:`Sort_merge owner.System.client conn rep q in
+  let requests conn = (Server_api.stats conn).Server_api.requests in
+  let leaf, _, digest = List.hd (snd (Server_api.describe warm)) in
+  (* The described digest: a memo hit is the same array, with no traffic. *)
+  let t1 = Server_api.fetch_tids warm ~leaf ~digest in
+  let sent = requests warm in
+  let t2 = Server_api.fetch_tids warm ~leaf ~digest in
+  H.check_bool "the described digest returns the memoised array" true (t1 == t2);
+  H.check_int "a memo hit sends nothing" sent (requests warm);
+  (match run warm with
    | Ok (ans, _) -> H.check_same_bag "honest answer" (System.reference owner q) ans
    | Error e -> Alcotest.fail e);
   let h0 = Metrics.value m_hits and m0 = Metrics.value m_misses in
-  (match run () with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match run warm with Ok _ -> () | Error e -> Alcotest.fail e);
   H.check_bool "repeat query hits the tid cache" true (Metrics.value m_hits > h0);
   H.check_int "repeat query never misses" m0 (Metrics.value m_misses);
-  (* Changed bytes: decoded afresh, so the flip reaches the decrypt. *)
+  (* Any other digest is fetched and checked, and the memo stays. *)
+  let other = Digest.string "another column" in
+  (match Server_api.fetch_tids warm ~leaf ~digest:other with
+   | _ -> Alcotest.fail "a column was accepted under a digest it does not have"
+   | exception Integrity.Corruption c -> H.check_string "typed store corruption" "store" c.Integrity.where);
+  H.check_bool "a mismatch leaves the memo" true
+    (Server_api.fetch_tids warm ~leaf ~digest == t1);
+  (* A dishonest server: the warm connection never fetches, so it still
+     answers; a cold one fetches a column off its digest and stops. *)
   tamper := true;
-  let t3 = Server_api.fetch_tids conn ~leaf in
-  H.check_bool "changed bytes are decoded afresh" true (t3 != t2 && t3 <> t2);
-  H.check_int "only the flipped tid differs" 1
-    (Array.fold_left ( + ) 0 (Array.map2 (fun a b -> Bool.to_int (a <> b)) t2 t3));
-  match run () with
+  (match run warm with
+   | Ok (ans, _) -> H.check_same_bag "warm: oracle answer" (System.reference owner q) ans
+   | Error e -> Alcotest.fail e);
+  let cold = conn () in
+  (match Server_api.fetch_tids cold ~leaf ~digest with
+   | _ -> Alcotest.fail "a column off its described digest was accepted"
+   | exception Integrity.Corruption c ->
+     H.check_string "cold fetch: typed store corruption" "store" c.Integrity.where);
+  match run cold with
   | _ -> Alcotest.fail "a flipped tid byte went undetected"
   | exception Integrity.Corruption _ -> ()
 
@@ -463,21 +483,24 @@ let test_order_cache () =
   ignore (order ());
   H.check_int "is not cached" 4 !builds
 
-(* Serve [owner]'s store through a handler whose Fetch_tids answers can be
-   rewritten once [tamper] is set. *)
+(* Serve [owner]'s store over a connection; [tamper ()] rewrites the
+   served store's tid columns through [rewrite], so Describe announces
+   the digests of the rewritten columns and a warm client fetches them. *)
 let tampering_conn owner rewrite =
-  let session = Server_api.session (Backend_mem.view (Backend_mem.of_store owner.System.enc)) in
-  let tamper = ref false in
-  let handle up =
-    let down = Server_api.session_handle session up in
-    match (Wire.request_of_string up, !tamper) with
-    | Wire.Fetch_tids { leaf }, true -> (
-      match Wire.response_of_string down with
-      | Wire.R_tids tids -> Wire.response_to_string (Wire.R_tids (rewrite leaf tids))
-      | _ -> down)
-    | _ -> down
+  let enc = owner.System.enc in
+  let view = Backend_mem.view (Backend_mem.of_store enc) in
+  let tamper () =
+    view.Server_api.install
+      (Wire.to_string
+         { enc with
+           Enc_relation.leaves =
+             List.map
+               (fun (l : Enc_relation.enc_leaf) ->
+                 { l with Enc_relation.tids = rewrite l.Enc_relation.label l.Enc_relation.tids })
+               enc.Enc_relation.leaves })
   in
-  (Server_api.connect_handler ~name:"mem" ~handle ~close:ignore, tamper)
+  (Server_api.connect_handler ~name:"mem" ~handle:(Server_api.session_handler view)
+     ~close:ignore, tamper)
 
 let join_query =
   Query.point ~select:[ "b" ]
@@ -511,7 +534,7 @@ let test_flip_after_orders_cached () =
       (match run () with
        | Ok (_, tr) -> H.check_int "orders cached" 0 tr.Executor.rows_processed
        | Error e -> Alcotest.fail e);
-      tamper := true;
+      tamper ();
       match run () with
       | Ok (ans, _) -> H.check_same_bag "flip: oracle answer" want ans
       | Error e -> Alcotest.fail e
@@ -545,7 +568,7 @@ let test_misaligned_store_falls_back () =
   let conn, tamper = tampering_conn owner dup in
   let run () = Executor.run_conn ~mode:`Sort_merge client conn rep q in
   (match run () with Ok _ -> () | Error e -> Alcotest.fail e);
-  tamper := true;
+  tamper ();
   let gone =
     List.map (Enc_relation.tid_at client ~leaf:victim ~rows) [ 0; 1 ]
   in
@@ -630,8 +653,8 @@ let suite =
       test_tid_cache_reencrypt_invalidation;
     Alcotest.test_case "tid cache physical identity" `Quick
       test_tid_cache_physical_identity;
-    Alcotest.test_case "fetch_tids memo keyed by response bytes" `Quick
-      test_fetch_tids_memo_keyed_by_bytes;
+    Alcotest.test_case "fetch_tids checks the described digest" `Quick
+      test_fetch_tids_checked_against_digest;
     Alcotest.test_case "k-way = cascade (all true)" `Quick
       test_kway_matches_cascade_all_true;
     test_kway_matches_cascade_random_masks;

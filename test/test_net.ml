@@ -74,9 +74,10 @@ let test_round_trip_matches_mem () =
     queries;
   check_bool "verify over the socket" true (System.verify sock_owner (List.hd queries))
 
-(* The tid-decrypt cache contract survives the transport: while the
-   server's tid bytes are unchanged, [fetch_tids] returns the {e same
-   physical array} on a persistent connection. *)
+(* The tid-decrypt cache contract survives the transport: while Describe
+   announces the digest the column was checked against, [fetch_tids]
+   returns the {e same physical array} on a persistent connection, and
+   only the first call crosses the socket. *)
 let test_tid_memo_stable_over_socket () =
   with_mem_server "tid" @@ fun _srv addr ->
   let r = example1_relation () and policy = example1_policy () in
@@ -89,10 +90,12 @@ let test_tid_memo_stable_over_socket () =
   | Ok conn ->
     Fun.protect ~finally:(fun () -> Server_api.close conn) @@ fun () ->
     let _, leaves = Server_api.describe conn in
-    let leaf, _ = List.hd leaves in
-    let a = Server_api.fetch_tids conn ~leaf in
-    let b = Server_api.fetch_tids conn ~leaf in
-    check_bool "physically the same array" true (a == b)
+    let leaf, _, digest = List.hd leaves in
+    let a = Server_api.fetch_tids conn ~leaf ~digest in
+    let sent = (Server_api.stats conn).Server_api.requests in
+    let b = Server_api.fetch_tids conn ~leaf ~digest in
+    check_bool "physically the same array" true (a == b);
+    check_int "the repeat sends nothing" sent (Server_api.stats conn).Server_api.requests
 
 (* --- concurrency battery --------------------------------------------------- *)
 

@@ -36,6 +36,13 @@ let gen_ore =
 
 let gen_nat = Gen.map Nat.of_int Gen.nat
 
+(* A tid digest: 16 raw bytes, real ones among them. *)
+let gen_digest =
+  Gen.oneof
+    [ Gen.string_size (Gen.return 16);
+      Gen.map (fun tids -> Wire.tids_digest (Array.of_list tids))
+        (Gen.list_size (Gen.int_bound 5) gen_blob) ]
+
 let gen_eq_token =
   Gen.oneof
     [ Gen.map (fun v -> Enc_relation.Eq_plain v) gen_value;
@@ -130,7 +137,8 @@ let gen_response =
       Gen.map2
         (fun relation_name leaves -> Wire.R_described { relation_name; leaves })
         gen_blob
-        (Gen.list_size (Gen.int_bound 4) (Gen.pair gen_label Gen.nat));
+        (Gen.list_size (Gen.int_bound 6)
+           (Gen.triple (Gen.oneof [ gen_label; gen_blob ]) Gen.nat gen_digest));
       Gen.map (fun s -> Wire.R_slots s) (Gen.option gen_slots);
       Gen.map2
         (fun mask scanned ->
@@ -220,7 +228,11 @@ let sample_requests =
 let sample_responses =
   [ Wire.R_unit;
     Wire.R_described
-      { relation_name = "r"; leaves = [ ("R.a", 4); ("R.b", 4) ] };
+      { relation_name = "r";
+        leaves =
+          [ ("R.a", 4, Wire.tids_digest [| "t0"; "t1"; "t2"; "t3" |]);
+            ("R.b", 0, Wire.tids_digest [||]) ] };
+    Wire.R_described { relation_name = ""; leaves = [] };
     Wire.R_slots None; Wire.R_slots (Some [ 0; 7 ]);
     Wire.R_mask
       { mask = Bitmask.of_bools [| true; false; true; true; false |]; scanned = 5 };
@@ -415,8 +427,66 @@ let test_mask_padding_rejected () =
   Alcotest.check_raises "R_batch padding bit" padding_rejected (fun () ->
       ignore (Wire.response_of_string (set_bit batch ~pos:30 ~bit:3)))
 
+(* {1 Versions and tid digests}
+
+   Byte 4 of every message is the SNFM version. Version 1 described
+   leaves without tid digests; a message of any version but the current
+   one is rejected whole, never read under the wrong grammar. *)
+
+let with_version s v =
+  let b = Bytes.of_string s in
+  Bytes.set b 4 (Char.chr v);
+  Bytes.to_string b
+
+let test_other_versions_rejected () =
+  let version_of s = Char.code s.[4] in
+  let check what bytes =
+    let current = version_of bytes in
+    List.iter
+      (fun v ->
+        if v <> current then
+          Alcotest.check_raises
+            (Printf.sprintf "%s at version %d" what v)
+            (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
+            (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
+      [ 0; 1; current + 1; 255 ]
+  in
+  Alcotest.(check int) "messages are SNFM version 2" 2
+    (version_of (Wire.request_to_string Wire.Describe));
+  List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
+    sample_responses;
+  List.iter
+    (fun req ->
+      let bytes = Wire.request_to_string req in
+      Alcotest.check_raises "request at version 1"
+        (Invalid_argument "Wire: unsupported message version 1")
+        (fun () -> ignore (Wire.request_of_string (with_version bytes 1))))
+    sample_requests
+
+(* The digest is the MD5 of the canonical R_tids bytes, and it travels
+   as exactly 16 bytes: a digest of another length is refused on encode. *)
+let test_tids_digest () =
+  let tids = [| "a"; "bc"; "" |] in
+  Alcotest.(check string) "digest of the R_tids bytes"
+    (Digest.string (Wire.response_to_string (Wire.R_tids tids)))
+    (Wire.tids_digest tids);
+  Alcotest.(check bool) "one changed tid changes the digest" true
+    (Wire.tids_digest tids <> Wire.tids_digest [| "a"; "bd"; "" |]);
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d-byte digest refused" (String.length d))
+        (Invalid_argument "Wire: tid digest is not 16 bytes")
+        (fun () ->
+          ignore
+            (Wire.response_to_string
+               (Wire.R_described { relation_name = "r"; leaves = [ ("L", 1, d) ] }))))
+    [ ""; String.make 15 'x'; String.make 17 'x' ]
+
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;
+    t "messages of another version rejected" test_other_versions_rejected;
+    t "tid digests: R_tids bytes, 16 bytes on the wire" test_tids_digest;
     t "every strict prefix rejected" test_every_prefix_rejected;
     t "integers with the top bits set rejected" test_high_integer_bits_rejected;
     t "masks with padding bits set rejected" test_mask_padding_rejected;
