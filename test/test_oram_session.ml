@@ -69,7 +69,9 @@ let test_session_keeps_only_current_partners () =
     queries
 
 (* SNFT trace of the sequence above with timestamps zeroed, recorded
-   before sessions pruned their trees: pruning is invisible on the wire. *)
+   before sessions pruned their trees: pruning is invisible on the wire.
+   Re-recorded when Describe began carrying tid digests; the ORAM path
+   fetches no tid column, so only the Describe response bytes moved. *)
 let test_trace_unchanged () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -87,7 +89,7 @@ let test_trace_unchanged () =
     List.map (fun e -> { e with Wiretrace.ts_us = 0.0 }) trace.Wiretrace.events
   in
   Alcotest.(check int) "events" 122 (List.length events);
-  Alcotest.(check string) "trace bytes" "816b3b2a4157d9c96b3dae0b0a558432"
+  Alcotest.(check string) "trace bytes" "92ed128229eb39fbf4899c8539ee0286"
     (Digest.to_hex (Digest.string (Wiretrace.to_binary_string { trace with Wiretrace.events })))
 
 let suite =
