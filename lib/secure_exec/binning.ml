@@ -5,6 +5,7 @@ let m_retrieved = Snf_obs.Metrics.counter "exec.binning.retrieved_rows"
 
 type schedule = {
   bin_size : int;
+  bin_ids : int list;
   bins : int list list;
   retrieved : int;
   wanted : int;
@@ -20,22 +21,24 @@ let assign ~key ~universe ~bin_size row =
   shuffled / bin_size
 
 let schedule ~key ~universe ~bin_size wanted_rows =
-  let bin_of = assign ~key ~universe ~bin_size in
-  let wanted_bins =
-    List.sort_uniq Int.compare (List.map bin_of wanted_rows)
+  let bin_ids =
+    List.sort_uniq Int.compare (List.map (assign ~key ~universe ~bin_size) wanted_rows)
   in
   let members bin =
-    (* All rows landing in this bin under the permutation. Linear scan: the
-       universe is one leaf's row count. *)
-    let out = ref [] in
-    for row = universe - 1 downto 0 do
-      if bin_of row = bin then out := row :: !out
-    done;
-    !out
+    (* The rows landing in this bin are the preimages of its shuffled
+       range, so invert the permutation over that range only. *)
+    let lo = bin * bin_size in
+    let rows =
+      Array.init (min universe (lo + bin_size) - lo) (fun i ->
+          if universe = 1 then 0 else Feistel.unpermute ~key ~domain:universe (lo + i))
+    in
+    Array.sort Int.compare rows;
+    Array.to_list rows
   in
-  let bins = List.map members wanted_bins in
+  let bins = List.map members bin_ids in
   let s =
     { bin_size;
+      bin_ids;
       bins;
       retrieved = List.fold_left (fun acc b -> acc + List.length b) 0 bins;
       wanted = List.length (List.sort_uniq Int.compare wanted_rows) }

@@ -14,7 +14,9 @@
 
 type schedule = {
   bin_size : int;
-  bins : int list list;     (** requested bins: row indices per bin *)
+  bin_ids : int list;       (** requested bin indices, ascending *)
+  bins : int list list;     (** rows of each requested bin, ascending;
+                                parallel to [bin_ids] *)
   retrieved : int;          (** total rows fetched = bins × bin_size *)
   wanted : int;             (** rows actually needed *)
 }
@@ -26,8 +28,14 @@ val assign :
 
 val schedule :
   key:Snf_crypto.Prf.key -> universe:int -> bin_size:int -> int list -> schedule
-(** Bins covering all wanted rows. @raise Invalid_argument on out-of-range
-    rows, [bin_size < 1] or [universe < 1]. *)
+(** Bins covering all wanted rows: bin [b] holds every row whose shuffled
+    position falls in [\[b·bin_size, (b+1)·bin_size)].
+
+    Cost: one permutation call per wanted row to find its bin, then one
+    inverse-permutation call per row of each wanted bin — at most
+    [wanted_bins × bin_size] in all, independent of [universe] — plus a
+    sort of each bin. @raise Invalid_argument on out-of-range rows,
+    [bin_size < 1] or [universe < 1]. *)
 
 val overhead : schedule -> float
 (** [retrieved / max 1 wanted] — the bandwidth price of hiding the

@@ -377,6 +377,11 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed
         let data = Enc_relation.oram_open client ~leaf:label block in
         (Marshal.from_string data 0 : (string * Value.t) list)) }
 
+let check_binned_slot ~key ~universe (s : Binning.schedule) slot =
+  let bin = Binning.assign ~key ~universe ~bin_size:s.Binning.bin_size slot in
+  if not (List.mem bin s.Binning.bin_ids) then
+    invalid_arg "Executor: partner slot outside the requested bins"
+
 let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved ~wanted
     (lv : leaf_view) =
   let label = lv.lv_label in
@@ -391,19 +396,17 @@ let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved 
   let schedule =
     if n = 0 || wanted_slots = [] then None
     else
-      Some
-        (Binning.schedule
-           ~key:(Enc_relation.binning_key client ~leaf:label)
-           ~universe:n ~bin_size:(min bin_size n) wanted_slots)
+      let key = Enc_relation.binning_key client ~leaf:label in
+      Some (key, Binning.schedule ~key ~universe:n ~bin_size:(min bin_size n) wanted_slots)
   in
   (match schedule with
-   | Some s -> bin_retrieved := !bin_retrieved + s.Binning.retrieved
+   | Some (_, s) -> bin_retrieved := !bin_retrieved + s.Binning.retrieved
    | None -> ());
   (* The whole bins cross the wire — decoy ciphertexts included, which is
      the point — but only wanted rows are ever decrypted. *)
   let bin_slots =
     match schedule with
-    | Some s -> List.sort_uniq compare (List.concat s.Binning.bins)
+    | Some (_, s) -> List.sort_uniq compare (List.concat s.Binning.bins)
     | None -> []
   in
   let value_at =
@@ -414,11 +417,7 @@ let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved 
     fetch =
       (fun tid ->
         let slot = Enc_relation.row_position client ~leaf:label ~rows:n tid in
-        (match schedule with
-         | Some s ->
-           (* the slot must be inside a requested bin *)
-           assert (List.exists (List.mem slot) s.Binning.bins)
-         | None -> ());
+        Option.iter (fun (key, s) -> check_binned_slot ~key ~universe:n s slot) schedule;
         List.map (fun a -> (a, value_at a slot)) needed) }
 
 let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled masks

@@ -166,3 +166,11 @@ val run_batch :
     a failure aborts the whole batch. *)
 
 val pp_trace : Format.formatter -> trace -> unit
+
+val check_binned_slot :
+  key:Snf_crypto.Prf.key -> universe:int -> Binning.schedule -> int -> unit
+(** The [`Binning] path's cover check, run on every partner slot the
+    enclave reads: the slot's bin ([Binning.assign]) must be one of the
+    schedule's requested bins.
+    @raise Invalid_argument ["Executor: partner slot outside the requested
+    bins"] otherwise. *)

@@ -8,9 +8,21 @@
     client-side position map and stash, uniform leaf remap on every access,
     greedy path write-back.
 
-    All randomness comes from the caller's seeded [Prng.t]; the access
-    sequence the "server" observes is the sequence of root-to-leaf paths,
-    available via [paths_observed] for the access-pattern tests. *)
+    All randomness comes from the caller's seeded [Prng.t]: one leaf draw
+    per block at [create], in block order, and one remap draw per access.
+    The access sequence the "server" observes is the sequence of
+    root-to-leaf paths, available via [paths_observed] for the
+    access-pattern tests.
+
+    {b Write-back.} After an access reads the path to leaf [x] into the
+    stash, one pass over the stash files each block under its deepest
+    legal level on that path, [L - bit_length (pos xor x)]. The path is
+    then filled deepest bucket first: each level's blocks join a carried
+    pool of blocks that fit there, and the bucket takes up to Z of them.
+    Blocks left in the pool stay in the stash. An access therefore costs
+    O(|stash| + L·Z) time. Eviction draws no randomness, so the observed
+    path sequence depends only on the seed and the access sequence, never
+    on how blocks were placed. *)
 
 type t
 
@@ -18,7 +30,8 @@ val create :
   ?bucket_size:int -> num_blocks:int -> block_size:int -> Snf_crypto.Prng.t -> t
 (** Capacity for block ids [0 .. num_blocks-1]; blocks are fixed-size
     strings ([block_size] bytes). Unwritten blocks read as all-zero.
-    @raise Invalid_argument if [num_blocks < 1] or [bucket_size < 1]. *)
+    @raise Invalid_argument if [num_blocks < 1], [bucket_size < 1],
+    [block_size < 0] or [num_blocks] exceeds 32-bit block ids. *)
 
 val read : t -> int -> string
 (** Oblivious read. @raise Invalid_argument on out-of-range id. *)
