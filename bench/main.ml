@@ -8,7 +8,9 @@
                                              writes BENCH_table1.json.
    `dune exec bench/main.exe -- micro-modexp`
                                            — Montgomery vs reference
-                                             modular exponentiation.
+                                             modular exponentiation:
+                                             ns and minor words per
+                                             call.
    `dune exec bench/main.exe -- micro-prf`
                                            — the PRF kernel under every
                                              cell decrypt, token and row
@@ -32,8 +34,10 @@
                                              per call; writes
                                              BENCH_fanout.json.
    `dune exec bench/main.exe -- micro-paillier`
-                                           — Paillier kernel comparison;
-                                             writes BENCH_paillier.json.
+                                           — Paillier kernel comparison,
+                                             ns and minor words per
+                                             call; writes
+                                             BENCH_paillier.json.
    `dune exec bench/main.exe -- micro-batch`
                                            — cross-query batching: K
                                              queries through one shared
@@ -119,6 +123,16 @@ let ns_per_op ?(min_time = 0.2) f =
     else dt /. float_of_int reps *. 1e9
   in
   go 4
+
+(* Minor-heap words per call of [f]: the allocation the GC has to pay for. *)
+let words_per_op f =
+  let reps = 2_000 in
+  ignore (f ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to reps do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int reps
 
 (* Run [f] under exactly [domains] domains, restoring the prior setting. *)
 let with_domains domains f =
@@ -492,11 +506,28 @@ let run_micro () =
 
 (* --- kernel micro-benchmarks (machine-readable) ----------------------------- *)
 
+(* [Mont.pow_mod] at the two shapes Paillier runs it at: a CRT decrypt leg
+   (modulus p^2, exponent p - 1) and an encryption's r^n (modulus n^2,
+   exponent n), for 48-bit primes: 4-limb/48-bit and 8-limb/96-bit. Each
+   row is (name, ns per call, minor words per call). *)
+let paillier_shaped_modexp () =
+  let prng = Snf_crypto.Prng.create 0x4d0e in
+  let rand b = Snf_crypto.Prng.int prng b in
+  List.map
+    (fun (name, m_bits, e_bits) ->
+      let m = Nat.succ (Nat.shift_left (Nat.random_bits rand (m_bits - 1)) 1) in
+      let b = Nat.random_below rand m and e = Nat.random_bits rand e_bits in
+      let ctx = Nat.Mont.make m in
+      let f () = Nat.Mont.pow_mod ctx b e in
+      (name, ns_per_op f, words_per_op f))
+    [ ("mont.pow_mod 4 limbs, 48-bit e", 96, 48); ("mont.pow_mod 8 limbs, 96-bit e", 192, 96) ]
+
 let run_micro_modexp () =
   section "Micro: modular exponentiation (reference vs Montgomery)";
   let prng = Snf_crypto.Prng.create 0xe47 in
   let rand b = Snf_crypto.Prng.int prng b in
-  Printf.printf "  %-10s %14s %14s %9s\n" "modulus" "Nat.pow_mod" "Mont.pow_mod" "speedup";
+  Printf.printf "  %-10s %14s %14s %9s %12s\n" "modulus" "Nat.pow_mod" "Mont.pow_mod" "speedup"
+    "Mont words";
   List.iter
     (fun bits ->
       let m =
@@ -507,28 +538,25 @@ let run_micro_modexp () =
       let e = Nat.random_below rand m in
       let ctx = Nat.Mont.make m in
       let ref_ns = ns_per_op (fun () -> Nat.pow_mod b e m) in
-      let mont_ns = ns_per_op (fun () -> Nat.Mont.pow_mod ctx b e) in
-      Printf.printf "  %6d-bit %11.0f ns %11.0f ns %8.1fx\n" bits ref_ns mont_ns
-        (ref_ns /. mont_ns))
-    [ 96; 192; 384 ]
+      let mont () = Nat.Mont.pow_mod ctx b e in
+      let mont_ns = ns_per_op mont in
+      Printf.printf "  %6d-bit %11.0f ns %11.0f ns %8.1fx %12.0f\n" bits ref_ns mont_ns
+        (ref_ns /. mont_ns) (words_per_op mont))
+    [ 96; 192; 384 ];
+  Printf.printf "  Paillier shapes (ns and minor words per call):\n";
+  List.iter
+    (fun (name, ns, words) -> Printf.printf "  %-32s %9.0f ns %9.0f words\n" name ns words)
+    (paillier_shaped_modexp ())
 
 (* Per-call cost of the symmetric kernel: wall time and minor-heap words
    (the allocation the GC has to pay for) per operation. The schedule row
    is what every DET cell decrypt used to pay before the client derived
-   each column key once; the last row is the client-level decrypt with
-   the key schedule warm. *)
+   each column key once; the last rows are client-level cell decrypts
+   with the key schedule warm, OPE/ORE with their value's order part
+   memoised after the first call. *)
 let run_micro_prf () =
   section "Micro: PRF kernel (us and minor words per call)";
   let module C = Snf_crypto in
-  let words_per_op f =
-    let reps = 2_000 in
-    ignore (f ());
-    let w0 = Gc.minor_words () in
-    for _ = 1 to reps do
-      ignore (Sys.opaque_identity (f ()))
-    done;
-    (Gc.minor_words () -. w0) /. float_of_int reps
-  in
   let key = C.Prf.key_of_string "micro-prf" in
   let msg8 = String.make 8 'm' and msg24 = String.make 24 'm' in
   let kr = C.Keyring.create ~master:"micro-prf" in
@@ -543,13 +571,33 @@ let run_micro_prf () =
     Snf_exec.Enc_relation.make_client ~paillier_prime_bits:16 ~relation_name:"bench"
       ~master:"micro-prf" ()
   in
+  let token scheme v = Snf_exec.Enc_relation.eq_token client ~leaf:"leaf" ~attr:"attr" ~scheme v in
   let client_ct =
-    match
-      Snf_exec.Enc_relation.eq_token client ~leaf:"leaf" ~attr:"attr" ~scheme:C.Scheme.Det
-        (Snf_relational.Value.Text "cell-07")
-    with
+    match token C.Scheme.Det (Snf_relational.Value.Text "cell-07") with
     | Some (Snf_exec.Enc_relation.Eq_det b) -> Snf_exec.Enc_relation.C_bytes b
     | _ -> assert false
+  in
+  (* OPE/ORE onions as the store holds them: the column's order part of
+     an integer next to its DET payload. Decrypting one authenticates
+     the payload and checks the order part against a re-encryption. *)
+  let onion = Snf_relational.Value.Int 94_016 in
+  let payload =
+    match token C.Scheme.Det onion with
+    | Some (Snf_exec.Enc_relation.Eq_det b) -> b
+    | _ -> assert false
+  in
+  let ope_cell =
+    match token C.Scheme.Ope onion with
+    | Some (Snf_exec.Enc_relation.Eq_ord ord) -> Snf_exec.Enc_relation.C_ord { ord; payload }
+    | _ -> assert false
+  in
+  let ore_cell =
+    match token C.Scheme.Ore onion with
+    | Some (Snf_exec.Enc_relation.Eq_ore ore) -> Snf_exec.Enc_relation.C_ore { ore; payload }
+    | _ -> assert false
+  in
+  let decrypt scheme cell () =
+    ignore (Snf_exec.Enc_relation.decrypt_cell client ~leaf:"leaf" ~attr:"attr" ~scheme cell)
   in
   let slot = ref 0 in
   let rows =
@@ -564,11 +612,9 @@ let run_micro_prf () =
           ignore (C.Feistel.permute ~key ~domain:4000 !slot) );
       ("ope.encrypt", fun () -> ignore (C.Ope.encrypt ope 94_016));
       ("ore.encrypt", fun () -> ignore (C.Ore.encrypt ore 94_016));
-      ( "client DET cell decrypt",
-        fun () ->
-          ignore
-            (Snf_exec.Enc_relation.decrypt_cell client ~leaf:"leaf" ~attr:"attr"
-               ~scheme:C.Scheme.Det client_ct) ) ]
+      ("client DET cell decrypt", decrypt C.Scheme.Det client_ct);
+      ("client OPE cell decrypt", decrypt C.Scheme.Ope ope_cell);
+      ("client ORE cell decrypt", decrypt C.Scheme.Ore ore_cell) ]
   in
   Printf.printf "  %-26s %12s %14s
 " "primitive" "us/op" "minor words/op";
@@ -782,19 +828,24 @@ let run_micro_paillier () =
   let pool_fill_ns =
     (Unix.gettimeofday () -. t0) /. float_of_int pool_entries *. 1e9
   in
-  let enc_ref_ns =
-    ns_per_op (fun () -> Snf_crypto.Paillier.encrypt_reference prng pk m)
+  (* ns and minor-heap words per call of one kernel. *)
+  let cost f = (ns_per_op f, words_per_op f) in
+  let enc_ref_ns, enc_ref_words =
+    cost (fun () -> Snf_crypto.Paillier.encrypt_reference prng pk m)
   in
-  let enc_mont_ns = ns_per_op (fun () -> Snf_crypto.Paillier.encrypt prng pk m) in
+  let enc_mont_ns, enc_mont_words = cost (fun () -> Snf_crypto.Paillier.encrypt prng pk m) in
   let slot = ref 0 in
-  let enc_pool_ns =
-    ns_per_op (fun () ->
+  let enc_pool_ns, enc_pool_words =
+    cost (fun () ->
         slot := (!slot + 1) land (pool_entries - 1);
         Snf_crypto.Paillier.encrypt_with pool !slot m)
   in
   let ct = Snf_crypto.Paillier.encrypt prng pk m in
-  let dec_ref_ns = ns_per_op (fun () -> Snf_crypto.Paillier.decrypt_reference kp ct) in
-  let dec_crt_ns = ns_per_op (fun () -> Snf_crypto.Paillier.decrypt kp ct) in
+  let dec_ref_ns, dec_ref_words =
+    cost (fun () -> Snf_crypto.Paillier.decrypt_reference kp ct)
+  in
+  let dec_crt_ns, dec_crt_words = cost (fun () -> Snf_crypto.Paillier.decrypt kp ct) in
+  let modexp = paillier_shaped_modexp () in
   let deterministic = ciphertexts_deterministic () in
   let enc_speedup_mont = enc_ref_ns /. enc_mont_ns in
   let enc_speedup_pooled = enc_ref_ns /. enc_pool_ns in
@@ -804,6 +855,11 @@ let run_micro_paillier () =
     enc_ref_ns enc_mont_ns enc_speedup_mont enc_pool_ns enc_speedup_pooled;
   Printf.printf "  decrypt: reference %8.0f ns | crt        %8.0f ns (%.1fx)\n"
     dec_ref_ns dec_crt_ns dec_speedup_crt;
+  Printf.printf "  minor words/call: encrypt %.0f ref, %.0f mont, %.0f pooled; decrypt %.0f ref, %.0f crt\n"
+    enc_ref_words enc_mont_words enc_pool_words dec_ref_words dec_crt_words;
+  List.iter
+    (fun (name, ns, words) -> Printf.printf "  %-32s %9.0f ns %9.0f words\n" name ns words)
+    modexp;
   Printf.printf "  pool fill: %8.0f ns/entry (%d entries)\n" pool_fill_ns pool_entries;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
   Report.write_json "BENCH_paillier.json"
@@ -811,14 +867,28 @@ let run_micro_paillier () =
        [ ("experiment", Report.J_string "paillier-kernels");
          ("prime_bits", Report.J_int prime_bits);
          ("encrypt_reference_ns", Report.J_float enc_ref_ns);
+         ("encrypt_reference_minor_words", Report.J_float enc_ref_words);
          ("encrypt_montgomery_ns", Report.J_float enc_mont_ns);
+         ("encrypt_montgomery_minor_words", Report.J_float enc_mont_words);
          ("encrypt_pooled_ns", Report.J_float enc_pool_ns);
+         ("encrypt_pooled_minor_words", Report.J_float enc_pool_words);
          ("pool_fill_ns_per_entry", Report.J_float pool_fill_ns);
          ("decrypt_reference_ns", Report.J_float dec_ref_ns);
+         ("decrypt_reference_minor_words", Report.J_float dec_ref_words);
          ("decrypt_crt_ns", Report.J_float dec_crt_ns);
+         ("decrypt_crt_minor_words", Report.J_float dec_crt_words);
          ("encrypt_speedup_montgomery", Report.J_float enc_speedup_mont);
          ("encrypt_speedup_pooled", Report.J_float enc_speedup_pooled);
          ("decrypt_speedup_crt", Report.J_float dec_speedup_crt);
+         ( "modexp",
+           Report.J_list
+             (List.map
+                (fun (name, ns, words) ->
+                  Report.J_obj
+                    [ ("name", Report.J_string name);
+                      ("ns", Report.J_float ns);
+                      ("minor_words", Report.J_float words) ])
+                modexp) );
          ("ciphertexts_deterministic_across_domains", Report.J_bool deterministic);
          ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
   Printf.printf "wrote BENCH_paillier.json\n"

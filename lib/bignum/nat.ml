@@ -465,18 +465,21 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
 (* --- Montgomery arithmetic ----------------------------------------------- *)
 
 (* Per-modulus fast path: REDC-based multiplication (CIOS) and
-   sliding-window exponentiation. Works on fixed-width (k-limb) scratch
-   arrays so the hot loop never allocates beyond its result, and never
-   divides — the reduction is interleaved shift-free limb arithmetic.
-   The generic [pow_mod] above stays as the reference implementation. *)
+   sliding-window exponentiation. Works on fixed-width (k-limb) arrays and
+   never divides — the reduction is interleaved shift-free limb
+   arithmetic. [pow_mod] runs every square and multiply into one k-limb
+   accumulator through one (k+2)-limb scratch, so its minor-heap cost is
+   a handful of arrays per call, not two per product. The generic
+   [pow_mod] above stays as the reference implementation. *)
 module Mont = struct
   type ctx = {
     m : t;                (* modulus, odd, > 1 *)
     k : int;              (* limb count of m *)
     m_limbs : int array;  (* length k *)
     m' : int;             (* -m^{-1} mod base *)
-    r2 : t;               (* R^2 mod m with R = base^k *)
-    one : t;              (* R mod m, i.e. 1 in Montgomery form *)
+    r2 : int array;       (* R^2 mod m at width k, R = base^k: mont_mul by it
+                             enters Montgomery form *)
+    one_k : int array;    (* 1 at width k: mont_mul by it leaves Montgomery form *)
   }
 
   (* Inverse of an odd limb modulo base by Hensel lifting: each step doubles
@@ -488,6 +491,12 @@ module Mont = struct
     done;
     !y
 
+  (* Fixed-width copy of a value already reduced below a k-limb modulus. *)
+  let widen k (x : t) =
+    let r = Array.make k 0 in
+    Array.blit x 0 r 0 (Array.length x);
+    r
+
   let make m =
     if is_zero m || is_even m || is_one m then
       invalid_arg "Nat.Mont.make: modulus must be odd and > 1";
@@ -498,16 +507,12 @@ module Mont = struct
       k;
       m_limbs;
       m';
-      r2 = rem (shift_left one (2 * k * limb_bits)) m;
-      one = rem (shift_left one (k * limb_bits)) m }
+      r2 = widen k (rem (shift_left one (2 * k * limb_bits)) m);
+      one_k = widen k one }
 
   let modulus ctx = ctx.m
 
-  (* Fixed-width copy of a value already reduced below the modulus. *)
-  let limbs_of ctx (x : t) =
-    let r = Array.make ctx.k 0 in
-    Array.blit x 0 r 0 (Array.length x);
-    r
+  let limbs_of ctx (x : t) = widen ctx.k x
 
   (* In-place conditional final subtraction: a (length k, plus carry bit
      [hi]) minus m when a >= m. *)
@@ -516,12 +521,9 @@ module Mont = struct
     let ge =
       hi > 0
       ||
-      let rec go i =
-        if i < 0 then true
-        else if a.(i) <> m.(i) then a.(i) > m.(i)
-        else go (i - 1)
-      in
-      go (k - 1)
+      let i = ref (k - 1) in
+      while !i >= 0 && a.(!i) = m.(!i) do decr i done;
+      !i < 0 || a.(!i) > m.(!i)
     in
     if ge then begin
       let borrow = ref 0 in
@@ -538,12 +540,14 @@ module Mont = struct
       done
     end
 
-  (* CIOS Montgomery multiplication: a*b*R^-1 mod m for k-limb inputs below
-     m. Every intermediate fits a 63-bit int: limb products stay below
-     2^52 and the running sums add at most two more bits. *)
-  let mont_mul ctx (a : int array) (b : int array) : int array =
+  (* CIOS Montgomery multiplication into [dst]: dst <- a*b*R^-1 mod m for
+     k-limb inputs below m, accumulated in the (k+2)-limb scratch [t].
+     [a] and [b] are only read before [dst] is written, so [dst] may be
+     either of them. Every intermediate fits a 63-bit int: limb products
+     stay below 2^52 and the running sums add at most two more bits. *)
+  let mont_mul_into ctx (t : int array) (dst : int array) (a : int array) (b : int array) =
     let k = ctx.k and m = ctx.m_limbs and m' = ctx.m' in
-    let t = Array.make (k + 2) 0 in
+    Array.fill t 0 (k + 2) 0;
     for i = 0 to k - 1 do
       let ai = a.(i) in
       let c = ref 0 in
@@ -567,23 +571,25 @@ module Mont = struct
       t.(k) <- t.(k + 1) + (s lsr limb_bits);
       t.(k + 1) <- 0
     done;
-    let r = Array.sub t 0 k in
-    reduce_once ctx r t.(k);
+    Array.blit t 0 dst 0 k;
+    reduce_once ctx dst t.(k)
+
+  (* Fresh-result product, for the one-shot entry points below. *)
+  let mont_mul ctx a b =
+    let r = Array.make ctx.k 0 in
+    mont_mul_into ctx (Array.make (ctx.k + 2) 0) r a b;
     r
 
-  let to_mont ctx x = normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) (limbs_of ctx ctx.r2))
+  let to_mont ctx x = normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) ctx.r2)
 
-  let of_mont ctx x =
-    let one_l = Array.make ctx.k 0 in
-    one_l.(0) <- 1;
-    normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) one_l)
+  let of_mont ctx x = normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) ctx.one_k)
 
   let mul ctx a b =
     normalize (mont_mul ctx (limbs_of ctx (rem a ctx.m)) (limbs_of ctx (rem b ctx.m)))
 
   (* Plain-domain modular product: mont_mul (aR) b = a*b mod m. *)
   let mul_mod ctx a b =
-    let am = mont_mul ctx (limbs_of ctx (rem a ctx.m)) (limbs_of ctx ctx.r2) in
+    let am = mont_mul ctx (limbs_of ctx (rem a ctx.m)) ctx.r2 in
     normalize (mont_mul ctx am (limbs_of ctx (rem b ctx.m)))
 
   let window_bits e_bits =
@@ -597,30 +603,36 @@ module Mont = struct
     if is_zero e then one
     else begin
       Snf_obs.Metrics.incr m_mont_pow;
+      let k = ctx.k in
+      let t = Array.make (k + 2) 0 in
       (* Local multiplication count, flushed as one batched metric update
          below — no per-mult shard traffic. *)
       let muls = ref 0 in
-      let mont_mul ctx a b =
+      let mul_into dst a b =
         incr muls;
-        mont_mul ctx a b
+        mont_mul_into ctx t dst a b
       in
-      let bm = mont_mul ctx (limbs_of ctx (rem b ctx.m)) (limbs_of ctx ctx.r2) in
+      let bm = limbs_of ctx (rem b ctx.m) in
+      mul_into bm bm ctx.r2;
       let e_bits = bit_length e in
       let w = window_bits e_bits in
       (* Table of odd powers in Montgomery form: tbl.(i) = b^(2i+1). *)
       let tbl = Array.make (1 lsl (w - 1)) bm in
       if w > 1 then begin
-        let b2 = mont_mul ctx bm bm in
+        let b2 = Array.make k 0 in
+        mul_into b2 bm bm;
         for i = 1 to Array.length tbl - 1 do
-          tbl.(i) <- mont_mul ctx tbl.(i - 1) b2
+          let p = Array.make k 0 in
+          mul_into p tbl.(i - 1) b2;
+          tbl.(i) <- p
         done
       end;
-      let acc = ref [||] in
+      let acc = Array.make k 0 in
       let started = ref false in
       let i = ref (e_bits - 1) in
       while !i >= 0 do
         if not (testbit e !i) then begin
-          if !started then acc := mont_mul ctx !acc !acc;
+          if !started then mul_into acc acc acc;
           decr i
         end
         else begin
@@ -631,22 +643,21 @@ module Mont = struct
           for p = !i downto !j do
             v := (!v lsl 1) lor (if testbit e p then 1 else 0)
           done;
-          if !started then
+          if !started then begin
             for _ = 1 to !i - !j + 1 do
-              acc := mont_mul ctx !acc !acc
+              mul_into acc acc acc
             done;
-          if !started then acc := mont_mul ctx !acc tbl.(!v lsr 1)
+            mul_into acc acc tbl.(!v lsr 1)
+          end
           else begin
-            acc := Array.copy tbl.(!v lsr 1);
+            Array.blit tbl.(!v lsr 1) 0 acc 0 k;
             started := true
           end;
           i := !j - 1
         end
       done;
-      let one_l = Array.make ctx.k 0 in
-      one_l.(0) <- 1;
-      let r = normalize (mont_mul ctx !acc one_l) in
+      mul_into acc acc ctx.one_k;
       Snf_obs.Metrics.add m_mont_muls !muls;
-      r
+      normalize acc
     end
 end

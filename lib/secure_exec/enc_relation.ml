@@ -87,6 +87,19 @@ type column_keys = {
   k_ore : Ore.t;
   k_cell_rng : Prf.key;  (* per-slot randomness of randomized cells *)
   k_phe_pool : Prf.key;
+  order_parts : order_memo;
+}
+
+(* The onion-check memo: the column's OPE/ORE order part by plaintext
+   ordinal, i.e. [Ope.encrypt k_ope o] / [Ore.encrypt k_ore o]. Keyed and
+   filled from client key material only, never from server bytes, so like
+   the keys beside it it stays valid across key epochs. Bounded by
+   [order_memo_cap] entries per table; decrypts may run on any domain, so
+   it is read and written under [order_mutex]. *)
+and order_memo = {
+  order_mutex : Mutex.t;
+  ope_parts : (int, int) Hashtbl.t;
+  ore_parts : (int, Ore.ciphertext) Hashtbl.t;
 }
 
 type leaf_keys = {
@@ -223,7 +236,11 @@ let derive_column_keys c ~leaf ~attr =
     k_ope = Keyring.ope kr path ~domain_bits:Codec.ordinal_bits;
     k_ore = Keyring.ore kr path ~bits:Codec.ordinal_bits;
     k_cell_rng = Keyring.derive kr ("cellrng" :: path);
-    k_phe_pool = Keyring.derive kr ("phepool" :: path) }
+    k_phe_pool = Keyring.derive kr ("phepool" :: path);
+    order_parts =
+      { order_mutex = Mutex.create ();
+        ope_parts = Hashtbl.create 64;
+        ore_parts = Hashtbl.create 64 } }
 
 let derive_leaf_keys c ~leaf =
   let at suffix = [ c.name; leaf; suffix ] in
@@ -248,6 +265,35 @@ let column_keys c ~leaf ~attr =
   scheduled c c.column_schedule (leaf, attr) (fun () -> derive_column_keys c ~leaf ~attr)
 
 let leaf_keys c ~leaf = scheduled c c.leaf_schedule leaf (fun () -> derive_leaf_keys c ~leaf)
+
+(* A full table is emptied before the next insert: the bound holds, and a
+   column whose working set moves past the first [order_memo_cap] values
+   keeps memoising. *)
+let order_memo_cap = 4096
+
+let memoised_part om table ordinal derive =
+  match Mutex.protect om.order_mutex (fun () -> Hashtbl.find_opt table ordinal) with
+  | Some part -> part
+  | None ->
+    let part = derive ordinal in
+    Mutex.protect om.order_mutex (fun () ->
+        if Hashtbl.length table >= order_memo_cap then Hashtbl.reset table;
+        Hashtbl.replace table ordinal part);
+    part
+
+let ope_part ck ordinal =
+  memoised_part ck.order_parts ck.order_parts.ope_parts ordinal (Ope.encrypt ck.k_ope)
+
+let ore_part ck ordinal =
+  memoised_part ck.order_parts ck.order_parts.ore_parts ordinal (Ore.encrypt ck.k_ore)
+
+let order_memo_size c ~leaf ~attr ~scheme =
+  let om = (column_keys c ~leaf ~attr).order_parts in
+  Mutex.protect om.order_mutex (fun () ->
+      match (scheme : Scheme.kind) with
+      | Scheme.Ope -> Hashtbl.length om.ope_parts
+      | Scheme.Ore -> Hashtbl.length om.ore_parts
+      | _ -> 0)
 
 let row_position c ~leaf ~rows tid =
   if rows < 2 then tid
@@ -381,15 +427,16 @@ let decrypt_cell_nocache c ~leaf ~attr ~scheme cell =
     let v = authenticated (fun () -> Value.decode (Det.decrypt ck.k_det payload)) in
     (* The order part drives server-side comparisons but carries no
        authenticator of its own: re-derive it from the authenticated
-       payload and reject onions whose halves disagree. *)
-    if Ope.encrypt ck.k_ope (Codec.to_ordinal v) <> ord then
+       payload and reject onions whose halves disagree. The re-derivation
+       is memoised per ordinal; the comparison runs on every cell. *)
+    if ope_part ck (Codec.to_ordinal v) <> ord then
       Integrity.fail ~leaf ~attr ~where:"cell"
         "OPE onion mismatch: order part disagrees with authenticated payload";
     v
   | Scheme.Ore, C_ore { ore; payload } ->
     let ck = keys () in
     let v = authenticated (fun () -> Value.decode (Det.decrypt ck.k_det payload)) in
-    if Ore.compare_ciphertexts (Ore.encrypt ck.k_ore (Codec.to_ordinal v)) ore <> 0 then
+    if Ore.compare_ciphertexts (ore_part ck (Codec.to_ordinal v)) ore <> 0 then
       Integrity.fail ~leaf ~attr ~where:"cell"
         "ORE onion mismatch: order part disagrees with authenticated payload";
     v

@@ -95,6 +95,25 @@ val decrypt_cell :
     misses are accounted in ["exec.mapping_cache.hits"] /
     ["exec.mapping_cache.misses"]. *)
 
+val order_memo_cap : int
+(** Bound on the onion-check memo: per column and per order scheme, at
+    most this many order parts are memoised.
+
+    Checking an OPE/ORE onion re-encrypts the authenticated plaintext's
+    ordinal to compare it with the stored order part. The client's key
+    schedule memoises that re-encryption per (leaf, attr) by ordinal, so
+    a column pays it once per distinct value rather than once per cell;
+    every cell's order part is still compared. The memo is a pure
+    function of client key material — no server byte is ever its key or
+    its value — so it cannot mask a tampered order part, and it stays
+    valid across key epochs like the rest of the schedule. A full table
+    is emptied before its next insert. *)
+
+val order_memo_size : client -> leaf:string -> attr:string -> scheme:Scheme.kind -> int
+(** Order parts currently memoised for the column under [scheme]
+    ([Ope] or [Ore]; [0] for any other scheme). At most
+    {!order_memo_cap}. *)
+
 val decrypt_column : client -> leaf:string -> enc_column -> Value.t array
 
 val decrypt_tid : client -> leaf:string -> string -> int

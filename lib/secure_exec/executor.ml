@@ -256,16 +256,22 @@ let project_rows (q : Query.t) plan matches value_of =
 
 (* --- single leaf -------------------------------------------------------- *)
 
+(* [drop_tid] is optional here: a slot's tid costs a Feistel unpermute,
+   and only the caller's tombstone filter needs it. *)
 let run_single ~drop_tid ~cache client conn ~scheme_of q plan (lv : leaf_view) compiled
     mask =
   let label = lv.lv_label in
   let matches =
     Span.with_ ~name:"query.reconstruct" ~attrs:[ ("path", "single") ] @@ fun () ->
     let n = lv.lv_rows in
+    let dropped =
+      match drop_tid with
+      | None -> fun _ -> false
+      | Some drop -> fun i -> drop (Enc_relation.tid_at client ~leaf:label ~rows:n i)
+    in
     let slots = ref [] in
     for i = n - 1 downto 0 do
-      if Bitmask.get mask i && not (drop_tid (Enc_relation.tid_at client ~leaf:label ~rows:n i))
-      then slots := i :: !slots
+      if Bitmask.get mask i && not (dropped i) then slots := i :: !slots
     done;
     !slots
   in
@@ -528,8 +534,9 @@ let publish trace =
 
 let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
     ?(use_index = false) ?(use_tid_cache = true) ?(use_mapping_cache = true)
-    ?(drop_tid = fun _ -> false) client conn rep qs =
+    ?drop_tid client conn rep qs =
   let cache = use_mapping_cache in
+  let drop = Option.value drop_tid ~default:(fun _ -> false) in
   let scheme_of = scheme_table rep in
   let decisions = List.map (Planner.decide ?handle:planner rep) qs in
   match List.filter_map Result.to_option decisions with
@@ -685,7 +692,8 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
       let orders = List.filter_map snd sides in
       let pass =
         if List.compare_lengths orders sides = 0 then
-          Oblivious_join.lockstep stats ~drop_tid (Array.of_list orders) (Array.of_list masks)
+          Oblivious_join.lockstep stats ~drop_tid:drop (Array.of_list orders)
+            (Array.of_list masks)
         else None
       in
       match pass with
@@ -696,7 +704,7 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
             ~masks:(List.map2 (fun (leaf, _) mask -> (leaf, Bitmask.to_bools mask)) sides masks)
             stats client
           |> Array.to_list
-          |> List.filter (fun (tid, _) -> not (drop_tid tid))
+          |> List.filter (fun (tid, _) -> not (drop tid))
         in
         Array.of_list
           (List.mapi
@@ -740,13 +748,13 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
                partner order, so the bucket-touch trace is deterministic
                and backend-independent. *)
             let next_seed = ref 0x09a7 in
-            run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs m.compiled
+            run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs m.compiled
               masks ~make_fetcher:(fun ~wanted:_ lv ->
                 let seed = !next_seed in
                 incr next_seed;
                 oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed lv)
           | `Binning bin_size ->
-            run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs m.compiled
+            run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs m.compiled
               masks
               ~make_fetcher:
                 (binning_fetcher ~cache client conn ~scheme_of q plan bin_size

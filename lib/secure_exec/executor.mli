@@ -121,7 +121,8 @@ val run_conn :
 
     [drop_tid] is the enclave-side tombstone filter: rows whose tid it
     selects are removed from every answer (how deletions work without
-    re-encryption — see [Dynamic.delete]). With [use_index] (default
+    re-encryption — see [Dynamic.delete]). Without one, no selected
+    slot's tid is computed where the answer does not otherwise need it. With [use_index] (default
     false), point predicates over canonical-ciphertext columns are
     served from the server's equality index — §V-D "leakage as
     indexing"; index construction reveals nothing beyond the column's

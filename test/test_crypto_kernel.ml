@@ -274,7 +274,22 @@ let test_allocation_budgets () =
     let cell = "cell-07" in
     let dct = Det.encrypt det cell and nct = Ndet.encrypt ~rng:(Prng.create 1) ndet cell in
     budget "Det.decrypt 7 B" 24. (fun () -> Det.decrypt det dct);
-    budget "Ndet.decrypt 7 B" 24. (fun () -> Ndet.decrypt ndet nct)
+    budget "Ndet.decrypt 7 B" 24. (fun () -> Ndet.decrypt ndet nct);
+    (* One Paillier CRT leg's shape: a 4-limb modulus, a 48-bit exponent.
+       The in-place exponentiation pays a scratch, an accumulator and the
+       window table (59 words measured); two arrays per product would cost
+       over 1,000. *)
+    let prng = Prng.create 19 in
+    let rand = Prng.int prng in
+    let module Nat = Snf_bignum.Nat in
+    let m = Nat.succ (Nat.shift_left (Nat.random_bits rand 95) 1) in
+    let ctx = Nat.Mont.make m in
+    let b = Nat.random_below rand m and e = Nat.random_bits rand 48 in
+    budget "Mont.pow_mod 4 limbs, 48-bit exponent" 100. (fun () -> Nat.Mont.pow_mod ctx b e);
+    (* Two such legs plus the Garner recombination: 310 words measured. *)
+    let kp = Paillier.key_gen ~prime_bits:48 (Prng.create 23) in
+    let ct = Paillier.encrypt_int (Prng.create 29) kp.Paillier.public 123_456 in
+    budget "Paillier.decrypt 48-bit primes" 450. (fun () -> Paillier.decrypt kp ct)
   end
 
 (* --- tampering still detected ------------------------------------------------ *)
@@ -335,6 +350,94 @@ let test_tamper_detected () =
   expect_corruption "ORAM seal" (fun () ->
       Enc_relation.oram_open c ~leaf (flip_byte (Enc_relation.oram_seal c ~leaf ~slot:3 "block") 12))
 
+(* --- the onion-check memo ------------------------------------------------------ *)
+
+let expect_onion_mismatch what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: tampering went undetected" what
+  | exception Integrity.Corruption { detail; _ } ->
+    let needle = "onion mismatch" in
+    let n = String.length needle in
+    let rec found i =
+      i + n <= String.length detail && (String.sub detail i n = needle || found (i + 1))
+    in
+    if not (found 0) then
+      Alcotest.failf "%s: expected an onion mismatch, got %S" what detail
+
+(* The memo holds each column's order part by ordinal, so a cell whose
+   value was already checked skips the re-encryption; its order part must
+   still be compared. *)
+let test_memoised_onion_flip_detected () =
+  let o = all_schemes_owner ~name:"memo" () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let c = o.System.client in
+  let l = List.hd o.System.enc.Enc_relation.leaves in
+  let leaf = l.Enc_relation.label in
+  let cell0 attr = (Enc_relation.column l attr).Enc_relation.cells.(0) in
+  let memoised attr scheme =
+    ignore (Enc_relation.decrypt_cell c ~leaf ~attr ~scheme (cell0 attr));
+    Alcotest.(check bool) (attr ^ " ordinal memoised") true
+      (Enc_relation.order_memo_size c ~leaf ~attr ~scheme > 0)
+  in
+  memoised "score" Scheme.Ope;
+  memoised "level" Scheme.Ore;
+  (match cell0 "score" with
+   | Enc_relation.C_ord { ord; payload } ->
+     expect_onion_mismatch "memoised OPE order part" (fun () ->
+         Enc_relation.decrypt_cell c ~leaf ~attr:"score" ~scheme:Scheme.Ope
+           (Enc_relation.C_ord { ord = ord lxor 1; payload }))
+   | _ -> Alcotest.fail "OPE cell expected");
+  match cell0 "level" with
+  | Enc_relation.C_ore { ore; payload } ->
+    let s = Ore.symbols ore in
+    s.(0) <- (s.(0) + 1) mod 3;
+    expect_onion_mismatch "memoised ORE order part" (fun () ->
+        Enc_relation.decrypt_cell c ~leaf ~attr:"level" ~scheme:Scheme.Ore
+          (Enc_relation.C_ore { ore = Ore.of_symbols s; payload }))
+  | _ -> Alcotest.fail "ORE cell expected"
+
+(* A column with more distinct ordinals than the memo holds: every cell
+   still decrypts to its plaintext (checked through the row's tid), and
+   the memo never grows past its cap. *)
+let test_order_memo_bounded () =
+  let rows = Enc_relation.order_memo_cap + 300 in
+  let r =
+    Relation.create
+      (Schema.of_attributes [ Attribute.int "v"; Attribute.int "w" ])
+      (List.init rows (fun i -> [| Value.Int (i * 3); Value.Int (rows - i) |]))
+  in
+  let policy = Snf_core.Policy.create [ ("v", Scheme.Ope); ("w", Scheme.Ore) ] in
+  let g = Snf_deps.Dep_graph.create [ "v"; "w" ] in
+  let o = System.outsource ~name:"memo-cap" ~graph:g r policy in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let c = o.System.client in
+  let plain = Array.of_list (Relation.rows r) in
+  let checked = ref 0 in
+  for _pass = 1 to 2 do
+    List.iter
+      (fun (l : Enc_relation.enc_leaf) ->
+        let leaf = l.Enc_relation.label in
+        List.iter
+          (fun (col : Enc_relation.enc_column) ->
+            let attr = col.Enc_relation.attr and scheme = col.Enc_relation.scheme in
+            let i = Schema.index_of (Relation.schema r) attr in
+            Array.iteri
+              (fun slot cell ->
+                let tid = Enc_relation.decrypt_tid c ~leaf l.Enc_relation.tids.(slot) in
+                let v = Enc_relation.decrypt_cell c ~leaf ~attr ~scheme cell in
+                if not (Value.equal v plain.(tid).(i)) then
+                  Alcotest.failf "%s slot %d: wrong plaintext" attr slot;
+                incr checked;
+                let size = Enc_relation.order_memo_size c ~leaf ~attr ~scheme in
+                if size > Enc_relation.order_memo_cap then
+                  Alcotest.failf "%s: memo holds %d > cap %d" attr size
+                    Enc_relation.order_memo_cap)
+              col.Enc_relation.cells)
+          l.Enc_relation.columns)
+      o.System.enc.Enc_relation.leaves
+  done;
+  Alcotest.(check int) "every cell checked twice" (4 * rows) !checked
+
 (* --- the key schedule is per client ------------------------------------------- *)
 
 (* Same relation name, leaves and attributes, different masters: every
@@ -393,5 +496,9 @@ let suite =
     t "label digits at the int edges" test_label_edge_ints;
     t "minor-heap budgets of the hot primitives" test_allocation_budgets;
     t "tampered DET/NDET/OPE/ORE/tid/ORAM ciphertexts raise Corruption" test_tamper_detected;
+    t "a flipped order part of a memoised OPE/ORE value raises Corruption"
+      test_memoised_onion_flip_detected;
+    t "more distinct ordinals than the order memo holds: correct and bounded"
+      test_order_memo_bounded;
     t "clients with different masters never share a derived key"
       test_clients_never_share_keys ]

@@ -179,9 +179,35 @@ let prop_mont_mul_mod =
       let a = Nat.rem a0 m and b = Nat.rem b0 m in
       Nat.equal (Nat.Mont.mul_mod ctx a b) (Nat.mul_mod a b m))
 
+(* Paillier's shapes: a CRT decrypt leg runs a 4-limb modulus (p^2) with
+   a 48-bit exponent (p - 1), an encryption an 8-limb modulus (n^2) with a
+   96-bit exponent (n). Exponents also take the value 1 and the form
+   2^(bits-1) + 2^mid + (low byte): long zero runs the sliding window
+   crosses as bare squarings. *)
+let paillier_shaped_gen =
+  QCheck2.Gen.(
+    let limb = int_range 1 ((1 lsl 26) - 1) in
+    let of_limbs l = List.fold_left (fun acc x -> Nat.add (Nat.shift_left acc 26) (of_i x)) Nat.zero l in
+    let* limbs, e_bits = oneofl [ (4, 48); (8, 96); (4, 96); (8, 48) ] in
+    let* m = map of_limbs (list_size (return limbs) limb) in
+    let m = if Nat.is_even m then Nat.succ m else m in
+    let* b = bytes_gen 0 (limbs * 4) in
+    let top = Nat.shift_left Nat.one (e_bits - 1) in
+    let* e =
+      oneof
+        [ return Nat.one;
+          map (fun l -> Nat.add top (Nat.rem (of_limbs l) top)) (list_size (return 4) limb);
+          map2
+            (fun mid lo -> Nat.add top (Nat.add (Nat.shift_left Nat.one mid) (of_i lo)))
+            (int_range 8 (e_bits - 2)) (int_bound 255) ]
+    in
+    return (m, b, e))
+
 let prop_mont_pow_mod =
-  Helpers.qtest ~count:300 "Mont.pow_mod agrees with Nat.pow_mod"
-    QCheck2.Gen.(triple odd_modulus_gen (bytes_gen 0 24) (bytes_gen 0 12))
+  Helpers.qtest ~count:500 "Mont.pow_mod agrees with Nat.pow_mod"
+    QCheck2.Gen.(
+      oneof
+        [ triple odd_modulus_gen (bytes_gen 0 24) (bytes_gen 0 12); paillier_shaped_gen ])
     (fun (m, b0, e) ->
       let ctx = Nat.Mont.make m in
       let b = Nat.rem b0 m in
