@@ -100,12 +100,20 @@ let arg_value key default =
       else acc)
     default Sys.argv
 
+let targets =
+  [ "all"; "table1"; "figure3"; "attack"; "ablation-semantics"; "ablation-horizontal";
+    "ablation-workload"; "ablation-modes"; "ablation-index"; "ablation-dynamic";
+    "ablation-knowledge"; "sweeps"; "micro"; "micro-modexp"; "micro-prf"; "micro-sort";
+    "micro-fanout"; "micro-paillier"; "micro-join"; "micro-batch"; "micro-plan";
+    "micro-shard"; "micro-server"; "micro-attack"; "trace-demo" ]
+
+(* Every argument without a '=' names a target; none runs everything. *)
+let requested =
+  List.filter (fun a -> not (String.contains a '=')) (List.tl (Array.to_list Sys.argv))
+
 let wants target =
-  let explicit = ref [] in
-  Array.iteri (fun i a -> if i > 0 && not (String.contains a '=') then explicit := a :: !explicit) Sys.argv;
-  match !explicit with
-  | [] -> true (* no target: run everything *)
-  | targets -> List.mem target targets || List.mem "all" targets
+  assert (List.mem target targets);
+  requested = [] || List.mem target requested || List.mem "all" requested
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -1090,9 +1098,10 @@ let run_micro_join () =
             ("join_many_us", Report.J_float join) ])
       [ 2; 3 ]
   in
-  (* Correctness grid: five representations x reconstruction modes x cache
-     x domains at reduced scale, every cell bag-checked against the
-     plaintext oracle. *)
+  (* Correctness grid: five representations x reconstruction modes x
+     warm/cold client caches x domains at reduced scale, every cell
+     bag-checked against the plaintext oracle. A cold cell drops the
+     client's tid orders ([bump_key_epoch]) before each run. *)
   let grid_rows = arg_value "grid_rows" 600 in
   let gr = make_relation grid_rows in
   let q =
@@ -1111,13 +1120,14 @@ let run_micro_join () =
       List.iter
         (fun (mode, mode_name) ->
           List.iter
-            (fun use_tid_cache ->
+            (fun cold ->
               List.iter
                 (fun domains ->
                   let run () =
+                    if cold then
+                      Snf_exec.Enc_relation.bump_key_epoch gowner.Snf_exec.System.client;
                     match
-                      with_domains domains (fun () ->
-                          Snf_exec.System.query ~mode ~use_tid_cache gowner q)
+                      with_domains domains (fun () -> Snf_exec.System.query ~mode gowner q)
                     with
                     | Ok (ans, _) -> ans
                     | Error e ->
@@ -1131,45 +1141,40 @@ let run_micro_join () =
                     Report.J_obj
                       [ ("rep", Report.J_string label);
                         ("mode", Report.J_string mode_name);
-                        ("tid_cache", Report.J_bool use_tid_cache);
+                        ("cache", Report.J_string (if cold then "cold" else "warm"));
                         ("domains", Report.J_int domains);
                         ("ms", Report.J_float (dt *. 1e3));
                         ("bag_matches_oracle", Report.J_bool agrees) ]
                     :: !grid)
                 [ 1; 4 ])
-            [ true; false ])
+            [ false; true ])
         [ (`Sort_merge, "sort-merge"); (`Oram, "oram"); (`Binning 4, "binning-4") ])
     (Snf_check.Differential.representations graph policy);
   Printf.printf "  grid: %d cells (%d rows), all bags match the oracle: %b\n"
     (List.length !grid) grid_rows !grid_ok;
-  (* Differential soaks: cache pinned on/off under 1 and 4 domains must
-     all pass — the cache and the domain count are invisible in answers. *)
+  (* Differential soaks under 1 and 4 domains must both pass. Each soak
+     runs every other pair of queries cold, so the client caches and the
+     domain count are invisible in answers. *)
   let soak_queries = arg_value "soak_queries" 40 in
   let diff = ref [] in
   let diff_ok = ref true in
   List.iter
     (fun domains ->
-      List.iter
-        (fun (tid_cache, tc_name) ->
-          let report =
-            with_domains domains (fun () ->
-                Snf_check.Differential.soak ~with_faults:false ~tid_cache
-                  ~seed:7 ~queries:soak_queries ())
-          in
-          let ok = Snf_check.Differential.passed report in
-          if not ok then diff_ok := false;
-          Printf.printf "  differential domains=%d tid-cache=%s: %s (%d queries)\n"
-            domains tc_name
-            (if ok then "PASS" else "FAIL")
-            report.Snf_check.Differential.queries_run;
-          diff :=
-            Report.J_obj
-              [ ("domains", Report.J_int domains);
-                ("tid_cache", Report.J_string tc_name);
-                ("queries", Report.J_int report.Snf_check.Differential.queries_run);
-                ("passed", Report.J_bool ok) ]
-            :: !diff)
-        [ (`On, "on"); (`Off, "off") ])
+      let report =
+        with_domains domains (fun () ->
+            Snf_check.Differential.soak ~with_faults:false ~seed:7 ~queries:soak_queries ())
+      in
+      let ok = Snf_check.Differential.passed report in
+      if not ok then diff_ok := false;
+      Printf.printf "  differential domains=%d, warm and cold: %s (%d queries)\n" domains
+        (if ok then "PASS" else "FAIL")
+        report.Snf_check.Differential.queries_run;
+      diff :=
+        Report.J_obj
+          [ ("domains", Report.J_int domains);
+            ("queries", Report.J_int report.Snf_check.Differential.queries_run);
+            ("passed", Report.J_bool ok) ]
+        :: !diff)
     [ 1; 4 ];
   if not (!grid_ok && !diff_ok) then
     failwith "micro-join: some answer disagreed with the oracle";
@@ -1209,13 +1214,13 @@ let run_micro_join () =
 
 (* Micro-benchmark: cross-query batching. The standard three-leaf relation
    from micro-join, a long workload of repeating multi-leaf point lookups,
-   executed through [System.query_batch] at batch sizes 1/8/64/512 with the
-   mapping cache on/off under 1 and 4 domains. Every cell's answers are
-   bag-checked against the plaintext oracle, and cache-on cells must
-   actually hit. Queries/sec at batch 64 vs batch 1 is reported, not
-   gated: once warm single queries hold their tid columns and orders, a
-   batch saves little more than the per-query round trips. Writes
-   BENCH_batch.json. *)
+   executed through [System.query_batch] at batch sizes 1/8/64/512 under 1
+   and 4 domains. The batch decides the mapping cache: size-1 cells must
+   move no cache counter and larger cells must hit. Every cell's answers
+   are bag-checked against the plaintext oracle. Queries/sec at batch 64
+   vs batch 1 is reported, not gated: once warm single queries hold their
+   tid columns and orders, a batch saves little more than the per-query
+   round trips and the repeated decrypts. Writes BENCH_batch.json. *)
 let run_micro_batch () =
   section "Micro: cross-query batching (shared pass + mapping cache)";
   let rows = arg_value "rows" 10_000 in
@@ -1274,81 +1279,67 @@ let run_micro_batch () =
   let m_reuses = Snf_obs.Metrics.counter "exec.batch.join_reuses" in
   let grid = ref [] in
   let grid_ok = ref true in
-  (* qps.(cache as 0/1) holds the best queries/sec per batch size. *)
-  let best_qps = Hashtbl.create 16 in
-  let run_cell ~size ~cache () =
+  (* The best queries/sec per batch size. *)
+  let best_qps = Hashtbl.create 4 in
+  let run_cell ~size () =
     List.concat_map
       (fun batch ->
         List.map
           (function
             | Ok (ans, _) -> ans
             | Error e -> failwith ("micro-batch: query failed: " ^ e))
-          (Snf_exec.System.query_batch ~use_mapping_cache:cache owner batch))
+          (Snf_exec.System.query_batch owner batch))
       (chunks size workload)
   in
   List.iter
     (fun size ->
       List.iter
-        (fun cache ->
-          List.iter
-            (fun domains ->
-              let hits0 = Snf_obs.Metrics.value m_hits in
-              let misses0 = Snf_obs.Metrics.value m_misses in
-              let reuses0 = Snf_obs.Metrics.value m_reuses in
-              let answers = ref [] in
-              let best = ref infinity in
-              with_domains domains (fun () ->
-                  for i = 1 to iters do
-                    let anss, dt = time (run_cell ~size ~cache) in
-                    if i = 1 then answers := anss;
-                    if dt < !best then best := dt
-                  done);
-              let ms = !best *. 1e3 in
-              let qps = float_of_int queries /. !best in
-              let agrees = List.for_all2 Snf_check.Oracle.agree oracle !answers in
-              if not agrees then grid_ok := false;
-              let hits = Snf_obs.Metrics.value m_hits - hits0 in
-              let misses = Snf_obs.Metrics.value m_misses - misses0 in
-              let reuses = Snf_obs.Metrics.value m_reuses - reuses0 in
-              if cache && hits = 0 then
-                failwith "micro-batch: mapping cache on but no hits on a repeating series";
-              if (not cache) && (hits <> 0 || misses <> 0) then
-                failwith "micro-batch: mapping cache off but cache counters moved";
-              let key = (size, cache) in
-              let prev =
-                Option.value (Hashtbl.find_opt best_qps key) ~default:0.
-              in
-              if qps > prev then Hashtbl.replace best_qps key qps;
-              Printf.printf
-                "  batch %4d  cache %-3s  d%d  %9.1f ms  %8.1f q/s  hits %6d  reuses %6d\n%!"
-                size
-                (if cache then "on" else "off")
-                domains ms qps hits reuses;
-              grid :=
-                Report.J_obj
-                  [ ("batch_size", Report.J_int size);
-                    ("mapping_cache", Report.J_bool cache);
-                    ("domains", Report.J_int domains);
-                    ("ms", Report.J_float ms);
-                    ("queries_per_s", Report.J_float qps);
-                    ("mapping_cache_hits", Report.J_int hits);
-                    ("mapping_cache_misses", Report.J_int misses);
-                    ("join_reuses", Report.J_int reuses);
-                    ("bag_matches_oracle", Report.J_bool agrees) ]
-                :: !grid)
-            [ 1; 4 ])
-        [ false; true ])
+        (fun domains ->
+          let hits0 = Snf_obs.Metrics.value m_hits in
+          let misses0 = Snf_obs.Metrics.value m_misses in
+          let reuses0 = Snf_obs.Metrics.value m_reuses in
+          let answers = ref [] in
+          let best = ref infinity in
+          with_domains domains (fun () ->
+              for i = 1 to iters do
+                let anss, dt = time (run_cell ~size) in
+                if i = 1 then answers := anss;
+                if dt < !best then best := dt
+              done);
+          let ms = !best *. 1e3 in
+          let qps = float_of_int queries /. !best in
+          let agrees = List.for_all2 Snf_check.Oracle.agree oracle !answers in
+          if not agrees then grid_ok := false;
+          let hits = Snf_obs.Metrics.value m_hits - hits0 in
+          let misses = Snf_obs.Metrics.value m_misses - misses0 in
+          let reuses = Snf_obs.Metrics.value m_reuses - reuses0 in
+          if size = 1 && (hits <> 0 || misses <> 0) then
+            failwith "micro-batch: single queries moved the mapping-cache counters";
+          if size > 1 && hits = 0 then
+            failwith "micro-batch: batches recorded no mapping-cache hits on a repeating series";
+          let prev = Option.value (Hashtbl.find_opt best_qps size) ~default:0. in
+          if qps > prev then Hashtbl.replace best_qps size qps;
+          Printf.printf "  batch %4d  d%d  %9.1f ms  %8.1f q/s  hits %6d  reuses %6d\n%!" size
+            domains ms qps hits reuses;
+          grid :=
+            Report.J_obj
+              [ ("batch_size", Report.J_int size);
+                ("domains", Report.J_int domains);
+                ("ms", Report.J_float ms);
+                ("queries_per_s", Report.J_float qps);
+                ("mapping_cache_hits", Report.J_int hits);
+                ("mapping_cache_misses", Report.J_int misses);
+                ("join_reuses", Report.J_int reuses);
+                ("bag_matches_oracle", Report.J_bool agrees) ]
+            :: !grid)
+        [ 1; 4 ])
     [ 1; 8; 64; 512 ];
   if not !grid_ok then failwith "micro-batch: some answer disagreed with the oracle";
-  let qps_at size cache =
-    Option.value (Hashtbl.find_opt best_qps (size, cache)) ~default:0.
-  in
-  let speedup_on = qps_at 64 true /. qps_at 1 true in
-  let speedup_off = qps_at 64 false /. qps_at 1 false in
+  let qps_at size = Option.value (Hashtbl.find_opt best_qps size) ~default:0. in
+  let speedup = qps_at 64 /. qps_at 1 in
   Printf.printf "  %d queries over %d rows, best of %d iteration(s)\n" queries rows
     iters;
-  Printf.printf "  queries/sec, batch 64 vs 1: %.1fx cache-on, %.1fx cache-off\n" speedup_on
-    speedup_off;
+  Printf.printf "  queries/sec, batch 64 vs 1: %.1fx\n" speedup;
   Report.write_json "BENCH_batch.json"
     (Report.J_obj
        [ ("experiment", Report.J_string "batch-throughput");
@@ -1356,8 +1347,7 @@ let run_micro_batch () =
          ("queries", Report.J_int queries);
          ("iters", Report.J_int iters);
          ("grid", Report.J_list (List.rev !grid));
-         ("speedup_batch64_vs_1_cache_on", Report.J_float speedup_on);
-         ("speedup_batch64_vs_1_cache_off", Report.J_float speedup_off);
+         ("speedup_batch64_vs_1", Report.J_float speedup);
          ("all_match_oracle", Report.J_bool !grid_ok);
          ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
   Printf.printf "wrote BENCH_batch.json\n"
@@ -2218,6 +2208,12 @@ let run_trace_demo () =
     (List.length events)
 
 let () =
+  (match List.filter (fun t -> not (List.mem t targets)) requested with
+   | [] -> ()
+   | unknown ->
+     Printf.eprintf "bench: unknown target(s) %s; valid targets: %s\n"
+       (String.concat ", " unknown) (String.concat " " targets);
+     exit 2);
   if wants "table1" then run_table1 ();
   if wants "figure3" then run_figure3 ();
   if wants "attack" then run_attack ();

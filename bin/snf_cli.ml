@@ -747,14 +747,6 @@ let check_cmd =
            ~doc:"Write the JSON soak report here (what the nightly job \
                  uploads on failure).")
   in
-  let tid_cache_arg =
-    Arg.(value
-         & opt (enum [ ("rotate", `Rotate); ("on", `On); ("off", `Off) ]) `Rotate
-         & info [ "tid-cache" ] ~docv:"rotate|on|off"
-             ~doc:"Join tid-decrypt cache during the soak: 'rotate' \
-                   (default) alternates it per query, 'on'/'off' pin it. \
-                   Answers must be identical in every setting.")
-  in
   let backend_arg =
     Arg.(value
          & opt
@@ -808,15 +800,15 @@ let check_cmd =
                    server-visible statistics. Answers must be identical \
                    either way.")
   in
-  let run seed queries rows faults tid_cache backend batch planner out metrics_out
+  let run seed queries rows faults backend batch planner out metrics_out
       wire_trace_out =
     ensure_writable "--out" out;
     ensure_writable "--metrics-out" metrics_out;
     ensure_writable "--wire-trace-out" wire_trace_out;
     let batch = match batch with None -> `Rotate | Some n -> `Size n in
     let soak () =
-      Snf_check.Differential.soak ~rows ~with_faults:faults ~tid_cache ~backend
-        ~batch ~planner ~seed ~queries ()
+      Snf_check.Differential.soak ~rows ~with_faults:faults ~backend ~batch ~planner
+        ~seed ~queries ()
     in
     let report =
       match wire_trace_out with
@@ -854,7 +846,7 @@ let check_cmd =
              representations against the plaintext oracle, plus fault injection. \
              Exit 0 on pass, 1 on any conformance failure.")
     Term.(const run $ seed_arg $ queries_arg $ check_rows_arg $ faults_arg
-          $ tid_cache_arg $ backend_arg $ batch_arg $ planner_arg $ out_arg
+          $ backend_arg $ batch_arg $ planner_arg $ out_arg
           $ metrics_out_arg $ wire_trace_out_arg)
 
 (* --- serve (networked SNF server) ------------------------------------------------- *)

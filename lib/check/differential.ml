@@ -205,17 +205,32 @@ let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
 (* A batch of one must be indistinguishable from the single query run
    from the same cache state: the same trace record up to the planner's
    cache outcome (a hit prices no candidates, so [d_enumerated] follows
-   [d_cache]) and, when both SNFT traces were recorded, the same bytes
-   once timestamps are zeroed. *)
-let batch_of_one_mismatches (single : Executor.trace) single_snft
-    (batched : Executor.trace) batched_snft =
+   [d_cache]), the same counter deltas apart from timing series (the
+   mapping-cache counters included: neither run may touch that cache)
+   and, when both SNFT traces were recorded, the same bytes once
+   timestamps are zeroed. *)
+let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
+    (batched : Executor.trace) batched_snft batched_deltas =
   let normal (t : Executor.trace) =
     { t with
       Executor.decision =
         { t.Executor.decision with Planner.d_cache = `Hit; d_enumerated = 0 } }
   in
+  let untimed =
+    List.filter (fun (n, _) -> not (String.length n >= 5 && String.sub n 0 5 = "time."))
+  in
   (if normal single = normal batched then []
    else [ "batch-of-one trace record differs from the single query's" ])
+  @ List.filter_map
+      (fun n ->
+        let d l = Option.value (List.assoc_opt n l) ~default:0 in
+        if d single_deltas = d batched_deltas then None
+        else
+          Some
+            (Printf.sprintf "%s: the single query moved %d, the batch of one %d" n
+               (d single_deltas) (d batched_deltas)))
+      (List.sort_uniq String.compare
+         (List.map fst (untimed single_deltas @ untimed batched_deltas)))
   @
   match (single_snft, batched_snft) with
   | Some a, Some b when snft_bytes a <> snft_bytes b ->
@@ -260,7 +275,7 @@ let most_frequent col =
   |> Option.map fst
 
 let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = true)
-    ?(check_group_sum = true) ?(tid_cache = `Rotate) ?(backend = `Mem)
+    ?(check_group_sum = true) ?(backend = `Mem)
     ?(batch = `Rotate) ?(planner = `Greedy) (inst : Gen.instance) =
   let qs = Gen.queries ~count:queries ~seed:inst.Gen.spec.Gen.seed inst in
   let reps = representations ~workload:qs inst.Gen.graph inst.Gen.policy in
@@ -349,27 +364,29 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
       let oracle_ans = Oracle.answer inst.Gen.relation q in
       let mode = modes.(i mod Array.length modes) in
       let use_index = i land 1 = 0 in
-      (* The tid-decrypt cache must be invisible in the answers; rotating
-         it per query makes every soak cover both paths (and the
-         cross-representation bag check compares them against the same
-         oracle). *)
-      let use_tid_cache =
-        match tid_cache with `On -> true | `Off -> false | `Rotate -> i land 2 = 0
+      (* The client's caches must be invisible in the answers. Every
+         other pair of queries runs cold: each owner's client, the twin's
+         included, drops its tid orders and mapping entries right before
+         it executes, so every soak covers both building the orders and
+         reusing them, and the mem, twin and counter comparisons stay
+         like-for-like. *)
+      let cold = i land 2 <> 0 in
+      let empty_caches owner =
+        if cold then Enc_relation.bump_key_epoch owner.System.client
       in
       let mstr =
-        mode_name mode
-        ^ (if use_index then "+index" else "")
-        ^ if use_tid_cache then "" else "-nocache"
+        mode_name mode ^ (if use_index then "+index" else "") ^ if cold then "-cold" else ""
       in
       let snf_exec = ref None in
       let bags =
         List.filter_map
           (fun (label, owner) ->
             incr executions;
+            empty_caches owner;
             let before = Metrics.snapshot () in
             match
-              System.query_checked ~mode ?planner:(List.assoc label handles)
-                ~use_index ~use_tid_cache owner q
+              System.query_checked ~mode ?planner:(List.assoc label handles) ~use_index
+                owner q
             with
             | Error (`Plan e) ->
               fail ~query:q ~rep:label ~mode:mstr ~kind:"plan" e;
@@ -400,11 +417,9 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
          let shard_before =
            Option.map Backend_sharded.shard_stats !sharded_twin
          in
+         empty_caches towner;
          let before = Metrics.snapshot () in
-         (match
-            System.query_checked ~mode ?planner:twin_handle ~use_index ~use_tid_cache
-              towner q
-          with
+         (match System.query_checked ~mode ?planner:twin_handle ~use_index towner q with
           | Error (`Plan e) ->
             fail ~query:q ~rep:tlabel ~mode:mstr ~kind:tkind
               (tname ^ " backend failed to plan: " ^ e)
@@ -529,11 +544,13 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
                         recorded (fun () -> System.query_checked ~mode ?planner owner q)
                       in
                       let first = run () in
+                      let before = Metrics.snapshot () in
                       let repeat = run () in
+                      let deltas = Metrics.counter_diff before (Metrics.snapshot ()) in
                       List.iter
                         (fail ~query:q ~rep:label ~mode:mstr ~kind:"batch")
                         (warm_repeat_mismatches first repeat);
-                      Some repeat
+                      Some (repeat, deltas)
                     | _ -> None
                   in
                   let before = Metrics.snapshot () in
@@ -547,11 +564,12 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
                   | results, batch_snft ->
                     let deltas = Metrics.counter_diff before (Metrics.snapshot ()) in
                     (match (single, results) with
-                     | Some (Ok (_, st), single_snft), [ Ok (_, bt) ] ->
+                     | Some ((Ok (_, st), single_snft), single_deltas), [ Ok (_, bt) ] ->
                        List.iter
                          (fail ~query:(List.hd chunk) ~rep:label ~mode:mstr ~kind:"batch")
-                         (batch_of_one_mismatches st single_snft bt batch_snft)
-                     | Some (Error _, _), [ Error _ ] | None, _ -> ()
+                         (batch_of_one_mismatches st single_snft single_deltas bt
+                            batch_snft deltas)
+                     | Some ((Error _, _), _), [ Error _ ] | None, _ -> ()
                      | Some _, _ ->
                        fail ~query:(List.hd chunk) ~rep:label ~mode:mstr ~kind:"batch"
                          "batch of one and the single query disagree on the outcome");
@@ -747,8 +765,8 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
   end;
   { queries_run = List.length qs; executions = !executions; failures = List.rev !failures }
 
-let run_spec ?queries ?tid_cache ?backend ?batch ?planner spec =
-  run_instance ?queries ?tid_cache ?backend ?batch ?planner (Gen.instance spec)
+let run_spec ?queries ?backend ?batch ?planner spec =
+  run_instance ?queries ?backend ?batch ?planner (Gen.instance spec)
 
 (* --- soak ------------------------------------------------------------------- *)
 
@@ -766,7 +784,7 @@ type report = {
 let max_kept_failures = 25
 
 let soak ?(rows = 16) ?(queries_per_instance = 25) ?(with_faults = true)
-    ?tid_cache ?backend ?batch ?planner ~seed ~queries () =
+    ?backend ?batch ?planner ~seed ~queries () =
   let rows = max 1 rows in
   let prng = Prng.create ((seed * 1103515245) + 12345) in
   let acc =
@@ -791,8 +809,7 @@ let soak ?(rows = 16) ?(queries_per_instance = 25) ?(with_faults = true)
     in
     let inst = Gen.instance spec in
     let o =
-      run_instance ~queries:queries_per_instance ?tid_cache ?backend ?batch ?planner
-        inst
+      run_instance ~queries:queries_per_instance ?backend ?batch ?planner inst
     in
     let fault_failures, applicable, undetected =
       if not with_faults then ([], 0, 0)

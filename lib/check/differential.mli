@@ -58,18 +58,18 @@ val run_instance :
   ?check_ledger:bool ->
   ?check_horizontal:bool ->
   ?check_group_sum:bool ->
-  ?tid_cache:[ `Rotate | `On | `Off ] ->
   ?backend:[ `Mem | `Disk | `Rotate | `Socket | `Sharded of int ] ->
   ?batch:[ `Rotate | `Off | `Size of int ] ->
   ?planner:[ `Greedy | `Cost ] ->
   Gen.instance ->
   outcome
 (** Default [queries] 25; all checks on. An empty [failures] list is
-    the conformance verdict. [tid_cache] controls the join tid-decrypt
-    cache ({!Snf_exec.Executor.run_batch}'s [use_tid_cache]): [`Rotate]
-    (default) alternates it per query so every run covers both paths —
-    answers must be identical either way; [`On] / [`Off] pin it. A
-    disabled-cache execution is tagged ["-nocache"] in failure modes.
+    the conformance verdict. The differential pass runs every other pair
+    of queries cold: before each of their executions, twin included,
+    the owner's client drops its tid orders and mapping-cache entries
+    ([Snf_exec.Enc_relation.bump_key_epoch]), so every run covers both
+    building and reusing the tid orders — answers must be identical
+    either way. A cold execution is tagged ["-cold"] in failure modes.
 
     [backend] (default [`Mem]) picks the server backend behind every
     owner. [`Disk] runs all five representations file-backed. [`Rotate]
@@ -109,8 +109,10 @@ val run_instance :
     under an outer recording its wire counts must not exceed the first
     run's. The batch of one must then reproduce the repeat: the same
     outcome, the same trace record field-for-field except the planner's
-    cache outcome ([d_cache], and the [d_enumerated] it implies), and the
-    same SNFT bytes with timestamps zeroed, again only when no outer
+    cache outcome ([d_cache], and the [d_enumerated] it implies), the
+    same counter deltas except [time.*] series ([exec.mapping_cache.*]
+    included, so neither may touch the mapping cache), and the same
+    SNFT bytes with timestamps zeroed, again only when no outer
     recording is running. Disagreements are tagged ["batch"].
 
     [planner] (default [`Greedy]) selects the planning handle for the
@@ -129,7 +131,6 @@ val run_instance :
 
 val run_spec :
   ?queries:int ->
-  ?tid_cache:[ `Rotate | `On | `Off ] ->
   ?backend:[ `Mem | `Disk | `Rotate | `Socket | `Sharded of int ] ->
   ?batch:[ `Rotate | `Off | `Size of int ] ->
   ?planner:[ `Greedy | `Cost ] ->
@@ -154,7 +155,6 @@ val soak :
   ?rows:int ->
   ?queries_per_instance:int ->
   ?with_faults:bool ->
-  ?tid_cache:[ `Rotate | `On | `Off ] ->
   ?backend:[ `Mem | `Disk | `Rotate | `Socket | `Sharded of int ] ->
   ?batch:[ `Rotate | `Off | `Size of int ] ->
   ?planner:[ `Greedy | `Cost ] ->
@@ -166,8 +166,8 @@ val soak :
     16) and running {!run_instance} ([queries_per_instance], default 25,
     queries each) until [queries] distinct queries have executed, with
     the {!Fault} campaign per instance unless [with_faults:false].
-    [tid_cache], [backend] and [batch] are passed to every
-    {!run_instance} (defaults [`Rotate], [`Mem], [`Rotate]). *)
+    [backend], [batch] and [planner] are passed to every
+    {!run_instance} (defaults [`Mem], [`Rotate], [`Greedy]). *)
 
 val passed : report -> bool
 (** No differential failures and no applicable-but-undetected fault. *)

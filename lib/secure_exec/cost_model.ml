@@ -154,8 +154,8 @@ let plan_seconds ?(params = default) stats (pl : Planner.plan) =
   in
   scan_term +. join_term +. wire_term
 
-let planner ?(params = default) ?max_cover ?max_orders ~epoch stats =
-  Planner.cost_based ?max_cover ?max_orders ~label:"cost"
-    ~price:(fun pl -> plan_seconds ~params stats pl)
+let planner ~epoch stats =
+  Planner.cost_based ~label:"cost"
+    ~price:(fun pl -> plan_seconds stats pl)
     ~stamp:(fun () -> (epoch (), Statistics.version stats))
     ()

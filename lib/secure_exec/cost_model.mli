@@ -51,14 +51,9 @@ val plan_seconds : ?params:params -> Statistics.t -> Planner.plan -> float
     statistics (never of searched constants), so cost-based decisions
     are safely cacheable per query shape. *)
 
-val planner :
-  ?params:params ->
-  ?max_cover:int ->
-  ?max_orders:int ->
-  epoch:(unit -> int) ->
-  Statistics.t ->
-  Planner.handle
+val planner : epoch:(unit -> int) -> Statistics.t -> Planner.handle
 (** The cost-based planner handle: candidates priced by
-    {!plan_seconds} over the given statistics, plan cache stamped with
+    {!plan_seconds} with {!default} over the given statistics, searched
+    within [Planner.cost_based]'s default bounds, plan cache stamped with
     [(epoch (), Statistics.version stats)] so key-epoch rotation or
     statistics drift forces re-planning. *)

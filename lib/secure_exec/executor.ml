@@ -532,10 +532,8 @@ let publish trace =
   Metrics.add m_result_rows trace.result_rows;
   Metrics.observe h_result_rows trace.result_rows
 
-let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
-    ?(use_index = false) ?(use_tid_cache = true) ?(use_mapping_cache = true)
-    ?drop_tid client conn rep qs =
-  let cache = use_mapping_cache in
+let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid client conn rep
+    qs =
   let drop = Option.value drop_tid ~default:(fun _ -> false) in
   let scheme_of = scheme_table rep in
   let decisions = List.map (Planner.decide ?handle:planner rep) qs in
@@ -545,10 +543,13 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
        counters. *)
     List.map (function Ok _ -> assert false | Error e -> Error e) decisions
   | executable ->
-    (* The filter encoding follows the batch: a lone executable query keeps
-       the single-query encoding — its window spans the whole pass and no
-       batch is announced. *)
+    (* The filter encoding and the mapping cache follow the batch: a lone
+       executable query keeps the single-query encoding — its window spans
+       the whole pass and no batch is announced — and leaves the mapping
+       cache alone, so only two or more queries share minted tokens and
+       decrypted cells. *)
     let single = List.compare_length_with executable 1 = 0 in
+    let cache = not single in
     if single then Wiretrace.mark "query.begin"
     else begin
       Metrics.incr m_batches;
@@ -642,26 +643,17 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
        that needs it and charged to that query; a lockstep pass over the
        orders then answers the query under its own masks. A leaf set
        joined by two or more members is resolved once, in label order,
-       by the first member; any other set is resolved in plan order.
-       [use_tid_cache:false] rebuilds the orders instead of memoising
-       them. A store the pass finds misaligned is joined by
-       [Oblivious_join.join_many] on the columns already at hand. *)
+       by the first member; any other set is resolved in plan order. A
+       store the pass finds misaligned is joined by
+       [Oblivious_join.join_many] on the columns already at hand, over the
+       same memoised tid decrypts. A miss authenticates every decrypt, and
+       a corrupted leaf copy always misses (see
+       [Enc_relation.decrypt_tids_cached]). *)
     let uses = Hashtbl.create 4 in
     List.iter (fun m -> Hashtbl.add uses (leaf_set m.lvs) ()) executed;
-    let tids_for =
-      (* The tid decrypts are memoized per (leaf, key epoch); the cached
-         path still authenticates on every miss, and corrupted leaf copies
-         always miss (see [Enc_relation.decrypt_tids_cached]). *)
-      if use_tid_cache then Some (Enc_relation.decrypt_tids_cached client) else None
-    in
     let resolve stats lv =
       let leaf = synthetic_leaf conn lv in
-      let order =
-        if use_tid_cache then
-          Enc_relation.tid_order_cached client leaf ~build:(Oblivious_join.tid_order stats)
-        else Oblivious_join.tid_order stats (Enc_relation.decrypt_tids client leaf)
-      in
-      (leaf, order)
+      (leaf, Enc_relation.tid_order_cached client leaf ~build:(Oblivious_join.tid_order stats))
     in
     let resolved = Hashtbl.create 4 in
     let shared_sides stats labels lvs =
@@ -700,7 +692,7 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
       | Some slots -> slots
       | None ->
         let joined =
-          Oblivious_join.join_many ?tids_for
+          Oblivious_join.join_many ~tids_for:(Enc_relation.decrypt_tids_cached client)
             ~masks:(List.map2 (fun (leaf, _) mask -> (leaf, Bitmask.to_bools mask)) sides masks)
             stats client
           |> Array.to_list
@@ -778,7 +770,8 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
           wire_bytes_up;
           wire_bytes_down;
           estimated_seconds =
-            Cost_model.trace_seconds params ~comparisons:stats.Oblivious_join.comparisons
+            Cost_model.trace_seconds Cost_model.default
+              ~comparisons:stats.Oblivious_join.comparisons
               ~rows_processed:stats.Oblivious_join.rows_processed ~scanned_cells:scanned
               ~oram_bucket_touches:!oram_touches ~retrieved_rows:!bin_retrieved } )
     in
@@ -823,12 +816,8 @@ let run_batch ?(mode = `Sort_merge) ?(params = Cost_model.default) ?planner
            outcome))
       members
 
-let run_conn ?mode ?params ?planner ?use_index ?use_tid_cache ?(use_mapping_cache = false)
-    ?drop_tid client conn rep q =
-  match
-    run_batch ?mode ?params ?planner ?use_index ?use_tid_cache ~use_mapping_cache ?drop_tid
-      client conn rep [ q ]
-  with
+let run_conn ?mode ?planner ?use_index ?drop_tid client conn rep q =
+  match run_batch ?mode ?planner ?use_index ?drop_tid client conn rep [ q ] with
   | [ outcome ] -> outcome
   | _ -> assert false
 

@@ -16,9 +16,9 @@
     are minted (equality indexes probed under [use_index]), the server
     filters, the enclave reconstructs, the client decrypts, and one
     {!trace} record is built and published as [exec.query.*] counters.
-    {!run_conn} is {!run_batch} of one query. Only two choices depend on
-    the batch, and both are read from the batch itself, never from a
-    knob:
+    {!run_conn} is {!run_batch} of one query. Three choices depend on
+    the batch, and all three are read from the batch itself, never from
+    a knob:
 
     {ol
     {- {e Filter encoding.} With exactly one executable (planned) query,
@@ -34,7 +34,13 @@
        two or more executable queries join are fetched once, in label
        order, by the first of them ([exec.batch.shared_joins] per set
        fetched, [exec.batch.join_reuses] per member reusing it). Any
-       other leaf set is fetched in plan order.}}
+       other leaf set is fetched in plan order.}
+    {- {e Mapping cache.} With two or more executable queries, token
+       minting and cell decrypts go through the client's crypto-free
+       mapping cache, so later members reuse what earlier ones minted
+       and decrypted; [exec.mapping_cache.*] move. A lone executable
+       query leaves the cache alone: it neither reads nor fills it, and
+       those counters do not move.}}
 
     Three reconstruction mechanisms ({!mode}); single-leaf plans need
     none:
@@ -83,11 +89,8 @@ type trace = {
 
 val run_conn :
   ?mode:mode ->
-  ?params:Cost_model.params ->
   ?planner:Planner.handle ->
   ?use_index:bool ->
-  ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
   ?drop_tid:(int -> bool) ->
   Enc_relation.client ->
   Server_api.conn ->
@@ -95,39 +98,44 @@ val run_conn :
   Query.t ->
   (Relation.t * trace, string) result
 (** Execute one query against a server connection: {!run_batch} of
-    [[q]], so its filters cross in the single-query encoding. [mode]
-    defaults to [`Sort_merge]. The trace's [wire_*] fields are the
+    [[q]], so its filters cross in the single-query encoding and the
+    mapping cache stays off. The trace's [wire_*] fields are the
     connection's traffic delta across the query (Describe through the
     last fetch).
+
+    [mode] defaults to [`Sort_merge].
 
     [planner] (default [Planner.greedy]) chooses how queries are planned:
     the greedy cover heuristic, a statistics-driven cost-based handle
     ([System.cost_planner] / [Cost_model.planner]), or the legacy
     exhaustive [Planner.optimal]. The resulting {!Planner.decision} is
-    carried in the trace's [decision] field.
+    carried in the trace's [decision] field. The trace's
+    [estimated_seconds] is priced with [Cost_model.default].
 
-    [use_tid_cache] (default true) memoizes the sort-merge path's
-    per-leaf tid decrypts and tid orders through
-    [Enc_relation.tid_order_cached]; without it the orders are rebuilt
-    for every query. On a persistent connection it keeps working across
-    queries because [Server_api.fetch_tids] returns the physically same
-    array, without a round trip, while Describe announces the tid digest
-    that array was checked against; a re-installed or changed column has
-    another digest and is fetched, checked and decrypted afresh. [use_mapping_cache] (default false
-    here, true in {!run_batch}) additionally memoizes token minting and
-    cell decrypts in the client's crypto-free mapping cache. Answers are
-    identical either way: both caches are keyed by key epoch and input
-    bytes, so re-encryption and tampered cells always miss.
+    With [use_index] (default false), point predicates over
+    canonical-ciphertext columns are served from the server's equality
+    index — §V-D "leakage as indexing"; index construction reveals
+    nothing beyond the column's permissible equality leakage.
 
     [drop_tid] is the enclave-side tombstone filter: rows whose tid it
     selects are removed from every answer (how deletions work without
     re-encryption — see [Dynamic.delete]). Without one, no selected
-    slot's tid is computed where the answer does not otherwise need it. With [use_index] (default
-    false), point predicates over canonical-ciphertext columns are
-    served from the server's equality index — §V-D "leakage as
-    indexing"; index construction reveals nothing beyond the column's
-    permissible equality leakage. The answer's columns follow the
-    query's projection order; row order is unspecified.
+    slot's tid is computed where the answer does not otherwise need it.
+
+    The sort-merge path always memoises each leaf's tid decrypts and tid
+    order through [Enc_relation.tid_order_cached], per leaf and key
+    epoch. On a persistent connection that keeps working across queries
+    because [Server_api.fetch_tids] returns the physically same array,
+    without a round trip, while Describe announces the tid digest that
+    array was checked against; a re-installed or changed column has
+    another digest and is fetched, checked and decrypted afresh. To run
+    a query cold, call [Enc_relation.bump_key_epoch] first. Both the tid
+    cache and the mapping cache are keyed by key epoch and input bytes,
+    so re-encryption and tampered cells always miss, and answers are the
+    same warm or cold.
+
+    The answer's columns follow the query's projection order; row order
+    is unspecified.
 
     Storage corruption — dropped or truncated leaves, tampered
     ciphertexts, stale index entries — raises the typed
@@ -139,11 +147,8 @@ val run_conn :
 
 val run_batch :
   ?mode:mode ->
-  ?params:Cost_model.params ->
   ?planner:Planner.handle ->
   ?use_index:bool ->
-  ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
   ?drop_tid:(int -> bool) ->
   Enc_relation.client ->
   Server_api.conn ->
@@ -153,7 +158,9 @@ val run_batch :
 (** Execute K queries as one pass, positionally: answers (and per-query
     planner errors) come back in request order, each with a full
     {!trace}, bag-identical to K {!run_conn} calls. Options as for
-    {!run_conn}, except that [use_mapping_cache] defaults to true.
+    {!run_conn}. The mapping cache is on exactly when two or more
+    queries are executable, so a batch of one is {!run_conn} in its
+    cache use as well as on the wire.
 
     Trace accounting is exact: each trace carries its own minting and
     reconstruction traffic, the shared traffic (Describe/Check_shape and

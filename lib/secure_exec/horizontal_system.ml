@@ -57,7 +57,7 @@ let routed_to t (q : Query.t) =
     `Fragment v
   | Some _ | None -> `Fan_out
 
-let query_segment ?mode ?use_index s q = System.query ?mode ?use_index s.owner q
+let query_segment ?mode s q = System.query ?mode s.owner q
 
 let union_answers answers =
   let non_empty = List.filter (fun a -> Relation.cardinality a > 0) answers in
@@ -68,7 +68,7 @@ let union_answers answers =
       (fun acc r -> Relation.concat acc (Relation.project r (Schema.names (Relation.schema acc))))
       first rest
 
-let query ?mode ?use_index t q =
+let query ?mode t q =
   let targets =
     match routed_to t q with
     | `Fragment v ->
@@ -80,7 +80,7 @@ let query ?mode ?use_index t q =
   let rec run acc_answers acc_traces = function
     | [] -> Ok (union_answers (List.rev acc_answers), List.rev acc_traces)
     | s :: rest -> (
-      match query_segment ?mode ?use_index s q with
+      match query_segment ?mode s q with
       | Error e -> Error e
       | Ok (ans, trace) -> run (ans :: acc_answers) (trace :: acc_traces) rest)
   in

@@ -34,7 +34,7 @@ val routed_to : t -> Query.t -> [ `Fragment of Value.t | `Fan_out ]
     predicate pins the split attribute to fragment value [v]. *)
 
 val query :
-  ?mode:Executor.mode -> ?use_index:bool -> t -> Query.t ->
+  ?mode:Executor.mode -> t -> Query.t ->
   (Relation.t * Executor.trace list, string) result
 (** One trace per segment executed (a single one for routed queries). *)
 

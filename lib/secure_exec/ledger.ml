@@ -110,11 +110,9 @@ let record_answered t q ans (trace : Executor.trace) =
    the executor also charges the shared traffic to) and the rest get [],
    so summing per-query entries still reconciles with the process totals.
    A batch of one therefore records exactly its own delta. *)
-let query_batch ?mode ?use_index ?use_tid_cache ?use_mapping_cache t qs =
+let query_batch ?mode ?use_index t qs =
   let before = Metrics.snapshot () in
-  let results =
-    System.query_batch ?mode ?use_index ?use_tid_cache ?use_mapping_cache t.owner qs
-  in
+  let results = System.query_batch ?mode ?use_index t.owner qs in
   let batch_delta = ref (Some (Metrics.counter_diff before (Metrics.snapshot ()))) in
   List.iter2
     (fun q result ->
@@ -127,8 +125,7 @@ let query_batch ?mode ?use_index ?use_tid_cache ?use_mapping_cache t qs =
     qs results;
   results
 
-let query ?mode ?use_index ?use_tid_cache ?(use_mapping_cache = false) t q =
-  List.hd (query_batch ?mode ?use_index ?use_tid_cache ~use_mapping_cache t [ q ])
+let query ?mode ?use_index t q = List.hd (query_batch ?mode ?use_index t [ q ])
 
 type attr_report = {
   attr : string;

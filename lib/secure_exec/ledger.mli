@@ -22,16 +22,14 @@ val create : System.owner -> t
 val owner : t -> System.owner
 
 val query :
-  ?mode:Executor.mode -> ?use_index:bool -> ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
+  ?mode:Executor.mode -> ?use_index:bool ->
   t -> Query.t -> (Snf_relational.Relation.t * Executor.trace, string) result
-(** Execute and record: {!query_batch} of [[q]], with the mapping cache
-    off by default as in {!System.query}. Failed (unplannable) queries are
-    not recorded. *)
+(** Execute and record: {!query_batch} of [[q]], which runs as
+    {!System.query} would, mapping cache off. Failed (unplannable)
+    queries are not recorded. *)
 
 val query_batch :
-  ?mode:Executor.mode -> ?use_index:bool -> ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
+  ?mode:Executor.mode -> ?use_index:bool ->
   t -> Query.t list ->
   (Snf_relational.Relation.t * Executor.trace, string) result list
 (** {!System.query_batch} with recording: every answered query contributes

@@ -110,9 +110,9 @@ let refresh_stats owner =
   Statistics.observe_wire owner.stats;
   Statistics.version owner.stats
 
-let cost_planner ?params ?max_cover ?max_orders owner =
+let cost_planner owner =
   ignore (refresh_stats owner);
-  Cost_model.planner ?params ?max_cover ?max_orders
+  Cost_model.planner
     ~epoch:(fun () -> Enc_relation.key_epoch owner.client)
     owner.stats
 
@@ -158,25 +158,19 @@ let outsource_prepared ?(seed = 0x5eed) ?master ?backend ~name ~graph ~represent
       server = { sb_backend = `Mem; sb = None };
       stats = Statistics.create () }
 
-let query ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache ?drop_tid
-    owner q =
-  Executor.run_conn ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache
-    ?drop_tid owner.client (conn_of owner) owner.plan.Normalizer.representation q
+let query ?mode ?planner ?use_index ?drop_tid owner q =
+  Executor.run_conn ?mode ?planner ?use_index ?drop_tid owner.client (conn_of owner)
+    owner.plan.Normalizer.representation q
 
-let query_checked ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache
-    ?drop_tid owner q =
-  match
-    query ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache ?drop_tid
-      owner q
-  with
+let query_checked ?mode ?planner ?use_index ?drop_tid owner q =
+  match query ?mode ?planner ?use_index ?drop_tid owner q with
   | Ok r -> Ok r
   | Error e -> Error (`Plan e)
   | exception Integrity.Corruption c -> Error (`Corruption c)
 
-let query_batch ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache
-    ?drop_tid owner qs =
-  Executor.run_batch ?mode ?params ?planner ?use_index ?use_tid_cache ?use_mapping_cache
-    ?drop_tid owner.client (conn_of owner) owner.plan.Normalizer.representation qs
+let query_batch ?mode ?planner ?use_index ?drop_tid owner qs =
+  Executor.run_batch ?mode ?planner ?use_index ?drop_tid owner.client (conn_of owner)
+    owner.plan.Normalizer.representation qs
 
 let record_wire_trace f =
   Snf_obs.Wiretrace.start ();

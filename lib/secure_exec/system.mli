@@ -110,12 +110,7 @@ val refresh_stats : owner -> int
     outside any query window — per-query wire accounting and recorded
     traces never carry statistics traffic. *)
 
-val cost_planner :
-  ?params:Cost_model.params ->
-  ?max_cover:int ->
-  ?max_orders:int ->
-  owner ->
-  Planner.handle
+val cost_planner : owner -> Planner.handle
 (** A cost-based planner handle for this owner ([Cost_model.planner]):
     candidates priced from the owner's server-visible statistics
     (refreshed now, via {!refresh_stats}), plan cache stamped with the
@@ -125,27 +120,20 @@ val cost_planner :
 
 val query :
   ?mode:Executor.mode ->
-  ?params:Cost_model.params ->
   ?planner:Planner.handle ->
   ?use_index:bool ->
-  ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
   ?drop_tid:(int -> bool) ->
   owner -> Query.t -> (Relation.t * Executor.trace, string) result
-(** [Error] is a planning failure. Detected storage corruption raises
+(** [Executor.run_conn] over the owner's connection. [Error] is a
+    planning failure. Detected storage corruption raises
     [Integrity.Corruption] (see [Executor.run_batch]); use
-    {!query_checked} to receive it as a result instead. [use_tid_cache] (default true) and
-    [use_mapping_cache] (default false) are passed through to
-    [Executor.run_conn] — identical answers either way. [planner]
+    {!query_checked} to receive it as a result instead. [planner]
     (default greedy) selects the planning handle; see {!cost_planner}. *)
 
 val query_checked :
   ?mode:Executor.mode ->
-  ?params:Cost_model.params ->
   ?planner:Planner.handle ->
   ?use_index:bool ->
-  ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
   ?drop_tid:(int -> bool) ->
   owner -> Query.t ->
   ( Relation.t * Executor.trace,
@@ -157,19 +145,16 @@ val query_checked :
 
 val query_batch :
   ?mode:Executor.mode ->
-  ?params:Cost_model.params ->
   ?planner:Planner.handle ->
   ?use_index:bool ->
-  ?use_tid_cache:bool ->
-  ?use_mapping_cache:bool ->
   ?drop_tid:(int -> bool) ->
   owner -> Query.t list -> (Relation.t * Executor.trace, string) result list
 (** K queries through one shared pass over the owner's connection
     ([Executor.run_batch]): one [Wire.Q_batch] round trip for all
-    filters when two or more queries are executable, one shared
-    oblivious alignment per leaf set that two or more of them join, and
-    the crypto-free mapping cache on by default. Positional results;
-    answers bag-identical to K {!query} calls. *)
+    filters, one shared oblivious alignment per leaf set that two or
+    more of them join, and the crypto-free mapping cache, each when two
+    or more queries are executable. Positional results; answers
+    bag-identical to K {!query} calls, and a batch of one is {!query}. *)
 
 val record_wire_trace : (unit -> 'a) -> 'a * Snf_obs.Wiretrace.trace
 (** Run [f] with the SNFT wire-trace recorder on and return what the

@@ -4,8 +4,9 @@
    execution in every reconstruction mode and on both backends, positional
    results (planner errors stay in their slot), per-query traces that
    reconcile exactly with the global counter movement of the whole batch,
-   mapping-cache amortization across repeats with epoch invalidation, and
-   counter totals independent of SNF_DOMAINS. *)
+   mapping-cache amortization across repeats with epoch invalidation, a
+   batch of one that counts exactly as the single query, and counter
+   totals independent of SNF_DOMAINS. *)
 
 open Snf_relational
 module Scheme = Snf_crypto.Scheme
@@ -46,6 +47,12 @@ let workload =
     Query.point ~select:[ "b" ] [ ("a", Value.Int 5) ];
     (* repeat *)
     Query.point ~select:[ "b"; "c" ] [ ("a", Value.Int 9); ("c", Value.Int 3) ] ]
+
+(* Counter deltas without the timing-derived series, which vary run to
+   run; everything else must repeat exactly. *)
+let untimed =
+  List.filter (fun (name, _) ->
+      not (String.length name >= 5 && String.sub name 0 5 = "time."))
 
 let ok_or_fail = function
   | Ok (ans, trace) -> (ans, trace)
@@ -158,20 +165,50 @@ let test_mapping_cache_hits_and_epoch () =
       Helpers.check_same_bag (Printf.sprintf "post-bump run agrees (query %d)" i) ra rb)
     (List.combine first third)
 
-let test_mapping_cache_off_is_silent () =
+(* The batch decides the mapping cache: only two or more executable
+   queries use it, so neither a single query nor a batch of one reads or
+   fills it. *)
+let test_single_queries_skip_mapping_cache () =
   let o = owner 40 in
   let hits () = Metrics.value (Metrics.counter "exec.mapping_cache.hits") in
   let misses () = Metrics.value (Metrics.counter "exec.mapping_cache.misses") in
   let h0 = hits () and m0 = misses () in
-  let a = System.query_batch ~use_mapping_cache:false o workload in
-  let b = System.query_batch ~use_mapping_cache:false o workload in
-  Alcotest.(check int) "no hits when disabled" h0 (hits ());
-  Alcotest.(check int) "no misses when disabled" m0 (misses ());
-  List.iteri
-    (fun i (x, y) ->
-      let rx, _ = ok_or_fail x and ry, _ = ok_or_fail y in
-      Helpers.check_same_bag (Printf.sprintf "uncached runs agree (query %d)" i) rx ry)
-    (List.combine a b)
+  for _ = 1 to 2 do
+    List.iteri
+      (fun i q ->
+        let single, _ = ok_or_fail (System.query o q) in
+        match System.query_batch o [ q ] with
+        | [ r ] ->
+          Helpers.check_same_bag (Printf.sprintf "query %d: batch of one" i) single
+            (fst (ok_or_fail r))
+        | _ -> Alcotest.fail "a batch of one returned other than one result")
+      workload
+  done;
+  Alcotest.(check int) "no hits" h0 (hits ());
+  Alcotest.(check int) "no misses" m0 (misses ())
+
+(* A batch of one is the single query in everything it counts: from the
+   same cache state, [query_batch [q]] moves exactly the counters
+   [query q] moves, timing series aside. *)
+let test_batch_of_one_counters () =
+  let o = owner 60 in
+  let deltas f =
+    let before = Metrics.snapshot () in
+    ignore (f ());
+    untimed (Metrics.counter_diff before (Metrics.snapshot ()))
+  in
+  List.iter
+    (fun mode ->
+      List.iteri
+        (fun i q ->
+          ignore (ok_or_fail (System.query ~mode o q));
+          let single = deltas (fun () -> System.query ~mode o q) in
+          let batched = deltas (fun () -> System.query_batch ~mode o [ q ]) in
+          Alcotest.(check (list (pair string int)))
+            (Printf.sprintf "query %d: batch of one moves the single query's counters" i)
+            single batched)
+        workload)
+    [ `Sort_merge; `Oram; `Binning 4 ]
 
 (* --- SNF_DOMAINS determinism ------------------------------------------------- *)
 
@@ -179,11 +216,6 @@ let prop_batch_domain_independent =
   Helpers.qtest ~count:5 "run_batch counters independent of SNF_DOMAINS"
     QCheck2.Gen.(int_range 40 90)
     (fun n ->
-      let counted (name, _) =
-        (* Timing-derived series vary run to run; everything else must be
-           bit-identical across domain counts. *)
-        not (String.length name >= 5 && String.sub name 0 5 = "time.")
-      in
       let run d =
         with_domains d (fun () ->
             let o = owner n in
@@ -195,7 +227,7 @@ let prop_batch_domain_independent =
                 (function Ok (ans, _) -> Helpers.bag ans | Error e -> [ e ])
                 results
             in
-            (bags, List.filter counted deltas))
+            (bags, untimed deltas))
       in
       let b1, d1 = run 1 and b4, d4 = run 4 in
       b1 = b4 && d1 = d4)
@@ -207,5 +239,7 @@ let suite =
     t "summed traces reconcile with counter deltas" test_batch_traces_reconcile;
     t "mapping cache: hits on repeats, epoch invalidation"
       test_mapping_cache_hits_and_epoch;
-    t "mapping cache off moves no cache counters" test_mapping_cache_off_is_silent;
+    t "single queries and batches of one move no mapping-cache counter"
+      test_single_queries_skip_mapping_cache;
+    t "a batch of one moves the single query's counters" test_batch_of_one_counters;
     prop_batch_domain_independent ]

@@ -612,25 +612,40 @@ let test_query_cache_and_domains_invisible () =
     Query.point ~select:[ "b" ]
       [ ("a", Snf_relational.Value.Int 5); ("c", Snf_relational.Value.Int 3) ]
   in
-  let run ~domains ~use_tid_cache mode =
+  (* A cold run starts from an emptied tid cache ([bump_key_epoch]). *)
+  let run ~domains ~cold mode =
+    if cold then Enc_relation.bump_key_epoch owner.System.client;
+    let m0 = Metrics.value m_misses in
     with_domains domains (fun () ->
-        match System.query ~mode ~use_tid_cache owner q with
-        | Ok (ans, _) -> H.bag ans
+        match System.query ~mode owner q with
+        | Ok (ans, tr) -> (H.bag ans, tr, Metrics.value m_misses - m0)
         | Error e -> Alcotest.fail ("query failed: " ^ e))
+  in
+  (* Under sort-merge a cold run misses the tid cache and builds the tid
+     orders; a warm one compares nothing. *)
+  let check_cache mode ~domains ~cold tr misses =
+    if mode = `Sort_merge then
+      let label = Printf.sprintf "domains=%d cold=%b" domains cold in
+      if cold then begin
+        H.check_bool (label ^ ": tid-cache misses") true (misses > 0);
+        H.check_bool (label ^ ": orders built") true (tr.Executor.comparisons > 0)
+      end
+      else H.check_int (label ^ ": no comparisons") 0 tr.Executor.comparisons
   in
   List.iter
     (fun mode ->
-      let want = run ~domains:1 ~use_tid_cache:false mode in
+      let want, tr, misses = run ~domains:1 ~cold:true mode in
+      check_cache mode ~domains:1 ~cold:true tr misses;
       List.iter
-        (fun (domains, use_tid_cache) ->
+        (fun (domains, cold) ->
+          let got, tr, misses = run ~domains ~cold mode in
           Alcotest.(check (list string))
-            (Printf.sprintf "identical bag (domains=%d cache=%b)" domains
-               use_tid_cache)
-            want
-            (run ~domains ~use_tid_cache mode))
-        [ (1, true); (4, false); (4, true) ])
+            (Printf.sprintf "identical bag (domains=%d cold=%b)" domains cold)
+            want got;
+          check_cache mode ~domains ~cold tr misses)
+        [ (1, false); (4, true); (4, false) ])
     [ `Sort_merge; `Oram ];
-  (* The cache actually engaged: the cached runs above must have hit. *)
+  (* The cache actually engaged: the warm runs above must have hit. *)
   H.check_bool "cache registered hits" true (Metrics.value m_hits > 0)
 
 let suite =
