@@ -1,8 +1,7 @@
 (* Benchmark and experiment harness.
 
-   `dune exec bench/main.exe`              — regenerate every table/figure
-                                             (reduced default scales) plus
-                                             bechamel micro-benchmarks.
+   `dune exec bench/main.exe`              — every target below at its
+                                             default scale.
    `dune exec bench/main.exe -- table1`    — Table I only (add
                                              `rows=<n>` to rescale); also
                                              writes BENCH_table1.json.
@@ -38,26 +37,12 @@
                                              ns and minor words per
                                              call; writes
                                              BENCH_paillier.json.
-   `dune exec bench/main.exe -- micro-batch`
-                                           — cross-query batching: K
-                                             queries through one shared
-                                             oblivious pass vs
-                                             one-at-a-time, mapping cache
-                                             on/off, domains 1/4; writes
-                                             BENCH_batch.json.
    `dune exec bench/main.exe -- micro-plan`
                                            — cost-based planner vs the
                                              greedy cover on a set-cover
                                              / join-order adversarial
                                              store, oracle-gated; writes
                                              BENCH_planner.json.
-   `dune exec bench/main.exe -- micro-shard`
-                                           — sharded scatter-gather:
-                                             one store over 1/2/4/8
-                                             shards x hash/skew
-                                             placement x domains 1/4,
-                                             oracle-gated; writes
-                                             BENCH_shard.json.
    `dune exec bench/main.exe -- micro-server`
                                            — the networked SNF server
                                              under a 1000-client storm
@@ -69,17 +54,24 @@
                                            — record spans over the three
                                              reconstruction modes and
                                              write trace.json (Chrome
-                                             trace_event format).
+                                             trace_event format); fails
+                                             if any query fails.
    `dune exec bench/main.exe -- micro-join`
                                            — packed k-way join vs the
                                              pairwise cascade, tid-decrypt
-                                             cache on/off, domains 1/4;
+                                             cache warm/cold, domains 1/4;
                                              writes BENCH_figure3.json.
-   Other targets: figure3, attack, ablation-semantics, ablation-horizontal,
-   ablation-workload, ablation-modes, micro. *)
+   `dune exec bench/main.exe -- micro-attack`
+                                           — trace-replay adversary
+                                             scorecard, leakage-gated;
+                                             writes BENCH_attack.json.
+   Other targets: figure3, attack, sweeps, ablation-semantics,
+   ablation-horizontal, ablation-workload, ablation-modes, ablation-index,
+   ablation-dynamic, ablation-knowledge. An unknown target name exits 2. *)
 
 open Snf_experiments
 module Nat = Snf_bignum.Nat
+module Json = Snf_obs.Json
 
 let arg_value key default =
   let prefix = key ^ "=" in
@@ -100,25 +92,21 @@ let arg_value key default =
       else acc)
     default Sys.argv
 
-let targets =
-  [ "all"; "table1"; "figure3"; "attack"; "ablation-semantics"; "ablation-horizontal";
-    "ablation-workload"; "ablation-modes"; "ablation-index"; "ablation-dynamic";
-    "ablation-knowledge"; "sweeps"; "micro"; "micro-modexp"; "micro-prf"; "micro-sort";
-    "micro-fanout"; "micro-paillier"; "micro-join"; "micro-batch"; "micro-plan";
-    "micro-shard"; "micro-server"; "micro-attack"; "trace-demo" ]
-
-(* Every argument without a '=' names a target; none runs everything. *)
-let requested =
-  List.filter (fun a -> not (String.contains a '=')) (List.tl (Array.to_list Sys.argv))
-
-let wants target =
-  assert (List.mem target targets);
-  requested = [] || List.mem target requested || List.mem "all" requested
-
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
+(* Write a BENCH_*.json object, with the metrics snapshot as its last
+   field when [metrics] is set. *)
+let write_bench ?(metrics = false) path fields =
+  let fields =
+    if metrics then
+      fields @ [ ("metrics", Snf_obs.Export.metrics_json (Snf_obs.Metrics.snapshot ())) ]
+    else fields
+  in
+  Snf_obs.Export.write ~path (Json.Obj fields);
+  Printf.printf "wrote %s\n" path
+
 (* Wall-clock per-op timing: repeat until the loop is long enough to trust
-   the clock. Coarser than bechamel but directly embeddable in JSON. *)
+   the clock. *)
 let ns_per_op ?(min_time = 0.2) f =
   ignore (f ());
   let rec go reps =
@@ -203,38 +191,36 @@ let communication_profile () =
         total.Snf_exec.Server_api.bytes_down - install.Snf_exec.Server_api.bytes_down ))
     (Snf_check.Differential.representations graph policy)
 
-let table1_json (result : Table1.result) ~deterministic ~communication =
-  Report.J_obj
-    [ ("experiment", Report.J_string "table1");
-      ("rows", Report.J_int result.Table1.rows_used);
-      ("attrs", Report.J_int result.Table1.attrs);
-      ("weak", Report.J_int result.Table1.weak_used);
-      ( "table",
-        Report.J_list
-          (List.map
-             (fun (row : Table1.row) ->
-               Report.J_obj
-                 [ ("method", Report.J_string row.Table1.method_name);
-                   ("storage_bytes", Report.J_int row.Table1.storage_bytes);
-                   ("partitions", Report.J_int row.Table1.partitions);
-                   ("total_joins", Report.J_int row.Table1.total_joins);
-                   ("normalized_cost", Report.J_float row.Table1.normalized_cost);
-                   ("snf", Report.J_bool row.Table1.snf);
-                   ("plan_seconds", Report.J_float row.Table1.plan_seconds) ])
-             result.Table1.table) );
-      ( "communication",
-        Report.J_list
-          (List.map
-             (fun (label, install_up, reqs, up, down) ->
-               Report.J_obj
-                 [ ("method", Report.J_string label);
-                   ("install_bytes_up", Report.J_int install_up);
-                   ("query_requests", Report.J_int reqs);
-                   ("query_bytes_up", Report.J_int up);
-                   ("query_bytes_down", Report.J_int down) ])
-             communication) );
-      ("deterministic_across_domains", Report.J_bool deterministic);
-      ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]
+let table1_fields (result : Table1.result) ~deterministic ~communication =
+  [ ("experiment", Json.String "table1");
+    ("rows", Json.Int result.Table1.rows_used);
+    ("attrs", Json.Int result.Table1.attrs);
+    ("weak", Json.Int result.Table1.weak_used);
+    ( "table",
+      Json.List
+        (List.map
+           (fun (row : Table1.row) ->
+             Json.Obj
+               [ ("method", Json.String row.Table1.method_name);
+                 ("storage_bytes", Json.Int row.Table1.storage_bytes);
+                 ("partitions", Json.Int row.Table1.partitions);
+                 ("total_joins", Json.Int row.Table1.total_joins);
+                 ("normalized_cost", Json.Float row.Table1.normalized_cost);
+                 ("snf", Json.Bool row.Table1.snf);
+                 ("plan_seconds", Json.Float row.Table1.plan_seconds) ])
+           result.Table1.table) );
+    ( "communication",
+      Json.List
+        (List.map
+           (fun (label, install_up, reqs, up, down) ->
+             Json.Obj
+               [ ("method", Json.String label);
+                 ("install_bytes_up", Json.Int install_up);
+                 ("query_requests", Json.Int reqs);
+                 ("query_bytes_up", Json.Int up);
+                 ("query_bytes_down", Json.Int down) ])
+           communication) );
+    ("deterministic_across_domains", Json.Bool deterministic) ]
 
 (* Everything except wall-clock timings must be bit-identical whatever the
    domain count. *)
@@ -268,8 +254,8 @@ let run_table1 () =
     (fun (label, install_up, reqs, up, down) ->
       Printf.printf "  %-16s %12d %8d %12d %12d\n" label install_up reqs up down)
     communication;
-  Report.write_json "BENCH_table1.json" (table1_json result ~deterministic ~communication);
-  Printf.printf "wrote BENCH_table1.json\n"
+  write_bench ~metrics:true "BENCH_table1.json"
+    (table1_fields result ~deterministic ~communication)
 
 let run_figure3 () =
   section "Figure 3";
@@ -285,35 +271,9 @@ let run_attack () =
     (fun (label, acc) -> Printf.printf "  %-28s %5.1f%%\n" label (100.0 *. acc))
     (Attack_eval.run_sorting ())
 
-let run_ablations () =
-  if wants "ablation-semantics" then begin
-    section "Ablation: semantics";
-    print_string (Ablations.semantics ())
-  end;
-  if wants "ablation-horizontal" then begin
-    section "Ablation: horizontal partitioning";
-    print_string (Ablations.horizontal ())
-  end;
-  if wants "ablation-workload" then begin
-    section "Ablation: workload-aware partitioning";
-    print_string (Ablations.workload ())
-  end;
-  if wants "ablation-modes" then begin
-    section "Ablation: reconstruction modes (measured)";
-    print_string (Ablations.modes ())
-  end;
-  if wants "ablation-index" then begin
-    section "Ablation: equality indexes";
-    print_string (Ablations.index ())
-  end;
-  if wants "ablation-dynamic" then begin
-    section "Ablation: dynamic inserts";
-    print_string (Ablations.dynamic ())
-  end;
-  if wants "ablation-knowledge" then begin
-    section "Ablation: knowledge acquisition";
-    print_string (Ablations.knowledge ())
-  end
+let ablation title render () =
+  section ("Ablation: " ^ title);
+  print_string (render ())
 
 (* --- parameter sweeps ----------------------------------------------------------- *)
 
@@ -370,11 +330,12 @@ let run_sweeps () =
       match owner.Snf_exec.System.enc.Snf_exec.Enc_relation.leaves with
       | [ la; lb ] ->
         let stats = Snf_exec.Oblivious_join.fresh_stats () in
+        let all (l : Snf_exec.Enc_relation.enc_leaf) = (l, Array.make l.row_count true) in
+        let masks = [ all la; all lb ] in
         let _, dt =
           time (fun () ->
               ignore
-                (Snf_exec.Oblivious_join.join_indices stats
-                   owner.Snf_exec.System.client la lb))
+                (Snf_exec.Oblivious_join.join_many ~masks stats owner.Snf_exec.System.client))
         in
         Printf.printf "  n=%6d  comparisons=%9d  time=%8.1f ms\n" n
           stats.Snf_exec.Oblivious_join.comparisons (dt *. 1e3)
@@ -409,108 +370,6 @@ let run_sweeps () =
       Printf.printf "  bits=%2d  time/op=%6.1f µs\n" bits
         (dt /. float_of_int reps *. 1e6))
     [ 8; 16; 24; 32 ]
-
-(* --- bechamel micro-benchmarks ------------------------------------------------ *)
-
-let micro_tests () =
-  let open Bechamel in
-  let acs =
-    Snf_workload.Acs.generate
-      { Snf_workload.Acs.rows = 500;
-        seed = 1;
-        cluster_sizes = [ 8; 5; 3 ];
-        independent_attrs = 6 }
-  in
-  let policy =
-    Snf_workload.Sensitivity.annotate ~weak:14 ~seed:2
-      (Snf_relational.Relation.schema acs.Snf_workload.Acs.relation)
-  in
-  let graph = acs.Snf_workload.Acs.graph in
-  let key = Snf_crypto.Prf.key_of_string "bench" in
-  let ope = Snf_crypto.Ope.create ~key ~domain_bits:32 () in
-  let prng = Snf_crypto.Prng.create 9 in
-  let paillier = Snf_crypto.Paillier.key_gen ~prime_bits:48 prng in
-  let det = Snf_crypto.Det.key_of_string "bench" in
-  let sort_input = Array.init 1024 (fun i -> (i * 7919) mod 1024) in
-  let client =
-    Snf_exec.Enc_relation.make_client ~relation_name:"bench" ~master:"m" ()
-  in
-  let small_rep = Snf_core.Strategy.non_repeating graph policy in
-  let enc =
-    Snf_exec.Enc_relation.encrypt client acs.Snf_workload.Acs.relation small_rep
-  in
-  let two_leaves =
-    match enc.Snf_exec.Enc_relation.leaves with
-    | a :: b :: _ -> (a, b)
-    | _ -> failwith "bench: expected at least two leaves"
-  in
-  let oram =
-    Snf_exec.Path_oram.create ~num_blocks:1024 ~block_size:64
-      (Snf_crypto.Prng.create 5)
-  in
-  for i = 0 to 1023 do
-    Snf_exec.Path_oram.write oram i (String.make 64 (Char.chr (i land 0xff)))
-  done;
-  [ Test.make ~name:"table1/leakage-closure (231-attr leaf audit)"
-      (Staged.stage (fun () ->
-           ignore
-             (Snf_core.Closure.analyze_colocated graph
-                (List.map
-                   (fun a -> (a, Snf_core.Policy.scheme_of policy a))
-                   (Snf_core.Policy.attrs policy)))));
-    Test.make ~name:"table1/non-repeating partitioning"
-      (Staged.stage (fun () -> ignore (Snf_core.Strategy.non_repeating graph policy)));
-    Test.make ~name:"table1/max-repeating partitioning"
-      (Staged.stage (fun () -> ignore (Snf_core.Strategy.max_repeating graph policy)));
-    Test.make ~name:"figure3/oblivious-join (500x500)"
-      (Staged.stage (fun () ->
-           let stats = Snf_exec.Oblivious_join.fresh_stats () in
-           let a, b = two_leaves in
-           ignore (Snf_exec.Oblivious_join.join_indices stats client a b)));
-    Test.make ~name:"figure3/bitonic-sort-1024"
-      (Staged.stage (fun () ->
-           let arr = Array.copy sort_input in
-           Snf_exec.Bitonic.sort ~cmp:Int.compare arr));
-    Test.make ~name:"exec/path-oram-access (1024 blocks)"
-      (Staged.stage (fun () -> ignore (Snf_exec.Path_oram.read oram 511)));
-    Test.make ~name:"crypto/ope-encrypt-32bit"
-      (Staged.stage
-         (let c = ref 0 in
-          fun () ->
-            incr c;
-            ignore (Snf_crypto.Ope.encrypt ope (!c land 0xFFFF))));
-    Test.make ~name:"crypto/det-encrypt"
-      (Staged.stage (fun () -> ignore (Snf_crypto.Det.encrypt det "benchmark-cell")));
-    Test.make ~name:"crypto/paillier-encrypt"
-      (Staged.stage (fun () ->
-           ignore (Snf_crypto.Paillier.encrypt_int prng paillier.Snf_crypto.Paillier.public 42)))
-  ]
-
-let run_micro () =
-  section "Micro-benchmarks (bechamel)";
-  let open Bechamel in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~kde:(Some 500) () in
-  let grouped = Test.make_grouped ~name:"snf" ~fmt:"%s %s" (micro_tests ()) in
-  let raw = Benchmark.all cfg instances grouped in
-  let results =
-    List.map (fun instance -> Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true
-                                              ~predictors:[| Measure.run |]) instance raw)
-      instances
-  in
-  let merged = Analyze.merge (Analyze.ols ~bootstrap:0 ~r_square:true
-                                ~predictors:[| Measure.run |]) instances results in
-  Hashtbl.iter
-    (fun measure per_test ->
-      Printf.printf "  [%s]\n" measure;
-      let rows = Hashtbl.fold (fun name result acc -> (name, result) :: acc) per_test [] in
-      List.iter
-        (fun (name, result) ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> Printf.printf "    %-50s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "    %-50s (no estimate)\n" name)
-        (List.sort compare rows))
-    merged
 
 (* --- kernel micro-benchmarks (machine-readable) ----------------------------- *)
 
@@ -635,19 +494,17 @@ let run_micro_prf () =
         (name, us, words))
       rows
   in
-  Report.write_json "BENCH_prf.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "prf-kernel");
-         ( "primitives",
-           Report.J_list
-             (List.map
-                (fun (name, us, words) ->
-                  Report.J_obj
-                    [ ("name", Report.J_string name);
-                      ("us_per_op", Report.J_float us);
-                      ("minor_words_per_op", Report.J_float words) ])
-                measured) ) ]);
-  Printf.printf "wrote BENCH_prf.json\n"
+  write_bench "BENCH_prf.json"
+    [ ("experiment", Json.String "prf-kernel");
+      ( "primitives",
+        Json.List
+          (List.map
+             (fun (name, us, words) ->
+               Json.Obj
+                 [ ("name", Json.String name);
+                   ("us_per_op", Json.Float us);
+                   ("minor_words_per_op", Json.Float words) ])
+             measured) ) ]
 
 (* The int bitonic network under the oblivious join: us per sort, ns per
    comparator of the padded network and minor-heap words per sort, at the
@@ -709,23 +566,21 @@ let run_micro_sort () =
           [ 1; 2 ])
       inputs
   in
-  Report.write_json "BENCH_sort.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "bitonic-sort");
-         ( "sorts",
-           Report.J_list
-             (List.map
-                (fun (n, domains, us, ns_cmp, words, ticks) ->
-                  Report.J_obj
-                    [ ("n", Report.J_int n);
-                      ("domains", Report.J_int domains);
-                      ("comparators", Report.J_int (B.comparator_count n));
-                      ("ticks", Report.J_int ticks);
-                      ("us_per_sort", Report.J_float us);
-                      ("ns_per_comparator", Report.J_float ns_cmp);
-                      ("minor_words_per_sort", Report.J_float words) ])
-                rows) ) ]);
-  Printf.printf "wrote BENCH_sort.json\n"
+  write_bench "BENCH_sort.json"
+    [ ("experiment", Json.String "bitonic-sort");
+      ( "sorts",
+        Json.List
+          (List.map
+             (fun (n, domains, us, ns_cmp, words, ticks) ->
+               Json.Obj
+                 [ ("n", Json.Int n);
+                   ("domains", Json.Int domains);
+                   ("comparators", Json.Int (B.comparator_count n));
+                   ("ticks", Json.Int ticks);
+                   ("us_per_sort", Json.Float us);
+                   ("ns_per_comparator", Json.Float ns_cmp);
+                   ("minor_words_per_sort", Json.Float words) ])
+             rows) ) ]
 
 (* The cost of one empty fan-out (one trivial item per lane) at 2 and 4
    lanes: through [Parallel.tabulate]'s persistent pool, and through a
@@ -776,21 +631,19 @@ let run_micro_fanout () =
           methods)
       [ 2; 4 ]
   in
-  Report.write_json "BENCH_fanout.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "empty-fan-out");
-         ("cores", Report.J_int (Domain.recommended_domain_count ()));
-         ( "fan_outs",
-           Report.J_list
-             (List.map
-                (fun (lanes, name, wall, cpu) ->
-                  Report.J_obj
-                    [ ("lanes", Report.J_int lanes);
-                      ("method", Report.J_string name);
-                      ("wall_us_per_call", Report.J_float wall);
-                      ("cpu_us_per_call", Report.J_float cpu) ])
-                rows) ) ]);
-  Printf.printf "wrote BENCH_fanout.json\n"
+  write_bench "BENCH_fanout.json"
+    [ ("experiment", Json.String "empty-fan-out");
+      ("cores", Json.Int (Domain.recommended_domain_count ()));
+      ( "fan_outs",
+        Json.List
+          (List.map
+             (fun (lanes, name, wall, cpu) ->
+               Json.Obj
+                 [ ("lanes", Json.Int lanes);
+                   ("method", Json.String name);
+                   ("wall_us_per_call", Json.Float wall);
+                   ("cpu_us_per_call", Json.Float cpu) ])
+             rows) ) ]
 
 (* End-to-end bulk-encryption determinism: outsource a relation with DET,
    NDET and PHE columns under 1 and 3 domains and compare the serialized
@@ -870,36 +723,33 @@ let run_micro_paillier () =
     modexp;
   Printf.printf "  pool fill: %8.0f ns/entry (%d entries)\n" pool_fill_ns pool_entries;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
-  Report.write_json "BENCH_paillier.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "paillier-kernels");
-         ("prime_bits", Report.J_int prime_bits);
-         ("encrypt_reference_ns", Report.J_float enc_ref_ns);
-         ("encrypt_reference_minor_words", Report.J_float enc_ref_words);
-         ("encrypt_montgomery_ns", Report.J_float enc_mont_ns);
-         ("encrypt_montgomery_minor_words", Report.J_float enc_mont_words);
-         ("encrypt_pooled_ns", Report.J_float enc_pool_ns);
-         ("encrypt_pooled_minor_words", Report.J_float enc_pool_words);
-         ("pool_fill_ns_per_entry", Report.J_float pool_fill_ns);
-         ("decrypt_reference_ns", Report.J_float dec_ref_ns);
-         ("decrypt_reference_minor_words", Report.J_float dec_ref_words);
-         ("decrypt_crt_ns", Report.J_float dec_crt_ns);
-         ("decrypt_crt_minor_words", Report.J_float dec_crt_words);
-         ("encrypt_speedup_montgomery", Report.J_float enc_speedup_mont);
-         ("encrypt_speedup_pooled", Report.J_float enc_speedup_pooled);
-         ("decrypt_speedup_crt", Report.J_float dec_speedup_crt);
-         ( "modexp",
-           Report.J_list
-             (List.map
-                (fun (name, ns, words) ->
-                  Report.J_obj
-                    [ ("name", Report.J_string name);
-                      ("ns", Report.J_float ns);
-                      ("minor_words", Report.J_float words) ])
-                modexp) );
-         ("ciphertexts_deterministic_across_domains", Report.J_bool deterministic);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_paillier.json\n"
+  write_bench ~metrics:true "BENCH_paillier.json"
+    [ ("experiment", Json.String "paillier-kernels");
+      ("prime_bits", Json.Int prime_bits);
+      ("encrypt_reference_ns", Json.Float enc_ref_ns);
+      ("encrypt_reference_minor_words", Json.Float enc_ref_words);
+      ("encrypt_montgomery_ns", Json.Float enc_mont_ns);
+      ("encrypt_montgomery_minor_words", Json.Float enc_mont_words);
+      ("encrypt_pooled_ns", Json.Float enc_pool_ns);
+      ("encrypt_pooled_minor_words", Json.Float enc_pool_words);
+      ("pool_fill_ns_per_entry", Json.Float pool_fill_ns);
+      ("decrypt_reference_ns", Json.Float dec_ref_ns);
+      ("decrypt_reference_minor_words", Json.Float dec_ref_words);
+      ("decrypt_crt_ns", Json.Float dec_crt_ns);
+      ("decrypt_crt_minor_words", Json.Float dec_crt_words);
+      ("encrypt_speedup_montgomery", Json.Float enc_speedup_mont);
+      ("encrypt_speedup_pooled", Json.Float enc_speedup_pooled);
+      ("decrypt_speedup_crt", Json.Float dec_speedup_crt);
+      ( "modexp",
+        Json.List
+          (List.map
+             (fun (name, ns, words) ->
+               Json.Obj
+                 [ ("name", Json.String name);
+                   ("ns", Json.Float ns);
+                   ("minor_words", Json.Float words) ])
+             modexp) );
+      ("ciphertexts_deterministic_across_domains", Json.Bool deterministic) ]
 
 (* Per-leaf slot arrays of a [join_many]-shaped answer: the shape the
    lockstep pass returns. *)
@@ -1091,11 +941,11 @@ let run_micro_join () =
         Printf.printf
           "  reconstruction k=%d: cold %8.1f us  warm %8.1f us  (join_many %8.1f us)\n" k
           cold warm join;
-        Report.J_obj
-          [ ("k", Report.J_int k);
-            ("cold_us", Report.J_float cold);
-            ("warm_us", Report.J_float warm);
-            ("join_many_us", Report.J_float join) ])
+        Json.Obj
+          [ ("k", Json.Int k);
+            ("cold_us", Json.Float cold);
+            ("warm_us", Json.Float warm);
+            ("join_many_us", Json.Float join) ])
       [ 2; 3 ]
   in
   (* Correctness grid: five representations x reconstruction modes x
@@ -1138,13 +988,13 @@ let run_micro_join () =
                   if not agrees then grid_ok := false;
                   let _, dt = time run in
                   grid :=
-                    Report.J_obj
-                      [ ("rep", Report.J_string label);
-                        ("mode", Report.J_string mode_name);
-                        ("cache", Report.J_string (if cold then "cold" else "warm"));
-                        ("domains", Report.J_int domains);
-                        ("ms", Report.J_float (dt *. 1e3));
-                        ("bag_matches_oracle", Report.J_bool agrees) ]
+                    Json.Obj
+                      [ ("rep", Json.String label);
+                        ("mode", Json.String mode_name);
+                        ("cache", Json.String (if cold then "cold" else "warm"));
+                        ("domains", Json.Int domains);
+                        ("ms", Json.Float (dt *. 1e3));
+                        ("bag_matches_oracle", Json.Bool agrees) ]
                     :: !grid)
                 [ 1; 4 ])
             [ false; true ])
@@ -1170,187 +1020,44 @@ let run_micro_join () =
         (if ok then "PASS" else "FAIL")
         report.Snf_check.Differential.queries_run;
       diff :=
-        Report.J_obj
-          [ ("domains", Report.J_int domains);
-            ("queries", Report.J_int report.Snf_check.Differential.queries_run);
-            ("passed", Report.J_bool ok) ]
+        Json.Obj
+          [ ("domains", Json.Int domains);
+            ("queries", Json.Int report.Snf_check.Differential.queries_run);
+            ("passed", Json.Bool ok) ]
         :: !diff)
     [ 1; 4 ];
   if not (!grid_ok && !diff_ok) then
     failwith "micro-join: some answer disagreed with the oracle";
   Printf.printf "  speedup vs cascade baseline: %.1fx (acceptance >= 2.0x)\n"
     (speedup best_ms);
-  Report.write_json "BENCH_figure3.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "figure3-join-throughput");
-         ("rows", Report.J_int rows);
-         ("leaves", Report.J_int (List.length leaves));
-         ("iters", Report.J_int iters);
-         ( "kernel",
-           Report.J_obj
-             [ ("cascade_baseline_ms_domains1", Report.J_float cascade_d1);
-               ("cascade_baseline_ms_domains4", Report.J_float cascade_d4);
-               ("cascade_baseline_ms", Report.J_float baseline_ms);
-               ("kway_nocache_ms_domains1", Report.J_float nocache_d1);
-               ("kway_nocache_ms_domains4", Report.J_float nocache_d4);
-               ("kway_cached_ms_domains1", Report.J_float cached_d1);
-               ("kway_cached_ms_domains4", Report.J_float cached_d4);
-               ("baseline_rows_per_s", Report.J_float (tput baseline_ms));
-               ("best_rows_per_s", Report.J_float (tput best_ms));
-               ( "speedup_kway_nocache",
-                 Report.J_float (speedup (min nocache_d1 nocache_d4)) );
-               ("speedup_kway_cached", Report.J_float (speedup best_ms));
-               ("tid_cache_hits", Report.J_int cache_hits);
-               ("tid_cache_misses", Report.J_int cache_misses);
-               ("answers_identical", Report.J_bool identical) ] );
-         ("lockstep_identical", Report.J_bool lockstep_identical);
-         ("lockstep_reconstruction", Report.J_list lockstep);
-         ("grid_rows", Report.J_int grid_rows);
-         ("grid_all_match_oracle", Report.J_bool !grid_ok);
-         ("grid", Report.J_list (List.rev !grid));
-         ("differential", Report.J_list (List.rev !diff));
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_figure3.json\n"
-
-(* Micro-benchmark: cross-query batching. The standard three-leaf relation
-   from micro-join, a long workload of repeating multi-leaf point lookups,
-   executed through [System.query_batch] at batch sizes 1/8/64/512 under 1
-   and 4 domains. The batch decides the mapping cache: size-1 cells must
-   move no cache counter and larger cells must hit. Every cell's answers
-   are bag-checked against the plaintext oracle. Queries/sec at batch 64
-   vs batch 1 is reported, not gated: once warm single queries hold their
-   tid columns and orders, a batch saves little more than the per-query
-   round trips and the repeated decrypts. Writes BENCH_batch.json. *)
-let run_micro_batch () =
-  section "Micro: cross-query batching (shared pass + mapping cache)";
-  let rows = arg_value "rows" 10_000 in
-  let queries = max 1 (arg_value "queries" 512) in
-  let iters = max 1 (arg_value "iters" 1) in
-  let r =
-    Snf_relational.Relation.create
-      (Snf_relational.Schema.of_attributes
-         Snf_relational.[ Attribute.int "a"; Attribute.int "b"; Attribute.int "c" ])
-      (List.init rows (fun i ->
-           Snf_relational.
-             [| Value.Int (i mod 11); Value.Int (i * 13); Value.Int (i mod 7) |]))
-  in
-  let policy =
-    Snf_core.Policy.create
-      [ ("a", Snf_crypto.Scheme.Det);
-        ("b", Snf_crypto.Scheme.Ndet);
-        ("c", Snf_crypto.Scheme.Det) ]
-  in
-  let graph =
-    let g = Snf_deps.Dep_graph.create [ "a"; "b"; "c" ] in
-    let g = Snf_deps.Dep_graph.declare_dependent g "a" "b" in
-    Snf_deps.Dep_graph.declare_dependent g "b" "c"
-  in
-  let owner = Snf_exec.System.outsource ~name:"microbatch" ~graph r policy in
-  (* The predicate values cycle, so a long series repeats tokens — exactly
-     what the mapping cache amortizes — and every query touches at least
-     two leaves, so the shared alignment gets reused within a batch. *)
-  let workload =
-    List.init queries (fun i ->
-        match i mod 3 with
-        | 0 ->
-          Snf_exec.Query.point ~select:[ "b" ]
-            [ ("a", Snf_relational.Value.Int (i mod 11)) ]
-        | 1 ->
-          Snf_exec.Query.point ~select:[ "b"; "c" ]
-            [ ("a", Snf_relational.Value.Int (i mod 11));
-              ("c", Snf_relational.Value.Int (i mod 7)) ]
-        | _ ->
-          Snf_exec.Query.point ~select:[ "a"; "b" ]
-            [ ("c", Snf_relational.Value.Int (i mod 7)) ])
-  in
-  let oracle = List.map (Snf_check.Oracle.answer r) workload in
-  let chunks k l =
-    List.rev
-      (List.fold_left
-         (fun acc x ->
-           match acc with
-           | cur :: rest when List.length cur < k -> (x :: cur) :: rest
-           | _ -> [ x ] :: acc)
-         [] l)
-    |> List.map List.rev
-  in
-  let m_hits = Snf_obs.Metrics.counter "exec.mapping_cache.hits" in
-  let m_misses = Snf_obs.Metrics.counter "exec.mapping_cache.misses" in
-  let m_reuses = Snf_obs.Metrics.counter "exec.batch.join_reuses" in
-  let grid = ref [] in
-  let grid_ok = ref true in
-  (* The best queries/sec per batch size. *)
-  let best_qps = Hashtbl.create 4 in
-  let run_cell ~size () =
-    List.concat_map
-      (fun batch ->
-        List.map
-          (function
-            | Ok (ans, _) -> ans
-            | Error e -> failwith ("micro-batch: query failed: " ^ e))
-          (Snf_exec.System.query_batch owner batch))
-      (chunks size workload)
-  in
-  List.iter
-    (fun size ->
-      List.iter
-        (fun domains ->
-          let hits0 = Snf_obs.Metrics.value m_hits in
-          let misses0 = Snf_obs.Metrics.value m_misses in
-          let reuses0 = Snf_obs.Metrics.value m_reuses in
-          let answers = ref [] in
-          let best = ref infinity in
-          with_domains domains (fun () ->
-              for i = 1 to iters do
-                let anss, dt = time (run_cell ~size) in
-                if i = 1 then answers := anss;
-                if dt < !best then best := dt
-              done);
-          let ms = !best *. 1e3 in
-          let qps = float_of_int queries /. !best in
-          let agrees = List.for_all2 Snf_check.Oracle.agree oracle !answers in
-          if not agrees then grid_ok := false;
-          let hits = Snf_obs.Metrics.value m_hits - hits0 in
-          let misses = Snf_obs.Metrics.value m_misses - misses0 in
-          let reuses = Snf_obs.Metrics.value m_reuses - reuses0 in
-          if size = 1 && (hits <> 0 || misses <> 0) then
-            failwith "micro-batch: single queries moved the mapping-cache counters";
-          if size > 1 && hits = 0 then
-            failwith "micro-batch: batches recorded no mapping-cache hits on a repeating series";
-          let prev = Option.value (Hashtbl.find_opt best_qps size) ~default:0. in
-          if qps > prev then Hashtbl.replace best_qps size qps;
-          Printf.printf "  batch %4d  d%d  %9.1f ms  %8.1f q/s  hits %6d  reuses %6d\n%!" size
-            domains ms qps hits reuses;
-          grid :=
-            Report.J_obj
-              [ ("batch_size", Report.J_int size);
-                ("domains", Report.J_int domains);
-                ("ms", Report.J_float ms);
-                ("queries_per_s", Report.J_float qps);
-                ("mapping_cache_hits", Report.J_int hits);
-                ("mapping_cache_misses", Report.J_int misses);
-                ("join_reuses", Report.J_int reuses);
-                ("bag_matches_oracle", Report.J_bool agrees) ]
-            :: !grid)
-        [ 1; 4 ])
-    [ 1; 8; 64; 512 ];
-  if not !grid_ok then failwith "micro-batch: some answer disagreed with the oracle";
-  let qps_at size = Option.value (Hashtbl.find_opt best_qps size) ~default:0. in
-  let speedup = qps_at 64 /. qps_at 1 in
-  Printf.printf "  %d queries over %d rows, best of %d iteration(s)\n" queries rows
-    iters;
-  Printf.printf "  queries/sec, batch 64 vs 1: %.1fx\n" speedup;
-  Report.write_json "BENCH_batch.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "batch-throughput");
-         ("rows", Report.J_int rows);
-         ("queries", Report.J_int queries);
-         ("iters", Report.J_int iters);
-         ("grid", Report.J_list (List.rev !grid));
-         ("speedup_batch64_vs_1", Report.J_float speedup);
-         ("all_match_oracle", Report.J_bool !grid_ok);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_batch.json\n"
+  write_bench ~metrics:true "BENCH_figure3.json"
+    [ ("experiment", Json.String "figure3-join-throughput");
+      ("rows", Json.Int rows);
+      ("leaves", Json.Int (List.length leaves));
+      ("iters", Json.Int iters);
+      ( "kernel",
+        Json.Obj
+          [ ("cascade_baseline_ms_domains1", Json.Float cascade_d1);
+            ("cascade_baseline_ms_domains4", Json.Float cascade_d4);
+            ("cascade_baseline_ms", Json.Float baseline_ms);
+            ("kway_nocache_ms_domains1", Json.Float nocache_d1);
+            ("kway_nocache_ms_domains4", Json.Float nocache_d4);
+            ("kway_cached_ms_domains1", Json.Float cached_d1);
+            ("kway_cached_ms_domains4", Json.Float cached_d4);
+            ("baseline_rows_per_s", Json.Float (tput baseline_ms));
+            ("best_rows_per_s", Json.Float (tput best_ms));
+            ( "speedup_kway_nocache",
+              Json.Float (speedup (min nocache_d1 nocache_d4)) );
+            ("speedup_kway_cached", Json.Float (speedup best_ms));
+            ("tid_cache_hits", Json.Int cache_hits);
+            ("tid_cache_misses", Json.Int cache_misses);
+            ("answers_identical", Json.Bool identical) ] );
+      ("lockstep_identical", Json.Bool lockstep_identical);
+      ("lockstep_reconstruction", Json.List lockstep);
+      ("grid_rows", Json.Int grid_rows);
+      ("grid_all_match_oracle", Json.Bool !grid_ok);
+      ("grid", Json.List (List.rev !grid));
+      ("differential", Json.List (List.rev !diff)) ]
 
 (* Micro-benchmark: the cost-based planner vs the greedy cover heuristic
    on a planner-adversarial store. The representation carries a classic
@@ -1463,15 +1170,15 @@ let run_micro_plan () =
     Printf.printf
       "  %-6s  %8.1f ms  est %.6f s  joins %4d  cache %d/%d hit/miss  priced %d  oracle %s\n%!"
       label (dt *. 1e3) est joins hits misses enum (if ok then "ok" else "MISMATCH");
-    Report.J_obj
-      [ ("planner", Report.J_string label);
-        ("ms", Report.J_float (dt *. 1e3));
-        ("estimated_cost_s", Report.J_float est);
-        ("oblivious_joins", Report.J_int joins);
-        ("plan_cache_hits", Report.J_int hits);
-        ("plan_cache_misses", Report.J_int misses);
-        ("candidates_enumerated", Report.J_int enum);
-        ("bag_matches_oracle", Report.J_bool ok) ]
+    Json.Obj
+      [ ("planner", Json.String label);
+        ("ms", Json.Float (dt *. 1e3));
+        ("estimated_cost_s", Json.Float est);
+        ("oblivious_joins", Json.Int joins);
+        ("plan_cache_hits", Json.Int hits);
+        ("plan_cache_misses", Json.Int misses);
+        ("candidates_enumerated", Json.Int enum);
+        ("bag_matches_oracle", Json.Bool ok) ]
   in
   let greedy_json = arm_json "greedy" g_dt g_est g_joins g_hits g_misses g_enum g_ok in
   let cost_json = arm_json "cost" c_dt c_est c_joins c_hits c_misses c_enum c_ok in
@@ -1482,201 +1189,19 @@ let run_micro_plan () =
      joins %d vs %d, cache hit rate %.2f\n"
     queries rows c_est g_est c_joins g_joins hit_rate;
   Printf.printf "  cost_beats_greedy: %b (acceptance: true)\n" beats;
-  Report.write_json "BENCH_planner.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "cost-planner");
-         ("rows", Report.J_int rows);
-         ("queries", Report.J_int queries);
-         ("arms", Report.J_list [ greedy_json; cost_json ]);
-         ("estimated_cost_ratio_greedy_over_cost",
-          Report.J_float (if c_est > 0. then g_est /. c_est else 0.));
-         ("oblivious_joins_saved", Report.J_int (g_joins - c_joins));
-         ("plan_cache_hit_rate_cost", Report.J_float hit_rate);
-         ("cost_beats_greedy", Report.J_bool beats);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_planner.json\n";
+  write_bench ~metrics:true "BENCH_planner.json"
+    [ ("experiment", Json.String "cost-planner");
+      ("rows", Json.Int rows);
+      ("queries", Json.Int queries);
+      ("arms", Json.List [ greedy_json; cost_json ]);
+      ("estimated_cost_ratio_greedy_over_cost",
+       Json.Float (if c_est > 0. then g_est /. c_est else 0.));
+      ("oblivious_joins_saved", Json.Int (g_joins - c_joins));
+      ("plan_cache_hit_rate_cost", Json.Float hit_rate);
+      ("cost_beats_greedy", Json.Bool beats) ];
   Snf_exec.System.release owner;
   if not beats then
     failwith "micro-plan: the cost planner did not beat greedy on the adversarial mix"
-
-(* Micro-benchmark: sharded scatter-gather execution. One logical store
-   fanned across 1/2/4/8 in-process shards by [Backend_sharded], under
-   both placement policies and 1/4 executor domains, against a Zipf-
-   skewed DET column (the shape the Skew policy absorbs). The workload
-   is scan-dominant point lookups, so the per-shard legs carry the scan
-   work in parallel. Every cell's answers are bag-checked against the
-   plaintext oracle, per-shard imbalance is reported from the placement
-   itself, and the headline number is queries/sec at 4 shards vs 1.
-   Writes BENCH_shard.json. *)
-let run_micro_shard () =
-  section "Micro: sharded scatter-gather (Backend_sharded fan-out)";
-  let rows = arg_value "rows" 8_000 in
-  let queries = max 1 (arg_value "queries" 24) in
-  let iters = max 1 (arg_value "iters" 2) in
-  let zipf_values = 40 in
-  let prng = Snf_crypto.Prng.create 0x5a1f in
-  let zipf = Snf_crypto.Prng.zipf_sampler prng ~s:1.07 zipf_values in
-  let r =
-    Snf_relational.Relation.create
-      (Snf_relational.Schema.of_attributes
-         Snf_relational.[ Attribute.int "zip"; Attribute.int "code"; Attribute.int "pay" ])
-      (List.init rows (fun i ->
-           Snf_relational.
-             [| Value.Int (zipf ()); Value.Int (i mod 13); Value.Int (i * 17) |]))
-  in
-  let policy =
-    Snf_core.Policy.create
-      [ ("zip", Snf_crypto.Scheme.Det);
-        ("code", Snf_crypto.Scheme.Det);
-        ("pay", Snf_crypto.Scheme.Ndet) ]
-  in
-  let graph =
-    let g = Snf_deps.Dep_graph.create [ "zip"; "code"; "pay" ] in
-    let g = Snf_deps.Dep_graph.declare_dependent g "zip" "pay" in
-    Snf_deps.Dep_graph.declare_dependent g "code" "pay"
-  in
-  (* Outsource once; every cell rebinds the same ciphertext image through
-     a fresh coordinator, so placement differences — not encryption — are
-     what the grid measures. *)
-  let owner = Snf_exec.System.outsource ~name:"microshard" ~graph r policy in
-  Fun.protect ~finally:(fun () -> Snf_exec.System.release owner) @@ fun () ->
-  let workload =
-    List.init queries (fun i ->
-        match i mod 3 with
-        | 0 ->
-          Snf_exec.Query.point ~select:[ "pay" ]
-            [ ("zip", Snf_relational.Value.Int (i mod zipf_values)) ]
-        | 1 ->
-          Snf_exec.Query.point ~select:[ "pay"; "code" ]
-            [ ("zip", Snf_relational.Value.Int (i mod 7));
-              ("code", Snf_relational.Value.Int (i mod 13)) ]
-        | _ ->
-          Snf_exec.Query.point ~select:[ "zip"; "pay" ]
-            [ ("code", Snf_relational.Value.Int (i mod 13)) ])
-  in
-  let oracle = List.map (Snf_check.Oracle.answer r) workload in
-  let mem_connect _ =
-    Snf_exec.Server_api.connect
-      (module Snf_exec.Backend_mem)
-      (Snf_exec.Backend_mem.empty ())
-  in
-  (* Placement imbalance straight from the assignment, no connections:
-     max shard load over the even split, per policy. *)
-  Printf.printf "  placement imbalance (max load / even split), %d rows:\n" rows;
-  let imbalance = ref [] in
-  List.iter
-    (fun policy_v ->
-      List.iter
-        (fun shards ->
-          let loads =
-            Snf_exec.Backend_sharded.shard_loads ~shards
-              (Snf_exec.Backend_sharded.assignment policy_v ~shards
-                 owner.Snf_exec.System.enc)
-          in
-          let max_load = Array.fold_left max 0 loads in
-          let total = Array.fold_left ( + ) 0 loads in
-          let even = float_of_int total /. float_of_int shards in
-          let ratio = float_of_int max_load /. even in
-          Printf.printf "    %-4s shards=%d  max=%6d  even=%8.1f  ratio=%5.2f\n"
-            (Snf_exec.Backend_sharded.policy_name policy_v)
-            shards max_load even ratio;
-          imbalance :=
-            Report.J_obj
-              [ ("policy",
-                 Report.J_string (Snf_exec.Backend_sharded.policy_name policy_v));
-                ("shards", Report.J_int shards);
-                ("max_load", Report.J_int max_load);
-                ("imbalance_ratio", Report.J_float ratio) ]
-            :: !imbalance)
-        [ 2; 4; 8 ])
-    [ Snf_exec.Backend_sharded.Hash; Snf_exec.Backend_sharded.Skew ];
-  let grid = ref [] in
-  let grid_ok = ref true in
-  let best_qps = Hashtbl.create 16 in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun policy_v ->
-          List.iter
-            (fun domains ->
-              let st =
-                Snf_exec.Backend_sharded.create ~policy:policy_v
-                  ~connect:mem_connect ~shards ()
-              in
-              let tw =
-                Snf_exec.System.with_backend owner (Snf_exec.System.sharded st)
-              in
-              Fun.protect ~finally:(fun () -> Snf_exec.System.release tw)
-              @@ fun () ->
-              let run_all () =
-                List.map
-                  (fun q ->
-                    match Snf_exec.System.query tw q with
-                    | Ok (ans, _) -> ans
-                    | Error e -> failwith ("micro-shard: query failed: " ^ e))
-                  workload
-              in
-              let answers = ref [] in
-              let best = ref infinity in
-              with_domains domains (fun () ->
-                  for i = 1 to iters do
-                    let anss, dt = time run_all in
-                    if i = 1 then answers := anss;
-                    if dt < !best then best := dt
-                  done);
-              let agrees = List.for_all2 Snf_check.Oracle.agree oracle !answers in
-              if not agrees then grid_ok := false;
-              let ms = !best *. 1e3 in
-              let qps = float_of_int queries /. !best in
-              let key = (shards, policy_v) in
-              let prev = Option.value (Hashtbl.find_opt best_qps key) ~default:0. in
-              if qps > prev then Hashtbl.replace best_qps key qps;
-              Printf.printf
-                "  shards %d  %-4s  d%d  %9.1f ms  %8.1f q/s\n%!" shards
-                (Snf_exec.Backend_sharded.policy_name policy_v)
-                domains ms qps;
-              grid :=
-                Report.J_obj
-                  [ ("shards", Report.J_int shards);
-                    ("policy",
-                     Report.J_string (Snf_exec.Backend_sharded.policy_name policy_v));
-                    ("domains", Report.J_int domains);
-                    ("ms", Report.J_float ms);
-                    ("queries_per_s", Report.J_float qps);
-                    ("bag_matches_oracle", Report.J_bool agrees) ]
-                :: !grid)
-            [ 1; 4 ])
-        [ Snf_exec.Backend_sharded.Hash; Snf_exec.Backend_sharded.Skew ])
-    [ 1; 2; 4; 8 ];
-  if not !grid_ok then failwith "micro-shard: some answer disagreed with the oracle";
-  let qps_at shards policy_v =
-    Option.value (Hashtbl.find_opt best_qps (shards, policy_v)) ~default:0.
-  in
-  let speedup_skew =
-    qps_at 4 Snf_exec.Backend_sharded.Skew /. qps_at 1 Snf_exec.Backend_sharded.Skew
-  in
-  let speedup_hash =
-    qps_at 4 Snf_exec.Backend_sharded.Hash /. qps_at 1 Snf_exec.Backend_sharded.Hash
-  in
-  Printf.printf "  %d queries over %d rows, best of %d iteration(s)\n" queries rows
-    iters;
-  Printf.printf
-    "  queries/sec, 4 shards vs 1: %.1fx skew, %.1fx hash (acceptance >= 2.0x on multi-core)\n"
-    speedup_skew speedup_hash;
-  Report.write_json "BENCH_shard.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "sharded-scatter-gather");
-         ("rows", Report.J_int rows);
-         ("queries", Report.J_int queries);
-         ("iters", Report.J_int iters);
-         ("cores", Report.J_int (Domain.recommended_domain_count ()));
-         ("imbalance", Report.J_list (List.rev !imbalance));
-         ("grid", Report.J_list (List.rev !grid));
-         ("speedup_4shards_vs_1_skew", Report.J_float speedup_skew);
-         ("speedup_4shards_vs_1_hash", Report.J_float speedup_hash);
-         ("all_match_oracle", Report.J_bool !grid_ok);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_shard.json\n"
 
 (* Micro-benchmark: the networked SNF server under a client storm. One
    in-process [Snf_net] server (SNFF transport, session layer, domain
@@ -1901,28 +1426,25 @@ let run_micro_server () =
     sstats.Server.sessions_opened sstats.Server.requests_served
     sstats.Server.busy_rejections (Atomic.get busy_retries) sstats.Server.frame_errors;
   let all_ok = Atomic.get failures = 0 in
-  Report.write_json "BENCH_server.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "server-storm");
-         ("clients", Report.J_int clients);
-         ("rows", Report.J_int rows);
-         ("ops_per_client", Report.J_int per_client);
-         ("server_domains", Report.J_int server_domains);
-         ("client_domains", Report.J_int client_domains);
-         ("concurrent_sessions", Report.J_int concurrent_sessions);
-         ("total_queries", Report.J_int total_queries);
-         ("wall_s", Report.J_float wall);
-         ("queries_per_s", Report.J_float qps);
-         ("p50_ms", Report.J_float p50);
-         ("p99_ms", Report.J_float p99);
-         ("busy_retries", Report.J_int (Atomic.get busy_retries));
-         ("server_sessions", Report.J_int sstats.Server.sessions_opened);
-         ("server_requests", Report.J_int sstats.Server.requests_served);
-         ("server_busy_rejections", Report.J_int sstats.Server.busy_rejections);
-         ("server_frame_errors", Report.J_int sstats.Server.frame_errors);
-         ("all_match_oracle", Report.J_bool all_ok);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_server.json\n";
+  write_bench ~metrics:true "BENCH_server.json"
+    [ ("experiment", Json.String "server-storm");
+      ("clients", Json.Int clients);
+      ("rows", Json.Int rows);
+      ("ops_per_client", Json.Int per_client);
+      ("server_domains", Json.Int server_domains);
+      ("client_domains", Json.Int client_domains);
+      ("concurrent_sessions", Json.Int concurrent_sessions);
+      ("total_queries", Json.Int total_queries);
+      ("wall_s", Json.Float wall);
+      ("queries_per_s", Json.Float qps);
+      ("p50_ms", Json.Float p50);
+      ("p99_ms", Json.Float p99);
+      ("busy_retries", Json.Int (Atomic.get busy_retries));
+      ("server_sessions", Json.Int sstats.Server.sessions_opened);
+      ("server_requests", Json.Int sstats.Server.requests_served);
+      ("server_busy_rejections", Json.Int sstats.Server.busy_rejections);
+      ("server_frame_errors", Json.Int sstats.Server.frame_errors);
+      ("all_match_oracle", Json.Bool all_ok) ];
   if not all_ok then
     failwith
       (Printf.sprintf "micro-server: %d responses disagreed with the oracle (or failed)"
@@ -2072,16 +1594,16 @@ let run_micro_attack () =
             rep_name arm_name s.Snf_attack.Trace_adversary.s_frequency s.s_access
             s.s_access_token s.s_access_result s.s_sorting s.s_inference s.s_linked_rows;
           cells :=
-            Report.J_obj
-              [ ("representation", Report.J_string rep_name);
-                ("arm", Report.J_string arm_name);
-                ("index", Report.J_bool use_index);
-                ("queries", Report.J_int (List.length views));
-                ("eq_tokens_distinct", Report.J_int profile.Snf_obs.Leakage.p_eq_distinct);
-                ("eq_token_repeats", Report.J_int profile.p_eq_repeats);
-                ("volume_distinct", Report.J_int profile.p_volume_distinct);
-                ("rounds", Report.J_int profile.p_rounds);
-                ("scores", Report.of_obs_json (Snf_attack.Trace_adversary.scores_to_json s))
+            Json.Obj
+              [ ("representation", Json.String rep_name);
+                ("arm", Json.String arm_name);
+                ("index", Json.Bool use_index);
+                ("queries", Json.Int (List.length views));
+                ("eq_tokens_distinct", Json.Int profile.Snf_obs.Leakage.p_eq_distinct);
+                ("eq_token_repeats", Json.Int profile.p_eq_repeats);
+                ("volume_distinct", Json.Int profile.p_volume_distinct);
+                ("rounds", Json.Int profile.p_rounds);
+                ("scores", (Snf_attack.Trace_adversary.scores_to_json s))
               ]
             :: !cells)
         arms;
@@ -2125,9 +1647,9 @@ let run_micro_attack () =
   let gates = List.rev !gate in
   let cells = List.rev !cells in
   let gates_json =
-    Report.J_list
+    Json.List
       (List.map
-         (fun (n, ok) -> Report.J_obj [ ("gate", Report.J_string n); ("ok", Report.J_bool ok) ])
+         (fun (n, ok) -> Json.Obj [ ("gate", Json.String n); ("ok", Json.Bool ok) ])
          gates)
   in
   (* Leakage parity between two builds is one field: the digest covers
@@ -2136,28 +1658,26 @@ let run_micro_attack () =
      nothing new. *)
   let scorecard_digest =
     let without_rounds = function
-      | Report.J_obj fields -> Report.J_obj (List.remove_assoc "rounds" fields)
+      | Json.Obj fields -> Json.Obj (List.remove_assoc "rounds" fields)
       | j -> j
     in
     Digest.to_hex
       (Digest.string
-         (Report.json_to_string
-            (Report.J_obj
-               [ ("cells", Report.J_list (List.map without_rounds cells));
+         (Json.to_string
+            (Json.Obj
+               [ ("cells", Json.List (List.map without_rounds cells));
                  ("gates", gates_json) ])))
   in
   Printf.printf "  scorecard digest %s\n" scorecard_digest;
-  Report.write_json "BENCH_attack.json"
-    (Report.J_obj
-       [ ("experiment", Report.J_string "trace-adversary-scorecard");
-         ("rows", Report.J_int rows);
-         ("queries", Report.J_int queries);
-         ("index", Report.J_bool use_index);
-         ("cells", Report.J_list cells);
-         ("gates", gates_json);
-         ("scorecard_digest", Report.J_string scorecard_digest);
-         ("metrics", Report.of_obs_metrics (Snf_obs.Metrics.snapshot ())) ]);
-  Printf.printf "wrote BENCH_attack.json (and SNFT_sample.json)\n";
+  write_bench ~metrics:true "BENCH_attack.json"
+    [ ("experiment", Json.String "trace-adversary-scorecard");
+      ("rows", Json.Int rows);
+      ("queries", Json.Int queries);
+      ("index", Json.Bool use_index);
+      ("cells", Json.List cells);
+      ("gates", gates_json);
+      ("scorecard_digest", Json.String scorecard_digest) ];
+  Printf.printf "wrote SNFT_sample.json\n";
   match List.filter (fun (_, ok) -> not ok) gates with
   | [] -> ()
   | bad ->
@@ -2198,7 +1718,7 @@ let run_trace_demo () =
     (fun mode ->
       match Snf_exec.System.query ~mode owner q with
       | Ok _ -> ()
-      | Error e -> Printf.printf "trace-demo query failed: %s\n" e)
+      | Error e -> failwith ("trace-demo: query failed: " ^ e))
     [ `Sort_merge; `Oram; `Binning 16 ];
   Snf_obs.Span.set_enabled false;
   let events = Snf_obs.Span.events () in
@@ -2207,29 +1727,43 @@ let run_trace_demo () =
   Printf.printf "wrote trace.json (%d spans; open in chrome://tracing or Perfetto)\n"
     (List.length events)
 
+(* The one target table: it validates the command line, dispatches, and
+   is what `all` (or no target name) runs, in this order. *)
+let targets =
+  [ ("table1", run_table1);
+    ("figure3", run_figure3);
+    ("attack", run_attack);
+    ("ablation-semantics", ablation "semantics" Ablations.semantics);
+    ("ablation-horizontal", ablation "horizontal partitioning" Ablations.horizontal);
+    ("ablation-workload", ablation "workload-aware partitioning" Ablations.workload);
+    ("ablation-modes", ablation "reconstruction modes (measured)" Ablations.modes);
+    ("ablation-index", ablation "equality indexes" Ablations.index);
+    ("ablation-dynamic", ablation "dynamic inserts" Ablations.dynamic);
+    ("ablation-knowledge", ablation "knowledge acquisition" Ablations.knowledge);
+    ("sweeps", run_sweeps);
+    ("micro-modexp", run_micro_modexp);
+    ("micro-prf", run_micro_prf);
+    ("micro-sort", run_micro_sort);
+    ("micro-fanout", run_micro_fanout);
+    ("micro-paillier", run_micro_paillier);
+    ("micro-join", run_micro_join);
+    ("micro-plan", run_micro_plan);
+    ("micro-server", run_micro_server);
+    ("micro-attack", run_micro_attack);
+    ("trace-demo", run_trace_demo) ]
+
+(* Every argument without a '=' names a target. *)
 let () =
-  (match List.filter (fun t -> not (List.mem t targets)) requested with
+  let requested =
+    List.filter (fun a -> not (String.contains a '=')) (List.tl (Array.to_list Sys.argv))
+  in
+  let names = "all" :: List.map fst targets in
+  (match List.filter (fun t -> not (List.mem t names)) requested with
    | [] -> ()
    | unknown ->
      Printf.eprintf "bench: unknown target(s) %s; valid targets: %s\n"
-       (String.concat ", " unknown) (String.concat " " targets);
+       (String.concat ", " unknown) (String.concat " " names);
      exit 2);
-  if wants "table1" then run_table1 ();
-  if wants "figure3" then run_figure3 ();
-  if wants "attack" then run_attack ();
-  run_ablations ();
-  if wants "sweeps" then run_sweeps ();
-  if wants "micro" then run_micro ();
-  if wants "micro-modexp" then run_micro_modexp ();
-  if wants "micro-prf" then run_micro_prf ();
-  if wants "micro-sort" then run_micro_sort ();
-  if wants "micro-fanout" then run_micro_fanout ();
-  if wants "micro-paillier" then run_micro_paillier ();
-  if wants "micro-join" then run_micro_join ();
-  if wants "micro-batch" then run_micro_batch ();
-  if wants "micro-plan" then run_micro_plan ();
-  if wants "micro-shard" then run_micro_shard ();
-  if wants "micro-server" then run_micro_server ();
-  if wants "micro-attack" then run_micro_attack ();
-  if wants "trace-demo" then run_trace_demo ();
+  let all = requested = [] || List.mem "all" requested in
+  List.iter (fun (name, run) -> if all || List.mem name requested then run ()) targets;
   Printf.printf "\nbench: done\n"

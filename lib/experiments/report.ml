@@ -33,126 +33,8 @@ let render_table ~title ~header rows =
 
 let mb bytes = Printf.sprintf "%.1f MB" (float_of_int bytes /. 1_048_576.0)
 
-let ratio ~baseline v =
-  if baseline = 0.0 then "n/a" else Printf.sprintf "%.3f" (v /. baseline)
-
 let seconds s =
   if s >= 1.0 then Printf.sprintf "%.2f s"
       s
   else if s >= 1e-3 then Printf.sprintf "%.2f ms" (s *. 1e3)
   else Printf.sprintf "%.0f µs" (s *. 1e6)
-
-(* --- machine-readable artifacts ------------------------------------------- *)
-
-(* Minimal JSON emission for benchmark artifacts (BENCH_*.json). Only what
-   the bench targets need — no parser, no dependency. *)
-type json =
-  | J_bool of bool
-  | J_int of int
-  | J_float of float
-  | J_string of string
-  | J_list of json list
-  | J_obj of (string * json) list
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let rec json_to_buf buf indent j =
-  let pad n = String.make n ' ' in
-  match j with
-  | J_bool b -> Buffer.add_string buf (string_of_bool b)
-  | J_int i -> Buffer.add_string buf (string_of_int i)
-  | J_float f ->
-    if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)
-    else Buffer.add_string buf "null"
-  | J_string s ->
-    Buffer.add_char buf '"';
-    Buffer.add_string buf (json_escape s);
-    Buffer.add_char buf '"'
-  | J_list [] -> Buffer.add_string buf "[]"
-  | J_list items ->
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i item ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
-        json_to_buf buf (indent + 2) item)
-      items;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_char buf ']'
-  | J_obj [] -> Buffer.add_string buf "{}"
-  | J_obj fields ->
-    Buffer.add_string buf "{\n";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_string buf ",\n";
-        Buffer.add_string buf (pad (indent + 2));
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (json_escape k);
-        Buffer.add_string buf "\": ";
-        json_to_buf buf (indent + 2) v)
-      fields;
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf (pad indent);
-    Buffer.add_char buf '}'
-
-let json_to_string j =
-  let buf = Buffer.create 1024 in
-  json_to_buf buf 0 j;
-  Buffer.add_char buf '\n';
-  Buffer.contents buf
-
-let write_json path j =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (json_to_string j))
-
-(* Embed an already-built Snf_obs.Json value (ledger reports, adversary
-   scorecards) into a BENCH_*.json document. *)
-let rec of_obs_json (j : Snf_obs.Json.t) =
-  match j with
-  | Snf_obs.Json.Null -> J_string "null"
-  | Snf_obs.Json.Bool b -> J_bool b
-  | Snf_obs.Json.Int i -> J_int i
-  | Snf_obs.Json.Float f -> J_float f
-  | Snf_obs.Json.String s -> J_string s
-  | Snf_obs.Json.List l -> J_list (List.map of_obs_json l)
-  | Snf_obs.Json.Obj fields ->
-    J_obj (List.map (fun (k, v) -> (k, of_obs_json v)) fields)
-
-(* An Snf_obs metrics snapshot as a BENCH_*.json fragment, mirroring the
-   shape of [Snf_obs.Export.metrics_json]. *)
-let of_obs_metrics (s : Snf_obs.Metrics.snapshot) =
-  J_obj
-    [ ( "counters",
-        J_obj (List.map (fun (name, v) -> (name, J_int v)) s.Snf_obs.Metrics.counters) );
-      ( "gauges",
-        J_obj (List.map (fun (name, v) -> (name, J_float v)) s.Snf_obs.Metrics.gauges) );
-      ( "histograms",
-        J_obj
-          (List.map
-             (fun (name, (h : Snf_obs.Metrics.hist)) ->
-               ( name,
-                 J_obj
-                   [ ("count", J_int h.Snf_obs.Metrics.count);
-                     ("sum", J_int h.Snf_obs.Metrics.sum);
-                     ( "buckets",
-                       J_obj
-                         (List.map
-                            (fun (bucket, n) -> (string_of_int bucket, J_int n))
-                            h.Snf_obs.Metrics.buckets) ) ] ))
-             s.Snf_obs.Metrics.histograms) ) ]

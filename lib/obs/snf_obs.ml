@@ -7,8 +7,8 @@
     - {!Span}: nested monotonic spans, off by default
       ([Span.set_enabled true] to record), exported as Chrome
       [trace_event] JSON via {!Export}.
-    - {!Json}: the self-contained JSON used by the exporters (and by
-      [Ledger.report_to_json]).
+    - {!Json}: the self-contained JSON used by the exporters, the
+      conformance reports and the bench's BENCH_*.json files.
     - {!Wiretrace}: the SNFT wire-trace recorder — a deterministic log
       of every SNFM message as the server sees it.
     - {!Leakage}: folds an SNFT trace into per-query leakage metrics

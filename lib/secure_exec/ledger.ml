@@ -1,6 +1,5 @@
 open Snf_relational
 module Metrics = Snf_obs.Metrics
-module Json = Snf_obs.Json
 
 (* Same process-wide counters [Enc_relation.eq_index] bumps — registration
    is idempotent by name, so there is exactly one accounting source shared
@@ -195,153 +194,6 @@ let report t =
     batch_shared_joins = Metrics.value m_shared_joins - t.shared_joins0;
     batch_join_reuses = Metrics.value m_join_reuses - t.join_reuses0;
     query_metrics = List.rev t.query_metrics }
-
-let report_to_json (r : report) : Json.t =
-  Json.Obj
-    [ ("queries", Json.Int r.queries);
-      ( "attrs",
-        Json.List
-          (List.map
-             (fun a ->
-               Json.Obj
-                 [ ("attr", Json.String a.attr);
-                   ("tokens_issued", Json.Int a.tokens_issued);
-                   ("distinct_tokens", Json.Int a.distinct_tokens) ])
-             r.attrs) );
-      ( "co_access",
-        Json.List
-          (List.map
-             (fun ((l1, l2), n) ->
-               Json.Obj
-                 [ ("left", Json.String l1);
-                   ("right", Json.String l2);
-                   ("count", Json.Int n) ])
-             r.co_access) );
-      ("result_volumes", Json.List (List.map (fun v -> Json.Int v) r.result_volumes));
-      ("total_reconstruction_rows", Json.Int r.total_reconstruction_rows);
-      ("wire_requests", Json.Int r.wire_requests);
-      ("wire_bytes_up", Json.Int r.wire_bytes_up);
-      ("wire_bytes_down", Json.Int r.wire_bytes_down);
-      ("index_hits", Json.Int r.index_hits);
-      ("index_misses", Json.Int r.index_misses);
-      ("tid_cache_hits", Json.Int r.tid_cache_hits);
-      ("tid_cache_misses", Json.Int r.tid_cache_misses);
-      ("mapping_cache_hits", Json.Int r.mapping_cache_hits);
-      ("mapping_cache_misses", Json.Int r.mapping_cache_misses);
-      ("batches", Json.Int r.batches);
-      ("batch_queries", Json.Int r.batch_queries);
-      ("batch_shared_joins", Json.Int r.batch_shared_joins);
-      ("batch_join_reuses", Json.Int r.batch_join_reuses);
-      ( "query_metrics",
-        Json.List
-          (List.map
-             (fun per_query ->
-               Json.Obj (List.map (fun (name, d) -> (name, Json.Int d)) per_query))
-             r.query_metrics) ) ]
-
-let report_of_json (j : Json.t) : (report, string) result =
-  let ( let* ) = Result.bind in
-  let field name conv =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "Ledger.report_of_json: bad or missing %S" name)
-  in
-  let int_field j name =
-    match Option.bind (Json.member name j) Json.to_int_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "Ledger.report_of_json: bad or missing %S" name)
-  in
-  let str_field j name =
-    match Option.bind (Json.member name j) Json.to_string_opt with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "Ledger.report_of_json: bad or missing %S" name)
-  in
-  let map_m f l =
-    List.fold_right
-      (fun x acc ->
-        let* acc = acc in
-        let* y = f x in
-        Ok (y :: acc))
-      l (Ok [])
-  in
-  let* queries = int_field j "queries" in
-  let* attrs_json = field "attrs" Json.to_list_opt in
-  let* attrs =
-    map_m
-      (fun a ->
-        let* attr = str_field a "attr" in
-        let* tokens_issued = int_field a "tokens_issued" in
-        let* distinct_tokens = int_field a "distinct_tokens" in
-        Ok { attr; tokens_issued; distinct_tokens })
-      attrs_json
-  in
-  let* co_json = field "co_access" Json.to_list_opt in
-  let* co_access =
-    map_m
-      (fun c ->
-        let* l1 = str_field c "left" in
-        let* l2 = str_field c "right" in
-        let* n = int_field c "count" in
-        Ok ((l1, l2), n))
-      co_json
-  in
-  let* vol_json = field "result_volumes" Json.to_list_opt in
-  let* result_volumes =
-    map_m
-      (fun v ->
-        match Json.to_int_opt v with
-        | Some n -> Ok n
-        | None -> Error "Ledger.report_of_json: non-integer result volume")
-      vol_json
-  in
-  let* total_reconstruction_rows = int_field j "total_reconstruction_rows" in
-  let* wire_requests = int_field j "wire_requests" in
-  let* wire_bytes_up = int_field j "wire_bytes_up" in
-  let* wire_bytes_down = int_field j "wire_bytes_down" in
-  let* index_hits = int_field j "index_hits" in
-  let* index_misses = int_field j "index_misses" in
-  let* tid_cache_hits = int_field j "tid_cache_hits" in
-  let* tid_cache_misses = int_field j "tid_cache_misses" in
-  let* mapping_cache_hits = int_field j "mapping_cache_hits" in
-  let* mapping_cache_misses = int_field j "mapping_cache_misses" in
-  let* batches = int_field j "batches" in
-  let* batch_queries = int_field j "batch_queries" in
-  let* batch_shared_joins = int_field j "batch_shared_joins" in
-  let* batch_join_reuses = int_field j "batch_join_reuses" in
-  let* qm_json = field "query_metrics" Json.to_list_opt in
-  let* query_metrics =
-    map_m
-      (function
-        | Json.Obj fields ->
-          map_m
-            (fun (name, v) ->
-              match Json.to_int_opt v with
-              | Some d -> Ok (name, d)
-              | None -> Error "Ledger.report_of_json: non-integer counter delta")
-            fields
-        | _ -> Error "Ledger.report_of_json: query_metrics entry is not an object")
-      qm_json
-  in
-  Ok
-    { queries;
-      attrs;
-      co_access;
-      result_volumes;
-      total_reconstruction_rows;
-      wire_requests;
-      wire_bytes_up;
-      wire_bytes_down;
-      index_hits;
-      index_misses;
-      tid_cache_hits;
-      tid_cache_misses;
-      mapping_cache_hits;
-      mapping_cache_misses;
-      batches;
-      batch_queries;
-      batch_shared_joins;
-      batch_join_reuses;
-      query_metrics }
 
 let pp_report fmt r =
   Format.fprintf fmt "@[<v>session: %d queries, %d rows through reconstruction@,"

@@ -96,9 +96,4 @@ type report = {
 
 val report : t -> report
 
-val report_to_json : report -> Snf_obs.Json.t
-
-val report_of_json : Snf_obs.Json.t -> (report, string) result
-(** Inverse of [report_to_json]; [Error] on shape mismatch. *)
-
 val pp_report : Format.formatter -> report -> unit

@@ -220,18 +220,6 @@ let join_many ?tids_for ~masks stats client =
       Array.map (fun (tid, rows) -> (tid, Array.to_list rows)) (kway_core stats sides)
     else join_many_cascade ?tids_for ~masks stats client
 
-let join_indices ?tids_for ?mask_a ?mask_b stats client a b =
-  let tids_of = tids_of ?tids_for client in
-  let ma = check_mask "left" a.Enc_relation.row_count mask_a in
-  let mb = check_mask "right" b.Enc_relation.row_count mask_b in
-  let sides = [| (tids_of a, ma); (tids_of b, mb) |] in
-  if packable sides then
-    Array.map (fun (tid, rows) -> (tid, rows.(0), rows.(1))) (kway_core stats sides)
-  else
-    join_entries stats
-      (entries_of (tids_of a) 0 ma)
-      (entries_of (tids_of b) 1 mb)
-
 (* --- cached tid orders and the lockstep pass ------------------------------ *)
 
 (* A leaf's slots sorted by tid, as packed (tid, slot) keys: side 0 and

@@ -58,17 +58,6 @@ module Packed : sig
   val row : int -> int
 end
 
-val join_indices :
-  ?tids_for:(Enc_relation.enc_leaf -> int array) ->
-  ?mask_a:bool array -> ?mask_b:bool array ->
-  stats -> Enc_relation.client ->
-  Enc_relation.enc_leaf -> Enc_relation.enc_leaf ->
-  (int * int * int) array
-(** [(tid, row_a, row_b)] for every tid present (and mask-selected) on both
-    sides, in ascending tid order. Masks default to all-true and must
-    match the leaf lengths. [tids_for] overrides per-leaf tid decryption
-    (default: [Enc_relation.decrypt_tids client]). *)
-
 val join_many :
   ?tids_for:(Enc_relation.enc_leaf -> int array) ->
   masks:(Enc_relation.enc_leaf * bool array) list ->

@@ -207,15 +207,19 @@ let test_planner_optimal_beats_greedy_cover () =
 let test_join_indices () =
   let _, _, client, enc = fixture () in
   let a = Enc_relation.find_leaf enc "p0" and b = Enc_relation.find_leaf enc "p1" in
+  let all = Array.make 6 true in
   let stats = Oblivious_join.fresh_stats () in
-  let pairs = Oblivious_join.join_indices stats client a b in
+  let pairs = Oblivious_join.join_many ~masks:[ (a, all); (b, all) ] stats client in
   Alcotest.(check int) "all tids match" 6 (Array.length pairs);
   Array.iter
-    (fun (tid, ra, rb) ->
-      Alcotest.(check int) "left slot holds tid" tid
-        (Enc_relation.decrypt_tid client ~leaf:"p0" a.Enc_relation.tids.(ra));
-      Alcotest.(check int) "right slot holds tid" tid
-        (Enc_relation.decrypt_tid client ~leaf:"p1" b.Enc_relation.tids.(rb)))
+    (fun (tid, rows) ->
+      match rows with
+      | [ ra; rb ] ->
+        Alcotest.(check int) "left slot holds tid" tid
+          (Enc_relation.decrypt_tid client ~leaf:"p0" a.Enc_relation.tids.(ra));
+        Alcotest.(check int) "right slot holds tid" tid
+          (Enc_relation.decrypt_tid client ~leaf:"p1" b.Enc_relation.tids.(rb))
+      | _ -> Alcotest.fail "one row per leaf")
     pairs;
   Alcotest.(check int) "one join charged" 1 stats.Oblivious_join.joins;
   Alcotest.(check bool) "comparisons counted" true (stats.Oblivious_join.comparisons > 0);
@@ -223,7 +227,7 @@ let test_join_indices () =
   let mask = Array.make 6 false in
   mask.(0) <- true;
   let stats2 = Oblivious_join.fresh_stats () in
-  let masked = Oblivious_join.join_indices ~mask_a:mask stats2 client a b in
+  let masked = Oblivious_join.join_many ~masks:[ (a, mask); (b, all) ] stats2 client in
   Alcotest.(check int) "mask filters output" 1 (Array.length masked);
   Alcotest.(check int) "but the network always processes everything"
     stats.Oblivious_join.comparisons stats2.Oblivious_join.comparisons

@@ -306,9 +306,9 @@ let test_executor_phase_spans () =
       Alcotest.(check bool) "encryption spans recorded" true
         (named "enc.encrypt" <> [] && named "enc.leaf" <> []))
 
-(* --- ledger JSON round-trip ------------------------------------------------ *)
+(* --- ledger report ---------------------------------------------------------- *)
 
-let test_ledger_report_json_roundtrip () =
+let test_ledger_report () =
   let owner = exec_owner 100 in
   let ledger = Snf_exec.Ledger.create owner in
   List.iter
@@ -341,11 +341,7 @@ let test_ledger_report_json_roundtrip () =
   Alcotest.(check bool) "lazy index builds recorded" true
     (report.Snf_exec.Ledger.index_misses >= 1);
   Alcotest.(check bool) "repeat probes hit the cache" true
-    (report.Snf_exec.Ledger.index_hits >= 1);
-  let text = Json.to_string (Snf_exec.Ledger.report_to_json report) in
-  match Result.bind (Json.of_string text) Snf_exec.Ledger.report_of_json with
-  | Ok back -> Alcotest.(check bool) "report round-trips" true (back = report)
-  | Error e -> Alcotest.fail ("round-trip: " ^ e)
+    (report.Snf_exec.Ledger.index_hits >= 1)
 
 let suite =
   [ t "registration idempotent by name" test_registration_idempotent;
@@ -360,4 +356,4 @@ let suite =
     t "metrics json shape" test_metrics_json_shape;
     t "executor counters match trace" test_executor_counters_match_trace;
     t "executor phase spans" test_executor_phase_spans;
-    t "ledger report json round-trip" test_ledger_report_json_roundtrip ]
+    t "ledger report records queries" test_ledger_report ]

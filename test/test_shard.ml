@@ -208,29 +208,27 @@ let shard_counter_sums deltas =
     (0, 0, 0)
     (Metrics.counters_with_prefix "exec.wire.shard" deltas)
 
-(* The tentpole's acceptance: mem and sharded twins of one store agree
-   on answers, counters and outer wire traffic for shards x domains,
-   and the coordinator's per-shard counters reconcile bit-identically
-   with the shard connections' own stats. *)
+(* Mem and sharded twins of one store agree on answers, counters and
+   outer wire traffic for placement x shards x domains, and the
+   coordinator's per-shard counters reconcile bit-identically with the
+   shard connections' own stats. *)
 let test_sharded_mem_parity () =
   let saved = Parallel.domain_count () in
   Fun.protect ~finally:(fun () -> Parallel.set_domain_count saved) @@ fun () ->
   List.iter
-    (fun shards ->
+    (fun (policy, shards) ->
       List.iter
         (fun domains ->
           Parallel.set_domain_count domains;
           let mem = mixed_owner () in
-          let st =
-            Backend_sharded.create ~policy:Backend_sharded.Skew
-              ~connect:mem_connect ~shards ()
-          in
+          let st = Backend_sharded.create ~policy ~connect:mem_connect ~shards () in
           let tw = System.with_backend mem (System.sharded st) in
           Fun.protect
             ~finally:(fun () -> System.release tw; System.release mem)
           @@ fun () ->
           let name fmt =
-            Printf.sprintf "%dx%d domains: %s" shards domains fmt
+            Printf.sprintf "%s %dx%d domains: %s"
+              (Backend_sharded.policy_name policy) shards domains fmt
           in
           Alcotest.(check string) (name "twin is sharded-bound") "sharded"
             (System.backend_kind_name (System.backend tw));
@@ -301,7 +299,9 @@ let test_sharded_mem_parity () =
               (`Sort_merge, true, "sort-merge+index");
               (`Binning 4, false, "binning") ])
         [ 1; 4 ])
-    [ 1; 2; 4 ]
+    (List.concat_map
+       (fun policy -> List.map (fun shards -> (policy, shards)) [ 1; 2; 4 ])
+       [ Backend_sharded.Hash; Backend_sharded.Skew ])
 
 (* Homomorphic aggregation crosses the coordinator: partial Paillier
    sums recombine to the single-backend ciphertext semantics, and
