@@ -57,9 +57,9 @@
                                              trace_event format); fails
                                              if any query fails.
    `dune exec bench/main.exe -- micro-join`
-                                           — packed k-way join vs the
-                                             pairwise cascade, tid-decrypt
-                                             cache warm/cold, domains 1/4;
+                                           — sort-merge path (tid orders
+                                             + lockstep) cold/warm vs the
+                                             pairwise cascade, domains 1/4;
                                              writes BENCH_figure3.json.
    `dune exec bench/main.exe -- micro-attack`
                                            — trace-replay adversary
@@ -282,6 +282,21 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
+(* The executor's sort-merge reconstruction over whole leaves: each
+   leaf's tid order from the client's tid cache (decrypts and the order's
+   network on a miss), then one lockstep pass under the masks. *)
+let production_join stats client masks =
+  let module OJ = Snf_exec.Oblivious_join in
+  let orders =
+    List.map
+      (fun (l, _) ->
+        Option.get (Snf_exec.Enc_relation.tid_order_cached client l ~build:(OJ.tid_order stats)))
+      masks
+  in
+  Option.get
+    (OJ.lockstep stats ~drop_tid:(fun _ -> false) (Array.of_list orders)
+       (Array.of_list (List.map snd masks)))
+
 let run_sweeps () =
   section "Parameter sweeps";
   (* Path ORAM: cost per access vs capacity (expected ~log n). *)
@@ -328,14 +343,14 @@ let run_sweeps () =
       let g = Snf_deps.Dep_graph.declare_dependent g "a" "b" in
       let owner = Snf_exec.System.outsource ~name:"sweep" ~graph:g r policy in
       match owner.Snf_exec.System.enc.Snf_exec.Enc_relation.leaves with
-      | [ la; lb ] ->
+      | [ _; _ ] as leaves ->
         let stats = Snf_exec.Oblivious_join.fresh_stats () in
-        let all (l : Snf_exec.Enc_relation.enc_leaf) = (l, Array.make l.row_count true) in
-        let masks = [ all la; all lb ] in
         let _, dt =
           time (fun () ->
               ignore
-                (Snf_exec.Oblivious_join.join_many ~masks stats owner.Snf_exec.System.client))
+                (production_join stats owner.Snf_exec.System.client
+                   (List.map (fun (l : Snf_exec.Enc_relation.enc_leaf) ->
+                        (l, Snf_exec.Bitmask.create l.row_count true)) leaves)))
         in
         Printf.printf "  n=%6d  comparisons=%9d  time=%8.1f ms\n" n
           stats.Snf_exec.Oblivious_join.comparisons (dt *. 1e3)
@@ -751,7 +766,7 @@ let run_micro_paillier () =
              modexp) );
       ("ciphertexts_deterministic_across_domains", Json.Bool deterministic) ]
 
-(* Per-leaf slot arrays of a [join_many]-shaped answer: the shape the
+(* Per-leaf slot arrays of a cascade-shaped answer: the shape the
    lockstep pass returns. *)
 let slots_of_joined k joined =
   Array.init k (fun i -> Array.map (fun (_, rows) -> List.nth rows i) joined)
@@ -759,8 +774,8 @@ let slots_of_joined k joined =
 (* The sort-merge reconstruction the executor runs, on k keyed shuffles
    of the same [rows] tids under a fixed mask pattern: µs per
    reconstruction cold (every leaf's tid order built, then the lockstep
-   pass), warm (the pass over cached orders) and by [join_many]. Fails
-   unless the pass equals [join_many] on the same inputs. *)
+   pass), warm (the pass over cached orders) and by the cascade. Fails
+   unless the pass equals the cascade on the same inputs. *)
 let lockstep_reconstruction ~rows ~k =
   let module OJ = Snf_exec.Oblivious_join in
   let prng = Snf_crypto.Prng.create (17 + k) in
@@ -791,15 +806,15 @@ let lockstep_reconstruction ~rows ~k =
   let client =
     Snf_exec.Enc_relation.make_client ~relation_name:"microjoin.lockstep" ~master:"lockstep" ()
   in
-  let join_many () =
-    OJ.join_many
+  let cascade () =
+    OJ.join_many_cascade
       ~tids_for:(fun l -> List.assoc l leaves)
       ~masks:(List.mapi (fun i (l, _) -> (l, Snf_exec.Bitmask.to_bools masks.(i))) leaves)
       (OJ.fresh_stats ()) client
   in
   let warm_orders = orders () in
-  if pass warm_orders <> Some (slots_of_joined k (join_many ())) then
-    failwith (Printf.sprintf "micro-join: lockstep pass disagrees with join_many (k=%d)" k);
+  if pass warm_orders <> Some (slots_of_joined k (cascade ())) then
+    failwith (Printf.sprintf "micro-join: lockstep pass disagrees with the cascade (k=%d)" k);
   let us_per reps f =
     let best = ref infinity in
     for _ = 1 to 3 do
@@ -813,19 +828,20 @@ let lockstep_reconstruction ~rows ~k =
     done;
     !best *. 1e6
   in
-  (us_per 5 (fun () -> pass (orders ())), us_per 50 (fun () -> pass warm_orders), us_per 5 join_many)
+  (us_per 5 (fun () -> pass (orders ())), us_per 50 (fun () -> pass warm_orders), us_per 5 cascade)
 
-(* Join hot-path benchmark: the packed single-pass k-way join (with and
-   without the tid-decrypt cache, under 1 and 4 domains) against the
-   pairwise cascade it replaced, which is kept as the in-tree baseline
-   (`Oblivious_join.join_many_cascade`), then the executor's sort-merge
-   path — tid orders and one lockstep pass, checked against the join and
-   timed cold and warm at k = 2 and 3. Also runs a correctness grid
+(* Join hot-path benchmark: the executor's sort-merge path (tid orders
+   from the client's tid cache, then one lockstep pass) against the
+   pairwise cascade, which is kept as the in-tree baseline
+   (`Oblivious_join.join_many_cascade`), under 1 and 4 domains. The
+   production path runs cold (tid decrypts, tid orders, the pass) and
+   warm (the pass over cached orders); both must equal the cascade. Then
+   the same path at k = 2 and 3 on shuffled tids, a correctness grid
    (five representations x three reconstruction modes x cache x domains,
-   every answer bag-checked against the plaintext oracle) and four
-   differential soaks, then writes BENCH_figure3.json. *)
+   every answer bag-checked against the plaintext oracle) and two
+   differential soaks; writes BENCH_figure3.json. *)
 let run_micro_join () =
-  section "Micro: oblivious join hot path (packed k-way vs cascade)";
+  section "Micro: oblivious join hot path (tid orders + lockstep vs cascade)";
   let rows = arg_value "rows" 10_000 in
   let iters = max 1 (arg_value "iters" 2) in
   let make_relation n =
@@ -857,6 +873,7 @@ let run_micro_join () =
         (l, Array.make l.Snf_exec.Enc_relation.row_count true))
       leaves
   in
+  let bitmasks = List.map (fun (l, m) -> (l, Snf_exec.Bitmask.of_bools m)) masks in
   let total_rows = rows * List.length leaves in
   (* Milliseconds per whole-join, best of [iters]; each run under an
      explicit domain count. *)
@@ -874,20 +891,17 @@ let run_micro_join () =
     let stats = Snf_exec.Oblivious_join.fresh_stats () in
     Snf_exec.Oblivious_join.join_many_cascade ~masks stats client
   in
-  let kway ~cached () =
-    let stats = Snf_exec.Oblivious_join.fresh_stats () in
-    let tids_for =
-      if cached then Some (Snf_exec.Enc_relation.decrypt_tids_cached client)
-      else None
-    in
-    Snf_exec.Oblivious_join.join_many ?tids_for ~masks stats client
+  (* A cold run starts from an emptied tid cache. *)
+  let production ~cold () =
+    if cold then Snf_exec.Enc_relation.bump_key_epoch client;
+    production_join (Snf_exec.Oblivious_join.fresh_stats ()) client bitmasks
   in
-  (* Answers must be bit-identical before any timing matters. *)
-  let reference = cascade () in
+  (* Answers must be identical before any timing matters. *)
+  let reference = slots_of_joined (List.length leaves) (cascade ()) in
   let identical =
-    reference = kway ~cached:false () && reference = kway ~cached:true ()
+    reference = production ~cold:true () && reference = production ~cold:false ()
   in
-  if not identical then failwith "micro-join: k-way join disagrees with the cascade";
+  if not identical then failwith "micro-join: the sort-merge path disagrees with the cascade";
   let m_hits = Snf_obs.Metrics.counter "exec.join.tid_cache.hits" in
   let m_misses = Snf_obs.Metrics.counter "exec.join.tid_cache.misses" in
   let hits0 = Snf_obs.Metrics.value m_hits in
@@ -895,11 +909,12 @@ let run_micro_join () =
   let cascade_d1 = ms_of ~domains:1 cascade in
   let cascade_d4 = ms_of ~domains:4 cascade in
   let baseline_ms = min cascade_d1 cascade_d4 in
-  let nocache_d1 = ms_of ~domains:1 (kway ~cached:false) in
-  let nocache_d4 = ms_of ~domains:4 (kway ~cached:false) in
-  let cached_d1 = ms_of ~domains:1 (kway ~cached:true) in
-  let cached_d4 = ms_of ~domains:4 (kway ~cached:true) in
-  let best_ms = min cached_d1 cached_d4 in
+  let cold_d1 = ms_of ~domains:1 (production ~cold:true) in
+  let cold_d4 = ms_of ~domains:4 (production ~cold:true) in
+  let warm_d1 = ms_of ~domains:1 (production ~cold:false) in
+  let warm_d4 = ms_of ~domains:4 (production ~cold:false) in
+  let cold_ms = min cold_d1 cold_d4 in
+  let best_ms = min warm_d1 warm_d4 in
   let tput ms = float_of_int total_rows /. (ms /. 1e3) in
   let speedup ms = baseline_ms /. ms in
   let cache_hits = Snf_obs.Metrics.value m_hits - hits0 in
@@ -908,44 +923,27 @@ let run_micro_join () =
     (List.length leaves) iters;
   Printf.printf "  cascade (baseline)   d1 %8.1f ms   d4 %8.1f ms\n" cascade_d1
     cascade_d4;
-  Printf.printf "  k-way, cache off     d1 %8.1f ms   d4 %8.1f ms  (%.1fx)\n"
-    nocache_d1 nocache_d4
-    (speedup (min nocache_d1 nocache_d4));
-  Printf.printf "  k-way, cache on      d1 %8.1f ms   d4 %8.1f ms  (%.1fx)\n" cached_d1
-    cached_d4 (speedup best_ms);
+  Printf.printf "  sort-merge, cold     d1 %8.1f ms   d4 %8.1f ms  (%.1fx)\n" cold_d1
+    cold_d4 (speedup cold_ms);
+  Printf.printf "  sort-merge, warm     d1 %8.1f ms   d4 %8.1f ms  (%.1fx)\n" warm_d1
+    warm_d4 (speedup best_ms);
   Printf.printf "  throughput: %.0f rows/s baseline -> %.0f rows/s best\n"
     (tput baseline_ms) (tput best_ms);
   Printf.printf "  tid cache during timing: %d hits, %d misses\n" cache_hits
     cache_misses;
   Printf.printf "  answers identical across variants: %b\n" identical;
-  (* The executor's path on the same leaves: tid orders, then one
-     lockstep pass, must reproduce the join's answer. *)
-  let lockstep_identical =
-    let module OJ = Snf_exec.Oblivious_join in
-    let stats = OJ.fresh_stats () in
-    let orders =
-      List.map
-        (fun (l, _) -> Option.get (OJ.tid_order stats (Snf_exec.Enc_relation.decrypt_tids client l)))
-        masks
-    in
-    OJ.lockstep stats ~drop_tid:(fun _ -> false) (Array.of_list orders)
-      (Array.of_list (List.map (fun (_, m) -> Snf_exec.Bitmask.of_bools m) masks))
-    = Some (slots_of_joined (List.length leaves) reference)
-  in
-  if not lockstep_identical then failwith "micro-join: lockstep pass disagrees with the join";
-  Printf.printf "  lockstep pass identical to the join: %b\n" lockstep_identical;
   let lockstep =
     List.map
       (fun k ->
-        let cold, warm, join = lockstep_reconstruction ~rows ~k in
+        let cold, warm, cascade = lockstep_reconstruction ~rows ~k in
         Printf.printf
-          "  reconstruction k=%d: cold %8.1f us  warm %8.1f us  (join_many %8.1f us)\n" k
-          cold warm join;
+          "  reconstruction k=%d: cold %8.1f us  warm %8.1f us  (cascade %8.1f us)\n" k
+          cold warm cascade;
         Json.Obj
           [ ("k", Json.Int k);
             ("cold_us", Json.Float cold);
             ("warm_us", Json.Float warm);
-            ("join_many_us", Json.Float join) ])
+            ("cascade_us", Json.Float cascade) ])
       [ 2; 3 ]
   in
   (* Correctness grid: five representations x reconstruction modes x
@@ -1028,8 +1026,8 @@ let run_micro_join () =
     [ 1; 4 ];
   if not (!grid_ok && !diff_ok) then
     failwith "micro-join: some answer disagreed with the oracle";
-  Printf.printf "  speedup vs cascade baseline: %.1fx (acceptance >= 2.0x)\n"
-    (speedup best_ms);
+  Printf.printf "  speedup vs cascade baseline: warm %.1fx (acceptance >= 2.0x), cold %.1fx\n"
+    (speedup best_ms) (speedup cold_ms);
   write_bench ~metrics:true "BENCH_figure3.json"
     [ ("experiment", Json.String "figure3-join-throughput");
       ("rows", Json.Int rows);
@@ -1040,19 +1038,17 @@ let run_micro_join () =
           [ ("cascade_baseline_ms_domains1", Json.Float cascade_d1);
             ("cascade_baseline_ms_domains4", Json.Float cascade_d4);
             ("cascade_baseline_ms", Json.Float baseline_ms);
-            ("kway_nocache_ms_domains1", Json.Float nocache_d1);
-            ("kway_nocache_ms_domains4", Json.Float nocache_d4);
-            ("kway_cached_ms_domains1", Json.Float cached_d1);
-            ("kway_cached_ms_domains4", Json.Float cached_d4);
+            ("sort_merge_cold_ms_domains1", Json.Float cold_d1);
+            ("sort_merge_cold_ms_domains4", Json.Float cold_d4);
+            ("sort_merge_warm_ms_domains1", Json.Float warm_d1);
+            ("sort_merge_warm_ms_domains4", Json.Float warm_d4);
             ("baseline_rows_per_s", Json.Float (tput baseline_ms));
             ("best_rows_per_s", Json.Float (tput best_ms));
-            ( "speedup_kway_nocache",
-              Json.Float (speedup (min nocache_d1 nocache_d4)) );
-            ("speedup_kway_cached", Json.Float (speedup best_ms));
+            ("speedup_sort_merge_cold", Json.Float (speedup cold_ms));
+            ("speedup_sort_merge_warm", Json.Float (speedup best_ms));
             ("tid_cache_hits", Json.Int cache_hits);
             ("tid_cache_misses", Json.Int cache_misses);
             ("answers_identical", Json.Bool identical) ] );
-      ("lockstep_identical", Json.Bool lockstep_identical);
       ("lockstep_reconstruction", Json.List lockstep);
       ("grid_rows", Json.Int grid_rows);
       ("grid_all_match_oracle", Json.Bool !grid_ok);

@@ -571,7 +571,7 @@ let explain_cmd =
              ~doc:"Planning handle to explain: 'cost' (default) prices \
                    candidate covers and join orders from server-visible \
                    statistics, 'greedy' is the cover heuristic, 'optimal' \
-                   the legacy exhaustive search minimizing leaf count.")
+                   the exhaustive search minimizing leaf count.")
   in
   let run csv enc default select where planner_kind =
     let r = load_csv csv in
@@ -620,7 +620,10 @@ let explain_cmd =
       | `Greedy -> P.greedy
       | `Cost -> Snf_exec.System.cost_planner owner
       | `Optimal ->
-        P.optimal (fun p -> float_of_int (List.length p.P.leaves))
+        P.cost_based ~label:"optimal" ~max_orders:1
+          ~price:(fun p -> float_of_int (List.length p.P.leaves))
+          ~stamp:(fun () -> (0, 0))
+          ()
     in
     match Snf_exec.System.query ~planner owner q with
     | Error e ->

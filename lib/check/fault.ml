@@ -9,16 +9,21 @@ module Partition = Snf_core.Partition
 type kind =
   | Flip_cell
   | Flip_tid
+  | Swap_tid
+  | Dup_tid
   | Truncate_leaf
   | Drop_leaf
   | Stale_index
   | Key_mismatch
 
-let all = [ Flip_cell; Flip_tid; Truncate_leaf; Drop_leaf; Stale_index; Key_mismatch ]
+let all =
+  [ Flip_cell; Flip_tid; Swap_tid; Dup_tid; Truncate_leaf; Drop_leaf; Stale_index; Key_mismatch ]
 
 let name = function
   | Flip_cell -> "flip-cell"
   | Flip_tid -> "flip-tid"
+  | Swap_tid -> "swap-tid"
+  | Dup_tid -> "dup-tid"
   | Truncate_leaf -> "truncate-leaf"
   | Drop_leaf -> "drop-leaf"
   | Stale_index -> "stale-index"
@@ -94,6 +99,28 @@ let flip_tid ~seed t ~leaf =
         { l with Enc_relation.tids })
   in
   (t', !slot)
+
+(* Authentic ciphertexts moved within the column: every one still
+   decrypts, only its slot is wrong. *)
+let relink_tids ~seed t ~leaf relink =
+  let prng = Prng.create (seed + 0x5a7) in
+  map_leaf t leaf (fun l ->
+      let tids = Array.copy l.Enc_relation.tids in
+      let n = Array.length tids in
+      if n >= 2 then begin
+        let i = Prng.int prng n in
+        let j = (i + 1 + Prng.int prng (n - 1)) mod n in
+        relink tids i j
+      end;
+      { l with Enc_relation.tids })
+
+let swap_tids ~seed t ~leaf =
+  relink_tids ~seed t ~leaf (fun tids i j ->
+      let ti = tids.(i) in
+      tids.(i) <- tids.(j);
+      tids.(j) <- ti)
+
+let dup_tid ~seed t ~leaf = relink_tids ~seed t ~leaf (fun tids i j -> tids.(j) <- tids.(i))
 
 let truncate_leaf t ~leaf =
   map_leaf t leaf (fun l ->
@@ -205,6 +232,24 @@ let campaign ?(seed = 1) (inst : Gen.instance) =
         let enc, _slot = flip_tid ~seed owner.System.enc ~leaf:"fa" in
         detection { owner with System.enc } (full_scan [ "s0"; "s1" ]))
   in
+  let relink_outcome kind ~detail relink =
+    run kind
+      ~applicable:(Relation.cardinality inst.Gen.relation >= 2)
+      ~detail
+      (fun () ->
+        let owner =
+          outsource_leaves inst ~tag:(name kind) [ ("fa", [ "s0" ]); ("fb", [ "s1" ]) ]
+        in
+        let enc = relink ~seed owner.System.enc ~leaf:"fa" in
+        detection { owner with System.enc } (full_scan [ "s0"; "s1" ]))
+  in
+  let swap_outcome =
+    relink_outcome Swap_tid ~detail:"two tid ciphertexts of a joined leaf swapped" swap_tids
+  in
+  let dup_outcome =
+    relink_outcome Dup_tid ~detail:"a tid ciphertext of a joined leaf copied over another"
+      dup_tid
+  in
   let truncate_outcome =
     run Truncate_leaf
       ~applicable:(Relation.cardinality inst.Gen.relation > 0)
@@ -260,8 +305,8 @@ let campaign ?(seed = 1) (inst : Gen.instance) =
         let impostor = mismatched_client ~name:(inst.Gen.name ^ ".keymm") in
         detection { owner with System.client = impostor } (full_scan [ attr ]))
   in
-  [ flip_cell_outcome; flip_tid_outcome; truncate_outcome; drop_outcome; stale_outcome;
-    key_outcome ]
+  [ flip_cell_outcome; flip_tid_outcome; swap_outcome; dup_outcome; truncate_outcome;
+    drop_outcome; stale_outcome; key_outcome ]
 
 (* --- connection faults ------------------------------------------------------
    The transport analogue of the storage campaign: sever a live socket at

@@ -1,7 +1,8 @@
 (** Fault injection over the encrypted store.
 
     Each injector damages a copy of an [Enc_relation.t] the way real
-    storage rots — flipped ciphertext bits, truncated or dropped
+    storage rots — flipped ciphertext bits, authentic tid ciphertexts
+    moved between slots, truncated or dropped
     partition leaves, stale equality-index entries, mismatched key
     material — and {!campaign} asserts the conformance contract: a query
     touching the damage must surface [Integrity.Corruption], never a
@@ -17,6 +18,8 @@ open Snf_exec
 type kind =
   | Flip_cell      (** one bit of one authenticated cell ciphertext *)
   | Flip_tid       (** one bit of one NDET tid ciphertext *)
+  | Swap_tid       (** two authentic tid ciphertexts of a leaf swapped *)
+  | Dup_tid        (** one authentic tid ciphertext copied over another *)
   | Truncate_leaf  (** leaf loses its last row but keeps its row_count *)
   | Drop_leaf      (** a whole partition leaf disappears *)
   | Stale_index    (** equality-index entries remapped to wrong slots *)
@@ -38,6 +41,16 @@ val flip_cell :
     of a seed-chosen cell; returns the damaged store and the slot. *)
 
 val flip_tid : seed:int -> Enc_relation.t -> leaf:string -> Enc_relation.t * int
+
+val swap_tids : seed:int -> Enc_relation.t -> leaf:string -> Enc_relation.t
+(** Swap the tid ciphertexts of two seed-chosen slots of the leaf: every
+    ciphertext stays authentic, two rows are relinked. A leaf of fewer
+    than two rows is returned unchanged. *)
+
+val dup_tid : seed:int -> Enc_relation.t -> leaf:string -> Enc_relation.t
+(** Copy one seed-chosen tid ciphertext over another slot's: one tid
+    appears twice and another not at all. A leaf of fewer than two rows
+    is returned unchanged. *)
 
 val truncate_leaf : Enc_relation.t -> leaf:string -> Enc_relation.t
 

@@ -32,7 +32,7 @@
        sessions are connection state, not store state.}}
 
     Because the merged responses are byte-identical, everything above
-    the connection — executor, oblivious k-way join, caches, SNFT
+    the connection — executor, oblivious join, caches, SNFT
     recorder — runs unchanged, and the differential harness can demand
     exact bag + counter + wire parity against a single backend.
 

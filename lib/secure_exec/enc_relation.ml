@@ -299,9 +299,10 @@ let row_position c ~leaf ~rows tid =
   if rows < 2 then tid
   else Feistel.permute ~key:(leaf_keys c ~leaf).k_shuffle ~domain:rows tid
 
-let tid_at c ~leaf ~rows slot =
-  if rows < 2 then slot
-  else Feistel.unpermute ~key:(leaf_keys c ~leaf).k_shuffle ~domain:rows slot
+let tid_at_with (lk : leaf_keys) ~rows slot =
+  if rows < 2 then slot else Feistel.unpermute ~key:lk.k_shuffle ~domain:rows slot
+
+let tid_at c ~leaf ~rows slot = tid_at_with (leaf_keys c ~leaf) ~rows slot
 
 let binning_key c ~leaf = (leaf_keys c ~leaf).k_binning
 
@@ -476,11 +477,18 @@ let decrypt_tid_with key ~leaf ct =
 let decrypt_tid c ~leaf ct = decrypt_tid_with (leaf_keys c ~leaf).k_tid ~leaf ct
 
 (* Bulk tid decryption is pure per ciphertext, so it fans out over
-   domains — the per-row crypto cost of a join's enclave side. *)
+   domains — the per-row crypto cost of a join's enclave side. [encrypt]
+   writes tid [tid_at slot] at every slot, so an authentic ciphertext
+   found at any other slot (swapped, duplicated) is a relinked column. *)
 let decrypt_tids c (l : enc_leaf) =
-  let key = (leaf_keys c ~leaf:l.label).k_tid in
-  Parallel.tabulate (Array.length l.tids) (fun i ->
-      decrypt_tid_with key ~leaf:l.label l.tids.(i))
+  let lk = leaf_keys c ~leaf:l.label in
+  let rows = Array.length l.tids in
+  Parallel.tabulate rows (fun slot ->
+      let tid = decrypt_tid_with lk.k_tid ~leaf:l.label l.tids.(slot) in
+      if tid <> tid_at_with lk ~rows slot then
+        Integrity.fail ~leaf:l.label ~where:"tid"
+          (Printf.sprintf "slot %d holds a tid written for another slot" slot);
+      tid)
 
 let tid_entry c (l : enc_leaf) =
   let key = (l.label, c.key_epoch) in

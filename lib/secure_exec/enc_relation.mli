@@ -122,16 +122,20 @@ val decrypt_tid : client -> leaf:string -> string -> int
 
 val decrypt_tids : client -> enc_leaf -> int array
 (** Bulk {!decrypt_tid} over a leaf's whole tid column, fanned out over
-    [Parallel] domains. @raise Integrity.Corruption as {!decrypt_tid}. *)
+    [Parallel] domains. Each slot's tid must be {!tid_at} of the slot —
+    the tid [encrypt] wrote there — so authentic ciphertexts moved
+    between slots (swapped, duplicated) are caught.
+    @raise Integrity.Corruption as {!decrypt_tid}, and with
+    [where = "tid"] on a tid found at another slot than its own. *)
 
 val decrypt_tids_cached : client -> enc_leaf -> int array
 (** {!decrypt_tids} memoized per (leaf label, {!key_epoch}): a leaf's tid
     ciphertexts are static between re-encryptions, so the join hot path
-    pays the NDET decrypts once per leaf per epoch. A cached entry is only
-    served when the leaf's [tids] array is {e physically} the one it was
-    built from — a corrupted or foreign copy with the same label misses
-    and re-decrypts (where authentication fails as usual), so the cache
-    never masks storage corruption. Hits and misses are accounted in the
+    pays the NDET decrypts and their slot check once per leaf per epoch.
+    A cached entry is only served when the leaf's [tids] array is
+    {e physically} the one it was built from — a corrupted or foreign
+    copy with the same label misses and re-decrypts (where the checks
+    fail as usual), so the cache never masks storage corruption. Hits and misses are accounted in the
     process-wide counters ["exec.join.tid_cache.hits"] /
     ["exec.join.tid_cache.misses"] (shared with [Ledger], which reports
     deltas). The returned array is shared with the cache: callers must not

@@ -17,13 +17,10 @@ let m_result_rows = Metrics.counter "exec.query.result_rows"
 let m_tokens = Metrics.counter "exec.query.tokens_minted"
 let h_result_rows = Metrics.histogram "exec.query.result_rows_hist"
 
-(* Batch-level totals: how many Q_batch passes ran, how many queries they
-   carried, and how often an alignment shared by two or more queries was
-   built vs. reused within a batch. *)
+(* Batch-level totals: how many Q_batch passes ran and how many queries
+   they carried. *)
 let m_batches = Metrics.counter "exec.batch.count"
 let m_batch_queries = Metrics.counter "exec.batch.queries"
-let m_shared_joins = Metrics.counter "exec.batch.shared_joins"
-let m_join_reuses = Metrics.counter "exec.batch.join_reuses"
 
 type mode = [ `Sort_merge | `Oram | `Binning of int ]
 
@@ -521,8 +518,6 @@ let add3 (a, b, c) (a', b', c') = (a + a', b + b', c + c')
 let sub3 (a, b, c) (a', b', c') = (a - a', b - b', c - c')
 let wire_of t = (t.wire_requests, t.wire_bytes_up, t.wire_bytes_down)
 
-let leaf_set lvs = List.sort String.compare (List.map (fun lv -> lv.lv_label) lvs)
-
 let publish trace =
   Metrics.incr m_queries;
   Metrics.add m_scanned trace.scanned_cells;
@@ -641,67 +636,30 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
        (slots sorted by tid, one fixed bitonic network) comes from the
        tid cache, built once per leaf and key epoch by the first query
        that needs it and charged to that query; a lockstep pass over the
-       orders then answers the query under its own masks. A leaf set
-       joined by two or more members is resolved once, in label order,
-       by the first member; any other set is resolved in plan order. A
-       store the pass finds misaligned is joined by
-       [Oblivious_join.join_many] on the columns already at hand, over the
-       same memoised tid decrypts. A miss authenticates every decrypt, and
-       a corrupted leaf copy always misses (see
-       [Enc_relation.decrypt_tids_cached]). *)
-    let uses = Hashtbl.create 4 in
-    List.iter (fun m -> Hashtbl.add uses (leaf_set m.lvs) ()) executed;
-    let resolve stats lv =
-      let leaf = synthetic_leaf conn lv in
-      (leaf, Enc_relation.tid_order_cached client leaf ~build:(Oblivious_join.tid_order stats))
-    in
-    let resolved = Hashtbl.create 4 in
-    let shared_sides stats labels lvs =
-      match Hashtbl.find_opt resolved labels with
-      | Some sides ->
-        Metrics.incr m_join_reuses;
-        sides
-      | None ->
-        Metrics.incr m_shared_joins;
-        let sides =
-          List.map (fun l -> (l, resolve stats (List.find (fun lv -> lv.lv_label = l) lvs))) labels
-        in
-        Hashtbl.add resolved labels sides;
-        sides
-    in
+       orders then answers the query under its own masks. A miss
+       authenticates every decrypt and checks that every slot holds its
+       own tid, and a corrupted leaf copy always misses (see
+       [Enc_relation.decrypt_tids_cached]). Leaves the pass cannot align
+       come from a tampered store: typed corruption, never a partial
+       answer. *)
     let sort_merge_matches stats lvs masks =
-      let labels = leaf_set lvs in
-      let shared = List.compare_length_with (Hashtbl.find_all uses labels) 1 > 0 in
-      Span.with_ ~name:"query.reconstruct"
-        ~attrs:[ ("path", if shared then "batch" else "sort_merge") ]
-      @@ fun () ->
-      let sides =
-        if shared then
-          let by_label = shared_sides stats labels lvs in
-          List.map (fun lv -> List.assoc lv.lv_label by_label) lvs
-        else List.map (resolve stats) lvs
+      Span.with_ ~name:"query.reconstruct" ~attrs:[ ("path", "sort_merge") ] @@ fun () ->
+      let orders =
+        List.filter_map
+          (fun lv ->
+            Enc_relation.tid_order_cached client (synthetic_leaf conn lv)
+              ~build:(Oblivious_join.tid_order stats))
+          lvs
       in
-      let orders = List.filter_map snd sides in
       let pass =
-        if List.compare_lengths orders sides = 0 then
+        if List.compare_lengths orders lvs = 0 then
           Oblivious_join.lockstep stats ~drop_tid:drop (Array.of_list orders)
             (Array.of_list masks)
         else None
       in
       match pass with
       | Some slots -> slots
-      | None ->
-        let joined =
-          Oblivious_join.join_many ~tids_for:(Enc_relation.decrypt_tids_cached client)
-            ~masks:(List.map2 (fun (leaf, _) mask -> (leaf, Bitmask.to_bools mask)) sides masks)
-            stats client
-          |> Array.to_list
-          |> List.filter (fun (tid, _) -> not (drop tid))
-        in
-        Array.of_list
-          (List.mapi
-             (fun i _ -> Array.of_list (List.map (fun (_, rows) -> List.nth rows i) joined))
-             lvs)
+      | None -> Integrity.fail ~where:"store" "planned leaves do not align on their tids"
     in
     (* Phase 3, per member: reconstruct and decrypt, then build the trace
        record. Inside a batch each member gets its own query window,

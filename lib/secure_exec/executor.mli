@@ -16,9 +16,9 @@
     are minted (equality indexes probed under [use_index]), the server
     filters, the enclave reconstructs, the client decrypts, and one
     {!trace} record is built and published as [exec.query.*] counters.
-    {!run_conn} is {!run_batch} of one query. Three choices depend on
-    the batch, and all three are read from the batch itself, never from
-    a knob:
+    {!run_conn} is {!run_batch} of one query. Two choices depend on
+    the batch, and both are read from the batch itself, never from a
+    knob:
 
     {ol
     {- {e Filter encoding.} With exactly one executable (planned) query,
@@ -30,17 +30,16 @@
        once, each query gets its own window inside a
        [batch.begin]/[batch.end] pair, and [exec.batch.{count,queries}]
        tick.}
-    {- {e Tid-column fetch order.} The tid columns of a leaf set that
-       two or more executable queries join are fetched once, in label
-       order, by the first of them ([exec.batch.shared_joins] per set
-       fetched, [exec.batch.join_reuses] per member reusing it). Any
-       other leaf set is fetched in plan order.}
     {- {e Mapping cache.} With two or more executable queries, token
        minting and cell decrypts go through the client's crypto-free
        mapping cache, so later members reuse what earlier ones minted
        and decrypted; [exec.mapping_cache.*] move. A lone executable
        query leaves the cache alone: it neither reads nor fills it, and
        those counters do not move.}}
+
+    Every member resolves its own leaves, in plan order, exactly as a
+    lone query does; reuse across members comes from the connection's
+    tid-column memo and the client's tid cache.
 
     Three reconstruction mechanisms ({!mode}); single-leaf plans need
     none:
@@ -49,8 +48,8 @@
       built once per key epoch and cached with its tid decrypts, and
       every query runs one lockstep pass over the orders, reading every
       rank and the selection mask bit at every slot the orders name
-      ([Oblivious_join.lockstep]); a store the pass finds misaligned is
-      joined by [Oblivious_join.join_many] instead;
+      ([Oblivious_join.lockstep]); leaves the pass cannot align raise
+      [Integrity.Corruption];
     - [`Oram] — anchor-leaf selection, partner rows fetched through a
       per-leaf Path ORAM;
     - [`Binning of bin_size] — partner rows fetched by fixed-size keyed
@@ -106,9 +105,9 @@ val run_conn :
     [mode] defaults to [`Sort_merge].
 
     [planner] (default [Planner.greedy]) chooses how queries are planned:
-    the greedy cover heuristic, a statistics-driven cost-based handle
-    ([System.cost_planner] / [Cost_model.planner]), or the legacy
-    exhaustive [Planner.optimal]. The resulting {!Planner.decision} is
+    the greedy cover heuristic or a cost-based handle
+    ([System.cost_planner] / [Cost_model.planner] /
+    [Planner.cost_based]). The resulting {!Planner.decision} is
     carried in the trace's [decision] field. The trace's
     [estimated_seconds] is priced with [Cost_model.default].
 
@@ -137,12 +136,13 @@ val run_conn :
     The answer's columns follow the query's projection order; row order
     is unspecified.
 
-    Storage corruption — dropped or truncated leaves, tampered
-    ciphertexts, stale index entries — raises the typed
+    Storage corruption — dropped or truncated leaves, tampered or
+    relinked ciphertexts, stale index entries — raises the typed
     [Integrity.Corruption] rather than returning a wrong answer: leaf
     shapes are checked up front, index-served slots are bounds-checked
     and their rows re-verified against the predicate after decryption,
-    and every decrypt authenticates (see [Enc_relation]). Use
+    every decrypt authenticates, and every decrypted tid must be the one
+    its slot was written with (see [Enc_relation]). Use
     [System.query_checked] for a result-typed wrapper. *)
 
 val run_batch :
@@ -165,8 +165,8 @@ val run_batch :
     Trace accounting is exact: each trace carries its own minting and
     reconstruction traffic, the shared traffic (Describe/Check_shape and
     the filter round trips) is charged to the first executed query, and
-    a shared alignment's comparisons are charged to the query that built
-    it (reusers report zero). Summed traces therefore reconcile exactly
+    a tid order's comparisons are charged to the query that built it
+    (later queries report zero). Summed traces therefore reconcile exactly
     with the global [exec.query.*] / [exec.wire.*] counter deltas —
     bit-identically for any SNF_DOMAINS.
 

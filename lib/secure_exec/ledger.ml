@@ -12,8 +12,6 @@ let m_map_hits = Metrics.counter "exec.mapping_cache.hits"
 let m_map_misses = Metrics.counter "exec.mapping_cache.misses"
 let m_batches = Metrics.counter "exec.batch.count"
 let m_batch_queries = Metrics.counter "exec.batch.queries"
-let m_shared_joins = Metrics.counter "exec.batch.shared_joins"
-let m_join_reuses = Metrics.counter "exec.batch.join_reuses"
 
 type t = {
   owner : System.owner;
@@ -36,8 +34,6 @@ type t = {
   map_misses0 : int;
   batches0 : int;
   batch_queries0 : int;
-  shared_joins0 : int;
-  join_reuses0 : int;
   mutable query_metrics : (string * int) list list; (* newest first *)
 }
 
@@ -59,8 +55,6 @@ let create owner =
     map_misses0 = Metrics.value m_map_misses;
     batches0 = Metrics.value m_batches;
     batch_queries0 = Metrics.value m_batch_queries;
-    shared_joins0 = Metrics.value m_shared_joins;
-    join_reuses0 = Metrics.value m_join_reuses;
     query_metrics = [] }
 
 let owner t = t.owner
@@ -149,8 +143,6 @@ type report = {
   mapping_cache_misses : int;
   batches : int;
   batch_queries : int;
-  batch_shared_joins : int;
-  batch_join_reuses : int;
   query_metrics : (string * int) list list;
 }
 
@@ -191,8 +183,6 @@ let report t =
     mapping_cache_misses = Metrics.value m_map_misses - t.map_misses0;
     batches = Metrics.value m_batches - t.batches0;
     batch_queries = Metrics.value m_batch_queries - t.batch_queries0;
-    batch_shared_joins = Metrics.value m_shared_joins - t.shared_joins0;
-    batch_join_reuses = Metrics.value m_join_reuses - t.join_reuses0;
     query_metrics = List.rev t.query_metrics }
 
 let pp_report fmt r =
@@ -219,7 +209,5 @@ let pp_report fmt r =
     Format.fprintf fmt "  mapping cache: %d hits, %d misses@," r.mapping_cache_hits
       r.mapping_cache_misses;
   if r.batches > 0 then
-    Format.fprintf fmt
-      "  batches: %d (%d queries); shared joins: %d built, %d reused@," r.batches
-      r.batch_queries r.batch_shared_joins r.batch_join_reuses;
+    Format.fprintf fmt "  batches: %d (%d queries)@," r.batches r.batch_queries;
   Format.fprintf fmt "@]"

@@ -85,10 +85,6 @@ type report = {
         since [create] — delta of the process-wide ["exec.batch.count"]
         counter *)
   batch_queries : int;                 (** queries carried by those batches *)
-  batch_shared_joins : int;
-    (** oblivious alignments built for a leaf set that two or more
-        queries of one batch join *)
-  batch_join_reuses : int;             (** alignment reuses within batches *)
   query_metrics : (string * int) list list;
     (** per query, in execution order: every [Snf_obs] counter the query
         moved, with its delta (crypto ops, scans, comparisons, ...) *)

@@ -10,14 +10,10 @@ type stats = {
 
 let fresh_stats () = { comparisons = 0; rows_processed = 0; joins = 0 }
 
-let default_mask n = Array.make n true
-
-let check_mask label n = function
-  | None -> default_mask n
-  | Some m ->
-    if Array.length m <> n then
-      invalid_arg (Printf.sprintf "Oblivious_join: %s mask length mismatch" label);
-    m
+let check_mask label n m =
+  if Array.length m <> n then
+    invalid_arg (Printf.sprintf "Oblivious_join: %s mask length mismatch" label);
+  m
 
 (* Explicit int-first comparator for (tid, row-index list) pairs — the
    accumulator ordering must not silently change if the payload type
@@ -30,36 +26,24 @@ let compare_tid_rows (t1, r1) (t2, r2) =
 (* --- packed sort keys ----------------------------------------------------- *)
 
 module Packed = struct
-  (* One immediate int per entry, ordered by plain integer comparison:
-     MSB..LSB = tid(27) | side(6) | selected(1) | row(27), 61 bits total —
-     strictly below the 62-bit native int, so every encodable entry is
-     < max_int and max_int stays free as the bitonic padding sentinel.
-     Integer order on packed keys is exactly (tid, side) order, which is
-     the sort the join scan needs; [selected] and [row] ride along. *)
+  (* One immediate int per (tid, slot), ordered by plain integer
+     comparison: MSB..LSB = tid(27) | row(27), 54 bits — below the 62-bit
+     native int, so every encodable key is < max_int and max_int stays
+     free as the bitonic padding sentinel. Integer order on packed keys is
+     tid order, with the slot riding along. *)
   let tid_bits = 27
-  let side_bits = 6
   let row_bits = 27
   let max_tid = (1 lsl tid_bits) - 1
-  let max_side = (1 lsl side_bits) - 1
   let max_row = (1 lsl row_bits) - 1
-  let tid_shift = side_bits + 1 + row_bits
-  let side_shift = 1 + row_bits
 
-  let encode ~tid ~side ~row ~selected =
+  let encode ~tid ~row =
     if tid < 0 || tid > max_tid then
       invalid_arg (Printf.sprintf "Oblivious_join.Packed.encode: tid %d out of range" tid);
-    if side < 0 || side > max_side then
-      invalid_arg
-        (Printf.sprintf "Oblivious_join.Packed.encode: side %d out of range" side);
     if row < 0 || row > max_row then
       invalid_arg (Printf.sprintf "Oblivious_join.Packed.encode: row %d out of range" row);
-    (tid lsl tid_shift) lor (side lsl side_shift)
-    lor ((if selected then 1 else 0) lsl row_bits)
-    lor row
+    (tid lsl row_bits) lor row
 
-  let tid e = e lsr tid_shift
-  let side e = (e lsr side_shift) land max_side
-  let selected e = (e lsr row_bits) land 1 = 1
+  let tid e = e lsr row_bits
   let row e = e land max_row
 end
 
@@ -100,9 +84,9 @@ let tids_of ?tids_for client =
 let join_many_cascade ?tids_for ~masks stats client =
   let tids_of = tids_of ?tids_for client in
   match masks with
-  | [] -> invalid_arg "Oblivious_join.join_many: no leaves"
+  | [] -> invalid_arg "Oblivious_join.join_many_cascade: no leaves"
   | [ (leaf, mask) ] ->
-    let mask = check_mask "only" leaf.Enc_relation.row_count (Some mask) in
+    let mask = check_mask "only" leaf.Enc_relation.row_count mask in
     let tids = tids_of leaf in
     let out = ref [] in
     for i = Array.length tids - 1 downto 0 do
@@ -112,7 +96,7 @@ let join_many_cascade ?tids_for ~masks stats client =
   | (first, mask_first) :: rest ->
     (* Accumulator: (tid, row-index list) pairs; each further leaf joins by
        synthesising entry arrays for the accumulated side. *)
-    let mask = check_mask "first" first.Enc_relation.row_count (Some mask_first) in
+    let mask = check_mask "first" first.Enc_relation.row_count mask_first in
     let acc =
       let tids = tids_of first in
       Array.mapi (fun i tid -> (tid, [ i ], mask.(i))) tids
@@ -120,7 +104,7 @@ let join_many_cascade ?tids_for ~masks stats client =
     let result =
       List.fold_left
         (fun acc_pairs (leaf, mask) ->
-          let mask = check_mask "next" leaf.Enc_relation.row_count (Some mask) in
+          let mask = check_mask "next" leaf.Enc_relation.row_count mask in
           let entries_a =
             Array.mapi (fun i (tid, _, sel) -> (tid, 0, i, sel)) acc_pairs
           in
@@ -138,100 +122,18 @@ let join_many_cascade ?tids_for ~masks stats client =
          (Array.to_list result
          |> List.filter_map (fun (tid, rows, sel) -> if sel then Some (tid, rows) else None)))
 
-(* --- single-pass k-way join ----------------------------------------------- *)
-
-(* Every decrypted tid and every row index must fit the packed layout; a
-   workload outside these (astronomical) bounds falls back to the cascade,
-   which has no such limits. *)
-let packable sides =
-  Array.length sides <= Packed.max_side + 1
-  && Array.for_all
-       (fun (tids, _) ->
-         Array.length tids <= Packed.max_row + 1
-         && Array.for_all (fun t -> t >= 0 && t <= Packed.max_tid) tids)
-       sides
-
-(* One oblivious pass over all k leaves: pack every (tid, side, row,
-   selected) into an int, sort the whole batch once, then scan runs of
-   equal tid. Tids are unique within a leaf, so a run holds at most one
-   entry per side; a tid matches iff its run has exactly k entries — sides
-   0..k-1 in order, by construction of the packed order — all selected.
-   Charged to [stats] as ONE join over the total entry count. *)
-let kway_core stats sides =
-  let k = Array.length sides in
-  let total = Array.fold_left (fun acc (t, _) -> acc + Array.length t) 0 sides in
-  stats.rows_processed <- stats.rows_processed + total;
-  stats.joins <- stats.joins + 1;
-  Snf_obs.Metrics.incr m_joins;
-  Snf_obs.Metrics.add m_rows total;
-  Snf_obs.Metrics.observe h_batch total;
-  let all = Array.make total 0 in
-  let off = ref 0 in
-  Array.iteri
-    (fun side (tids, (mask : bool array)) ->
-      let n = Array.length tids in
-      for i = 0 to n - 1 do
-        all.(!off + i) <- Packed.encode ~tid:tids.(i) ~side ~row:i ~selected:mask.(i)
-      done;
-      off := !off + n)
-    sides;
-  let counter = ref 0 in
-  Bitonic.sort_ints ~counter all;
-  stats.comparisons <- stats.comparisons + !counter;
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < total do
-    let t = Packed.tid all.(!i) in
-    let j = ref !i in
-    while !j < total && Packed.tid all.(!j) = t do
-      incr j
-    done;
-    if !j - !i = k then begin
-      let rows = Array.make k 0 in
-      let ok = ref true in
-      for s = 0 to k - 1 do
-        let e = all.(!i + s) in
-        if Packed.side e <> s || not (Packed.selected e) then ok := false
-        else rows.(s) <- Packed.row e
-      done;
-      if !ok then out := (t, rows) :: !out
-    end;
-    i := !j
-  done;
-  Array.of_list (List.rev !out)
-
-let sides_of tids_of masks =
-  Array.of_list
-    (List.mapi
-       (fun i ((leaf : Enc_relation.enc_leaf), mask) ->
-         let mask =
-           check_mask (Printf.sprintf "leaf %d" i) leaf.Enc_relation.row_count (Some mask)
-         in
-         (tids_of leaf, mask))
-       masks)
-
-let join_many ?tids_for ~masks stats client =
-  match masks with
-  | [] | [ _ ] -> join_many_cascade ?tids_for ~masks stats client
-  | _ ->
-    let tids_of = tids_of ?tids_for client in
-    let sides = sides_of tids_of masks in
-    if packable sides then
-      Array.map (fun (tid, rows) -> (tid, Array.to_list rows)) (kway_core stats sides)
-    else join_many_cascade ?tids_for ~masks stats client
-
 (* --- cached tid orders and the lockstep pass ------------------------------ *)
 
-(* A leaf's slots sorted by tid, as packed (tid, slot) keys: side 0 and
-   selected clear, so [Packed.tid] and [Packed.row] read them back. The
-   sort is the same fixed network the k-way join runs. *)
+(* A leaf's slots sorted by tid, as packed (tid, slot) keys that
+   [Packed.tid] and [Packed.row] read back, through one fixed bitonic
+   network. *)
 let tid_order stats tids =
   let n = Array.length tids in
   if n > Packed.max_row + 1 || not (Array.for_all (fun t -> t >= 0 && t <= Packed.max_tid) tids)
   then None
   else begin
     let keys =
-      Array.init n (fun slot -> Packed.encode ~tid:tids.(slot) ~side:0 ~row:slot ~selected:false)
+      Array.init n (fun slot -> Packed.encode ~tid:tids.(slot) ~row:slot)
     in
     let counter = ref 0 in
     Bitonic.sort_ints ~counter keys;

@@ -3,8 +3,8 @@
     Models the enclave-assisted reconstruction of §III-B: the enclave
     (which holds the client's keys) decrypts the tid columns of the
     leaves internally, then runs a {e sort-merge join over a bitonic
-    network} — concatenate tagged entries, obliviously sort by
-    (tid, side), scan adjacent runs. The server observes only the public
+    network} — sort each leaf's (tid, slot) entries obliviously, then
+    scan the sorted leaves rank by rank. The server observes only the public
     leaf sizes and the data-independent network schedule; in particular it
     never learns which tid of one leaf matched which row of another
     (sub-relation unlinkability during execution).
@@ -15,83 +15,64 @@
     the real number of compare-exchanges executed, which the cost model
     converts to estimated wall-clock time (Figure 3).
 
-    The hot path packs each (tid, side, row, selected) entry into a single
-    immediate int ({!Packed}) and sorts {e all} leaves' entries in one
-    {!Bitonic.sort_ints} pass — a true k-way join — instead of cascading
-    pairwise joins. The cascade survives as {!join_many_cascade}, the
-    reference baseline/oracle the equivalence tests and the [micro-join]
-    bench compare against. Tid decryption is injectable via [?tids_for]
-    so the executor can plug in [Enc_relation.decrypt_tids_cached]. *)
+    Aligning leaves on tids does not depend on the query, so the join
+    runs in two steps: a leaf's {e tid order} (its slots sorted by tid
+    through one {!Bitonic.sort_ints} network over {!Packed} keys) is built
+    once per key epoch, and every query is one linear {!lockstep} pass
+    over the orders under its own masks. A store the pass cannot align is
+    a tampered one; the executor reports it as typed corruption. The
+    pairwise cascade survives as {!join_many_cascade}, the reference
+    baseline the equivalence tests and the [micro-join] bench compare
+    against; its tid decryption is injectable via [?tids_for]. *)
 
 type stats = {
   mutable comparisons : int;  (** compare-exchanges inside bitonic sorts *)
   mutable rows_processed : int; (** total entries fed to sort networks *)
-  mutable joins : int;          (** oblivious join passes: the k-way path
-                                    charges ONE join per query over the
-                                    summed entry count, where the cascade
-                                    charged [k - 1] pairwise joins *)
+  mutable joins : int;          (** oblivious join passes: one per
+                                    {!lockstep} pass, [k - 1] per
+                                    {!join_many_cascade} *)
 }
 
 val fresh_stats : unit -> stats
 
-(** Packed sort key: MSB..LSB = tid(27) | side(6) | selected(1) | row(27),
-    61 bits — every encodable key is [< max_int], leaving [max_int] free
-    as the {!Bitonic.sort_ints} padding sentinel. Plain integer order on
-    packed keys is exactly (tid, side) order. *)
+(** Packed sort key: MSB..LSB = tid(27) | row(27), 54 bits — every
+    encodable key is [< max_int], leaving [max_int] free as the
+    {!Bitonic.sort_ints} padding sentinel. Plain integer order on packed
+    keys is tid order. *)
 module Packed : sig
   val max_tid : int
   (** [2^27 - 1] *)
 
-  val max_side : int
-  (** [2^6 - 1] — at most 64 leaves per k-way pass *)
-
   val max_row : int
   (** [2^27 - 1] *)
 
-  val encode : tid:int -> side:int -> row:int -> selected:bool -> int
-  (** @raise Invalid_argument when any field is negative or above its
+  val encode : tid:int -> row:int -> int
+  (** @raise Invalid_argument when either field is negative or above its
       bound. *)
 
   val tid : int -> int
-  val side : int -> int
-  val selected : int -> bool
   val row : int -> int
 end
-
-val join_many :
-  ?tids_for:(Enc_relation.enc_leaf -> int array) ->
-  masks:(Enc_relation.enc_leaf * bool array) list ->
-  stats -> Enc_relation.client ->
-  (int * int list) array
-(** Single k-way oblivious pass across the leaves: [(tid, row index per
-    leaf)] for tids selected in every leaf, ascending by tid. Equals
-    {!join_many_cascade} on the answer; [stats] counts one join over the
-    summed entry count rather than [k - 1] cascade steps. Inputs outside
-    the {!Packed} bounds (more than 64 leaves, tids or row counts beyond
-    [2^27]) fall back to the cascade transparently.
-    @raise Invalid_argument on an empty list. *)
 
 val join_many_cascade :
   ?tids_for:(Enc_relation.enc_leaf -> int array) ->
   masks:(Enc_relation.enc_leaf * bool array) list ->
   stats -> Enc_relation.client ->
   (int * int list) array
-(** The pre-packing pairwise cascade, kept as the reference baseline and
-    differential oracle for {!join_many} (same answers; [k - 1] joins
-    charged to [stats], generic boxed sorts inside).
+(** The pairwise cascade: [(tid, row index per leaf)] for tids selected
+    in every leaf, ascending by tid. Kept as the reference baseline and
+    differential oracle for {!lockstep} ([k - 1] joins charged to
+    [stats], generic boxed sorts inside).
     @raise Invalid_argument on an empty list. *)
 
 (** {1 Cached tid orders}
 
-    Aligning leaves on tids does not depend on the query: a leaf's {e tid
-    order} — its slots sorted by tid — is built once per key epoch
-    ([Enc_relation.tid_order_cached]) and every later sort-merge query is
-    one linear {!lockstep} pass over the cached orders. *)
+    The executor keeps each leaf's order per key epoch in
+    [Enc_relation.tid_order_cached]. *)
 
 val tid_order : stats -> int array -> int array option
 (** The tid order of a leaf with these decrypted tids (slot [i] holds
-    [tids.(i)]): its packed [(tid, slot)] keys ({!Packed} with side 0,
-    selection clear) sorted by one {!Bitonic.sort_ints} network, so
+    [tids.(i)]): its packed [(tid, slot)] keys ({!Packed}) sorted by one {!Bitonic.sort_ints} network, so
     [Packed.tid] / [Packed.row] of rank [r] are the [r]-th smallest tid
     and its slot. Charged to [stats]: the network's comparisons and one
     processed row per slot. [None], uncharged, when a tid or the row
@@ -105,13 +86,14 @@ val lockstep :
     selected iff every leaf's mask bit at the slot its order names is set,
     and then kept unless [drop_tid]. The result holds, per leaf, the
     slots of the kept tids in ascending tid order ([result.(i).(j)] is
-    leaf [i]'s slot of match [j]) — exactly {!join_many}'s rows under the
-    same masks, with [drop_tid] applied.
+    leaf [i]'s slot of match [j]) — exactly {!join_many_cascade}'s rows
+    under the same masks, with [drop_tid] applied.
 
     The same pass checks that the store is aligned: equal row counts, equal
     tids at every rank and strictly increasing tids (a duplicate must not
     match twice). [None] when any check fails — a property of the store,
-    not of the query — and the caller joins with {!join_many} instead.
+    not of the query, which the executor raises as
+    [Integrity.Corruption].
     Charged as one join with no comparisons: the networks ran when the
     orders were built.
     @raise Invalid_argument unless there are as many masks as orders, at

@@ -167,9 +167,6 @@ type pricing = {
 type handle =
   | Greedy
   | Priced of pricing
-  | Adhoc of (plan -> float)
-
-let optimal f = Adhoc f
 
 let next_handle_id = Atomic.make 0
 
@@ -186,7 +183,6 @@ let cost_based ?(max_cover = 6) ?(max_orders = 6) ?(label = "cost") ~price ~stam
 let selector_name = function
   | Greedy -> "greedy"
   | Priced p -> p.p_label
-  | Adhoc _ -> "optimal"
 
 let rec factorial n = if n <= 1 then 1 else n * factorial (n - 1)
 
@@ -205,7 +201,7 @@ let max_rejected_kept = 8
 (* Price every feasible cover (and, when cheap enough, every join order
    of it); the caller's pricer decides. Ties keep the earliest candidate
    in enumeration order, so the answer is deterministic. *)
-let enumerate ~tbl ~price ~max_cover ~max_orders ~explore_orders rep q =
+let enumerate ~tbl ~price ~max_cover ~max_orders rep q =
   let items = items_of_query q in
   let relevant =
     List.filter
@@ -230,10 +226,10 @@ let enumerate ~tbl ~price ~max_cover ~max_orders ~explore_orders rep q =
       (fun cover ->
         let k = List.length cover in
         let orders =
-          if explore_orders && factorial k <= max_orders then permutations cover
+          if factorial k <= max_orders then permutations cover
           else begin
             if
-              explore_orders && k > 1
+              k > 1
               && not
                    (List.exists
                       (function Truncated_orders _ -> true | _ -> false)
@@ -375,17 +371,11 @@ let plan_fresh handle rep q =
        Result.map
          (fun (pl, c, rej, notes, n) -> (pl, Some c, rej, notes, n))
          (enumerate ~tbl ~price:p.price ~max_cover:p.max_cover
-            ~max_orders:p.max_orders ~explore_orders:true rep q)
-     | Adhoc f ->
-       Result.map
-         (fun (pl, c, rej, notes, n) -> (pl, Some c, rej, notes, n))
-         (enumerate ~tbl ~price:f ~max_cover:6 ~max_orders:1
-            ~explore_orders:false rep q))
+            ~max_orders:p.max_orders rep q))
 
 let mode_tag = function
   | Greedy -> "G"
   | Priced p -> Printf.sprintf "C%d" p.p_id
-  | Adhoc _ -> "A"
 
 let decide ?(handle = Greedy) rep q =
   let finish ~cache ~enumerated result =
@@ -405,54 +395,39 @@ let decide ?(handle = Greedy) rep q =
           d_selector = selector_name handle })
       result
   in
-  match handle with
-  | Adhoc _ ->
-    (* Ad-hoc cost functions are arbitrary closures (and may inspect the
-       constants through pred_home), so they never memoize. *)
+  let stamp = match handle with Priced p -> Some (p.stamp ()) | Greedy -> None in
+  let st = Domain.DLS.get memo_key in
+  let key, hit =
+    Mutex.protect st.lock (fun () ->
+        let key = (mode_tag handle, rep_digest st rep, shape_key q) in
+        (key, Hashtbl.find_opt st.plans key))
+  in
+  match hit with
+  | Some e when e.e_stamp = stamp ->
+    finish ~cache:`Hit ~enumerated:0
+      (Result.map
+         (fun (m, est, rej, notes) -> (of_memo m q, est, rej, notes))
+         e.e_result)
+  | _ ->
+    (* Planning itself runs unlocked; a concurrent same-shape miss
+       just plans twice and the second replace wins harmlessly. *)
     let result = plan_fresh handle rep q in
     let enumerated =
       match result with Ok (_, _, _, _, n) -> n | Error _ -> 0
     in
+    Mutex.protect st.lock (fun () ->
+        if Hashtbl.length st.plans >= max_plan_entries then
+          Hashtbl.reset st.plans;
+        Hashtbl.replace st.plans key
+          { e_result =
+              Result.map
+                (fun (pl, est, rej, notes, _) -> (to_memo pl q, est, rej, notes))
+                result;
+            e_stamp = stamp });
     finish ~cache:`Miss ~enumerated
       (Result.map
          (fun (pl, est, rej, notes, _) -> (pl, est, rej, notes))
          result)
-  | Greedy | Priced _ ->
-    let stamp =
-      match handle with Priced p -> Some (p.stamp ()) | _ -> None
-    in
-    let st = Domain.DLS.get memo_key in
-    let key, hit =
-      Mutex.protect st.lock (fun () ->
-          let key = (mode_tag handle, rep_digest st rep, shape_key q) in
-          (key, Hashtbl.find_opt st.plans key))
-    in
-    (match hit with
-     | Some e when e.e_stamp = stamp ->
-       finish ~cache:`Hit ~enumerated:0
-         (Result.map
-            (fun (m, est, rej, notes) -> (of_memo m q, est, rej, notes))
-            e.e_result)
-     | _ ->
-       (* Planning itself runs unlocked; a concurrent same-shape miss
-          just plans twice and the second replace wins harmlessly. *)
-       let result = plan_fresh handle rep q in
-       let enumerated =
-         match result with Ok (_, _, _, _, n) -> n | Error _ -> 0
-       in
-       Mutex.protect st.lock (fun () ->
-           if Hashtbl.length st.plans >= max_plan_entries then
-             Hashtbl.reset st.plans;
-           Hashtbl.replace st.plans key
-             { e_result =
-                 Result.map
-                   (fun (pl, est, rej, notes, _) -> (to_memo pl q, est, rej, notes))
-                   result;
-               e_stamp = stamp });
-       finish ~cache:`Miss ~enumerated
-         (Result.map
-            (fun (pl, est, rej, notes, _) -> (pl, est, rej, notes))
-            result))
 
 let plan ?handle rep q = Result.map (fun d -> d.d_plan) (decide ?handle rep q)
 

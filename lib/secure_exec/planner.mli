@@ -12,8 +12,9 @@
     (largest uncovered contribution first, ties to narrower leaves), a
     statistics-driven cost-based optimizer ({!cost_based} — candidate
     covers {e and} join orders, priced by a caller-supplied model,
-    cached per query shape with epoch/stats-stamped invalidation), or a
-    legacy ad-hoc exhaustive search ({!optimal}). Every call resolves to
+    cached per query shape with epoch/stats-stamped invalidation).
+    Exhaustive search for the fewest leaves is a {!cost_based} handle
+    pricing a plan by its leaf count. Every call resolves to
     a {!decision} that records what was enumerated, what was rejected
     and why — the payload [snf_cli explain] renders. *)
 
@@ -48,7 +49,7 @@ type decision = {
   d_notes : note list;
   d_enumerated : int;                (** candidates priced by THIS call (0 on a hit) *)
   d_cache : [ `Hit | `Miss ];
-  d_selector : string;               (** "greedy" / the cost handle's label / "optimal" *)
+  d_selector : string;               (** "greedy" / the cost handle's label *)
 }
 
 type handle
@@ -56,13 +57,6 @@ type handle
 val greedy : handle
 (** The default: greedy cover, no pricing, memoized per
     (representation digest, query shape). *)
-
-val optimal : (plan -> float) -> handle
-(** Legacy exhaustive search: price every feasible cover of at most 6
-    leaves (in enumeration order, no join-order exploration) with an
-    arbitrary closure. Never cached — the closure may inspect searched
-    constants. Emits {!Truncated_covers} when more than 6 leaves were
-    relevant. *)
 
 val cost_based :
   ?max_cover:int ->
@@ -91,16 +85,15 @@ val decide :
 (** Plan one query. Errors when some attribute is stored nowhere, or
     some predicate has no leaf whose copy of the attribute supports it.
 
-    Caching: greedy and cost-based decisions are memoized per
+    Caching: decisions are memoized per
     (handle, representation digest, query shape) — the shape being the
     projection list plus each predicate's attribute and point/range
     kind; searched constants do not influence the cover. The memo lives
     in domain-local storage, so concurrent planning from [Parallel]
     workers never races, and memoized answers are bit-identical to
     uncached planning. Every call moves exactly one of the
-    [plan.cache.hit] / [plan.cache.miss] counters (ad-hoc {!optimal}
-    handles always miss), and misses add the candidates they priced to
-    [plan.candidates.enumerated]. *)
+    [plan.cache.hit] / [plan.cache.miss] counters, and misses add the
+    candidates they priced to [plan.candidates.enumerated]. *)
 
 val plan :
   ?handle:handle -> Snf_core.Partition.t -> Query.t -> (plan, string) result

@@ -130,11 +130,7 @@ let test_batch_traces_reconcile () =
       ("exec.wire.bytes_up", sum (fun t -> t.Executor.wire_bytes_up));
       ("exec.wire.bytes_down", sum (fun t -> t.Executor.wire_bytes_down));
       ("exec.batch.count", 1);
-      ("exec.batch.queries", List.length workload) ];
-  (* The workload has repeated multi-leaf shapes: the shared alignment
-     must be built at least once and reused at least once. *)
-  Alcotest.(check bool) "shared joins built" true (d "exec.batch.shared_joins" >= 1);
-  Alcotest.(check bool) "shared joins reused" true (d "exec.batch.join_reuses" >= 1)
+      ("exec.batch.queries", List.length workload) ]
 
 (* --- mapping cache ----------------------------------------------------------- *)
 

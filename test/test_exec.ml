@@ -196,7 +196,11 @@ let test_planner_optimal_beats_greedy_cover () =
   let q = Query.point ~select:[ "a"; "b"; "c" ] [] in
   match
     Planner.plan
-      ~handle:(Planner.optimal (fun p -> float_of_int (List.length p.Planner.leaves)))
+      ~handle:
+        (Planner.cost_based ~max_orders:1
+           ~price:(fun p -> float_of_int (List.length p.Planner.leaves))
+           ~stamp:(fun () -> (0, 0))
+           ())
       rep q
   with
   | Ok p -> Alcotest.(check int) "two leaves suffice" 2 (List.length p.Planner.leaves)
@@ -209,7 +213,7 @@ let test_join_indices () =
   let a = Enc_relation.find_leaf enc "p0" and b = Enc_relation.find_leaf enc "p1" in
   let all = Array.make 6 true in
   let stats = Oblivious_join.fresh_stats () in
-  let pairs = Oblivious_join.join_many ~masks:[ (a, all); (b, all) ] stats client in
+  let pairs = Oblivious_join.join_many_cascade ~masks:[ (a, all); (b, all) ] stats client in
   Alcotest.(check int) "all tids match" 6 (Array.length pairs);
   Array.iter
     (fun (tid, rows) ->
@@ -227,7 +231,7 @@ let test_join_indices () =
   let mask = Array.make 6 false in
   mask.(0) <- true;
   let stats2 = Oblivious_join.fresh_stats () in
-  let masked = Oblivious_join.join_many ~masks:[ (a, mask); (b, all) ] stats2 client in
+  let masked = Oblivious_join.join_many_cascade ~masks:[ (a, mask); (b, all) ] stats2 client in
   Alcotest.(check int) "mask filters output" 1 (Array.length masked);
   Alcotest.(check int) "but the network always processes everything"
     stats.Oblivious_join.comparisons stats2.Oblivious_join.comparisons

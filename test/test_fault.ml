@@ -77,6 +77,16 @@ let flipped_tid_where () =
   let enc, _ = Fault.flip_tid ~seed:4 owner.System.enc ~leaf:"l0" in
   expect_corruption ~where:"tid" { owner with System.enc } scan
 
+let swapped_tid_where () =
+  let owner = det_system "fault-swap" in
+  let enc = Fault.swap_tids ~seed:4 owner.System.enc ~leaf:"l0" in
+  expect_corruption ~where:"tid" { owner with System.enc } scan
+
+let duplicated_tid_where () =
+  let owner = det_system "fault-dup" in
+  let enc = Fault.dup_tid ~seed:4 owner.System.enc ~leaf:"l1" in
+  expect_corruption ~where:"tid" { owner with System.enc } scan
+
 let truncated_leaf_where () =
   let owner = det_system "fault-trunc" in
   let enc = Fault.truncate_leaf owner.System.enc ~leaf:"l1" in
@@ -156,6 +166,8 @@ let suite =
       campaign_detects_everything;
     Alcotest.test_case "flipped cell → where=cell" `Quick flipped_cell_where;
     Alcotest.test_case "flipped tid → where=tid" `Quick flipped_tid_where;
+    Alcotest.test_case "swapped tids → where=tid" `Quick swapped_tid_where;
+    Alcotest.test_case "duplicated tid → where=tid" `Quick duplicated_tid_where;
     Alcotest.test_case "truncated leaf → where=leaf" `Quick truncated_leaf_where;
     Alcotest.test_case "dropped leaf → where=store" `Quick dropped_leaf_where;
     Alcotest.test_case "stale index → where=index" `Quick stale_index_where;

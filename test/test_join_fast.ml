@@ -1,6 +1,7 @@
-(* The PR-4 join hot path: the monomorphic parallel bitonic network, the
-   packed sort keys, the per-leaf tid-decrypt cache and the single-pass
-   k-way join — each checked against its reference implementation. *)
+(* The join hot path: the monomorphic parallel bitonic network, the
+   packed sort keys, the per-leaf tid-decrypt cache, the cached tid orders
+   and the lockstep pass — each checked against its reference
+   implementation — and the typed failures of a relinked tid column. *)
 
 open Snf_exec
 module Metrics = Snf_obs.Metrics
@@ -122,50 +123,34 @@ let test_sort_ints_parallel_network () =
 let test_packed_roundtrip =
   H.qtest ~count:300 "packed key round-trip"
     QCheck2.Gen.(
-      tup4
-        (int_range 0 Oblivious_join.Packed.max_tid)
-        (int_range 0 Oblivious_join.Packed.max_side)
-        (int_range 0 Oblivious_join.Packed.max_row)
-        bool)
-    (fun (tid, side, row, selected) ->
-      let e = Oblivious_join.Packed.encode ~tid ~side ~row ~selected in
-      Oblivious_join.Packed.tid e = tid
-      && Oblivious_join.Packed.side e = side
-      && Oblivious_join.Packed.row e = row
-      && Oblivious_join.Packed.selected e = selected
-      && e < max_int)
+      tup2 (int_range 0 Oblivious_join.Packed.max_tid) (int_range 0 Oblivious_join.Packed.max_row))
+    (fun (tid, row) ->
+      let e = Oblivious_join.Packed.encode ~tid ~row in
+      Oblivious_join.Packed.tid e = tid && Oblivious_join.Packed.row e = row && e < max_int)
 
 let test_packed_order =
-  (* Plain int order on packed keys must be (tid, side) order. *)
-  H.qtest ~count:300 "packed keys sort like (tid, side)"
+  (* Plain int order on packed keys must be (tid, row) order. *)
+  H.qtest ~count:300 "packed keys sort like (tid, row)"
     QCheck2.Gen.(
       tup2
-        (tup3 (int_range 0 1000) (int_range 0 3) (int_range 0 1000))
-        (tup3 (int_range 0 1000) (int_range 0 3) (int_range 0 1000)))
-    (fun ((t1, s1, r1), (t2, s2, r2)) ->
-      let e1 = Oblivious_join.Packed.encode ~tid:t1 ~side:s1 ~row:r1 ~selected:true in
-      let e2 = Oblivious_join.Packed.encode ~tid:t2 ~side:s2 ~row:r2 ~selected:true in
-      let key_order = compare (t1, s1) (t2, s2) in
-      if key_order < 0 then e1 < e2
-      else if key_order > 0 then e1 > e2
-      else true)
+        (tup2 (int_range 0 1000) (int_range 0 1000))
+        (tup2 (int_range 0 1000) (int_range 0 1000)))
+    (fun ((t1, r1), (t2, r2)) ->
+      let e1 = Oblivious_join.Packed.encode ~tid:t1 ~row:r1 in
+      let e2 = Oblivious_join.Packed.encode ~tid:t2 ~row:r2 in
+      Int.compare e1 e2 = compare (t1, r1) (t2, r2))
 
 let test_packed_bounds () =
   let open Oblivious_join.Packed in
-  let e = encode ~tid:max_tid ~side:max_side ~row:max_row ~selected:true in
+  let e = encode ~tid:max_tid ~row:max_row in
   H.check_bool "max fields stay below the sentinel" true (e < max_int);
   H.check_int "max tid survives" max_tid (tid e);
-  H.check_int "max side survives" max_side (side e);
   H.check_int "max row survives" max_row (row e);
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  H.check_bool "tid above bound" true
-    (raises (fun () -> encode ~tid:(max_tid + 1) ~side:0 ~row:0 ~selected:true));
-  H.check_bool "negative tid" true
-    (raises (fun () -> encode ~tid:(-1) ~side:0 ~row:0 ~selected:true));
-  H.check_bool "side above bound" true
-    (raises (fun () -> encode ~tid:0 ~side:(max_side + 1) ~row:0 ~selected:true));
-  H.check_bool "row above bound" true
-    (raises (fun () -> encode ~tid:0 ~side:0 ~row:(max_row + 1) ~selected:true))
+  H.check_bool "tid above bound" true (raises (fun () -> encode ~tid:(max_tid + 1) ~row:0));
+  H.check_bool "negative tid" true (raises (fun () -> encode ~tid:(-1) ~row:0));
+  H.check_bool "row above bound" true (raises (fun () -> encode ~tid:0 ~row:(max_row + 1)));
+  H.check_bool "negative row" true (raises (fun () -> encode ~tid:0 ~row:(-1)))
 
 (* --- a small encrypted instance -------------------------------------------- *)
 
@@ -310,67 +295,11 @@ let test_fetch_tids_checked_against_digest () =
   | _ -> Alcotest.fail "a flipped tid byte went undetected"
   | exception Integrity.Corruption _ -> ()
 
-(* --- k-way join vs the cascade --------------------------------------------- *)
-
-let join_results_equal owner masks =
-  let client = owner.System.client in
-  let s1 = Oblivious_join.fresh_stats () in
-  let s2 = Oblivious_join.fresh_stats () in
-  let kway = Oblivious_join.join_many ~masks s1 client in
-  let cascade = Oblivious_join.join_many_cascade ~masks s2 client in
-  kway = cascade
-
-let test_kway_matches_cascade_all_true () =
-  let owner, _ = make_owner () in
-  let masks =
-    List.map
-      (fun (l : Enc_relation.enc_leaf) -> (l, Array.make l.Enc_relation.row_count true))
-      owner.System.enc.Enc_relation.leaves
-  in
-  H.check_bool "k-way = cascade (all rows selected)" true
-    (join_results_equal owner masks)
-
-let test_kway_matches_cascade_random_masks =
-  H.qtest ~count:30 "k-way = cascade under random masks"
-    QCheck2.Gen.(int_range 0 1000)
-    (fun seed ->
-      let owner, _ = make_owner ~rows:40 ~name:(Printf.sprintf "joinfast.m%d" seed) () in
-      let prng = Snf_crypto.Prng.create seed in
-      let masks =
-        List.map
-          (fun (l : Enc_relation.enc_leaf) ->
-            ( l,
-              Array.init l.Enc_relation.row_count (fun _ ->
-                  Snf_crypto.Prng.int prng 4 > 0) ))
-          owner.System.enc.Enc_relation.leaves
-      in
-      join_results_equal owner masks)
-
-let test_kway_stats_single_pass () =
-  (* The k-way pass is charged as ONE join over the summed entries, where
-     the cascade charged k-1 pairwise joins. *)
-  let owner, _ = make_owner () in
-  let leaves = owner.System.enc.Enc_relation.leaves in
-  let k = List.length leaves in
-  if k >= 2 then begin
-    let masks =
-      List.map
-        (fun (l : Enc_relation.enc_leaf) ->
-          (l, Array.make l.Enc_relation.row_count true))
-        leaves
-    in
-    let s1 = Oblivious_join.fresh_stats () in
-    ignore (Oblivious_join.join_many ~masks s1 owner.System.client);
-    H.check_int "one join per k-way pass" 1 s1.Oblivious_join.joins;
-    let s2 = Oblivious_join.fresh_stats () in
-    ignore (Oblivious_join.join_many_cascade ~masks s2 owner.System.client);
-    H.check_int "cascade charges k-1 joins" (k - 1) s2.Oblivious_join.joins
-  end
-
 (* --- cached tid orders and the lockstep pass ---------------------------------- *)
 
-(* Leaves that are only tid arrays: [join_many] reads them through
-   [tids_for], so no encryption is needed to compare it with the pass. *)
+(* Leaves that are only tid arrays: [join_many_cascade] reads them
+   through [tids_for], so no encryption is needed to compare it with the
+   pass. *)
 let bare_leaves tid_arrays =
   List.mapi
     (fun i tids ->
@@ -382,13 +311,13 @@ let bare_leaves tid_arrays =
 let bare_client =
   lazy (Enc_relation.make_client ~relation_name:"lockstep" ~master:"lockstep" ())
 
-(* [join_many] under the masks, [drop_tid] applied, as per-leaf slot
+(* The cascade under the masks, [drop_tid] applied, as per-leaf slot
    arrays: the pass's result shape. *)
-let join_many_slots tid_arrays masks ~drop_tid =
+let cascade_slots tid_arrays masks ~drop_tid =
   let leaves = bare_leaves tid_arrays in
   let tids_for (l : Enc_relation.enc_leaf) = List.assoc l leaves in
   let joined =
-    Oblivious_join.join_many ~tids_for
+    Oblivious_join.join_many_cascade ~tids_for
       ~masks:(List.map2 (fun (l, _) m -> (l, Bitmask.to_bools m)) leaves masks)
       (Oblivious_join.fresh_stats ()) (Lazy.force bare_client)
     |> Array.to_list
@@ -417,8 +346,8 @@ let gen_aligned =
     let* bits = array_size (return (k * n)) (int_range 0 3) in
     return (k, n, seed, modulus, bits))
 
-let test_lockstep_matches_join_many =
-  H.qtest ~count:200 "lockstep = join_many (k = 2..4, masks, drop_tid)" gen_aligned
+let test_lockstep_matches_cascade =
+  H.qtest ~count:200 "lockstep = cascade (k = 2..4, masks, drop_tid)" gen_aligned
     (fun (k, n, seed, modulus, bits) ->
       let prng = Snf_crypto.Prng.create seed in
       (* Sparse, unordered tids: the pass must not assume 0..n-1. *)
@@ -434,7 +363,7 @@ let test_lockstep_matches_join_many =
       in
       let drop_tid tid = tid mod modulus = 0 in
       lockstep_slots tid_arrays masks ~drop_tid
-      = Some (join_many_slots tid_arrays masks ~drop_tid))
+      = Some (cascade_slots tid_arrays masks ~drop_tid))
 
 let test_lockstep_misaligned () =
   let all n = Bitmask.create n true in
@@ -450,8 +379,7 @@ let test_lockstep_misaligned () =
   none "unequal row counts" [ [| 0; 1; 2 |]; [| 0; 1 |] ];
   none "unpackable tid" [ [| 0; Oblivious_join.Packed.max_tid + 1 |]; [| 0; 1 |] ];
   none "negative tid" [ [| 0; -1 |]; [| -1; 0 |] ];
-  (* Each of those still has a join_many answer; the aligned control
-     passes. *)
+  (* The aligned control passes. *)
   H.check_bool "aligned control" true
     (lockstep_slots [ [| 2; 0; 1 |]; [| 1; 2; 0 |] ] [ all 3; all 3 ] ~drop_tid:(fun _ -> false)
     = Some [| [| 1; 2; 0 |]; [| 2; 0; 1 |] |])
@@ -541,50 +469,103 @@ let test_flip_after_orders_cached () =
       | exception Integrity.Corruption _ -> ())
     [ (0, 0); (7, 3); (19, 11); (49, 40) ]
 
-(* A server that copies one tid ciphertext over another (authentic bytes,
-   duplicate tid) leaves a store the pass cannot align: the query falls
-   back to join_many, where the duplicated and the missing tid match
-   nothing, and every other row is still answered. *)
-let test_misaligned_store_falls_back () =
-  let rows = 40 in
-  let owner, r = make_owner ~rows ~name:"joinfast.dup" () in
+let expect_corruption label ~where f =
+  match f () with
+  | _ -> Alcotest.fail (label ^ ": a relinked store returned an answer")
+  | exception Integrity.Corruption c -> H.check_string (label ^ ": where") where c.Integrity.where
+
+(* The first leaf [join_query]'s plan joins. *)
+let planned_leaf owner =
+  match Planner.decide owner.System.plan.Snf_core.Normalizer.representation join_query with
+  | Ok d ->
+    let leaves = d.Planner.d_plan.Planner.leaves in
+    H.check_bool "the query joins" true (List.length leaves >= 2);
+    List.hd leaves
+  | Error e -> Alcotest.fail e
+
+(* Rewrites slots 0 and 1 of [victim]'s tid column through [f]. *)
+let relink victim f leaf tids =
+  if leaf <> victim then tids
+  else begin
+    let tids = Array.copy tids in
+    let t0, t1 = f tids.(0) tids.(1) in
+    tids.(0) <- t0;
+    tids.(1) <- t1;
+    tids
+  end
+
+(* A server that copies one authentic tid ciphertext over another leaves
+   a duplicated and a missing tid: the tid check on the cache fill raises
+   typed corruption, for a lone query and for a batch of two. *)
+let test_misaligned_store_is_corruption () =
+  let owner, _ = make_owner ~rows:40 ~name:"joinfast.dup" () in
   Fun.protect ~finally:(fun () -> System.release owner) @@ fun () ->
   let client = owner.System.client in
   let rep = owner.System.plan.Snf_core.Normalizer.representation in
-  let q = Query.point ~select:[ "b" ] [ ("c", Snf_relational.Value.Int 3) ] in
-  let victim =
-    match Planner.decide rep q with
-    | Ok d -> List.hd d.Planner.d_plan.Planner.leaves
-    | Error e -> Alcotest.fail e
-  in
-  let dup leaf tids =
-    if leaf <> victim then tids
-    else begin
-      let tids = Array.copy tids in
-      tids.(1) <- tids.(0);
-      tids
-    end
-  in
-  let conn, tamper = tampering_conn owner dup in
-  let run () = Executor.run_conn ~mode:`Sort_merge client conn rep q in
-  (match run () with Ok _ -> () | Error e -> Alcotest.fail e);
+  let victim = planned_leaf owner in
+  let conn, tamper = tampering_conn owner (relink victim (fun t0 _ -> (t0, t0))) in
+  let q2 = Query.point ~select:[ "b" ] [ ("c", Snf_relational.Value.Int 3) ] in
+  (match Executor.run_conn ~mode:`Sort_merge client conn rep join_query with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
   tamper ();
-  let gone =
-    List.map (Enc_relation.tid_at client ~leaf:victim ~rows) [ 0; 1 ]
+  expect_corruption "single query" ~where:"tid" (fun () ->
+      Executor.run_conn ~mode:`Sort_merge client conn rep join_query);
+  expect_corruption "batch of two" ~where:"tid" (fun () ->
+      Executor.run_batch ~mode:`Sort_merge client conn rep [ join_query; q2 ])
+
+(* Leaves whose tid columns each pass the slot check but hold different
+   tid sets — one leaf served from an encryption of fewer rows under the
+   same keys — are misaligned: the lockstep pass raises typed store
+   corruption, never a partial answer. *)
+let test_unequal_leaves_are_corruption () =
+  let owner, r = make_owner ~rows:40 ~name:"joinfast.short" () in
+  Fun.protect ~finally:(fun () -> System.release owner) @@ fun () ->
+  let client = owner.System.client in
+  let rep = owner.System.plan.Snf_core.Normalizer.representation in
+  let victim = planned_leaf owner in
+  let short =
+    Enc_relation.encrypt client
+      (Snf_relational.Relation.create (Snf_relational.Relation.schema r)
+         (List.filteri (fun i _ -> i < 39) (Snf_relational.Relation.rows r)))
+      rep
   in
-  let kept =
-    Snf_relational.Relation.create (Snf_relational.Relation.schema r)
-      (List.filteri (fun tid _ -> not (List.mem tid gone)) (Snf_relational.Relation.rows r))
+  let enc = owner.System.enc in
+  let mixed =
+    { enc with
+      Enc_relation.leaves =
+        List.map
+          (fun (l : Enc_relation.enc_leaf) ->
+            if l.Enc_relation.label = victim then Enc_relation.find_leaf short victim else l)
+          enc.Enc_relation.leaves }
   in
+  let conn () = Server_api.connect (module Backend_mem) (Backend_mem.of_store mixed) in
+  expect_corruption "single query" ~where:"store" (fun () ->
+      Executor.run_conn ~mode:`Sort_merge client (conn ()) rep join_query);
+  expect_corruption "batch of two" ~where:"store" (fun () ->
+      Executor.run_batch ~mode:`Sort_merge client (conn ()) rep [ join_query; join_query ])
+
+(* Two authentic tid ciphertexts of a planned leaf swapped: every tid is
+   present once, so only the slot check tells the relinked rows apart.
+   Sort-merge raises typed corruption; ORAM and binning map slots to tids
+   through the keyed permutation and still answer the oracle. *)
+let test_swapped_tids () =
+  let owner, _ = make_owner ~rows:40 ~name:"joinfast.swap" () in
+  Fun.protect ~finally:(fun () -> System.release owner) @@ fun () ->
+  let client = owner.System.client in
+  let rep = owner.System.plan.Snf_core.Normalizer.representation in
+  let victim = planned_leaf owner in
+  let conn, tamper = tampering_conn owner (relink victim (fun t0 t1 -> (t1, t0))) in
+  tamper ();
+  expect_corruption "sort-merge" ~where:"tid" (fun () ->
+      Executor.run_conn ~mode:`Sort_merge client conn rep join_query);
+  let want = System.reference owner join_query in
   List.iter
-    (fun label ->
-      match run () with
-      | Ok (ans, tr) ->
-        H.check_same_bag (label ^ ": join_many's answer") (Query.reference_answer kept q) ans;
-        H.check_bool (label ^ ": the fallback join ran its network") true
-          (tr.Executor.comparisons > 0)
+    (fun mode ->
+      match Executor.run_conn ~mode client conn rep join_query with
+      | Ok (ans, _) -> H.check_same_bag "oracle answer" want ans
       | Error e -> Alcotest.fail e)
-    [ "first misaligned run"; "repeat" ]
+    [ `Oram; `Binning 4 ]
 
 (* An order of a 1-row leaf sorts without a comparator, but the query
    that builds it is still charged its row, and a warm repeat nothing. *)
@@ -670,16 +651,16 @@ let suite =
       test_tid_cache_physical_identity;
     Alcotest.test_case "fetch_tids checks the described digest" `Quick
       test_fetch_tids_checked_against_digest;
-    Alcotest.test_case "k-way = cascade (all true)" `Quick
-      test_kway_matches_cascade_all_true;
-    test_kway_matches_cascade_random_masks;
-    Alcotest.test_case "k-way stats: single pass" `Quick test_kway_stats_single_pass;
-    test_lockstep_matches_join_many;
+    test_lockstep_matches_cascade;
     Alcotest.test_case "lockstep: misaligned stores" `Quick test_lockstep_misaligned;
     Alcotest.test_case "tid order cache: hit, epoch, identity" `Quick test_order_cache;
     Alcotest.test_case "tid flip after orders cached" `Quick test_flip_after_orders_cached;
-    Alcotest.test_case "misaligned store falls back to join_many" `Quick
-      test_misaligned_store_falls_back;
+    Alcotest.test_case "misaligned store is corruption" `Quick
+      test_misaligned_store_is_corruption;
+    Alcotest.test_case "unequal leaves are corruption" `Quick
+      test_unequal_leaves_are_corruption;
+    Alcotest.test_case "swapped tids: sort-merge typed, anchors oracle" `Quick
+      test_swapped_tids;
     Alcotest.test_case "1-row leaf charged its rows" `Quick test_one_row_leaf_charged;
     Alcotest.test_case "query: cache and domains invisible" `Quick
       test_query_cache_and_domains_invisible ]
