@@ -321,6 +321,39 @@ let run_sweeps () =
         /. float_of_int accesses)
         (dt /. float_of_int accesses *. 1e6))
     [ 64; 256; 1024; 4096; 16384 ];
+  (* One Oram_fetch as the server runs it: install n blocks in id order,
+     then read k distinct slots. The stash is sampled after every access
+     of the fetch. *)
+  let fetches = 32 in
+  Printf.printf "\nPath ORAM: largest stash during one fetch (install n, read k), %d fetches each\n"
+    fetches;
+  List.iter
+    (fun n ->
+      List.iter
+        (fun k ->
+          let worst = ref 0 and total = ref 0 in
+          for fetch = 1 to fetches do
+            let prng = Snf_crypto.Prng.create fetch in
+            let oram = Snf_exec.Path_oram.create ~num_blocks:n ~block_size:32 prng in
+            let peak = ref 0 in
+            let sample () = peak := max !peak (Snf_exec.Path_oram.stash_size oram) in
+            for i = 0 to n - 1 do
+              Snf_exec.Path_oram.write oram i (String.make 32 'x');
+              sample ()
+            done;
+            let slots = Array.init n Fun.id in
+            Snf_crypto.Prng.shuffle prng slots;
+            for j = 0 to k - 1 do
+              ignore (Snf_exec.Path_oram.read oram slots.(j));
+              sample ()
+            done;
+            worst := max !worst !peak;
+            total := !total + !peak
+          done;
+          Printf.printf "  n=%5d  k=%3d  largest stash: max %3d  mean %5.1f\n" n k !worst
+            (float_of_int !total /. float_of_int fetches))
+        [ 1; 16; 64 ])
+    [ 600; 4096 ];
   (* Oblivious join: comparisons and time vs side cardinality. *)
   Printf.printf "\nOblivious sort-merge join vs side cardinality\n";
   List.iter

@@ -37,9 +37,8 @@ type session = {
   s_handle : string -> string;
   (* Serializes this session's dispatch across worker domains — requests
      on one connection are serial anyway (the client blocks on each
-     round trip), so this costs nothing and doubles as the
-     happens-before edge publishing the session's ORAM state from one
-     worker domain to the next. *)
+     round trip), so this costs nothing and keeps one session's requests
+     in order. *)
   s_dlock : Mutex.t;
   (* Guards response writes AND fd teardown: [s_open] flips to false
      under this lock before the fd is closed or shut down, so a late

@@ -2,12 +2,12 @@
     and a worker pool on OCaml 5 domains behind a bounded request queue.
 
     {b Session lifecycle.} Each accepted socket gets a session: its own
-    [Server_api.session_handler] over the shared store view — so its own
-    server-side ORAM table, exactly like an in-process connection — plus
-    a reader thread that decodes SNFF frames off the wire. A session
-    ends when the peer closes, the stream breaks, a frame fails to
-    parse, or it sits idle past [idle_timeout]; the server reaps it and
-    keeps serving everyone else.
+    [Server_api.session_handler] over the shared store view, exactly
+    like an in-process connection, plus a reader thread that decodes
+    SNFF frames off the wire. A session ends when the peer closes, the
+    stream breaks, a frame fails to parse, or it sits idle past
+    [idle_timeout]; the server reaps it and keeps serving everyone
+    else.
 
     {b Backpressure.} The reader admits each request into a bounded
     queue. Past [queue_capacity] it answers [Wire.R_busy] immediately —
@@ -16,8 +16,7 @@
     explicit rejections, never an OOM or a hang.
 
     {b Workers.} [domains] spawned domains drain the queue in parallel.
-    Dispatch for one session is serialized (its mutex also publishes
-    ORAM state across domains); the shared store view is locked only
+    Dispatch for one session is serialized; the shared store view is locked only
     around leaf/index access, so scans from different sessions overlap.
 
     {b Drain.} {!stop} stops accepting, lets queued and in-flight work

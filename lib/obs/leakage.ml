@@ -320,8 +320,8 @@ let queries (trace : Wiretrace.trace) =
           | None -> []
         in
         b.b_fetches <- { f_leaf = leaf; f_attrs = attrs; f_slots = slots } :: b.b_fetches)
-    | 8 -> (
-      (* Oram_read *)
+    | 7 -> (
+      (* Oram_fetch: the touches of its k reads, install excluded *)
       match !current with
       | None -> ()
       | Some b ->

@@ -40,7 +40,8 @@ type query_view = {
   q_fetches : fetch_obs list;
   q_probes : (string * string * int list option) list;
       (** index probes: leaf, attr, returned slots (None = no index) *)
-  q_oram : (string * int) list;  (** ORAM reads: leaf, bucket touches *)
+  q_oram : (string * int) list;
+      (** ORAM fetches: leaf, bucket touches of the fetch's reads *)
   q_leaves : string list;  (** distinct leaves touched, sorted *)
   q_in_batch : bool;
 }

@@ -353,18 +353,19 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     match t.meta with
     | None -> invalid_arg "Backend_sharded: no store installed"
     | Some m ->
+      (* Each shard checks its stored shapes before it describes them,
+         so a corrupt shard fails the Describe; the answer itself comes
+         from the placed image. *)
+      let _ =
+        fan_out t (fun i ->
+            match shard_call t conns i Wire.Describe with
+            | Wire.R_described _ -> ()
+            | _ -> protocol_error "Describe")
+      in
       Wire.R_described
         { relation_name = m.m_relation;
           leaves =
             List.map (fun (lbl, lm) -> (lbl, lm.lm_rows, lm.lm_digest)) m.m_leaves })
-  | Wire.Check_shape ->
-    let _ =
-      fan_out t (fun i ->
-          match shard_call t conns i Wire.Check_shape with
-          | Wire.R_unit -> ()
-          | _ -> protocol_error "Check_shape")
-    in
-    Wire.R_unit
   | Wire.Index_probe { leaf; _ } ->
     (* Probe every shard — the lazy index build must happen everywhere a
        single backend would have built it, keeping accounting uniform —
@@ -466,11 +467,10 @@ let dispatch t conns (req : Wire.request) : Wire.response =
         Array.iteri (fun j tid -> out.(lm.lm_locals.(s).(j)) <- tid) tids)
       rs;
     Wire.R_tids out
-  | Wire.Oram_init _ | Wire.Oram_read _ ->
-    (* ORAM state is per-connection, not per-store: the sealed blocks
-       arrive in the request and never touch shard rows, so the session
-       lives wholesale on shard 0 and the response bytes are exactly a
-       single backend's. *)
+  | Wire.Oram_fetch _ ->
+    (* An ORAM fetch needs no store state: the sealed blocks arrive in
+       the request and never touch shard rows, so shard 0 serves it
+       whole and the response bytes are exactly a single backend's. *)
     shard_call t conns 0 req
   | Wire.Phe_sum { leaf; _ } ->
     let m, lm = leaf_meta t leaf in

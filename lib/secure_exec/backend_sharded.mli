@@ -18,9 +18,11 @@
        accounting uniform); local hit lists map to global slots and the
        union is sorted descending — the exact order a single backend's
        prepend-during-ascending-scan index produces.}
-    {- [Describe]: answered by the coordinator alone, with no fan-out.
-       Each leaf's tid digest is computed at [Install] from the full
-       image, so it is the digest a single backend would describe.}
+    {- [Describe]: fanned out so every shard checks its stored shapes
+       (a corrupt shard fails the Describe), then answered by the
+       coordinator. Each leaf's tid digest is computed at [Install] from
+       the full image, so it is the digest a single backend would
+       describe.}
     {- [Fetch_rows] / [Fetch_tids]: positional reassembly of the owning
        shards' cells.}
     {- [Phe_sum] / [Group_sum]: per-shard Paillier partials combine with
@@ -28,8 +30,8 @@
        associative, and ciphertext bytes are canonical), with group
        lists merged on {!Enc_relation.canonical_key} in the same
        ascending order the server emits.}
-    {- [Oram_init] / [Oram_read] forward verbatim to shard 0: ORAM
-       sessions are connection state, not store state.}}
+    {- [Oram_fetch] forwards verbatim to shard 0: the request carries
+       every block the ORAM holds, and no tree outlives it.}}
 
     Because the merged responses are byte-identical, everything above
     the connection — executor, oblivious join, caches, SNFT

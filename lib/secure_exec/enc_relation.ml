@@ -309,13 +309,23 @@ let binning_key c ~leaf = (leaf_keys c ~leaf).k_binning
 (* ORAM blocks travel to the server sealed: the server stores and serves
    opaque authenticated ciphertexts, so block contents leak nothing beyond
    their (padded, uniform) length and the access pattern the ORAM already
-   hides. *)
+   hides. A block's IV is the first draw of a generator keyed by its
+   slot, and the tag covers the IV, so the slot is sealed into the block:
+   an authentic block opens only at the slot it was sealed for, and the
+   binding adds no byte to the wire. *)
+let oram_rng lk slot = Parallel.item_prng ~key:lk.k_oram_rng slot
+
 let oram_seal c ~leaf ~slot payload =
   let lk = leaf_keys c ~leaf in
-  Ndet.encrypt ~rng:(Parallel.item_prng ~key:lk.k_oram_rng slot) lk.k_oram_seal payload
+  Ndet.encrypt ~rng:(oram_rng lk slot) lk.k_oram_seal payload
 
-let oram_open c ~leaf block =
-  try Ndet.decrypt (leaf_keys c ~leaf).k_oram_seal block
+let oram_open c ~leaf ~slot block =
+  let lk = leaf_keys c ~leaf in
+  let iv = Prng.bytes (oram_rng lk slot) 8 in
+  if String.length block < 8 || not (String.equal (String.sub block 0 8) iv) then
+    Integrity.fail ~leaf ~where:"oram"
+      (Printf.sprintf "ORAM block was not sealed for slot %d" slot);
+  try Ndet.decrypt lk.k_oram_seal block
   with Invalid_argument msg -> Integrity.fail ~leaf ~where:"oram" msg
 
 let encrypt_cell c (ck : column_keys) ?pool ~slot ~rng scheme v =

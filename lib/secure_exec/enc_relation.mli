@@ -192,9 +192,10 @@ val oram_seal : client -> leaf:string -> slot:int -> string -> string
     Randomness is derived from (leaf, slot), so sealed blocks are
     bit-identical for any domain count. *)
 
-val oram_open : client -> leaf:string -> string -> string
-(** Unseal a block fetched from the server.
-    @raise Integrity.Corruption on authentication failure. *)
+val oram_open : client -> leaf:string -> slot:int -> string -> string
+(** Unseal a block fetched from the server for [slot].
+    @raise Integrity.Corruption (where ["oram"]) on authentication
+    failure, or if the block was sealed for another slot. *)
 
 val decrypt_leaf : client -> enc_leaf -> Relation.t
 (** Rows in stored order, tid first (attribute [Snf_core.Partition.tid_name]),

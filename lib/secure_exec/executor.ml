@@ -341,11 +341,12 @@ type fetcher = {
 }
 
 (* ORAM partner access over the boundary: fetch the partner's needed
-   ciphertexts once, decrypt and seal them into uniform blocks, install
-   the blocks into a server-side per-connection Path ORAM, then read one
-   sealed block per anchor survivor. The server observes the install, the
-   root-to-leaf bucket paths and nothing else. *)
-let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed
+   ciphertexts once, decrypt and seal them into uniform blocks, and send
+   them with the slots of the wanted tids in one Oram_fetch. The server
+   builds a Path ORAM from the blocks, reads one block per anchor
+   survivor and drops the tree: it observes the install, one
+   root-to-leaf bucket path per read and nothing else. *)
+let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
     (lv : leaf_view) =
   let label = lv.lv_label in
   let needed = needed_attrs_of_leaf q plan label in
@@ -365,20 +366,21 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed
   let blocks =
     Array.mapi (fun slot p -> Enc_relation.oram_seal client ~leaf:label ~slot (pad p)) payloads
   in
-  let setup_touches =
-    Server_api.oram_init conn ~leaf:label ~seed
-      ~block_size:(Ndet.ciphertext_length block_size) ~blocks
+  let slots =
+    List.map (fun tid -> Enc_relation.row_position client ~leaf:label ~rows:n tid) wanted
   in
-  let counted = ref setup_touches in
-  { leaf_label = label;
-    fetch =
-      (fun tid ->
-        let slot = Enc_relation.row_position client ~leaf:label ~rows:n tid in
-        let block, touches = Server_api.oram_read conn ~leaf:label ~slot in
-        oram_touches := !oram_touches + (touches - !counted);
-        counted := touches;
-        let data = Enc_relation.oram_open client ~leaf:label block in
-        (Marshal.from_string data 0 : (string * Value.t) list)) }
+  let sealed, touches =
+    Server_api.oram_fetch conn ~leaf:label ~seed
+      ~block_size:(Ndet.ciphertext_length block_size) ~blocks ~slots
+  in
+  oram_touches := !oram_touches + touches;
+  let rows = Hashtbl.create (Array.length sealed) in
+  List.iteri
+    (fun i (tid, slot) ->
+      let data = Enc_relation.oram_open client ~leaf:label ~slot sealed.(i) in
+      Hashtbl.replace rows tid (Marshal.from_string data 0 : (string * Value.t) list))
+    (List.combine wanted slots);
+  { leaf_label = label; fetch = Hashtbl.find rows }
 
 let check_binned_slot ~key ~universe (s : Binning.schedule) slot =
   let bin = Binning.assign ~key ~universe ~bin_size:s.Binning.bin_size slot in
@@ -567,10 +569,10 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
            attrs @ [ ("leaves", string_of_int (List.length plan.Planner.leaves)) ]
          else ("size", string_of_int (List.length qs)) :: attrs)
     @@ fun () ->
-    (* Storage-integrity gate: the planned leaves must exist and be
-       structurally sound (dropped or truncated leaves are corruption, not
-       planner errors — the plans were built from the representation). *)
-    Server_api.check_shape conn;
+    (* Storage-integrity gate: Describe answered only after the server
+       checked every stored shape, and the planned leaves must exist
+       (dropped or truncated leaves are corruption, not planner errors —
+       the plans were built from the representation). *)
     let leaf_view label =
       match List.find_opt (fun (l, _, _) -> l = label) leaf_dir with
       | Some (_, rows, digest) -> { lv_label = label; lv_rows = rows; lv_digest = digest }
@@ -694,15 +696,15 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
             sort_merge_decrypt ~cache client conn ~scheme_of q plan lvs m.compiled
               (sort_merge_matches stats lvs masks)
           | `Oram ->
-            (* Per-partner server-side ORAM sessions; seeds are fixed by
-               partner order, so the bucket-touch trace is deterministic
-               and backend-independent. *)
+            (* One Oram_fetch per partner; seeds are fixed by partner
+               order, so the bucket-touch trace is deterministic and
+               backend-independent. *)
             let next_seed = ref 0x09a7 in
             run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs m.compiled
-              masks ~make_fetcher:(fun ~wanted:_ lv ->
+              masks ~make_fetcher:(fun ~wanted lv ->
                 let seed = !next_seed in
                 incr next_seed;
-                oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed lv)
+                oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted lv)
           | `Binning bin_size ->
             run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs m.compiled
               masks
@@ -745,7 +747,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
           end)
         (List.combine executed filtered)
     in
-    (* The shared traffic — Describe/Check_shape and the filter round
+    (* The shared traffic — Describe and the filter round
        trips — is what no member's own deltas cover. Charging it to the
        first executed query makes the traces sum exactly to the global
        [exec.wire.*] deltas; the [exec.query.*] counters are published

@@ -51,7 +51,8 @@
       ([Oblivious_join.lockstep]); leaves the pass cannot align raise
       [Integrity.Corruption];
     - [`Oram] — anchor-leaf selection, partner rows fetched through a
-      per-leaf Path ORAM;
+      Path ORAM the server builds and reads in one [Oram_fetch] per
+      partner;
     - [`Binning of bin_size] — partner rows fetched by fixed-size keyed
       bins (PANDA-style), decoys included.
 
@@ -163,8 +164,8 @@ val run_batch :
     cache use as well as on the wire.
 
     Trace accounting is exact: each trace carries its own minting and
-    reconstruction traffic, the shared traffic (Describe/Check_shape and
-    the filter round trips) is charged to the first executed query, and
+    reconstruction traffic, the shared traffic (Describe and the filter
+    round trips) is charged to the first executed query, and
     a tid order's comparisons are charged to the query that built it
     (later queries report zero). Summed traces therefore reconcile exactly
     with the global [exec.query.*] / [exec.wire.*] counter deltas —

@@ -95,25 +95,12 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
    already holds, never the bytes themselves. *)
 let fp s = String.sub (Digest.to_hex (Digest.string s)) 0 16
 
-(* A session's server-side ORAM trees, one per partner leaf. The client
-   (re)installs every partner of an ORAM fetch before reading any of
-   them, so the first [Oram_init] after an [Oram_read] opens a new fetch
-   and the trees of earlier fetches are dead: they are dropped then,
-   keeping a session's memory to the current fetch's partners. *)
-type session = {
-  view : store_view;
-  orams : (string, Path_oram.t) Hashtbl.t;
-  mutable reading : bool;  (* an [Oram_read] was served since the last init *)
-}
-
-let dispatch ({ view; orams; _ } as session) (req : Wire.request) : Wire.response =
+let dispatch view (req : Wire.request) : Wire.response =
   match req with
   | Wire.Describe ->
+    view.check_shape ();
     let relation_name, leaves = view.describe () in
     Wire.R_described { relation_name; leaves }
-  | Wire.Check_shape ->
-    view.check_shape ();
-    Wire.R_unit
   | Wire.Install image ->
     view.install image;
     Wire.R_unit
@@ -140,25 +127,16 @@ let dispatch ({ view; orams; _ } as session) (req : Wire.request) : Wire.respons
     in
     Wire.R_rows (Array.of_list cols)
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
-  | Wire.Oram_init { leaf; seed; block_size; blocks } ->
-    if session.reading then begin
-      Hashtbl.reset orams;
-      session.reading <- false
-    end;
-    let oram =
-      Path_oram.create ~num_blocks:(max (Array.length blocks) 1) ~block_size
-        (Prng.create seed)
-    in
-    Array.iteri (fun i b -> Path_oram.write oram i b) blocks;
-    Hashtbl.replace orams leaf oram;
-    Wire.R_oram { block = None; touches = Path_oram.bucket_touches oram }
-  | Wire.Oram_read { leaf; slot } -> (
-    session.reading <- true;
-    match Hashtbl.find_opt orams leaf with
-    | None -> Wire.R_error { not_found = true; msg = "no ORAM session for this leaf" }
-    | Some oram ->
-      let block = Path_oram.read oram slot in
-      Wire.R_oram { block = Some block; touches = Path_oram.bucket_touches oram })
+  | Wire.Oram_fetch { leaf = _; seed; block_size; blocks; slots } ->
+    (* One partner's ORAM round, start to finish: the tree lives only for
+       this request, so a session keeps no ORAM state between requests. *)
+    let n = Array.length blocks in
+    List.iter (fun s -> if s < 0 || s >= n then invalid_arg "ORAM slot out of range") slots;
+    let oram = Path_oram.create ~num_blocks:(max n 1) ~block_size (Prng.create seed) in
+    Array.iteri (Path_oram.write oram) blocks;
+    let installed = Path_oram.bucket_touches oram in
+    let blocks = Array.of_list (List.map (Path_oram.read oram) slots) in
+    Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram - installed }
   | Wire.Phe_sum { leaf; attr } ->
     let l = view.leaf leaf in
     Wire.R_nat (Enc_relation.phe_sum (singleton_store view l) l attr)
@@ -218,14 +196,9 @@ let dispatch ({ view; orams; _ } as session) (req : Wire.request) : Wire.respons
     in
     Wire.R_store_stats { leaves = stats }
 
-let session view = { view; orams = Hashtbl.create 4; reading = false }
-
-let session_oram_leaves s =
-  List.sort compare (Hashtbl.fold (fun leaf _ acc -> leaf :: acc) s.orams [])
-
-let session_handle session request_bytes =
+let session_handler view request_bytes =
   let resp =
-    match dispatch session (Wire.request_of_string request_bytes) with
+    match dispatch view (Wire.request_of_string request_bytes) with
     | resp -> resp
     | exception Integrity.Corruption c -> Wire.R_corrupt c
     | exception Not_found ->
@@ -233,8 +206,6 @@ let session_handle session request_bytes =
     | exception Invalid_argument msg -> Wire.R_error { not_found = false; msg }
   in
   Wire.response_to_string resp
-
-let session_handler view = session_handle (session view)
 
 (* --- the connection -------------------------------------------------------- *)
 
@@ -287,10 +258,10 @@ let stats conn =
    Ciphertext tokens are fingerprinted (MD5 of their canonical [Wire]
    bytes) — the trace carries token {e identity}, never token bytes;
    order-revealing ordinals are logged as-is because their numeric order
-   IS what the server sees. The ORAM read slot is withheld: it models
-   the client-held position map, whose output the simulator's in-process
-   ORAM ships in the clear only as an artifact (the raw bytes still
-   count; the access pattern is the [touches] in the response). *)
+   IS what the server sees. The ORAM fetch's slots are withheld: they
+   model the client-held position map, whose output the simulator's
+   in-process ORAM ships in the clear only as an artifact (the raw bytes
+   still count; the access pattern is the [touches] in the response). *)
 
 let fp_op op = fp (Wire.filter_op_to_string op)
 let csv_int l = String.concat "," (List.map string_of_int l)
@@ -318,7 +289,7 @@ let op_desc op =
 
 let summarize_request (req : Wire.request) =
   match req with
-  | Wire.Describe | Wire.Check_shape -> []
+  | Wire.Describe -> []
   | Wire.Install image -> [ ("size", string_of_int (String.length image)) ]
   | Wire.Index_probe { leaf; attr; key } ->
     [ ("leaf", leaf);
@@ -329,11 +300,10 @@ let summarize_request (req : Wire.request) =
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     [ ("leaf", leaf); ("attrs", String.concat "," attrs); ("slots", csv_int slots) ]
   | Wire.Fetch_tids { leaf } -> [ ("leaf", leaf) ]
-  | Wire.Oram_init { leaf; block_size; blocks; _ } ->
+  | Wire.Oram_fetch { leaf; block_size; blocks; _ } ->
     [ ("leaf", leaf);
       ("blocks", string_of_int (Array.length blocks));
       ("block_size", string_of_int block_size) ]
-  | Wire.Oram_read { leaf; _ } -> [ ("leaf", leaf) ]
   | Wire.Phe_sum { leaf; attr } -> [ ("leaf", leaf); ("attr", attr) ]
   | Wire.Group_sum { leaf; group_by; sum } ->
     [ ("leaf", leaf); ("group_by", group_by); ("sum", sum) ]
@@ -442,11 +412,6 @@ let describe conn =
   | Wire.R_described { relation_name; leaves } -> (relation_name, leaves)
   | _ -> protocol_error "Describe"
 
-let check_shape conn =
-  match call conn ph_admin Wire.Check_shape with
-  | Wire.R_unit -> ()
-  | _ -> protocol_error "Check_shape"
-
 let install conn image =
   match call conn ph_admin (Wire.Install image) with
   | Wire.R_unit -> ()
@@ -500,15 +465,13 @@ let fetch_tids conn ~leaf ~digest =
       tids
     | _ -> protocol_error "Fetch_tids")
 
-let oram_init conn ~leaf ~seed ~block_size ~blocks =
-  match call conn ph_oram (Wire.Oram_init { leaf; seed; block_size; blocks }) with
-  | Wire.R_oram { block = None; touches } -> touches
-  | _ -> protocol_error "Oram_init"
-
-let oram_read conn ~leaf ~slot =
-  match call conn ph_oram (Wire.Oram_read { leaf; slot }) with
-  | Wire.R_oram { block = Some block; touches } -> (block, touches)
-  | _ -> protocol_error "Oram_read"
+let oram_fetch conn ~leaf ~seed ~block_size ~blocks ~slots =
+  match call conn ph_oram (Wire.Oram_fetch { leaf; seed; block_size; blocks; slots }) with
+  | Wire.R_oram { blocks; touches } ->
+    if Array.length blocks <> List.length slots then
+      Integrity.fail ~leaf ~where:"oram" "ORAM answer count disagrees with the slots read";
+    (blocks, touches)
+  | _ -> protocol_error "Oram_fetch"
 
 let phe_sum conn ~leaf ~attr =
   match call conn ph_phe (Wire.Phe_sum { leaf; attr }) with

@@ -11,8 +11,9 @@
 
     A {!conn} is one client/server session: a request serializer, the
     backend's dispatch loop, byte/request accounting (global and
-    per-phase [exec.wire.*] counters plus per-connection {!stats}), and
-    the per-connection server state (ORAM sessions). Answers are
+    per-phase [exec.wire.*] counters plus per-connection {!stats}) and
+    the client's tid-column memo. The server half keeps no state between
+    requests: an ORAM tree lives for one [Oram_fetch]. Answers are
     backend-invisible by construction: both ends of every exchange are
     the same serialized bytes regardless of how the backend stores its
     leaves. *)
@@ -32,6 +33,8 @@ type store_view = {
           array, the disk backend keeps it in its manifest, so Describe
           pages nothing in. *)
   check_shape : unit -> unit;
+      (** validate the stored shapes; raises [Integrity.Corruption]. Run
+          before every [Describe] is answered. *)
   install : string -> unit;  (** parse and adopt a [Wire] store image *)
   leaf : string -> Enc_relation.enc_leaf;
   eq_index : leaf:string -> attr:string -> (string, int list) Hashtbl.t option;
@@ -55,38 +58,21 @@ exception Busy
     ([Wire.R_busy]): the request was never executed and is safe to
     retry. In-process backends never raise it. *)
 
-type session
-(** One server session over a view: its ORAM trees live here. *)
-
-val session : store_view -> session
-
-val session_handle : session -> string -> string
-(** Decode request bytes, dispatch, serialize the response. Typed
-    failures ([Integrity.Corruption], [Not_found], [Invalid_argument] —
-    which covers malformed request bytes) come back as
-    [R_corrupt]/[R_error] payloads, never as raised exceptions.
-
-    ORAM memory is bounded by generations. A session keeps one Path ORAM
-    tree per leaf it was sent an [Oram_init] for, and the first
-    [Oram_init] after an [Oram_read] starts a new generation: every tree
-    of the previous one is dropped. The executor installs all partners
-    of an anchor fetch before it reads any of them, so a fetch keeps all
-    of its partner trees (three-leaf queries keep both), and a session
-    holds no more trees than the latest fetch's partners. A read of a
-    leaf whose tree was dropped answers [R_error] like an unknown leaf. *)
-
-val session_oram_leaves : session -> string list
-(** Leaves with a live ORAM tree, sorted. *)
-
 val session_handler : store_view -> string -> string
-(** [session_handle (session view)]: each call makes a fresh session —
-    the server half of {!connect}, exposed so a network server can run
-    one session per accepted socket against a shared view. *)
+(** The server half of {!connect}: decode request bytes, dispatch against
+    the view, serialize the response. Typed failures
+    ([Integrity.Corruption], [Not_found], [Invalid_argument] — which
+    covers malformed request bytes and out-of-range ORAM slots) come back
+    as [R_corrupt]/[R_error] payloads, never as raised exceptions.
+
+    A handler keeps no state between requests: an [Oram_fetch] builds its
+    tree, reads its slots and drops it, so every answer depends only on
+    the request and the view. A network server runs one handler per
+    accepted socket against a shared view. *)
 
 val connect : (module BACKEND with type t = 'a) -> 'a -> conn
-(** Open a session over a backend instance. Each connection gets its own
-    server-side ORAM session table; none of the client-side state
-    (counters, decoded-tid memo) is visible to the backend. *)
+(** Open a session over a backend instance. None of the client-side
+    state (counters, decoded-tid memo) is visible to the backend. *)
 
 val connect_handler :
   name:string -> handle:(string -> string) -> close:(unit -> unit) -> conn
@@ -132,9 +118,10 @@ val exchange_raw : conn -> string -> string
 
 val describe : conn -> string * (string * int * string) list
 (** Relation name and, per stored leaf, its label, row count and tid
-    digest ([Wire.tids_digest]). *)
+    digest ([Wire.tids_digest]). The server checks every stored shape
+    before it answers, so this is also the per-query storage-integrity
+    gate: a dropped or truncated leaf raises [Integrity.Corruption]. *)
 
-val check_shape : conn -> unit
 val install : conn -> string -> unit
 
 val index_probe :
@@ -183,13 +170,17 @@ val fetch_tids : conn -> leaf:string -> digest:string -> string array
     the round trip tells the server only that this connection fetched the
     leaf before, which its own request history already shows. *)
 
-val oram_init :
-  conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array -> int
-(** Install sealed blocks into a fresh per-connection Path ORAM for the
-    leaf; returns the ORAM's cumulative bucket touches after setup. *)
-
-val oram_read : conn -> leaf:string -> slot:int -> string * int
-(** Oblivious block fetch: (sealed block, cumulative bucket touches). *)
+val oram_fetch :
+  conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array ->
+  slots:int list -> string array * int
+(** One partner's ORAM round in one round trip ([Wire.Oram_fetch]): the
+    server installs the sealed blocks into a Path ORAM seeded by [seed],
+    reads [slots] in order and drops the tree. Returns the sealed block
+    of each slot, in [slots] order, and the bucket touches of those
+    reads alone.
+    @raise Integrity.Corruption (where ["oram"]) if the answer holds a
+    different number of blocks than [slots].
+    @raise Invalid_argument if a slot lies outside [blocks]. *)
 
 val phe_sum : conn -> leaf:string -> attr:string -> Snf_bignum.Nat.t
 

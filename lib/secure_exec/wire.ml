@@ -241,7 +241,7 @@ let load path =
    magic so a message can never be confused with a database image. *)
 
 let msg_magic = "SNFM"
-let msg_version = 2
+let msg_version = 3
 
 type filter_op =
   | F_slots of int list
@@ -250,14 +250,18 @@ type filter_op =
 
 type request =
   | Describe
-  | Check_shape
   | Install of string
   | Index_probe of { leaf : string; attr : string; key : string option }
   | Filter of { leaf : string; ops : filter_op list }
   | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
   | Fetch_tids of { leaf : string }
-  | Oram_init of { leaf : string; seed : int; block_size : int; blocks : string array }
-  | Oram_read of { leaf : string; slot : int }
+  | Oram_fetch of {
+      leaf : string;
+      seed : int;
+      block_size : int;
+      blocks : string array;
+      slots : int list;
+    }
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
   | Q_batch of { queries : (string * filter_op list) list list }
@@ -278,7 +282,7 @@ type response =
   | R_mask of { mask : Bitmask.t; scanned : int }
   | R_rows of Enc_relation.cell array array
   | R_tids of string array
-  | R_oram of { block : string option; touches : int }
+  | R_oram of { blocks : string array; touches : int }
   | R_nat of Nat.t
   | R_groups of (Enc_relation.cell * Nat.t) list
   | R_error of { not_found : bool; msg : string }
@@ -370,14 +374,12 @@ let filter_op_to_string op =
 
 let request_tag = function
   | Describe -> 0
-  | Check_shape -> 1
   | Install _ -> 2
   | Index_probe _ -> 3
   | Filter _ -> 4
   | Fetch_rows _ -> 5
   | Fetch_tids _ -> 6
-  | Oram_init _ -> 7
-  | Oram_read _ -> 8
+  | Oram_fetch _ -> 7
   | Phe_sum _ -> 9
   | Group_sum _ -> 10
   | Q_batch _ -> 11
@@ -412,7 +414,6 @@ let r_filter_op c =
 
 let w_request buf = function
   | Describe -> w_u8 buf 0
-  | Check_shape -> w_u8 buf 1
   | Install image ->
     w_u8 buf 2;
     w_string buf image
@@ -433,16 +434,13 @@ let w_request buf = function
   | Fetch_tids { leaf } ->
     w_u8 buf 6;
     w_string buf leaf
-  | Oram_init { leaf; seed; block_size; blocks } ->
+  | Oram_fetch { leaf; seed; block_size; blocks; slots } ->
     w_u8 buf 7;
     w_string buf leaf;
     w_int buf seed;
     w_int buf block_size;
-    w_array w_string buf blocks
-  | Oram_read { leaf; slot } ->
-    w_u8 buf 8;
-    w_string buf leaf;
-    w_int buf slot
+    w_array w_string buf blocks;
+    w_list w_int buf slots
   | Phe_sum { leaf; attr } ->
     w_u8 buf 9;
     w_string buf leaf;
@@ -464,7 +462,6 @@ let w_request buf = function
 let r_request c =
   match r_u8 c with
   | 0 -> Describe
-  | 1 -> Check_shape
   | 2 -> Install (r_string c)
   | 3 ->
     let leaf = r_string c in
@@ -482,10 +479,8 @@ let r_request c =
     let leaf = r_string c in
     let seed = r_int c in
     let block_size = r_int c in
-    Oram_init { leaf; seed; block_size; blocks = r_array r_string c }
-  | 8 ->
-    let leaf = r_string c in
-    Oram_read { leaf; slot = r_int c }
+    let blocks = r_array r_string c in
+    Oram_fetch { leaf; seed; block_size; blocks; slots = r_list r_int c }
   | 9 ->
     let leaf = r_string c in
     Phe_sum { leaf; attr = r_string c }
@@ -584,9 +579,9 @@ let w_response buf = function
   | R_tids tids ->
     w_u8 buf 5;
     w_array w_string buf tids
-  | R_oram { block; touches } ->
+  | R_oram { blocks; touches } ->
     w_u8 buf 6;
-    w_option w_string buf block;
+    w_array w_string buf blocks;
     w_int buf touches
   | R_nat n ->
     w_u8 buf 7;
@@ -638,8 +633,8 @@ let r_response c =
   | 4 -> R_rows (r_array (r_array r_cell) c)
   | 5 -> R_tids (r_array r_string c)
   | 6 ->
-    let block = r_option r_string c in
-    R_oram { block; touches = r_int c }
+    let blocks = r_array r_string c in
+    R_oram { blocks; touches = r_int c }
   | 7 -> R_nat (r_nat c)
   | 8 ->
     R_groups

@@ -13,7 +13,7 @@
        equality indexes are not serialized; the server can always rebuild
        them from what the image already reveals (the disk backend proves
        this claim).}
-    {- the {e message codec} (magic ["SNFM"], version 2): every
+    {- the {e message codec} (magic ["SNFM"], version 3): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
        about — what a network observer (or the honest-but-curious
@@ -57,8 +57,9 @@ type filter_op =
 
 type request =
   | Describe
-      (** structural metadata: leaf labels, row counts and tid digests *)
-  | Check_shape  (** ask the server to validate stored shapes *)
+      (** structural metadata: leaf labels, row counts and tid digests.
+          The server validates every stored shape first, so a dropped or
+          truncated leaf answers [R_corrupt] instead of a description. *)
   | Install of string  (** ship a store image ({!to_string}) *)
   | Index_probe of { leaf : string; attr : string; key : string option }
       (** probe the lazily built equality index; [key = None] still forces
@@ -66,9 +67,19 @@ type request =
   | Filter of { leaf : string; ops : filter_op list }
   | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
   | Fetch_tids of { leaf : string }
-  | Oram_init of { leaf : string; seed : int; block_size : int; blocks : string array }
-      (** install sealed blocks into a fresh per-connection Path ORAM *)
-  | Oram_read of { leaf : string; slot : int }
+  | Oram_fetch of {
+      leaf : string;
+      seed : int;
+      block_size : int;
+      blocks : string array;
+      slots : int list;
+    }
+      (** one partner's whole ORAM round: the server builds a Path ORAM
+          from [seed], writes the sealed [blocks] (block [i] at id [i]),
+          reads [slots] in request order and drops the tree. It sees the
+          install followed by one uniform root-to-leaf path per slot.
+          [slots] may be empty; a slot outside [blocks] is rejected
+          before anything is built. *)
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
   | Q_batch of { queries : (string * filter_op list) list list }
@@ -112,8 +123,10 @@ type response =
   | R_rows of Enc_relation.cell array array
       (** one inner array per requested attribute, in request order *)
   | R_tids of string array
-  | R_oram of { block : string option; touches : int }
-      (** [touches] is the ORAM's cumulative bucket-touch count *)
+  | R_oram of { blocks : string array; touches : int }
+      (** answer to {!Oram_fetch}: one sealed block per requested slot,
+          in request order, and the bucket touches of those reads alone
+          (the install's writes are not counted) *)
   | R_nat of Snf_bignum.Nat.t
   | R_groups of (Enc_relation.cell * Snf_bignum.Nat.t) list
   | R_error of { not_found : bool; msg : string }

@@ -348,7 +348,10 @@ let test_tamper_detected () =
   expect_corruption "tid" (fun () ->
       Enc_relation.decrypt_tid c ~leaf (flip_byte l.Enc_relation.tids.(0) 10));
   expect_corruption "ORAM seal" (fun () ->
-      Enc_relation.oram_open c ~leaf (flip_byte (Enc_relation.oram_seal c ~leaf ~slot:3 "block") 12))
+      Enc_relation.oram_open c ~leaf ~slot:3
+        (flip_byte (Enc_relation.oram_seal c ~leaf ~slot:3 "block") 12));
+  expect_corruption "ORAM block opened at another slot" (fun () ->
+      Enc_relation.oram_open c ~leaf ~slot:4 (Enc_relation.oram_seal c ~leaf ~slot:3 "block"))
 
 (* --- the onion-check memo ------------------------------------------------------ *)
 
@@ -475,7 +478,7 @@ let test_clients_never_share_keys () =
       | Some (Enc_relation.Eq_det ct) ->
         Enc_relation.decrypt_cell b ~leaf ~attr ~scheme:Scheme.Det (Enc_relation.C_bytes ct)
       | _ -> Alcotest.fail "DET token expected");
-  expect_corruption "foreign ORAM block" (fun () -> Enc_relation.oram_open b ~leaf sa);
+  expect_corruption "foreign ORAM block" (fun () -> Enc_relation.oram_open b ~leaf ~slot:0 sa);
   let o = all_schemes_owner ~name:"shared" ~master:"master-a" () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
   let l = List.hd o.System.enc.Enc_relation.leaves in

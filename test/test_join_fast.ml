@@ -238,9 +238,9 @@ let test_fetch_tids_checked_against_digest () =
   let view = Backend_mem.view (Backend_mem.of_store owner.System.enc) in
   let tamper = ref false in
   let conn () =
-    let session = Server_api.session view in
+    let serve = Server_api.session_handler view in
     let handle up =
-      let down = Server_api.session_handle session up in
+      let down = serve up in
       match Wire.request_of_string up with
       | Wire.Fetch_tids _ when !tamper ->
         let b = Bytes.of_string down in

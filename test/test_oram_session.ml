@@ -1,12 +1,14 @@
-(* Per-session ORAM memory: a server session drops the Path ORAM trees
-   of earlier anchor fetches when a new fetch begins, so it never holds
-   more trees than the latest query's partners, while answers and the
-   recorded SNFT trace stay exactly what they were. *)
+(* Server-side ORAM without server state: each partner of an anchor fetch
+   is one [Oram_fetch] that installs, reads and drops its tree, so a
+   session answers every fetch as a fresh session would. Blocks are bound
+   to their slots, and the leakage profile counts the touches of the
+   reads the executor charged. *)
 
 open Snf_relational
 open Snf_exec
 module Scheme = Snf_crypto.Scheme
 module Wiretrace = Snf_obs.Wiretrace
+module Leakage = Snf_obs.Leakage
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -40,39 +42,102 @@ let queries =
     Query.point ~select:[ "D" ] [ ("C", Value.Int 5) ];
     Query.point ~select:[ "B"; "C" ] [ ("A", Value.Int 3) ] ]
 
-let test_session_keeps_only_current_partners () =
+let is_fetch up =
+  match Wire.request_of_string up with Wire.Oram_fetch _ -> true | _ -> false
+
+(* A connection over [serve] that hands every ORAM round trip to [spy]. *)
+let spied_conn serve spy =
+  Server_api.connect_handler ~name:"mem" ~close:ignore ~handle:(fun up ->
+      let down = serve up in
+      if is_fetch up then spy up down;
+      down)
+
+let test_session_holds_no_tree () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
-  let backend = Backend_mem.of_store o.System.enc in
-  let session = Server_api.session (Backend_mem.view backend) in
+  let view = Backend_mem.view (Backend_mem.of_store o.System.enc) in
+  let rounds = ref [] in
   let conn =
-    Server_api.connect_handler ~name:"mem" ~handle:(Server_api.session_handle session)
-      ~close:ignore
+    spied_conn (Server_api.session_handler view) (fun up down ->
+        rounds := (up, down) :: !rounds)
   in
   let rep = o.System.plan.Snf_core.Normalizer.representation in
   List.iteri
     (fun i q ->
+      let before = List.length !rounds in
       match Executor.run_conn ~mode:`Oram o.System.client conn rep q with
       | Error e -> Alcotest.failf "query %d: %s" i e
       | Ok (ans, tr) ->
         Helpers.check_same_bag (Printf.sprintf "query %d oracle-correct" i)
           (System.reference o q) ans;
-        let leaves = tr.Executor.plan.Planner.leaves in
-        let live = Server_api.session_oram_leaves session in
         Alcotest.(check int)
-          (Printf.sprintf "query %d: one live tree per partner" i)
-          (List.length leaves - 1) (List.length live);
-        Alcotest.(check bool)
-          (Printf.sprintf "query %d: live trees belong to this query" i)
-          true
-          (List.for_all (fun l -> List.mem l leaves) live))
-    queries
+          (Printf.sprintf "query %d: one ORAM round trip per partner" i)
+          (List.length tr.Executor.plan.Planner.leaves - 1)
+          (List.length !rounds - before))
+    queries;
+  (* Every fetch, replayed newest first on a session that never saw the
+     others, gets the same bytes back: nothing of an earlier fetch
+     outlives it. *)
+  let fresh = Server_api.session_handler view in
+  List.iteri
+    (fun i (up, down) ->
+      Alcotest.(check string)
+        (Printf.sprintf "fetch %d answered as by a fresh session" i)
+        down (fresh up))
+    !rounds
 
-(* SNFT trace of the sequence above with timestamps zeroed, recorded
-   before sessions pruned their trees: pruning is invisible on the wire.
-   Re-recorded when Describe began carrying tid digests; the ORAM path
-   fetches no tid column, so only the Describe response bytes moved. *)
-let test_trace_unchanged () =
+(* A server answering each slot with the authentic block of the next
+   slot: every block it returns opens under the leaf's key, so only the
+   slot binding can tell. The query must fail typed, never answer. *)
+let test_swapped_block_is_corruption () =
+  let o = owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.of_store o.System.enc)) in
+  let conn =
+    Server_api.connect_handler ~name:"mem" ~close:ignore ~handle:(fun up ->
+        let down = serve up in
+        match (Wire.request_of_string up, Wire.response_of_string down) with
+        | Wire.Oram_fetch { blocks; slots; _ }, Wire.R_oram { touches; _ } ->
+          let n = Array.length blocks in
+          Wire.response_to_string
+            (Wire.R_oram
+               { blocks = Array.of_list (List.map (fun s -> blocks.((s + 1) mod n)) slots);
+                 touches })
+        | _ -> down)
+  in
+  let rep = o.System.plan.Snf_core.Normalizer.representation in
+  match Executor.run_conn ~mode:`Oram o.System.client conn rep (List.hd queries) with
+  | Ok (ans, _) ->
+    Alcotest.failf "swapped blocks answered %d rows instead of failing"
+      (Relation.cardinality ans)
+  | Error e -> Alcotest.failf "swapped blocks: planner error %s" e
+  | exception Integrity.Corruption c ->
+    Alcotest.(check string) "typed corruption in the ORAM" "oram" c.Integrity.where
+
+(* The leakage profile's ORAM touches are what the executor charged: the
+   reads of every fetch, not the tree's install writes. *)
+let test_profile_touches_match_traces () =
+  let o = owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let charged, trace =
+    System.record_wire_trace (fun () ->
+        List.fold_left
+          (fun acc q ->
+            match System.query ~mode:`Oram o q with
+            | Ok (_, tr) -> acc + tr.Executor.oram_bucket_touches
+            | Error e -> Alcotest.fail e)
+          0 queries)
+  in
+  Alcotest.(check bool) "the queries touch buckets" true (charged > 0);
+  Alcotest.(check int) "profile touches = traced touches" charged
+    (Leakage.profile trace).Leakage.p_oram_touches
+
+(* SNFT trace of the sequence above with timestamps zeroed. Re-recorded
+   when Describe began carrying tid digests, and again when each partner
+   became one Oram_fetch (one message instead of an install plus one
+   read per survivor) and Describe took over the shape check (one admin
+   message per query instead of two). *)
+let test_trace_pinned () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
   let answers, trace =
@@ -88,11 +153,12 @@ let test_trace_unchanged () =
   let events =
     List.map (fun e -> { e with Wiretrace.ts_us = 0.0 }) trace.Wiretrace.events
   in
-  Alcotest.(check int) "events" 122 (List.length events);
-  Alcotest.(check string) "trace bytes" "92ed128229eb39fbf4899c8539ee0286"
+  Alcotest.(check int) "events" 72 (List.length events);
+  Alcotest.(check string) "trace bytes" "9eaf0400cf019f007356a1765a504a0f"
     (Digest.to_hex (Digest.string (Wiretrace.to_binary_string { trace with Wiretrace.events })))
 
 let suite =
-  [ t "a session holds only the current fetch's ORAM trees"
-      test_session_keeps_only_current_partners;
-    t "ORAM SNFT trace bytes unchanged by pruning" test_trace_unchanged ]
+  [ t "a session holds no tree after the fetch that built it" test_session_holds_no_tree;
+    t "a block answered for another slot is corruption" test_swapped_block_is_corruption;
+    t "profile ORAM touches equal the executor's" test_profile_touches_match_traces;
+    t "ORAM SNFT trace bytes pinned" test_trace_pinned ]

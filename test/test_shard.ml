@@ -403,9 +403,9 @@ let misreport ~kind ~delta (resp : Wire.response) =
   | _ -> resp
 
 let misreporting_connect ~kind ~delta i =
-  let session = Server_api.session (Backend_mem.view (Backend_mem.empty ())) in
+  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
   let handle up =
-    let down = Server_api.session_handle session up in
+    let down = serve up in
     if i <> 0 then down
     else
       Wire.response_to_string (misreport ~kind ~delta (Wire.response_of_string down))

@@ -176,19 +176,24 @@ let observe o =
    record carries the comparisons and rows of the tid orders it builds,
    so a query whose leaves are all warm records 0; and a leaf whose tid
    column this connection already holds is not fetched again, so the
-   warm 2-leaf repeat carries no Fetch_tids round. *)
+   warm 2-leaf repeat carries no Fetch_tids round. Re-recorded when
+   Describe took over the shape check: every query (and each batch's
+   shared prelude, charged to its first member) sends one admin message
+   instead of two, and the ORAM query sends one Oram_fetch per partner
+   instead of an install plus one read per survivor. The other batch
+   windows and members did not move. *)
 let pinned =
-  [ "1-leaf point: snft 0b146b682699b4e6734f7f39fb6aa058 trace 511608090ac76df01e8b18307f511e23";
-    "1-leaf range: snft 25b2483b6be06891233459d4444f0688 trace 61b3a3218d72cdecae9dc42e6eb52168";
-    "2-leaf sort-merge: snft 75712d109753830380d1a9421df73abb trace 2029b43abb34c3be9b6b93d33d15c2fe";
-    "3-leaf sort-merge: snft ea12cc24f13e1bdd1da57a7daac19c69 trace 8b35c468bee71d3a8ab88409ff3d8b9b";
-    "2-leaf sort-merge, warm: snft c4c48d88666dbe4ba3ec3691a15593e2 trace d3ac7817ba4a6441ca316a365107ace8";
-    "oram: snft 963d5b7eb5dc68db93c87657235a723e trace 378dcc7df1c5a8d136e8812f116eabaa";
-    "binning 16: snft 2a83e94e0373d04d1272d9317c4c589e trace c9296eccda0fbb7d288eea1712fefa4e";
-    "index 1-leaf: snft 389beca51465f34bb0f9ab14fc3ee76d trace 1c1bf3b30efbe95eeef9e6d17692a290";
-    "index 2-leaf: snft b492b79a7516340888afb68bf418aaaf trace 6806bf3f21b82b5ca5b19615c0e0d227";
-    "drop_tid: snft 4409e2985f1958cc8b800b481f0e34e3 trace a0319837352854284bf9b279e0457a45";
-    "batch sort-merge window 0: dc7de717dd65f2b412aba6a7fef7f7cc";
+  [ "1-leaf point: snft 17ab025bdb1330307a9340221b5d9703 trace cda74fff03eecd86e7f3d5d2eb1bcd22";
+    "1-leaf range: snft 042b6e056c86c97323b2999e87c1eba4 trace f9bb3b88afb8bf71b07c3acadead564a";
+    "2-leaf sort-merge: snft 82e45d0f5446324acc019a4891fede45 trace 06855ee467c7b20ebcfe45874c2b924f";
+    "3-leaf sort-merge: snft 714432dc1ae25eb93f5a2173b14bee7b trace 26492b87bff2c93890ff627af86c6b0b";
+    "2-leaf sort-merge, warm: snft 6d3f01f613bb15285dba119797a18408 trace 5d09a9f1ec63ebb6449c2f3e178792d4";
+    "oram: snft 26dbcecbad46a04a40e71b048f524eda trace 846eb3da0101ecf30bf6f810c32d9df5";
+    "binning 16: snft 9d0053ca61443eedae2f19de135ef0c4 trace 0cc9c44ed5ab68e636b0a2e859b2394a";
+    "index 1-leaf: snft 969cdabccc57cf022c894cbae9d750d2 trace 17f164b4128fb17d017a7c1102e5afda";
+    "index 2-leaf: snft ba08ad472a2fb9b241e604b89784a55f trace 0611f98c949e9ba5741d5e71d4e5c370";
+    "drop_tid: snft 54d5f1e62c600542dc8c9af50339f246 trace 49ba7573f16abb908b8e5ed3b51ed3f2";
+    "batch sort-merge window 0: fc97cac50c82ef57905bfe2448805b14";
     "batch sort-merge window 1: 5a4b02080164cb72a01e763503dd21e5";
     "batch sort-merge window 2: 5150cd68268c04b4b4b0ce67dbb735b2";
     "batch sort-merge window 3: 29f5b5682bdf110e6fc2f872be4abed8";
@@ -197,7 +202,7 @@ let pinned =
     "batch sort-merge window 6: f1748d5325c7f2f9f7a21b8f07d76db8";
     "batch sort-merge window 7: 309ae8d3b32080cd6c35238114fee741";
     "batch sort-merge window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch sort-merge[0]: trace a2ded2f6a86db338123ad5cc4b45c960";
+    "batch sort-merge[0]: trace 749db2a274c1413bab8054359ffa3750";
     "batch sort-merge[1]: trace error: no stored copy of \"D\" can evaluate the predicate";
     "batch sort-merge[2]: trace f7008abbcb42d01bfdf8590622288f6c";
     "batch sort-merge[3]: trace 9e43861c9a32aa077396cb90625cc041";
@@ -205,7 +210,7 @@ let pinned =
     "batch sort-merge[5]: trace 9251eb3ff4efd29988c9abc74db3f6b0";
     "batch sort-merge[6]: trace 3248dc532253afca64d55a9a49b48392";
     "batch sort-merge[7]: trace 37168ae9d02b141ad7fb994cf888d9c4";
-    "batch index+drop_tid window 0: 3991b604b8aeec83046e3c48761980e3";
+    "batch index+drop_tid window 0: b446028df7ee4f5e012f0f142b4c12e1";
     "batch index+drop_tid window 1: 8a6d8def69744ca5a3acaf03f8b6beae";
     "batch index+drop_tid window 2: 4072df0dc3eadf369505878129020a1c";
     "batch index+drop_tid window 3: 21954ed87ad5d7516f033226add12a6e";
@@ -214,7 +219,7 @@ let pinned =
     "batch index+drop_tid window 6: 5ec1379e7c6152126cddf4f93d280e8f";
     "batch index+drop_tid window 7: 3ef4d292fb52b4abccf46ef7d0c10edc";
     "batch index+drop_tid window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch index+drop_tid[0]: trace 4d3419298b3c3cd2f86f6d33fe38e851";
+    "batch index+drop_tid[0]: trace c98f943e61b678349f2e18057595442f";
     "batch index+drop_tid[1]: trace 99907374f39ae754664ee29d7f44cef1";
     "batch index+drop_tid[2]: trace 9bddd450996235ef54cdca917e08d4eb";
     "batch index+drop_tid[3]: trace 004ca5651cda114120821cbc77f0c38e";

@@ -77,7 +77,6 @@ let gen_cell =
 let gen_request =
   Gen.oneof
     [ Gen.return Wire.Describe;
-      Gen.return Wire.Check_shape;
       Gen.map (fun s -> Wire.Install s) gen_blob;
       Gen.map2
         (fun (leaf, attr) key -> Wire.Index_probe { leaf; attr; key })
@@ -92,13 +91,13 @@ let gen_request =
         (Gen.pair gen_label (Gen.list_size (Gen.int_bound 4) gen_attr))
         gen_slots;
       Gen.map (fun leaf -> Wire.Fetch_tids { leaf }) gen_label;
-      Gen.map2
-        (fun (leaf, seed) (block_size, blocks) ->
-          Wire.Oram_init { leaf; seed; block_size; blocks })
+      Gen.map3
+        (fun (leaf, seed) (block_size, blocks) slots ->
+          Wire.Oram_fetch { leaf; seed; block_size; blocks; slots })
         (Gen.pair gen_label Gen.nat)
         (Gen.pair (Gen.int_range 1 64)
-           (Gen.map Array.of_list (Gen.list_size (Gen.int_bound 6) gen_blob)));
-      Gen.map2 (fun leaf slot -> Wire.Oram_read { leaf; slot }) gen_label gen_slot;
+           (Gen.map Array.of_list (Gen.list_size (Gen.int_bound 6) gen_blob)))
+        gen_slots;
       Gen.map2 (fun leaf attr -> Wire.Phe_sum { leaf; attr }) gen_label gen_attr;
       Gen.map2
         (fun leaf (group_by, sum) -> Wire.Group_sum { leaf; group_by; sum })
@@ -154,8 +153,9 @@ let gen_response =
         (fun tids -> Wire.R_tids (Array.of_list tids))
         (Gen.list_size (Gen.int_bound 6) gen_blob);
       Gen.map2
-        (fun block touches -> Wire.R_oram { block; touches })
-        (Gen.option gen_blob) Gen.nat;
+        (fun blocks touches -> Wire.R_oram { blocks = Array.of_list blocks; touches })
+        (Gen.list_size (Gen.int_bound 6) gen_blob)
+        Gen.nat;
       Gen.map (fun n -> Wire.R_nat n) gen_nat;
       Gen.map
         (fun gs -> Wire.R_groups gs)
@@ -194,7 +194,7 @@ let resp_roundtrips resp =
    depend on generator luck. *)
 let sample_requests =
   let ore = Ore.of_symbols [| 0; 1; 2 |] in
-  [ Wire.Describe; Wire.Check_shape; Wire.Install "not-a-real-image";
+  [ Wire.Describe; Wire.Install "not-a-real-image";
     Wire.Index_probe { leaf = "R"; attr = "a"; key = None };
     Wire.Index_probe { leaf = "R"; attr = "a"; key = Some "k\x00k" };
     Wire.Filter
@@ -210,10 +210,11 @@ let sample_requests =
             Wire.F_range ("b", Enc_relation.Rng_ore (ore, ore)) ] };
     Wire.Fetch_rows { leaf = "R"; attrs = [ "a"; "b" ]; slots = [ 1; 3 ] };
     Wire.Fetch_tids { leaf = "R" };
-    Wire.Oram_init
+    Wire.Oram_fetch
       { leaf = "R"; seed = 0x09a7; block_size = 8;
-        blocks = [| "blk0\x00\x00\x00\x00"; "blk1\x01\x01\x01\x01" |] };
-    Wire.Oram_read { leaf = "R"; slot = 4 };
+        blocks = [| "blk0\x00\x00\x00\x00"; "blk1\x01\x01\x01\x01" |];
+        slots = [ 1; 0; 1 ] };
+    Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = [] };
     Wire.Phe_sum { leaf = "R"; attr = "amount" };
     Wire.Group_sum { leaf = "R"; group_by = "a"; sum = "amount" };
     Wire.Q_batch { queries = [] };
@@ -244,8 +245,8 @@ let sample_responses =
               { ore = Ore.of_symbols [| 1; 0; 2; 2 |]; payload = "q" } |];
          [| Enc_relation.C_nat (Nat.of_int 12345); Enc_relation.C_plain Value.Null |] |];
     Wire.R_tids [| "t0"; "t1\x00" |];
-    Wire.R_oram { block = None; touches = 0 };
-    Wire.R_oram { block = Some "sealed"; touches = 42 };
+    Wire.R_oram { blocks = [||]; touches = 0 };
+    Wire.R_oram { blocks = [| "sealed0"; "sealed1" |]; touches = 42 };
     Wire.R_nat (Nat.of_int 99991);
     Wire.R_groups
       [ (Enc_relation.C_bytes "g1", Nat.of_int 10);
@@ -430,8 +431,10 @@ let test_mask_padding_rejected () =
 (* {1 Versions and tid digests}
 
    Byte 4 of every message is the SNFM version. Version 1 described
-   leaves without tid digests; a message of any version but the current
-   one is rejected whole, never read under the wrong grammar. *)
+   leaves without tid digests, and version 2 still had a separate
+   shape-check request and a two-message ORAM (install, then one read per
+   slot); a message of any version but the current one is rejected
+   whole, never read under the wrong grammar. *)
 
 let with_version s v =
   let b = Bytes.of_string s in
@@ -449,9 +452,9 @@ let test_other_versions_rejected () =
             (Printf.sprintf "%s at version %d" what v)
             (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
             (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
-      [ 0; 1; current + 1; 255 ]
+      [ 0; 1; 2; current + 1; 255 ]
   in
-  Alcotest.(check int) "messages are SNFM version 2" 2
+  Alcotest.(check int) "messages are SNFM version 3" 3
     (version_of (Wire.request_to_string Wire.Describe));
   List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
     sample_responses;
@@ -483,8 +486,43 @@ let test_tids_digest () =
                (Wire.R_described { relation_name = "r"; leaves = [ ("L", 1, d) ] }))))
     [ ""; String.make 15 'x'; String.make 17 'x' ]
 
+(* {1 The ORAM fetch, served}
+
+   One [Oram_fetch] round trip against a server session: the blocks of
+   the requested slots come back in request order (repeats included), an
+   empty slot list reads nothing, and a slot outside the blocks is a
+   typed [R_error] rather than a crash or an empty answer. *)
+
+let test_oram_fetch_served () =
+  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
+  let blocks = Array.init 5 (fun i -> String.make 8 (Char.chr (Char.code 'a' + i))) in
+  let fetch slots =
+    Wire.response_of_string
+      (serve
+         (Wire.request_to_string
+            (Wire.Oram_fetch { leaf = "R"; seed = 7; block_size = 8; blocks; slots })))
+  in
+  (match fetch [ 3; 0; 3 ] with
+   | Wire.R_oram { blocks = got; touches } ->
+     Alcotest.(check (array string)) "blocks in request order"
+       [| blocks.(3); blocks.(0); blocks.(3) |] got;
+     Alcotest.(check bool) "touches count the three reads only" true
+       (touches > 0 && touches mod 3 = 0)
+   | _ -> Alcotest.fail "not an R_oram");
+  (match fetch [] with
+   | Wire.R_oram { blocks = [||]; touches = 0 } -> ()
+   | _ -> Alcotest.fail "empty slots: expected R_oram with no blocks and no touches");
+  List.iter
+    (fun slots ->
+      match fetch slots with
+      | Wire.R_error { not_found = false; _ } -> ()
+      | _ -> Alcotest.failf "slot list %s: expected a typed R_error"
+               (String.concat "," (List.map string_of_int slots)))
+    [ [ 5 ]; [ 0; 99 ] ]
+
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;
+    t "an ORAM fetch is served in one round trip" test_oram_fetch_served;
     t "messages of another version rejected" test_other_versions_rejected;
     t "tid digests: R_tids bytes, 16 bytes on the wire" test_tids_digest;
     t "every strict prefix rejected" test_every_prefix_rejected;
