@@ -721,6 +721,24 @@ let ciphertexts_deterministic () =
   in
   wire 1 = wire 3
 
+(* [Paillier.decrypt] against [decrypt_reference] on a fixed sample: the
+   edge plaintexts 0, 1 and n - 1, seeded random plaintexts, and
+   homomorphic sums (including one that wraps past n). *)
+let decrypt_matches_reference kp =
+  let module P = Snf_crypto.Paillier in
+  let pk = kp.P.public in
+  let n = pk.P.n in
+  let prng = Snf_crypto.Prng.create 0xdec in
+  let rand b = Snf_crypto.Prng.int prng b in
+  let plain = [ Nat.zero; Nat.one; Nat.pred n ] @ List.init 16 (fun _ -> Nat.random_below rand n) in
+  let cts = List.map (P.encrypt prng pk) plain in
+  let sums =
+    List.map2 (P.add pk) cts (List.tl cts @ [ List.hd cts ])
+    @ [ List.fold_left (P.add pk) (List.hd cts) (List.tl cts) ]
+  in
+  List.for_all (fun c -> Nat.equal (P.decrypt kp c) (P.decrypt_reference kp c)) (cts @ sums)
+  && List.for_all2 (fun m c -> Nat.equal (P.decrypt kp c) m) plain cts
+
 let run_micro_paillier () =
   section "Micro: Paillier kernels (reference vs Montgomery/CRT/pool)";
   let prime_bits = arg_value "prime_bits" 48 in
@@ -754,8 +772,35 @@ let run_micro_paillier () =
     cost (fun () -> Snf_crypto.Paillier.decrypt_reference kp ct)
   in
   let dec_crt_ns, dec_crt_words = cost (fun () -> Snf_crypto.Paillier.decrypt kp ct) in
+  (* The server's homomorphic fold step, next to the Montgomery product
+     it could use instead (two 8-limb CIOS products, measured slower than
+     one schoolbook product and division), and the wire codecs every PHE
+     cell crosses. The addends vary, as in a fold over a column. *)
+  let addends =
+    Array.init 256 (fun i -> Snf_crypto.Paillier.encrypt_with pool i (Nat.of_int (i * 7_919)))
+  in
+  let pair = ref 0 in
+  let next_pair () =
+    pair := (!pair + 1) land 254;
+    (addends.(!pair), addends.(!pair + 1))
+  in
+  let add_ns, add_words =
+    cost (fun () ->
+        let a, b = next_pair () in
+        Snf_crypto.Paillier.add pk a b)
+  in
+  let mont_n2 = pk.Snf_crypto.Paillier.mont_n2 in
+  let add_mont_ns, add_mont_words =
+    cost (fun () ->
+        let a, b = next_pair () in
+        Nat.Mont.mul_mod mont_n2 a b)
+  in
+  let ct_bytes = Nat.to_bytes_be ct in
+  let of_bytes_ns, of_bytes_words = cost (fun () -> Nat.of_bytes_be ct_bytes) in
+  let to_bytes_ns, to_bytes_words = cost (fun () -> Nat.to_bytes_be ct) in
   let modexp = paillier_shaped_modexp () in
   let deterministic = ciphertexts_deterministic () in
+  let decrypt_agrees = decrypt_matches_reference kp in
   let enc_speedup_mont = enc_ref_ns /. enc_mont_ns in
   let enc_speedup_pooled = enc_ref_ns /. enc_pool_ns in
   let dec_speedup_crt = dec_ref_ns /. dec_crt_ns in
@@ -769,8 +814,13 @@ let run_micro_paillier () =
   List.iter
     (fun (name, ns, words) -> Printf.printf "  %-32s %9.0f ns %9.0f words\n" name ns words)
     modexp;
+  Printf.printf "  add: Nat.mul_mod %8.0f ns, %.0f words | Mont.mul_mod %8.0f ns, %.0f words\n"
+    add_ns add_words add_mont_ns add_mont_words;
+  Printf.printf "  Nat codecs, %d B: of_bytes_be %6.0f ns, %.0f words | to_bytes_be %6.0f ns, %.0f words\n"
+    (String.length ct_bytes) of_bytes_ns of_bytes_words to_bytes_ns to_bytes_words;
   Printf.printf "  pool fill: %8.0f ns/entry (%d entries)\n" pool_fill_ns pool_entries;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
+  Printf.printf "  decrypt agrees with decrypt_reference on the sample: %b\n" decrypt_agrees;
   write_bench ~metrics:true "BENCH_paillier.json"
     [ ("experiment", Json.String "paillier-kernels");
       ("prime_bits", Json.Int prime_bits);
@@ -785,6 +835,15 @@ let run_micro_paillier () =
       ("decrypt_reference_minor_words", Json.Float dec_ref_words);
       ("decrypt_crt_ns", Json.Float dec_crt_ns);
       ("decrypt_crt_minor_words", Json.Float dec_crt_words);
+      ("add_ns", Json.Float add_ns);
+      ("add_minor_words", Json.Float add_words);
+      ("add_mont_mul_mod_ns", Json.Float add_mont_ns);
+      ("add_mont_mul_mod_minor_words", Json.Float add_mont_words);
+      ("ciphertext_bytes", Json.Int (String.length ct_bytes));
+      ("of_bytes_be_ns", Json.Float of_bytes_ns);
+      ("of_bytes_be_minor_words", Json.Float of_bytes_words);
+      ("to_bytes_be_ns", Json.Float to_bytes_ns);
+      ("to_bytes_be_minor_words", Json.Float to_bytes_words);
       ("encrypt_speedup_montgomery", Json.Float enc_speedup_mont);
       ("encrypt_speedup_pooled", Json.Float enc_speedup_pooled);
       ("decrypt_speedup_crt", Json.Float dec_speedup_crt);
@@ -797,7 +856,12 @@ let run_micro_paillier () =
                    ("ns", Json.Float ns);
                    ("minor_words", Json.Float words) ])
              modexp) );
-      ("ciphertexts_deterministic_across_domains", Json.Bool deterministic) ]
+      ("ciphertexts_deterministic_across_domains", Json.Bool deterministic);
+      ("decrypt_matches_reference", Json.Bool decrypt_agrees) ];
+  (* The kernels above are only worth their numbers if they are right. *)
+  if not decrypt_agrees then failwith "micro-paillier: decrypt disagrees with decrypt_reference";
+  if not deterministic then
+    failwith "micro-paillier: bulk ciphertexts differ between 1 and 3 domains"
 
 (* Per-leaf slot arrays of a cascade-shaped answer: the shape the
    lockstep pass returns. *)

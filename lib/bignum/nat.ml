@@ -369,22 +369,43 @@ let to_string a =
     Buffer.contents buf
   end
 
+(* Linear bit-packing: the byte string is read once from its least
+   significant end into an accumulator of at most 33 bits that spills a
+   limb whenever it holds 26. *)
 let of_bytes_be s =
-  let acc = ref zero in
-  String.iter (fun c -> acc := add (shift_left !acc 8) (of_int (Char.code c))) s;
-  !acc
+  let len = String.length s in
+  let r = Array.make (((8 * len) + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = len - 1 downto 0 do
+    acc := !acc lor (Char.code (String.unsafe_get s i) lsl !bits);
+    bits := !bits + 8;
+    if !bits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      acc := !acc lsr limb_bits;
+      bits := !bits - limb_bits;
+      incr k
+    end
+  done;
+  if !bits > 0 then r.(!k) <- !acc;
+  normalize r
 
-let to_bytes_be a =
+(* The reverse walk: bytes leave from the least significant end, limbs
+   enter the accumulator as it runs below 8 bits. *)
+let to_bytes_be (a : t) =
   let n = (bit_length a + 7) / 8 in
   let b = Bytes.create n in
-  let rec go a i =
-    if i >= 0 then begin
-      Bytes.set b i (Char.chr (to_int_exn (rem a (of_int 256))));
-      go (shift_right a 8) (i - 1)
-    end
-  in
-  go a (n - 1);
-  Bytes.to_string b
+  let acc = ref 0 and bits = ref 0 and k = ref 0 in
+  for i = n - 1 downto 0 do
+    if !bits < 8 then begin
+      if !k < Array.length a then acc := !acc lor (a.(!k) lsl !bits);
+      bits := !bits + limb_bits;
+      incr k
+    end;
+    Bytes.unsafe_set b i (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    bits := !bits - 8
+  done;
+  Bytes.unsafe_to_string b
 
 let random_bits rand k =
   if k < 1 then invalid_arg "Nat.random_bits";
@@ -469,8 +490,9 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
    never divides — the reduction is interleaved shift-free limb
    arithmetic. [pow_mod] runs every square and multiply into one k-limb
    accumulator through one (k+2)-limb scratch, so its minor-heap cost is
-   a handful of arrays per call, not two per product. The generic
-   [pow_mod] above stays as the reference implementation. *)
+   a handful of arrays per call, not two per product. A 4-limb modulus
+   multiplies at register width ([mont_mul4]). The generic [pow_mod]
+   above stays as the reference implementation. *)
 module Mont = struct
   type ctx = {
     m : t;                (* modulus, odd, > 1 *)
@@ -545,7 +567,7 @@ module Mont = struct
      [a] and [b] are only read before [dst] is written, so [dst] may be
      either of them. Every intermediate fits a 63-bit int: limb products
      stay below 2^52 and the running sums add at most two more bits. *)
-  let mont_mul_into ctx (t : int array) (dst : int array) (a : int array) (b : int array) =
+  let mont_mul_generic ctx (t : int array) (dst : int array) (a : int array) (b : int array) =
     let k = ctx.k and m = ctx.m_limbs and m' = ctx.m' in
     Array.fill t 0 (k + 2) 0;
     for i = 0 to k - 1 do
@@ -574,6 +596,69 @@ module Mont = struct
     Array.blit t 0 dst 0 k;
     reduce_once ctx dst t.(k)
 
+  (* The same CIOS product at register width for a 4-limb modulus — the
+     p^2 of a Paillier CRT leg at 48-bit primes. Operand limbs and the
+     running sum t0..t4 live in locals ([t4] is the limb above the top,
+     carry bits included), bounds are checked once per call, and the
+     scratch goes unused. *)
+  let mont_mul4 ctx (dst : int array) (a : int array) (b : int array) =
+    let m = ctx.m_limbs and m' = ctx.m' in
+    if Array.length a < 4 || Array.length b < 4 || Array.length dst < 4 then
+      invalid_arg "Nat.Mont: operand narrower than the modulus";
+    let m0 = Array.unsafe_get m 0 and m1 = Array.unsafe_get m 1
+    and m2 = Array.unsafe_get m 2 and m3 = Array.unsafe_get m 3 in
+    let b0 = Array.unsafe_get b 0 and b1 = Array.unsafe_get b 1
+    and b2 = Array.unsafe_get b 2 and b3 = Array.unsafe_get b 3 in
+    let t0 = ref 0 and t1 = ref 0 and t2 = ref 0 and t3 = ref 0 and t4 = ref 0 in
+    for i = 0 to 3 do
+      let ai = Array.unsafe_get a i in
+      let s = !t0 + (ai * b0) in
+      let x0 = s land limb_mask in
+      let s = !t1 + (ai * b1) + (s lsr limb_bits) in
+      let x1 = s land limb_mask in
+      let s = !t2 + (ai * b2) + (s lsr limb_bits) in
+      let x2 = s land limb_mask in
+      let s = !t3 + (ai * b3) + (s lsr limb_bits) in
+      let x3 = s land limb_mask in
+      let x4 = !t4 + (s lsr limb_bits) in
+      let u = (x0 * m') land limb_mask in
+      let s = x1 + (u * m1) + ((x0 + (u * m0)) lsr limb_bits) in
+      t0 := s land limb_mask;
+      let s = x2 + (u * m2) + (s lsr limb_bits) in
+      t1 := s land limb_mask;
+      let s = x3 + (u * m3) + (s lsr limb_bits) in
+      t2 := s land limb_mask;
+      let s = x4 + (s lsr limb_bits) in
+      t3 := s land limb_mask;
+      t4 := s lsr limb_bits
+    done;
+    let r0 = !t0 and r1 = !t1 and r2 = !t2 and r3 = !t3 in
+    if
+      !t4 > 0
+      || r3 > m3
+      || (r3 = m3 && (r2 > m2 || (r2 = m2 && (r1 > m1 || (r1 = m1 && r0 >= m0)))))
+    then begin
+      (* Final subtraction; [asr] turns a negative limb into the borrow. *)
+      let d = r0 - m0 in
+      Array.unsafe_set dst 0 (d land limb_mask);
+      let d = r1 - m1 + (d asr limb_bits) in
+      Array.unsafe_set dst 1 (d land limb_mask);
+      let d = r2 - m2 + (d asr limb_bits) in
+      Array.unsafe_set dst 2 (d land limb_mask);
+      let d = r3 - m3 + (d asr limb_bits) in
+      Array.unsafe_set dst 3 (d land limb_mask)
+    end
+    else begin
+      Array.unsafe_set dst 0 r0;
+      Array.unsafe_set dst 1 r1;
+      Array.unsafe_set dst 2 r2;
+      Array.unsafe_set dst 3 r3
+    end
+
+  (* The body is chosen by the modulus's limb count alone. *)
+  let mont_mul_into ctx t dst a b =
+    if ctx.k = 4 then mont_mul4 ctx dst a b else mont_mul_generic ctx t dst a b
+
   (* Fresh-result product, for the one-shot entry points below. *)
   let mont_mul ctx a b =
     let r = Array.make ctx.k 0 in
@@ -589,8 +674,11 @@ module Mont = struct
 
   (* Plain-domain modular product: mont_mul (aR) b = a*b mod m. *)
   let mul_mod ctx a b =
-    let am = mont_mul ctx (limbs_of ctx (rem a ctx.m)) ctx.r2 in
-    normalize (mont_mul ctx am (limbs_of ctx (rem b ctx.m)))
+    let t = Array.make (ctx.k + 2) 0 in
+    let am = limbs_of ctx (rem a ctx.m) in
+    mont_mul_into ctx t am am ctx.r2;
+    mont_mul_into ctx t am am (limbs_of ctx (rem b ctx.m));
+    normalize am
 
   let window_bits e_bits =
     if e_bits <= 8 then 1

@@ -8,8 +8,11 @@
 
     The sizes involved in this repository are modest (Paillier with
     simulation-scale primes, i.e. moduli of a few hundred bits), so the
-    implementation favours clarity over asymptotic speed: schoolbook
-    multiplication and shift-subtract division. *)
+    algorithms are the quadratic ones — schoolbook multiplication and
+    Knuth's Algorithm D division — with no asymptotically faster method
+    anywhere. The hot paths are tuned at that size instead: the byte
+    codecs are linear bit-packing, and {!Mont} multiplies without
+    dividing, in registers for a 4-limb modulus. *)
 
 type t
 
@@ -36,10 +39,12 @@ val to_string : t -> string
 (** Render as decimal. *)
 
 val of_bytes_be : string -> t
-(** Interpret a big-endian byte string as a natural number. *)
+(** Interpret a big-endian byte string as a natural number (leading zero
+    bytes allowed). Linear in the length. *)
 
 val to_bytes_be : t -> string
-(** Minimal big-endian byte representation ([""] for zero). *)
+(** Minimal big-endian byte representation ([""] for zero). Linear in the
+    length. *)
 
 (** {1 Comparison and predicates} *)
 
@@ -117,8 +122,11 @@ val pp : Format.formatter -> t -> unit
 
     Per-modulus context carrying the REDC precomputation. [pow_mod] here is
     a sliding-window exponentiation over division-free Montgomery
-    multiplication — the kernel behind Paillier encryption/decryption. The
-    plain {!val:pow_mod} above is retained as the reference
+    multiplication — the kernel behind Paillier encryption/decryption. A
+    4-limb modulus (the [p^2] of a CRT decrypt leg at 48-bit primes)
+    multiplies in a body that keeps its limbs in locals; every other width
+    takes the generic array body. The choice follows the modulus alone.
+    The plain {!val:pow_mod} above is retained as the reference
     implementation; the two are cross-checked in the test suite. *)
 module Mont : sig
   type ctx

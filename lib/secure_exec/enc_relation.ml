@@ -422,11 +422,10 @@ let column leaf attr =
    client's answer: every authentication failure (and every onion whose
    order part disagrees with its payload) must surface as a typed
    [Integrity.Corruption], never as a wrong value. *)
-let decrypt_cell_nocache c ~leaf ~attr ~scheme cell =
+let decrypt_with c ~leaf ~attr ~scheme keys cell =
   let authenticated f =
     try f () with Invalid_argument msg -> Integrity.fail ~leaf ~attr ~where:"cell" msg
   in
-  let keys () = column_keys c ~leaf ~attr in
   match ((scheme : Scheme.kind), cell) with
   | Scheme.Plain, C_plain v -> v
   | Scheme.Det, C_bytes b ->
@@ -464,21 +463,33 @@ let decrypt_cell_nocache c ~leaf ~attr ~scheme cell =
     Integrity.fail ~leaf ~attr ~where:"cell"
       "scheme/cell shape mismatch (cell constructor does not fit the annotated scheme)"
 
-let decrypt_cell ?(cache = false) c ~leaf ~attr ~scheme cell =
-  if not cache then decrypt_cell_nocache c ~leaf ~attr ~scheme cell
+(* The column's keys are read from the schedule once, here, instead of
+   once per cell: a schedule lookup takes its mutex and hashes the leaf
+   and attribute names, which costs about what a DET cell decrypt does.
+   A plaintext column's cells need no keys, so it reads none. *)
+let cell_decryptor ?(cache = false) c ~leaf ~attr ~scheme =
+  let keys =
+    match (scheme : Scheme.kind) with
+    | Scheme.Plain -> fun () -> column_keys c ~leaf ~attr
+    | _ ->
+      let ck = column_keys c ~leaf ~attr in
+      fun () -> ck
+  in
+  let decrypt = decrypt_with c ~leaf ~attr ~scheme keys in
+  if not cache then decrypt
   else
-    let key =
-      ("val", leaf, attr, c.key_epoch, scheme_code scheme, cell_fingerprint cell)
-    in
-    match
-      mapping_memo c key (fun () ->
-          M_val (decrypt_cell_nocache c ~leaf ~attr ~scheme cell))
-    with
-    | M_val v -> v
-    | _ -> assert false
+    let code = scheme_code scheme in
+    fun cell ->
+      let key = ("val", leaf, attr, c.key_epoch, code, cell_fingerprint cell) in
+      match mapping_memo c key (fun () -> M_val (decrypt cell)) with
+      | M_val v -> v
+      | _ -> assert false
+
+let decrypt_cell ?cache c ~leaf ~attr ~scheme cell =
+  cell_decryptor ?cache c ~leaf ~attr ~scheme cell
 
 let decrypt_column c ~leaf (col : enc_column) =
-  Array.map (decrypt_cell c ~leaf ~attr:col.attr ~scheme:col.scheme) col.cells
+  Array.map (cell_decryptor c ~leaf ~attr:col.attr ~scheme:col.scheme) col.cells
 
 let decrypt_tid_with key ~leaf ct =
   try Value.to_int_exn (Value.decode (Ndet.decrypt key ct))

@@ -95,6 +95,13 @@ val decrypt_cell :
     misses are accounted in ["exec.mapping_cache.hits"] /
     ["exec.mapping_cache.misses"]. *)
 
+val cell_decryptor :
+  ?cache:bool ->
+  client -> leaf:string -> attr:string -> scheme:Scheme.kind -> cell -> Value.t
+(** [cell_decryptor c ~leaf ~attr ~scheme] is [decrypt_cell c ~leaf ~attr
+    ~scheme] with the column's keys resolved once, for decrypting many
+    cells of one column. Same checks, same errors, same cache. *)
+
 val order_memo_cap : int
 (** Bound on the onion-check memo: per column and per order scheme, at
     most this many order parts are memoised.

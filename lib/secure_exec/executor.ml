@@ -140,53 +140,121 @@ let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index
 let filter_ops compiled =
   List.map (function Indexed (_, slots) -> Wire.F_slots slots | Scan op -> op) compiled
 
-(* Fetch a window of ciphertext cells — (attrs × slots) of one leaf — in
-   a single message and expose it as a decrypt-on-demand lookup. Nothing
-   is decrypted until asked for, so over-fetching (ORAM columns, binning
-   decoys) costs wire bytes, not decrypt work. *)
-let fetch_window ~cache client conn ~scheme_of ~label ~attrs ~slots =
-  let pos = Hashtbl.create 16 in
-  List.iteri (fun j s -> if not (Hashtbl.mem pos s) then Hashtbl.add pos s j) slots;
-  let cols = Server_api.fetch_rows conn ~leaf:label ~attrs ~slots in
-  if Array.length cols <> List.length attrs then
-    invalid_arg "Executor: row fetch returned a wrong number of columns";
-  let col_of = Hashtbl.create 8 in
-  List.iteri (fun i a -> Hashtbl.replace col_of a cols.(i)) attrs;
-  fun attr slot ->
-    let cells =
-      match Hashtbl.find_opt col_of attr with
-      | Some cells -> cells
-      | None -> raise Not_found
-    in
-    let j =
-      match Hashtbl.find_opt pos slot with
-      | Some j -> j
-      | None -> invalid_arg "Executor: slot outside the fetched window"
-    in
-    if j >= Array.length cells then
-      invalid_arg "Executor: row fetch returned a short column";
-    Enc_relation.decrypt_cell ~cache client ~leaf:label ~attr
-      ~scheme:(scheme_of label attr) cells.(j)
+(* --- fetch windows --------------------------------------------------------- *)
 
-let no_window _attr _slot = invalid_arg "Executor: no attributes were fetched"
+(* One fetched attribute of a window: its cells in window order and its
+   decryptor, resolved once. [f_values] holds the decrypted column once a
+   caller has asked for all of it. *)
+type fetched = {
+  f_attr : string;
+  f_cells : Enc_relation.cell array;
+  f_decrypt : Enc_relation.cell -> Value.t;
+  mutable f_values : Value.t array option;
+}
 
+(* A window of ciphertext cells — (attrs × slots) of one leaf — fetched
+   in a single message. [w_slots] is ascending and distinct, which is
+   also the order the request sends. Nothing is decrypted until asked
+   for, so over-fetching (binning decoys) costs wire bytes, not decrypt
+   work. *)
+type window = { w_slots : int array; w_cols : fetched list }
+
+let no_window = { w_slots = [||]; w_cols = [] }
+
+(* The ascending, distinct slots among a leaf's [rows] that [iter]
+   yields: one mark-and-scan, no sort. *)
+let ascending_slots ~rows iter =
+  let mark = Bitmask.create rows false in
+  iter (Bitmask.set mark);
+  let out = Array.make (Bitmask.popcount mark) 0 in
+  let k = ref 0 in
+  for s = 0 to rows - 1 do
+    if Bitmask.get mark s then begin
+      out.(!k) <- s;
+      incr k
+    end
+  done;
+  out
+
+(* [slots] must be ascending and distinct. No attributes, no round trip. *)
 let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
   if attrs = [] then no_window
-  else fetch_window ~cache client conn ~scheme_of ~label ~attrs ~slots
+  else begin
+    let cols = Server_api.fetch_rows conn ~leaf:label ~attrs ~slots:(Array.to_list slots) in
+    if Array.length cols <> List.length attrs then
+      invalid_arg "Executor: row fetch returned a wrong number of columns";
+    { w_slots = slots;
+      w_cols =
+        List.mapi
+          (fun i attr ->
+            if Array.length cols.(i) < Array.length slots then
+              invalid_arg "Executor: row fetch returned a short column";
+            { f_attr = attr;
+              f_cells = cols.(i);
+              f_decrypt =
+                Enc_relation.cell_decryptor ~cache client ~leaf:label ~attr
+                  ~scheme:(scheme_of label attr);
+              f_values = None })
+          attrs }
+  end
+
+let fetched w attr =
+  if w.w_cols = [] then invalid_arg "Executor: no attributes were fetched";
+  match List.find_opt (fun f -> String.equal f.f_attr attr) w.w_cols with
+  | Some f -> f
+  | None -> raise Not_found
+
+let rec search slots slot lo hi =
+  if lo >= hi then invalid_arg "Executor: slot outside the fetched window"
+  else
+    let mid = (lo + hi) lsr 1 in
+    let s = slots.(mid) in
+    if s = slot then mid else if s < slot then search slots slot (mid + 1) hi
+    else search slots slot lo mid
+
+(* A slot's index in the window, by binary search. *)
+let position w slot = search w.w_slots slot 0 (Array.length w.w_slots)
+
+(* Every cell of [attr] decrypted, in window order, once per window. *)
+let values w attr =
+  let f = fetched w attr in
+  match f.f_values with
+  | Some vs -> vs
+  | None ->
+    let vs = Array.init (Array.length w.w_slots) (fun j -> f.f_decrypt f.f_cells.(j)) in
+    f.f_values <- Some vs;
+    vs
+
+(* [attr] at [slots], in that order; every slot must be in the window. *)
+let column_at w attr slots =
+  let f = fetched w attr in
+  match f.f_values with
+  | Some vs -> Array.map (fun s -> vs.(position w s)) slots
+  | None -> Array.map (fun s -> f.f_decrypt f.f_cells.(position w s)) slots
+
+(* One cell, decrypted on its own: the binning path's wanted rows. *)
+let value w attr slot =
+  let f = fetched w attr in
+  f.f_decrypt f.f_cells.(position w slot)
 
 (* Client-side re-verification of index-served predicates: the equality
    index is mutable server state, so a row it returned must still satisfy
    the predicate once decrypted — a stale entry surfaces as detected
    corruption, never as a wrong answer. Scanned predicates need no check:
-   their ciphertext test ran on the authenticated cells themselves. *)
-let verify_indexed value_at label compiled slot =
+   their ciphertext test ran on the authenticated cells themselves. A
+   window holds exactly the matched rows of its leaf, so every cell of an
+   indexed attribute is checked. *)
+let verify_indexed w label compiled =
   List.iter
     (function
       | Indexed (p, _) ->
         let attr = Query.pred_attr p in
-        if not (pred_holds p (value_at attr slot)) then
-          Integrity.fail ~leaf:label ~attr ~where:"index"
-            "stale equality-index entry: fetched row does not satisfy its predicate"
+        Array.iter
+          (fun v ->
+            if not (pred_holds p v) then
+              Integrity.fail ~leaf:label ~attr ~where:"index"
+                "stale equality-index entry: fetched row does not satisfy its predicate")
+          (values w attr)
       | Scan _ -> ())
     compiled
 
@@ -195,18 +263,14 @@ let indexed_attrs compiled =
     (function Indexed (p, _) -> Some (Query.pred_attr p) | Scan _ -> None)
     compiled
 
-let build_result (q : Query.t) rows =
-  let witness_ty i =
-    List.fold_left
-      (fun acc row -> match acc with Some _ -> acc | None -> Value.type_of (List.nth row i))
-      None rows
-    |> Option.value ~default:Value.TText
-  in
+(* The answer, column by column. A column's type is that of its first
+   non-null value (text when there is none). *)
+let build_result (q : Query.t) columns =
+  let ty col = Option.value (Array.find_map Value.type_of col) ~default:Value.TText in
   let schema =
-    Schema.of_attributes
-      (List.mapi (fun i a -> Attribute.make a (witness_ty i)) q.Query.select)
+    Schema.of_attributes (List.map2 (fun a col -> Attribute.make a (ty col)) q.Query.select columns)
   in
-  Relation.create schema (List.map Array.of_list rows)
+  Relation.of_columns schema (Array.of_list columns)
 
 let preds_at (plan : Planner.plan) label =
   List.filter_map
@@ -244,13 +308,6 @@ let fetched_attrs (q : Query.t) plan label compiled =
   let projs = List.filter (fun a -> proj_leaf plan a = label) q.Query.select in
   List.sort_uniq String.compare (projs @ indexed_attrs compiled)
 
-(* Assemble the output rows given, per output tid, a function giving the
-   decrypted value of (leaf label, attr). *)
-let project_rows (q : Query.t) plan matches value_of =
-  List.map
-    (fun m -> List.map (fun attr -> value_of m (proj_leaf plan attr) attr) q.Query.select)
-    matches
-
 (* --- single leaf -------------------------------------------------------- *)
 
 (* [drop_tid] is optional here: a slot's tid costs a Feistel unpermute,
@@ -274,12 +331,9 @@ let run_single ~drop_tid ~cache client conn ~scheme_of q plan (lv : leaf_view) c
   in
   Span.with_ ~name:"query.client_decrypt" @@ fun () ->
   let attrs = fetched_attrs q plan label compiled in
-  let value_at = window ~cache client conn ~scheme_of ~label ~attrs ~slots:matches in
-  List.iter (verify_indexed value_at label compiled) matches;
-  let rows =
-    project_rows q plan matches (fun slot _label attr -> value_at attr slot)
-  in
-  build_result q rows
+  let w = window ~cache client conn ~scheme_of ~label ~attrs ~slots:(Array.of_list matches) in
+  verify_indexed w label compiled;
+  build_result q (List.map (values w) q.Query.select)
 
 (* --- sort-merge reconstruction ------------------------------------------ *)
 
@@ -301,34 +355,29 @@ let synthetic_leaf conn (lv : leaf_view) =
 let sort_merge_decrypt ~cache client conn ~scheme_of q plan lvs compiled slots =
   Span.with_ ~name:"query.client_decrypt" @@ fun () ->
   let lvs = Array.of_list lvs and compiled = Array.of_list compiled in
+  (* Every window is fetched before any cell is decrypted; a leaf that
+     fetches nothing gets no window and its slots are never sorted. *)
   let windows =
     Array.mapi
       (fun i lv ->
-        let attrs = fetched_attrs q plan lv.lv_label compiled.(i) in
-        let wanted = List.sort_uniq Int.compare (Array.to_list slots.(i)) in
-        window ~cache client conn ~scheme_of ~label:lv.lv_label ~attrs ~slots:wanted)
+        match fetched_attrs q plan lv.lv_label compiled.(i) with
+        | [] -> no_window
+        | attrs ->
+          let wanted = ascending_slots ~rows:lv.lv_rows (fun f -> Array.iter f slots.(i)) in
+          window ~cache client conn ~scheme_of ~label:lv.lv_label ~attrs ~slots:wanted)
       lvs
   in
-  let matches = if Array.length slots = 0 then 0 else Array.length slots.(0) in
-  for j = 0 to matches - 1 do
-    Array.iteri
-      (fun i lv -> verify_indexed windows.(i) lv.lv_label compiled.(i) slots.(i).(j))
-      lvs
-  done;
+  Array.iteri (fun i w -> verify_indexed w lvs.(i).lv_label compiled.(i)) windows;
   let leaf_index label =
     let rec go i = if lvs.(i).lv_label = label then i else go (i + 1) in
     go 0
   in
-  let columns =
-    List.map
-      (fun attr ->
-        let i = leaf_index (proj_leaf plan attr) in
-        (windows.(i) attr, slots.(i)))
-      q.Query.select
-  in
   build_result q
-    (List.init matches (fun j ->
-         List.map (fun (value_at, leaf_slots) -> value_at leaf_slots.(j)) columns))
+    (List.map
+       (fun attr ->
+         let i = leaf_index (proj_leaf plan attr) in
+         column_at windows.(i) attr slots.(i))
+       q.Query.select)
 
 (* --- anchor + fetch reconstructions (ORAM / binning) --------------------- *)
 
@@ -351,15 +400,17 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
   let label = lv.lv_label in
   let needed = needed_attrs_of_leaf q plan label in
   let n = lv.lv_rows in
-  let value_at =
-    if n = 0 then no_window
+  let columns =
+    if n = 0 then []
     else
-      window ~cache client conn ~scheme_of ~label ~attrs:needed
-        ~slots:(List.init n Fun.id)
+      let w =
+        window ~cache client conn ~scheme_of ~label ~attrs:needed ~slots:(Array.init n Fun.id)
+      in
+      List.map (fun a -> (a, values w a)) needed
   in
   let payloads =
     Array.init n (fun slot ->
-        Marshal.to_string (List.map (fun a -> (a, value_at a slot)) needed) [])
+        Marshal.to_string (List.map (fun (a, vs) -> (a, vs.(slot))) columns) [])
   in
   let block_size = Array.fold_left (fun m p -> max m (String.length p)) 1 payloads in
   let pad s = s ^ String.make (block_size - String.length s) '\x00' in
@@ -409,21 +460,20 @@ let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved 
    | None -> ());
   (* The whole bins cross the wire — decoy ciphertexts included, which is
      the point — but only wanted rows are ever decrypted. *)
-  let bin_slots =
+  let w =
     match schedule with
-    | Some (_, s) -> List.sort_uniq compare (List.concat s.Binning.bins)
-    | None -> []
-  in
-  let value_at =
-    if bin_slots = [] then no_window
-    else window ~cache client conn ~scheme_of ~label ~attrs:needed ~slots:bin_slots
+    | Some (_, s) ->
+      let bin_slots = ascending_slots ~rows:n (fun f -> List.iter (List.iter f) s.Binning.bins) in
+      if Array.length bin_slots = 0 then no_window
+      else window ~cache client conn ~scheme_of ~label ~attrs:needed ~slots:bin_slots
+    | None -> no_window
   in
   { leaf_label = label;
     fetch =
       (fun tid ->
         let slot = Enc_relation.row_position client ~leaf:label ~rows:n tid in
         Option.iter (fun (key, s) -> check_binned_slot ~key ~universe:n s slot) schedule;
-        List.map (fun a -> (a, value_at a slot)) needed) }
+        List.map (fun a -> (a, value w a slot)) needed) }
 
 let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled masks
     ~make_fetcher =
@@ -470,34 +520,27 @@ let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled
       (List.rev !selected_tids)
   in
   Span.with_ ~name:"query.client_decrypt" @@ fun () ->
-  let anchor_slots =
-    List.map
-      (fun (tid, _) -> Enc_relation.row_position client ~leaf:anchor ~rows:n tid)
-      matches
-    |> List.sort_uniq compare
+  let match_slots =
+    Array.of_list
+      (List.map (fun (tid, _) -> Enc_relation.row_position client ~leaf:anchor ~rows:n tid) matches)
   in
-  let anchor_attrs = fetched_attrs q plan anchor anchor_compiled in
-  let value_at =
-    window ~cache client conn ~scheme_of ~label:anchor ~attrs:anchor_attrs
-      ~slots:anchor_slots
+  let w =
+    match fetched_attrs q plan anchor anchor_compiled with
+    | [] -> no_window
+    | attrs ->
+      let slots = ascending_slots ~rows:n (fun f -> Array.iter f match_slots) in
+      window ~cache client conn ~scheme_of ~label:anchor ~attrs ~slots
   in
-  List.iter
-    (fun (tid, _) ->
-      verify_indexed value_at anchor anchor_compiled
-        (Enc_relation.row_position client ~leaf:anchor ~rows:n tid))
-    matches;
-  let rows =
-    List.map
-      (fun (tid, partner_values) ->
-        let value_of label attr =
-          if label = anchor then
-            value_at attr (Enc_relation.row_position client ~leaf:anchor ~rows:n tid)
-          else List.assoc attr (List.assoc label partner_values)
-        in
-        List.map (fun attr -> value_of (proj_leaf plan attr) attr) q.Query.select)
-      matches
-  in
-  build_result q rows
+  verify_indexed w anchor anchor_compiled;
+  let partner_values = Array.of_list (List.map snd matches) in
+  build_result q
+    (List.map
+       (fun attr ->
+         match proj_leaf plan attr with
+         | label when label = anchor -> column_at w attr match_slots
+         | label ->
+           Array.map (fun pv -> List.assoc attr (List.assoc label pv)) partner_values)
+       q.Query.select)
 
 (* --- the pipeline ------------------------------------------------------- *)
 

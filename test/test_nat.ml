@@ -154,6 +154,53 @@ let prop_mod_inverse =
       | Some inv -> Nat.equal Nat.one (Nat.mul_mod (of_i a) inv (of_i m))
       | None -> not (Nat.is_one (Nat.gcd (of_i a) (of_i m))) || of_i m = Nat.one)
 
+(* --- byte codecs ------------------------------------------------------------ *)
+
+(* The quadratic definitions the linear codecs replaced — one shift and
+   add (or rem and shift) per byte — kept here as the oracle. *)
+let of_bytes_quadratic s =
+  let acc = ref Nat.zero in
+  String.iter (fun c -> acc := Nat.add (Nat.shift_left !acc 8) (of_i (Char.code c))) s;
+  !acc
+
+let to_bytes_quadratic a =
+  let n = (Nat.bit_length a + 7) / 8 in
+  let b = Bytes.create n in
+  let rec go a i =
+    if i >= 0 then begin
+      Bytes.set b i (Char.chr (Nat.to_int_exn (Nat.rem a (of_i 256))));
+      go (Nat.shift_right a 8) (i - 1)
+    end
+  in
+  go a (n - 1);
+  Bytes.to_string b
+
+(* Byte strings of 0-40 bytes: random, with leading zero bytes, all 0xff,
+   and the big-endian bytes of 2^(26k) - 1, 2^(26k) and 2^(26k) + 1, whose
+   set bits end or start on a limb boundary. *)
+let codec_input_gen =
+  QCheck2.Gen.(
+    let random_bytes n = string_size ~gen:char (return n) in
+    let limb_edge =
+      let* k = int_range 1 12 and* d = int_range (-1) 1 in
+      let p = Nat.shift_left Nat.one (26 * k) in
+      return (to_bytes_quadratic (if d < 0 then Nat.pred p else if d > 0 then Nat.succ p else p))
+    in
+    oneof
+      [ (let* n = int_range 0 40 in random_bytes n);
+        (let* z = int_range 1 8 and* n = int_range 0 32 in
+         map (fun s -> String.make z '\000' ^ s) (random_bytes n));
+        map (fun n -> String.make n '\xff') (int_range 0 40);
+        limb_edge ])
+
+let prop_codecs_match_quadratic =
+  Helpers.qtest ~count:1000 "of_bytes_be/to_bytes_be agree with the quadratic definitions"
+    codec_input_gen (fun s ->
+      let a = Nat.of_bytes_be s in
+      Nat.equal a (of_bytes_quadratic s)
+      && String.equal (Nat.to_bytes_be a) (to_bytes_quadratic a)
+      && Nat.equal (Nat.of_bytes_be (Nat.to_bytes_be a)) a)
+
 (* --- Montgomery kernel ---------------------------------------------------- *)
 
 let bytes_gen lo hi =
@@ -181,9 +228,10 @@ let prop_mont_mul_mod =
 
 (* Paillier's shapes: a CRT decrypt leg runs a 4-limb modulus (p^2) with
    a 48-bit exponent (p - 1), an encryption an 8-limb modulus (n^2) with a
-   96-bit exponent (n). Exponents also take the value 1 and the form
-   2^(bits-1) + 2^mid + (low byte): long zero runs the sliding window
-   crosses as bare squarings. *)
+   96-bit exponent (n). 4-limb moduli take [Mont]'s register-width body,
+   every other width the generic one, so both are checked here. Exponents
+   also take the value 1 and the form 2^(bits-1) + 2^mid + (low byte):
+   long zero runs the sliding window crosses as bare squarings. *)
 let paillier_shaped_gen =
   QCheck2.Gen.(
     let limb = int_range 1 ((1 lsl 26) - 1) in
@@ -221,6 +269,28 @@ let prop_mont_roundtrip =
       let a = Nat.rem a0 m in
       Nat.equal a (Nat.Mont.of_mont ctx (Nat.Mont.to_mont ctx a)))
 
+(* The register-width body at the top of its range: moduli whose limbs
+   are all (or nearly all) ones, and bases m - 1 and m - 2, drive the
+   CIOS sum into its fifth limb and through the final subtraction. *)
+let test_mont_four_limb_extremes () =
+  let top = Nat.pred (Nat.shift_left Nat.one 104) in
+  List.iter
+    (fun m ->
+      let ctx = Nat.Mont.make m in
+      List.iter
+        (fun b ->
+          List.iter
+            (fun e ->
+              Alcotest.check nat
+                (Printf.sprintf "%s^%s mod %s" (Nat.to_string b) (Nat.to_string e)
+                   (Nat.to_string m))
+                (Nat.pow_mod b e m) (Nat.Mont.pow_mod ctx b e))
+            [ Nat.one; of_i 2; of_i 65537; Nat.pred (Nat.shift_left Nat.one 48) ];
+          Alcotest.check nat "mul_mod" (Nat.mul_mod b b m) (Nat.Mont.mul_mod ctx b b))
+        [ Nat.pred m; Nat.sub m (of_i 2); Nat.one; Nat.shift_right m 1 ])
+    [ top; Nat.sub top (of_i 2); Nat.succ (Nat.shift_left Nat.one 78);
+      Nat.sub top (Nat.shift_left Nat.one 80) ]
+
 let test_mont_edges () =
   let msg = "Nat.Mont.make: modulus must be odd and > 1" in
   Alcotest.check_raises "even modulus rejected" (Invalid_argument msg) (fun () ->
@@ -247,6 +317,8 @@ let test_mont_edges () =
 let suite =
   [ t "conversions" test_conversions;
     t "montgomery edges" test_mont_edges;
+    t "4-limb Montgomery at the top of its range" test_mont_four_limb_extremes;
+    prop_codecs_match_quadratic;
     prop_mont_mul_mod;
     prop_mont_pow_mod;
     prop_mont_roundtrip;
