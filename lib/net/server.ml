@@ -203,12 +203,14 @@ let rec worker_loop t =
         Wire.response_to_string
           (Wire.R_error { not_found = false; msg = "server: " ^ Printexc.to_string e })
     in
+    (* Counted before the answer leaves, so [stats] read by a client that
+       holds its answer already includes it. *)
+    Mutex.protect t.lock (fun () -> t.served <- t.served + 1);
     send s resp;
     s.s_last <- Unix.gettimeofday ();
     Metrics.incr m_requests;
     Snf_obs.flush ();
     Mutex.protect t.lock (fun () ->
-        t.served <- t.served + 1;
         t.in_flight <- t.in_flight - 1;
         if Queue.is_empty t.queue && t.in_flight = 0 then Condition.broadcast t.idle);
     worker_loop t

@@ -41,6 +41,9 @@ type stats = {
   sessions_opened : int;
   sessions_active : int;
   requests_served : int;
+      (** requests a worker executed and answered (an [R_busy] rejection
+          is not one). Counted before the answer is sent, so a client
+          holding its answer reads a count that includes it. *)
   busy_rejections : int;
   frame_errors : int;
 }

@@ -94,9 +94,6 @@ let parse_op desc =
 let find k sum = List.assoc_opt k sum
 let find_int k sum = Option.bind (find k sum) int_of_string_opt
 
-let ops_of_summary sum =
-  List.filter_map (fun (k, v) -> if k = "op" then parse_op v else None) sum
-
 (* Q_batch request summary: [("k", K); ("q", i); ("leaf", l); ("op", d);
    ... ("q", i+1); ...] → per-query-index list of (leaf, ops). *)
 let batch_groups_of_summary sum =
@@ -197,6 +194,31 @@ let finish idx b =
     q_leaves = leaves;
     q_in_batch = b.b_in_batch }
 
+(* Fold one query's share of a Q_batch round — its (leaf, ops) entries
+   and, positionally, their masks — into its window. *)
+let attach b ops masks =
+  let rec go ops masks =
+    match (ops, masks) with
+    | (leaf, lops) :: otl, (m, s, slots) :: mtl ->
+      b.b_masks <-
+        { m_leaf = leaf; m_ops = lops; m_matched = m; m_scanned = s; m_slots = slots }
+        :: b.b_masks;
+      List.iter
+        (function Op_token t -> b.b_tokens <- t :: b.b_tokens | Op_slots _ -> ())
+        lops;
+      go otl mtl
+    | (leaf, lops) :: otl, [] ->
+      (* planner error slot: ops shipped, no mask came back *)
+      b.b_masks <-
+        { m_leaf = leaf; m_ops = lops; m_matched = 0; m_scanned = 0; m_slots = [] }
+        :: b.b_masks;
+      go otl []
+    | [], _ -> ()
+  in
+  go ops masks
+
+let group qi groups = try List.assoc qi groups with Not_found -> []
+
 let rec pair_rounds acc (events : Wiretrace.event list) =
   match events with
   | [] -> List.rev acc
@@ -229,34 +251,7 @@ let queries (trace : Wiretrace.trace) =
     (if !in_batch then
        match find_int "q" sum with
        | None -> ()
-       | Some qi ->
-         let ops = try List.assoc qi !pending_ops with Not_found -> [] in
-         let masks = try List.assoc qi !pending_masks with Not_found -> [] in
-         let rec attach ops masks =
-           match (ops, masks) with
-           | (leaf, lops) :: otl, (m, s, slots) :: mtl ->
-             b.b_masks <-
-               { m_leaf = leaf;
-                 m_ops = lops;
-                 m_matched = m;
-                 m_scanned = s;
-                 m_slots = slots }
-               :: b.b_masks;
-             List.iter
-               (function
-                 | Op_token t -> b.b_tokens <- t :: b.b_tokens
-                 | Op_slots _ -> ())
-               lops;
-             attach otl mtl
-           | (leaf, lops) :: otl, [] ->
-             (* planner error slot: ops shipped, no mask came back *)
-             b.b_masks <-
-               { m_leaf = leaf; m_ops = lops; m_matched = 0; m_scanned = 0; m_slots = [] }
-               :: b.b_masks;
-             attach otl []
-           | [], _ -> ()
-         in
-         attach ops masks);
+       | Some qi -> attach b (group qi !pending_ops) (group qi !pending_masks));
     current := Some b
   in
   let on_msg (u : Wiretrace.event) (d : Wiretrace.event) =
@@ -280,29 +275,6 @@ let queries (trace : Wiretrace.trace) =
             { t_attr = attr; t_kind = `Eq; t_scheme = "det"; t_key = key }
             :: b.b_tokens
         | _ -> ()))
-    | 4 -> (
-      (* Filter *)
-      match !current with
-      | None -> ()
-      | Some b ->
-        let leaf = Option.value ~default:"" (find "leaf" u.summary) in
-        let ops = ops_of_summary u.summary in
-        let matched = Option.value ~default:0 (find_int "matched" d.summary) in
-        let scanned = Option.value ~default:0 (find_int "scanned" d.summary) in
-        let slots =
-          match find "mask" d.summary with
-          | Some hex -> slots_of_hex hex
-          | None -> []
-        in
-        b.b_masks <-
-          { m_leaf = leaf; m_ops = ops; m_matched = matched; m_scanned = scanned;
-            m_slots = slots }
-          :: b.b_masks;
-        List.iter
-          (function
-            | Op_token t -> b.b_tokens <- t :: b.b_tokens
-            | Op_slots _ -> ())
-          ops)
     | 5 -> (
       (* Fetch_rows *)
       match !current with
@@ -328,10 +300,20 @@ let queries (trace : Wiretrace.trace) =
         let leaf = Option.value ~default:"" (find "leaf" u.summary) in
         let touches = Option.value ~default:0 (find_int "touches" d.summary) in
         b.b_oram <- (leaf, touches) :: b.b_oram)
-    | 11 ->
-      (* Q_batch: park the groups for the query windows that follow. *)
-      pending_ops := batch_groups_of_summary u.summary;
-      pending_masks := batch_masks_of_summary d.summary
+    | 11 -> (
+      let ops = batch_groups_of_summary u.summary in
+      let masks = batch_masks_of_summary d.summary in
+      if !in_batch then begin
+        (* A batch's Q_batch: park the groups for the member windows
+           that follow. *)
+        pending_ops := ops;
+        pending_masks := masks
+      end
+      else
+        (* A lone query's Q_batch of one: group 0 is the open window's. *)
+        match !current with
+        | Some b -> attach b (group 0 ops) (group 0 masks)
+        | None -> ())
     | _ -> ()
   in
   List.iter
@@ -388,10 +370,9 @@ let profile trace =
       match e.Wiretrace.dir with
       | Wiretrace.Up ->
         incr rounds;
-        up := !up + e.bytes;
-        if e.tag = 11 then incr batches
+        up := !up + e.bytes
       | Wiretrace.Down -> down := !down + e.bytes
-      | Wiretrace.Mark -> ())
+      | Wiretrace.Mark -> if e.phase = "batch.begin" then incr batches)
     trace.Wiretrace.events;
   let eq_tbl = Hashtbl.create 64 and rng_tbl = Hashtbl.create 64 in
   let bump tbl key = Hashtbl.replace tbl key (1 + try Hashtbl.find tbl key with Not_found -> 0) in
@@ -461,6 +442,7 @@ let publish p =
   c "exec.leak.volume.distinct" p.p_volume_distinct;
   c "exec.leak.fetch.slots" p.p_slots_fetched;
   c "exec.leak.oram.touches" p.p_oram_touches;
+  c "exec.leak.batches" p.p_batches;
   c "exec.leak.batch.queries" p.p_batch_queries
 
 let profile_to_json p =

@@ -2,9 +2,9 @@
     per-query view an honest-but-curious server obtains, and into
     aggregate leakage metrics published as [exec.leak.*] counters.
 
-    Everything here is computed from the {e canonical} trace (already
-    reordered by {!Wiretrace.stop}), so every number is bit-identical
-    for any [SNF_DOMAINS].
+    Everything here is computed from the trace alone, which records
+    rounds in program order ({!Wiretrace}), so every number is
+    bit-identical for any [SNF_DOMAINS].
 
     The summary vocabulary parsed here is produced by
     [Server_api.call]; the grammar is documented in DESIGN.md
@@ -52,7 +52,7 @@ type query_view = {
     the matching parsers live here too so the two sides cannot drift. *)
 
 val desc_slots : int list -> string
-(** [Filter] op descriptor for an explicit slot list: ["slots:1,2,3"]. *)
+(** Filter op descriptor for an explicit slot list: ["slots:1,2,3"]. *)
 
 val desc_token :
   kind:[ `Eq | `Range ] -> scheme:string -> key:string -> attr:string -> string
@@ -68,10 +68,12 @@ val slots_of_hex : string -> int list
 
 val queries : Wiretrace.trace -> query_view list
 (** Cut a trace at its [query.begin]/[query.end] marks and decode each
-    window. [Q_batch] rounds are re-attributed to the member query
-    windows by the [q] indices carried in batch summaries. Events that
-    fail to parse are skipped (the profiler is an observer, never a
-    gate). *)
+    window. Inside a [batch.begin]/[batch.end] pair, the [Q_batch]
+    round is re-attributed to the member query windows by the [q]
+    indices carried in batch summaries; outside one, it is a lone
+    query's batch of one, and its group 0 belongs to the open window.
+    Events that fail to parse are skipped (the profiler is an observer,
+    never a gate). *)
 
 type profile = {
   p_queries : int;
@@ -95,6 +97,8 @@ type profile = {
   p_slots_fetched : int;  (** explicit slots requested via Fetch_rows *)
   p_oram_touches : int;
   p_batches : int;
+      (** [batch.begin] marks: batches of two or more executable
+          queries. A lone query's [Q_batch] of one is not a batch. *)
   p_batch_queries : int;  (** queries that travelled inside a Q_batch *)
 }
 

@@ -3,9 +3,8 @@
    Recording appends whole rounds (request + response, or one mark)
    under a global mutex, stamping each round once from [Clock] inside
    the critical section — so an injected fake clock is ticked exactly
-   once per round, in a serialized order, no matter how many domains
-   race through the filter fan-out. Canonicalisation at [stop] then
-   makes the trace independent of that arrival order. *)
+   once per round. The executor makes no concurrent calls on a
+   connection, so arrival order is program order and [stop] keeps it. *)
 
 let version = 1
 
@@ -27,7 +26,6 @@ type trace = { trace_version : int; events : event list }
 (* --- recorder state ------------------------------------------------------------- *)
 
 type raw_round = {
-  r_section : int; (* 0 = program order; >0 = unordered section id *)
   r_phase : string;
   r_ts : float;
   r_entries : (dir * int * int * (string * string) list) list;
@@ -36,8 +34,6 @@ type raw_round = {
 let enabled = Atomic.make false
 let lock = Mutex.create ()
 let buffer : raw_round list ref = ref [] (* newest first *)
-let section = Atomic.make 0
-let section_gen = Atomic.make 0
 
 let recording () = Atomic.get enabled
 
@@ -46,13 +42,7 @@ let push_round ~phase entries =
   Fun.protect
     ~finally:(fun () -> Mutex.unlock lock)
     (fun () ->
-      let r =
-        { r_section = Atomic.get section;
-          r_phase = phase;
-          r_ts = Clock.now_us ();
-          r_entries = entries }
-      in
-      buffer := r :: !buffer)
+      buffer := { r_phase = phase; r_ts = Clock.now_us (); r_entries = entries } :: !buffer)
 
 let record_round ~phase ~up:(utag, ubytes, usum) ~down:(dtag, dbytes, dsum) =
   if recording () then
@@ -61,49 +51,11 @@ let record_round ~phase ~up:(utag, ubytes, usum) ~down:(dtag, dbytes, dsum) =
 let mark ?(summary = []) label =
   if recording () then push_round ~phase:label [ (Mark, -1, 0, summary) ]
 
-let unordered f =
-  let id = 1 + Atomic.fetch_and_add section_gen 1 in
-  Atomic.set section id;
-  Fun.protect ~finally:(fun () -> Atomic.set section 0) f
-
 let start () =
   Mutex.lock lock;
   buffer := [];
   Mutex.unlock lock;
-  Atomic.set section 0;
   Atomic.set enabled true
-
-(* --- canonicalisation ----------------------------------------------------------- *)
-
-(* Reorder each maximal run of same-section rounds by content (never by
-   timestamp), then re-deal the run's timestamps in ascending order onto
-   the reordered rounds. Concurrent filter rounds target distinct
-   leaves, so the content key is a total order in practice. *)
-let canonicalise rounds =
-  let flush_run acc run =
-    match run with
-    | [] -> acc
-    | [ r ] -> r :: acc
-    | _ ->
-      let run = List.rev run in
-      let sorted =
-        List.stable_sort
-          (fun a b -> compare (a.r_phase, a.r_entries) (b.r_phase, b.r_entries))
-          run
-      in
-      let ts = List.sort compare (List.map (fun r -> r.r_ts) run) in
-      List.rev_append (List.map2 (fun r t -> { r with r_ts = t }) sorted ts) acc
-  in
-  let acc, run =
-    List.fold_left
-      (fun (acc, run) r ->
-        match run with
-        | first :: _ when first.r_section = r.r_section && r.r_section <> 0 ->
-          (acc, r :: run)
-        | _ -> (flush_run acc run, [ r ]))
-      ([], []) rounds
-  in
-  List.rev (flush_run acc run)
 
 let stop () =
   Atomic.set enabled false;
@@ -111,7 +63,6 @@ let stop () =
   let rounds = List.rev !buffer in
   buffer := [];
   Mutex.unlock lock;
-  let rounds = canonicalise rounds in
   let events =
     List.concat
       (List.mapi

@@ -9,15 +9,12 @@
 
     {2 Determinism}
 
-    The only concurrent server calls in the system are a lone query's
-    per-leaf [Filter] fan-out in [Executor.run_batch]; that region is
-    wrapped in {!unordered}, and at {!stop} every maximal run of rounds
-    recorded inside one unordered section is canonicalised: rounds are reordered
-    by content (phase, tags, byte lengths, summaries — never
-    timestamps), and the timestamps observed in the run are re-dealt in
-    ascending order onto the reordered rounds. With a pinned {!Clock}
-    the resulting trace is byte-identical for any [SNF_DOMAINS]; with
-    the real clock, identical up to timestamps.
+    The executor makes no concurrent server calls on a connection: a
+    query's filters cross in one [Q_batch] round trip, whether it runs
+    alone or in a batch. Rounds are therefore recorded in program order,
+    and {!stop} returns them in the order they arrived. With a pinned
+    {!Clock} the trace is byte-identical for any [SNF_DOMAINS]; with the
+    real clock, identical up to timestamps.
 
     {2 Formats}
 
@@ -35,7 +32,7 @@ type dir =
   | Mark  (** recorder annotation, e.g. a query boundary *)
 
 type event = {
-  seq : int;  (** position in the canonical trace, from 0 *)
+  seq : int;  (** position in the trace, from 0 *)
   round : int;  (** round-trip id; an Up/Down pair shares one *)
   dir : dir;
   phase : string;  (** wire phase (admin/probe/filter/fetch/oram/phe), or the mark label *)
@@ -54,7 +51,7 @@ val start : unit -> unit
 (** Clear the buffer and begin recording. *)
 
 val stop : unit -> trace
-(** Stop recording and return the canonicalised trace. *)
+(** Stop recording and return the trace, rounds in arrival order. *)
 
 val recording : unit -> bool
 
@@ -69,10 +66,6 @@ val record_round :
 
 val mark : ?summary:(string * string) list -> string -> unit
 (** Record a boundary annotation (e.g. ["query.begin"]). *)
-
-val unordered : (unit -> 'a) -> 'a
-(** Run [f] in an unordered section: rounds recorded inside it (from
-    any domain) are canonically reordered at {!stop}. Not reentrant. *)
 
 (** {2 Codecs} *)
 

@@ -393,18 +393,6 @@ let dispatch t conns (req : Wire.request) : Wire.response =
         rs;
       Wire.R_slots (Some (List.sort (fun a b -> compare b a) !all)))
     else Wire.R_slots None
-  | Wire.Filter { leaf; ops } ->
-    let _, lm = leaf_meta t leaf in
-    let rs =
-      fan_out t (fun i ->
-          match
-            shard_call t conns i (Wire.Filter { leaf; ops = translate lm i ops })
-          with
-          | Wire.R_mask { mask; scanned } -> (mask, scanned)
-          | _ -> protocol_error "Filter")
-    in
-    let mask, scanned = merge_masks ~leaf lm rs in
-    Wire.R_mask { mask; scanned }
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let _, lm = leaf_meta t leaf in
     let per_shard = Array.make t.shards [] in

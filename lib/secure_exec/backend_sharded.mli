@@ -9,11 +9,11 @@
     answers back into the {e byte-identical} single-backend response:
 
     {ul
-    {- [Filter] / [Q_batch]: token ops are forwarded verbatim and
-       [F_slots] lists translated to shard-local slots; the local match
-       masks scatter back into global positions and the scanned-cell
-       counts add up, so the merged [R_mask] is bit-for-bit what one
-       backend scanning the whole leaf would return.}
+    {- [Q_batch]: token ops are forwarded verbatim and [F_slots] lists
+       translated to shard-local slots; the local match masks scatter
+       back into global positions and the scanned-cell counts add up, so
+       every merged [R_batch] mask is bit-for-bit what one backend
+       scanning the whole leaf would return.}
     {- [Index_probe]: every shard probes (keeping the lazy index build
        accounting uniform); local hit lists map to global slots and the
        union is sorted descending — the exact order a single backend's

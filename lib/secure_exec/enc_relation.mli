@@ -213,7 +213,7 @@ val decrypt_leaf : client -> enc_leaf -> Relation.t
     Token constructors are exposed: a token is exactly what the client
     hands the untrusted server, so by definition it carries no key
     material — only ciphertext fragments the server compares against
-    stored cells. [Wire] serializes them into [Filter] messages. *)
+    stored cells. [Wire] serializes them into [Q_batch] messages. *)
 
 type eq_token =
   | Eq_plain of Value.t

@@ -77,7 +77,7 @@ let scheme_table (rep : Partition.t) =
 
 (* A predicate after the minting phase: either an equality index already
    served its slot list (§V-D "leakage as indexing"), or the server must
-   scan the column under a minted token shipped in the Filter message.
+   scan the column under a minted token shipped in the Q_batch message.
    Indexed predicates keep the source predicate so the client can
    re-verify fetched rows against it — the index is server state and may
    be stale. *)
@@ -583,11 +583,10 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
        counters. *)
     List.map (function Ok _ -> assert false | Error e -> Error e) decisions
   | executable ->
-    (* The filter encoding and the mapping cache follow the batch: a lone
-       executable query keeps the single-query encoding — its window spans
-       the whole pass and no batch is announced — and leaves the mapping
-       cache alone, so only two or more queries share minted tokens and
-       decrypted cells. *)
+    (* The query windows and the mapping cache follow the batch: a lone
+       executable query's window spans the whole pass and no batch is
+       announced, and it leaves the mapping cache alone, so only two or
+       more queries share minted tokens and decrypted cells. *)
     let single = List.compare_length_with executable 1 = 0 in
     let cache = not single in
     if single then Wiretrace.mark "query.begin"
@@ -650,30 +649,17 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
         qs decisions
     in
     let executed = List.filter_map Result.to_option members in
-    (* Phase 2: the filters. A lone query sends one Filter per leaf, fanned
-       out one leaf per domain — the only concurrent server calls, so the
-       recorder canonicalises their order. A batch sends every member's
-       filters in ONE Q_batch round trip, and the server walks each
-       touched leaf once. *)
+    (* Phase 2: the filters. Every executable member's filters, a lone
+       query's included, cross in ONE Q_batch round trip, and the server
+       walks each touched leaf once. *)
     let filtered =
-      if single then
-        Span.with_ ~name:"query.server_filter" @@ fun () ->
-        let m = List.hd executed in
-        [ Wiretrace.unordered @@ fun () ->
-          Parallel.map_list
-            ~domains:(Parallel.domain_count ())
-            (fun (lv, compiled) ->
-              Span.with_ ~name:"query.filter_leaf" ~attrs:[ ("leaf", lv.lv_label) ]
-              @@ fun () -> Server_api.filter conn ~leaf:lv.lv_label ~ops:(filter_ops compiled))
-            (List.combine m.lvs m.compiled) ]
-      else
-        Span.with_ ~name:"query.server_filter" ~attrs:[ ("path", "batch") ] @@ fun () ->
-        Server_api.filter_batch conn
-          ~queries:
-            (List.map
-               (fun m ->
-                 List.map2 (fun lv ops -> (lv.lv_label, filter_ops ops)) m.lvs m.compiled)
-               executed)
+      Span.with_ ~name:"query.server_filter" @@ fun () ->
+      Server_api.filter_batch conn
+        ~queries:
+          (List.map
+             (fun m ->
+               List.map2 (fun lv ops -> (lv.lv_label, filter_ops ops)) m.lvs m.compiled)
+             executed)
     in
     (* Sort-merge reconstruction: each planned leaf's tid column comes
        from the connection's memo while Describe announces the digest it

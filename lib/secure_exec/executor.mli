@@ -16,20 +16,18 @@
     are minted (equality indexes probed under [use_index]), the server
     filters, the enclave reconstructs, the client decrypts, and one
     {!trace} record is built and published as [exec.query.*] counters.
-    {!run_conn} is {!run_batch} of one query. Two choices depend on
-    the batch, and both are read from the batch itself, never from a
-    knob:
+    {!run_conn} is {!run_batch} of one query. Every executable query's
+    filters ship in ONE [Wire.Q_batch] round trip, a lone query's as a
+    batch of one, and the server walks each touched leaf once. Two
+    choices depend on the batch, and both are read from the batch
+    itself, never from a knob:
 
     {ol
-    {- {e Filter encoding.} With exactly one executable (planned) query,
-       its filters cross as one [Filter] message per leaf, fanned out
-       across domains, inside a single query window that opens before
-       [Describe]; no batch is announced and [exec.batch.*] do not move.
-       With two or more, every executable query's filters ship in ONE
-       [Wire.Q_batch] round trip, the server walks each touched leaf
-       once, each query gets its own window inside a
-       [batch.begin]/[batch.end] pair, and [exec.batch.{count,queries}]
-       tick.}
+    {- {e Query windows.} With exactly one executable (planned) query,
+       a single query window opens before [Describe]; no batch is
+       announced and [exec.batch.*] do not move. With two or more, each
+       query gets its own window inside a [batch.begin]/[batch.end]
+       pair, and [exec.batch.{count,queries}] tick.}
     {- {e Mapping cache.} With two or more executable queries, token
        minting and cell decrypts go through the client's crypto-free
        mapping cache, so later members reuse what earlier ones minted

@@ -81,9 +81,10 @@ type report = {
   mapping_cache_misses : int;          (** mapping-cache misses (crypto
                                            actually performed) *)
   batches : int;
-    (** [Q_batch] passes (batches of two or more executable queries)
-        since [create] — delta of the process-wide ["exec.batch.count"]
-        counter *)
+    (** batches of two or more executable queries since [create] —
+        delta of the process-wide ["exec.batch.count"] counter. A lone
+        query also sends its filters as a [Q_batch] (of one) but is
+        not a batch and is not counted. *)
   batch_queries : int;                 (** queries carried by those batches *)
   query_metrics : (string * int) list list;
     (** per query, in execution order: every [Snf_obs] counter the query

@@ -7,8 +7,8 @@ module Paillier = Snf_crypto.Paillier
 (* Client-side accounting of the boundary traffic: the serialized bytes
    crossing the connection ARE the access-pattern leakage, so they are
    counted where the client observes them — globally and per phase. The
-   counters are domain-sharded ([Metrics]), so parallel filter fan-out
-   still yields deterministic totals. *)
+   counters are domain-sharded ([Metrics]), so sessions running on
+   several domains still yield deterministic totals. *)
 let m_requests = Metrics.counter "exec.wire.requests"
 let m_bytes_up = Metrics.counter "exec.wire.bytes_up"
 let m_bytes_down = Metrics.counter "exec.wire.bytes_down"
@@ -113,9 +113,6 @@ let dispatch view (req : Wire.request) : Wire.response =
     | Some idx, Some key ->
       Wire.R_slots (Some (Option.value (Hashtbl.find_opt idx key) ~default:[]))
     | _ -> Wire.R_slots None)
-  | Wire.Filter { leaf; ops } ->
-    let mask, scanned = eval_filter (view.leaf leaf) ops in
-    Wire.R_mask { mask; scanned }
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let l = view.leaf leaf in
     let cols =
@@ -295,8 +292,6 @@ let summarize_request (req : Wire.request) =
     [ ("leaf", leaf);
       ("attr", attr);
       ("key", match key with None -> "none" | Some k -> fp k) ]
-  | Wire.Filter { leaf; ops } ->
-    ("leaf", leaf) :: List.map (fun o -> ("op", op_desc o)) ops
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     [ ("leaf", leaf); ("attrs", String.concat "," attrs); ("slots", csv_int slots) ]
   | Wire.Fetch_tids { leaf } -> [ ("leaf", leaf) ]
@@ -331,10 +326,6 @@ let summarize_response (resp : Wire.response) =
   | Wire.R_slots None -> [ ("slots", "none") ]
   | Wire.R_slots (Some slots) ->
     [ ("n", string_of_int (List.length slots)); ("slots", csv_int slots) ]
-  | Wire.R_mask { mask; scanned } ->
-    [ ("matched", string_of_int (Bitmask.popcount mask));
-      ("scanned", string_of_int scanned);
-      ("mask", Bitmask.to_hex mask) ]
   | Wire.R_rows cols ->
     [ ("cols", string_of_int (Array.length cols));
       ("rows", string_of_int (if Array.length cols = 0 then 0 else Array.length cols.(0)))
@@ -421,11 +412,6 @@ let index_probe conn ~leaf ~attr ~key =
   match call conn ph_probe (Wire.Index_probe { leaf; attr; key }) with
   | Wire.R_slots slots -> slots
   | _ -> protocol_error "Index_probe"
-
-let filter conn ~leaf ~ops =
-  match call conn ph_filter (Wire.Filter { leaf; ops }) with
-  | Wire.R_mask { mask; scanned } -> (mask, scanned)
-  | _ -> protocol_error "Filter"
 
 let filter_batch conn ~queries =
   match call conn ph_filter (Wire.Q_batch { queries }) with

@@ -130,20 +130,18 @@ val index_probe :
     even with [key = None] — index accounting must not depend on the
     token's shape. [None] result: the column has no canonical index. *)
 
-val filter : conn -> leaf:string -> ops:Wire.filter_op list -> Bitmask.t * int
-(** Selection mask over the leaf's slots plus cells scanned. The mask is
-    the packed {!Bitmask} decoded straight from the [R_mask] bytes: one
-    bit per slot, never widened to a [bool array]. *)
-
 val filter_batch :
   conn ->
   queries:(string * Wire.filter_op list) list list ->
   (Bitmask.t * int) list list
-(** K filter workloads in ONE round trip ([Wire.Q_batch]): per query an
-    ordered [(leaf, ops)] list, answered positionally with (mask,
-    scanned) pairs. The server loads each distinct leaf once for the
-    whole batch; per-query scan accounting is unchanged. Counted under
-    the [filter] wire phase.
+(** The only filter stub: K filter workloads in ONE round trip
+    ([Wire.Q_batch]; a lone query sends K = 1), per query an ordered
+    [(leaf, ops)] list, answered positionally with (mask, scanned)
+    pairs. Each mask is the packed {!Bitmask} decoded straight from the
+    [R_batch] bytes: one bit per slot over the leaf's slots, never
+    widened to a [bool array]. The server loads each distinct leaf once
+    for the whole request; per-query scan accounting is unchanged.
+    Counted under the [filter] wire phase.
     @raise Invalid_argument if the server answers a different number of
     queries than were asked. *)
 

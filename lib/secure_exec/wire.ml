@@ -241,7 +241,7 @@ let load path =
    magic so a message can never be confused with a database image. *)
 
 let msg_magic = "SNFM"
-let msg_version = 3
+let msg_version = 4
 
 type filter_op =
   | F_slots of int list
@@ -252,7 +252,6 @@ type request =
   | Describe
   | Install of string
   | Index_probe of { leaf : string; attr : string; key : string option }
-  | Filter of { leaf : string; ops : filter_op list }
   | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
   | Fetch_tids of { leaf : string }
   | Oram_fetch of {
@@ -279,7 +278,6 @@ type response =
   | R_unit
   | R_described of { relation_name : string; leaves : (string * int * string) list }
   | R_slots of int list option
-  | R_mask of { mask : Bitmask.t; scanned : int }
   | R_rows of Enc_relation.cell array array
   | R_tids of string array
   | R_oram of { blocks : string array; touches : int }
@@ -376,7 +374,6 @@ let request_tag = function
   | Describe -> 0
   | Install _ -> 2
   | Index_probe _ -> 3
-  | Filter _ -> 4
   | Fetch_rows _ -> 5
   | Fetch_tids _ -> 6
   | Oram_fetch _ -> 7
@@ -389,7 +386,6 @@ let response_tag = function
   | R_unit -> 0
   | R_described _ -> 1
   | R_slots _ -> 2
-  | R_mask _ -> 3
   | R_rows _ -> 4
   | R_tids _ -> 5
   | R_oram _ -> 6
@@ -422,10 +418,6 @@ let w_request buf = function
     w_string buf leaf;
     w_string buf attr;
     w_option w_string buf key
-  | Filter { leaf; ops } ->
-    w_u8 buf 4;
-    w_string buf leaf;
-    w_list w_filter_op buf ops
   | Fetch_rows { leaf; attrs; slots } ->
     w_u8 buf 5;
     w_string buf leaf;
@@ -467,9 +459,6 @@ let r_request c =
     let leaf = r_string c in
     let attr = r_string c in
     Index_probe { leaf; attr; key = r_option r_string c }
-  | 4 ->
-    let leaf = r_string c in
-    Filter { leaf; ops = r_list r_filter_op c }
   | 5 ->
     let leaf = r_string c in
     let attrs = r_list r_string c in
@@ -569,10 +558,6 @@ let w_response buf = function
   | R_slots slots ->
     w_u8 buf 2;
     w_option (w_list w_int) buf slots
-  | R_mask { mask; scanned } ->
-    w_u8 buf 3;
-    w_mask buf mask;
-    w_int buf scanned
   | R_rows cols ->
     w_u8 buf 4;
     w_array (w_array w_cell) buf cols
@@ -627,9 +612,6 @@ let r_response c =
     in
     R_described { relation_name; leaves }
   | 2 -> R_slots (r_option (r_list r_int) c)
-  | 3 ->
-    let mask = r_mask c in
-    R_mask { mask; scanned = r_int c }
   | 4 -> R_rows (r_array (r_array r_cell) c)
   | 5 -> R_tids (r_array r_string c)
   | 6 ->

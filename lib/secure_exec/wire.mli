@@ -13,7 +13,7 @@
        equality indexes are not serialized; the server can always rebuild
        them from what the image already reveals (the disk backend proves
        this claim).}
-    {- the {e message codec} (magic ["SNFM"], version 3): every
+    {- the {e message codec} (magic ["SNFM"], version 4): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
        about — what a network observer (or the honest-but-curious
@@ -64,7 +64,6 @@ type request =
   | Index_probe of { leaf : string; attr : string; key : string option }
       (** probe the lazily built equality index; [key = None] still forces
           the build attempt, keeping index accounting backend-independent *)
-  | Filter of { leaf : string; ops : filter_op list }
   | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
   | Fetch_tids of { leaf : string }
   | Oram_fetch of {
@@ -83,7 +82,8 @@ type request =
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
   | Q_batch of { queries : (string * filter_op list) list list }
-      (** K filter workloads in one round trip: the outer list has one
+      (** the only filter request: K filter workloads in one round trip
+          (a lone query is a batch of one). The outer list has one
           entry per query, each an ordered [(leaf, ops)] list. The server
           answers all of them against a single pass over the touched
           leaves; what it sees is the {e union} of K token sets under one
@@ -116,10 +116,6 @@ type response =
           any other length is rejected on both sides. *)
   | R_slots of int list option
       (** [None]: no canonical index exists for that column *)
-  | R_mask of { mask : Bitmask.t; scanned : int }
-      (** the packed mask travels as its slot count and its {!Bitmask}
-          bytes, padding bits clear (a set one is rejected like a
-          non-canonical integer); [scanned] = cells the server touched *)
   | R_rows of Enc_relation.cell array array
       (** one inner array per requested attribute, in request order *)
   | R_tids of string array
@@ -135,9 +131,10 @@ type response =
       (** surfaced client-side as [Integrity.Corruption] *)
   | R_batch of { results : (Bitmask.t * int) list list }
       (** positional answers to {!Q_batch}: per query, per [(leaf, ops)]
-          entry, the bit-packed match mask and the scanned-cell count —
-          the same payload K [R_mask] responses would carry, split back
-          out by the client *)
+          entry, the match mask and the scanned-cell count. A mask
+          travels as its slot count and its packed {!Bitmask} bytes,
+          padding bits clear (a set one is rejected like a non-canonical
+          integer); the count is the cells the server touched. *)
   | R_busy
       (** admission control: the server's bounded request queue is past
           high-water and this request was rejected without being
@@ -171,7 +168,8 @@ val tids_digest : string array -> string
 val request_tag : request -> int
 val response_tag : response -> int
 (** The constructor's wire tag (requests 0–12, responses 0–13),
-    mirrored in SNFT trace events. *)
+    mirrored in SNFT trace events. Request tags 1, 4 and 8 and response
+    tag 3 are unassigned and decode as unknown tags. *)
 
 val filter_op_to_string : filter_op -> string
 (** Canonical serialized bytes of one filter op (no magic/version) — the

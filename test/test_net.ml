@@ -247,6 +247,29 @@ let test_backpressure_busy_then_complete () =
       (Atomic.get busy) st.Server.busy_rejections;
     check_int "server served exactly the completions" n st.Server.requests_served
 
+(* A worker counts a request as served before its answer leaves, so the
+   count a client reads once it holds an answer includes that answer. *)
+let test_served_counted_before_answer () =
+  let addr = fresh_addr "served" in
+  let owner = System.outsource ~name:"nsv" (example1_relation ()) (example1_policy ()) in
+  let enc = owner.System.enc in
+  System.release owner;
+  let config = small_config ~domains:1 () in
+  match Server.start ~config ~addr (module Backend_mem) (Backend_mem.of_store enc) with
+  | Error e -> Alcotest.failf "cannot start server: %s" e
+  | Ok srv -> (
+    Fun.protect ~finally:(fun () -> Server.stop srv) @@ fun () ->
+    match Client.connect addr with
+    | Error e -> Alcotest.failf "connect: %s" e
+    | Ok conn ->
+    Fun.protect ~finally:(fun () -> Server_api.close conn) @@ fun () ->
+    for completed = 1 to 20 do
+      ignore (Server_api.describe conn);
+      let served = (Server.stats srv).Server.requests_served in
+      if served < completed then
+        Alcotest.failf "after %d answers the server reports %d served" completed served
+    done)
+
 (* --- session hygiene ------------------------------------------------------- *)
 
 let test_idle_sessions_reaped () =
@@ -380,6 +403,8 @@ let suite =
       test_concurrent_four_domains;
     Alcotest.test_case "overload: typed busy, then full completion" `Quick
       test_backpressure_busy_then_complete;
+    Alcotest.test_case "served count includes every answer a client holds" `Quick
+      test_served_counted_before_answer;
     Alcotest.test_case "idle sessions reaped, server keeps serving" `Quick
       test_idle_sessions_reaped;
     Alcotest.test_case "garbage frames reap only that session" `Quick

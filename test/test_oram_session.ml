@@ -136,7 +136,8 @@ let test_profile_touches_match_traces () =
    when Describe began carrying tid digests, and again when each partner
    became one Oram_fetch (one message instead of an install plus one
    read per survivor) and Describe took over the shape check (one admin
-   message per query instead of two). *)
+   message per query instead of two), and again when a query's filters
+   became one Q_batch round trip instead of one Filter round per leaf. *)
 let test_trace_pinned () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -153,8 +154,8 @@ let test_trace_pinned () =
   let events =
     List.map (fun e -> { e with Wiretrace.ts_us = 0.0 }) trace.Wiretrace.events
   in
-  Alcotest.(check int) "events" 72 (List.length events);
-  Alcotest.(check string) "trace bytes" "9eaf0400cf019f007356a1765a504a0f"
+  Alcotest.(check int) "events" 58 (List.length events);
+  Alcotest.(check string) "trace bytes" "d9094219af750c9987f9a3cb9afd7cdc"
     (Digest.to_hex (Digest.string (Wiretrace.to_binary_string { trace with Wiretrace.events })))
 
 let suite =

@@ -388,8 +388,13 @@ let resize_array a n fill =
 let misreport ~kind ~delta (resp : Wire.response) =
   let n len = max 0 (len + delta) in
   match (kind, resp) with
-  | `Mask, Wire.R_mask { mask; scanned } ->
-    Wire.R_mask { mask = resize_bitmask mask (n (Bitmask.length mask)); scanned }
+  | `Mask, Wire.R_batch { results } ->
+    Wire.R_batch
+      { results =
+          List.map
+            (List.map (fun (mask, scanned) ->
+                 (resize_bitmask mask (n (Bitmask.length mask)), scanned)))
+            results }
   | `Tids, Wire.R_tids tids ->
     let fill = if Array.length tids = 0 then "" else tids.(0) in
     Wire.R_tids (resize_array tids (n (Array.length tids)) fill)
@@ -466,7 +471,7 @@ let test_shard_length_misreports_typed () =
               end)
             queries)
         [ -1; 1 ])
-    [ (`Mask, "R_mask", fun _ -> true);
+    [ (`Mask, "R_batch mask", fun _ -> true);
       (`Tids, "R_tids", fun q -> q = "join");
       (`Rows, "R_rows", fun _ -> true) ]
 

@@ -181,18 +181,21 @@ let observe o =
    shared prelude, charged to its first member) sends one admin message
    instead of two, and the ORAM query sends one Oram_fetch per partner
    instead of an install plus one read per survivor. The other batch
-   windows and members did not move. *)
+   windows and members did not move. Re-recorded when a lone query's
+   filters became one Q_batch round trip instead of one Filter round
+   per leaf (and SNFM went to version 4): every single query's trace
+   and record move, no batch window or member does. *)
 let pinned =
-  [ "1-leaf point: snft 17ab025bdb1330307a9340221b5d9703 trace cda74fff03eecd86e7f3d5d2eb1bcd22";
-    "1-leaf range: snft 042b6e056c86c97323b2999e87c1eba4 trace f9bb3b88afb8bf71b07c3acadead564a";
-    "2-leaf sort-merge: snft 82e45d0f5446324acc019a4891fede45 trace 06855ee467c7b20ebcfe45874c2b924f";
-    "3-leaf sort-merge: snft 714432dc1ae25eb93f5a2173b14bee7b trace 26492b87bff2c93890ff627af86c6b0b";
-    "2-leaf sort-merge, warm: snft 6d3f01f613bb15285dba119797a18408 trace 5d09a9f1ec63ebb6449c2f3e178792d4";
-    "oram: snft 26dbcecbad46a04a40e71b048f524eda trace 846eb3da0101ecf30bf6f810c32d9df5";
-    "binning 16: snft 9d0053ca61443eedae2f19de135ef0c4 trace 0cc9c44ed5ab68e636b0a2e859b2394a";
-    "index 1-leaf: snft 969cdabccc57cf022c894cbae9d750d2 trace 17f164b4128fb17d017a7c1102e5afda";
-    "index 2-leaf: snft ba08ad472a2fb9b241e604b89784a55f trace 0611f98c949e9ba5741d5e71d4e5c370";
-    "drop_tid: snft 54d5f1e62c600542dc8c9af50339f246 trace 49ba7573f16abb908b8e5ed3b51ed3f2";
+  [ "1-leaf point: snft 162bf05cce83bb1f64467c6143e998c0 trace f77158d9a671fd95dd5b39ce76f06e70";
+    "1-leaf range: snft f446f412ab10380c49f03d324b3720e7 trace e6ec21fb45182c3eb634b15b06673ec3";
+    "2-leaf sort-merge: snft 6b6dae88a45d078d17114321443d7383 trace 2f00ba50381bbd60911be2f90e0a404b";
+    "3-leaf sort-merge: snft 86e09304a4512f371ac36493d89a0b48 trace 839e0d888e79885b3dcd17116d1c58df";
+    "2-leaf sort-merge, warm: snft 75f5011687ed5f90acfbb75c7d821337 trace 2135f79ffc7d4a842af5f0f33bf2982a";
+    "oram: snft 134c238efcc7c97bfd0b7d8a2a26b86a trace 9c83d321d819bada82495dd7dd24e907";
+    "binning 16: snft b08e4aaf713b338767e374a3fc58309c trace 81bc584812619f0021df6c6fe6dec68e";
+    "index 1-leaf: snft b1c964cb01a9c60f5185a4646992997a trace 153b65b7ae245346e25918e79500b853";
+    "index 2-leaf: snft 8c5096d6c675db6ddb32ea80246034e1 trace 913ec6c66fc793b0fd1778d3840cf608";
+    "drop_tid: snft 68abb07aac68b69ce7c295c8cd5daedd trace b93568bc9b041dd6f03d952f8d82e3e2";
     "batch sort-merge window 0: fc97cac50c82ef57905bfe2448805b14";
     "batch sort-merge window 1: 5a4b02080164cb72a01e763503dd21e5";
     "batch sort-merge window 2: 5150cd68268c04b4b4b0ce67dbb735b2";

@@ -74,6 +74,13 @@ let gen_cell =
         gen_ore gen_blob;
       Gen.map (fun n -> Enc_relation.C_nat n) gen_nat ]
 
+(* The shape of a batch: half the time a lone query's batch of one with
+   1–3 entries, otherwise any K up to 4 with up to 3 entries each. *)
+let gen_batch entry =
+  Gen.oneof
+    [ Gen.map (fun q -> [ q ]) (Gen.list_size (Gen.int_range 1 3) entry);
+      Gen.list_size (Gen.int_bound 4) (Gen.list_size (Gen.int_bound 3) entry) ]
+
 let gen_request =
   Gen.oneof
     [ Gen.return Wire.Describe;
@@ -82,10 +89,6 @@ let gen_request =
         (fun (leaf, attr) key -> Wire.Index_probe { leaf; attr; key })
         (Gen.pair gen_label gen_attr)
         (Gen.option gen_blob);
-      Gen.map2
-        (fun leaf ops -> Wire.Filter { leaf; ops })
-        gen_label
-        (Gen.list_size (Gen.int_bound 4) gen_filter_op);
       Gen.map2
         (fun (leaf, attrs) slots -> Wire.Fetch_rows { leaf; attrs; slots })
         (Gen.pair gen_label (Gen.list_size (Gen.int_bound 4) gen_attr))
@@ -104,9 +107,7 @@ let gen_request =
         gen_label (Gen.pair gen_attr gen_attr);
       Gen.map
         (fun queries -> Wire.Q_batch { queries })
-        (Gen.list_size (Gen.int_bound 4)
-           (Gen.list_size (Gen.int_bound 3)
-              (Gen.pair gen_label (Gen.list_size (Gen.int_bound 3) gen_filter_op))));
+        (gen_batch (Gen.pair gen_label (Gen.list_size (Gen.int_bound 4) gen_filter_op)));
       Gen.return Wire.Q_store_stats ]
 
 let gen_leaf_stats =
@@ -139,11 +140,6 @@ let gen_response =
         (Gen.list_size (Gen.int_bound 6)
            (Gen.triple (Gen.oneof [ gen_label; gen_blob ]) Gen.nat gen_digest));
       Gen.map (fun s -> Wire.R_slots s) (Gen.option gen_slots);
-      Gen.map2
-        (fun mask scanned ->
-          Wire.R_mask { mask = Bitmask.of_bools (Array.of_list mask); scanned })
-        (Gen.list_size (Gen.int_bound 40) Gen.bool)
-        Gen.nat;
       Gen.map
         (fun cols ->
           Wire.R_rows (Array.of_list (List.map Array.of_list cols)))
@@ -173,9 +169,7 @@ let gen_response =
                   (List.map (fun (mask, scanned) ->
                        (Bitmask.of_bools (Array.of_list mask), scanned)))
                   results })
-        (Gen.list_size (Gen.int_bound 4)
-           (Gen.list_size (Gen.int_bound 3)
-              (Gen.pair (Gen.list_size (Gen.int_bound 24) Gen.bool) Gen.nat)));
+        (gen_batch (Gen.pair (Gen.list_size (Gen.int_bound 40) Gen.bool) Gen.nat));
       Gen.map
         (fun leaves -> Wire.R_store_stats { leaves })
         (Gen.list_size (Gen.int_bound 3) gen_leaf_stats) ]
@@ -197,17 +191,17 @@ let sample_requests =
   [ Wire.Describe; Wire.Install "not-a-real-image";
     Wire.Index_probe { leaf = "R"; attr = "a"; key = None };
     Wire.Index_probe { leaf = "R"; attr = "a"; key = Some "k\x00k" };
-    Wire.Filter
-      { leaf = "R";
-        ops =
-          [ Wire.F_slots [ 0; 2; 5 ];
-            Wire.F_eq ("a", Enc_relation.Eq_plain (Value.Int 3));
-            Wire.F_eq ("a", Enc_relation.Eq_det "det-bytes");
-            Wire.F_eq ("a", Enc_relation.Eq_ord 17);
-            Wire.F_eq ("a", Enc_relation.Eq_ore ore);
-            Wire.F_range ("b", Enc_relation.Rng_plain (Value.Int 1, Value.Int 9));
-            Wire.F_range ("b", Enc_relation.Rng_ord (2, 4));
-            Wire.F_range ("b", Enc_relation.Rng_ore (ore, ore)) ] };
+    Wire.Q_batch
+      { queries =
+          [ [ ( "R",
+                [ Wire.F_slots [ 0; 2; 5 ];
+                  Wire.F_eq ("a", Enc_relation.Eq_plain (Value.Int 3));
+                  Wire.F_eq ("a", Enc_relation.Eq_det "det-bytes");
+                  Wire.F_eq ("a", Enc_relation.Eq_ord 17);
+                  Wire.F_eq ("a", Enc_relation.Eq_ore ore);
+                  Wire.F_range ("b", Enc_relation.Rng_plain (Value.Int 1, Value.Int 9));
+                  Wire.F_range ("b", Enc_relation.Rng_ord (2, 4));
+                  Wire.F_range ("b", Enc_relation.Rng_ore (ore, ore)) ] ) ] ] };
     Wire.Fetch_rows { leaf = "R"; attrs = [ "a"; "b" ]; slots = [ 1; 3 ] };
     Wire.Fetch_tids { leaf = "R" };
     Wire.Oram_fetch
@@ -235,8 +229,8 @@ let sample_responses =
             ("R.b", 0, Wire.tids_digest [||]) ] };
     Wire.R_described { relation_name = ""; leaves = [] };
     Wire.R_slots None; Wire.R_slots (Some [ 0; 7 ]);
-    Wire.R_mask
-      { mask = Bitmask.of_bools [| true; false; true; true; false |]; scanned = 5 };
+    Wire.R_batch
+      { results = [ [ (Bitmask.of_bools [| true; false; true; true; false |], 5) ] ] };
     Wire.R_rows
       [| [| Enc_relation.C_plain (Value.Text "x");
             Enc_relation.C_bytes "\x00\xffraw" |];
@@ -398,42 +392,56 @@ let set_bit s ~pos ~bit =
   Bytes.to_string b
 
 let test_mask_padding_rejected () =
-  (* R_mask: magic (4) + version (1) + tag (1) + slot count (8), then the
-     packed byte of a 5-slot mask; bits 5..7 are padding. *)
-  let mask =
-    Wire.response_to_string
-      (Wire.R_mask
-         { mask = Bitmask.of_bools [| true; false; true; true; false |]; scanned = 5 })
-  in
+  (* R_batch: magic (4) + version (1) + tag (1) + query count (8) + entry
+     count (8) + slot count (8), then the packed byte of a 5-slot mask;
+     bits 5..7 are padding. *)
+  let batch mask = Wire.R_batch { results = [ [ (Bitmask.of_bools mask, 5) ] ] } in
+  let bytes = Wire.response_to_string (batch [| true; false; true; true; false |]) in
   List.iter
     (fun bit ->
-      Alcotest.check_raises (Printf.sprintf "R_mask padding bit %d" bit) padding_rejected
-        (fun () -> ignore (Wire.response_of_string (set_bit mask ~pos:14 ~bit))))
+      Alcotest.check_raises (Printf.sprintf "R_batch padding bit %d" bit) padding_rejected
+        (fun () -> ignore (Wire.response_of_string (set_bit bytes ~pos:30 ~bit))))
     [ 5; 6; 7 ];
-  (* A slot bit is data, not padding: the mask decodes with slot 1 set. *)
-  (match Wire.response_of_string (set_bit mask ~pos:14 ~bit:1) with
-   | Wire.R_mask _ as r ->
-     Alcotest.(check bool) "slot bit decodes" true
-       (r
-        = Wire.R_mask
-            { mask = Bitmask.of_bools [| true; true; true; true; false |]; scanned = 5 })
-   | _ -> Alcotest.fail "slot bit: not an R_mask");
-  (* R_batch: tag, query count (8), entry count (8), slot count (8), then
-     the packed byte of a 3-slot mask. *)
-  let batch =
+  let three =
     Wire.response_to_string
-      (Wire.R_batch
-         { results = [ [ (Bitmask.of_bools [| false; true; false |], 3) ] ] })
+      (Wire.R_batch { results = [ [ (Bitmask.of_bools [| false; true; false |], 3) ] ] })
   in
-  Alcotest.check_raises "R_batch padding bit" padding_rejected (fun () ->
-      ignore (Wire.response_of_string (set_bit batch ~pos:30 ~bit:3)))
+  Alcotest.check_raises "R_batch padding bit 3 of a 3-slot mask" padding_rejected
+    (fun () -> ignore (Wire.response_of_string (set_bit three ~pos:30 ~bit:3)));
+  (* A slot bit is data, not padding: the mask decodes with slot 1 set. *)
+  match Wire.response_of_string (set_bit bytes ~pos:30 ~bit:1) with
+  | Wire.R_batch _ as r ->
+    Alcotest.(check bool) "slot bit decodes" true
+      (r = batch [| true; true; true; true; false |])
+  | _ -> Alcotest.fail "slot bit: not an R_batch"
+
+(* {1 Deleted tags}
+
+   A lone query's filters cross as a Q_batch of one, so the per-leaf
+   filter request (tag 4) and its mask response (tag 3) are gone. Bytes
+   carrying either tag are an unknown message, rejected with the typed
+   error. *)
+
+let test_deleted_tags_rejected () =
+  let with_tag s tag =
+    let b = Bytes.of_string s in
+    Bytes.set b 5 (Char.chr tag);
+    Bytes.to_string b
+  in
+  Alcotest.check_raises "request tag 4"
+    (Invalid_argument "Wire: unknown request tag 4") (fun () ->
+      ignore (Wire.request_of_string (with_tag (Wire.request_to_string Wire.Describe) 4)));
+  Alcotest.check_raises "response tag 3"
+    (Invalid_argument "Wire: unknown response tag 3") (fun () ->
+      ignore (Wire.response_of_string (with_tag (Wire.response_to_string Wire.R_unit) 3)))
 
 (* {1 Versions and tid digests}
 
    Byte 4 of every message is the SNFM version. Version 1 described
    leaves without tid digests, and version 2 still had a separate
    shape-check request and a two-message ORAM (install, then one read per
-   slot); a message of any version but the current one is rejected
+   slot), and version 3 still had a per-leaf filter request and its
+   mask response; a message of any version but the current one is rejected
    whole, never read under the wrong grammar. *)
 
 let with_version s v =
@@ -452,9 +460,9 @@ let test_other_versions_rejected () =
             (Printf.sprintf "%s at version %d" what v)
             (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
             (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
-      [ 0; 1; 2; current + 1; 255 ]
+      [ 0; 1; 2; 3; current + 1; 255 ]
   in
-  Alcotest.(check int) "messages are SNFM version 3" 3
+  Alcotest.(check int) "messages are SNFM version 4" 4
     (version_of (Wire.request_to_string Wire.Describe));
   List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
     sample_responses;
@@ -528,6 +536,7 @@ let suite =
     t "every strict prefix rejected" test_every_prefix_rejected;
     t "integers with the top bits set rejected" test_high_integer_bits_rejected;
     t "masks with padding bits set rejected" test_mask_padding_rejected;
+    t "the deleted filter tags are unknown" test_deleted_tags_rejected;
     Helpers.qtest ~count:300 "random requests roundtrip" gen_request
       req_roundtrips;
     Helpers.qtest ~count:300 "random responses roundtrip" gen_response

@@ -33,8 +33,8 @@ let with_fake_clock f =
   Fun.protect ~finally:Snf_obs.Clock.use_real f
 
 (* The multi-leaf SNF shape from the obs/batch suites: a ~ b, b ~ c
-   forces a/b/c into separate leaves, so queries mix filter fan-out
-   (recorded unordered) with joins and fetches. *)
+   forces a/b/c into separate leaves, so queries mix multi-leaf filters
+   with joins and fetches. *)
 let owner n =
   let r =
     Relation.create
@@ -166,6 +166,63 @@ let test_batch_attribution () =
         (v.Leakage.q_tokens <> []))
     views
 
+(* A lone query's filters cross as a Q_batch of one inside its own
+   window: the view gets one mask per planned leaf, in plan order, and
+   the tokens those masks were filtered by. A batch of one, and any
+   number of lone queries, announce no batch; only a batch of two or
+   more executable queries counts in [p_batches] / [exec.leak.batches]. *)
+let test_lone_query_attribution () =
+  let o = owner 80 in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let q =
+    Query.point ~select:[ "b"; "c" ] [ ("a", Value.Int 3); ("c", Value.Int 2) ]
+  in
+  let outcome, trace = System.record_wire_trace (fun () -> System.query o q) in
+  let planned =
+    match outcome with
+    | Ok (_, tr) -> tr.Executor.plan.Planner.leaves
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "the query spans several leaves" true (List.length planned > 1);
+  (match Leakage.queries trace with
+   | [ v ] ->
+     Alcotest.(check (list string)) "one mask per planned leaf, in plan order" planned
+       (List.map (fun m -> m.Leakage.m_leaf) v.Leakage.q_masks);
+     let attrs ts = List.sort compare (List.map (fun t -> t.Leakage.t_attr) ts) in
+     Alcotest.(check (list string)) "the predicates' tokens" [ "a"; "c" ]
+       (attrs v.Leakage.q_tokens);
+     Alcotest.(check (list string)) "tokens are the masks' tokens" (attrs v.Leakage.q_tokens)
+       (attrs
+          (List.concat_map
+             (fun m ->
+               List.filter_map
+                 (function Leakage.Op_token t -> Some t | Leakage.Op_slots _ -> None)
+                 m.Leakage.m_ops)
+             v.Leakage.q_masks));
+     Alcotest.(check bool) "not in a batch" false v.Leakage.q_in_batch
+   | vs -> Alcotest.failf "expected one view, got %d" (List.length vs));
+  let batches run =
+    let trace = snd (System.record_wire_trace run) in
+    let p = Leakage.profile trace in
+    let before = Metrics.snapshot () in
+    Leakage.publish p;
+    let deltas = Metrics.counter_diff before (Metrics.snapshot ()) in
+    let published = Option.value (List.assoc_opt "exec.leak.batches" deltas) ~default:0 in
+    Alcotest.(check int) "exec.leak.batches publishes p_batches" p.Leakage.p_batches
+      published;
+    p.Leakage.p_batches
+  in
+  let batch qs () =
+    List.iter (function Ok _ -> () | Error e -> Alcotest.fail e) (System.query_batch o qs)
+  in
+  Alcotest.(check int) "lone queries: no batch" 0
+    (batches (fun () -> run_all o (workload 13)));
+  Alcotest.(check int) "a batch of one: no batch" 0 (batches (batch [ q ]));
+  Alcotest.(check int) "two batches of two or more" 2
+    (batches (fun () ->
+         batch [ q; q ] ();
+         batch (workload 13) ()))
+
 (* --- profile --------------------------------------------------------------- *)
 
 let test_profile_sanity () =
@@ -200,9 +257,9 @@ let test_profile_sanity () =
 
 (* --- determinism across SNF_DOMAINS ---------------------------------------- *)
 
-(* The only concurrency in the system is the per-leaf filter fan-out;
-   the recorder canonicalises it, so with a pinned clock the bytes of
-   the whole trace must not depend on the domain count. The owner is
+(* Domains run the client's crypto and the oblivious networks, never
+   concurrent server calls, so with a pinned clock the bytes of the
+   whole trace must not depend on the domain count. The owner is
    warmed first so both recorded runs hit identical cache states. *)
 let prop_trace_domain_independent =
   Helpers.qtest ~count:10 "seeded trace is byte-identical for domains 1 vs 4"
@@ -224,5 +281,6 @@ let suite =
     t "codecs reject garbage" test_codec_rejects_garbage;
     t "marks cut per-query windows" test_query_windows;
     t "batch rounds re-attributed to members" test_batch_attribution;
+    t "a lone query's filters attributed to its window" test_lone_query_attribution;
     t "profile reconciles with workload" test_profile_sanity;
     prop_trace_domain_independent ]
