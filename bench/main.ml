@@ -321,31 +321,46 @@ let run_sweeps () =
         /. float_of_int accesses)
         (dt /. float_of_int accesses *. 1e6))
     [ 64; 256; 1024; 4096; 16384 ];
-  (* One Oram_fetch as the server runs it: install n blocks in id order,
-     then read k distinct slots. The stash is sampled after every access
-     of the fetch. *)
+  (* One Oram_fetch as the server runs it: install n blocks in one pass
+     ([Path_oram.of_blocks]), then read k distinct slots. The stash is
+     sampled after the install and after every read. The install is timed
+     next to the one-write-per-block install it replaced, which leaves
+     the same positions. *)
   let fetches = 32 in
   Printf.printf "\nPath ORAM: largest stash during one fetch (install n, read k), %d fetches each\n"
     fetches;
   List.iter
     (fun n ->
+      let blocks = Array.make n (String.make 32 'x') in
+      let install_us f =
+        let (), dt =
+          time (fun () ->
+              for fetch = 1 to fetches do
+                ignore (Sys.opaque_identity (f (Snf_crypto.Prng.create fetch)))
+              done)
+        in
+        dt /. float_of_int fetches *. 1e6
+      in
+      let by_writes prng =
+        let oram = Snf_exec.Path_oram.create ~num_blocks:n ~block_size:32 prng in
+        Array.iteri (Snf_exec.Path_oram.write oram) blocks;
+        oram
+      in
+      Printf.printf "  n=%5d  install: one pass %8.1f µs | one write per block %8.1f µs\n" n
+        (install_us (fun prng -> Snf_exec.Path_oram.of_blocks ~block_size:32 prng blocks))
+        (install_us by_writes);
       List.iter
         (fun k ->
           let worst = ref 0 and total = ref 0 in
           for fetch = 1 to fetches do
             let prng = Snf_crypto.Prng.create fetch in
-            let oram = Snf_exec.Path_oram.create ~num_blocks:n ~block_size:32 prng in
-            let peak = ref 0 in
-            let sample () = peak := max !peak (Snf_exec.Path_oram.stash_size oram) in
-            for i = 0 to n - 1 do
-              Snf_exec.Path_oram.write oram i (String.make 32 'x');
-              sample ()
-            done;
+            let oram = Snf_exec.Path_oram.of_blocks ~block_size:32 prng blocks in
+            let peak = ref (Snf_exec.Path_oram.stash_size oram) in
             let slots = Array.init n Fun.id in
             Snf_crypto.Prng.shuffle prng slots;
             for j = 0 to k - 1 do
               ignore (Snf_exec.Path_oram.read oram slots.(j));
-              sample ()
+              peak := max !peak (Snf_exec.Path_oram.stash_size oram)
             done;
             worst := max !worst !peak;
             total := !total + !peak
@@ -772,29 +787,28 @@ let run_micro_paillier () =
     cost (fun () -> Snf_crypto.Paillier.decrypt_reference kp ct)
   in
   let dec_crt_ns, dec_crt_words = cost (fun () -> Snf_crypto.Paillier.decrypt kp ct) in
-  (* The server's homomorphic fold step, next to the Montgomery product
-     it could use instead (two 8-limb CIOS products, measured slower than
-     one schoolbook product and division), and the wire codecs every PHE
-     cell crosses. The addends vary, as in a fold over a column. *)
+  (* One homomorphic add, and the server's fold over a 600-cell column
+     two ways: the [Paillier.add] chain (one schoolbook product and
+     division per cell) and [Paillier.sum] (one Montgomery product per
+     cell), which must agree bit for bit. The addends vary, as in a fold
+     over a column. Then the wire codecs every PHE cell crosses. *)
   let addends =
-    Array.init 256 (fun i -> Snf_crypto.Paillier.encrypt_with pool i (Nat.of_int (i * 7_919)))
+    Array.init 600 (fun i -> Snf_crypto.Paillier.encrypt_with pool i (Nat.of_int (i * 7_919)))
   in
   let pair = ref 0 in
-  let next_pair () =
-    pair := (!pair + 1) land 254;
-    (addends.(!pair), addends.(!pair + 1))
-  in
   let add_ns, add_words =
     cost (fun () ->
-        let a, b = next_pair () in
-        Snf_crypto.Paillier.add pk a b)
+        pair := (!pair + 1) land 254;
+        Snf_crypto.Paillier.add pk addends.(!pair) addends.(!pair + 1))
   in
-  let mont_n2 = pk.Snf_crypto.Paillier.mont_n2 in
-  let add_mont_ns, add_mont_words =
-    cost (fun () ->
-        let a, b = next_pair () in
-        Nat.Mont.mul_mod mont_n2 a b)
+  let chain () =
+    Array.fold_left (Snf_crypto.Paillier.add pk) addends.(0)
+      (Array.sub addends 1 (Array.length addends - 1))
   in
+  let fold () = Snf_crypto.Paillier.sum pk addends in
+  let chain_ns, chain_words = cost chain in
+  let fold_ns, fold_words = cost fold in
+  let fold_agrees = Nat.equal (chain ()) (fold ()) in
   let ct_bytes = Nat.to_bytes_be ct in
   let of_bytes_ns, of_bytes_words = cost (fun () -> Nat.of_bytes_be ct_bytes) in
   let to_bytes_ns, to_bytes_words = cost (fun () -> Nat.to_bytes_be ct) in
@@ -814,13 +828,15 @@ let run_micro_paillier () =
   List.iter
     (fun (name, ns, words) -> Printf.printf "  %-32s %9.0f ns %9.0f words\n" name ns words)
     modexp;
-  Printf.printf "  add: Nat.mul_mod %8.0f ns, %.0f words | Mont.mul_mod %8.0f ns, %.0f words\n"
-    add_ns add_words add_mont_ns add_mont_words;
+  Printf.printf "  add: %8.0f ns, %.0f words\n" add_ns add_words;
+  Printf.printf "  fold of %d cells: add chain %8.0f ns, %.0f words | sum %8.0f ns, %.0f words (%.1fx)\n"
+    (Array.length addends) chain_ns chain_words fold_ns fold_words (chain_ns /. fold_ns);
   Printf.printf "  Nat codecs, %d B: of_bytes_be %6.0f ns, %.0f words | to_bytes_be %6.0f ns, %.0f words\n"
     (String.length ct_bytes) of_bytes_ns of_bytes_words to_bytes_ns to_bytes_words;
   Printf.printf "  pool fill: %8.0f ns/entry (%d entries)\n" pool_fill_ns pool_entries;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
   Printf.printf "  decrypt agrees with decrypt_reference on the sample: %b\n" decrypt_agrees;
+  Printf.printf "  sum agrees with the add chain: %b\n" fold_agrees;
   write_bench ~metrics:true "BENCH_paillier.json"
     [ ("experiment", Json.String "paillier-kernels");
       ("prime_bits", Json.Int prime_bits);
@@ -837,8 +853,11 @@ let run_micro_paillier () =
       ("decrypt_crt_minor_words", Json.Float dec_crt_words);
       ("add_ns", Json.Float add_ns);
       ("add_minor_words", Json.Float add_words);
-      ("add_mont_mul_mod_ns", Json.Float add_mont_ns);
-      ("add_mont_mul_mod_minor_words", Json.Float add_mont_words);
+      ("fold_cells", Json.Int (Array.length addends));
+      ("fold_add_chain_ns", Json.Float chain_ns);
+      ("fold_add_chain_minor_words", Json.Float chain_words);
+      ("fold_sum_ns", Json.Float fold_ns);
+      ("fold_sum_minor_words", Json.Float fold_words);
       ("ciphertext_bytes", Json.Int (String.length ct_bytes));
       ("of_bytes_be_ns", Json.Float of_bytes_ns);
       ("of_bytes_be_minor_words", Json.Float of_bytes_words);
@@ -857,9 +876,11 @@ let run_micro_paillier () =
                    ("minor_words", Json.Float words) ])
              modexp) );
       ("ciphertexts_deterministic_across_domains", Json.Bool deterministic);
-      ("decrypt_matches_reference", Json.Bool decrypt_agrees) ];
+      ("decrypt_matches_reference", Json.Bool decrypt_agrees);
+      ("sum_matches_add_chain", Json.Bool fold_agrees) ];
   (* The kernels above are only worth their numbers if they are right. *)
   if not decrypt_agrees then failwith "micro-paillier: decrypt disagrees with decrypt_reference";
+  if not fold_agrees then failwith "micro-paillier: sum disagrees with the add chain";
   if not deterministic then
     failwith "micro-paillier: bulk ciphertexts differ between 1 and 3 domains"
 

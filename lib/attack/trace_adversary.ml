@@ -304,6 +304,13 @@ let match_tokens_to_values estimates aux_counts aux_mode =
 
 (* ---------- the replay ---------- *)
 
+(* Mean of per-token or per-query scores, summed in ascending order:
+   float addition is not associative, so a sum in list order would let
+   the order a view lists the same tokens or masks move the last bit. *)
+let mean = function
+  | [] -> 0.0
+  | l -> List.fold_left ( +. ) 0.0 (List.sort Float.compare l) /. float_of_int (List.length l)
+
 let run ~views ~aux ~ground ~protected_attr ~source_attr ?(range_truth = []) () =
   let n = ground.g_rows in
   let contains = leaf_attrs views in
@@ -385,11 +392,7 @@ let run ~views ~aux ~ground ~protected_attr ~source_attr ?(range_truth = []) () 
           /. float_of_int (Rows.cardinal truth))
       all_tokens
   in
-  let s_access_token =
-    match exposures with
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
+  let s_access_token = mean exposures in
   (* access sub-score 2: result exposure on protected-attribute leaves *)
   let result_scores =
     List.filter_map
@@ -432,11 +435,7 @@ let run ~views ~aux ~ground ~protected_attr ~source_attr ?(range_truth = []) () 
               Some (float_of_int (Rows.cardinal (Rows.inter t_set o)) /. float_of_int union))
       views
   in
-  let s_access_result =
-    match result_scores with
-    | [] -> 0.0
-    | l -> List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)
-  in
+  let s_access_result = mean result_scores in
   let s_access = (s_access_token +. s_access_result) /. 2.0 in
   (* sorting: quantile-match observed OPE ordinals against aux *)
   let s_sorting =

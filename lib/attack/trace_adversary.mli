@@ -80,6 +80,8 @@ val run :
     [(attr, lo, hi)] for the sorting row; omitted or empty yields a 0.0
     sorting score when no range tokens were observed, and scores against
     an empty multiset otherwise. Deterministic: every tie is broken by
-    value or token identity, never by hash order. *)
+    value or token identity, never by hash order, and the access means
+    are summed in ascending order, so the order in which a view lists
+    its tokens and masks never moves a score, not even in the last bit. *)
 
 val scores_to_json : scores -> Snf_obs.Json.t

@@ -680,6 +680,40 @@ module Mont = struct
     mont_mul_into ctx t am am (limbs_of ctx (rem b ctx.m));
     normalize am
 
+  (* Product of [xs] mod m, one CIOS product per factor after the first:
+     the running product stays in the plain domain and each product adds
+     an R^-1, so [j] factors leave (x1..xj)*R^-(j-1). One more product by
+     R^j mod m cancels that; R^j is the Montgomery form of R^(j-1), a
+     square-and-multiply from R mod m (the form of 1) by R^2 mod m (the
+     form of R). Factors not below m are reduced first. *)
+  let prod ctx (xs : t array) =
+    let k = ctx.k in
+    let t = Array.make (k + 2) 0 in
+    let acc = Array.make k 0 and x = Array.make k 0 in
+    let load dst (v : t) =
+      let v = if compare v ctx.m >= 0 then rem v ctx.m else v in
+      Array.blit v 0 dst 0 (Array.length v);
+      Array.fill dst (Array.length v) (k - Array.length v) 0
+    in
+    match Array.length xs with
+    | 0 -> one
+    | j ->
+      load acc xs.(0);
+      for i = 1 to j - 1 do
+        load x xs.(i);
+        mont_mul_into ctx t acc acc x
+      done;
+      if j > 1 then begin
+        let e = j - 1 in
+        mont_mul_into ctx t x ctx.r2 ctx.one_k;
+        for b = bit_length (of_int e) - 1 downto 0 do
+          mont_mul_into ctx t x x x;
+          if (e lsr b) land 1 = 1 then mont_mul_into ctx t x x ctx.r2
+        done;
+        mont_mul_into ctx t acc acc x
+      end;
+      normalize acc
+
   let window_bits e_bits =
     if e_bits <= 8 then 1
     else if e_bits <= 24 then 2

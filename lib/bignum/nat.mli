@@ -150,6 +150,12 @@ module Mont : sig
   val mul_mod : ctx -> t -> t -> t
   (** Plain-domain modular product [a * b mod m]. *)
 
+  val prod : ctx -> t array -> t
+  (** Plain-domain product of the array mod [m] ([one] for none), with no
+      division for factors below [m]: one Montgomery product per factor
+      after the first plus O(log k) to cancel the accumulated [R^-(k-1)].
+      Agrees with folding [Nat.mul_mod] over the factors for k >= 2. *)
+
   val pow_mod : ctx -> t -> t -> t
   (** Plain-domain [b^e mod m]; agrees with [Nat.pow_mod b e (modulus ctx)]. *)
 end

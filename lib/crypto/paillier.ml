@@ -179,6 +179,14 @@ let add pk c1 c2 =
   Metrics.incr m_add;
   Nat.mul_mod c1 c2 pk.n_squared
 
+let sum pk cs =
+  match Array.length cs with
+  | 0 -> Nat.zero
+  | 1 -> cs.(0)
+  | k ->
+    Metrics.add m_add (k - 1);
+    Mont.prod pk.mont_n2 cs
+
 let scalar_mul pk c k =
   if k < 0 then invalid_arg "Paillier.scalar_mul: negative scalar";
   Metrics.incr m_scalar_mul;

@@ -9,11 +9,13 @@
     Performance model: modular exponentiation goes through the
     per-modulus Montgomery contexts of {!Snf_bignum.Nat.Mont}; the secret
     key retains [p] and [q] so decryption runs two half-width CRT legs;
-    and bulk encryption amortises to a single modular multiplication per
-    cell via a precomputed {!type:pool} of randomizers [r^n mod n^2].
+    bulk encryption amortises to a single modular multiplication per
+    cell via a precomputed {!type:pool} of randomizers [r^n mod n^2];
+    and the server's homomorphic folds ({!sum}) take one Montgomery
+    product per ciphertext and no division.
     [encrypt_reference]/[decrypt_reference] keep the original
     square-and-multiply kernels as the benchmark baseline and the test
-    oracle.
+    oracle, and [add] is the oracle for [sum].
 
     Randomized: two encryptions of the same plaintext differ. *)
 
@@ -92,6 +94,14 @@ val encrypt_with : pool -> int -> Nat.t -> Nat.t
 
 val add : public_key -> Nat.t -> Nat.t -> Nat.t
 (** Homomorphic: [decrypt (add pk c1 c2) = m1 + m2 mod n]. *)
+
+val sum : public_key -> Nat.t array -> Nat.t
+(** The homomorphic sum of k ciphertexts, bit for bit what folding [add]
+    over them from the first gives: [Nat.zero] for none, the ciphertext
+    itself (unreduced) for one, else their product mod [n^2], which is
+    canonical whatever the order. It multiplies in the Montgomery domain
+    of [mont_n2] — one CIOS product per ciphertext and no division unless
+    one is not below [n^2] — and counts k - 1 [crypto.paillier.add]s. *)
 
 val scalar_mul : public_key -> Nat.t -> int -> Nat.t
 (** [decrypt (scalar_mul pk c k) = k * m mod n]. *)

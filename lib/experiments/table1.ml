@@ -4,7 +4,6 @@ module Sensitivity = Snf_workload.Sensitivity
 module Query_gen = Snf_workload.Query_gen
 module Planner = Snf_exec.Planner
 module Storage_model = Snf_exec.Storage_model
-module Parallel = Snf_exec.Parallel
 open Snf_core
 
 type config = {
@@ -28,20 +27,19 @@ type row = {
 
 type result = { rows_used : int; attrs : int; weak_used : int; table : row list }
 
-(* Planning is pure; the per-query join counts fan out over domains and
-   the sum is order-independent, so the total is the same for any domain
-   count. *)
+(* Planned on the calling domain: the planner's memo is per domain, so a
+   fan-out would make its [plan.cache.*] hits and misses depend on which
+   worker claimed which query. *)
 let total_joins rep queries =
-  Parallel.map_list
-    (fun q ->
+  List.fold_left
+    (fun acc q ->
       match Planner.plan rep q with
-      | Ok p -> p.Planner.joins
+      | Ok p -> acc + p.Planner.joins
       | Error _ ->
         (* The strawman can evaluate everything locally; an unplannable
            query would indicate a bug — surface it loudly. *)
         invalid_arg "Table1: unplannable query")
-    queries
-  |> List.fold_left ( + ) 0
+    0 queries
 
 let run ?(config = default_config) () =
   let acs = Acs.generate { Acs.default_config with rows = config.rows; seed = config.seed } in

@@ -471,13 +471,8 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     (* Empty shards answer the additive identity as Nat.zero (the fold
        over no cells), which is NOT the multiplicative identity of the
        ciphertext group — combine only the shards that own rows. *)
-    let acc = ref None in
-    Array.iteri
-      (fun s n ->
-        if Array.length lm.lm_locals.(s) > 0 then
-          acc := (match !acc with None -> Some n | Some a -> Some (Paillier.add m.m_pk a n)))
-      rs;
-    Wire.R_nat (Option.value !acc ~default:Nat.zero)
+    let owned = List.filteri (fun s _ -> Array.length lm.lm_locals.(s) > 0) (Array.to_list rs) in
+    Wire.R_nat (Paillier.sum m.m_pk (Array.of_list owned))
   | Wire.Group_sum { leaf; group_by; _ } ->
     let m, lm = leaf_meta t leaf in
     let scheme =
@@ -504,13 +499,18 @@ let dispatch t conns (req : Wire.request) : Wire.response =
                invalid_arg "Backend_sharded: non-canonical group representative"
            in
            match Hashtbl.find_opt tbl key with
-           | Some (r, acc) -> Hashtbl.replace tbl key (r, Paillier.add m.m_pk acc nat)
-           | None -> Hashtbl.add tbl key (rep, nat)))
+           | Some (r, nats) -> Hashtbl.replace tbl key (r, nat :: nats)
+           | None -> Hashtbl.add tbl key (rep, [ nat ])))
       rs;
     let keys =
       Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] |> List.sort String.compare
     in
-    Wire.R_groups (List.map (fun k -> Hashtbl.find tbl k) keys)
+    Wire.R_groups
+      (List.map
+         (fun k ->
+           let rep, nats = Hashtbl.find tbl k in
+           (rep, Paillier.sum m.m_pk (Array.of_list nats)))
+         keys)
   | Wire.Q_batch { queries } ->
     let metas =
       List.map

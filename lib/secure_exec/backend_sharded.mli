@@ -25,9 +25,10 @@
        describe.}
     {- [Fetch_rows] / [Fetch_tids]: positional reassembly of the owning
        shards' cells.}
-    {- [Phe_sum] / [Group_sum]: per-shard Paillier partials combine with
-       [Paillier.add] (modular multiplication is commutative and
-       associative, and ciphertext bytes are canonical), with group
+    {- [Phe_sum] / [Group_sum]: per-shard Paillier partials combine in
+       one [Paillier.sum] per answer (per group), the fold the server
+       itself runs — modular multiplication is commutative and
+       associative, and ciphertext bytes are canonical — with group
        lists merged on {!Enc_relation.canonical_key} in the same
        ascending order the server emits.}
     {- [Oram_fetch] forwards verbatim to shard 0: the request carries

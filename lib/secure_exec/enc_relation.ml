@@ -641,15 +641,10 @@ let phe_sum t leaf attr =
   let col = column leaf attr in
   if col.scheme <> Scheme.Phe then
     invalid_arg "Enc_relation.phe_sum: column is not PHE";
-  let pk = t.paillier_public in
-  Array.fold_left
-    (fun acc cell ->
-      match cell with
-      | C_nat n -> (
-        match acc with None -> Some n | Some a -> Some (Paillier.add pk a n))
-      | _ -> invalid_arg "Enc_relation.phe_sum: malformed cell")
-    None col.cells
-  |> Option.value ~default:Nat.zero
+  Paillier.sum t.paillier_public
+    (Array.map
+       (function C_nat n -> n | _ -> invalid_arg "Enc_relation.phe_sum: malformed cell")
+       col.cells)
 
 (* Canonical equality key of a cell, when the scheme makes ciphertexts
    canonical per plaintext. *)
@@ -714,17 +709,17 @@ let phe_group_sum t leaf ~group_by ~sum =
         | _ -> invalid_arg "Enc_relation.phe_group_sum: malformed sum cell"
       in
       match Hashtbl.find_opt groups key with
-      | Some (rep, acc) -> Hashtbl.replace groups key (rep, Paillier.add pk acc addend)
-      | None -> Hashtbl.add groups key (gcell, addend))
+      | Some (rep, addends) -> Hashtbl.replace groups key (rep, addend :: addends)
+      | None -> Hashtbl.add groups key (gcell, [ addend ]))
     gcol.cells;
   (* Canonical output order (ascending canonical key): a deterministic
      function of ciphertexts the server already sees, so it reveals
      nothing new — and it makes the response {e byte-stable}, which is
      what lets a sharded coordinator merge per-shard group lists and
      still answer bit-identically to a single backend. *)
-  Hashtbl.fold (fun key (rep, acc) out -> (key, (rep, acc)) :: out) groups []
+  Hashtbl.fold (fun key group out -> (key, group) :: out) groups []
   |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-  |> List.map snd
+  |> List.map (fun (_, (rep, addends)) -> (rep, Paillier.sum pk (Array.of_list addends)))
 
 let cell_bytes = function
   | C_plain v -> Storage_model.plain_cell_bytes v

@@ -181,6 +181,41 @@ let write t id d =
   if String.length d <> t.block_size then invalid_arg "Path_oram: wrong block size";
   access t id (fun off -> Bytes.blit_string d 0 t.data off t.block_size)
 
+(* Bulk install: the state [create] plus one [write] per block in id
+   order would leave, up to where blocks sit. The draws are the same —
+   [num_blocks] at creation, then one per block in id order, each the
+   block's final leaf — so every later access sees the same positions and
+   draws the same remaps. Each block then goes straight into the deepest
+   bucket on its path with a free slot, or into the stash when the whole
+   path is full: a legal place, found without reading or writing a path.
+   Buckets fill from slot 0, so a bucket's first empty slot is its next. *)
+let of_blocks ?bucket_size ~block_size prng blocks =
+  let n = Array.length blocks in
+  let t = create ?bucket_size ~num_blocks:(max n 1) ~block_size prng in
+  Array.iter
+    (fun d -> if String.length d <> block_size then invalid_arg "Path_oram: wrong block size")
+    blocks;
+  for id = 0 to n - 1 do
+    t.position.(id) <- Prng.int prng (1 lsl t.depth)
+  done;
+  let z = t.bucket_size in
+  let rec free base k =
+    if k = z then -1 else if slot t (base + k) < 0 then base + k else free base (k + 1)
+  in
+  Array.iteri
+    (fun id d ->
+      Bytes.blit_string d 0 t.data (id * block_size) block_size;
+      let rec place level =
+        if level < 0 then stash_push t id
+        else
+          match free (bucket_index t ~leaf:t.position.(id) ~level * z) 0 with
+          | -1 -> place (level - 1)
+          | i -> set_slot t i id
+      in
+      place t.depth)
+    blocks;
+  t
+
 let access_count t = t.accesses
 let bucket_touches t = t.touches
 let stash_size t = t.stash_len

@@ -10,6 +10,9 @@
 
     All randomness comes from the caller's seeded [Prng.t]: one leaf draw
     per block at [create], in block order, and one remap draw per access.
+    {!of_blocks} installs a whole block array in one pass with exactly
+    the draws of [create] plus one [write] per block, which is how the
+    server builds each [Oram_fetch]'s tree.
     The access sequence the "server" observes is the sequence of
     root-to-leaf paths, available via [paths_observed] for the
     access-pattern tests.
@@ -32,6 +35,18 @@ val create :
     strings ([block_size] bytes). Unwritten blocks read as all-zero.
     @raise Invalid_argument if [num_blocks < 1], [bucket_size < 1],
     [block_size < 0] or [num_blocks] exceeds 32-bit block ids. *)
+
+val of_blocks : ?bucket_size:int -> block_size:int -> Snf_crypto.Prng.t -> string array -> t
+(** [of_blocks ~block_size prng blocks] holds block [i] = [blocks.(i)] for
+    [max 1 (Array.length blocks)] block ids, in one pass. It draws exactly
+    what [create] followed by one [write] per block in id order draws, so
+    every later access returns the same bytes, observes the same paths and
+    touches the same buckets as after those writes. The install itself is
+    no access: it observes no path and counts no access or bucket touch
+    (here or in [exec.oram.*]). Each block sits in the deepest bucket of
+    its path with a free slot, or in the stash when the path is full.
+    @raise Invalid_argument as [create] does, or if a block is not
+    [block_size] bytes. *)
 
 val read : t -> int -> string
 (** Oblivious read. @raise Invalid_argument on out-of-range id. *)

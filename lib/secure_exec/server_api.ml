@@ -129,11 +129,9 @@ let dispatch view (req : Wire.request) : Wire.response =
        this request, so a session keeps no ORAM state between requests. *)
     let n = Array.length blocks in
     List.iter (fun s -> if s < 0 || s >= n then invalid_arg "ORAM slot out of range") slots;
-    let oram = Path_oram.create ~num_blocks:(max n 1) ~block_size (Prng.create seed) in
-    Array.iteri (Path_oram.write oram) blocks;
-    let installed = Path_oram.bucket_touches oram in
+    let oram = Path_oram.of_blocks ~block_size (Prng.create seed) blocks in
     let blocks = Array.of_list (List.map (Path_oram.read oram) slots) in
-    Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram - installed }
+    Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram }
   | Wire.Phe_sum { leaf; attr } ->
     let l = view.leaf leaf in
     Wire.R_nat (Enc_relation.phe_sum (singleton_store view l) l attr)

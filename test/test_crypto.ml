@@ -286,6 +286,48 @@ let test_paillier_pool () =
   Alcotest.(check int) "pooled homomorphic add" 6912
     (Paillier.decrypt_int kp (Paillier.add pk c0 c1))
 
+(* [Paillier.sum] against the [Paillier.add] chain it replaced, bit for
+   bit, at k = 0, 1, 2, 3 and 600, with addends at and far above n^2
+   (which the chain reduces in its first product and k = 1 returns as-is),
+   on a 4-limb n^2 (the register-width product), the 8-limb n^2 of 48-bit
+   primes and a 15-limb one. [crypto.paillier.add] counts k - 1 either way. *)
+let test_paillier_sum_matches_chain () =
+  let module Nat = Snf_bignum.Nat in
+  let adds () = Snf_obs.Metrics.(value (counter "crypto.paillier.add")) in
+  List.iter
+    (fun (bits, kp) ->
+      let pk = kp.Paillier.public in
+      let n2 = pk.Paillier.n_squared in
+      let pool = Paillier.pool ~key:(Prf.key_of_string "sum-test") pk in
+      let ct i = Paillier.encrypt_with pool i (Nat.of_int (i * 7_919)) in
+      let big i =
+        match i mod 5 with
+        | 3 -> Nat.add (ct i) n2
+        | 4 -> Nat.add (ct i) (Nat.mul n2 n2)
+        | _ -> ct i
+      in
+      List.iter
+        (fun k ->
+          List.iter
+            (fun (what, cs) ->
+              let label = Printf.sprintf "prime_bits=%d k=%d %s" bits k what in
+              let a0 = adds () in
+              let chain =
+                match Array.to_list cs with
+                | [] -> Nat.zero
+                | c :: rest -> List.fold_left (Paillier.add pk) c rest
+              in
+              let a1 = adds () in
+              let sum = Paillier.sum pk cs in
+              Alcotest.(check string) label (Nat.to_string chain) (Nat.to_string sum);
+              Alcotest.(check int) (label ^ " adds") (a1 - a0) (adds () - a1))
+            [ ("below n^2", Array.init k ct); ("some >= n^2", Array.init k (fun i -> big (i + 3))) ])
+        [ 0; 1; 2; 3; 600 ];
+      Alcotest.(check int) (Printf.sprintf "prime_bits=%d decrypts to the sum" bits)
+        (7_919 * (99 * 100 / 2))
+        (Paillier.decrypt_int kp (Paillier.sum pk (Array.init 100 ct))))
+    [ (25, Paillier.key_gen ~prime_bits:25 (Prng.create 251)); (48, kp48); (96, kp96) ]
+
 (* --- Scheme / Keyring ------------------------------------------------------ *)
 
 let test_scheme_profiles () =
@@ -338,5 +380,6 @@ let suite =
     prop_paillier_add;
     t "paillier kernels 48/96" test_paillier_kernels;
     t "paillier randomizer pool" test_paillier_pool;
+    t "paillier sum equals the add chain bit for bit" test_paillier_sum_matches_chain;
     t "scheme profiles" test_scheme_profiles;
     t "keyring" test_keyring ]

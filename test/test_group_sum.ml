@@ -101,8 +101,47 @@ let prop_group_sum_matches_plaintext =
         secure = expected
       end)
 
+(* The server's folds against the [Paillier.add] chain they replaced, bit
+   for bit: [phe_sum] over the whole column, and [phe_group_sum] per
+   group (a group of one keeps its cell as-is). The groups hold 600 rows,
+   one row and two rows. *)
+let test_folds_match_add_chain () =
+  let rows =
+    List.init 603 (fun i -> [ (if i < 600 then 0 else if i = 600 then 1 else 2); i * 13 ])
+  in
+  let r = Helpers.relation_of_int_rows [ "g"; "x" ] rows in
+  let policy = Snf_core.Policy.create [ ("g", Scheme.Det); ("x", Scheme.Phe) ] in
+  let dg = Snf_deps.Dep_graph.declare_independent (Snf_deps.Dep_graph.create [ "g"; "x" ]) "g" "x" in
+  let o = System.outsource ~name:"fold" ~graph:dg r policy in
+  let enc = o.System.enc in
+  let pk = enc.Enc_relation.paillier_public in
+  let leaf = Enc_relation.find_leaf enc (leaf_with o "x").Snf_core.Partition.label in
+  let nat = function Enc_relation.C_nat n -> n | _ -> Alcotest.fail "not a PHE cell" in
+  let chain = function
+    | [] -> Snf_bignum.Nat.zero
+    | c :: rest -> List.fold_left (Snf_crypto.Paillier.add pk) c rest
+  in
+  let cells attr = Array.to_list (Enc_relation.column leaf attr).Enc_relation.cells in
+  let hex n = Snf_bignum.Nat.to_string n in
+  Alcotest.(check string) "phe_sum" (hex (chain (List.map nat (cells "x"))))
+    (hex (Enc_relation.phe_sum enc leaf "x"));
+  let expected =
+    List.sort_uniq compare (cells "g")
+    |> List.map (fun g ->
+           List.combine (cells "g") (cells "x")
+           |> List.filter_map (fun (g', x) -> if g' = g then Some (nat x) else None)
+           |> chain |> hex)
+  in
+  let got = List.map (fun (_, n) -> hex n) (Enc_relation.phe_group_sum enc leaf ~group_by:"g" ~sum:"x") in
+  Alcotest.(check (list string)) "phe_group_sum"
+    (List.sort compare expected) (List.sort compare got);
+  Alcotest.(check (list int)) "group sizes decrypt" [ 600 * 599 / 2 * 13; 600 * 13; (601 + 602) * 13 ]
+    (List.map snd
+       (System.group_sum o ~leaf:leaf.Enc_relation.label ~group_by:"g" ~sum:"x"))
+
 let suite =
   [ t "group sum end to end" test_group_sum;
+    t "phe_sum and phe_group_sum equal the add chain" test_folds_match_add_chain;
     t "group sum stays encrypted server-side" test_group_sum_server_side_only;
     t "group sum validation" test_group_sum_validation;
     prop_group_sum_matches_plaintext ]

@@ -221,6 +221,56 @@ let test_oram_pin_single_slot () =
     [ (64, "6d154ebab04cb09e04b1dbf61c86a4b8", 17);
       (600, "b00768f011ac54b7e444f7edd1f1c463", 99) ]
 
+(* [of_blocks] against [create] plus one [write] per block in id order,
+   for n in {0, 1, 2, 3, 600, 4096} and Z = 1..4: k distinct reads (as
+   an ORAM fetch makes), then mixed reads and writes, return the same
+   bytes, observe the same paths and touch the same buckets on both. The
+   install itself observes no path and touches no bucket. *)
+let test_oram_bulk_install_matches_writes () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun z ->
+          let label what = Printf.sprintf "n=%d Z=%d: %s" n z what in
+          let seed = 9000 + n + z in
+          let blocks = Array.init n (Printf.sprintf "i%07d") in
+          let by_writes =
+            Path_oram.create ~bucket_size:z ~num_blocks:(max n 1) ~block_size:8 (Prng.create seed)
+          in
+          Array.iteri (Path_oram.write by_writes) blocks;
+          let installed = Path_oram.bucket_touches by_writes in
+          let bulk = Path_oram.of_blocks ~bucket_size:z ~block_size:8 (Prng.create seed) blocks in
+          Alcotest.(check int) (label "install touches") 0 (Path_oram.bucket_touches bulk);
+          Alcotest.(check (list int)) (label "install observes") [] (Path_oram.paths_observed bulk);
+          let ops = Prng.create (seed + 1) in
+          let slots = Array.init (max n 1) Fun.id in
+          Prng.shuffle ops slots;
+          let read id =
+            Alcotest.(check string) (label "read") (Path_oram.read by_writes id)
+              (Path_oram.read bulk id)
+          in
+          Array.iteri (fun j id -> if j < 64 then read id) slots;
+          for step = 1 to 200 do
+            let id = Prng.int ops (max n 1) in
+            if Prng.int ops 2 = 0 then read id
+            else begin
+              let d = Printf.sprintf "w%07d" step in
+              Path_oram.write by_writes id d;
+              Path_oram.write bulk id d
+            end
+          done;
+          let accesses = Path_oram.access_count bulk in
+          Alcotest.(check (list int)) (label "paths")
+            (List.filteri (fun i _ -> i < accesses) (Path_oram.paths_observed by_writes))
+            (Path_oram.paths_observed bulk);
+          Alcotest.(check int) (label "touches")
+            (Path_oram.bucket_touches by_writes - installed)
+            (Path_oram.bucket_touches bulk))
+        [ 1; 2; 3; 4 ])
+    [ 0; 1; 2; 3; 600; 4096 ];
+  Alcotest.check_raises "a wrong block size" (Invalid_argument "Path_oram: wrong block size")
+    (fun () -> ignore (Path_oram.of_blocks ~block_size:8 (Prng.create 1) [| "12345678"; "short" |]))
+
 (* --- Binning ------------------------------------------------------------------------ *)
 
 let test_binning_schedule () =
@@ -338,6 +388,7 @@ let suite =
     t "oram server view pinned" test_oram_pin;
     t "oram stash bounded at 600 blocks" test_oram_stash_bounded_600;
     t "oram server view pinned with one slot per bucket" test_oram_pin_single_slot;
+    t "oram bulk install matches one write per block" test_oram_bulk_install_matches_writes;
     t "binning schedule" test_binning_schedule;
     prop_binning_covers;
     t "binning uniform sizes" test_binning_uniform_sizes;

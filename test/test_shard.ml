@@ -304,8 +304,8 @@ let test_sharded_mem_parity () =
        [ Backend_sharded.Hash; Backend_sharded.Skew ])
 
 (* Homomorphic aggregation crosses the coordinator: partial Paillier
-   sums recombine to the single-backend ciphertext semantics, and
-   grouped sums come back in the same canonical order. *)
+   sums recombine to the single backend's ciphertexts, and grouped sums
+   come back in the same canonical order, under both placement policies. *)
 let test_sharded_aggregation_parity () =
   let r =
     Relation.create
@@ -321,35 +321,48 @@ let test_sharded_aggregation_parity () =
       [ ("dept", Scheme.Det); ("salary", Scheme.Phe); ("name", Scheme.Ndet) ]
   in
   let g = Snf_deps.Dep_graph.create [ "dept"; "salary"; "name" ] in
-  let mem = System.outsource ~name:"shard-agg" ~graph:g r policy in
-  let st =
-    (* More shards than distinct groups, so some shards hold zero rows
-       of the summed leaf — the empty-partial path must stay exact. *)
-    Backend_sharded.create ~policy:Backend_sharded.Skew ~connect:mem_connect
-      ~shards:5 ()
-  in
-  let tw = System.with_backend mem (System.sharded st) in
-  Fun.protect ~finally:(fun () -> System.release tw; System.release mem)
-  @@ fun () ->
-  let leaf =
-    (List.find
-       (fun (l : Snf_core.Partition.leaf) -> Snf_core.Partition.mem_leaf l "salary")
-       mem.System.plan.Snf_core.Normalizer.representation)
-      .Snf_core.Partition.label
-  in
-  Alcotest.(check int) "sum agrees across the coordinator"
-    (System.sum mem ~leaf ~attr:"salary")
-    (System.sum tw ~leaf ~attr:"salary");
-  Alcotest.(check int) "sum is the plaintext total" 415
-    (System.sum tw ~leaf ~attr:"salary");
-  let gs o =
-    System.group_sum o ~leaf ~group_by:"dept" ~sum:"salary"
-    |> List.map (fun (v, s) -> (Value.to_string v, s))
-  in
-  Alcotest.(check (list (pair string int))) "group sums agree across the coordinator"
-    (gs mem) (gs tw);
-  Alcotest.(check (list (pair string int))) "group sums are correct"
-    [ ("eng", 250); ("hr", 90); ("ops", 75) ] (gs tw)
+  List.iter
+    (fun shard_policy ->
+      let mem = System.outsource ~name:"shard-agg" ~graph:g r policy in
+      let st =
+        (* More shards than distinct groups, so some shards hold zero rows
+           of the summed leaf — the empty-partial path must stay exact. *)
+        Backend_sharded.create ~policy:shard_policy ~connect:mem_connect ~shards:5 ()
+      in
+      let tw = System.with_backend mem (System.sharded st) in
+      Fun.protect ~finally:(fun () -> System.release tw; System.release mem)
+      @@ fun () ->
+      let leaf =
+        (List.find
+           (fun (l : Snf_core.Partition.leaf) -> Snf_core.Partition.mem_leaf l "salary")
+           mem.System.plan.Snf_core.Normalizer.representation)
+          .Snf_core.Partition.label
+      in
+      (* The merged ciphertexts themselves equal the single backend's folds
+         bit for bit, not only their plaintexts. *)
+      let outer = Backend_sharded.connect st in
+      let enc_leaf = Enc_relation.find_leaf mem.System.enc leaf in
+      Alcotest.(check bool) "merged sum ciphertext" true
+        (Snf_bignum.Nat.equal
+           (Enc_relation.phe_sum mem.System.enc enc_leaf "salary")
+           (Server_api.phe_sum outer ~leaf ~attr:"salary"));
+      Alcotest.(check bool) "merged group ciphertexts" true
+        (Enc_relation.phe_group_sum mem.System.enc enc_leaf ~group_by:"dept" ~sum:"salary"
+         = Server_api.group_sum outer ~leaf ~group_by:"dept" ~sum:"salary");
+      Alcotest.(check int) "sum agrees across the coordinator"
+        (System.sum mem ~leaf ~attr:"salary")
+        (System.sum tw ~leaf ~attr:"salary");
+      Alcotest.(check int) "sum is the plaintext total" 415
+        (System.sum tw ~leaf ~attr:"salary");
+      let gs o =
+        System.group_sum o ~leaf ~group_by:"dept" ~sum:"salary"
+        |> List.map (fun (v, s) -> (Value.to_string v, s))
+      in
+      Alcotest.(check (list (pair string int))) "group sums agree across the coordinator"
+        (gs mem) (gs tw);
+      Alcotest.(check (list (pair string int))) "group sums are correct"
+        [ ("eng", 250); ("hr", 90); ("ops", 75) ] (gs tw))
+    [ Backend_sharded.Skew; Backend_sharded.Hash ]
 
 (* The differential harness's sharded arm end to end: bag, counter,
    wire and per-shard reconciliation checks all green on a generated

@@ -498,13 +498,14 @@ let test_tids_digest () =
 
    One [Oram_fetch] round trip against a server session: the blocks of
    the requested slots come back in request order (repeats included), an
-   empty slot list reads nothing, and a slot outside the blocks is a
-   typed [R_error] rather than a crash or an empty answer. *)
+   empty slot list reads nothing, and a slot outside the blocks or a
+   block of the wrong size is a typed [R_error] rather than a crash or an
+   empty answer. *)
 
 let test_oram_fetch_served () =
   let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
   let blocks = Array.init 5 (fun i -> String.make 8 (Char.chr (Char.code 'a' + i))) in
-  let fetch slots =
+  let fetch ?(blocks = blocks) slots =
     Wire.response_of_string
       (serve
          (Wire.request_to_string
@@ -526,7 +527,11 @@ let test_oram_fetch_served () =
       | Wire.R_error { not_found = false; _ } -> ()
       | _ -> Alcotest.failf "slot list %s: expected a typed R_error"
                (String.concat "," (List.map string_of_int slots)))
-    [ [ 5 ]; [ 0; 99 ] ]
+    [ [ 5 ]; [ 0; 99 ] ];
+  match fetch ~blocks:(Array.append blocks [| "short" |]) [ 0 ] with
+  | Wire.R_error { not_found = false; msg } ->
+    Alcotest.(check string) "a block of the wrong size" "Path_oram: wrong block size" msg
+  | _ -> Alcotest.fail "a block of the wrong size: expected a typed R_error"
 
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;

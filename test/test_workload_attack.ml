@@ -202,6 +202,60 @@ let test_cross_column_strawman_vs_snf () =
     (out_snf.Snf_attack.Inference_attack.target_accuracy
     < out_straw.Snf_attack.Inference_attack.target_accuracy)
 
+(* --- trace-replay adversary ------------------------------------------------ *)
+
+(* The access score is a function of what a view holds, not of the order
+   it lists it: a view and a copy listing its tokens and masks reversed
+   score bit-identically. Three eq tokens on [zip], one per ten-row value
+   class, each certified for 1, 2 or 3 rows of its class by a conjunctive
+   mask, expose tenths, whose float sum depends on the order it is taken
+   in: (0.1 + 0.2) + 0.3 <> (0.3 + 0.2) + 0.1. *)
+let test_access_score_order_invariant () =
+  let module Leakage = Snf_obs.Leakage in
+  let module Adversary = Snf_attack.Trace_adversary in
+  let certified = [ 1; 2; 3 ] in
+  let classes = List.length certified in
+  let ground =
+    { Adversary.g_rows = 10 * classes;
+      g_row = (fun ~leaf:_ ~slot -> slot);
+      g_value = (fun row attr -> Value.Int (if attr = "zip" then row / 10 else 0)) }
+  in
+  let token i = { Leakage.t_attr = "zip"; t_kind = `Eq; t_scheme = "det"; t_key = string_of_int i } in
+  let mask i c =
+    { Leakage.m_leaf = "L";
+      m_ops = [ Leakage.Op_token (token i); Leakage.Op_slots [] ];
+      m_matched = c;
+      m_scanned = 10 * classes;
+      m_slots = List.init c (fun j -> (10 * i) + j) }
+  in
+  let view =
+    { Leakage.q_index = 0;
+      q_tokens = List.mapi (fun i _ -> token i) certified;
+      q_masks = List.mapi mask certified;
+      q_fetches = [];
+      q_probes = [];
+      q_oram = [];
+      q_leaves = [ "L" ];
+      q_in_batch = false }
+  in
+  let reversed = { view with q_tokens = List.rev view.q_tokens; q_masks = List.rev view.q_masks } in
+  let aux =
+    [ ("zip", Array.init (10 * classes) (fun r -> Value.Int (r / 10)));
+      ("state", Array.make (10 * classes) (Value.Int 0)) ]
+  in
+  let score v =
+    Adversary.run ~views:[ v ] ~aux ~ground ~protected_attr:"state" ~source_attr:"zip" ()
+  in
+  let a = score view and b = score reversed in
+  Alcotest.(check (float 1e-12)) "token exposure is the mean certified share"
+    0.2 a.Adversary.s_access_token;
+  List.iter
+    (fun (what, f) ->
+      Alcotest.(check int64) what (Int64.bits_of_float (f a)) (Int64.bits_of_float (f b)))
+    [ ("access", fun s -> s.Adversary.s_access);
+      ("token exposure", fun s -> s.Adversary.s_access_token);
+      ("result exposure", fun s -> s.Adversary.s_access_result) ]
+
 let suite =
   [ t "acs shape" test_acs_shape;
     t "acs planted FDs hold" test_acs_planted_fds_hold;
@@ -213,4 +267,5 @@ let suite =
     t "frequency attack full recovery" test_frequency_attack_recovers_unique_frequencies;
     t "frequency attack analytic rate" test_frequency_attack_matches_analytic_rate;
     t "ndet resists frequency attack" test_ndet_column_resists;
-    t "cross-column: strawman vs snf" test_cross_column_strawman_vs_snf ]
+    t "cross-column: strawman vs snf" test_cross_column_strawman_vs_snf;
+    t "access score independent of token and mask order" test_access_score_order_invariant ]
