@@ -754,6 +754,42 @@ let decrypt_matches_reference kp =
   List.for_all (fun c -> Nat.equal (P.decrypt kp c) (P.decrypt_reference kp c)) (cts @ sums)
   && List.for_all2 (fun m c -> Nat.equal (P.decrypt kp c) m) plain cts
 
+(* Pool entry [i] by the public key alone, as pools were filled before
+   the owner's CRT split: the same draw of r, then one full-width
+   exponentiation mod n^2. The oracle for [Paillier.pool_raw_entry]. *)
+let public_pool_entry key (pk : Snf_crypto.Paillier.public_key) i =
+  let module P = Snf_crypto.Paillier in
+  let prng = Snf_crypto.Prng.of_int64 (Snf_crypto.Prf.mac_int key i) in
+  let rec draw () =
+    let r = Nat.random_below (Snf_crypto.Prng.int prng) pk.P.n in
+    if Nat.is_zero r || not (Nat.is_one (Nat.gcd r pk.P.n)) then draw () else r
+  in
+  Nat.Mont.pow_mod pk.P.mont_n2 (draw ()) pk.P.n
+
+let pool_entries = 4_096
+
+(* A pool of [pool_entries] entries filled both ways over the domain
+   pool: the filled pool, ns per entry by CRT and by the public key, and
+   whether every entry agrees. *)
+let pool_fill_both kp =
+  let module P = Snf_crypto.Paillier in
+  let key = Snf_crypto.Prf.key_of_string "bench-pool" in
+  let pool = P.pool ~key kp in
+  let per_entry f =
+    let t0 = Unix.gettimeofday () in
+    let x = f () in
+    (x, (Unix.gettimeofday () -. t0) /. float_of_int pool_entries *. 1e9)
+  in
+  let (), crt_ns =
+    per_entry (fun () -> P.pool_fill pool ~tabulate:Snf_exec.Parallel.tabulate pool_entries)
+  in
+  let public, public_ns =
+    per_entry (fun () ->
+        Snf_exec.Parallel.tabulate pool_entries (public_pool_entry key kp.P.public))
+  in
+  let agrees = Array.for_all2 Nat.equal public (Array.init pool_entries (P.pool_entry pool)) in
+  (pool, crt_ns, public_ns, agrees)
+
 let run_micro_paillier () =
   section "Micro: Paillier kernels (reference vs Montgomery/CRT/pool)";
   let prime_bits = arg_value "prime_bits" 48 in
@@ -761,14 +797,20 @@ let run_micro_paillier () =
   let kp = Snf_crypto.Paillier.key_gen ~prime_bits prng in
   let pk = kp.Snf_crypto.Paillier.public in
   let m = Nat.of_int 123_456 in
-  let pool =
-    Snf_crypto.Paillier.pool ~key:(Snf_crypto.Prf.key_of_string "bench-pool") pk
-  in
-  let pool_entries = 4_096 in
-  let t0 = Unix.gettimeofday () in
-  Snf_crypto.Paillier.pool_fill pool ~tabulate:Snf_exec.Parallel.tabulate pool_entries;
-  let pool_fill_ns =
-    (Unix.gettimeofday () -. t0) /. float_of_int pool_entries *. 1e9
+  let pool, pool_fill_ns, pool_fill_public_ns, pool_agrees = pool_fill_both kp in
+  (* The CRT pool must equal the public-key computation at the 4-limb p^2
+     of 48-bit primes and the 8-limb one of 96-bit primes, whatever
+     [prime_bits] this run times. *)
+  let pool_agrees =
+    pool_agrees
+    && List.for_all
+         (fun bits ->
+           bits = prime_bits
+           ||
+           let kp = Snf_crypto.Paillier.key_gen ~prime_bits:bits (Snf_crypto.Prng.create bits) in
+           let _, _, _, agrees = pool_fill_both kp in
+           agrees)
+         [ 48; 96 ]
   in
   (* ns and minor-heap words per call of one kernel. *)
   let cost f = (ns_per_op f, words_per_op f) in
@@ -833,7 +875,10 @@ let run_micro_paillier () =
     (Array.length addends) chain_ns chain_words fold_ns fold_words (chain_ns /. fold_ns);
   Printf.printf "  Nat codecs, %d B: of_bytes_be %6.0f ns, %.0f words | to_bytes_be %6.0f ns, %.0f words\n"
     (String.length ct_bytes) of_bytes_ns of_bytes_words to_bytes_ns to_bytes_words;
-  Printf.printf "  pool fill: %8.0f ns/entry (%d entries)\n" pool_fill_ns pool_entries;
+  Printf.printf "  pool fill: %8.0f ns/entry by CRT | %8.0f ns/entry by the public key (%d entries)\n"
+    pool_fill_ns pool_fill_public_ns pool_entries;
+  Printf.printf "  pool entries agree with the public-key path at 48 and 96-bit primes: %b\n"
+    pool_agrees;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
   Printf.printf "  decrypt agrees with decrypt_reference on the sample: %b\n" decrypt_agrees;
   Printf.printf "  sum agrees with the add chain: %b\n" fold_agrees;
@@ -847,6 +892,7 @@ let run_micro_paillier () =
       ("encrypt_pooled_ns", Json.Float enc_pool_ns);
       ("encrypt_pooled_minor_words", Json.Float enc_pool_words);
       ("pool_fill_ns_per_entry", Json.Float pool_fill_ns);
+      ("pool_fill_public_ns_per_entry", Json.Float pool_fill_public_ns);
       ("decrypt_reference_ns", Json.Float dec_ref_ns);
       ("decrypt_reference_minor_words", Json.Float dec_ref_words);
       ("decrypt_crt_ns", Json.Float dec_crt_ns);
@@ -877,10 +923,13 @@ let run_micro_paillier () =
              modexp) );
       ("ciphertexts_deterministic_across_domains", Json.Bool deterministic);
       ("decrypt_matches_reference", Json.Bool decrypt_agrees);
-      ("sum_matches_add_chain", Json.Bool fold_agrees) ];
+      ("sum_matches_add_chain", Json.Bool fold_agrees);
+      ("pool_matches_public_key_path", Json.Bool pool_agrees) ];
   (* The kernels above are only worth their numbers if they are right. *)
   if not decrypt_agrees then failwith "micro-paillier: decrypt disagrees with decrypt_reference";
   if not fold_agrees then failwith "micro-paillier: sum disagrees with the add chain";
+  if not pool_agrees then
+    failwith "micro-paillier: pool entries disagree with the public-key path";
   if not deterministic then
     failwith "micro-paillier: bulk ciphertexts differ between 1 and 3 domains"
 

@@ -51,17 +51,17 @@ let to_int_exn a =
   | Some v -> v
   | None -> failwith "Nat.to_int_exn: overflow"
 
+(* Top-level, so an equal-width compare allocates nothing: a local
+   recursive loop would close over both operands on every call. *)
+let rec compare_from (a : t) (b : t) i =
+  if i < 0 then 0
+  else
+    let x = a.(i) and y = b.(i) in
+    if x <> y then Int.compare x y else compare_from a b (i - 1)
+
 let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else begin
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
-  end
+  if la <> lb then Int.compare la lb else compare_from a b (la - 1)
 
 let equal a b = compare a b = 0
 

@@ -28,6 +28,7 @@ type private_key = {
   hp : Nat.t;       (* (L_p(g^(p-1) mod p^2))^-1 mod p *)
   hq : Nat.t;       (* (L_q(g^(q-1) mod q^2))^-1 mod q *)
   q_inv_p : Nat.t;  (* q^-1 mod p, for the Garner recombination *)
+  q2_inv_p2 : Nat.t;  (* (q^2)^-1 mod p^2, for the pool's CRT recombination *)
 }
 
 type keypair = { public : public_key; secret : private_key }
@@ -70,20 +71,25 @@ let key_gen ?(prime_bits = 48) prng =
   in
   let hp = h_of mont_p2 p pm1 in
   let hq = h_of mont_q2 q qm1 in
-  let q_inv_p =
-    match Nat.mod_inverse q p with
+  let inverse a m =
+    match Nat.mod_inverse a m with
     | Some inv -> inv
     | None -> failwith "Paillier.key_gen: primes not coprime"
   in
+  let q_inv_p = inverse q p in
+  let q2_inv_p2 = inverse (Mont.modulus mont_q2) (Mont.modulus mont_p2) in
   { public;
-    secret = { lambda; mu; p; q; mont_p2; mont_q2; pm1; qm1; hp; hq; q_inv_p } }
+    secret = { lambda; mu; p; q; mont_p2; mont_q2; pm1; qm1; hp; hq; q_inv_p; q2_inv_p2 } }
 
-let draw_randomizer rand n =
+(* The first r below n that is nonzero and passes [coprime]. *)
+let draw_randomizer ~coprime rand n =
   let rec draw () =
     let r = Nat.random_below rand n in
-    if Nat.is_zero r || not (Nat.is_one (Nat.gcd r n)) then draw () else r
+    if Nat.is_zero r || not (coprime r) then draw () else r
   in
   draw ()
+
+let coprime_to n r = Nat.is_one (Nat.gcd r n)
 
 (* (1 + n)^m = 1 + m*n (mod n^2) *)
 let g_pow_m pk m = Nat.rem (Nat.succ (Nat.mul m pk.n)) pk.n_squared
@@ -94,7 +100,7 @@ let check_plaintext pk m =
 let encrypt prng pk m =
   check_plaintext pk m;
   Metrics.incr m_encrypt;
-  let r = draw_randomizer (fun bound -> Prng.int prng bound) pk.n in
+  let r = draw_randomizer ~coprime:(coprime_to pk.n) (Prng.int prng) pk.n in
   let r_n = Mont.pow_mod pk.mont_n2 r pk.n in
   Nat.mul_mod (g_pow_m pk m) r_n pk.n_squared
 
@@ -105,7 +111,7 @@ let encrypt_int prng pk m = encrypt prng pk (Nat.of_int m)
 let encrypt_reference prng pk m =
   check_plaintext pk m;
   Metrics.incr m_encrypt_ref;
-  let r = draw_randomizer (fun bound -> Prng.int prng bound) pk.n in
+  let r = draw_randomizer ~coprime:(coprime_to pk.n) (Prng.int prng) pk.n in
   let r_n = Nat.pow_mod r pk.n pk.n_squared in
   Nat.mul_mod (g_pow_m pk m) r_n pk.n_squared
 
@@ -113,21 +119,35 @@ let encrypt_reference prng pk m =
 
 type pool = {
   pool_key : Prf.key;
-  pool_pk : public_key;
+  pool_kp : keypair;
   mutable entries : Nat.t array;
 }
 
-let pool ~key pk = { pool_key = key; pool_pk = pk; entries = [||] }
-
-let pool_public t = t.pool_pk
+let pool ~key kp = { pool_key = key; pool_kp = kp; entries = [||] }
 
 (* Entry i depends only on (key, i): a PRF of the index seeds a private
    stream, so pools are reproducible regardless of fill order or the
-   worker count used to precompute them. *)
+   worker count used to precompute them. The owner holds p and q, so
+   r^n mod n^2 is computed as r^n mod p^2 and r^n mod q^2 — two
+   half-width exponentiations, on the register-width product at 48-bit
+   primes — and recombined by CRT: x = x_q + q^2 * ((x_p - x_q) *
+   (q^2)^-1 mod p^2), which is below p^2 q^2 = n^2, hence the same
+   canonical residue the one full-width exponentiation mod n^2 gives. *)
 let pool_raw_entry t i =
+  let pk = t.pool_kp.public and sk = t.pool_kp.secret in
   let prng = Prng.of_int64 (Prf.mac_int t.pool_key i) in
-  let r = draw_randomizer (fun bound -> Prng.int prng bound) t.pool_pk.n in
-  Mont.pow_mod t.pool_pk.mont_n2 r t.pool_pk.n
+  (* With n = pq, r is coprime to n exactly when neither prime divides
+     it: two short remainders accept the same r as the gcd. *)
+  let coprime r = not (Nat.is_zero (Nat.rem r sk.p) || Nat.is_zero (Nat.rem r sk.q)) in
+  let r = draw_randomizer ~coprime (Prng.int prng) pk.n in
+  let p2 = Mont.modulus sk.mont_p2 and q2 = Mont.modulus sk.mont_q2 in
+  let xp = Mont.pow_mod sk.mont_p2 r pk.n in
+  let xq = Mont.pow_mod sk.mont_q2 r pk.n in
+  let xq_p = Nat.rem xq p2 in
+  let diff =
+    if Nat.compare xp xq_p >= 0 then Nat.sub xp xq_p else Nat.sub (Nat.add xp p2) xq_p
+  in
+  Nat.add xq (Nat.mul q2 (Mont.mul_mod sk.mont_p2 diff sk.q2_inv_p2))
 
 let pool_fill t ~tabulate size =
   if Array.length t.entries < size then begin
@@ -139,7 +159,7 @@ let pool_entry t i =
   if i >= 0 && i < Array.length t.entries then t.entries.(i) else pool_raw_entry t i
 
 let encrypt_with t i m =
-  let pk = t.pool_pk in
+  let pk = t.pool_kp.public in
   check_plaintext pk m;
   Nat.mul_mod (g_pow_m pk m) (pool_entry t i) pk.n_squared
 

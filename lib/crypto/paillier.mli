@@ -10,7 +10,10 @@
     per-modulus Montgomery contexts of {!Snf_bignum.Nat.Mont}; the secret
     key retains [p] and [q] so decryption runs two half-width CRT legs;
     bulk encryption amortises to a single modular multiplication per
-    cell via a precomputed {!type:pool} of randomizers [r^n mod n^2];
+    cell via a precomputed {!type:pool} of randomizers [r^n mod n^2],
+    each entry itself two half-width exponentiations (mod [p^2] and mod
+    [q^2], on the register-width product at 48-bit primes) recombined by
+    CRT, since only the owner, who holds the keypair, fills a pool;
     and the server's homomorphic folds ({!sum}) take one Montgomery
     product per ciphertext and no division.
     [encrypt_reference]/[decrypt_reference] keep the original
@@ -64,17 +67,20 @@ val decrypt_int : keypair -> Nat.t -> int
     index) — deterministic under any fill order and any worker count.
     [pool_fill] takes the (possibly parallel) tabulation function from the
     caller so this module stays free of scheduling concerns. With a filled
-    pool, encryption is one modular multiplication per cell. *)
+    pool, encryption is one modular multiplication per cell. A pool is
+    the data owner's: it takes the keypair and computes each entry by CRT
+    over [p^2] and [q^2], which gives the same residue as
+    [Mont.pow_mod mont_n2 r n] at under half the cost. *)
 
 type pool
 
-val pool : key:Prf.key -> public_key -> pool
-
-val pool_public : pool -> public_key
+val pool : key:Prf.key -> keypair -> pool
 
 val pool_raw_entry : pool -> int -> Nat.t
 (** Compute entry [i] ([r_i^n mod n^2]) from scratch; pure w.r.t. the
-    pool, safe to call from multiple domains. *)
+    pool, safe to call from multiple domains. [r_i] is the first value
+    [Nat.random_below] draws below [n] from [Prng.of_int64 (Prf.mac_int
+    key i)] that is nonzero and coprime to [n]. *)
 
 val pool_fill : pool -> tabulate:(int -> (int -> Nat.t) -> Nat.t array) -> int -> unit
 (** [pool_fill t ~tabulate size] installs entries [0..size-1], computed by

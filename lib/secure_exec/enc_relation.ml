@@ -328,27 +328,73 @@ let oram_open c ~leaf ~slot block =
   try Ndet.decrypt lk.k_oram_seal block
   with Invalid_argument msg -> Integrity.fail ~leaf ~where:"oram" msg
 
-let encrypt_cell c (ck : column_keys) ?pool ~slot ~rng scheme v =
-  match (scheme : Scheme.kind) with
-  | Scheme.Plain -> C_plain v
-  | Scheme.Det -> C_bytes (Det.encrypt ck.k_det (Value.encode v))
-  | Scheme.Ndet -> C_bytes (Ndet.encrypt ~rng ck.k_ndet (Value.encode v))
+(* A DET, OPE or ORE cell is a function of the column keys and the
+   value alone, so each distinct value of such a column is encrypted
+   once by [encrypt v (Value.encode v)], in first-occurrence order over
+   the slots and fanned out over the domain pool, and its slots share
+   the cell: the stored bytes are what encrypting every slot would give.
+   Values are told apart by their encoding, which is what the cipher
+   consumes ([Value.equal] would merge 0.0 and -0.0). *)
+let shared_cells n value encrypt =
+  let first = Hashtbl.create 64 in
+  let distinct = ref [] in
+  let index =
+    Array.init n (fun slot ->
+        let v = value slot in
+        let encoded = Value.encode v in
+        match Hashtbl.find_opt first encoded with
+        | Some j -> j
+        | None ->
+          let j = Hashtbl.length first in
+          Hashtbl.add first encoded j;
+          distinct := (v, encoded) :: !distinct;
+          j)
+  in
+  let distinct = Array.of_list (List.rev !distinct) in
+  let cells =
+    Parallel.tabulate (Array.length distinct) (fun j ->
+        let v, encoded = distinct.(j) in
+        encrypt v encoded)
+  in
+  Array.map (fun j -> cells.(j)) index
+
+let phe_plaintext = function
+  | Value.Int i when i >= 0 -> Nat.of_int i
+  | Value.Int _ -> invalid_arg "Enc_relation: PHE requires non-negative integers"
+  | _ -> invalid_arg "Enc_relation: PHE requires integer values"
+
+(* The cells of one column, slot by slot; [value slot] is the plaintext
+   stored at [slot]. *)
+let encrypt_column c ~leaf (cs : Partition.column_spec) n value =
+  let ck = column_keys c ~leaf ~attr:cs.name in
+  Metrics.add m_cells n;
+  match cs.scheme with
+  | Scheme.Plain -> Array.init n (fun slot -> C_plain (value slot))
+  | Scheme.Det ->
+    shared_cells n value (fun _ encoded -> C_bytes (Det.encrypt ck.k_det encoded))
   | Scheme.Ope ->
-    let ord = Ope.encrypt ck.k_ope (Codec.to_ordinal v) in
-    C_ord { ord; payload = Det.encrypt ck.k_det (Value.encode v) }
+    shared_cells n value (fun v encoded ->
+        let ord = Ope.encrypt ck.k_ope (Codec.to_ordinal v) in
+        C_ord { ord; payload = Det.encrypt ck.k_det encoded })
   | Scheme.Ore ->
-    let ore = Ore.encrypt ck.k_ore (Codec.to_ordinal v) in
-    C_ore { ore; payload = Det.encrypt ck.k_det (Value.encode v) }
+    shared_cells n value (fun v encoded ->
+        let ore = Ore.encrypt ck.k_ore (Codec.to_ordinal v) in
+        C_ore { ore; payload = Det.encrypt ck.k_det encoded })
+  | Scheme.Ndet ->
+    Parallel.tabulate n (fun slot ->
+        let rng = Parallel.item_prng ~key:ck.k_cell_rng slot in
+        C_bytes (Ndet.encrypt ~rng ck.k_ndet (Value.encode (value slot))))
   | Scheme.Phe ->
-    let m =
-      match v with
-      | Value.Int i when i >= 0 -> Nat.of_int i
-      | Value.Int _ -> invalid_arg "Enc_relation: PHE requires non-negative integers"
-      | _ -> invalid_arg "Enc_relation: PHE requires integer values"
-    in
-    (match pool with
-     | Some pool -> C_nat (Paillier.encrypt_with pool slot m)
-     | None -> C_nat (Paillier.encrypt rng c.paillier.Paillier.public m))
+    (* Precompute the r^n randomizers in parallel; each cell then costs
+       one modular multiplication. *)
+    let pool = Paillier.pool ~key:ck.k_phe_pool c.paillier in
+    Paillier.pool_fill pool ~tabulate:(fun k f -> Parallel.tabulate k f) n;
+    (* Pooled encryptions are batch-counted here rather than inside
+       [Paillier.encrypt_with] — the kernel is a single modular
+       multiplication (see bench/micro-paillier). *)
+    Metrics.add m_pooled n;
+    Parallel.tabulate n (fun slot ->
+        C_nat (Paillier.encrypt_with pool slot (phe_plaintext (value slot))))
 
 let encrypt client r rep =
   (* Re-encryption invalidates every cached tid decrypt: the new store's
@@ -373,31 +419,11 @@ let encrypt client r rep =
           List.map
             (fun (cs : Partition.column_spec) ->
               let col = Relation.column piece cs.name in
-              let ck = column_keys client ~leaf:l.label ~attr:cs.name in
-              let pool =
-                match cs.scheme with
-                | Scheme.Phe ->
-                  (* Precompute the r^n randomizers in parallel; each cell
-                     then costs one modular multiplication. *)
-                  let pool =
-                    Paillier.pool ~key:ck.k_phe_pool client.paillier.Paillier.public
-                  in
-                  Paillier.pool_fill pool ~tabulate:(fun k f -> Parallel.tabulate k f) n;
-                  (* Pooled encryptions are batch-counted here rather than
-                     inside [Paillier.encrypt_with] — the kernel is a single
-                     modular multiplication (see bench/micro-paillier). *)
-                  Metrics.add m_pooled n;
-                  Some pool
-                | _ -> None
-              in
-              Metrics.add m_cells n;
               { attr = cs.name;
                 scheme = cs.scheme;
                 cells =
-                  Parallel.tabulate n (fun slot ->
-                      let rng = Parallel.item_prng ~key:ck.k_cell_rng slot in
-                      encrypt_cell client ck ?pool ~slot ~rng cs.scheme
-                        col.(slot_to_tid.(slot))) })
+                  encrypt_column client ~leaf:l.label cs n (fun slot ->
+                      col.(slot_to_tid.(slot))) })
             l.columns
         in
         { label = l.label; row_count = n; tids; columns })

@@ -262,21 +262,44 @@ let test_paillier_kernels () =
         (Paillier.decrypt_int kp (Paillier.scalar_mul pk ca 7)))
     [ (48, kp48); (96, kp96) ]
 
+(* The public-key computation of pool entry [i]: the same draw of r,
+   then one full-width exponentiation mod n^2. *)
+let public_pool_entry key (pk : Paillier.public_key) i =
+  let module Nat = Snf_bignum.Nat in
+  let prng = Prng.of_int64 (Prf.mac_int key i) in
+  let rec draw () =
+    let r = Nat.random_below (Prng.int prng) pk.Paillier.n in
+    if Nat.is_zero r || not (Nat.is_one (Nat.gcd r pk.Paillier.n)) then draw () else r
+  in
+  Nat.Mont.pow_mod pk.Paillier.mont_n2 (draw ()) pk.Paillier.n
+
 let test_paillier_pool () =
   let kp = kp48 in
   let pk = kp.Paillier.public in
   let key = Prf.key_of_string "pool-test" in
-  let pool = Paillier.pool ~key pk in
+  let pool = Paillier.pool ~key kp in
   (* entries depend only on (key, index): raw computation, cached lookup
      and a freshly built pool all agree *)
   Paillier.pool_fill pool ~tabulate:Array.init 16;
-  let pool' = Paillier.pool ~key pk in
+  let pool' = Paillier.pool ~key kp in
   for i = 0 to 15 do
     Alcotest.(check bool) "cached = raw" true
       (Snf_bignum.Nat.equal (Paillier.pool_entry pool i) (Paillier.pool_raw_entry pool i));
     Alcotest.(check bool) "independent of fill" true
       (Snf_bignum.Nat.equal (Paillier.pool_entry pool i) (Paillier.pool_entry pool' i))
   done;
+  (* the CRT split computes what r^n mod n^2 computes, at the 2-limb p^2
+     of 25-bit primes, the register-width 4-limb one and an 8-limb one *)
+  List.iter
+    (fun (bits, kp) ->
+      let pool = Paillier.pool ~key kp in
+      for i = 0 to 63 do
+        Alcotest.(check string)
+          (Printf.sprintf "prime_bits=%d entry %d = r^n mod n^2" bits i)
+          (Snf_bignum.Nat.to_string (public_pool_entry key kp.Paillier.public i))
+          (Snf_bignum.Nat.to_string (Paillier.pool_raw_entry pool i))
+      done)
+    [ (25, Paillier.key_gen ~prime_bits:25 (Prng.create 251)); (48, kp48); (96, kp96) ];
   Alcotest.(check bool) "distinct indexes, distinct randomizers" true
     (not (Snf_bignum.Nat.equal (Paillier.pool_entry pool 0) (Paillier.pool_entry pool 1)));
   (* pooled ciphertexts decrypt and compose like fresh ones *)
@@ -298,7 +321,7 @@ let test_paillier_sum_matches_chain () =
     (fun (bits, kp) ->
       let pk = kp.Paillier.public in
       let n2 = pk.Paillier.n_squared in
-      let pool = Paillier.pool ~key:(Prf.key_of_string "sum-test") pk in
+      let pool = Paillier.pool ~key:(Prf.key_of_string "sum-test") kp in
       let ct i = Paillier.encrypt_with pool i (Nat.of_int (i * 7_919)) in
       let big i =
         match i mod 5 with

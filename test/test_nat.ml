@@ -314,6 +314,39 @@ let test_mont_edges () =
   Alcotest.check nat "multi-limb exponent" (Nat.pow_mod b e m)
     (Nat.Mont.pow_mod ctx b e)
 
+(* [Paillier.sum] compares every addend with n^2, so a compare of two
+   values with the same limb count must not allocate. Every pair below
+   has one bit length, hence one limb count; the results are checked
+   too. Bytecode boxes where native code does not, so the allocation
+   check applies to native code. *)
+let test_compare_allocates_nothing () =
+  let reps = 1_000 in
+  List.iter
+    (fun bits ->
+      let top = Nat.shift_left Nat.one (bits - 1) in
+      let a = Nat.add top (of_i 12345) in
+      let cases =
+        [ ("equal", a, Nat.add top (of_i 12345), 0);
+          ("low limb smaller", a, Nat.add top (of_i 12346), -1);
+          ("high limb larger", Nat.add top (Nat.shift_left Nat.one (bits - 2)), a, 1) ]
+      in
+      List.iter
+        (fun (what, x, y, expect) ->
+          let label = Printf.sprintf "%d bits, %s" bits what in
+          Alcotest.(check int) (label ^ ": one width") (Nat.bit_length x) (Nat.bit_length y);
+          Alcotest.(check int) label expect (Int.compare (Nat.compare x y) 0);
+          Alcotest.(check int) (label ^ ", swapped") (-expect) (Int.compare (Nat.compare y x) 0);
+          if Sys.backend_type = Sys.Native then begin
+            let w0 = Gc.minor_words () in
+            for _ = 1 to reps do
+              ignore (Sys.opaque_identity (Nat.compare x y))
+            done;
+            let words = (Gc.minor_words () -. w0) /. float_of_int reps in
+            if words > 0.1 then Alcotest.failf "%s: %.2f minor words per compare" label words
+          end)
+        cases)
+    [ 20; 96; 192; 384 ]
+
 let suite =
   [ t "conversions" test_conversions;
     t "montgomery edges" test_mont_edges;
@@ -335,4 +368,5 @@ let suite =
     prop_divmod_adversarial;
     prop_string_roundtrip;
     prop_pow_mod;
-    prop_mod_inverse ]
+    prop_mod_inverse;
+    t "equal-width compares allocate nothing" test_compare_allocates_nothing ]

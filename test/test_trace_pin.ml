@@ -296,10 +296,47 @@ let test_pinned backend domains () =
   in
   Alcotest.(check (list string)) "pinned wire and trace output" pinned lines
 
+(* The whole Install image of a store that has one column of each
+   encrypted scheme and repeated values in every column: two leaves of 80
+   rows, the OPE column with 40 distinct values (enough for [Parallel] to
+   fan out over them). Recorded before deterministic cells were encrypted
+   once per distinct value and before the Paillier pool went through the
+   CRT split; every stored byte must stay as it was, under 1 and 2
+   domains. *)
+let install_representation =
+  [ Snf_core.Partition.leaf "q0"
+      [ ("a", Scheme.Det); ("c", Scheme.Ope); ("e", Scheme.Phe) ];
+    Snf_core.Partition.leaf "q1" [ ("b", Scheme.Ndet); ("d", Scheme.Ore) ] ]
+
+let install_image () =
+  let r =
+    Relation.create
+      (Schema.of_attributes
+         [ Attribute.text "a"; Attribute.text "b"; Attribute.int "c"; Attribute.int "d";
+           Attribute.int "e" ])
+      (List.init 80 (fun i ->
+           [| Value.Text (Printf.sprintf "a%d" (i mod 5));
+              Value.Text (Printf.sprintf "b%d" (i mod 3));
+              Value.Int (i * 7 mod 40); Value.Int (i mod 6); Value.Int (i mod 7 * 11) |]))
+  in
+  let client =
+    Enc_relation.make_client ~relation_name:"install-pin" ~master:"install-pin-master" ()
+  in
+  Wire.to_string (Enc_relation.encrypt client r install_representation)
+
+let test_install_image () =
+  List.iter
+    (fun d ->
+      Alcotest.(check string)
+        (Printf.sprintf "Install image (domains=%d)" d)
+        "19ac0ce46c2341e4123ca1cef5c018eb" (hex (with_domains d install_image)))
+    [ 1; 2 ]
+
 let suite =
   [ t "mem, 1 domain" (test_pinned `Mem 1);
     t "mem, 2 domains" (test_pinned `Mem 2);
     t "socket, 1 domain" (test_pinned `Socket 1);
     t "socket, 2 domains" (test_pinned `Socket 2);
     t "mem: a warm repeat sends no tid bytes" (test_warm_repeat_sends_no_tids `Mem);
-    t "socket: a warm repeat sends no tid bytes" (test_warm_repeat_sends_no_tids `Socket) ]
+    t "socket: a warm repeat sends no tid bytes" (test_warm_repeat_sends_no_tids `Socket);
+    t "install image of every scheme, 1 and 2 domains" test_install_image ]
