@@ -4,7 +4,7 @@
      demo       walk through the paper's Example 1 end to end
      analyze    mine dependencies from a CSV and audit a representation
      normalize  partition a CSV into SNF and report the representation
-     query      outsource a CSV and run a point query securely
+     query      outsource a CSV and run point and range queries securely
      serve      run a networked SNF server on a socket address
      table1 / figure3 / attack   regenerate the paper's experiments *)
 
@@ -95,13 +95,83 @@ let ensure_writable flag = function
        Printf.eprintf "snf_cli: %s: cannot write %s (%s)\n" flag path msg;
        exit 2)
 
-(* SNFT wire traces: binary framing for .snft paths, JSON otherwise. *)
-let write_wire_trace path trace =
-  if Filename.check_suffix path ".snft" then
-    Snf_obs.Wiretrace.write_binary ~path trace
-  else Snf_obs.Wiretrace.write_json ~path trace;
-  Printf.printf "-- wrote %s (SNFT wire trace, %d events)\n" path
-    (List.length trace.Snf_obs.Wiretrace.events)
+(* [--wire-trace-out]: run [f] under an SNFT recording and write the
+   trace, binary framing for .snft paths, JSON otherwise. *)
+let with_wire_trace out f =
+  match out with
+  | None -> f ()
+  | Some path ->
+    let v, trace = Snf_exec.System.record_wire_trace f in
+    if Filename.check_suffix path ".snft" then Snf_obs.Wiretrace.write_binary ~path trace
+    else Snf_obs.Wiretrace.write_json ~path trace;
+    Printf.printf "-- wrote %s (SNFT wire trace, %d events)\n" path
+      (List.length trace.Snf_obs.Wiretrace.events);
+    v
+
+(* [--trace-out]: the recorded spans as Chrome trace_event JSON, with the
+   metrics snapshot embedded. *)
+let write_span_trace = function
+  | None -> ()
+  | Some path ->
+    Snf_obs.Export.write ~path
+      (Snf_obs.Export.chrome_trace ~metrics:(Snf_obs.Metrics.snapshot ())
+         (Snf_obs.Span.events ()));
+    Printf.printf "-- wrote %s (open in chrome://tracing or Perfetto)\n" path
+
+(* One predicate grammar for every command: comma-separated attr=value
+   (point) or attr=lo..hi (inclusive range), values typed against the
+   schema. A malformed predicate is an [Error] naming it, which every
+   caller reports as CLI misuse (exit 2). *)
+let split_once sep s =
+  let n = String.length sep in
+  let rec find i =
+    if i + n > String.length s then None
+    else if String.sub s i n = sep then
+      Some (String.sub s 0 i, String.sub s (i + n) (String.length s - i - n))
+    else find (i + 1)
+  in
+  find 0
+
+let parse_preds schema text =
+  let pred pair =
+    let attr, raw =
+      match split_once "=" pair with
+      | Some (attr, raw) -> (String.trim attr, raw)
+      | None ->
+        failwith (Printf.sprintf "bad predicate %S (want attr=value or attr=lo..hi)" pair)
+    in
+    let ty =
+      match Schema.find schema attr with
+      | Some a -> a.Attribute.ty
+      | None -> failwith (Printf.sprintf "unknown attribute %S" attr)
+    in
+    let value raw =
+      try
+        match ty with
+        | Value.TInt -> Value.Int (int_of_string raw)
+        | Value.TFloat -> Value.Float (float_of_string raw)
+        | Value.TBool -> Value.Bool (bool_of_string raw)
+        | Value.TText -> Value.Text raw
+      with Failure _ | Invalid_argument _ ->
+        failwith (Printf.sprintf "bad value %S for %s" raw attr)
+    in
+    match split_once ".." raw with
+    | Some (lo, hi) -> Snf_exec.Query.Range (attr, value lo, value hi)
+    | None -> Snf_exec.Query.Point (attr, value raw)
+  in
+  try
+    Ok
+      (String.split_on_char ',' text |> List.map String.trim |> List.filter (( <> ) "")
+      |> List.map pred)
+  with Failure msg -> Error msg
+
+(* [--where] on the command line: a malformed predicate exits 2. *)
+let where_preds schema where =
+  match parse_preds schema where with
+  | Ok preds -> preds
+  | Error msg ->
+    Printf.eprintf "snf_cli: --where: %s\n" msg;
+    exit 2
 
 let graph_of ~deps r =
   match deps with
@@ -233,8 +303,9 @@ let query_cmd =
   in
   let where_arg =
     Arg.(value & opt string "" & info [ "where" ] ~docv:"PREDS"
-           ~doc:"Comma-separated point predicates attr=value (values typed \
-                 against the schema).")
+           ~doc:"Comma-separated predicates: attr=value (point) or \
+                 attr=lo..hi (inclusive range); values typed against the \
+                 schema.")
   in
   let mode_arg =
     let mode_conv =
@@ -242,16 +313,6 @@ let query_cmd =
     in
     Arg.(value & opt mode_conv `Sort_merge & info [ "mode" ]
            ~doc:"Oblivious reconstruction mechanism.")
-  in
-  let parse_preds where parse_value =
-    String.split_on_char ',' where
-    |> List.filter (( <> ) "")
-    |> List.map (fun pair ->
-           match String.index_opt pair '=' with
-           | None -> failwith (Printf.sprintf "bad predicate %S" pair)
-           | Some i ->
-             let attr = String.sub pair 0 i in
-             (attr, parse_value attr (String.sub pair (i + 1) (String.length pair - i - 1))))
   in
   let trace_out_arg =
     Arg.(value & opt (some string) None & info [ "trace-out" ] ~docv:"FILE"
@@ -382,17 +443,7 @@ let query_cmd =
        sel1,sel2 : attr=val,attr2=lo..hi
      Any malformed line is CLI misuse — report it and exit 2 (the same
      code cmdliner uses for unparseable flags), never 3. *)
-  let split_once sep s =
-    let n = String.length sep in
-    let rec find i =
-      if i + n > String.length s then None
-      else if String.sub s i n = sep then
-        Some (String.sub s 0 i, String.sub s (i + n) (String.length s - i - n))
-      else find (i + 1)
-    in
-    find 0
-  in
-  let parse_batch_file path parse_value =
+  let parse_batch_file path schema =
     let ic = open_in path in
     let lines =
       Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
@@ -420,33 +471,11 @@ let query_cmd =
                |> List.map String.trim |> List.filter (( <> ) "")
              in
              if select = [] then malformed n "empty projection";
-             let preds =
-               String.sub line (i + 1) (String.length line - i - 1)
-               |> String.split_on_char ',' |> List.map String.trim
-               |> List.filter (( <> ) "")
-               |> List.map (fun pair ->
-                      match String.index_opt pair '=' with
-                      | None ->
-                        malformed n (Printf.sprintf "bad predicate %S" pair)
-                      | Some j ->
-                        let attr = String.trim (String.sub pair 0 j) in
-                        let raw =
-                          String.sub pair (j + 1) (String.length pair - j - 1)
-                        in
-                        let value v =
-                          try parse_value attr v with
-                          | Failure msg | Invalid_argument msg ->
-                            malformed n
-                              (Printf.sprintf "bad value %S for %s: %s" v attr msg)
-                          | Not_found ->
-                            malformed n (Printf.sprintf "unknown attribute %S" attr)
-                        in
-                        (match split_once ".." raw with
-                         | Some (lo, hi) ->
-                           Snf_exec.Query.Range (attr, value lo, value hi)
-                         | None -> Snf_exec.Query.Point (attr, value raw)))
-             in
-             { Snf_exec.Query.select; where = preds })
+             match
+               parse_preds schema (String.sub line (i + 1) (String.length line - i - 1))
+             with
+             | Ok where -> { Snf_exec.Query.select; where }
+             | Error msg -> malformed n msg)
   in
   let run csv enc default select where mode trace_out wire_trace_out backend batch =
     ensure_writable "--trace-out" trace_out;
@@ -454,13 +483,6 @@ let query_cmd =
     let r = load_csv csv in
     let policy = policy_of ~enc ~default r in
     let schema = Relation.schema r in
-    let parse_value attr raw =
-      match (Schema.find_exn schema attr).Attribute.ty with
-      | Value.TInt -> Value.Int (int_of_string raw)
-      | Value.TFloat -> Value.Float (float_of_string raw)
-      | Value.TBool -> Value.Bool (bool_of_string raw)
-      | Value.TText -> Value.Text raw
-    in
     if trace_out <> None then Snf_obs.Span.set_enabled true;
     (* A socket backend that cannot reach its server is misuse of the
        flag's value, not a crash: report and exit 2. *)
@@ -470,18 +492,10 @@ let query_cmd =
         Printf.eprintf "snf_cli: cannot reach server: %s\n" e;
         exit 2
     in
-    let with_wire_trace f =
-      match wire_trace_out with
-      | None -> f ()
-      | Some path ->
-        let v, trace = Snf_exec.System.record_wire_trace f in
-        write_wire_trace path trace;
-        v
-    in
-    with_wire_trace @@ fun () ->
+    with_wire_trace wire_trace_out @@ fun () ->
     match batch with
     | Some path ->
-      let qs = parse_batch_file path parse_value in
+      let qs = parse_batch_file path schema in
       if qs = [] then begin
         Printf.eprintf "snf_cli: %s: no queries\n" path;
         exit 2
@@ -501,13 +515,7 @@ let query_cmd =
       Printf.printf "-- batch of %d queries in one shared pass (backend: %s)\n"
         (List.length qs)
         (Snf_exec.System.backend_kind_name (Snf_exec.System.backend owner));
-      (match trace_out with
-       | Some path ->
-         Snf_obs.Export.write ~path
-           (Snf_obs.Export.chrome_trace ~metrics:(Snf_obs.Metrics.snapshot ())
-              (Snf_obs.Span.events ()));
-         Printf.printf "-- wrote %s (open in chrome://tracing or Perfetto)\n" path
-       | None -> ())
+      write_span_trace trace_out
     | None ->
       let select =
         match select with
@@ -516,12 +524,12 @@ let query_cmd =
           prerr_endline "snf_cli: query needs --select ATTRS (or --batch FILE)";
           exit 2
       in
-      let preds = parse_preds where parse_value in
+      let where = where_preds schema where in
       let owner = outsource () in
       (* Release drops the server connection — for the disk backend, that
          removes its temp directory. *)
       Fun.protect ~finally:(fun () -> Snf_exec.System.release owner) @@ fun () ->
-      let q = Snf_exec.Query.point ~select preds in
+      let q = { Snf_exec.Query.select; where } in
       (match Snf_exec.System.query ~mode owner q with
        | Ok (ans, trace) ->
          Format.printf "%a@." (Relation.pp ~max_rows:50) ans;
@@ -530,13 +538,7 @@ let query_cmd =
          Format.printf "-- %a@." Snf_exec.Executor.pp_trace trace;
          (* Export before [verify] re-runs the query, so the embedded
             exec.query.* totals equal the printed trace exactly. *)
-         (match trace_out with
-          | Some path ->
-            Snf_obs.Export.write ~path
-              (Snf_obs.Export.chrome_trace ~metrics:(Snf_obs.Metrics.snapshot ())
-                 (Snf_obs.Span.events ()));
-            Printf.printf "-- wrote %s (open in chrome://tracing or Perfetto)\n" path
-          | None -> ());
+         write_span_trace trace_out;
          Printf.printf "-- verified against plaintext reference: %b\n"
            (Snf_exec.System.verify ~mode owner q)
        | Error e -> Printf.printf "query failed: %s\n" e)
@@ -577,42 +579,9 @@ let explain_cmd =
     let r = load_csv csv in
     let policy = policy_of ~enc ~default r in
     let schema = Relation.schema r in
-    let parse_value attr raw =
-      match (Schema.find_exn schema attr).Attribute.ty with
-      | Value.TInt -> Value.Int (int_of_string raw)
-      | Value.TFloat -> Value.Float (float_of_string raw)
-      | Value.TBool -> Value.Bool (bool_of_string raw)
-      | Value.TText -> Value.Text raw
-    in
-    let split_range raw =
-      (* attr=lo..hi; a '..' anywhere in the value means range *)
-      let n = String.length raw in
-      let rec find i =
-        if i + 2 > n then None
-        else if String.sub raw i 2 = ".." then
-          Some (String.sub raw 0 i, String.sub raw (i + 2) (n - i - 2))
-        else find (i + 1)
-      in
-      find 0
-    in
-    let preds =
-      String.split_on_char ',' where
-      |> List.filter (( <> ) "")
-      |> List.map (fun pair ->
-             match String.index_opt pair '=' with
-             | None ->
-               Printf.eprintf "snf_cli: bad predicate %S\n" pair;
-               exit 2
-             | Some i ->
-               let attr = String.sub pair 0 i in
-               let raw = String.sub pair (i + 1) (String.length pair - i - 1) in
-               (match split_range raw with
-                | Some (lo, hi) ->
-                  Q.Range (attr, parse_value attr lo, parse_value attr hi)
-                | None -> Q.Point (attr, parse_value attr raw)))
-    in
+    let where = where_preds schema where in
     let select = String.split_on_char ',' select |> List.filter (( <> ) "") in
-    let q = { Q.select; where = preds } in
+    let q = { Q.select; where } in
     let owner = Snf_exec.System.outsource ~name:"cli" r policy in
     Fun.protect ~finally:(fun () -> Snf_exec.System.release owner) @@ fun () ->
     let planner =
@@ -813,14 +782,7 @@ let check_cmd =
       Snf_check.Differential.soak ~rows ~with_faults:faults ~backend ~batch ~planner
         ~seed ~queries ()
     in
-    let report =
-      match wire_trace_out with
-      | None -> soak ()
-      | Some path ->
-        let report, trace = Snf_exec.System.record_wire_trace soak in
-        write_wire_trace path trace;
-        report
-    in
+    let report = with_wire_trace wire_trace_out soak in
     Format.printf "%a@." Snf_check.Differential.pp_report report;
     let write_file path content =
       let oc = open_out path in

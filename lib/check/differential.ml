@@ -160,29 +160,22 @@ let split_fetch_tids (tr : Snf_obs.Wiretrace.trace) =
 (* A repeated query starts from a warm client: its leaves' tid columns
    are held under the digests Describe announces and their tid orders
    are cached, so it sends no [Fetch_tids] and runs no sorting network.
-   Everything else must repeat: the outcome and the answer and, when
-   both SNFT traces were recorded, the bytes once timestamps are zeroed
-   and the first run's [Fetch_tids] rounds are removed, with the wire
-   counts short by exactly those rounds. Without traces the rounds
-   cannot be told apart, so the repeat's wire counts must be no larger
-   than the first's, and equal to them when it sent as many requests. *)
+   Everything else must repeat: the outcome, the answer, and the SNFT
+   bytes once timestamps are zeroed and the first run's [Fetch_tids]
+   rounds are removed, with the wire counts short by exactly those
+   rounds. *)
 let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
-  let split = Option.map split_fetch_tids in
-  let first_split = split first_snft and repeat_split = split repeat_snft in
+  let (fq, fu, fd), first_rest = split_fetch_tids first_snft in
+  let (refetched, _, _), repeat_rest = split_fetch_tids repeat_snft in
   (match (first, repeat) with
    | Ok (a, (t : Executor.trace)), Ok (b, (r : Executor.trace)) ->
      let wire (t : Executor.trace) =
        (t.Executor.wire_requests, t.Executor.wire_bytes_up, t.Executor.wire_bytes_down)
      in
-     let tq, tu, td = wire t and rq, ru, rd = wire r in
-     let wire_ok =
-       match (first_split, repeat_split) with
-       | Some ((fq, fu, fd), _), Some _ -> (tq - fq, tu - fu, td - fd) = (rq, ru, rd)
-       | _ -> rq <= tq && ru <= tu && rd <= td && (rq < tq || (ru, rd) = (tu, td))
-     in
+     let tq, tu, td = wire t in
      (if Oracle.bag a = Oracle.bag b then []
       else [ "warm repeat returned a different answer" ])
-     @ (if wire_ok then []
+     @ (if (tq - fq, tu - fu, td - fd) = wire r then []
         else [ "warm repeat moved other wire counts than the first run without its \
                 Fetch_tids rounds" ])
      @
@@ -193,22 +186,17 @@ let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
    | Error a, Error b when a = b -> []
    | _ -> [ "warm repeat disagrees with the first run on the outcome" ])
   @
-  match (first_split, repeat_split) with
-  | Some (_, a), Some ((0, _, _), b) ->
-    if snft_bytes a = snft_bytes b then []
-    else
-      [ "warm repeat SNFT bytes differ from the first run's without its Fetch_tids \
-         rounds" ]
-  | Some _, Some ((n, _, _), _) -> [ Printf.sprintf "warm repeat still sent %d Fetch_tids" n ]
-  | _ -> []
+  if refetched > 0 then [ Printf.sprintf "warm repeat still sent %d Fetch_tids" refetched ]
+  else if snft_bytes first_rest = snft_bytes repeat_rest then []
+  else
+    [ "warm repeat SNFT bytes differ from the first run's without its Fetch_tids rounds" ]
 
 (* A batch of one must be indistinguishable from the single query run
    from the same cache state: the same trace record up to the planner's
    cache outcome (a hit prices no candidates, so [d_enumerated] follows
    [d_cache]), the same counter deltas apart from timing series (the
    mapping-cache counters included: neither run may touch that cache)
-   and, when both SNFT traces were recorded, the same bytes once
-   timestamps are zeroed. *)
+   and the same SNFT bytes once timestamps are zeroed. *)
 let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
     (batched : Executor.trace) batched_snft batched_deltas =
   let normal (t : Executor.trace) =
@@ -232,18 +220,8 @@ let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
       (List.sort_uniq String.compare
          (List.map fst (untimed single_deltas @ untimed batched_deltas)))
   @
-  match (single_snft, batched_snft) with
-  | Some a, Some b when snft_bytes a <> snft_bytes b ->
-    [ "batch-of-one SNFT bytes differ from the single query's" ]
-  | _ -> []
-
-(* Record the SNFT trace of [f] unless a recording is already running (an
-   outer [--wire-trace-out] soak keeps the whole run in one trace). *)
-let recorded f =
-  if Snf_obs.Wiretrace.recording () then (f (), None)
-  else
-    let v, trace = System.record_wire_trace f in
-    (v, Some trace)
+  if snft_bytes single_snft = snft_bytes batched_snft then []
+  else [ "batch-of-one SNFT bytes differ from the single query's" ]
 
 let chunks n l =
   let n = max 1 n in
@@ -274,9 +252,8 @@ let most_frequent col =
     counts None
   |> Option.map fst
 
-let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = true)
-    ?(check_group_sum = true) ?(backend = `Mem)
-    ?(batch = `Rotate) ?(planner = `Greedy) (inst : Gen.instance) =
+let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner = `Greedy)
+    (inst : Gen.instance) =
   let qs = Gen.queries ~count:queries ~seed:inst.Gen.spec.Gen.seed inst in
   let reps = representations ~workload:qs inst.Gen.graph inst.Gen.policy in
   let owners =
@@ -541,7 +518,8 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
                     match chunk with
                     | [ q ] ->
                       let run () =
-                        recorded (fun () -> System.query_checked ~mode ?planner owner q)
+                        System.record_wire_trace (fun () ->
+                            System.query_checked ~mode ?planner owner q)
                       in
                       let first = run () in
                       let before = Metrics.snapshot () in
@@ -555,7 +533,8 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
                   in
                   let before = Metrics.snapshot () in
                   match
-                    recorded (fun () -> System.query_batch ~mode ?planner owner chunk)
+                    System.record_wire_trace (fun () ->
+                        System.query_batch ~mode ?planner owner chunk)
                   with
                   | exception Integrity.Corruption c ->
                     fail ~rep:label ~mode:mstr ~kind:"batch"
@@ -666,21 +645,23 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
           qs)
       owners;
   (* Ledger pass over the SNF representation: the report must recount
-     exactly the answers it just recorded. *)
-  if check_ledger then begin
+     exactly the answers it just recorded, and the traffic it read from
+     the wire must equal the executor traces' wire fields, summed. *)
+  begin
     let owner = List.assoc "snf" owners in
     let led = Ledger.create owner in
-    let vols =
+    let answered =
       List.filter_map
         (fun q ->
           incr executions;
           match Ledger.query led q with
-          | Ok (ans, _) -> Some (Relation.cardinality ans)
+          | Ok (ans, trace) -> Some (Relation.cardinality ans, trace)
           | Error e ->
             fail ~query:q ~rep:"snf" ~mode:"ledger" ~kind:"ledger" e;
             None)
         qs
     in
+    let vols = List.map fst answered in
     let r = Ledger.report led in
     if r.Ledger.queries <> List.length vols then
       fail ~rep:"snf" ~mode:"ledger" ~kind:"ledger"
@@ -691,11 +672,22 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
         "report.result_volumes disagree with the recorded answers";
     if List.length r.Ledger.query_metrics <> r.Ledger.queries then
       fail ~rep:"snf" ~mode:"ledger" ~kind:"ledger"
-        "one query_metrics entry per recorded query expected"
+        "one query_metrics entry per recorded query expected";
+    let sum f = List.fold_left (fun n (_, trace) -> n + f trace) 0 answered in
+    let tq = sum (fun t -> t.Executor.wire_requests)
+    and tu = sum (fun t -> t.Executor.wire_bytes_up)
+    and td = sum (fun t -> t.Executor.wire_bytes_down) in
+    if
+      (r.Ledger.wire_requests, r.Ledger.wire_bytes_up, r.Ledger.wire_bytes_down)
+      <> (tq, tu, td)
+    then
+      fail ~rep:"snf" ~mode:"ledger" ~kind:"ledger"
+        (Printf.sprintf "report wire %d req %d/%d B, executor traces sum to %d req %d/%d B"
+           r.Ledger.wire_requests r.Ledger.wire_bytes_up r.Ledger.wire_bytes_down tq tu td)
   end;
   (* PHE group-sum differential, when the schema drew a PHE column:
      co-locate it with the guaranteed-DET s0 and aggregate server-side. *)
-  if check_group_sum then begin
+  begin
     let names = Schema.names (Relation.schema inst.Gen.relation) in
     match
       List.find_opt (fun a -> Policy.scheme_of inst.Gen.policy a = Scheme.Phe) names
@@ -727,7 +719,7 @@ let run_instance ?(queries = 25) ?(check_ledger = true) ?(check_horizontal = tru
   end;
   (* Horizontal pass: split on s0 (DET tolerates the equality leakage the
      split reveals), exercise both routing outcomes. *)
-  if check_horizontal && Relation.cardinality inst.Gen.relation > 0 then begin
+  if Relation.cardinality inst.Gen.relation > 0 then begin
     match most_frequent (Relation.column inst.Gen.relation "s0") with
     | None -> ()
     | Some v ->

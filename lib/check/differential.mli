@@ -13,7 +13,8 @@
     {!Oracle}, cross-representation agreement, and internal consistency
     of the observability layer — the [exec.query.*] counter deltas must
     equal the returned trace field-for-field. Per instance it also runs a
-    {!Snf_exec.Ledger} pass (report totals vs. the answers it recorded),
+    {!Snf_exec.Ledger} pass (report totals vs. the answers it recorded,
+    and its wire traffic vs. the executor traces' wire fields, summed),
     a PHE group-sum differential when the schema drew a PHE column, and a
     horizontal-fragmentation pass (routed and fan-out) split on the
     guaranteed DET column [s0].
@@ -55,15 +56,12 @@ val representations :
 
 val run_instance :
   ?queries:int ->
-  ?check_ledger:bool ->
-  ?check_horizontal:bool ->
-  ?check_group_sum:bool ->
   ?backend:[ `Mem | `Disk | `Rotate | `Socket | `Sharded of int ] ->
   ?batch:[ `Rotate | `Off | `Size of int ] ->
   ?planner:[ `Greedy | `Cost ] ->
   Gen.instance ->
   outcome
-(** Default [queries] 25; all checks on. An empty [failures] list is
+(** Default [queries] 25. Every check runs. An empty [failures] list is
     the conformance verdict. The differential pass runs every other pair
     of queries cold: before each of their executions, twin included,
     the owner's client drops its tid orders and mapping-cache entries
@@ -103,17 +101,18 @@ val run_instance :
     moved. Each size-1 chunk is also run first as the single query
     ([System.query_checked]), twice. The repeat starts warm and must
     match the first run's outcome and answer, send no [Fetch_tids], run
-    0 comparisons over 0 network rows, and — when no outer recording is
-    running — have the first run's SNFT bytes (timestamps zeroed) and
-    wire counts once the first run's [Fetch_tids] rounds are removed;
-    under an outer recording its wire counts must not exceed the first
-    run's. The batch of one must then reproduce the repeat: the same
-    outcome, the same trace record field-for-field except the planner's
-    cache outcome ([d_cache], and the [d_enumerated] it implies), the
-    same counter deltas except [time.*] series ([exec.mapping_cache.*]
-    included, so neither may touch the mapping cache), and the same
-    SNFT bytes with timestamps zeroed, again only when no outer
-    recording is running. Disagreements are tagged ["batch"].
+    0 comparisons over 0 network rows, and have the first run's SNFT
+    bytes (timestamps zeroed) and wire counts once the first run's
+    [Fetch_tids] rounds are removed. The batch of one must then
+    reproduce the repeat: the same outcome, the same trace record
+    field-for-field except the planner's cache outcome ([d_cache], and
+    the [d_enumerated] it implies), the same counter deltas except
+    [time.*] series ([exec.mapping_cache.*] included, so neither may
+    touch the mapping cache), and the same SNFT bytes with timestamps
+    zeroed. Each of these runs is recorded with
+    [System.record_wire_trace], which nests, so the checks hold in full
+    under an enclosing recording too. Disagreements are tagged
+    ["batch"].
 
     [planner] (default [`Greedy]) selects the planning handle for the
     differential and batched passes; [`Cost] builds a per-owner

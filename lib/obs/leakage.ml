@@ -228,6 +228,31 @@ let rec pair_rounds acc (events : Wiretrace.event list) =
     pair_rounds (`Msg (u, d) :: acc) tl
   | _ :: tl -> pair_rounds acc tl
 
+(* A keyed [Index_probe] searches for its key like an equality token. *)
+let probe_token sum =
+  match find "key" sum with
+  | Some key when key <> "none" ->
+    Some
+      { t_attr = Option.value ~default:"" (find "attr" sum);
+        t_kind = `Eq;
+        t_scheme = "det";
+        t_key = key }
+  | _ -> None
+
+let tokens (trace : Wiretrace.trace) =
+  List.concat_map
+    (function
+      | `Msg ((u : Wiretrace.event), _) when u.Wiretrace.tag = 3 ->
+        Option.to_list (probe_token u.summary)
+      | `Msg ((u : Wiretrace.event), _) when u.Wiretrace.tag = 11 ->
+        List.filter_map
+          (fun (k, v) ->
+            if k <> "op" then None
+            else match parse_op v with Some (Op_token t) -> Some t | _ -> None)
+          u.summary
+      | _ -> [])
+    (pair_rounds [] trace.Wiretrace.events)
+
 let queries (trace : Wiretrace.trace) =
   let views = ref [] in
   let next_idx = ref 0 in
@@ -269,12 +294,7 @@ let queries (trace : Wiretrace.trace) =
           | None -> None
         in
         b.b_probes <- (leaf, attr, slots) :: b.b_probes;
-        (match find "key" u.summary with
-        | Some key when key <> "none" ->
-          b.b_tokens <-
-            { t_attr = attr; t_kind = `Eq; t_scheme = "det"; t_key = key }
-            :: b.b_tokens
-        | _ -> ()))
+        Option.iter (fun t -> b.b_tokens <- t :: b.b_tokens) (probe_token u.summary))
     | 5 -> (
       (* Fetch_rows *)
       match !current with
@@ -444,28 +464,3 @@ let publish p =
   c "exec.leak.oram.touches" p.p_oram_touches;
   c "exec.leak.batches" p.p_batches;
   c "exec.leak.batch.queries" p.p_batch_queries
-
-let profile_to_json p =
-  Json.Obj
-    [ ("queries", Json.Int p.p_queries);
-      ("rounds", Json.Int p.p_rounds);
-      ("bytes_up", Json.Int p.p_bytes_up);
-      ("bytes_down", Json.Int p.p_bytes_down);
-      ("eq_total", Json.Int p.p_eq_total);
-      ("eq_distinct", Json.Int p.p_eq_distinct);
-      ("eq_repeats", Json.Int p.p_eq_repeats);
-      ("eq_max_run", Json.Int p.p_eq_max_run);
-      ("range_total", Json.Int p.p_range_total);
-      ("range_distinct", Json.Int p.p_range_distinct);
-      ("range_repeats", Json.Int p.p_range_repeats);
-      ("cooccur_pairs", Json.Int p.p_cooccur_pairs);
-      ("cooccur_events", Json.Int p.p_cooccur_events);
-      ( "volumes",
-        Json.List
-          (List.map (fun (v, n) -> Json.List [ Json.Int v; Json.Int n ]) p.p_volumes) );
-      ("volume_distinct", Json.Int p.p_volume_distinct);
-      ("slots_fetched", Json.Int p.p_slots_fetched);
-      ("oram_touches", Json.Int p.p_oram_touches);
-      ("batches", Json.Int p.p_batches);
-      ("batch_queries", Json.Int p.p_batch_queries)
-    ]

@@ -75,6 +75,13 @@ val queries : Wiretrace.trace -> query_view list
     Events that fail to parse are skipped (the profiler is an observer,
     never a gate). *)
 
+val tokens : Wiretrace.trace -> token list
+(** Every search token the server received, in wire order: the filter
+    tokens of every [Q_batch] round and the key of every keyed
+    [Index_probe], whether or not a query window is open. (Inside a
+    batch the probes run before the member windows open, so {!queries}
+    does not see them.) *)
+
 type profile = {
   p_queries : int;
   p_rounds : int;  (** request/response round trips, incl. admin *)
@@ -106,5 +113,3 @@ val profile : Wiretrace.trace -> profile
 
 val publish : profile -> unit
 (** Bump the [exec.leak.*] counters by the profile's values. *)
-
-val profile_to_json : profile -> Json.t

@@ -5,8 +5,9 @@
     merge theirs into the global accumulator after every chunk, so totals
     are integer sums independent of [SNF_DOMAINS]. Registration is idempotent by name —
     any layer may call [counter "exec.eq_index.hits"] and obtain the same
-    underlying counter (how [Ledger] and the index ablation share one
-    accounting source).
+    underlying counter (how [Enc_relation] and the index ablation share
+    one accounting source; [Ledger] reads the same counters by name from
+    {!snapshot}s).
 
     Metric names are dot-separated, [layer.subsystem.quantity]; the
     conventions live in DESIGN.md §Observability. *)

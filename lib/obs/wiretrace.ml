@@ -4,7 +4,7 @@
    under a global mutex, stamping each round once from [Clock] inside
    the critical section — so an injected fake clock is ticked exactly
    once per round. The executor makes no concurrent calls on a
-   connection, so arrival order is program order and [stop] keeps it. *)
+   connection, so arrival order is program order and [record] keeps it. *)
 
 let version = 1
 
@@ -23,7 +23,11 @@ type event = {
 
 type trace = { trace_version : int; events : event list }
 
-(* --- recorder state ------------------------------------------------------------- *)
+(* --- recorder state -------------------------------------------------------------
+   One global buffer of rounds, newest first, kept while any recording is
+   open. A recording remembers the buffer as it began; its trace is the
+   rounds consed on since, so an enclosing recording still receives every
+   round. The last recording to close empties the buffer. *)
 
 type raw_round = {
   r_phase : string;
@@ -34,15 +38,15 @@ type raw_round = {
 let enabled = Atomic.make false
 let lock = Mutex.create ()
 let buffer : raw_round list ref = ref [] (* newest first *)
+let depth = ref 0 (* open recordings *)
 
 let recording () = Atomic.get enabled
 
 let push_round ~phase entries =
-  Mutex.lock lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock lock)
-    (fun () ->
-      buffer := { r_phase = phase; r_ts = Clock.now_us (); r_entries = entries } :: !buffer)
+  Mutex.protect lock (fun () ->
+      if !depth > 0 then
+        buffer :=
+          { r_phase = phase; r_ts = Clock.now_us (); r_entries = entries } :: !buffer)
 
 let record_round ~phase ~up:(utag, ubytes, usum) ~down:(dtag, dbytes, dsum) =
   if recording () then
@@ -51,18 +55,28 @@ let record_round ~phase ~up:(utag, ubytes, usum) ~down:(dtag, dbytes, dsum) =
 let mark ?(summary = []) label =
   if recording () then push_round ~phase:label [ (Mark, -1, 0, summary) ]
 
-let start () =
-  Mutex.lock lock;
-  buffer := [];
-  Mutex.unlock lock;
-  Atomic.set enabled true
-
-let stop () =
-  Atomic.set enabled false;
-  Mutex.lock lock;
-  let rounds = List.rev !buffer in
-  buffer := [];
-  Mutex.unlock lock;
+let record f =
+  let from =
+    Mutex.protect lock (fun () ->
+        incr depth;
+        Atomic.set enabled true;
+        !buffer)
+  in
+  let rounds = ref [] in
+  let close () =
+    Mutex.protect lock (fun () ->
+        let rec since acc l =
+          if l == from then acc
+          else match l with r :: tl -> since (r :: acc) tl | [] -> acc
+        in
+        rounds := since [] !buffer;
+        decr depth;
+        if !depth = 0 then begin
+          Atomic.set enabled false;
+          buffer := []
+        end)
+  in
+  let v = Fun.protect ~finally:close f in
   let events =
     List.concat
       (List.mapi
@@ -78,10 +92,9 @@ let stop () =
                  summary;
                  ts_us = r.r_ts })
              r.r_entries)
-         rounds)
+         !rounds)
   in
-  let events = List.mapi (fun seq e -> { e with seq }) events in
-  { trace_version = version; events }
+  (v, { trace_version = version; events = List.mapi (fun seq e -> { e with seq }) events })
 
 let equal (a : trace) (b : trace) = a = b
 

@@ -12,7 +12,7 @@
     The executor makes no concurrent server calls on a connection: a
     query's filters cross in one [Q_batch] round trip, whether it runs
     alone or in a batch. Rounds are therefore recorded in program order,
-    and {!stop} returns them in the order they arrived. With a pinned
+    and {!record} returns them in the order they arrived. With a pinned
     {!Clock} the trace is byte-identical for any [SNF_DOMAINS]; with the
     real clock, identical up to timestamps.
 
@@ -47,13 +47,23 @@ type trace = { trace_version : int; events : event list }
 
 (** {2 Recording} *)
 
-val start : unit -> unit
-(** Clear the buffer and begin recording. *)
+val record : (unit -> 'a) -> 'a * trace
+(** [record f] runs [f] and returns its result with the trace of the
+    rounds recorded while it ran, in arrival order, rounds and
+    sequence numbers counted from 0.
 
-val stop : unit -> trace
-(** Stop recording and return the trace, rounds in arrival order. *)
+    Recordings nest. A recording opened inside another receives exactly
+    the rounds recorded during its own [f], byte for byte what it would
+    have received on its own, and the enclosing recording still receives
+    every one of those rounds. If [f] raises, the recording is closed
+    and the exception re-raised with its backtrace; the enclosing
+    recording keeps the rounds recorded before the raise.
+
+    There is one process-wide recorder: rounds recorded from another
+    domain while [f] runs belong to every open recording. *)
 
 val recording : unit -> bool
+(** Whether any recording is open. *)
 
 val record_round :
   phase:string ->

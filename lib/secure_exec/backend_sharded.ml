@@ -395,6 +395,7 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     else Wire.R_slots None
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let _, lm = leaf_meta t leaf in
+    Server_api.check_slots ~rows:lm.lm_rows slots;
     let per_shard = Array.make t.shards [] in
     List.iter
       (fun g ->
@@ -512,9 +513,20 @@ let dispatch t conns (req : Wire.request) : Wire.response =
            (rep, Paillier.sum m.m_pk (Array.of_list nats)))
          keys)
   | Wire.Q_batch { queries } ->
+    (* Validate entry by entry, op by op, in the order a single backend
+       evaluates them, so the first bad leaf, attribute or slot raises
+       the error a single backend would. *)
     let metas =
       List.map
-        (List.map (fun (leaf, ops) -> (leaf, snd (leaf_meta t leaf), ops)))
+        (List.map (fun (leaf, ops) ->
+             let lm = snd (leaf_meta t leaf) in
+             List.iter
+               (function
+                 | Wire.F_slots slots -> Server_api.check_slots ~rows:lm.lm_rows slots
+                 | Wire.F_eq (attr, _) | Wire.F_range (attr, _) ->
+                   if not (List.mem_assoc attr lm.lm_schemes) then raise Not_found)
+               ops;
+             (leaf, lm, ops)))
         queries
     in
     let rs =

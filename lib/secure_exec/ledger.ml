@@ -1,22 +1,15 @@
 open Snf_relational
 module Metrics = Snf_obs.Metrics
+module Leakage = Snf_obs.Leakage
 
-(* Same process-wide counters [Enc_relation.eq_index] bumps — registration
-   is idempotent by name, so there is exactly one accounting source shared
-   with the index ablation and the executor. *)
-let m_idx_hits = Metrics.counter "exec.eq_index.hits"
-let m_idx_builds = Metrics.counter "exec.eq_index.builds"
-let m_tid_hits = Metrics.counter "exec.join.tid_cache.hits"
-let m_tid_misses = Metrics.counter "exec.join.tid_cache.misses"
-let m_map_hits = Metrics.counter "exec.mapping_cache.hits"
-let m_map_misses = Metrics.counter "exec.mapping_cache.misses"
-let m_batches = Metrics.counter "exec.batch.count"
-let m_batch_queries = Metrics.counter "exec.batch.queries"
-
+(* The server's view comes from the wire: each run is recorded and its
+   SNFT rounds folded by [Leakage]. Cache and batch figures are deltas of
+   the process counters from the snapshot taken at [create]; only volumes
+   and reconstruction rows come from the answers and executor traces. *)
 type t = {
   owner : System.owner;
-  (* (attr, canonical token fingerprint) -> count *)
-  tokens : (string * string, int) Hashtbl.t;
+  base : Metrics.snapshot;
+  tokens : (Leakage.token, int) Hashtbl.t; (* token identity -> count *)
   co_access : (string * string, int) Hashtbl.t;
   mutable volumes : int list; (* newest first *)
   mutable queries : int;
@@ -24,21 +17,12 @@ type t = {
   mutable wire_requests : int;
   mutable wire_bytes_up : int;
   mutable wire_bytes_down : int;
-  (* Process counters are cumulative; the ledger reports deltas from its
-     creation. *)
-  idx_hits0 : int;
-  idx_builds0 : int;
-  tid_hits0 : int;
-  tid_misses0 : int;
-  map_hits0 : int;
-  map_misses0 : int;
-  batches0 : int;
-  batch_queries0 : int;
   mutable query_metrics : (string * int) list list; (* newest first *)
 }
 
 let create owner =
   { owner;
+    base = Metrics.snapshot ();
     tokens = Hashtbl.create 64;
     co_access = Hashtbl.create 64;
     volumes = [];
@@ -47,14 +31,6 @@ let create owner =
     wire_requests = 0;
     wire_bytes_up = 0;
     wire_bytes_down = 0;
-    idx_hits0 = Metrics.value m_idx_hits;
-    idx_builds0 = Metrics.value m_idx_builds;
-    tid_hits0 = Metrics.value m_tid_hits;
-    tid_misses0 = Metrics.value m_tid_misses;
-    map_hits0 = Metrics.value m_map_hits;
-    map_misses0 = Metrics.value m_map_misses;
-    batches0 = Metrics.value m_batches;
-    batch_queries0 = Metrics.value m_batch_queries;
     query_metrics = [] }
 
 let owner t = t.owner
@@ -62,60 +38,49 @@ let owner t = t.owner
 let bump tbl key =
   Hashtbl.replace tbl key (1 + Option.value (Hashtbl.find_opt tbl key) ~default:0)
 
-(* The server-visible fingerprint of a predicate: the attribute plus the
-   constant's encoding. For DET/OPE the token is deterministic, so equal
-   constants produce equal fingerprints — exactly what the server sees. *)
-let record_predicates t (q : Query.t) =
-  List.iter
-    (fun (p : Query.pred) ->
-      let fingerprint =
-        match p with
-        | Query.Point (a, v) -> (a, "=" ^ Value.encode v)
-        | Query.Range (a, lo, hi) -> (a, "[" ^ Value.encode lo ^ ";" ^ Value.encode hi)
-      in
-      bump t.tokens fingerprint)
-    q.Query.where
-
-let record_plan t (trace : Executor.trace) =
-  let leaves = List.sort String.compare trace.Executor.plan.Planner.leaves in
+(* Every pair of leaves a query window touched together. *)
+let record_co_access t (v : Leakage.query_view) =
   let rec pairs = function
     | [] -> ()
     | a :: rest ->
       List.iter (fun b -> bump t.co_access (a, b)) rest;
       pairs rest
   in
-  pairs leaves
+  pairs v.Leakage.q_leaves
 
-let record_answered t q ans (trace : Executor.trace) =
-  t.queries <- t.queries + 1;
-  record_predicates t q;
-  record_plan t trace;
-  t.volumes <- Relation.cardinality ans :: t.volumes;
-  t.reconstruction_rows <-
-    t.reconstruction_rows + trace.Executor.rows_processed
-    + trace.Executor.binning_retrieved;
-  t.wire_requests <- t.wire_requests + trace.Executor.wire_requests;
-  t.wire_bytes_up <- t.wire_bytes_up + trace.Executor.wire_bytes_up;
-  t.wire_bytes_down <- t.wire_bytes_down + trace.Executor.wire_bytes_down
-
-(* A batch moves the process counters once, for everyone: the whole delta
-   is attached to the first answered query's [query_metrics] entry (the one
-   the executor also charges the shared traffic to) and the rest get [],
-   so summing per-query entries still reconciles with the process totals.
-   A batch of one therefore records exactly its own delta. *)
+(* From the recorded rounds: every search token they carried (filter
+   tokens and keyed index probes, which inside a batch run before any
+   query window opens), one window per executed — hence answered —
+   query, and the traffic. A batch moves the process counters once, for
+   everyone: the whole delta is attached to the first answered query's
+   [query_metrics] entry (the one the executor also charges the shared
+   traffic to) and the rest get [], so summing per-query entries still
+   reconciles with the process totals. A batch of one therefore records
+   exactly its own delta. *)
 let query_batch ?mode ?use_index t qs =
   let before = Metrics.snapshot () in
-  let results = System.query_batch ?mode ?use_index t.owner qs in
+  let results, trace =
+    System.record_wire_trace (fun () -> System.query_batch ?mode ?use_index t.owner qs)
+  in
   let batch_delta = ref (Some (Metrics.counter_diff before (Metrics.snapshot ()))) in
-  List.iter2
-    (fun q result ->
-      match result with
+  List.iter (bump t.tokens) (Leakage.tokens trace);
+  List.iter (record_co_access t) (Leakage.queries trace);
+  let p = Leakage.profile trace in
+  t.wire_requests <- t.wire_requests + p.Leakage.p_rounds;
+  t.wire_bytes_up <- t.wire_bytes_up + p.Leakage.p_bytes_up;
+  t.wire_bytes_down <- t.wire_bytes_down + p.Leakage.p_bytes_down;
+  List.iter
+    (function
       | Error _ -> ()
-      | Ok (ans, trace) ->
-        record_answered t q ans trace;
+      | Ok (ans, (trace : Executor.trace)) ->
+        t.queries <- t.queries + 1;
+        t.volumes <- Relation.cardinality ans :: t.volumes;
+        t.reconstruction_rows <-
+          t.reconstruction_rows + trace.Executor.rows_processed
+          + trace.Executor.binning_retrieved;
         let entry = match !batch_delta with Some d -> batch_delta := None; d | None -> [] in
         t.query_metrics <- entry :: t.query_metrics)
-    qs results;
+    results;
   results
 
 let query ?mode ?use_index t q = List.hd (query_batch ?mode ?use_index t [ q ])
@@ -149,7 +114,8 @@ type report = {
 let report t =
   let per_attr = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun (attr, _) count ->
+    (fun (tok : Leakage.token) count ->
+      let attr = tok.Leakage.t_attr in
       let issued, distinct =
         Option.value (Hashtbl.find_opt per_attr attr) ~default:(0, 0)
       in
@@ -165,6 +131,8 @@ let report t =
            | 0 -> String.compare a.attr b.attr
            | c -> c)
   in
+  let moved = Metrics.counter_diff t.base (Metrics.snapshot ()) in
+  let moved name = Option.value (List.assoc_opt name moved) ~default:0 in
   { queries = t.queries;
     attrs;
     co_access =
@@ -175,14 +143,14 @@ let report t =
     wire_requests = t.wire_requests;
     wire_bytes_up = t.wire_bytes_up;
     wire_bytes_down = t.wire_bytes_down;
-    index_hits = Metrics.value m_idx_hits - t.idx_hits0;
-    index_misses = Metrics.value m_idx_builds - t.idx_builds0;
-    tid_cache_hits = Metrics.value m_tid_hits - t.tid_hits0;
-    tid_cache_misses = Metrics.value m_tid_misses - t.tid_misses0;
-    mapping_cache_hits = Metrics.value m_map_hits - t.map_hits0;
-    mapping_cache_misses = Metrics.value m_map_misses - t.map_misses0;
-    batches = Metrics.value m_batches - t.batches0;
-    batch_queries = Metrics.value m_batch_queries - t.batch_queries0;
+    index_hits = moved "exec.eq_index.hits";
+    index_misses = moved "exec.eq_index.builds";
+    tid_cache_hits = moved "exec.join.tid_cache.hits";
+    tid_cache_misses = moved "exec.join.tid_cache.misses";
+    mapping_cache_hits = moved "exec.mapping_cache.hits";
+    mapping_cache_misses = moved "exec.mapping_cache.misses";
+    batches = moved "exec.batch.count";
+    batch_queries = moved "exec.batch.queries";
     query_metrics = List.rev t.query_metrics }
 
 let pp_report fmt r =

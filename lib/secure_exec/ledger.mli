@@ -9,11 +9,15 @@
     so an owner can ask "what has the server learned from the workload so
     far?" and decide when to re-key or re-partition.
 
-    Recorded per query (all ciphertext-level — nothing the server cannot
-    see): the leaves touched together, per-attribute token counts with
-    distinct-token counts (repeated searches for the same constant are
-    visible under DET/OPE tokens!), result volumes, and reconstruction
-    traffic. [report] aggregates the session. *)
+    The view is read from the wire. Each run is recorded with
+    [Snf_obs.Wiretrace.record] and folded by [Snf_obs.Leakage]: the
+    tokens are every search token the rounds carried
+    ([Leakage.tokens]), the co-accessed leaves come from the per-query
+    windows ([Leakage.queries]) and the traffic from the trace's
+    profile. Cache and batch figures are
+    deltas of the process counters from one snapshot taken at {!create}.
+    Only result volumes and reconstruction rows come from the answers and
+    the executor traces. [report] aggregates the session. *)
 
 type t
 
@@ -32,41 +36,46 @@ val query_batch :
   ?mode:Executor.mode -> ?use_index:bool ->
   t -> Query.t list ->
   (Snf_relational.Relation.t * Executor.trace, string) result list
-(** {!System.query_batch} with recording: every answered query contributes
-    its predicates, plan co-access, volume and trace traffic exactly as
-    {!query} does. Because the batch moves the process-wide counters as
-    one unit, [query_metrics] gets the whole batch's delta on the first
-    answered query's entry and [[]] for the rest — the same convention the
-    executor uses for the batch's shared wire traffic — so per-entry sums
-    still reconcile with process totals. *)
+(** {!System.query_batch} under a wire recording, which nests inside
+    any enclosing one: every answered query contributes its tokens, its
+    window's co-accessed leaves, its volume and its reconstruction rows
+    exactly as {!query} does, and the batch its round trips. Because
+    the batch moves the process-wide counters as one unit,
+    [query_metrics] gets the whole batch's delta on the first answered
+    query's entry and [[]] for the rest — the same convention the
+    executor uses for the batch's shared wire traffic — so per-entry
+    sums still reconcile with process totals. *)
 
 type attr_report = {
   attr : string;
   tokens_issued : int;
+      (** search tokens the server received for [attr]: filter tokens
+          and keyed index probes *)
   distinct_tokens : int;
-    (** distinct searched constants observable by the server — equals the
-        number of distinct plaintext constants for DET/OPE tokens *)
+    (** distinct token identities the server saw — equals the number of
+        distinct plaintext constants for DET/OPE tokens sent the same
+        way (scan or index probe) *)
 }
 
 type report = {
   queries : int;
   attrs : attr_report list;            (** sorted by tokens, descending *)
   co_access : ((string * string) * int) list;
-    (** leaf pairs touched by the same query, with counts — the linkage
-        structure the workload reveals *)
+    (** leaf pairs touched in the same query window, with counts — the
+        linkage structure the workload reveals *)
   result_volumes : int list;           (** per query, in execution order *)
   total_reconstruction_rows : int;     (** rows through oblivious machinery *)
   wire_requests : int;
-    (** client→server messages issued by the recorded queries — the
-        session's traffic-shape leakage, summed from per-query traces
-        (excludes outsourcing/Install traffic) *)
+    (** round trips recorded while the ledger's queries ran — the
+        session's traffic-shape leakage (excludes outsourcing/Install
+        traffic) *)
   wire_bytes_up : int;                 (** serialized request bytes *)
   wire_bytes_down : int;               (** serialized response bytes *)
   index_hits : int;
     (** equality-index lookups served from the server's memo cache, since
-        [create] — read as a delta of the process-wide
-        ["exec.eq_index.hits"] counter (the same one [Enc_relation] bumps
-        and the index ablation reads) *)
+        [create] — the delta of the process-wide ["exec.eq_index.hits"]
+        counter (the same one [Enc_relation] bumps and the index ablation
+        reads) *)
   index_misses : int;                  (** lazy equality-index builds *)
   tid_cache_hits : int;
     (** join tid-decrypt cache hits since [create] — delta of the

@@ -60,6 +60,13 @@ let singleton_store view l =
     paillier_public = view.paillier ();
     index_cache = Hashtbl.create 1 }
 
+let check_slots ~rows slots =
+  List.iter
+    (fun s ->
+      if s < 0 || s >= rows then
+        invalid_arg (Printf.sprintf "slot %d out of range for a leaf of %d rows" s rows))
+    slots
+
 (* Mirrors the pre-split [Executor.server_filter]: pure ciphertext work,
    same scan accounting ([row_count] cells per scan op). The mask is
    built packed, in the bytes the response carries. *)
@@ -68,6 +75,7 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
   let mask = Bitmask.create n true in
   let scanned = ref 0 in
   let apply_slots slots =
+    check_slots ~rows:n slots;
     let keep = Bitmask.create n false in
     List.iter (fun s -> Bitmask.set keep s) slots;
     for i = 0 to n - 1 do
@@ -115,6 +123,7 @@ let dispatch view (req : Wire.request) : Wire.response =
     | _ -> Wire.R_slots None)
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let l = view.leaf leaf in
+    check_slots ~rows:l.Enc_relation.row_count slots;
     let cols =
       List.map
         (fun attr ->

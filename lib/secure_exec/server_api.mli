@@ -58,12 +58,18 @@ exception Busy
     ([Wire.R_busy]): the request was never executed and is safe to
     retry. In-process backends never raise it. *)
 
+val check_slots : rows:int -> int list -> unit
+(** Every slot a request names ([F_slots], [Fetch_rows]) must lie in
+    [\[0, rows)] of its leaf.
+    @raise Invalid_argument naming the first slot outside, with the one
+    message every backend answers with. *)
+
 val session_handler : store_view -> string -> string
 (** The server half of {!connect}: decode request bytes, dispatch against
     the view, serialize the response. Typed failures
     ([Integrity.Corruption], [Not_found], [Invalid_argument] — which
-    covers malformed request bytes and out-of-range ORAM slots) come back
-    as [R_corrupt]/[R_error] payloads, never as raised exceptions.
+    covers malformed request bytes and out-of-range slots) come back as
+    [R_corrupt]/[R_error] payloads, never as raised exceptions.
 
     A handler keeps no state between requests: an [Oram_fetch] builds its
     tree, reads its slots and drops it, so every answer depends only on

@@ -172,13 +172,7 @@ let query_batch ?mode ?planner ?use_index ?drop_tid owner qs =
   Executor.run_batch ?mode ?planner ?use_index ?drop_tid owner.client (conn_of owner)
     owner.plan.Normalizer.representation qs
 
-let record_wire_trace f =
-  Snf_obs.Wiretrace.start ();
-  match f () with
-  | v -> (v, Snf_obs.Wiretrace.stop ())
-  | exception e ->
-    ignore (Snf_obs.Wiretrace.stop ());
-    raise e
+let record_wire_trace = Snf_obs.Wiretrace.record
 
 let reference owner q = Query.reference_answer owner.plaintext q
 

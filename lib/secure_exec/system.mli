@@ -159,10 +159,8 @@ val query_batch :
 val record_wire_trace : (unit -> 'a) -> 'a * Snf_obs.Wiretrace.trace
 (** Run [f] with the SNFT wire-trace recorder on and return what the
     server saw: every SNFM round trip on every connection, in arrival
-    order ([Snf_obs.Wiretrace]). The recorder is process-global — one
-    recording at a time; nesting or concurrent use interleaves into one
-    trace. Always stops the recorder, discarding the partial trace if
-    [f] raises. *)
+    order: [Snf_obs.Wiretrace.record], so recordings nest and an
+    enclosing recording still receives every round. *)
 
 val reference : owner -> Query.t -> Relation.t
 

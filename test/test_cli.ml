@@ -375,6 +375,34 @@ let serve_then_query_then_sigterm () =
   check_bool "socket path unlinked on drain" false (Sys.file_exists sock);
   check_bool "pidfile removed on drain" false (Sys.file_exists pidfile)
 
+(* [query --where], [explain --where] and the [--batch] lines share one
+   predicate grammar: points and ranges are accepted everywhere, and a
+   missing '=', a bad value or an unknown attribute exits 2 in both
+   commands. *)
+let where_grammar () =
+  with_csv @@ fun csv ->
+  let run_where cmd where =
+    run ~capture_stderr:true
+      [ cmd; "--csv"; csv; "--enc"; "code=DET,id=OPE"; "--select"; "code"; "--where";
+        where ]
+  in
+  List.iter
+    (fun cmd ->
+      check_int (cmd ^ " --where id=1..2 exits 0") 0 (fst (run_where cmd "id=1..2"));
+      check_int (cmd ^ " --where code=c1,id=0..3 exits 0") 0
+        (fst (run_where cmd "code=c1,id=0..3"));
+      List.iter
+        (fun (where, want) ->
+          let code, err = run_where cmd where in
+          check_int (Printf.sprintf "%s --where %s exits 2" cmd where) 2 code;
+          check_bool (Printf.sprintf "%s --where %s names the problem" cmd where) true
+            (contains err want))
+        [ ("id=abc", "bad value");
+          ("id=1..x", "bad value");
+          ("zz=1", "unknown attribute");
+          ("nonsense", "bad predicate") ])
+    [ "query"; "explain" ]
+
 let suite =
   [ Alcotest.test_case "binary present" `Quick binary_present;
     Alcotest.test_case "help and version exit 0" `Quick help_ok;
@@ -402,4 +430,6 @@ let suite =
     Alcotest.test_case "check --backend sharded exits 0" `Slow
       check_sharded_backend;
     Alcotest.test_case "serve, query over the socket, SIGTERM drains to 0" `Slow
-      serve_then_query_then_sigterm ]
+      serve_then_query_then_sigterm;
+    Alcotest.test_case "one predicate grammar: --where points and ranges, exit 2"
+      `Slow where_grammar ]

@@ -96,6 +96,27 @@ let test_ledger_pp () =
   let s = Format.asprintf "%a" Ledger.pp_report (Ledger.report l) in
   Alcotest.(check bool) "report renders" true (String.length s > 0)
 
+(* Inside a batch the index probes cross before any query window opens;
+   the ledger still counts each probed constant as a token. *)
+let test_ledger_batched_probes () =
+  let l = ledger () in
+  let zip v = Query.point ~select:[ "State" ] [ ("ZipCode", Value.Int v) ] in
+  let income =
+    Query.range ~select:[ "State" ] [ ("Income", Value.Int 60, Value.Int 100) ]
+  in
+  List.iter
+    (function Ok _ -> () | Error e -> Alcotest.fail e)
+    (Ledger.query_batch ~use_index:true l [ zip 94016; zip 94016; zip 10001; income ]);
+  let r = Ledger.report l in
+  Alcotest.(check int) "four queries" 4 r.Ledger.queries;
+  Alcotest.(check int) "one batch" 1 r.Ledger.batches;
+  let tokens attr = List.find (fun a -> a.Ledger.attr = attr) r.Ledger.attrs in
+  Alcotest.(check int) "three probed zip tokens" 3 (tokens "ZipCode").Ledger.tokens_issued;
+  Alcotest.(check int) "two distinct zip constants visible" 2
+    (tokens "ZipCode").Ledger.distinct_tokens;
+  Alcotest.(check int) "one range token" 1 (tokens "Income").Ledger.tokens_issued;
+  Alcotest.(check bool) "probes served by the index" true (r.Ledger.index_misses >= 1)
+
 let suite =
   [ t "exhaustive example 1" test_exhaustive_example1;
     t "exhaustive cap" test_exhaustive_cap;
@@ -103,4 +124,5 @@ let suite =
     prop_exhaustive_custom_cost;
     t "ledger tokens" test_ledger_tokens;
     t "ledger co-access and volumes" test_ledger_co_access_and_volumes;
-    t "ledger pp" test_ledger_pp ]
+    t "ledger pp" test_ledger_pp;
+    t "ledger counts index probes inside a batch" test_ledger_batched_probes ]

@@ -488,6 +488,49 @@ let test_shard_length_misreports_typed () =
       (`Tids, "R_tids", fun q -> q = "join");
       (`Rows, "R_rows", fun _ -> true) ]
 
+(* A request naming a slot outside its leaf, or an attribute the leaf
+   does not hold, fails with the same response bytes whether one backend
+   or a coordinator over two shards answers it. *)
+let test_bad_slot_error_bytes () =
+  let o = skewed_owner ~tag:"slots" ~dominant:4 ~singles:6 () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let image = Wire.to_string o.System.enc in
+  let leaf = List.hd o.System.enc.Enc_relation.leaves in
+  let label = leaf.Enc_relation.label in
+  let attr = (List.hd leaf.Enc_relation.columns).Enc_relation.attr in
+  Alcotest.(check int) "a 10-row leaf" 10 leaf.Enc_relation.row_count;
+  let single = mem_connect 0 in
+  let sharded =
+    Backend_sharded.connect (Backend_sharded.create ~connect:mem_connect ~shards:2 ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Server_api.close single; Server_api.close sharded)
+  @@ fun () ->
+  Server_api.install single image;
+  Server_api.install sharded image;
+  List.iter
+    (fun (name, req) ->
+      let up = Wire.request_to_string req in
+      let a = Server_api.exchange_raw single up
+      and b = Server_api.exchange_raw sharded up in
+      (match Wire.response_of_string a with
+       | Wire.R_error _ -> ()
+       | _ -> Alcotest.failf "%s: the single backend did not answer an error" name);
+      Alcotest.(check string) (name ^ ": same response bytes") a b)
+    [ ("F_slots [99]", Wire.Q_batch { queries = [ [ (label, [ Wire.F_slots [ 99 ] ]) ] ] });
+      ( "F_slots [0; 10]",
+        Wire.Q_batch
+          { queries = [ [ (label, [ Wire.F_slots [ 0 ]; Wire.F_slots [ 0; 10 ] ]) ] ] } );
+      ( "unknown attribute before a bad slot",
+        Wire.Q_batch
+          { queries =
+              [ [ ( label,
+                    [ Wire.F_eq ("nope", Enc_relation.Eq_plain (Value.Int 1));
+                      Wire.F_slots [ 99 ] ] ) ] ] } );
+      ("Fetch_rows [99]", Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 99 ] });
+      ( "Fetch_rows [3; 10]",
+        Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 3; 10 ] } ) ]
+
 let suite =
   [ t "policy names round-trip" test_policy_names;
     t "assignment deterministic, total, in range" test_assignment_deterministic;
@@ -501,4 +544,6 @@ let suite =
       test_sharded_aggregation_parity;
     t "differential sharded twin green" test_differential_sharded_twin;
     t "shard answers of the wrong length are typed corruption"
-      test_shard_length_misreports_typed ]
+      test_shard_length_misreports_typed;
+    t "bad slots: sharded error bytes equal a single backend's"
+      test_bad_slot_error_bytes ]

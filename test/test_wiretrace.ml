@@ -275,6 +275,52 @@ let prop_trace_domain_independent =
       in
       go 1 = go 4)
 
+(* --- nesting ----------------------------------------------------------------- *)
+
+(* A recording opened inside another returns the bytes a standalone
+   recording of the same work gives, and the enclosing trace is the one
+   it would have been without the inner recording. The owner is warmed
+   first and the clock pinned afresh per run, so all runs issue and stamp
+   the same rounds. *)
+let test_nested_record () =
+  let o = owner 70 in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let inner_qs = workload 5 and after_qs = workload 6 in
+  run_all o (inner_qs @ after_qs);
+  let bytes = Wiretrace.to_binary_string in
+  let standalone = with_fake_clock (fun () -> record o inner_qs) in
+  let plain_outer =
+    with_fake_clock (fun () ->
+        bytes
+          (snd
+             (System.record_wire_trace (fun () ->
+                  run_all o inner_qs;
+                  run_all o after_qs))))
+  in
+  let inner, outer =
+    with_fake_clock (fun () ->
+        let inner, outer =
+          System.record_wire_trace (fun () ->
+              let inner = record o inner_qs in
+              run_all o after_qs;
+              inner)
+        in
+        (bytes inner, bytes outer))
+  in
+  Alcotest.(check bool) "standalone trace non-empty" true
+    (standalone.Wiretrace.events <> []);
+  Alcotest.(check string) "inner recording = standalone recording" (bytes standalone)
+    inner;
+  Alcotest.(check string) "outer trace unchanged by the inner recording" plain_outer outer;
+  (* A raising inner recording closes itself and leaves the outer open. *)
+  let (), _ =
+    Wiretrace.record (fun () ->
+        (try ignore (Wiretrace.record (fun () -> raise Exit)) with Exit -> ());
+        Alcotest.(check bool) "outer still recording" true (Wiretrace.recording ()))
+  in
+  Alcotest.(check bool) "recorder off once every recording closed" false
+    (Wiretrace.recording ())
+
 let suite =
   [ t "json codec round-trips" test_json_roundtrip;
     t "binary codec round-trips" test_binary_roundtrip;
@@ -283,4 +329,5 @@ let suite =
     t "batch rounds re-attributed to members" test_batch_attribution;
     t "a lone query's filters attributed to its window" test_lone_query_attribution;
     t "profile reconciles with workload" test_profile_sanity;
-    prop_trace_domain_independent ]
+    prop_trace_domain_independent;
+    t "nested recordings: inner as standalone, outer unchanged" test_nested_record ]
