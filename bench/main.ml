@@ -65,8 +65,17 @@
                                            — trace-replay adversary
                                              scorecard, leakage-gated;
                                              writes BENCH_attack.json.
+   `dune exec bench/main.exe -- ablation-index`
+                                           — scans vs equality-index
+                                             probes on 3,000 rows
+                                             (`rows=<n>` to rescale);
+                                             fails unless both arms
+                                             answer as the plaintext
+                                             oracle and the scan arm
+                                             moves no exec.eq_index.*
+                                             counter.
    Other targets: figure3, attack, sweeps, ablation-semantics,
-   ablation-horizontal, ablation-workload, ablation-modes, ablation-index,
+   ablation-horizontal, ablation-workload, ablation-modes,
    ablation-dynamic, ablation-knowledge. An unknown target name exits 2. *)
 
 open Snf_experiments
@@ -274,6 +283,14 @@ let run_attack () =
 let ablation title render () =
   section ("Ablation: " ^ title);
   print_string (render ())
+
+(* Also a gate: both arms oracle-correct, and the scan arm moves no
+   exec.eq_index.* counter. *)
+let run_ablation_index () =
+  section "Ablation: equality indexes";
+  let table, failures = Ablations.index_checked ~rows:(arg_value "rows" 3_000) () in
+  print_string table;
+  if failures <> [] then failwith ("ablation-index: " ^ String.concat "; " failures)
 
 (* --- parameter sweeps ----------------------------------------------------------- *)
 
@@ -1900,7 +1917,7 @@ let targets =
     ("ablation-horizontal", ablation "horizontal partitioning" Ablations.horizontal);
     ("ablation-workload", ablation "workload-aware partitioning" Ablations.workload);
     ("ablation-modes", ablation "reconstruction modes (measured)" Ablations.modes);
-    ("ablation-index", ablation "equality indexes" Ablations.index);
+    ("ablation-index", run_ablation_index);
     ("ablation-dynamic", ablation "dynamic inserts" Ablations.dynamic);
     ("ablation-knowledge", ablation "knowledge acquisition" Ablations.knowledge);
     ("sweeps", run_sweeps);

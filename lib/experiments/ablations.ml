@@ -152,7 +152,9 @@ let modes ?(rows = 400) ?(seed = 11) () =
 
 (* --- leakage as indexing --------------------------------------------------------- *)
 
-let index ?(rows = 3_000) ?(seed = 13) () =
+let bag r = List.sort compare (Relation.rows r)
+
+let index_checked ?(rows = 3_000) ?(seed = 13) () =
   let acs =
     Acs.generate
       { Acs.rows; seed; cluster_sizes = [ 6; 4 ]; independent_attrs = 5 }
@@ -163,7 +165,9 @@ let index ?(rows = 3_000) ?(seed = 13) () =
   let queries = Query_gen.point_queries ~count:20 ~seed:(seed + 2) ~way:2 r policy in
   (* Cache accounting is the process-wide Snf_obs counter pair shared with
      [Enc_relation.eq_index] and [Ledger]; per-run deltas show that indexes
-     are built once (builds) and reused for every later probe (hits). *)
+     are built once (builds) and reused for every later probe (hits). The
+     scan arm's equality filters read the same tables but move neither
+     counter, so its first-probe builds still land in the indexed arm. *)
   let m_hits = Snf_obs.Metrics.counter "exec.eq_index.hits" in
   let m_builds = Snf_obs.Metrics.counter "exec.eq_index.builds" in
   let run use_index =
@@ -177,9 +181,8 @@ let index ?(rows = 3_000) ?(seed = 13) () =
         | Ok (ans, tr) ->
           scans := !scans + tr.Executor.scanned_cells;
           probes := !probes + tr.Executor.index_probes;
-          let reference = System.reference owner q in
-          if Relation.cardinality ans <> Relation.cardinality reference then correct := false
-        | Error _ -> ())
+          if bag ans <> bag (System.reference owner q) then correct := false
+        | Error _ -> correct := false)
       queries;
     ( !scans, !probes, Unix.gettimeofday () -. t0, !correct,
       Snf_obs.Metrics.value m_hits - hits0,
@@ -187,16 +190,28 @@ let index ?(rows = 3_000) ?(seed = 13) () =
   in
   let s_scan, p_scan, t_scan, ok_scan, h_scan, m_scan = run false in
   let s_idx, p_idx, t_idx, ok_idx, h_idx, m_idx = run true in
-  Report.render_table
-    ~title:
-      (Printf.sprintf "Ablation: equality indexes over DET columns (%d rows, 20 queries)" rows)
-    ~header:
-      [ "Execution"; "Cells scanned"; "Index probes"; "Cache hits"; "Index builds";
-        "Wall time"; "Correct" ]
-    [ [ "full scans"; string_of_int s_scan; string_of_int p_scan; string_of_int h_scan;
-        string_of_int m_scan; Report.seconds t_scan; string_of_bool ok_scan ];
-      [ "indexed"; string_of_int s_idx; string_of_int p_idx; string_of_int h_idx;
-        string_of_int m_idx; Report.seconds t_idx; string_of_bool ok_idx ] ]
+  let table =
+    Report.render_table
+      ~title:
+        (Printf.sprintf "Ablation: equality indexes over DET columns (%d rows, 20 queries)" rows)
+      ~header:
+        [ "Execution"; "Cells scanned"; "Index probes"; "Cache hits"; "Index builds";
+          "Wall time"; "Correct" ]
+      [ [ "full scans"; string_of_int s_scan; string_of_int p_scan; string_of_int h_scan;
+          string_of_int m_scan; Report.seconds t_scan; string_of_bool ok_scan ];
+        [ "indexed"; string_of_int s_idx; string_of_int p_idx; string_of_int h_idx;
+          string_of_int m_idx; Report.seconds t_idx; string_of_bool ok_idx ] ]
+  in
+  let failures =
+    List.filter_map
+      (fun (ok, failure) -> if ok then None else Some failure)
+      [ (ok_scan, "the scan arm disagrees with the plaintext oracle");
+        (ok_idx, "the indexed arm disagrees with the plaintext oracle");
+        (h_scan = 0 && m_scan = 0, "the scan arm moved an exec.eq_index.* counter") ]
+  in
+  (table, failures)
+
+let index ?rows ?seed () = fst (index_checked ?rows ?seed ())
 
 (* --- dynamic updates --------------------------------------------------------------- *)
 

@@ -23,6 +23,11 @@ val index : ?rows:int -> ?seed:int -> unit -> string
 (** §V-D "leakage as indexing": server predicate work with and without
     equality indexes over DET columns, same queries, same answers. *)
 
+val index_checked : ?rows:int -> ?seed:int -> unit -> string * string list
+(** {!index}'s table and the checks it failed, [[]] when none: each arm
+    must answer every query as the plaintext oracle (as bags), and the
+    scan arm must move no [exec.eq_index.*] counter. *)
+
 val dynamic : ?rows:int -> ?seed:int -> unit -> string
 (** §V-B dynamic updates: per-insert encryption cost of the staged-delta
     design vs the full recast a naive implementation pays, plus

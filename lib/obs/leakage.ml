@@ -399,15 +399,17 @@ let profile trace =
   let cooccur = Hashtbl.create 64 in
   let volumes = Hashtbl.create 64 in
   let slots_fetched = ref 0 and oram_touches = ref 0 and batch_queries = ref 0 in
+  (* Tokens from every round, not from the query windows: inside a batch
+     the index probes run before any window opens. *)
+  List.iter
+    (fun t ->
+      let key = (t.t_attr, t.t_scheme, t.t_key) in
+      match t.t_kind with
+      | `Eq -> bump eq_tbl key
+      | `Range -> bump rng_tbl key)
+    (tokens trace);
   List.iter
     (fun v ->
-      List.iter
-        (fun t ->
-          let key = (t.t_attr, t.t_scheme, t.t_key) in
-          match t.t_kind with
-          | `Eq -> bump eq_tbl key
-          | `Range -> bump rng_tbl key)
-        v.q_tokens;
       let rec pairs = function
         | [] -> ()
         | l :: tl ->

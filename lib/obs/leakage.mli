@@ -80,14 +80,17 @@ val tokens : Wiretrace.trace -> token list
     tokens of every [Q_batch] round and the key of every keyed
     [Index_probe], whether or not a query window is open. (Inside a
     batch the probes run before the member windows open, so {!queries}
-    does not see them.) *)
+    does not see them; {!profile}'s token counts come from here.) *)
 
 type profile = {
   p_queries : int;
   p_rounds : int;  (** request/response round trips, incl. admin *)
   p_bytes_up : int;
   p_bytes_down : int;
-  p_eq_total : int;  (** eq-token occurrences *)
+  p_eq_total : int;
+      (** eq-token occurrences, over {!tokens} (every round, batched
+          index probes included), as are the other [p_eq_*] and
+          [p_range_*] counts *)
   p_eq_distinct : int;
   p_eq_repeats : int;  (** occurrences beyond the first per identity *)
   p_eq_max_run : int;  (** occurrences of the most repeated identity *)

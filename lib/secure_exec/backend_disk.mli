@@ -6,8 +6,10 @@
     identically to the original (leaves round-trip through
     [Wire.leaf_to_string]), and the server can rebuild its equality
     indexes from what the image already reveals (indexes are {e not}
-    stored; [Enc_relation.eq_index] lazily rebuilds them from paged
-    ciphertexts, with the usual hit/build accounting).
+    stored; probes ([Enc_relation.leaf_eq_index]) and equality filters
+    ([Enc_relation.eq_slots]) lazily rebuild them from paged
+    ciphertexts into the backend's one cache, with the usual hit/build
+    accounting on the probe side).
 
     Every leaf is validated when paged in — undecodable files, label or
     row-count disagreements with the manifest, and shape violations all

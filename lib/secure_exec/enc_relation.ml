@@ -44,11 +44,24 @@ type enc_leaf = {
   columns : enc_column list;
 }
 
+(* One column's equality index: valid only for the [ix_cells] array it
+   was built from (physical identity), since [{ t with leaves }] copies
+   share their store's cache. [ix_probed] records that a probe-side use
+   has counted the table's build. *)
+type index_entry = {
+  ix_cells : cell array;
+  ix_slots : (string, int array) Hashtbl.t;  (* ascending slots per key *)
+  ix_canonical : bool;  (* every cell has a canonical key *)
+  mutable ix_probed : bool;
+}
+
+type index_cache = (string * string, index_entry) Hashtbl.t
+
 type t = {
   relation_name : string;
   leaves : enc_leaf list;
   paillier_public : Paillier.public_key;
-  index_cache : (string * string, (string, int list) Hashtbl.t) Hashtbl.t;
+  index_cache : index_cache;
 }
 
 (* Predicate token types are declared up front (their constructors live in
@@ -681,29 +694,59 @@ let canonical_key scheme (cell : cell) =
   | Scheme.Ope, C_ord { ord; _ } -> Some (string_of_int ord)
   | _ -> None
 
-let eq_index t ~leaf ~attr =
-  match Hashtbl.find_opt t.index_cache (leaf, attr) with
-  | Some idx ->
-    Metrics.incr m_idx_hits;
-    Some idx
-  | None ->
-    let l = find_leaf t leaf in
-    let col = column l attr in
-    (match (col.scheme : Scheme.kind) with
-     | Scheme.Ndet | Scheme.Phe | Scheme.Ore -> None
-     | Scheme.Plain | Scheme.Det | Scheme.Ope ->
-       Metrics.incr m_idx_builds;
-       let idx = Hashtbl.create (Array.length col.cells) in
-       Array.iteri
-         (fun slot cell ->
-           match canonical_key col.scheme cell with
-           | Some key ->
-             Hashtbl.replace idx key
-               (slot :: Option.value (Hashtbl.find_opt idx key) ~default:[])
-           | None -> ())
-         col.cells;
-       Hashtbl.add t.index_cache (leaf, attr) idx;
-       Some idx)
+(* The cached table of [col], built (or rebuilt, when the cached one
+   came from another cells array) on demand. It holds one bucket per
+   distinct key and one word per slot: slots are gathered in lists, then
+   kept as arrays. Counts nothing. *)
+let index_entry (cache : index_cache) ~leaf col =
+  match (col.scheme : Scheme.kind) with
+  | Scheme.Ndet | Scheme.Phe | Scheme.Ore -> None
+  | Scheme.Plain | Scheme.Det | Scheme.Ope -> (
+    match Hashtbl.find_opt cache (leaf, col.attr) with
+    | Some e when e.ix_cells == col.cells -> Some e
+    | _ ->
+      let lists = Hashtbl.create 16 in
+      let canonical = ref true in
+      Array.iteri
+        (fun slot cell ->
+          match canonical_key col.scheme cell with
+          | Some key ->
+            Hashtbl.replace lists key
+              (slot :: Option.value (Hashtbl.find_opt lists key) ~default:[])
+          | None -> canonical := false)
+        col.cells;
+      let slots = Hashtbl.create (Hashtbl.length lists) in
+      Hashtbl.iter (fun key l -> Hashtbl.replace slots key (Array.of_list (List.rev l))) lists;
+      let e =
+        { ix_cells = col.cells; ix_slots = slots; ix_canonical = !canonical; ix_probed = false }
+      in
+      Hashtbl.replace cache (leaf, col.attr) e;
+      Some e)
+
+let leaf_eq_index cache (l : enc_leaf) ~attr =
+  match index_entry cache ~leaf:l.label (column l attr) with
+  | None -> None
+  | Some e ->
+    if e.ix_probed then Metrics.incr m_idx_hits
+    else begin
+      e.ix_probed <- true;
+      Metrics.incr m_idx_builds
+    end;
+    Some e.ix_slots
+
+let eq_index t ~leaf ~attr = leaf_eq_index t.index_cache (find_leaf t leaf) ~attr
+
+let eq_slots cache ~leaf col tok =
+  let lookup key =
+    match index_entry cache ~leaf col with
+    | Some e when e.ix_canonical ->
+      Some (Option.value (Hashtbl.find_opt e.ix_slots key) ~default:[||])
+    | _ -> None
+  in
+  match (tok, (col.scheme : Scheme.kind)) with
+  | Eq_det b, Scheme.Det -> lookup b
+  | Eq_ord o, Scheme.Ope -> lookup (string_of_int o)
+  | _ -> None
 
 let index_key_of_token = function
   | Eq_plain v -> Some (Value.encode v)

@@ -69,7 +69,10 @@ type trace = {
                                     rejected candidates, truncation notes,
                                     cache hit/miss — EXPLAIN's payload *)
   mode : mode;
-  scanned_cells : int;          (** server predicate evaluations (scans) *)
+  scanned_cells : int;          (** scan volume of the server's token
+                                    ops: [row_count] each, whether the
+                                    server scanned or answered an
+                                    equality op from its index *)
   index_probes : int;           (** predicate work served by equality indexes *)
   comparisons : int;            (** enclave compare-exchanges; under
                                     sort-merge, those of the tid orders

@@ -134,7 +134,10 @@ type response =
           entry, the match mask and the scanned-cell count. A mask
           travels as its slot count and its packed {!Bitmask} bytes,
           padding bits clear (a set one is rejected like a non-canonical
-          integer); the count is the cells the server touched. *)
+          integer); the count is the entry's scan volume — [row_count]
+          per token op — not the cells the server touched: an equality
+          op answered from the column's index reports the same count as
+          a scan. *)
   | R_busy
       (** admission control: the server's bounded request queue is past
           high-water and this request was rejected without being

@@ -117,6 +117,34 @@ let test_ledger_batched_probes () =
   Alcotest.(check int) "one range token" 1 (tokens "Income").Ledger.tokens_issued;
   Alcotest.(check bool) "probes served by the index" true (r.Ledger.index_misses >= 1)
 
+(* The profile's token counts see the same batched probes: its eq.*
+   totals come from every round, not from the query windows. *)
+let test_profile_batched_probes () =
+  let owner =
+    System.outsource ~name:"ledp" ~graph:(Helpers.example1_graph ())
+      (Helpers.example1_relation ())
+      (Helpers.example1_policy ())
+  in
+  let zip v = Query.point ~select:[ "State" ] [ ("ZipCode", Value.Int v) ] in
+  let income =
+    Query.range ~select:[ "State" ] [ ("Income", Value.Int 60, Value.Int 100) ]
+  in
+  let results, trace =
+    System.record_wire_trace (fun () ->
+        System.query_batch ~use_index:true owner [ zip 94016; zip 94016; zip 10001; income ])
+  in
+  List.iter (function Ok _ -> () | Error e -> Alcotest.fail e) results;
+  let p = Snf_obs.Leakage.profile trace in
+  let zip_tokens =
+    List.filter
+      (fun (tok : Snf_obs.Leakage.token) -> tok.Snf_obs.Leakage.t_attr = "ZipCode")
+      (Snf_obs.Leakage.tokens trace)
+  in
+  Alcotest.(check int) "three probed zip tokens on the wire" 3 (List.length zip_tokens);
+  Alcotest.(check int) "the profile counts them" 3 p.Snf_obs.Leakage.p_eq_total;
+  Alcotest.(check int) "two distinct zip constants" 2 p.Snf_obs.Leakage.p_eq_distinct;
+  Alcotest.(check int) "one range token" 1 p.Snf_obs.Leakage.p_range_total
+
 let suite =
   [ t "exhaustive example 1" test_exhaustive_example1;
     t "exhaustive cap" test_exhaustive_cap;
@@ -125,4 +153,5 @@ let suite =
     t "ledger tokens" test_ledger_tokens;
     t "ledger co-access and volumes" test_ledger_co_access_and_volumes;
     t "ledger pp" test_ledger_pp;
-    t "ledger counts index probes inside a batch" test_ledger_batched_probes ]
+    t "ledger counts index probes inside a batch" test_ledger_batched_probes;
+    t "profile counts index probes inside a batch" test_profile_batched_probes ]
