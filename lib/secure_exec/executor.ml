@@ -80,7 +80,9 @@ let scheme_table (rep : Partition.t) =
    scan the column under a minted token shipped in the Q_batch message.
    Indexed predicates keep the source predicate so the client can
    re-verify fetched rows against it — the index is server state and may
-   be stale. *)
+   be stale. A scanned [F_eq] may be answered from that same index on the
+   server, which checks every slot it keeps against the leaf's cells
+   ([Server_api.eval_filter]), so it needs no client check. *)
 type compiled_pred =
   | Indexed of Query.pred * int list
   | Scan of Wire.filter_op
@@ -241,7 +243,9 @@ let value w attr slot =
    index is mutable server state, so a row it returned must still satisfy
    the predicate once decrypted — a stale entry surfaces as detected
    corruption, never as a wrong answer. Scanned predicates need no check:
-   their ciphertext test ran on the authenticated cells themselves. A
+   their ciphertext test ran on the cells themselves — a full scan, or an
+   equality-index lookup whose every kept slot the server tested against
+   its cell, raising corruption where="index" on a stale entry. A
    window holds exactly the matched rows of its leaf, so every cell of an
    indexed attribute is checked. *)
 let verify_indexed w label compiled =

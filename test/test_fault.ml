@@ -97,8 +97,12 @@ let dropped_leaf_where () =
   let enc = Fault.drop_leaf owner.System.enc ~leaf:"l1" in
   expect_corruption ~where:"store" { owner with System.enc } scan
 
-let stale_index_where () =
-  let owner = det_system "fault-stale" in
+(* Swap the index entries of A = 1 and A = 2, then ask for A = 1. With
+   [use_index] the swap reaches the client through a probe; without, an
+   equality filter is answered from the same index on the server, which
+   checks the slots it keeps against the cells. Both must detect it. *)
+let stale_index ~use_index name () =
+  let owner = det_system name in
   let key v =
     match
       Enc_relation.eq_token owner.System.client ~leaf:"l0" ~attr:"A"
@@ -110,8 +114,11 @@ let stale_index_where () =
   check_bool "index poisoned" true
     (Fault.poison_index owner.System.enc ~leaf:"l0" ~attr:"A" ~key_a:(key 1)
        ~key_b:(key 2));
-  expect_corruption ~where:"index" ~use_index:true owner
+  expect_corruption ~where:"index" ~use_index owner
     (Query.point ~select:[ "A" ] [ ("A", Value.Int 1) ])
+
+let stale_index_where = stale_index ~use_index:true "fault-stale"
+let stale_index_filter_where = stale_index ~use_index:false "fault-stale-filter"
 
 let key_mismatch_where () =
   let owner = det_system "fault-key" in
@@ -174,4 +181,6 @@ let suite =
     Alcotest.test_case "key mismatch → where=cell" `Quick key_mismatch_where;
     Alcotest.test_case "honest store never flagged" `Quick honest_store_unflagged;
     Alcotest.test_case "PLAIN flip is inert (documented exclusion)" `Quick
-      plain_flip_is_inert ]
+      plain_flip_is_inert;
+    Alcotest.test_case "stale index → where=index on a filter" `Quick
+      stale_index_filter_where ]
