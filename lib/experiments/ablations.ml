@@ -188,8 +188,16 @@ let index_checked ?(rows = 3_000) ?(seed = 13) () =
       Snf_obs.Metrics.value m_hits - hits0,
       Snf_obs.Metrics.value m_builds - builds0 )
   in
-  let s_scan, p_scan, t_scan, ok_scan, h_scan, m_scan = run false in
-  let s_idx, p_idx, t_idx, ok_idx, h_idx, m_idx = run true in
+  (* Each arm makes an untimed warm pass, which the count columns
+     report, then a timed pass: the Wall time of the arm that runs first
+     no longer includes the client's cold caches and the table builds. *)
+  let arm use_index =
+    let scans, probes, _, ok, hits, builds = run use_index in
+    let _, _, time, ok', _, _ = run use_index in
+    (scans, probes, time, ok && ok', hits, builds)
+  in
+  let s_scan, p_scan, t_scan, ok_scan, h_scan, m_scan = arm false in
+  let s_idx, p_idx, t_idx, ok_idx, h_idx, m_idx = arm true in
   let table =
     Report.render_table
       ~title:

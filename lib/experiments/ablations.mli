@@ -26,7 +26,10 @@ val index : ?rows:int -> ?seed:int -> unit -> string
 val index_checked : ?rows:int -> ?seed:int -> unit -> string * string list
 (** {!index}'s table and the checks it failed, [[]] when none: each arm
     must answer every query as the plaintext oracle (as bags), and the
-    scan arm must move no [exec.eq_index.*] counter. *)
+    scan arm must move no [exec.eq_index.*] counter. Each arm runs its
+    queries twice, scan arm first: the count columns come from the first
+    pass, the Wall time from the second, so neither arm's time includes
+    cold client caches or table builds. *)
 
 val dynamic : ?rows:int -> ?seed:int -> unit -> string
 (** §V-B dynamic updates: per-insert encryption cost of the staged-delta

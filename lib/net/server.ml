@@ -78,7 +78,10 @@ type t = {
    state on access (lazy index builds, disk page cache, Install), so
    view calls are serialized. Scans and crypto stay outside the lock —
    [eval_filter] runs on the returned leaf snapshot; only its equality
-   index lookups ([with_index_cache]) take it. *)
+   index lookups ([with_index_cache]) take it, and so does a fetch's
+   class-table lookup, which builds a column's whole table, one hash
+   per stored cell, the first time a fetch of more than
+   [Wire.small_rows] rows reads it. *)
 let locked_view lock (v : Server_api.store_view) =
   let guard f = Mutex.protect lock f in
   { Server_api.describe = (fun () -> guard v.Server_api.describe);

@@ -269,6 +269,37 @@ let merge_masks ~leaf lm per_shard =
     per_shard;
   (mask, !scanned)
 
+(* One fetched column from its shards' columns, coded as a single
+   backend codes it. A column of at most [Wire.small_rows] rows, or an
+   NDET or PHE one, is its gathered cells. Otherwise each shard's
+   dictionary (a [Cells] column: its cells) is hashed into global
+   classes, and every row maps through its shard's entry to a class.
+   Coding every larger column afresh, even one a single shard holds,
+   makes the answer independent of how a shard coded its part. *)
+let merge_column (scheme : Scheme.kind) ~owner ~local (cols : Wire.rows_column array) =
+  let n = Array.length owner in
+  if n <= Wire.small_rows || not (Enc_relation.deterministic scheme) then begin
+    let cells = Array.map Wire.column_cells cols in
+    Wire.Cells (Array.init n (fun k -> cells.(owner.(k)).(local.(k))))
+  end
+  else
+    let dicts = Array.map (function Wire.Cells d | Wire.Coded { dict = d; _ } -> d) cols in
+    let offsets = Array.make (Array.length cols) 0 in
+    for s = 1 to Array.length cols - 1 do
+      offsets.(s) <- offsets.(s - 1) + Array.length dicts.(s - 1)
+    done;
+    let { Enc_relation.class_of = entry_class; class_rep } =
+      Enc_relation.classes_of_cells (Array.concat (Array.to_list dicts))
+    in
+    let entry =
+      Array.map (function Wire.Cells _ -> Fun.id | Wire.Coded { codes; _ } -> Array.get codes) cols
+    in
+    Wire.code_rows ~classes:(Array.length class_rep) n
+      ~class_of:(fun k ->
+        let s = owner.(k) in
+        entry_class.(offsets.(s) + entry.(s) local.(k)))
+      ~cell_of:(fun _ c -> class_rep.(c))
+
 let sub_store (enc : Enc_relation.t) assign s =
   let leaves =
     List.map2
@@ -417,29 +448,31 @@ let dispatch t conns (req : Wire.request) : Wire.response =
                    (Array.length rows) na);
             Array.iter
               (fun col ->
-                if Array.length col <> List.length per_shard.(i) then
+                if Wire.column_length col <> List.length per_shard.(i) then
                   Integrity.fail ~leaf ~where:"store"
                     (Printf.sprintf "shard %d answered %d rows for %d requested slots" i
-                       (Array.length col) (List.length per_shard.(i))))
+                       (Wire.column_length col) (List.length per_shard.(i))))
               rows;
             rows
           | _ -> protocol_error "Fetch_rows")
     in
-    let out =
-      Array.init na (fun _ ->
-          Array.make (List.length slots) (Enc_relation.C_bytes ""))
-    in
+    (* Row k of the answer is row [local.(k)] of shard [owner.(k)]. *)
+    let n = List.length slots in
+    let owner = Array.make n 0 and local = Array.make n 0 in
     let cursors = Array.make t.shards 0 in
     List.iteri
       (fun k g ->
         let s = lm.lm_owner.(g) in
-        let j = cursors.(s) in
-        cursors.(s) <- j + 1;
-        for a = 0 to na - 1 do
-          out.(a).(k) <- rs.(s).(a).(j)
-        done)
+        owner.(k) <- s;
+        local.(k) <- cursors.(s);
+        cursors.(s) <- cursors.(s) + 1)
       slots;
-    Wire.R_rows out
+    Wire.R_rows
+      (Array.of_list
+         (List.mapi
+            (fun a attr -> merge_column (List.assoc attr lm.lm_schemes) ~owner ~local
+                (Array.map (fun cols -> cols.(a)) rs))
+            attrs))
   | Wire.Fetch_tids { leaf } ->
     let _, lm = leaf_meta t leaf in
     let rs =

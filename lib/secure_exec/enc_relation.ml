@@ -44,14 +44,24 @@ type enc_leaf = {
   columns : enc_column list;
 }
 
-(* One column's equality index: valid only for the [ix_cells] array it
-   was built from (physical identity), since [{ t with leaves }] copies
-   share their store's cache. [ix_probed] records that a probe-side use
-   has counted the table's build. *)
+(* A column's equality index: ascending slots per canonical key, and
+   whether every cell has one. *)
+type eq_table = {
+  eq_slots : (string, int array) Hashtbl.t;
+  eq_canonical : bool;
+}
+
+type cell_classes = { class_of : int array; class_rep : cell array }
+
+(* One column's server-side tables, each built at its first use: valid
+   only for the [ix_cells] array they were built from (physical
+   identity), since [{ t with leaves }] copies share their store's
+   cache. [ix_probed] records that a probe-side use has counted the
+   equality table's build. *)
 type index_entry = {
   ix_cells : cell array;
-  ix_slots : (string, int array) Hashtbl.t;  (* ascending slots per key *)
-  ix_canonical : bool;  (* every cell has a canonical key *)
+  mutable ix_eq : eq_table option;
+  mutable ix_classes : cell_classes option;
   mutable ix_probed : bool;
 }
 
@@ -694,17 +704,25 @@ let canonical_key scheme (cell : cell) =
   | Scheme.Ope, C_ord { ord; _ } -> Some (string_of_int ord)
   | _ -> None
 
-(* The cached table of [col], built (or rebuilt, when the cached one
-   came from another cells array) on demand. It holds one bucket per
+(* The cache entry of [col], replaced when the cached one came from
+   another cells array. *)
+let cache_entry (cache : index_cache) ~leaf col =
+  match Hashtbl.find_opt cache (leaf, col.attr) with
+  | Some e when e.ix_cells == col.cells -> e
+  | _ ->
+    let e = { ix_cells = col.cells; ix_eq = None; ix_classes = None; ix_probed = false } in
+    Hashtbl.replace cache (leaf, col.attr) e;
+    e
+
+(* The equality table of [col], built on demand. It holds one bucket per
    distinct key and one word per slot: slots are gathered in lists, then
    kept as arrays. Counts nothing. *)
-let index_entry (cache : index_cache) ~leaf col =
+let index_entry cache ~leaf col =
   match (col.scheme : Scheme.kind) with
   | Scheme.Ndet | Scheme.Phe | Scheme.Ore -> None
-  | Scheme.Plain | Scheme.Det | Scheme.Ope -> (
-    match Hashtbl.find_opt cache (leaf, col.attr) with
-    | Some e when e.ix_cells == col.cells -> Some e
-    | _ ->
+  | Scheme.Plain | Scheme.Det | Scheme.Ope ->
+    let e = cache_entry cache ~leaf col in
+    if Option.is_none e.ix_eq then begin
       let lists = Hashtbl.create 16 in
       let canonical = ref true in
       Array.iteri
@@ -717,36 +735,107 @@ let index_entry (cache : index_cache) ~leaf col =
         col.cells;
       let slots = Hashtbl.create (Hashtbl.length lists) in
       Hashtbl.iter (fun key l -> Hashtbl.replace slots key (Array.of_list (List.rev l))) lists;
-      let e =
-        { ix_cells = col.cells; ix_slots = slots; ix_canonical = !canonical; ix_probed = false }
-      in
-      Hashtbl.replace cache (leaf, col.attr) e;
-      Some e)
+      e.ix_eq <- Some { eq_slots = slots; eq_canonical = !canonical }
+    end;
+    Option.map (fun t -> (e, t)) e.ix_eq
 
 let leaf_eq_index cache (l : enc_leaf) ~attr =
   match index_entry cache ~leaf:l.label (column l attr) with
   | None -> None
-  | Some e ->
+  | Some (e, t) ->
     if e.ix_probed then Metrics.incr m_idx_hits
     else begin
       e.ix_probed <- true;
       Metrics.incr m_idx_builds
     end;
-    Some e.ix_slots
+    Some t.eq_slots
 
 let eq_index t ~leaf ~attr = leaf_eq_index t.index_cache (find_leaf t leaf) ~attr
 
 let eq_slots cache ~leaf col tok =
   let lookup key =
     match index_entry cache ~leaf col with
-    | Some e when e.ix_canonical ->
-      Some (Option.value (Hashtbl.find_opt e.ix_slots key) ~default:[||])
+    | Some (_, t) when t.eq_canonical ->
+      Some (Option.value (Hashtbl.find_opt t.eq_slots key) ~default:[||])
     | _ -> None
   in
   match (tok, (col.scheme : Scheme.kind)) with
   | Eq_det b, Scheme.Det -> lookup b
   | Eq_ord o, Scheme.Ope -> lookup (string_of_int o)
   | _ -> None
+
+(* Whole-cell equality, as the cells' wire bytes compare: an OPE cell
+   is its ordinal and its payload, an ORE cell its symbols and its
+   payload, and a plain float is its bits. *)
+let cell_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | C_plain (Value.Float x), C_plain (Value.Float y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | C_plain (Value.Float _), _ | _, C_plain (Value.Float _) -> false
+  | C_plain v, C_plain w -> v = w
+  | C_bytes x, C_bytes y -> String.equal x y
+  | C_ord x, C_ord y -> x.ord = y.ord && String.equal x.payload y.payload
+  | C_ore x, C_ore y ->
+    String.equal x.payload y.payload && (x.ore :> int array) = (y.ore :> int array)
+  | C_nat x, C_nat y -> Nat.equal x y
+  | _ -> false
+
+(* Equal cells hash equal; an order part is left to the equality test,
+   since the payload beside it already tells values apart. A ciphertext
+   of eight bytes or more hashes by its first and last eight (a DET
+   ciphertext opens with its synthetic IV, a PRF of the plaintext), so
+   hashing makes no pass over the bytes. *)
+let bytes_hash b =
+  let n = String.length b in
+  if n < 8 then Hashtbl.hash b
+  else
+    Int64.to_int (Int64.logxor (String.get_int64_le b 0) (String.get_int64_le b (n - 8))) lxor n
+
+let cell_hash = function
+  | C_plain v -> Hashtbl.hash v
+  | C_bytes b | C_ord { payload = b; _ } | C_ore { payload = b; _ } -> bytes_hash b
+  | C_nat n -> Hashtbl.hash (Nat.to_bytes_be n)
+
+(* Classes numbered in first-occurrence order, through an open-addressed
+   table of class ids at a load of at most one half: one hash per cell,
+   and a cell comparison only against the first cell of a class whose
+   slot it probes. *)
+let classes_of_cells cells =
+  let n = Array.length cells in
+  let m = ref 8 in
+  while !m < 2 * n do m := 2 * !m done;
+  let mask = !m - 1 in
+  let table = Array.make !m (-1) and firsts = Array.make n 0 and size = ref 0 in
+  let rec probe i h =
+    let c = table.(h) in
+    if c < 0 then begin
+      table.(h) <- !size;
+      firsts.(!size) <- i;
+      incr size;
+      !size - 1
+    end
+    else if cell_equal cells.(firsts.(c)) cells.(i) then c
+    else probe i ((h + 1) land mask)
+  in
+  let class_of = Array.init n (fun i -> probe i (cell_hash cells.(i) land mask)) in
+  { class_of; class_rep = Array.init !size (fun c -> cells.(firsts.(c))) }
+
+let deterministic = function
+  | Scheme.Plain | Scheme.Det | Scheme.Ope | Scheme.Ore -> true
+  | Scheme.Ndet | Scheme.Phe -> false
+
+let cell_classes cache ~leaf col =
+  if not (deterministic col.scheme) then
+    invalid_arg "Enc_relation.cell_classes: randomized column";
+  let e = cache_entry cache ~leaf col in
+  match e.ix_classes with
+  | Some c -> c
+  | None ->
+    let c = classes_of_cells col.cells in
+    e.ix_classes <- Some c;
+    c
 
 let index_key_of_token = function
   | Eq_plain v -> Some (Value.encode v)

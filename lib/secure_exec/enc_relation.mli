@@ -301,6 +301,37 @@ val eq_slots : index_cache -> leaf:string -> enc_column -> eq_token -> int array
 val index_key_of_token : eq_token -> string option
 (** The index key a predicate token probes; [None] for ORE tokens. *)
 
+val cell_equal : cell -> cell -> bool
+(** Whole-cell equality: true exactly when the two cells serialize to
+    the same bytes. An OPE cell compares its ordinal and its payload, an
+    ORE cell its symbols and its payload, so a tampered payload beside a
+    good order part is never merged into the good cell (unlike
+    {!canonical_key}, which keys OPE cells on the ordinal alone). *)
+
+type cell_classes = {
+  class_of : int array;  (** slot -> class, classes numbered in slot order *)
+  class_rep : cell array;  (** class -> the cell at its first slot *)
+}
+(** A cell list's equal-cell classes. *)
+
+val classes_of_cells : cell array -> cell_classes
+(** The equal-cell classes of a cell list under {!cell_equal}, numbered
+    in first-occurrence order: [class_of] is the list's codes and
+    [class_rep] its distinct cells. One hash per cell. *)
+
+val deterministic : Scheme.kind -> bool
+(** Whether equal plaintexts give equal cells: Plain, DET, OPE and ORE;
+    not NDET and PHE, whose cells are randomized. *)
+
+val cell_classes : index_cache -> leaf:string -> enc_column -> cell_classes
+(** Server-side, fetch side: a {!deterministic} column's equal-cell
+    classes under {!cell_equal}, built once per stored cells array and
+    cached beside its equality index (same entry, same
+    physical-identity rule). They are the equality pattern its
+    ciphertexts show anyway. Moves no counter. A class table costs one
+    word per row of the column while the column is stored.
+    @raise Invalid_argument on an NDET or PHE column. *)
+
 val phe_sum : t -> enc_leaf -> string -> Snf_bignum.Nat.t
 (** Server-side: homomorphic sum of a PHE column.
     @raise Invalid_argument if the column is not PHE. *)

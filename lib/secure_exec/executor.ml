@@ -144,15 +144,34 @@ let filter_ops compiled =
 
 (* --- fetch windows --------------------------------------------------------- *)
 
-(* One fetched attribute of a window: its cells in window order and its
-   decryptor, resolved once. [f_values] holds the decrypted column once a
-   caller has asked for all of it. *)
+(* One fetched attribute of a window: its distinct cells, the entry of
+   each row in window order ([None]: row j is entry j) and its
+   decryptor, resolved once. A coded column's entry is decrypted at its
+   first use and kept in [f_plain], so a window pays one decrypt per
+   distinct ciphertext; a column that crossed as cells has no repeat to
+   save and decrypts each use. [f_values] holds the decrypted column
+   once a caller has asked for all of it. *)
 type fetched = {
   f_attr : string;
-  f_cells : Enc_relation.cell array;
+  f_dict : Enc_relation.cell array;
+  f_codes : int array option;
+  f_plain : Value.t option array;
   f_decrypt : Enc_relation.cell -> Value.t;
   mutable f_values : Value.t array option;
 }
+
+(* Row [j] of the window, decrypted. *)
+let cell_value f j =
+  match f.f_codes with
+  | None -> f.f_decrypt f.f_dict.(j)
+  | Some codes -> (
+    let e = codes.(j) in
+    match f.f_plain.(e) with
+    | Some v -> v
+    | None ->
+      let v = f.f_decrypt f.f_dict.(e) in
+      f.f_plain.(e) <- Some v;
+      v)
 
 (* A window of ciphertext cells — (attrs × slots) of one leaf — fetched
    in a single message. [w_slots] is ascending and distinct, which is
@@ -189,10 +208,18 @@ let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
       w_cols =
         List.mapi
           (fun i attr ->
-            if Array.length cols.(i) < Array.length slots then
+            if Wire.column_length cols.(i) < Array.length slots then
               invalid_arg "Executor: row fetch returned a short column";
+            let f_dict, f_codes =
+              match cols.(i) with
+              | Wire.Cells cells -> (cells, None)
+              | Wire.Coded { dict; codes } -> (dict, Some codes)
+            in
             { f_attr = attr;
-              f_cells = cols.(i);
+              f_dict;
+              f_codes;
+              f_plain =
+                (if Option.is_none f_codes then [||] else Array.make (Array.length f_dict) None);
               f_decrypt =
                 Enc_relation.cell_decryptor ~cache client ~leaf:label ~attr
                   ~scheme:(scheme_of label attr);
@@ -223,7 +250,7 @@ let values w attr =
   match f.f_values with
   | Some vs -> vs
   | None ->
-    let vs = Array.init (Array.length w.w_slots) (fun j -> f.f_decrypt f.f_cells.(j)) in
+    let vs = Array.init (Array.length w.w_slots) (cell_value f) in
     f.f_values <- Some vs;
     vs
 
@@ -232,12 +259,10 @@ let column_at w attr slots =
   let f = fetched w attr in
   match f.f_values with
   | Some vs -> Array.map (fun s -> vs.(position w s)) slots
-  | None -> Array.map (fun s -> f.f_decrypt f.f_cells.(position w s)) slots
+  | None -> Array.map (fun s -> cell_value f (position w s)) slots
 
-(* One cell, decrypted on its own: the binning path's wanted rows. *)
-let value w attr slot =
-  let f = fetched w attr in
-  f.f_decrypt f.f_cells.(position w slot)
+(* One cell: the binning path's wanted rows. *)
+let value w attr slot = cell_value (fetched w attr) (position w slot)
 
 (* Client-side re-verification of index-served predicates: the equality
    index is mutable server state, so a row it returned must still satisfy

@@ -119,6 +119,32 @@ let eval_filter view (l : Enc_relation.enc_leaf) ops =
     ops;
   (!mask, !scanned)
 
+(* One fetched column. A Plain, DET, OPE or ORE column of more than
+   [Wire.small_rows] rows is coded from its cached class table
+   ([Enc_relation.cell_classes]) without hashing a cell; any other
+   column crosses as its cells. Each dictionary entry is the leaf's own
+   cell at the first fetched row of its class, compared once with the
+   class's representative cell (a mismatch is corruption where="index");
+   later rows of a class are coded by their table entry alone. *)
+let fetch_column view (l : Enc_relation.enc_leaf) slots attr =
+  let col = Enc_relation.column l attr in
+  let cells = col.Enc_relation.cells in
+  if Array.length slots <= Wire.small_rows || not (Enc_relation.deterministic col.Enc_relation.scheme)
+  then Wire.Cells (Array.map (Array.get cells) slots)
+  else
+    let { Enc_relation.class_of; class_rep } =
+      view.with_index_cache (fun cache ->
+          Enc_relation.cell_classes cache ~leaf:l.Enc_relation.label col)
+    in
+    Wire.code_rows ~classes:(Array.length class_rep) (Array.length slots)
+      ~class_of:(fun i -> class_of.(slots.(i)))
+      ~cell_of:(fun i c ->
+        let cell = cells.(slots.(i)) in
+        if not (Enc_relation.cell_equal cell class_rep.(c)) then
+          Integrity.fail ~leaf:l.Enc_relation.label ~attr ~where:"index"
+            "stale class table: a slot's cell differs from its class";
+        cell)
+
 (* Fingerprint used both for SNFT token summaries and for the value-class
    digests of [Q_store_stats]: stable 16-hex identity of bytes the server
    already holds, never the bytes themselves. *)
@@ -147,14 +173,8 @@ let dispatch view (req : Wire.request) : Wire.response =
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let l = view.leaf leaf in
     check_slots ~rows:l.Enc_relation.row_count slots;
-    let cols =
-      List.map
-        (fun attr ->
-          let col = Enc_relation.column l attr in
-          Array.of_list (List.map (fun s -> col.Enc_relation.cells.(s)) slots))
-        attrs
-    in
-    Wire.R_rows (Array.of_list cols)
+    let slots = Array.of_list slots in
+    Wire.R_rows (Array.of_list (List.map (fetch_column view l slots) attrs))
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
   | Wire.Oram_fetch { leaf = _; seed; block_size; blocks; slots } ->
     (* One partner's ORAM round, start to finish: the tree lives only for
@@ -358,7 +378,7 @@ let summarize_response (resp : Wire.response) =
     [ ("n", string_of_int (List.length slots)); ("slots", csv_int slots) ]
   | Wire.R_rows cols ->
     [ ("cols", string_of_int (Array.length cols));
-      ("rows", string_of_int (if Array.length cols = 0 then 0 else Array.length cols.(0)))
+      ("rows", string_of_int (if Array.length cols = 0 then 0 else Wire.column_length cols.(0)))
     ]
   | Wire.R_tids tids -> [ ("n", string_of_int (Array.length tids)) ]
   | Wire.R_oram { touches; _ } -> [ ("touches", string_of_int touches) ]

@@ -79,7 +79,14 @@ val dispatch : store_view -> Wire.request -> Wire.response
     answer from it and scans for every other token op, with the same
     response either way. Every slot an index lookup would keep is tested
     against its cell first, so a stale entry raises
-    [Integrity.Corruption] where ["index"] on the filter side too. *)
+    [Integrity.Corruption] where ["index"] on the filter side too. A
+    [Fetch_rows] codes each Plain, DET, OPE or ORE column of more than
+    [Wire.small_rows] fetched rows from the column's class table
+    ([Enc_relation.cell_classes]). Each dictionary entry is the leaf's
+    cell at the first fetched row of its class and is compared once
+    with the class's representative cell (a mismatch raises
+    [Integrity.Corruption] where ["index"]); later rows of a class are
+    coded from the table alone. *)
 
 val session_handler : store_view -> string -> string
 (** The server half of {!connect}: decode request bytes, dispatch against
@@ -169,10 +176,10 @@ val filter_batch :
     queries than were asked. *)
 
 val fetch_rows :
-  conn -> leaf:string -> attrs:string list -> slots:int list ->
-  Enc_relation.cell array array
-(** Ciphertext cells, one inner array per requested attribute (request
-    order), each in [slots] order. *)
+  conn -> leaf:string -> attrs:string list -> slots:int list -> Wire.rows_column array
+(** Ciphertext columns, one per requested attribute (request order),
+    each in [slots] order: a Plain, DET, OPE or ORE column with a
+    repeated cell comes dictionary-coded ([Wire.rows_column]). *)
 
 val fetch_tids : conn -> leaf:string -> digest:string -> string array
 (** The leaf's tid ciphertext column, whose tid digest the latest

@@ -241,7 +241,7 @@ let load path =
    magic so a message can never be confused with a database image. *)
 
 let msg_magic = "SNFM"
-let msg_version = 4
+let msg_version = 5
 
 type filter_op =
   | F_slots of int list
@@ -274,11 +274,15 @@ type request =
 type attr_stats = { a_attr : string; a_classes : (string * int) list }
 type leaf_stats = { s_label : string; s_rows : int; s_attrs : attr_stats list }
 
+type rows_column =
+  | Cells of Enc_relation.cell array
+  | Coded of { dict : Enc_relation.cell array; codes : int array }
+
 type response =
   | R_unit
   | R_described of { relation_name : string; leaves : (string * int * string) list }
   | R_slots of int list option
-  | R_rows of Enc_relation.cell array array
+  | R_rows of rows_column array
   | R_tids of string array
   | R_oram of { blocks : string array; touches : int }
   | R_nat of Nat.t
@@ -544,6 +548,107 @@ let r_digest c =
   c.pos <- c.pos + digest_length;
   d
 
+(* --- fetched columns ----------------------------------------------------------
+
+   A fetched column crosses under a one-byte coding tag: 0, its cells
+   one per row; 1, its row count, its distinct cells in first-occurrence
+   order, then one code per row, each 1, 2 or 4 bytes LE as the
+   dictionary size needs. The reader refuses a tag-1 column that breaks
+   the rules [code_rows] writes by: more than [small_rows] rows, codes
+   below the dictionary size, numbered in first-occurrence order, every
+   entry referenced, and never the identity. *)
+
+let small_rows = 32
+
+let code_width size = if size <= 0x100 then 1 else if size <= 0x10000 then 2 else 4
+
+let column_length = function Cells cells -> Array.length cells | Coded { codes; _ } -> Array.length codes
+
+let column_cells = function
+  | Cells cells -> cells
+  | Coded { dict; codes } -> Array.map (fun j -> dict.(j)) codes
+
+let code_rows ~classes n ~class_of ~cell_of =
+  (* Local codes by class, in [keys]/[vals]: indexed by class when the
+     classes are few, open-addressed and sized to the fetch otherwise,
+     so a fetch allocates in proportion to its rows, not its column. *)
+  let cap = ref 4 in
+  while !cap < 2 * n do cap := 2 * !cap done;
+  let dense = classes <= 2 * !cap in
+  let m = if dense then classes else !cap in
+  let keys = Array.make m (-1) and vals = Array.make m 0 in
+  let rec slot c h = if keys.(h) = c || keys.(h) < 0 then h else slot c ((h + 1) land (m - 1)) in
+  let codes = Array.make n 0 and firsts = Array.make n 0 in
+  let size = ref 0 in
+  for i = 0 to n - 1 do
+    let c = class_of i in
+    let h = if dense then c else slot c (c land (m - 1)) in
+    if keys.(h) = c then codes.(i) <- vals.(h)
+    else begin
+      keys.(h) <- c;
+      vals.(h) <- !size;
+      codes.(i) <- !size;
+      firsts.(!size) <- i;
+      incr size
+    end
+  done;
+  let dict = Array.init !size (fun j -> cell_of firsts.(j) (class_of firsts.(j))) in
+  if !size = n then Cells dict else Coded { dict; codes }
+
+let rows_column_of_cells cells =
+  let n = Array.length cells in
+  if n <= small_rows then Cells cells
+  else
+    let { Enc_relation.class_of; class_rep } = Enc_relation.classes_of_cells cells in
+    if Array.length class_rep = n then Cells cells else Coded { dict = class_rep; codes = class_of }
+
+let w_rows_column buf = function
+  | Cells cells ->
+    w_u8 buf 0;
+    w_array w_cell buf cells
+  | Coded { dict; codes } ->
+    w_u8 buf 1;
+    w_int buf (Array.length codes);
+    w_array w_cell buf dict;
+    let add =
+      match code_width (Array.length dict) with
+      | 1 -> fun j -> Buffer.add_uint8 buf (j land 0xff)
+      | 2 -> fun j -> Buffer.add_uint16_le buf (j land 0xffff)
+      | _ -> fun j -> Buffer.add_int32_le buf (Int32.of_int j)
+    in
+    Array.iter add codes
+
+let r_rows_column c =
+  match r_u8 c with
+  | 0 -> Cells (r_array r_cell c)
+  | 1 ->
+    let n = r_count c in
+    if n <= small_rows then fail (Printf.sprintf "a coded column of %d rows" n);
+    let dict = r_array r_cell c in
+    let size = Array.length dict in
+    let width = code_width size in
+    if n * width > String.length c.data - c.pos then fail "truncated codes";
+    let get =
+      match width with
+      | 1 -> String.get_uint8 c.data
+      | 2 -> String.get_uint16_le c.data
+      | _ -> fun p -> Int32.to_int (String.get_int32_le c.data p) land 0xffff_ffff
+    in
+    let next = ref 0 in
+    let codes =
+      Array.init n (fun i ->
+          let j = get (c.pos + (i * width)) in
+          if j >= size then fail (Printf.sprintf "code %d outside a dictionary of %d" j size);
+          if j > !next then fail "codes not numbered in first-occurrence order";
+          if j = !next then incr next;
+          j)
+    in
+    c.pos <- c.pos + (n * width);
+    if !next < size then fail "unreferenced dictionary entry";
+    if size = n then fail "identity codes under the dictionary tag";
+    Coded { dict; codes }
+  | n -> fail (Printf.sprintf "unknown column coding %d" n)
+
 let w_response buf = function
   | R_unit -> w_u8 buf 0
   | R_described { relation_name; leaves } ->
@@ -560,7 +665,7 @@ let w_response buf = function
     w_option (w_list w_int) buf slots
   | R_rows cols ->
     w_u8 buf 4;
-    w_array (w_array w_cell) buf cols
+    w_array w_rows_column buf cols
   | R_tids tids ->
     w_u8 buf 5;
     w_array w_string buf tids
@@ -612,7 +717,7 @@ let r_response c =
     in
     R_described { relation_name; leaves }
   | 2 -> R_slots (r_option (r_list r_int) c)
-  | 4 -> R_rows (r_array (r_array r_cell) c)
+  | 4 -> R_rows (r_array r_rows_column c)
   | 5 -> R_tids (r_array r_string c)
   | 6 ->
     let blocks = r_array r_string c in
@@ -674,8 +779,12 @@ let cell_size_hint (cell : Enc_relation.cell) =
 let response_size_hint = function
   | R_tids tids -> Array.fold_left (fun acc t -> acc + 8 + String.length t) 32 tids
   | R_rows cols ->
+    let cells acc = Array.fold_left (fun acc cell -> acc + cell_size_hint cell) (acc + 9) in
     Array.fold_left
-      (fun acc col -> Array.fold_left (fun acc cell -> acc + cell_size_hint cell) (acc + 8) col)
+      (fun acc -> function
+        | Cells cs -> cells acc cs
+        | Coded { dict; codes } ->
+          cells (acc + 8) dict + (Array.length codes * code_width (Array.length dict)))
       32 cols
   | _ -> 256
 

@@ -13,7 +13,7 @@
        equality indexes are not serialized; the server can always rebuild
        them from what the image already reveals (the disk backend proves
        this claim).}
-    {- the {e message codec} (magic ["SNFM"], version 4): every
+    {- the {e message codec} (magic ["SNFM"], version 5): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
        about — what a network observer (or the honest-but-curious
@@ -108,6 +108,41 @@ type attr_stats = { a_attr : string; a_classes : (string * int) list }
 
 type leaf_stats = { s_label : string; s_rows : int; s_attrs : attr_stats list }
 
+(** One fetched column of an [R_rows] answer. On the wire it follows a
+    one-byte coding tag:
+
+    {ul
+    {- tag 0, [Cells]: the row count, then one cell per row;}
+    {- tag 1, [Coded]: the row count, the column's distinct cells
+       ([dict]) in first-occurrence order, then one code per row, the
+       index of its cell in [dict]. A code takes 1, 2 or 4 bytes
+       (little-endian), fixed by the dictionary size: up to 256 entries,
+       up to 65,536, or more.}}
+
+    A server codes every Plain, DET, OPE and ORE column of more than
+    {!small_rows} rows it answers ({!code_rows}), with cells equal under
+    [Enc_relation.cell_equal] — whole cells, never [canonical_key]
+    alone — sharing an entry. NDET and PHE columns, whose cells are
+    randomized, columns of at most {!small_rows} rows, and any column
+    whose codes would be the identity (no repeated cell) cross under
+    tag 0. The decoder refuses a tag-1 column that is malformed under
+    these rules: at most {!small_rows} rows, a code not below the
+    dictionary size, codes not numbered in first-occurrence order (a
+    code is at most one past the largest before it), an unreferenced
+    entry, or the identity. It does not check that dictionary entries
+    are distinct, nor that a tag-0 column has no repeated cell; the
+    sharded coordinator codes every larger column afresh, so its bytes
+    equal a single backend's whatever form a shard chose.
+
+    Leakage: none beyond the rows themselves. The codes show which
+    fetched rows hold equal cells; for a Plain, DET, OPE or ORE column
+    the server reads that off the cells it stores and sends
+    (the [Q_store_stats] argument), and a network observer read it off
+    the tag-0 cells before. Requests and SNFT summaries are unchanged. *)
+type rows_column =
+  | Cells of Enc_relation.cell array
+  | Coded of { dict : Enc_relation.cell array; codes : int array }
+
 type response =
   | R_unit
   | R_described of { relation_name : string; leaves : (string * int * string) list }
@@ -116,8 +151,9 @@ type response =
           any other length is rejected on both sides. *)
   | R_slots of int list option
       (** [None]: no canonical index exists for that column *)
-  | R_rows of Enc_relation.cell array array
-      (** one inner array per requested attribute, in request order *)
+  | R_rows of rows_column array
+      (** one column per requested attribute, in request order, each in
+          the request's slot order *)
   | R_tids of string array
   | R_oram of { blocks : string array; touches : int }
       (** answer to {!Oram_fetch}: one sealed block per requested slot,
@@ -147,6 +183,38 @@ type response =
   | R_store_stats of { leaves : leaf_stats list }
       (** answer to {!Q_store_stats}, one entry per stored leaf in
           describe order *)
+
+val small_rows : int
+(** The row count up to which a column always crosses under tag 0:
+    coding so few rows saves little, and costs the server a class-table
+    read per row and the sharded coordinator a hash per cell. *)
+
+val code_rows :
+  classes:int ->
+  int ->
+  class_of:(int -> int) ->
+  cell_of:(int -> int -> Enc_relation.cell) ->
+  rows_column
+(** [code_rows ~classes n ~class_of ~cell_of] codes [n] rows, [n] more
+    than {!small_rows}, whose equal-cell classes are [class_of i], each
+    in [\[0, classes)]: the dictionary holds [cell_of i c] for the first
+    row [i] of each class [c], in row order, so it is called once per
+    dictionary entry. The answer is canonical (tag 0 when every row is
+    its own class) provided rows of one class hold equal cells and rows
+    of different classes do not. *)
+
+val rows_column_of_cells : Enc_relation.cell array -> rows_column
+(** The canonical coding of a Plain, DET, OPE or ORE cell list, the
+    bytes a server's {!code_rows} gives for those rows: tag 0 for at
+    most {!small_rows} cells or no repeated cell, otherwise classes by
+    [Enc_relation.cell_equal] ([Enc_relation.classes_of_cells]), one
+    hash per cell. *)
+
+val column_length : rows_column -> int
+(** Its row count. *)
+
+val column_cells : rows_column -> Enc_relation.cell array
+(** Its cells, one per row. *)
 
 val request_to_string : request -> string
 

@@ -415,8 +415,9 @@ let misreport ~kind ~delta (resp : Wire.response) =
     Wire.R_rows
       (Array.map
          (fun col ->
+           let col = Wire.column_cells col in
            let fill = if Array.length col = 0 then Enc_relation.C_bytes "" else col.(0) in
-           resize_array col (n (Array.length col)) fill)
+           Wire.rows_column_of_cells (resize_array col (n (Array.length col)) fill))
          cols)
   | _ -> resp
 
@@ -531,6 +532,166 @@ let test_bad_slot_error_bytes () =
       ( "Fetch_rows [3; 10]",
         Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 3; 10 ] } ) ]
 
+(* --- dictionary-coded fetches ------------------------------------------------
+   A leaf placed by its distinct first column [k], so the repeated values
+   of [a] (DET), [b] (OPE) and [c] (ORE) sit on both shards: the
+   coordinator must answer the coding a single backend gives, entry
+   order and code numbering included, which is the coding of the fetched
+   cells themselves. *)
+
+let coded_rows = 100
+let coded_fetched = [ "a"; "b"; "c"; "n"; "k" ]
+
+let coded_owner () =
+  let attrs = [ "k"; "a"; "b"; "c"; "n" ] in
+  let schemes =
+    [ ("k", Scheme.Det); ("a", Scheme.Det); ("b", Scheme.Ope); ("c", Scheme.Ore);
+      ("n", Scheme.Ndet) ]
+  in
+  let r =
+    Relation.create
+      (Schema.of_attributes (List.map Attribute.int attrs))
+      (List.init coded_rows (fun i ->
+           [| Value.Int i; Value.Int (i mod 3); Value.Int (i mod 4); Value.Int (i mod 5);
+              Value.Int (i mod 2) |]))
+  in
+  System.outsource_prepared ~name:"shard-coded"
+    ~graph:(Snf_deps.Dep_graph.create attrs)
+    ~representation:[ Snf_core.Partition.leaf "lc" schemes ]
+    r (Snf_core.Policy.create schemes)
+
+(* Each named slot list is fetched from a single backend and from a
+   2-shard coordinator over [connect]; [check] sees both answers' bytes
+   and the coding of the fetched cells. *)
+let coded_fetches ~connect check =
+  let o = coded_owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let leaf = List.hd o.System.enc.Enc_relation.leaves in
+  let label = leaf.Enc_relation.label in
+  let owner = List.assoc label (Backend_sharded.assignment Backend_sharded.Hash ~shards:2 o.System.enc) in
+  let image = Wire.to_string o.System.enc in
+  let single = mem_connect 0 in
+  let sharded =
+    Backend_sharded.connect (Backend_sharded.create ~policy:Backend_sharded.Hash ~connect ~shards:2 ())
+  in
+  Fun.protect ~finally:(fun () -> Server_api.close single; Server_api.close sharded)
+  @@ fun () ->
+  Server_api.install single image;
+  Server_api.install sharded image;
+  let all = List.init coded_rows Fun.id in
+  List.iter
+    (fun (name, slots) ->
+      let up = Wire.request_to_string (Wire.Fetch_rows { leaf = label; attrs = coded_fetched; slots }) in
+      let a = Server_api.exchange_raw single up and b = Server_api.exchange_raw sharded up in
+      let reference =
+        Wire.R_rows
+          (Array.of_list
+             (List.map
+                (fun attr ->
+                  let cells = (Enc_relation.column leaf attr).Enc_relation.cells in
+                  let picked = Array.of_list (List.map (Array.get cells) slots) in
+                  if List.mem attr [ "a"; "b"; "c"; "k" ] then Wire.rows_column_of_cells picked
+                  else Wire.Cells picked)
+                coded_fetched))
+      in
+      check ~leaf ~owner name ~single:a ~sharded:b ~reference:(Wire.response_to_string reference))
+    [ ("every row", all);
+      ("descending", List.rev all);
+      ("every third row", List.init (coded_rows / 3) (fun i -> 3 * i));
+      ("only shard 0's rows", List.filter (fun g -> owner.(g) = 0) all);
+      ("repeated slots", List.init 40 (fun i -> i * 7 mod 50));
+      ("a few repeated slots", [ 7; 3; 7; 12; 3; 30; 0 ]);
+      ("one row", [ 5 ]);
+      ("no rows", []) ]
+
+let test_coded_fetch_bytes () =
+  coded_fetches ~connect:mem_connect (fun ~leaf ~owner name ~single ~sharded ~reference ->
+      if name = "every row" then begin
+        List.iter
+          (fun attr ->
+            let cells = (Enc_relation.column leaf attr).Enc_relation.cells in
+            let on_both =
+              Array.exists
+                (fun cell ->
+                  let shards =
+                    List.filter_map
+                      (fun g -> if Enc_relation.cell_equal cells.(g) cell then Some owner.(g) else None)
+                      (List.init (Array.length cells) Fun.id)
+                  in
+                  List.mem 0 shards && List.mem 1 shards)
+                cells
+            in
+            Alcotest.(check bool) (attr ^ ": a repeated cell sits on both shards") true on_both)
+          [ "a"; "b"; "c" ];
+        match Wire.response_of_string single with
+        | Wire.R_rows [| Wire.Coded _; Wire.Coded _; Wire.Coded _; Wire.Cells _; Wire.Cells _ |] -> ()
+        | _ -> Alcotest.fail "the single backend did not code a, b and c"
+      end;
+      Alcotest.(check string) (name ^ ": the coding of the fetched cells") reference single;
+      Alcotest.(check string) (name ^ ": same response bytes") single sharded)
+
+(* A form the decoder accepts but no server writes: row [r], the last
+   whose cell appeared before it, gets an entry of its own, so the
+   dictionary holds that cell twice. [None] when no cell repeats. *)
+let duplicate_entry cells =
+  let { Enc_relation.class_of; _ } = Enc_relation.classes_of_cells cells in
+  let seen = Hashtbl.create 16 and r = ref (-1) in
+  Array.iteri
+    (fun i c -> if Hashtbl.mem seen c then r := i else Hashtbl.add seen c ())
+    class_of;
+  if !r < 0 then None
+  else
+    let ids = Hashtbl.create 16 and firsts = ref [] in
+    let codes =
+      Array.mapi
+        (fun i c ->
+          let key = if i = !r then -1 else c in
+          match Hashtbl.find_opt ids key with
+          | Some id -> id
+          | None ->
+            let id = Hashtbl.length ids in
+            Hashtbl.add ids key id;
+            firsts := i :: !firsts;
+            id)
+        class_of
+    in
+    Some (Wire.Coded { dict = Array.of_list (List.rev_map (Array.get cells) !firsts); codes })
+
+(* Shard 0 sends every column of more than [Wire.small_rows] rows with a
+   repeat in a non-canonical form the decoder accepts: [`Dup] with a
+   duplicated dictionary entry, [`Plain] as its cells under tag 0. *)
+let noncanonical_connect ~form i =
+  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
+  let recode col =
+    let cells = Wire.column_cells col in
+    if Array.length cells <= Wire.small_rows then col
+    else
+      match (form, duplicate_entry cells) with
+      | `Dup, Some coded -> coded
+      | `Plain, Some _ -> Wire.Cells cells
+      | _, None -> col
+  in
+  let handle up =
+    let down = serve up in
+    if i <> 0 then down
+    else
+      match Wire.response_of_string down with
+      | Wire.R_rows cols ->
+        let sent = Wire.response_to_string (Wire.R_rows (Array.map recode cols)) in
+        ignore (Wire.response_of_string sent);
+        sent
+      | _ -> down
+  in
+  Server_api.connect_handler ~name:"mem" ~handle ~close:ignore
+
+let test_noncanonical_shard_recoded () =
+  List.iter
+    (fun (form, form_name) ->
+      coded_fetches ~connect:(noncanonical_connect ~form)
+        (fun ~leaf:_ ~owner:_ name ~single ~sharded ~reference:_ ->
+          Alcotest.(check string) (form_name ^ ", " ^ name ^ ": same response bytes") single sharded))
+    [ (`Dup, "a duplicated entry"); (`Plain, "repeats under tag 0") ]
+
 let suite =
   [ t "policy names round-trip" test_policy_names;
     t "assignment deterministic, total, in range" test_assignment_deterministic;
@@ -546,4 +707,7 @@ let suite =
     t "shard answers of the wrong length are typed corruption"
       test_shard_length_misreports_typed;
     t "bad slots: sharded error bytes equal a single backend's"
-      test_bad_slot_error_bytes ]
+      test_bad_slot_error_bytes;
+    t "coded fetches: sharded bytes equal a single backend's" test_coded_fetch_bytes;
+    t "a shard's non-canonical coding is re-coded by the coordinator"
+      test_noncanonical_shard_recoded ]

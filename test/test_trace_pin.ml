@@ -117,11 +117,14 @@ let outcome_digest = function
   | Ok (_, tr) -> trace_digest tr
   | Error e -> "error: " ^ e
 
+(* What an event shows, with and without its byte count. *)
+let full (e : Wiretrace.event) = (e.dir, e.phase, e.tag, e.bytes, e.summary)
+let bytes_free (e : Wiretrace.event) = (e.dir, e.phase, e.tag, e.summary)
+
 (* Cut a trace into its query windows; events outside every window (a
    batch's shared prelude) form windows of their own, in order. Each
    window is compared as the sorted list of its events' content. *)
-let window_digests (trace : Wiretrace.trace) =
-  let content (e : Wiretrace.event) = (e.dir, e.phase, e.tag, e.bytes, e.summary) in
+let window_digests ~content (trace : Wiretrace.trace) =
   let digest evs = hex (Marshal.to_string (List.sort compare evs) [ Marshal.No_sharing ]) in
   let rec go acc cur inside = function
     | [] -> List.rev (if cur = [] then acc else digest cur :: acc)
@@ -163,10 +166,40 @@ let observe o =
       (fun (name, r, qs) ->
         let outcomes, trace = System.record_wire_trace (fun () -> query_batch o r qs) in
         List.mapi (fun i d -> Printf.sprintf "%s window %d: %s" name i d)
-          (window_digests trace)
+          (window_digests ~content:full trace)
         @ List.mapi
             (fun i oc -> Printf.sprintf "%s[%d]: trace %s" name i (outcome_digest oc))
             outcomes)
+      batches
+  in
+  singles @ batches
+
+(* The server's view without byte counts: per single query, the digest
+   of its events' (dir, phase, tag, summary) in recorded order; per batch
+   window, the digest of those sorted, as [observe] cuts them. *)
+let observe_view o =
+  let rep = o.System.plan.Snf_core.Normalizer.representation in
+  List.iter
+    (fun q -> ignore (Planner.decide rep q))
+    (List.map (fun (_, _, q) -> q) singles @ batch_a @ batch_b);
+  let singles =
+    List.map
+      (fun (name, r, q) ->
+        let _, trace = System.record_wire_trace (fun () -> query o r q) in
+        Printf.sprintf "%s: view %s" name
+          (hex
+             (Marshal.to_string
+                (List.map bytes_free trace.Wiretrace.events)
+                [ Marshal.No_sharing ])))
+      singles
+  in
+  let batches =
+    List.concat_map
+      (fun (name, r, qs) ->
+        let _, trace = System.record_wire_trace (fun () -> query_batch o r qs) in
+        List.mapi
+          (fun i d -> Printf.sprintf "%s window %d: view %s" name i d)
+          (window_digests ~content:bytes_free trace))
       batches
   in
   singles @ batches
@@ -184,52 +217,57 @@ let observe o =
    windows and members did not move. Re-recorded when a lone query's
    filters became one Q_batch round trip instead of one Filter round
    per leaf (and SNFM went to version 4): every single query's trace
-   and record move, no batch window or member does. *)
+   and record move, no batch window or member does. Re-recorded when
+   fetched columns became dictionary-coded (SNFM version 5): every
+   value that covers an R_rows answer moves, through that answer's byte
+   count and the record's wire_bytes_down alone (with those two masked,
+   every event and record equals the parent's), and [pinned_view] below
+   does not move. *)
 let pinned =
-  [ "1-leaf point: snft 162bf05cce83bb1f64467c6143e998c0 trace f77158d9a671fd95dd5b39ce76f06e70";
-    "1-leaf range: snft f446f412ab10380c49f03d324b3720e7 trace e6ec21fb45182c3eb634b15b06673ec3";
-    "2-leaf sort-merge: snft 6b6dae88a45d078d17114321443d7383 trace 2f00ba50381bbd60911be2f90e0a404b";
-    "3-leaf sort-merge: snft 86e09304a4512f371ac36493d89a0b48 trace 839e0d888e79885b3dcd17116d1c58df";
-    "2-leaf sort-merge, warm: snft 75f5011687ed5f90acfbb75c7d821337 trace 2135f79ffc7d4a842af5f0f33bf2982a";
-    "oram: snft 134c238efcc7c97bfd0b7d8a2a26b86a trace 9c83d321d819bada82495dd7dd24e907";
-    "binning 16: snft b08e4aaf713b338767e374a3fc58309c trace 81bc584812619f0021df6c6fe6dec68e";
-    "index 1-leaf: snft b1c964cb01a9c60f5185a4646992997a trace 153b65b7ae245346e25918e79500b853";
-    "index 2-leaf: snft 8c5096d6c675db6ddb32ea80246034e1 trace 913ec6c66fc793b0fd1778d3840cf608";
-    "drop_tid: snft 68abb07aac68b69ce7c295c8cd5daedd trace b93568bc9b041dd6f03d952f8d82e3e2";
+  [ "1-leaf point: snft 80bbb1a402aaab7e6b0cefd2bc9a2ba4 trace d70343bce3d3b31770b601ea974f47f0";
+    "1-leaf range: snft 5020a81f87e9b5fead1d227f0e59cfc7 trace 7b4ec9ddb6896f57671d56705acaaf89";
+    "2-leaf sort-merge: snft 62a990fec28bcfe830e8fc729e01981a trace bfd2e49d7fa0b8967c4f9f46a6611ac3";
+    "3-leaf sort-merge: snft 1eb9baaa3c4c02036e084a8f987a2e33 trace 66365068fca38295aeaf5ce3e2a4d784";
+    "2-leaf sort-merge, warm: snft 4dabd7d8c6728276a50f7d3a11b39be3 trace c07762148f6f9a7d45380bcb75ba24f9";
+    "oram: snft d71bfab573134110447acc2244bcaeee trace cc6870162b46729a0cb33e442f2b2db4";
+    "binning 16: snft ee308555698a74bd97667068fe379143 trace 7fbe62bccbd7c0ee780ed80a9c9e6e03";
+    "index 1-leaf: snft f0d26363900a196b951655dcc91e796a trace a588093c2aaf7e7df9e22a2fecf26b75";
+    "index 2-leaf: snft 6a02663307569242094488a074b0c78c trace 625dada238b70aa635c3029360f24ca5";
+    "drop_tid: snft 3999aa84ee2c1ac6e77372ff16f90195 trace dc4fe30803b1da94a7292c95768f5a39";
     "batch sort-merge window 0: fc97cac50c82ef57905bfe2448805b14";
-    "batch sort-merge window 1: 5a4b02080164cb72a01e763503dd21e5";
-    "batch sort-merge window 2: 5150cd68268c04b4b4b0ce67dbb735b2";
-    "batch sort-merge window 3: 29f5b5682bdf110e6fc2f872be4abed8";
-    "batch sort-merge window 4: ad168229d0355292c62be80a49e30728";
-    "batch sort-merge window 5: 05aa21d0179e5c646479d689121e5337";
-    "batch sort-merge window 6: f1748d5325c7f2f9f7a21b8f07d76db8";
-    "batch sort-merge window 7: 309ae8d3b32080cd6c35238114fee741";
+    "batch sort-merge window 1: 8fb92f4a123f8b7c040f068194b7f7bd";
+    "batch sort-merge window 2: a5a18f6ed523b4fa9d05a8e3f39b03e1";
+    "batch sort-merge window 3: 3890d07354aa53fd01d6cb1b7d270fd7";
+    "batch sort-merge window 4: 6d3c7a0b3aa94dab8be83f6423c7d324";
+    "batch sort-merge window 5: 23ae29f8f90a9e6c815446f74e92b996";
+    "batch sort-merge window 6: 2a0b99223c20d14bbaec511cd1ee6b04";
+    "batch sort-merge window 7: 0ea5de824acc699b46497b70d9b735bc";
     "batch sort-merge window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch sort-merge[0]: trace 749db2a274c1413bab8054359ffa3750";
+    "batch sort-merge[0]: trace c5b79ebf7bf0feb3e48f42037dd73630";
     "batch sort-merge[1]: trace error: no stored copy of \"D\" can evaluate the predicate";
-    "batch sort-merge[2]: trace f7008abbcb42d01bfdf8590622288f6c";
-    "batch sort-merge[3]: trace 9e43861c9a32aa077396cb90625cc041";
-    "batch sort-merge[4]: trace 1b89d5dcffd8bcc78caf236b594172ca";
-    "batch sort-merge[5]: trace 9251eb3ff4efd29988c9abc74db3f6b0";
-    "batch sort-merge[6]: trace 3248dc532253afca64d55a9a49b48392";
-    "batch sort-merge[7]: trace 37168ae9d02b141ad7fb994cf888d9c4";
+    "batch sort-merge[2]: trace ee070997b784b0b86f42ea46cdb89c2b";
+    "batch sort-merge[3]: trace 07bb017ac4b14075b23be4c5c105f97d";
+    "batch sort-merge[4]: trace 82dbec50b1e046ec7c73919138c9a138";
+    "batch sort-merge[5]: trace 7ac2929234b8525a6c20ed70c79b7c8f";
+    "batch sort-merge[6]: trace b1b032421c7dfae98560874aea2f302a";
+    "batch sort-merge[7]: trace 3fb13332b7c502557aa58f74497d52c6";
     "batch index+drop_tid window 0: b446028df7ee4f5e012f0f142b4c12e1";
-    "batch index+drop_tid window 1: 8a6d8def69744ca5a3acaf03f8b6beae";
-    "batch index+drop_tid window 2: 4072df0dc3eadf369505878129020a1c";
-    "batch index+drop_tid window 3: 21954ed87ad5d7516f033226add12a6e";
-    "batch index+drop_tid window 4: 7a459c6fbd281286e4b2b83febc3ea94";
-    "batch index+drop_tid window 5: 8fa11073befff7b25b1588af3b2cd32a";
-    "batch index+drop_tid window 6: 5ec1379e7c6152126cddf4f93d280e8f";
-    "batch index+drop_tid window 7: 3ef4d292fb52b4abccf46ef7d0c10edc";
+    "batch index+drop_tid window 1: 5a356c938fc773c1ac8d66b7c12a4798";
+    "batch index+drop_tid window 2: fdafb15963536919644fec148e872670";
+    "batch index+drop_tid window 3: 5da1873ce8206a8444faedb42a66426b";
+    "batch index+drop_tid window 4: e0666c33e0ed78bd82dd0c97fb598dc0";
+    "batch index+drop_tid window 5: 945a13af7351c641b5dff4333d60522f";
+    "batch index+drop_tid window 6: fd1666411679fec1433ae983a2e09260";
+    "batch index+drop_tid window 7: 7342501d3cc9f8dee9c5e50acc4b4503";
     "batch index+drop_tid window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch index+drop_tid[0]: trace c98f943e61b678349f2e18057595442f";
-    "batch index+drop_tid[1]: trace 99907374f39ae754664ee29d7f44cef1";
-    "batch index+drop_tid[2]: trace 9bddd450996235ef54cdca917e08d4eb";
-    "batch index+drop_tid[3]: trace 004ca5651cda114120821cbc77f0c38e";
+    "batch index+drop_tid[0]: trace 5298e023352bf29bda9dad9833b76f7d";
+    "batch index+drop_tid[1]: trace 0e516b2257425e52999a7b344dfb63e2";
+    "batch index+drop_tid[2]: trace 0826d9109c0c3669b3c3b247d3d60d8d";
+    "batch index+drop_tid[3]: trace 80bdf7065cb3f48a93ece28b1225b075";
     "batch index+drop_tid[4]: trace error: no stored copy of \"D\" can evaluate the predicate";
-    "batch index+drop_tid[5]: trace 06699cfe3a6ad4c214eca04a71eae833";
-    "batch index+drop_tid[6]: trace 392e4ad1e252b8d9126cd43fce2fec5a";
-    "batch index+drop_tid[7]: trace ffd357254e3f5e91b5360a0b567e5c0e" ]
+    "batch index+drop_tid[5]: trace e84de84330c7e0cfb1ef6b5fae930975";
+    "batch index+drop_tid[6]: trace e6438dedfbe06a1d1f988fa46f113f60";
+    "batch index+drop_tid[7]: trace 36ba0a74d1044b76d26628dda4328edb" ]
 
 let fresh_addr () =
   let path = Filename.temp_file "snfpin" ".sock" in
@@ -296,6 +334,46 @@ let test_pinned backend domains () =
   in
   Alcotest.(check (list string)) "pinned wire and trace output" pinned lines
 
+(* Recorded before fetched columns crossed dictionary-coded: that change
+   moved R_rows bytes only, so this bytes-free view must not move with
+   it. *)
+let pinned_view =
+  [ "1-leaf point: view 139d66f69b76ccc79e459c8176eb3d8f";
+    "1-leaf range: view c26d56e621c0f8d119abb6c0988e3d86";
+    "2-leaf sort-merge: view 8e12bd6014fe871ba3b3900b0dd8fedb";
+    "3-leaf sort-merge: view b6ba5c430100fd29ff52e0bd71bff108";
+    "2-leaf sort-merge, warm: view a73b3e9c971a10c0e33944c0b61f1a8f";
+    "oram: view 4bd834c2b8a554ec62f5aa8fed641020";
+    "binning 16: view c21ecaa3d7aaee0722df3b65cc28492c";
+    "index 1-leaf: view b4feb3da8dbc59cd3e7bb6828450a296";
+    "index 2-leaf: view c7ea5b3545e6a76f02b1fe65fa3fd678";
+    "drop_tid: view 9e0281a664b2fb89bfe102d112d0869d";
+    "batch sort-merge window 0: view 6b83125792ef5c740b5ff816ce3d11b5";
+    "batch sort-merge window 1: view 24c331f0fe93e79dc93a7c21b406227c";
+    "batch sort-merge window 2: view 21ee9c0b706f8e72b5b3fed7499bbc89";
+    "batch sort-merge window 3: view 8ec2e6ea25089cf9f48fd7ee9fc07937";
+    "batch sort-merge window 4: view abb670d4d61229572d23c51d6add7243";
+    "batch sort-merge window 5: view b23efc849b7bc2d5242d49baf1879d7b";
+    "batch sort-merge window 6: view bfc3cb17826c4b3e6d6acbcdb56ff18e";
+    "batch sort-merge window 7: view a42149fbb422957267083a9983e698d6";
+    "batch sort-merge window 8: view 2995adf65eea05cc1fbcdec17391fea5";
+    "batch index+drop_tid window 0: view b02722dc853cf1fa38d08edff9ae78b3";
+    "batch index+drop_tid window 1: view 779280e70093cd5531c6fcefbb06b09b";
+    "batch index+drop_tid window 2: view 7e225189240dd01cd5db02b5911cc82b";
+    "batch index+drop_tid window 3: view bba9712e518525e6cdcf299209c094ab";
+    "batch index+drop_tid window 4: view 54456675a4ffe107ed03c7c589c9e95e";
+    "batch index+drop_tid window 5: view b90c85484faa0809eb142105a0036f11";
+    "batch index+drop_tid window 6: view 6a750d2d173a02d8f77648ec33363f24";
+    "batch index+drop_tid window 7: view 3b012a78e849207d704df2d4fe8f0302";
+    "batch index+drop_tid window 8: view 2995adf65eea05cc1fbcdec17391fea5" ]
+
+let test_pinned_view backend domains () =
+  let lines =
+    with_domains domains (fun () ->
+        with_pinned_clock (fun () -> on_backend backend observe_view))
+  in
+  Alcotest.(check (list string)) "pinned bytes-free view" pinned_view lines
+
 (* The whole Install image of a store that has one column of each
    encrypted scheme and repeated values in every column: two leaves of 80
    rows, the OPE column with 40 distinct values (enough for [Parallel] to
@@ -339,4 +417,8 @@ let suite =
     t "socket, 2 domains" (test_pinned `Socket 2);
     t "mem: a warm repeat sends no tid bytes" (test_warm_repeat_sends_no_tids `Mem);
     t "socket: a warm repeat sends no tid bytes" (test_warm_repeat_sends_no_tids `Socket);
-    t "install image of every scheme, 1 and 2 domains" test_install_image ]
+    t "install image of every scheme, 1 and 2 domains" test_install_image;
+    t "bytes-free view, mem and socket, 1 and 2 domains" (fun () ->
+        List.iter
+          (fun (backend, domains) -> test_pinned_view backend domains ())
+          [ (`Mem, 1); (`Mem, 2); (`Socket, 1); (`Socket, 2) ]) ]

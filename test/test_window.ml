@@ -102,6 +102,22 @@ let test_socket () =
     let o = owner ~backend:(`Ext (Snf_net.Client.backend addr)) () in
     Fun.protect ~finally:(fun () -> System.release o) @@ fun () -> check_all o ~tag:"socket"
 
+(* Queries whose first fetched column holds all 40 rows, past
+   [Wire.small_rows], with repeated cells, so it crosses
+   dictionary-coded: DET [code] and ORE [level] on one leaf, and 2-leaf
+   joins projecting them. *)
+let coded_queries =
+  [ Query.range ~select:[ "code"; "level" ] [ ("score", Value.Int 0, Value.Int 22) ];
+    Query.range ~select:[ "code"; "rank" ] [ ("rank", Value.Int 0, Value.Int 16) ];
+    Query.range ~select:[ "level"; "rank" ] [ ("rank", Value.Int 0, Value.Int 16) ] ]
+
+let mentions msg word =
+  let n = String.length word in
+  let rec go i = i + n <= String.length msg && (String.sub msg i n = word || go (i + 1)) in
+  go 0
+
+let first_column f cols = Array.mapi (fun i c -> if i = 0 then f c else c) cols
+
 (* A server whose Fetch_rows answers are reshaped by [tamper]. *)
 let tampered_conn o tamper =
   let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.of_store o.System.enc)) in
@@ -120,19 +136,82 @@ let test_misshapen_rows_refused () =
     Alcotest.check_raises msg (Invalid_argument ("Executor: " ^ msg)) (fun () ->
         ignore (Executor.run_conn o.System.client conn rep q))
   in
-  let short cols =
-    Array.mapi (fun i c -> if i = 0 then Array.sub c 0 (Array.length c - 1) else c) cols
+  (* The first column loses its last row and is coded afresh, so a
+     coded column arrives short in canonical form. *)
+  let short =
+    first_column (fun c ->
+        let cells = Wire.column_cells c in
+        Wire.rows_column_of_cells (Array.sub cells 0 (max 0 (Array.length cells - 1))))
   in
-  let extra cols = Array.append cols [| [||] |] in
+  let extra cols = Array.append cols [| Wire.Cells [||] |] in
   let point = Query.point ~select:[ "note" ] [ ("code", Value.Text "c1") ] in
   let joined = Query.point ~select:[ "amount" ] [ ("key", Value.Int 2) ] in
   List.iter
     (fun q ->
       expect "row fetch returned a short column" short q;
       expect "row fetch returned a wrong number of columns" extra q)
-    [ point; joined ]
+    (point :: joined :: coded_queries)
+
+(* Tampering with a coded column's codes or entries ends typed: a
+   malformed coding is refused by the decoder, and a damaged dictionary
+   entry fails its one decrypt. *)
+let test_coded_tampering_typed () =
+  let o = owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let rep = o.System.plan.Snf_core.Normalizer.representation in
+  let run tamper q = Executor.run_conn o.System.client (tampered_conn o tamper) rep q in
+  let coded f = function Wire.Coded { dict; codes } -> f dict codes | c -> c in
+  let malformed =
+    [ ( "a code past the dictionary",
+        coded (fun dict codes ->
+            let codes = Array.copy codes in
+            codes.(Array.length codes - 1) <- Array.length dict;
+            Wire.Coded { dict; codes }),
+        "code" );
+      ( "identity codes under the dictionary tag",
+        coded (fun dict codes ->
+            Wire.Coded
+              { dict = Array.map (Array.get dict) codes;
+                codes = Array.init (Array.length codes) Fun.id }),
+        "identity" ) ]
+  in
+  let flip_entry =
+    coded (fun dict codes ->
+        let flip s = String.mapi (fun i ch -> if i = 0 then Char.chr (Char.code ch lxor 1) else ch) s in
+        let dict = Array.copy dict in
+        dict.(0) <-
+          (match dict.(0) with
+           | Enc_relation.C_bytes b -> Enc_relation.C_bytes (flip b)
+           | Enc_relation.C_ord o -> Enc_relation.C_ord { o with payload = flip o.payload }
+           | Enc_relation.C_ore o -> Enc_relation.C_ore { o with payload = flip o.payload }
+           | c -> c);
+        Wire.Coded { dict; codes })
+  in
+  List.iteri
+    (fun qi q ->
+      (match run Fun.id q with
+       | Ok (ans, _) -> Helpers.check_same_bag (Printf.sprintf "q%d untampered" qi) (System.reference o q) ans
+       | Error e -> Alcotest.failf "q%d: %s" qi e);
+      List.iter
+        (fun (name, tamper, word) ->
+          match run (first_column tamper) q with
+          | exception Invalid_argument msg ->
+            let prefix = "Wire: " in
+            Alcotest.(check bool)
+              (Printf.sprintf "q%d %s: %S is a Wire error naming the rule" qi name msg)
+              true
+              (String.starts_with ~prefix msg
+              && mentions msg word)
+          | _ -> Alcotest.failf "q%d %s: not refused" qi name)
+        malformed;
+      match run (first_column flip_entry) q with
+      | exception Integrity.Corruption c ->
+        Alcotest.(check string) (Printf.sprintf "q%d flipped entry" qi) "cell" c.Integrity.where
+      | _ -> Alcotest.failf "q%d: a flipped dictionary entry went undetected" qi)
+    coded_queries
 
 let suite =
   [ t "every scheme projected, every path, mem and disk" test_mem_and_disk;
     t "every scheme projected, every path, socket" test_socket;
-    t "a short or surplus Fetch_rows column is refused" test_misshapen_rows_refused ]
+    t "a short or surplus Fetch_rows column is refused" test_misshapen_rows_refused;
+    t "a tampered coded column ends typed" test_coded_tampering_typed ]

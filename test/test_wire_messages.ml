@@ -142,9 +142,18 @@ let gen_response =
       Gen.map (fun s -> Wire.R_slots s) (Gen.option gen_slots);
       Gen.map
         (fun cols ->
-          Wire.R_rows (Array.of_list (List.map Array.of_list cols)))
+          Wire.R_rows
+            (Array.of_list
+               (List.map (fun c -> Wire.rows_column_of_cells (Array.of_list c)) cols)))
         (Gen.list_size (Gen.int_bound 3)
-           (Gen.list_size (Gen.int_bound 5) gen_cell));
+           (Gen.oneof
+              [ Gen.list_size (Gen.int_bound 5) gen_cell;
+                Gen.map2
+                  (fun pool picks ->
+                    let pool = Array.of_list pool in
+                    List.map (fun i -> pool.(i mod Array.length pool)) picks)
+                  (Gen.list_size (Gen.int_range 1 3) gen_cell)
+                  (Gen.list_size (Gen.int_bound 48) Gen.nat) ]));
       Gen.map
         (fun tids -> Wire.R_tids (Array.of_list tids))
         (Gen.list_size (Gen.int_bound 6) gen_blob);
@@ -232,12 +241,18 @@ let sample_responses =
     Wire.R_batch
       { results = [ [ (Bitmask.of_bools [| true; false; true; true; false |], 5) ] ] };
     Wire.R_rows
-      [| [| Enc_relation.C_plain (Value.Text "x");
-            Enc_relation.C_bytes "\x00\xffraw" |];
-         [| Enc_relation.C_ord { ord = 9; payload = "p" };
-            Enc_relation.C_ore
-              { ore = Ore.of_symbols [| 1; 0; 2; 2 |]; payload = "q" } |];
-         [| Enc_relation.C_nat (Nat.of_int 12345); Enc_relation.C_plain Value.Null |] |];
+      [| Wire.Cells
+           [| Enc_relation.C_plain (Value.Text "x");
+              Enc_relation.C_bytes "\x00\xffraw" |];
+         Wire.Cells
+           [| Enc_relation.C_ord { ord = 9; payload = "p" };
+              Enc_relation.C_ore
+                { ore = Ore.of_symbols [| 1; 0; 2; 2 |]; payload = "q" } |];
+         Wire.Cells
+           [| Enc_relation.C_nat (Nat.of_int 12345); Enc_relation.C_plain Value.Null |];
+         Wire.Coded
+           { dict = [| Enc_relation.C_bytes "d0"; Enc_relation.C_ord { ord = 3; payload = "" } |];
+             codes = Array.init 34 (fun i -> if i = 2 then 1 else 0) } |];
     Wire.R_tids [| "t0"; "t1\x00" |];
     Wire.R_oram { blocks = [||]; touches = 0 };
     Wire.R_oram { blocks = [| "sealed0"; "sealed1" |]; touches = 42 };
@@ -460,9 +475,9 @@ let test_other_versions_rejected () =
             (Printf.sprintf "%s at version %d" what v)
             (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
             (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
-      [ 0; 1; 2; 3; current + 1; 255 ]
+      [ 0; 1; 2; 3; 4; current + 1; 255 ]
   in
-  Alcotest.(check int) "messages are SNFM version 4" 4
+  Alcotest.(check int) "messages are SNFM version 5" 5
     (version_of (Wire.request_to_string Wire.Describe));
   List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
     sample_responses;
@@ -533,6 +548,110 @@ let test_oram_fetch_served () =
     Alcotest.(check string) "a block of the wrong size" "Path_oram: wrong block size" msg
   | _ -> Alcotest.fail "a block of the wrong size: expected a typed R_error"
 
+(* {1 Dictionary-coded R_rows} *)
+
+(* Columns with and without repeats, empty, on both sides of
+   [Wire.small_rows], and with dictionaries on both sides of the 1/2/4-byte
+   code widths (256 and 65,536 entries): [d] distinct cells over
+   [d + extra] rows in a shuffled order. *)
+let gen_column =
+  let open Gen in
+  oneof
+    [ map Array.of_list (list_size (int_bound 6) gen_cell);
+      map2
+        (fun pool picks ->
+          let pool = Array.of_list pool in
+          Array.of_list (List.map (fun i -> pool.(i mod Array.length pool)) picks))
+        (list_size (int_range 1 4) gen_cell)
+        (list_size (int_bound 64) nat);
+      map3
+        (fun d extra seed ->
+          let rows = d + extra in
+          let st = Random.State.make [| seed |] in
+          Array.init rows (fun i ->
+              let v = if i < d then i else Random.State.int st d in
+              Enc_relation.C_bytes (string_of_int v))
+          |> fun a ->
+          for i = rows - 1 downto 1 do
+            let j = Random.State.int st (i + 1) in
+            let x = a.(i) in
+            a.(i) <- a.(j);
+            a.(j) <- x
+          done;
+          a)
+        (oneofl [ 255; 256; 257; 65_535; 65_536; 65_537 ])
+        (int_bound 3) nat ]
+
+(* Cells are equal when their bytes are. *)
+let cell_bytes c = Wire.response_to_string (Wire.R_rows [| Wire.Cells [| c |] |])
+
+let has_repeat cells =
+  let seen = Hashtbl.create 16 in
+  Array.exists
+    (fun c ->
+      let b = cell_bytes c in
+      Hashtbl.mem seen b || (Hashtbl.add seen b (); false))
+    cells
+
+(* The canonical coding survives the codec, decodes to the same cells,
+   is coded exactly when a cell repeats in more than [Wire.small_rows]
+   rows, and spends the code width its dictionary size fixes. *)
+let rows_roundtrip cells =
+  let col = Wire.rows_column_of_cells cells in
+  let bytes = Wire.response_to_string (Wire.R_rows [| col |]) in
+  match Wire.response_of_string bytes with
+  | Wire.R_rows [| back |] ->
+    let got = Wire.column_cells back in
+    String.equal (Wire.response_to_string (Wire.R_rows [| back |])) bytes
+    && Array.length got = Array.length cells
+    && Array.for_all2 (fun g c -> String.equal (cell_bytes g) (cell_bytes c)) got cells
+    && (match back with
+        | Wire.Cells _ -> Array.length cells <= Wire.small_rows || not (has_repeat cells)
+        | Wire.Coded { dict; codes } ->
+          let width =
+            let d = Array.length dict in
+            if d <= 256 then 1 else if d <= 65_536 then 2 else 4
+          in
+          Array.length cells > Wire.small_rows
+          && has_repeat cells
+          && String.length bytes
+             = String.length (Wire.response_to_string (Wire.R_rows [| Wire.Cells dict |]))
+               + 8 + (Array.length codes * width))
+  | _ -> false
+
+(* One malformed coded column per decoder rule. Columns hold 40 rows,
+   past [Wire.small_rows], unless the rule is about a short one. *)
+let test_malformed_coded_rejected () =
+  let a = Enc_relation.C_bytes "a" and b = Enc_relation.C_ord { ord = 1; payload = "b" } in
+  let c = Enc_relation.C_bytes "c" in
+  let rows dict codes = Wire.response_to_string (Wire.R_rows [| Wire.Coded { dict; codes } |]) in
+  let n = 40 in
+  let alternating = Array.init n (fun i -> i mod 2) in
+  let good = rows [| a; b |] alternating in
+  (* magic, version, response tag, column count: the coding tag follows *)
+  let retag = Bytes.of_string good in
+  Bytes.set retag 14 '\x02';
+  List.iter
+    (fun (name, bytes, msg) ->
+      Alcotest.check_raises name (Invalid_argument ("Wire: " ^ msg)) (fun () ->
+          ignore (Wire.response_of_string bytes)))
+    [ ("a code at the dictionary size",
+       rows [| a; b |] (Array.init n (fun i -> if i = 2 then 2 else i mod 2)),
+       "code 2 outside a dictionary of 2");
+      ("codes out of first-occurrence order",
+       rows [| a; b |] (Array.init n (fun i -> (i + 1) mod 2)),
+       "codes not numbered in first-occurrence order");
+      ("an unreferenced entry", rows [| a; b; c |] alternating, "unreferenced dictionary entry");
+      ("identity codes under tag 1",
+       rows (Array.init n (fun i -> Enc_relation.C_bytes (string_of_int i))) (Array.init n Fun.id),
+       "identity codes under the dictionary tag");
+      ("a short column under tag 1", rows [| a; b |] [| 0; 1; 0 |], "a coded column of 3 rows");
+      ("an empty column under tag 1", rows [||] [||], "a coded column of 0 rows");
+      ("an unknown coding tag", Bytes.to_string retag, "unknown column coding 2");
+      ("truncated codes", String.sub good 0 (String.length good - 1), "truncated codes") ];
+  Alcotest.(check bool) "the well-formed column decodes" true
+    (resp_roundtrips (Wire.R_rows [| Wire.Coded { dict = [| a; b |]; codes = alternating } |]))
+
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;
     t "an ORAM fetch is served in one round trip" test_oram_fetch_served;
@@ -563,4 +682,7 @@ let suite =
         && decodes_safely Wire.response_of_string s
         (* no valid message is shorter than the magic+version header,
            so short strings must be rejected outright *)
-        && (String.length s >= 5 || rejects Wire.request_of_string s)) ]
+        && (String.length s >= 5 || rejects Wire.request_of_string s));
+    Helpers.qtest ~count:60 "R_rows columns roundtrip dictionary-coded" gen_column
+      rows_roundtrip;
+    t "malformed coded columns rejected, one per rule" test_malformed_coded_rejected ]
