@@ -22,7 +22,7 @@ type kind =
   | Dup_tid        (** one authentic tid ciphertext copied over another *)
   | Truncate_leaf  (** leaf loses its last row but keeps its row_count *)
   | Drop_leaf      (** a whole partition leaf disappears *)
-  | Stale_index    (** equality-index entries remapped to wrong slots *)
+  | Stale_index    (** two keys' classes swapped in a column's form *)
   | Key_mismatch   (** client keyed under the wrong master secret *)
 
 val all : kind list
@@ -32,8 +32,8 @@ val name : kind -> string
 (** {1 Store injectors}
 
     Every injector returns a damaged {e copy}; the input store is left
-    intact (except {!poison_index}, which mutates the server's memoized
-    index cache — precisely the state a stale index lives in). *)
+    intact (except {!poison_index}, which mutates a column's form in
+    place — precisely the server state a stale index lives in). *)
 
 val flip_cell :
   seed:int -> Enc_relation.t -> leaf:string -> attr:string -> Enc_relation.t * int
@@ -59,9 +59,9 @@ val drop_leaf : Enc_relation.t -> leaf:string -> Enc_relation.t
 val poison_index :
   Enc_relation.t -> leaf:string -> attr:string ->
   key_a:string -> key_b:string -> bool
-(** Swap the slot lists of two index keys inside the server's memoized
-    equality index (building it first if needed); [false] when the column
-    admits no index. *)
+(** Swap the classes of two keys in the column's form
+    ([Enc_relation.form.key_classes]), in place; [false] when the column
+    has no key map (NDET, PHE, ORE). *)
 
 val mismatched_client : name:string -> Enc_relation.client
 (** A client for [name] keyed under a wrong master secret — the PRF-key

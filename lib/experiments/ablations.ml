@@ -163,11 +163,11 @@ let index_checked ?(rows = 3_000) ?(seed = 13) () =
   let policy = Sensitivity.annotate ~weak:9 ~ope_share:0.0 ~seed:(seed + 1) (Relation.schema r) in
   let owner = System.outsource ~name:"idx" ~graph:acs.Acs.graph r policy in
   let queries = Query_gen.point_queries ~count:20 ~seed:(seed + 2) ~way:2 r policy in
-  (* Cache accounting is the process-wide Snf_obs counter pair shared with
-     [Enc_relation.eq_index] and [Ledger]; per-run deltas show that indexes
-     are built once (builds) and reused for every later probe (hits). The
-     scan arm's equality filters read the same tables but move neither
-     counter, so its first-probe builds still land in the indexed arm. *)
+  (* Index accounting is the process-wide Snf_obs counter pair shared with
+     [Enc_relation.eq_index] and [Ledger]; per-run deltas show that the
+     forms were built with the store (no builds during queries) and read
+     by every probe (hits). The scan arm's equality filters read the same
+     forms but move neither counter. *)
   let m_hits = Snf_obs.Metrics.counter "exec.eq_index.hits" in
   let m_builds = Snf_obs.Metrics.counter "exec.eq_index.builds" in
   let run use_index =
@@ -190,7 +190,7 @@ let index_checked ?(rows = 3_000) ?(seed = 13) () =
   in
   (* Each arm makes an untimed warm pass, which the count columns
      report, then a timed pass: the Wall time of the arm that runs first
-     no longer includes the client's cold caches and the table builds. *)
+     no longer includes the client's cold caches. *)
   let arm use_index =
     let scans, probes, _, ok, hits, builds = run use_index in
     let _, _, time, ok', _, _ = run use_index in

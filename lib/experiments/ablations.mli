@@ -29,7 +29,7 @@ val index_checked : ?rows:int -> ?seed:int -> unit -> string * string list
     scan arm must move no [exec.eq_index.*] counter. Each arm runs its
     queries twice, scan arm first: the count columns come from the first
     pass, the Wall time from the second, so neither arm's time includes
-    cold client caches or table builds. *)
+    cold client caches. *)
 
 val dynamic : ?rows:int -> ?seed:int -> unit -> string
 (** §V-B dynamic updates: per-insert encryption cost of the staged-delta

@@ -75,13 +75,10 @@ type t = {
 }
 
 (* The storage view is shared by every session; backends mutate internal
-   state on access (lazy index builds, disk page cache, Install), so
-   view calls are serialized. Scans and crypto stay outside the lock —
-   [eval_filter] runs on the returned leaf snapshot; only its equality
-   index lookups ([with_index_cache]) take it, and so does a fetch's
-   class-table lookup, which builds a column's whole table, one hash
-   per stored cell, the first time a fetch of more than
-   [Wire.small_rows] rows reads it. *)
+   state on access (disk page cache, Install), so view calls are
+   serialized. Filters, fetches and crypto stay outside the lock: they
+   run on the returned leaf snapshot, whose column forms were built when
+   the leaf was decoded and are only read. *)
 let locked_view lock (v : Server_api.store_view) =
   let guard f = Mutex.protect lock f in
   { Server_api.describe = (fun () -> guard v.Server_api.describe);
@@ -89,7 +86,6 @@ let locked_view lock (v : Server_api.store_view) =
     install = (fun img -> guard (fun () -> v.Server_api.install img));
     leaf = (fun l -> guard (fun () -> v.Server_api.leaf l));
     eq_index = (fun ~leaf ~attr -> guard (fun () -> v.Server_api.eq_index ~leaf ~attr));
-    with_index_cache = (fun f -> guard (fun () -> v.Server_api.with_index_cache f));
     paillier = (fun () -> guard v.Server_api.paillier) }
 
 let send s payload =

@@ -19,7 +19,6 @@ type t = {
   owns_dir : bool;
   mutable manifest : manifest option;
   resident : (string, Enc_relation.enc_leaf) Hashtbl.t;
-  index_cache : Enc_relation.index_cache;
   mutex : Mutex.t;
 }
 
@@ -108,7 +107,6 @@ let create ?(owns_dir = false) ~dir () =
     owns_dir;
     manifest;
     resident = Hashtbl.create 8;
-    index_cache = Hashtbl.create 8;
     mutex = Mutex.create () }
 
 let create_temp () =
@@ -146,7 +144,6 @@ let install t image =
      List.iter (fun e -> remove_if_exists (Filename.concat t.dir e.file)) m.entries
    | None -> ());
   Hashtbl.reset t.resident;
-  Hashtbl.reset t.index_cache;
   let entries =
     List.mapi
       (fun i (l : Enc_relation.enc_leaf) ->
@@ -214,6 +211,5 @@ let view t =
             Hashtbl.iter (fun _ l -> Enc_relation.check_leaf l) t.resident));
     install = (fun image -> install t image);
     leaf = (fun label -> ensure t label);
-    eq_index = (fun ~leaf ~attr -> Enc_relation.leaf_eq_index t.index_cache (ensure t leaf) ~attr);
-    with_index_cache = (fun f -> f t.index_cache);
+    eq_index = (fun ~leaf ~attr -> Enc_relation.eq_index (ensure t leaf) ~attr);
     paillier = (fun () -> Paillier.public_of_n (manifest t).paillier_n) }

@@ -4,12 +4,11 @@
     This backend operationalizes two claims the serialization layer only
     asserted: a relation loaded from its wire form answers every query
     identically to the original (leaves round-trip through
-    [Wire.leaf_to_string]), and the server can rebuild its equality
-    indexes from what the image already reveals (indexes are {e not}
-    stored; probes ([Enc_relation.leaf_eq_index]) and equality filters
-    ([Enc_relation.eq_slots]) lazily rebuild them from paged
-    ciphertexts into the backend's one cache, with the usual hit/build
-    accounting on the probe side).
+    [Wire.leaf_to_string]), and the server can rebuild its column forms
+    from what the image already reveals (forms are {e not} stored: a
+    page-in decodes each column through [Enc_relation.make_column],
+    which builds a deterministic column's form from the paged cells and
+    counts the build).
 
     Every leaf is validated when paged in — undecodable files, label or
     row-count disagreements with the manifest, and shape violations all

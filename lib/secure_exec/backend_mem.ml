@@ -38,8 +38,8 @@ let view t =
     check_shape = (fun () -> Enc_relation.check_shape (store t));
     install = (fun image -> t.store <- Some (Wire.of_string image));
     leaf = (fun label -> Enc_relation.find_leaf (store t) label);
-    eq_index = (fun ~leaf ~attr -> Enc_relation.eq_index (store t) ~leaf ~attr);
-    with_index_cache = (fun f -> f (store t).Enc_relation.index_cache);
+    eq_index =
+      (fun ~leaf ~attr -> Enc_relation.eq_index (Enc_relation.find_leaf (store t) leaf) ~attr);
     paillier = (fun () -> (store t).Enc_relation.paillier_public) }
 
 let close _ = ()

@@ -1,10 +1,9 @@
 (** In-process server backend: the pre-split arrays, behind the
     [Server_api] boundary.
 
-    [of_store] {e adopts} the given store — in particular its
-    [index_cache] — so index state and accounting are exactly what they
-    were before the split (and the conformance harness can still poison
-    the index in place through the adopted store). *)
+    [of_store] {e adopts} the given store — in particular its columns'
+    forms, built when the store was — so the conformance harness can
+    still poison a form in place through the adopted store. *)
 
 type t
 

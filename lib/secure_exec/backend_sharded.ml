@@ -288,7 +288,7 @@ let merge_column (scheme : Scheme.kind) ~owner ~local (cols : Wire.rows_column a
     for s = 1 to Array.length cols - 1 do
       offsets.(s) <- offsets.(s - 1) + Array.length dicts.(s - 1)
     done;
-    let { Enc_relation.class_of = entry_class; class_rep } =
+    let entry_class, class_rep =
       Enc_relation.classes_of_cells (Array.concat (Array.to_list dicts))
     in
     let entry =
@@ -315,13 +315,12 @@ let sub_store (enc : Enc_relation.t) assign s =
           columns =
             List.map
               (fun (c : Enc_relation.enc_column) ->
-                { c with
-                  Enc_relation.cells =
-                    Array.map (fun g -> c.Enc_relation.cells.(g)) globals })
+                Enc_relation.make_column ~attr:c.Enc_relation.attr ~scheme:c.Enc_relation.scheme
+                  (Array.map (fun g -> c.Enc_relation.cells.(g)) globals))
               l.Enc_relation.columns })
       enc.Enc_relation.leaves assign
   in
-  { enc with Enc_relation.leaves; index_cache = Hashtbl.create 8 }
+  { enc with Enc_relation.leaves }
 
 let install t conns image =
   let enc = Wire.of_string image in
@@ -398,10 +397,10 @@ let dispatch t conns (req : Wire.request) : Wire.response =
           leaves =
             List.map (fun (lbl, lm) -> (lbl, lm.lm_rows, lm.lm_digest)) m.m_leaves })
   | Wire.Index_probe { leaf; _ } ->
-    (* Probe every shard — the lazy index build must happen everywhere a
-       single backend would have built it, keeping accounting uniform —
-       then map local hits to global slots. Descending sort reproduces
-       the single backend's prepend-during-ascending-scan list order. *)
+    (* Probe every shard — each reads its part of the column's form, as
+       a single backend reads the whole — then map local hits to global
+       slots. Descending sort reproduces the single backend's
+       descending list. *)
     let _, lm = leaf_meta t leaf in
     let rs =
       fan_out t (fun i ->
@@ -425,8 +424,12 @@ let dispatch t conns (req : Wire.request) : Wire.response =
       Wire.R_slots (Some (List.sort (fun a b -> compare b a) !all)))
     else Wire.R_slots None
   | Wire.Fetch_rows { leaf; attrs; slots } ->
+    (* Validated as a single backend validates it — leaf, slots, then
+       each attribute — before any leg is skipped: a shard that owns no
+       requested slot answers empty columns without a round trip. *)
     let _, lm = leaf_meta t leaf in
     Server_api.check_slots ~rows:lm.lm_rows slots;
+    List.iter (fun attr -> if not (List.mem_assoc attr lm.lm_schemes) then raise Not_found) attrs;
     let per_shard = Array.make t.shards [] in
     List.iter
       (fun g ->
@@ -437,24 +440,26 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     let na = List.length attrs in
     let rs =
       fan_out t (fun i ->
-          match
-            shard_call t conns i
-              (Wire.Fetch_rows { leaf; attrs; slots = per_shard.(i) })
-          with
-          | Wire.R_rows rows ->
-            if Array.length rows <> na then
-              Integrity.fail ~leaf ~where:"store"
-                (Printf.sprintf "shard %d answered %d columns for %d attributes" i
-                   (Array.length rows) na);
-            Array.iter
-              (fun col ->
-                if Wire.column_length col <> List.length per_shard.(i) then
-                  Integrity.fail ~leaf ~where:"store"
-                    (Printf.sprintf "shard %d answered %d rows for %d requested slots" i
-                       (Wire.column_length col) (List.length per_shard.(i))))
-              rows;
-            rows
-          | _ -> protocol_error "Fetch_rows")
+          if per_shard.(i) = [] then Array.make na (Wire.Cells [||])
+          else
+            match
+              shard_call t conns i
+                (Wire.Fetch_rows { leaf; attrs; slots = per_shard.(i) })
+            with
+            | Wire.R_rows rows ->
+              if Array.length rows <> na then
+                Integrity.fail ~leaf ~where:"store"
+                  (Printf.sprintf "shard %d answered %d columns for %d attributes" i
+                     (Array.length rows) na);
+              Array.iter
+                (fun col ->
+                  if Wire.column_length col <> List.length per_shard.(i) then
+                    Integrity.fail ~leaf ~where:"store"
+                      (Printf.sprintf "shard %d answered %d rows for %d requested slots" i
+                         (Wire.column_length col) (List.length per_shard.(i))))
+                rows;
+              rows
+            | _ -> protocol_error "Fetch_rows")
     in
     (* Row k of the answer is row [local.(k)] of shard [owner.(k)]. *)
     let n = List.length slots in
@@ -588,11 +593,11 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     in
     Wire.R_batch { results }
   | Wire.Q_store_stats ->
-    (* Statistics fan out like any whole-store op (so the lazy eq-index
-       build accounting happens on every shard, exactly where a probe
-       would force it) and merge by value-class digest: a class's global
-       size is the sum of its per-shard sizes, and re-sorting by digest
-       restores the byte-deterministic order a single backend emits. *)
+    (* Statistics fan out like any whole-store op (every shard reads its
+       forms, as a probe would) and merge by value-class digest: a
+       class's global size is the sum of its per-shard sizes, and
+       re-sorting by digest restores the byte-deterministic order a
+       single backend emits. *)
     let m =
       match t.meta with
       | None -> invalid_arg "Backend_sharded: no store installed"

@@ -14,17 +14,19 @@
        back into global positions and the scanned-cell counts add up, so
        every merged [R_batch] mask is bit-for-bit what one backend
        scanning the whole leaf would return.}
-    {- [Index_probe]: every shard probes (keeping the lazy index build
-       accounting uniform); local hit lists map to global slots and the
-       union is sorted descending — the exact order a single backend's
-       prepend-during-ascending-scan index produces.}
+    {- [Index_probe]: every shard probes its part of the column's form
+       (keeping the hit accounting uniform); local hit lists map to
+       global slots and the union is sorted descending — the order a
+       single backend answers in.}
     {- [Describe]: fanned out so every shard checks its stored shapes
        (a corrupt shard fails the Describe), then answered by the
        coordinator. Each leaf's tid digest is computed at [Install] from
        the full image, so it is the digest a single backend would
        describe.}
     {- [Fetch_rows] / [Fetch_tids]: positional reassembly of the owning
-       shards' cells.}
+       shards' cells. A fetch goes only to the shards that own a
+       requested slot, after the coordinator has checked the leaf, the
+       slots and every attribute as a single backend would.}
     {- [Phe_sum] / [Group_sum]: per-shard Paillier partials combine in
        one [Paillier.sum] per answer (per group), the fold the server
        itself runs — modular multiplication is commutative and

@@ -35,7 +35,18 @@ type cell =
   | C_ore of { ore : Ore.ciphertext; payload : string }
   | C_nat of Nat.t
 
-type enc_column = { attr : string; scheme : Scheme.kind; cells : cell array }
+(* A deterministic column's equality classes, built with the column
+   (see [make_column]); the mli documents each field. *)
+type form = {
+  class_of : int array;
+  class_rep : cell array;
+  run_start : int array;
+  run_slots : int array;
+  key_classes : (string, int list) Hashtbl.t;
+  canonical : bool;
+}
+
+type enc_column = { attr : string; scheme : Scheme.kind; cells : cell array; form : form option }
 
 type enc_leaf = {
   label : string;
@@ -44,35 +55,125 @@ type enc_leaf = {
   columns : enc_column list;
 }
 
-(* A column's equality index: ascending slots per canonical key, and
-   whether every cell has one. *)
-type eq_table = {
-  eq_slots : (string, int array) Hashtbl.t;
-  eq_canonical : bool;
-}
-
-type cell_classes = { class_of : int array; class_rep : cell array }
-
-(* One column's server-side tables, each built at its first use: valid
-   only for the [ix_cells] array they were built from (physical
-   identity), since [{ t with leaves }] copies share their store's
-   cache. [ix_probed] records that a probe-side use has counted the
-   equality table's build. *)
-type index_entry = {
-  ix_cells : cell array;
-  mutable ix_eq : eq_table option;
-  mutable ix_classes : cell_classes option;
-  mutable ix_probed : bool;
-}
-
-type index_cache = (string * string, index_entry) Hashtbl.t
-
 type t = {
   relation_name : string;
   leaves : enc_leaf list;
   paillier_public : Paillier.public_key;
-  index_cache : index_cache;
 }
+
+(* --- column forms ------------------------------------------------------------ *)
+
+(* Whole-cell equality, as the cells' wire bytes compare: an OPE cell
+   is its ordinal and its payload, an ORE cell its symbols and its
+   payload, and a plain float is its bits. *)
+let cell_equal a b =
+  a == b
+  ||
+  match (a, b) with
+  | C_plain (Value.Float x), C_plain (Value.Float y) ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | C_plain (Value.Float _), _ | _, C_plain (Value.Float _) -> false
+  | C_plain v, C_plain w -> v = w
+  | C_bytes x, C_bytes y -> String.equal x y
+  | C_ord x, C_ord y -> x.ord = y.ord && String.equal x.payload y.payload
+  | C_ore x, C_ore y ->
+    String.equal x.payload y.payload && (x.ore :> int array) = (y.ore :> int array)
+  | C_nat x, C_nat y -> Nat.equal x y
+  | _ -> false
+
+(* Equal cells hash equal; an order part is left to the equality test,
+   since the payload beside it already tells values apart. A ciphertext
+   of eight bytes or more hashes by its first and last eight (a DET
+   ciphertext opens with its synthetic IV, a PRF of the plaintext), so
+   hashing makes no pass over the bytes. *)
+let bytes_hash b =
+  let n = String.length b in
+  if n < 8 then Hashtbl.hash b
+  else
+    Int64.to_int (Int64.logxor (String.get_int64_le b 0) (String.get_int64_le b (n - 8))) lxor n
+
+let cell_hash = function
+  | C_plain v -> Hashtbl.hash v
+  | C_bytes b | C_ord { payload = b; _ } | C_ore { payload = b; _ } -> bytes_hash b
+  | C_nat n -> Hashtbl.hash (Nat.to_bytes_be n)
+
+(* Classes numbered in first-occurrence order, through an open-addressed
+   table of class ids at a load of at most one half: one hash per cell,
+   and a cell comparison only against the first cell of a class whose
+   slot it probes. *)
+let classes_of_cells cells =
+  let n = Array.length cells in
+  let m = ref 8 in
+  while !m < 2 * n do m := 2 * !m done;
+  let mask = !m - 1 in
+  let table = Array.make !m (-1) and firsts = Array.make n 0 and size = ref 0 in
+  let rec probe i h =
+    let c = table.(h) in
+    if c < 0 then begin
+      table.(h) <- !size;
+      firsts.(!size) <- i;
+      incr size;
+      !size - 1
+    end
+    else if cell_equal cells.(firsts.(c)) cells.(i) then c
+    else probe i ((h + 1) land mask)
+  in
+  let class_of = Array.init n (fun i -> probe i (cell_hash cells.(i) land mask)) in
+  (class_of, Array.init !size (fun c -> cells.(firsts.(c))))
+
+let deterministic = function
+  | Scheme.Plain | Scheme.Det | Scheme.Ope | Scheme.Ore -> true
+  | Scheme.Ndet | Scheme.Phe -> false
+
+(* Canonical equality key of a cell, when the scheme makes ciphertexts
+   canonical per plaintext. *)
+let canonical_key scheme (cell : cell) =
+  match ((scheme : Scheme.kind), cell) with
+  | Scheme.Plain, C_plain v -> Some (Value.encode v)
+  | Scheme.Det, C_bytes b -> Some b
+  | Scheme.Ope, C_ord { ord; _ } -> Some (string_of_int ord)
+  | _ -> None
+
+(* Equal cells have equal canonical keys, so the key map is built from
+   the class representatives alone. Each slot is given its class's
+   representative, which makes a stored column share one cell per
+   class however it was decoded. *)
+let form_of_cells scheme cells =
+  let class_of, class_rep = classes_of_cells cells in
+  let classes = Array.length class_rep in
+  let run_start = Array.make (classes + 1) 0 in
+  Array.iter (fun c -> run_start.(c + 1) <- run_start.(c + 1) + 1) class_of;
+  for c = 1 to classes do
+    run_start.(c) <- run_start.(c) + run_start.(c - 1)
+  done;
+  let fill = Array.sub run_start 0 classes and run_slots = Array.make (Array.length cells) 0 in
+  Array.iteri
+    (fun slot c ->
+      run_slots.(fill.(c)) <- slot;
+      fill.(c) <- fill.(c) + 1;
+      if cells.(slot) != class_rep.(c) then cells.(slot) <- class_rep.(c))
+    class_of;
+  let key_classes = Hashtbl.create (if scheme = Scheme.Ore then 1 else classes) in
+  let canonical = ref (scheme <> Scheme.Ore) in
+  if scheme <> Scheme.Ore then
+    for c = classes - 1 downto 0 do
+      match canonical_key scheme class_rep.(c) with
+      | Some key ->
+        Hashtbl.replace key_classes key
+          (c :: Option.value (Hashtbl.find_opt key_classes key) ~default:[])
+      | None -> canonical := false
+    done;
+  { class_of; class_rep; run_start; run_slots; key_classes; canonical = !canonical }
+
+let make_column ~attr ~scheme cells =
+  let form =
+    if not (deterministic scheme) then None
+    else begin
+      Metrics.incr m_idx_builds;
+      Some (form_of_cells scheme cells)
+    end
+  in
+  { attr; scheme; cells; form }
 
 (* Predicate token types are declared up front (their constructors live in
    the "predicate tokens" section below) because the client's crypto-free
@@ -442,11 +543,9 @@ let encrypt client r rep =
           List.map
             (fun (cs : Partition.column_spec) ->
               let col = Relation.column piece cs.name in
-              { attr = cs.name;
-                scheme = cs.scheme;
-                cells =
-                  encrypt_column client ~leaf:l.label cs n (fun slot ->
-                      col.(slot_to_tid.(slot))) })
+              make_column ~attr:cs.name ~scheme:cs.scheme
+                (encrypt_column client ~leaf:l.label cs n (fun slot ->
+                     col.(slot_to_tid.(slot)))))
             l.columns
         in
         { label = l.label; row_count = n; tids; columns })
@@ -454,8 +553,7 @@ let encrypt client r rep =
   in
   { relation_name = client.name;
     leaves;
-    paillier_public = client.paillier.Paillier.public;
-    index_cache = Hashtbl.create 8 }
+    paillier_public = client.paillier.Paillier.public }
 
 let find_leaf t label =
   match List.find_opt (fun l -> l.label = label) t.leaves with
@@ -686,156 +784,35 @@ let cell_in_range tok cell =
     Ore.compare_ciphertexts lo ore <= 0 && Ore.compare_ciphertexts ore hi <= 0
   | _ -> invalid_arg "Enc_relation.cell_in_range: token/cell mismatch"
 
-let phe_sum t leaf attr =
+let phe_sum pk leaf attr =
   let col = column leaf attr in
   if col.scheme <> Scheme.Phe then
     invalid_arg "Enc_relation.phe_sum: column is not PHE";
-  Paillier.sum t.paillier_public
+  Paillier.sum pk
     (Array.map
        (function C_nat n -> n | _ -> invalid_arg "Enc_relation.phe_sum: malformed cell")
        col.cells)
 
-(* Canonical equality key of a cell, when the scheme makes ciphertexts
-   canonical per plaintext. *)
-let canonical_key scheme (cell : cell) =
-  match ((scheme : Scheme.kind), cell) with
-  | Scheme.Plain, C_plain v -> Some (Value.encode v)
-  | Scheme.Det, C_bytes b -> Some b
-  | Scheme.Ope, C_ord { ord; _ } -> Some (string_of_int ord)
-  | _ -> None
-
-(* The cache entry of [col], replaced when the cached one came from
-   another cells array. *)
-let cache_entry (cache : index_cache) ~leaf col =
-  match Hashtbl.find_opt cache (leaf, col.attr) with
-  | Some e when e.ix_cells == col.cells -> e
-  | _ ->
-    let e = { ix_cells = col.cells; ix_eq = None; ix_classes = None; ix_probed = false } in
-    Hashtbl.replace cache (leaf, col.attr) e;
-    e
-
-(* The equality table of [col], built on demand. It holds one bucket per
-   distinct key and one word per slot: slots are gathered in lists, then
-   kept as arrays. Counts nothing. *)
-let index_entry cache ~leaf col =
+let canonical_form (col : enc_column) =
   match (col.scheme : Scheme.kind) with
+  | Scheme.Plain | Scheme.Det | Scheme.Ope -> col.form
   | Scheme.Ndet | Scheme.Phe | Scheme.Ore -> None
-  | Scheme.Plain | Scheme.Det | Scheme.Ope ->
-    let e = cache_entry cache ~leaf col in
-    if Option.is_none e.ix_eq then begin
-      let lists = Hashtbl.create 16 in
-      let canonical = ref true in
-      Array.iteri
-        (fun slot cell ->
-          match canonical_key col.scheme cell with
-          | Some key ->
-            Hashtbl.replace lists key
-              (slot :: Option.value (Hashtbl.find_opt lists key) ~default:[])
-          | None -> canonical := false)
-        col.cells;
-      let slots = Hashtbl.create (Hashtbl.length lists) in
-      Hashtbl.iter (fun key l -> Hashtbl.replace slots key (Array.of_list (List.rev l))) lists;
-      e.ix_eq <- Some { eq_slots = slots; eq_canonical = !canonical }
-    end;
-    Option.map (fun t -> (e, t)) e.ix_eq
 
-let leaf_eq_index cache (l : enc_leaf) ~attr =
-  match index_entry cache ~leaf:l.label (column l attr) with
-  | None -> None
-  | Some (e, t) ->
-    if e.ix_probed then Metrics.incr m_idx_hits
-    else begin
-      e.ix_probed <- true;
-      Metrics.incr m_idx_builds
-    end;
-    Some t.eq_slots
+let eq_index leaf ~attr =
+  let form = canonical_form (column leaf attr) in
+  if Option.is_some form then Metrics.incr m_idx_hits;
+  form
 
-let eq_index t ~leaf ~attr = leaf_eq_index t.index_cache (find_leaf t leaf) ~attr
-
-let eq_slots cache ~leaf col tok =
-  let lookup key =
-    match index_entry cache ~leaf col with
-    | Some (_, t) when t.eq_canonical ->
-      Some (Option.value (Hashtbl.find_opt t.eq_slots key) ~default:[||])
-    | _ -> None
-  in
-  match (tok, (col.scheme : Scheme.kind)) with
-  | Eq_det b, Scheme.Det -> lookup b
-  | Eq_ord o, Scheme.Ope -> lookup (string_of_int o)
-  | _ -> None
-
-(* Whole-cell equality, as the cells' wire bytes compare: an OPE cell
-   is its ordinal and its payload, an ORE cell its symbols and its
-   payload, and a plain float is its bits. *)
-let cell_equal a b =
-  a == b
-  ||
-  match (a, b) with
-  | C_plain (Value.Float x), C_plain (Value.Float y) ->
-    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | C_plain (Value.Float _), _ | _, C_plain (Value.Float _) -> false
-  | C_plain v, C_plain w -> v = w
-  | C_bytes x, C_bytes y -> String.equal x y
-  | C_ord x, C_ord y -> x.ord = y.ord && String.equal x.payload y.payload
-  | C_ore x, C_ore y ->
-    String.equal x.payload y.payload && (x.ore :> int array) = (y.ore :> int array)
-  | C_nat x, C_nat y -> Nat.equal x y
-  | _ -> false
-
-(* Equal cells hash equal; an order part is left to the equality test,
-   since the payload beside it already tells values apart. A ciphertext
-   of eight bytes or more hashes by its first and last eight (a DET
-   ciphertext opens with its synthetic IV, a PRF of the plaintext), so
-   hashing makes no pass over the bytes. *)
-let bytes_hash b =
-  let n = String.length b in
-  if n < 8 then Hashtbl.hash b
-  else
-    Int64.to_int (Int64.logxor (String.get_int64_le b 0) (String.get_int64_le b (n - 8))) lxor n
-
-let cell_hash = function
-  | C_plain v -> Hashtbl.hash v
-  | C_bytes b | C_ord { payload = b; _ } | C_ore { payload = b; _ } -> bytes_hash b
-  | C_nat n -> Hashtbl.hash (Nat.to_bytes_be n)
-
-(* Classes numbered in first-occurrence order, through an open-addressed
-   table of class ids at a load of at most one half: one hash per cell,
-   and a cell comparison only against the first cell of a class whose
-   slot it probes. *)
-let classes_of_cells cells =
-  let n = Array.length cells in
-  let m = ref 8 in
-  while !m < 2 * n do m := 2 * !m done;
-  let mask = !m - 1 in
-  let table = Array.make !m (-1) and firsts = Array.make n 0 and size = ref 0 in
-  let rec probe i h =
-    let c = table.(h) in
-    if c < 0 then begin
-      table.(h) <- !size;
-      firsts.(!size) <- i;
-      incr size;
-      !size - 1
-    end
-    else if cell_equal cells.(firsts.(c)) cells.(i) then c
-    else probe i ((h + 1) land mask)
-  in
-  let class_of = Array.init n (fun i -> probe i (cell_hash cells.(i) land mask)) in
-  { class_of; class_rep = Array.init !size (fun c -> cells.(firsts.(c))) }
-
-let deterministic = function
-  | Scheme.Plain | Scheme.Det | Scheme.Ope | Scheme.Ore -> true
-  | Scheme.Ndet | Scheme.Phe -> false
-
-let cell_classes cache ~leaf col =
-  if not (deterministic col.scheme) then
-    invalid_arg "Enc_relation.cell_classes: randomized column";
-  let e = cache_entry cache ~leaf col in
-  match e.ix_classes with
-  | Some c -> c
-  | None ->
-    let c = classes_of_cells col.cells in
-    e.ix_classes <- Some c;
-    c
+(* One class's run is already ascending; the runs of several classes
+   interleave, so their union is sorted. *)
+let key_slots f key =
+  let run c = Array.sub f.run_slots f.run_start.(c) (f.run_start.(c + 1) - f.run_start.(c)) in
+  match Option.value (Hashtbl.find_opt f.key_classes key) ~default:[] with
+  | [ c ] -> run c
+  | classes ->
+    let slots = Array.concat (List.map run classes) in
+    Array.sort Int.compare slots;
+    slots
 
 let index_key_of_token = function
   | Eq_plain v -> Some (Value.encode v)
@@ -843,41 +820,52 @@ let index_key_of_token = function
   | Eq_ord o -> Some (string_of_int o)
   | Eq_ore _ -> None
 
-let phe_group_sum t leaf ~group_by ~sum =
-  let gcol = column leaf group_by in
-  let scol = column leaf sum in
+(* Every slot's cell is tested against its class's representative in
+   slot order — a mismatch is corruption where="index" — and its sum
+   cell joins its class's addends; the first malformed cell in slot
+   order names the error. A group is the classes of one canonical key,
+   read off their representatives, so the form's key map never decides
+   a group; its first class holds its first slot, whose cell
+   represents it. *)
+let phe_group_sum pk leaf ~group_by ~sum =
+  let gcol = column leaf group_by and scol = column leaf sum in
   if scol.scheme <> Scheme.Phe then
     invalid_arg "Enc_relation.phe_group_sum: sum column is not PHE";
-  (match (gcol.scheme : Scheme.kind) with
-   | Scheme.Plain | Scheme.Det | Scheme.Ope -> ()
-   | Scheme.Ndet | Scheme.Phe | Scheme.Ore ->
-     invalid_arg "Enc_relation.phe_group_sum: group column reveals no canonical equality");
-  let pk = t.paillier_public in
-  let groups = Hashtbl.create 32 in
+  let f =
+    match canonical_form gcol with
+    | Some f -> f
+    | None ->
+      invalid_arg "Enc_relation.phe_group_sum: group column reveals no canonical equality"
+  in
+  let key = Array.map (canonical_key gcol.scheme) f.class_rep in
+  let addends = Array.make (Array.length key) [] in
   Array.iteri
-    (fun i gcell ->
-      let key =
-        match canonical_key gcol.scheme gcell with
-        | Some k -> k
-        | None -> invalid_arg "Enc_relation.phe_group_sum: malformed group cell"
-      in
-      let addend =
-        match scol.cells.(i) with
-        | C_nat n -> n
-        | _ -> invalid_arg "Enc_relation.phe_group_sum: malformed sum cell"
-      in
-      match Hashtbl.find_opt groups key with
-      | Some (rep, addends) -> Hashtbl.replace groups key (rep, addend :: addends)
-      | None -> Hashtbl.add groups key (gcell, [ addend ]))
+    (fun s gcell ->
+      let c = f.class_of.(s) in
+      if not (cell_equal gcell f.class_rep.(c)) then
+        Integrity.fail ~leaf:leaf.label ~attr:group_by ~where:"index"
+          "stale class table: a slot's cell differs from its class";
+      if Option.is_none key.(c) then
+        invalid_arg "Enc_relation.phe_group_sum: malformed group cell";
+      match scol.cells.(s) with
+      | C_nat n -> addends.(c) <- n :: addends.(c)
+      | _ -> invalid_arg "Enc_relation.phe_group_sum: malformed sum cell")
     gcol.cells;
   (* Canonical output order (ascending canonical key): a deterministic
      function of ciphertexts the server already sees, so it reveals
      nothing new — and it makes the response {e byte-stable}, which is
      what lets a sharded coordinator merge per-shard group lists and
      still answer bit-identically to a single backend. *)
-  Hashtbl.fold (fun key group out -> (key, group) :: out) groups []
-  |> List.sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
-  |> List.map (fun (_, (rep, addends)) -> (rep, Paillier.sum pk (Array.of_list addends)))
+  List.init (Array.length key) Fun.id
+  |> List.filter_map (fun c -> if addends.(c) = [] then None else Some (Option.get key.(c), c))
+  |> List.stable_sort (fun (k1, _) (k2, _) -> String.compare k1 k2)
+  |> List.fold_left
+       (fun groups (k, c) ->
+         match groups with
+         | (k', first, ns) :: rest when String.equal k k' -> (k', first, addends.(c) @ ns) :: rest
+         | _ -> (k, c, addends.(c)) :: groups)
+       []
+  |> List.rev_map (fun (_, c, ns) -> (f.class_rep.(c), Paillier.sum pk (Array.of_list ns)))
 
 let cell_bytes = function
   | C_plain v -> Storage_model.plain_cell_bytes v

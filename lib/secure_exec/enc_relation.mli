@@ -24,7 +24,52 @@ type cell =
   | C_ore of { ore : Snf_crypto.Ore.ciphertext; payload : string }
   | C_nat of Snf_bignum.Nat.t                          (** Paillier *)
 
-type enc_column = { attr : string; scheme : Scheme.kind; cells : cell array }
+type form = {
+  class_of : int array;
+      (** slot -> class; classes are numbered in first-occurrence order
+          under {!cell_equal} *)
+  class_rep : cell array;  (** class -> the cell at its first slot *)
+  run_start : int array;
+      (** class -> where its run starts in [run_slots]; one entry more
+          than there are classes, the last being the cell count *)
+  run_slots : int array;  (** each class's slots, ascending, class after class *)
+  key_classes : (string, int list) Hashtbl.t;
+      (** Plain, DET and OPE: {!canonical_key} -> the classes holding it,
+          ascending. Cells with one key fall in several classes when
+          they differ elsewhere — a tampered OPE payload beside a good
+          ordinal stays a class of its own. Empty for ORE. *)
+  canonical : bool;
+      (** Plain, DET and OPE: every cell has a canonical key. False for
+          ORE. *)
+}
+(** The one server-side form of a deterministic (Plain, DET, OPE, ORE)
+    column: its equal-cell classes, their slots, and for the schemes
+    whose ciphertexts are canonical per plaintext, the classes of each
+    key. It is built with the column ({!make_column}) from nothing but
+    the column's own cells — the equality pattern they show anyway, the
+    same argument as [Q_store_stats] — and is never serialized. The
+    arrays and the table are server state like the cells beside them:
+    a filter tests every slot it keeps, a coded fetch every row it
+    codes and a group sum every slot, against the slot's own cell; the
+    client re-verifies the rows of a probe answer. *)
+
+type enc_column = private {
+  attr : string;
+  scheme : Scheme.kind;
+  cells : cell array;
+  form : form option;  (** [Some] exactly for a {!deterministic} scheme *)
+}
+(** Built only by {!make_column}, so a column's form always comes from
+    its own cells. *)
+
+val make_column : attr:string -> scheme:Scheme.kind -> cell array -> enc_column
+(** The column, with its {!form} when the scheme is {!deterministic}: one
+    hash per cell, then a counting pass, about two words per cell. The
+    column adopts [cells]: each slot is given its class's representative
+    (an equal cell, so every byte the column serializes to is unchanged)
+    and callers must not write to the array afterwards. Each form built
+    moves the process-wide counter ["exec.eq_index.builds"] by one: at
+    outsourcing, at an Install decode, at a disk page-in. *)
 
 type enc_leaf = {
   label : string;
@@ -33,18 +78,10 @@ type enc_leaf = {
   columns : enc_column list;
 }
 
-type index_entry
-(** One column's cached equality index; see {!eq_index}. *)
-
-type index_cache = (string * string, index_entry) Hashtbl.t
-(** Server-side memo of equality indexes, keyed by (leaf label, attr). *)
-
 type t = {
   relation_name : string;
   leaves : enc_leaf list;
   paillier_public : Snf_crypto.Paillier.public_key;
-  index_cache : index_cache;
-      (** server-side memo of equality indexes; see [eq_index] *)
 }
 
 type client
@@ -252,54 +289,14 @@ val cell_matches_eq : eq_token -> cell -> bool
 
 val cell_in_range : range_token -> cell -> bool
 
-(** {1 Homomorphic aggregation} *)
-
 (** {1 Leakage as indexing (§V-D)}
 
     A column that already reveals equality deterministically (PLAIN, DET,
     OPE — their ciphertexts are canonical per plaintext) gives the server a
-    free equality index: building it uses only information the owner
-    already conceded. ORE ciphertexts reveal equality through comparison
-    but are not canonical, so ORE columns fall back to scans. *)
-
-val eq_index : t -> leaf:string -> attr:string -> (string, int array) Hashtbl.t option
-(** Server-side, probe side ([Index_probe], [Q_store_stats]): map from
-    canonical cell key to its slots, ascending (one word per slot, one
-    bucket per distinct key), built lazily and memoized per (leaf,
-    attribute) in [t.index_cache]. [None] when the column's ciphertexts
-    are not canonical per plaintext (NDET, PHE, ORE).
-
-    One table serves probes and filters ({!eq_slots}). A cached table is
-    used only for the cells array it was built from (physical equality):
-    copies made with [{ t with leaves }] share the cache, so a copy
-    whose column was replaced (a fault injector's flipped cell, say)
-    gets its own table instead of the original's.
-
-    Counter contract: the probe side accounts in the process-wide
-    [Snf_obs] counters ["exec.eq_index.builds"] — a table's first
-    probe-side use, even when a filter built it earlier — and
-    ["exec.eq_index.hits"] — every later one. The filter side moves
-    neither, so a store's counters do not depend on its filter traffic.
-    Consumers needing per-store numbers take counter deltas around their
-    calls. *)
-
-val leaf_eq_index : index_cache -> enc_leaf -> attr:string -> (string, int array) Hashtbl.t option
-(** {!eq_index} on a leaf the caller already holds, through the given
-    cache (a paged backend's). Same accounting. *)
-
-val eq_slots : index_cache -> leaf:string -> enc_column -> eq_token -> int array option
-(** Server-side, filter side: the slots of the [leaf]'s column holding
-    the token's key, read from the column's cached equality index
-    (built on first use). [Some] only for a DET token on a DET column or
-    an OPE token on an OPE column whose cells all have a canonical key;
-    [None] — scan the column — for every other pairing and for a column
-    holding a non-canonical cell. Where it answers from an intact
-    table, the slots are exactly those {!cell_matches_eq} accepts; the
-    table is mutable server state, so [Server_api]'s filter tests each
-    slot against its cell before keeping it. Moves no counter. *)
-
-val index_key_of_token : eq_token -> string option
-(** The index key a predicate token probes; [None] for ORE tokens. *)
+    free equality index: its {!form}'s key map, which uses only
+    information the owner already conceded. ORE ciphertexts reveal
+    equality through comparison but are not canonical, so ORE columns
+    have no key map. *)
 
 val cell_equal : cell -> cell -> bool
 (** Whole-cell equality: true exactly when the two cells serialize to
@@ -308,54 +305,66 @@ val cell_equal : cell -> cell -> bool
     good order part is never merged into the good cell (unlike
     {!canonical_key}, which keys OPE cells on the ordinal alone). *)
 
-type cell_classes = {
-  class_of : int array;  (** slot -> class, classes numbered in slot order *)
-  class_rep : cell array;  (** class -> the cell at its first slot *)
-}
-(** A cell list's equal-cell classes. *)
-
-val classes_of_cells : cell array -> cell_classes
+val classes_of_cells : cell array -> int array * cell array
 (** The equal-cell classes of a cell list under {!cell_equal}, numbered
-    in first-occurrence order: [class_of] is the list's codes and
-    [class_rep] its distinct cells. One hash per cell. *)
+    in first-occurrence order: each cell's class (the list's codes) and
+    each class's first cell (its distinct cells). One hash per cell. *)
 
 val deterministic : Scheme.kind -> bool
 (** Whether equal plaintexts give equal cells: Plain, DET, OPE and ORE;
     not NDET and PHE, whose cells are randomized. *)
 
-val cell_classes : index_cache -> leaf:string -> enc_column -> cell_classes
-(** Server-side, fetch side: a {!deterministic} column's equal-cell
-    classes under {!cell_equal}, built once per stored cells array and
-    cached beside its equality index (same entry, same
-    physical-identity rule). They are the equality pattern its
-    ciphertexts show anyway. Moves no counter. A class table costs one
-    word per row of the column while the column is stored.
-    @raise Invalid_argument on an NDET or PHE column. *)
-
-val phe_sum : t -> enc_leaf -> string -> Snf_bignum.Nat.t
-(** Server-side: homomorphic sum of a PHE column.
-    @raise Invalid_argument if the column is not PHE. *)
-
-val phe_group_sum :
-  t -> enc_leaf -> group_by:string -> sum:string -> (cell * Snf_bignum.Nat.t) list
-(** Server-side [SELECT group_by, SUM(sum) GROUP BY group_by]: rows are
-    grouped by the canonical ciphertext of [group_by] (which must reveal
-    equality deterministically — PLAIN/DET/OPE) and the PHE [sum] cells of
-    each group are homomorphically added. The server never decrypts
-    anything: the result pairs one representative group ciphertext with
-    one Paillier aggregate, both for the client to decrypt. Group count
-    and group sizes are within the group column's permissible equality
-    leakage. Groups come back sorted by ascending canonical key — a
-    deterministic, byte-stable order computable from what the server
-    already sees, so sharded merges can reproduce it exactly.
-    @raise Invalid_argument on unsupported schemes. *)
-
 val canonical_key : Scheme.kind -> cell -> string option
 (** The canonical equality key of a cell, when the scheme makes
     ciphertexts canonical per plaintext (PLAIN / DET / OPE); [None]
     otherwise. Server-computable: this is exactly the equality relation
-    those schemes already leak — the eq-index, the group-sum output
+    those schemes already leak — the key map, the group-sum output
     order, and sharded row placement all key on it. *)
+
+val eq_index : enc_leaf -> attr:string -> form option
+(** Server-side, probe side ([Index_probe], [Q_store_stats]): the
+    column's form when its scheme is Plain, DET or OPE; [None] for NDET,
+    PHE and ORE. Each [Some] moves the process-wide counter
+    ["exec.eq_index.hits"] by one. Equality filters read
+    [column.form] directly and move no counter, so a store's counters
+    do not depend on its filter traffic. Consumers needing per-store
+    numbers take counter deltas around their calls.
+    @raise Not_found on an unknown attribute. *)
+
+val key_slots : form -> string -> int array
+(** The slots of every class holding the key, ascending; empty for an
+    absent key. A fresh array. *)
+
+val index_key_of_token : eq_token -> string option
+(** The index key a predicate token probes; [None] for ORE tokens. *)
+
+(** {1 Homomorphic aggregation} *)
+
+val phe_sum : Snf_crypto.Paillier.public_key -> enc_leaf -> string -> Snf_bignum.Nat.t
+(** Server-side: homomorphic sum of a PHE column under the store's
+    public key. @raise Invalid_argument if the column is not PHE. *)
+
+val phe_group_sum :
+  Snf_crypto.Paillier.public_key ->
+  enc_leaf -> group_by:string -> sum:string -> (cell * Snf_bignum.Nat.t) list
+(** Server-side [SELECT group_by, SUM(sum) GROUP BY group_by]: the
+    groups are the canonical keys of [group_by]'s classes (the column
+    must reveal equality deterministically — PLAIN/DET/OPE) and the PHE
+    [sum] cells of each group's slots are homomorphically added. Every
+    slot's cell is tested against its class's representative first, so
+    the form's key map never decides a group. The server
+    never decrypts anything: the result pairs the group's cell at its
+    first slot with one Paillier aggregate, both for the client to
+    decrypt. Group count and group sizes are within the group column's
+    permissible equality leakage. Groups come back sorted by ascending
+    canonical key — a deterministic, byte-stable order computable from
+    what the server already sees, so sharded merges can reproduce it
+    exactly.
+    @raise Invalid_argument on unsupported schemes, and on the first
+    malformed cell in slot order (a group cell without a canonical key,
+    a sum cell that is not a Paillier ciphertext).
+    @raise Integrity.Corruption where="index" on the first slot whose
+    cell differs from its class's representative. *)
 
 val measured_bytes : t -> int
 (** Actual stored bytes of the simulation ciphertexts. *)

@@ -91,9 +91,8 @@ type compiled_pred =
    point predicates are first offered to the server's equality index with
    an Index_probe message — sent (and answered by an index lookup) even
    when the token yields no canonical key, so index accounting does not
-   depend on the token's shape. Probing happens sequentially, here —
-   lazy index builds are a server-side cache write which must not race
-   with the parallel filter phase. *)
+   depend on the token's shape. Probing happens sequentially, here, so
+   the probes cross in predicate order. *)
 let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index_probes
     (p : Query.pred) =
   let attr = Query.pred_attr p in
@@ -652,8 +651,8 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
           "planned leaf missing from the encrypted store"
     in
     (* Phase 1 (sequential): mint tokens and probe the server's equality
-       indexes — lazy index builds are a server-side cache write which
-       must not race. Each member's minting traffic is its own. *)
+       indexes, in member order. Each member's minting traffic is its
+       own. *)
     let members =
       Span.with_ ~name:"query.mint_tokens" @@ fun () ->
       List.map2

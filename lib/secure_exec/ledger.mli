@@ -72,11 +72,15 @@ type report = {
   wire_bytes_up : int;                 (** serialized request bytes *)
   wire_bytes_down : int;               (** serialized response bytes *)
   index_hits : int;
-    (** equality-index lookups served from the server's memo cache, since
-        [create] — the delta of the process-wide ["exec.eq_index.hits"]
-        counter (the same one [Enc_relation] bumps and the index ablation
-        reads) *)
-  index_misses : int;                  (** lazy equality-index builds *)
+    (** probe-side reads of a column's form ([Index_probe],
+        [Q_store_stats]) since [create] — the delta of the process-wide
+        ["exec.eq_index.hits"] counter (the same one [Enc_relation] bumps
+        and the index ablation reads) *)
+  index_misses : int;
+    (** forms built since [create] (["exec.eq_index.builds"]): one per
+        deterministic column each time a store or leaf is decoded —
+        Install, a disk page-in — or outsourced; a query on an adopted
+        in-memory store builds none *)
   tid_cache_hits : int;
     (** join tid-decrypt cache hits since [create] — delta of the
         process-wide ["exec.join.tid_cache.hits"] counter

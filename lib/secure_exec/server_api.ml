@@ -3,6 +3,7 @@ module Wiretrace = Snf_obs.Wiretrace
 module Leakage = Snf_obs.Leakage
 module Prng = Snf_crypto.Prng
 module Paillier = Snf_crypto.Paillier
+module Scheme = Snf_crypto.Scheme
 
 (* Client-side accounting of the boundary traffic: the serialized bytes
    crossing the connection ARE the access-pattern leakage, so they are
@@ -40,8 +41,7 @@ type store_view = {
   check_shape : unit -> unit;
   install : string -> unit;
   leaf : string -> Enc_relation.enc_leaf;
-  eq_index : leaf:string -> attr:string -> (string, int array) Hashtbl.t option;
-  with_index_cache : 'a. (Enc_relation.index_cache -> 'a) -> 'a;
+  eq_index : leaf:string -> attr:string -> Enc_relation.form option;
   paillier : unit -> Paillier.public_key;
 }
 
@@ -53,14 +53,6 @@ module type BACKEND = sig
   val close : t -> unit
 end
 
-(* PHE aggregation reuses [Enc_relation]'s server-side kernels, which take
-   a whole store; give them a single-leaf shim sharing nothing mutable. *)
-let singleton_store view l =
-  { Enc_relation.relation_name = fst (view.describe ());
-    leaves = [ l ];
-    paillier_public = view.paillier ();
-    index_cache = Hashtbl.create 1 }
-
 let check_slots ~rows slots =
   List.iter
     (fun s ->
@@ -68,16 +60,24 @@ let check_slots ~rows slots =
         invalid_arg (Printf.sprintf "slot %d out of range for a leaf of %d rows" s rows))
     slots
 
-(* Each op narrows the running mask. An [F_eq] that the column's
-   equality index can answer ([Enc_relation.eq_slots]) costs its
-   matches; every other token op scans the column. Both report
+(* The form and key an [F_eq] reads its slots from, when it can. *)
+let index_key (col : Enc_relation.enc_column) tok =
+  match (tok, col.Enc_relation.scheme, col.Enc_relation.form) with
+  | (Enc_relation.Eq_det _, Scheme.Det, Some f | Enc_relation.Eq_ord _, Scheme.Ope, Some f)
+    when f.Enc_relation.canonical ->
+    Option.map (fun key -> (f, key)) (Enc_relation.index_key_of_token tok)
+  | _ -> None
+
+(* Each op narrows the running mask. An [F_eq] of a DET token on a DET
+   column or an OPE token on an OPE column whose cells all have a
+   canonical key costs its matches: it reads the key's slots from the
+   column's form. Every other token op scans the column. Both report
    [row_count] scanned cells per token op, so the response does not show
-   which ran. The index is mutable server state, so every slot it would
-   keep is tested against the leaf's own cell first: a stale entry
-   surfaces as corruption where="index", as on the probe path, never as a
-   wrong mask. The mask is built packed, in the bytes the response
-   carries. *)
-let eval_filter view (l : Enc_relation.enc_leaf) ops =
+   which ran. The form is server state, so every slot it would keep is
+   tested against the leaf's own cell first: a stale entry surfaces as
+   corruption where="index", never as a wrong mask. The mask is built
+   packed, in the bytes the response carries. *)
+let eval_filter (l : Enc_relation.enc_leaf) ops =
   let n = l.Enc_relation.row_count in
   let mask = ref (Bitmask.create n true) in
   let scanned = ref 0 in
@@ -104,12 +104,10 @@ let eval_filter view (l : Enc_relation.enc_leaf) ops =
         keep_only List.iter slots ~holds:(fun _ -> true)
       | Wire.F_eq (attr, tok) -> (
         let col = Enc_relation.column l attr in
-        match
-          view.with_index_cache (fun cache ->
-              Enc_relation.eq_slots cache ~leaf:l.Enc_relation.label col tok)
-        with
-        | Some slots ->
+        match index_key col tok with
+        | Some (f, key) ->
           scanned := !scanned + n;
+          let slots = Enc_relation.key_slots f key in
           if Array.exists (fun s -> s < 0 || s >= n) slots then stale attr;
           keep_only Array.iter slots ~holds:(fun s ->
               Enc_relation.cell_matches_eq tok col.Enc_relation.cells.(s) || stale attr)
@@ -120,30 +118,28 @@ let eval_filter view (l : Enc_relation.enc_leaf) ops =
   (!mask, !scanned)
 
 (* One fetched column. A Plain, DET, OPE or ORE column of more than
-   [Wire.small_rows] rows is coded from its cached class table
-   ([Enc_relation.cell_classes]) without hashing a cell; any other
-   column crosses as its cells. Each dictionary entry is the leaf's own
-   cell at the first fetched row of its class, compared once with the
-   class's representative cell (a mismatch is corruption where="index");
-   later rows of a class are coded by their table entry alone. *)
-let fetch_column view (l : Enc_relation.enc_leaf) slots attr =
+   [Wire.small_rows] rows is coded from its form's classes without
+   hashing a cell; any other column crosses as its cells. Every fetched
+   row's cell is tested against its class's representative (a mismatch
+   is corruption where="index") — one pointer comparison for a column
+   whose slots share their class's cell, as [Enc_relation.make_column]
+   leaves them — and each dictionary entry is the leaf's own cell at the
+   first fetched row of its class. *)
+let fetch_column (l : Enc_relation.enc_leaf) slots attr =
   let col = Enc_relation.column l attr in
   let cells = col.Enc_relation.cells in
-  if Array.length slots <= Wire.small_rows || not (Enc_relation.deterministic col.Enc_relation.scheme)
-  then Wire.Cells (Array.map (Array.get cells) slots)
-  else
-    let { Enc_relation.class_of; class_rep } =
-      view.with_index_cache (fun cache ->
-          Enc_relation.cell_classes cache ~leaf:l.Enc_relation.label col)
-    in
+  match col.Enc_relation.form with
+  | Some { Enc_relation.class_of; class_rep; _ } when Array.length slots > Wire.small_rows ->
     Wire.code_rows ~classes:(Array.length class_rep) (Array.length slots)
-      ~class_of:(fun i -> class_of.(slots.(i)))
-      ~cell_of:(fun i c ->
-        let cell = cells.(slots.(i)) in
-        if not (Enc_relation.cell_equal cell class_rep.(c)) then
+      ~class_of:(fun i ->
+        let s = slots.(i) in
+        let c = class_of.(s) in
+        if not (Enc_relation.cell_equal cells.(s) class_rep.(c)) then
           Integrity.fail ~leaf:l.Enc_relation.label ~attr ~where:"index"
             "stale class table: a slot's cell differs from its class";
-        cell)
+        c)
+      ~cell_of:(fun i _ -> cells.(slots.(i)))
+  | _ -> Wire.Cells (Array.map (Array.get cells) slots)
 
 (* Fingerprint used both for SNFT token summaries and for the value-class
    digests of [Q_store_stats]: stable 16-hex identity of bytes the server
@@ -160,21 +156,19 @@ let dispatch view (req : Wire.request) : Wire.response =
     view.install image;
     Wire.R_unit
   | Wire.Index_probe { leaf; attr; key } -> (
-    (* The index lookup (and its lazy build / cache-hit accounting) runs
-       unconditionally, exactly like the pre-split executor did, so the
-       exec.eq_index.* counters are backend- and key-independent. *)
-    let idx = view.eq_index ~leaf ~attr in
-    match (idx, key) with
-    | Some idx, Some key ->
+    (* The form is read (and its hit counted) whatever the key, so the
+       exec.eq_index.hits counter is backend- and key-independent. *)
+    match (view.eq_index ~leaf ~attr, key) with
+    | Some form, Some key ->
       (* Descending, as the answer has always listed them. *)
-      let slots = Option.value (Hashtbl.find_opt idx key) ~default:[||] in
-      Wire.R_slots (Some (Array.fold_left (fun acc s -> s :: acc) [] slots))
+      Wire.R_slots
+        (Some (Array.fold_left (fun acc s -> s :: acc) [] (Enc_relation.key_slots form key)))
     | _ -> Wire.R_slots None)
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let l = view.leaf leaf in
     check_slots ~rows:l.Enc_relation.row_count slots;
     let slots = Array.of_list slots in
-    Wire.R_rows (Array.of_list (List.map (fetch_column view l slots) attrs))
+    Wire.R_rows (Array.of_list (List.map (fetch_column l slots) attrs))
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
   | Wire.Oram_fetch { leaf = _; seed; block_size; blocks; slots } ->
     (* One partner's ORAM round, start to finish: the tree lives only for
@@ -186,10 +180,10 @@ let dispatch view (req : Wire.request) : Wire.response =
     Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram }
   | Wire.Phe_sum { leaf; attr } ->
     let l = view.leaf leaf in
-    Wire.R_nat (Enc_relation.phe_sum (singleton_store view l) l attr)
+    Wire.R_nat (Enc_relation.phe_sum (view.paillier ()) l attr)
   | Wire.Group_sum { leaf; group_by; sum } ->
     let l = view.leaf leaf in
-    Wire.R_groups (Enc_relation.phe_group_sum (singleton_store view l) l ~group_by ~sum)
+    Wire.R_groups (Enc_relation.phe_group_sum (view.paillier ()) l ~group_by ~sum)
   | Wire.Q_batch { queries } ->
     (* One pass over the touched leaves: each distinct leaf is loaded
        from the backend exactly once for the whole batch (one page-in on
@@ -209,15 +203,15 @@ let dispatch view (req : Wire.request) : Wire.response =
     Wire.R_batch
       { results =
           List.map
-            (List.map (fun (label, ops) -> eval_filter view (leaf_once label) ops))
+            (List.map (fun (label, ops) -> eval_filter (leaf_once label) ops))
             queries }
   | Wire.Q_store_stats ->
     (* Planner statistics, computed from nothing but what the store image
        already reveals: per-leaf row counts and, for columns with a
-       canonical ciphertext, the equality-index class sizes keyed by a
-       digest of the canonical key. The index build/hit accounting runs
-       through the same [view.eq_index] path as probes, so stats
-       collection is backend-independent. *)
+       canonical ciphertext, the number of cells under each canonical
+       key, keyed by a digest of the key. The forms are read through the
+       same [view.eq_index] path as probes, so the hit accounting of
+       stats collection is backend-independent. *)
     let _, leaves = view.describe () in
     let stats =
       List.map
@@ -228,11 +222,13 @@ let dispatch view (req : Wire.request) : Wire.response =
               (fun (col : Enc_relation.enc_column) ->
                 match view.eq_index ~leaf:label ~attr:col.Enc_relation.attr with
                 | None -> None
-                | Some idx ->
+                | Some f ->
+                  let run = f.Enc_relation.run_start in
+                  let cells = List.fold_left (fun n c -> n + run.(c + 1) - run.(c)) 0 in
                   let classes =
                     Hashtbl.fold
-                      (fun key slots acc -> (fp key, Array.length slots) :: acc)
-                      idx []
+                      (fun key classes acc -> (fp key, cells classes) :: acc)
+                      f.Enc_relation.key_classes []
                     |> List.sort compare
                   in
                   Some { Wire.a_attr = col.Enc_relation.attr; a_classes = classes })

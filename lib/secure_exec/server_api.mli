@@ -20,12 +20,13 @@
 
 (** What a backend must expose — the full server-side capability set.
     [leaf] may page from disk and must validate what it loads
-    (raising [Integrity.Corruption]); [eq_index] must account through
-    [Enc_relation.eq_index] (or [leaf_eq_index]) over the cache that
-    [with_index_cache] hands out, so index hit/build counters stay
-    backend-independent and equality filters share the probes' tables;
-    [describe]/[leaf] raise [Not_found] or [Invalid_argument] on unknown
-    names / empty stores. *)
+    (raising [Integrity.Corruption]); [eq_index] must read the leaf's
+    column through [Enc_relation.eq_index], so the index hit counter
+    stays backend-independent. Every form is built with its column
+    ([Enc_relation.make_column]) when the backend decodes or adopts a
+    store, so no view call builds one. [describe]/[leaf] raise
+    [Not_found] or [Invalid_argument] on unknown names / empty
+    stores. *)
 type store_view = {
   describe : unit -> string * (string * int * string) list;
       (** relation name and (leaf label, row count, tid digest) in stored
@@ -39,13 +40,10 @@ type store_view = {
           before every [Describe] is answered. *)
   install : string -> unit;  (** parse and adopt a [Wire] store image *)
   leaf : string -> Enc_relation.enc_leaf;
-  eq_index : leaf:string -> attr:string -> (string, int array) Hashtbl.t option;
-  with_index_cache : 'a. (Enc_relation.index_cache -> 'a) -> 'a;
-      (** run a function on the store's equality-index cache, serialized
-          as the backend needs. [dispatch] answers equality filters
-          through it ([Enc_relation.eq_slots]), with the column the
-          filter holds, so a table is used only for the cells it came
-          from. *)
+  eq_index : leaf:string -> attr:string -> Enc_relation.form option;
+      (** the probe-side read of a column's form ([Index_probe],
+          [Q_store_stats]); equality filters and fetches read the form of
+          the leaf they hold *)
   paillier : unit -> Snf_crypto.Paillier.public_key;
 }
 
@@ -74,19 +72,18 @@ val check_slots : rows:int -> int list -> unit
 
 val dispatch : store_view -> Wire.request -> Wire.response
 (** Answer one decoded request against the view. Failures raise
-    ([Integrity.Corruption], [Not_found], [Invalid_argument]); a
-    [Q_batch] answers each [F_eq] that the column's equality index can
-    answer from it and scans for every other token op, with the same
-    response either way. Every slot an index lookup would keep is tested
-    against its cell first, so a stale entry raises
-    [Integrity.Corruption] where ["index"] on the filter side too. A
-    [Fetch_rows] codes each Plain, DET, OPE or ORE column of more than
-    [Wire.small_rows] fetched rows from the column's class table
-    ([Enc_relation.cell_classes]). Each dictionary entry is the leaf's
-    cell at the first fetched row of its class and is compared once
-    with the class's representative cell (a mismatch raises
-    [Integrity.Corruption] where ["index"]); later rows of a class are
-    coded from the table alone. *)
+    ([Integrity.Corruption], [Not_found], [Invalid_argument]). Every
+    store-reading request reads a deterministic column through its
+    {!Enc_relation.form} and answers as a per-cell scan would:
+    [Index_probe] and [Q_store_stats] read its key map; a [Q_batch]'s
+    [F_eq] of a DET token on a DET column or an OPE token on an OPE
+    column whose cells all have a canonical key keeps the key's slots,
+    each tested against its cell first; a [Group_sum] groups the slots
+    by class, and a [Fetch_rows] codes each column of more than
+    [Wire.small_rows] fetched rows from its classes, each slot's cell
+    compared with its class's representative. A failed test raises
+    [Integrity.Corruption] where ["index"]. Every other token op
+    scans. *)
 
 val session_handler : store_view -> string -> string
 (** The server half of {!connect}: decode request bytes, dispatch against

@@ -39,7 +39,7 @@ type owner = {
 }
 
 (* A memory binding adopts the store in place — no Install message, and
-   shared index state, which the fault harness relies on. A disk binding
+   shared column forms, which the fault harness relies on. A disk binding
    ships the full image through Install into a private temp directory;
    that traffic is charged when the binding is made (outsourcing), not to
    any query window. *)

@@ -179,8 +179,7 @@ let r_leaf c : Enc_relation.enc_leaf =
     List.init col_count (fun _ ->
         let attr = r_string c in
         let scheme = scheme_of_tag (r_u8 c) in
-        let cells = Array.init row_count (fun _ -> r_cell c) in
-        { Enc_relation.attr; scheme; cells })
+        Enc_relation.make_column ~attr ~scheme (Array.init row_count (fun _ -> r_cell c)))
   in
   { Enc_relation.label; row_count; tids; columns }
 
@@ -219,10 +218,7 @@ let of_string data =
   let leaf_count = r_count c in
   let leaves = List.init leaf_count (fun _ -> r_leaf c) in
   if c.pos <> String.length data then fail "trailing bytes";
-  { Enc_relation.relation_name;
-    leaves;
-    paillier_public;
-    index_cache = Hashtbl.create 8 }
+  { Enc_relation.relation_name; leaves; paillier_public }
 
 let save path t =
   let oc = open_out_bin path in
@@ -599,7 +595,7 @@ let rows_column_of_cells cells =
   let n = Array.length cells in
   if n <= small_rows then Cells cells
   else
-    let { Enc_relation.class_of; class_rep } = Enc_relation.classes_of_cells cells in
+    let class_of, class_rep = Enc_relation.classes_of_cells cells in
     if Array.length class_rep = n then Cells cells else Coded { dict = class_rep; codes = class_of }
 
 let w_rows_column buf = function

@@ -62,8 +62,9 @@ type request =
           truncated leaf answers [R_corrupt] instead of a description. *)
   | Install of string  (** ship a store image ({!to_string}) *)
   | Index_probe of { leaf : string; attr : string; key : string option }
-      (** probe the lazily built equality index; [key = None] still forces
-          the build attempt, keeping index accounting backend-independent *)
+      (** probe the column's equality index (its form's key map);
+          [key = None] still reads the form, keeping index accounting
+          backend-independent *)
   | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
   | Fetch_tids of { leaf : string }
   | Oram_fetch of {

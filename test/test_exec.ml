@@ -130,7 +130,7 @@ let test_phe_sum () =
   let client = Enc_relation.make_client ~seed:6 ~relation_name:"agg" ~master:"m" () in
   let enc = Enc_relation.encrypt client r rep in
   let leaf = Enc_relation.find_leaf enc "agg" in
-  let c = Enc_relation.phe_sum enc leaf "Income" in
+  let c = Enc_relation.phe_sum enc.Enc_relation.paillier_public leaf "Income" in
   let expected = Snf_relational.Algebra.sum_int "Income" r in
   let kp = Enc_relation.client_paillier client in
   Alcotest.(check int) "homomorphic sum" expected

@@ -120,6 +120,88 @@ let stale_index ~use_index name () =
 let stale_index_where = stale_index ~use_index:true "fault-stale"
 let stale_index_filter_where = stale_index ~use_index:false "fault-stale-filter"
 
+(* Remap one slot's class in its column's form, then fetch every row.
+   A fetch of more than [Wire.small_rows] rows is coded from the form,
+   and the server tests each fetched row's cell against its class's
+   representative, so the remapped row is caught even though it is not
+   the first fetched row of either class. *)
+let remapped_class_where () =
+  let rows = 2 * Wire.small_rows + 1 in
+  let r = relation_of_int_rows [ "A" ] (List.init rows (fun i -> [ i mod 3 ])) in
+  let owner =
+    System.outsource_prepared ~name:"fault-class" ~graph:(Snf_deps.Dep_graph.create [ "A" ])
+      ~representation:[ Snf_core.Partition.leaf "l0" [ ("A", Scheme.Det) ] ]
+      r
+      (Snf_core.Policy.create [ ("A", Scheme.Det) ])
+  in
+  let col = Enc_relation.column (Enc_relation.find_leaf owner.System.enc "l0") "A" in
+  let form = Option.get col.Enc_relation.form in
+  let class_of = form.Enc_relation.class_of in
+  let slot = rows - 1 in
+  let remapped = (class_of.(slot) + 1) mod Array.length form.Enc_relation.class_rep in
+  let earlier c = Array.exists (( = ) c) (Array.sub class_of 0 slot) in
+  check_bool "both classes occur before the slot" true
+    (earlier class_of.(slot) && earlier remapped);
+  class_of.(slot) <- remapped;
+  expect_corruption ~where:"index" owner { Query.select = [ "A" ]; where = [] }
+
+(* A DET group column beside a PHE sum column, for the Group_sum faults. *)
+let group_system name =
+  let r = relation_of_int_rows [ "A"; "S" ] (List.init 12 (fun i -> [ i mod 3; i ])) in
+  let g = Snf_deps.Dep_graph.declare_independent (Snf_deps.Dep_graph.create [ "A"; "S" ]) "A" "S" in
+  System.outsource_prepared ~name ~graph:g
+    ~representation:[ Snf_core.Partition.leaf "l0" [ ("A", Scheme.Det); ("S", Scheme.Phe) ] ]
+    r
+    (Snf_core.Policy.create [ ("A", Scheme.Det); ("S", Scheme.Phe) ])
+
+let group_sum owner =
+  List.map
+    (fun (v, s) -> (Value.to_string v, s))
+    (System.group_sum owner ~leaf:"l0" ~group_by:"A" ~sum:"S")
+
+(* Group_sum groups the group column's own cells, never its form's key
+   map: two present keys swapped in the map, or a present key swapped
+   with an absent one, leave the server's answer byte for byte as it
+   was. *)
+let poisoned_keys_group_sum () =
+  let owner = group_system "fault-group-keys" in
+  let groups () =
+    let enc = owner.System.enc in
+    Wire.response_to_string
+      (Wire.R_groups
+         (Enc_relation.phe_group_sum enc.Enc_relation.paillier_public
+            (Enc_relation.find_leaf enc "l0") ~group_by:"A" ~sum:"S"))
+  in
+  let intact = groups () in
+  Alcotest.(check (list (pair string int))) "intact" [ ("0", 18); ("1", 22); ("2", 26) ]
+    (group_sum owner);
+  let key v =
+    match
+      Enc_relation.eq_token owner.System.client ~leaf:"l0" ~attr:"A" ~scheme:Scheme.Det (Value.Int v)
+    with
+    | Some tok -> Option.get (Enc_relation.index_key_of_token tok)
+    | None -> Alcotest.fail "no token for a DET column"
+  in
+  List.iter
+    (fun (a, b) ->
+      check_bool "index poisoned" true
+        (Fault.poison_index owner.System.enc ~leaf:"l0" ~attr:"A" ~key_a:(key a) ~key_b:(key b));
+      check_string "key map poisoned" intact (groups ()))
+    [ (0, 1); (2, 99) ]
+
+(* Remap one slot's class: Group_sum tests every slot's cell against its
+   class's representative, so the remapped slot is corruption
+   where="index", not a row moved to another group. *)
+let remapped_class_group_sum () =
+  let owner = group_system "fault-group-class" in
+  let col = Enc_relation.column (Enc_relation.find_leaf owner.System.enc "l0") "A" in
+  let form = Option.get col.Enc_relation.form in
+  let class_of = form.Enc_relation.class_of in
+  class_of.(7) <- (class_of.(7) + 1) mod Array.length form.Enc_relation.class_rep;
+  match group_sum owner with
+  | exception Integrity.Corruption c -> check_string "corruption site" "index" c.Integrity.where
+  | got -> Alcotest.failf "undetected: %d groups from a damaged form" (List.length got)
+
 let key_mismatch_where () =
   let owner = det_system "fault-key" in
   let impostor = Fault.mismatched_client ~name:"fault-key" in
@@ -183,4 +265,10 @@ let suite =
     Alcotest.test_case "PLAIN flip is inert (documented exclusion)" `Quick
       plain_flip_is_inert;
     Alcotest.test_case "stale index → where=index on a filter" `Quick
-      stale_index_filter_where ]
+      stale_index_filter_where;
+    Alcotest.test_case "remapped class → where=index on a coded fetch" `Quick
+      remapped_class_where;
+    Alcotest.test_case "poisoned key map leaves Group_sum unchanged" `Quick
+      poisoned_keys_group_sum;
+    Alcotest.test_case "remapped class → where=index on Group_sum" `Quick
+      remapped_class_group_sum ]

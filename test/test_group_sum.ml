@@ -48,7 +48,7 @@ let test_group_sum_server_side_only () =
      are DET cells, sums are Paillier residues — nothing in plaintext. *)
   let o = owner () in
   let leaf = Enc_relation.find_leaf o.System.enc (leaf_with o "salary").Snf_core.Partition.label in
-  let pairs = Enc_relation.phe_group_sum o.System.enc leaf ~group_by:"dept" ~sum:"salary" in
+  let pairs = Enc_relation.phe_group_sum o.System.enc.Enc_relation.paillier_public leaf ~group_by:"dept" ~sum:"salary" in
   Alcotest.(check int) "three groups" 3 (List.length pairs);
   List.iter
     (fun (rep, _) ->
@@ -62,12 +62,12 @@ let test_group_sum_validation () =
   let leaf = Enc_relation.find_leaf o.System.enc (leaf_with o "salary").Snf_core.Partition.label in
   Alcotest.(check bool) "ndet group key rejected" true
     (try
-       ignore (Enc_relation.phe_group_sum o.System.enc leaf ~group_by:"name" ~sum:"salary");
+       ignore (Enc_relation.phe_group_sum o.System.enc.Enc_relation.paillier_public leaf ~group_by:"name" ~sum:"salary");
        false
      with Invalid_argument _ | Not_found -> true);
   Alcotest.(check bool) "non-phe sum rejected" true
     (try
-       ignore (Enc_relation.phe_group_sum o.System.enc leaf ~group_by:"dept" ~sum:"dept");
+       ignore (Enc_relation.phe_group_sum o.System.enc.Enc_relation.paillier_public leaf ~group_by:"dept" ~sum:"dept");
        false
      with Invalid_argument _ -> true)
 
@@ -124,7 +124,7 @@ let test_folds_match_add_chain () =
   let cells attr = Array.to_list (Enc_relation.column leaf attr).Enc_relation.cells in
   let hex n = Snf_bignum.Nat.to_string n in
   Alcotest.(check string) "phe_sum" (hex (chain (List.map nat (cells "x"))))
-    (hex (Enc_relation.phe_sum enc leaf "x"));
+    (hex (Enc_relation.phe_sum enc.Enc_relation.paillier_public leaf "x"));
   let expected =
     List.sort_uniq compare (cells "g")
     |> List.map (fun g ->
@@ -132,7 +132,7 @@ let test_folds_match_add_chain () =
            |> List.filter_map (fun (g', x) -> if g' = g then Some (nat x) else None)
            |> chain |> hex)
   in
-  let got = List.map (fun (_, n) -> hex n) (Enc_relation.phe_group_sum enc leaf ~group_by:"g" ~sum:"x") in
+  let got = List.map (fun (_, n) -> hex n) (Enc_relation.phe_group_sum enc.Enc_relation.paillier_public leaf ~group_by:"g" ~sum:"x") in
   Alcotest.(check (list string)) "phe_group_sum"
     (List.sort compare expected) (List.sort compare got);
   Alcotest.(check (list int)) "group sizes decrypt" [ 600 * 599 / 2 * 13; 600 * 13; (601 + 602) * 13 ]

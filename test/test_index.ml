@@ -19,14 +19,19 @@ let test_index_construction () =
         List.exists (fun c -> c.Enc_relation.attr = "ZipCode") l.Enc_relation.columns)
       enc.Enc_relation.leaves
   in
-  (match Enc_relation.eq_index enc ~leaf:zip_leaf.Enc_relation.label ~attr:"ZipCode" with
-   | Some idx ->
-     Alcotest.(check int) "four distinct zips" 4 (Hashtbl.length idx);
-     let total = Hashtbl.fold (fun _ slots acc -> acc + Array.length slots) idx 0 in
+  (match Enc_relation.eq_index zip_leaf ~attr:"ZipCode" with
+   | Some form ->
+     Alcotest.(check int) "four distinct zips" 4 (Hashtbl.length form.Enc_relation.key_classes);
+     let total =
+       Hashtbl.fold
+         (fun key _ acc -> acc + Array.length (Enc_relation.key_slots form key))
+         form.Enc_relation.key_classes 0
+     in
      Alcotest.(check int) "all slots indexed" 6 total
    | None -> Alcotest.fail "expected a DET index");
-  (* memoized *)
-  Alcotest.(check int) "cache populated" 1 (Hashtbl.length enc.Enc_relation.index_cache);
+  (* built with the column *)
+  Alcotest.(check bool) "the column carries its form" true
+    (Option.is_some (Enc_relation.column zip_leaf "ZipCode").Enc_relation.form);
   (* NDET State is not indexable *)
   let state_leaf =
     List.find
@@ -35,7 +40,7 @@ let test_index_construction () =
       enc.Enc_relation.leaves
   in
   Alcotest.(check bool) "ndet not indexable" true
-    (Enc_relation.eq_index enc ~leaf:state_leaf.Enc_relation.label ~attr:"State" = None)
+    (Enc_relation.eq_index state_leaf ~attr:"State" = None)
 
 let test_indexed_queries_agree () =
   let o = owner () in
@@ -125,39 +130,51 @@ let det_pool = [| "d0"; "d1"; "d2" |]
 let ord_pool = [| 10; 20; 30 |]
 
 (* A leaf of [n] rows over every column kind, values drawn from small
-   pools so they repeat; "bad_det" and "bad_ope" each hold one cell of
-   the wrong shape when [n > 0]. *)
+   pools so they repeat. "ope2" holds two payloads under each ordinal;
+   "bad_det", "bad_ope" and "bad_phe" each hold one cell of the wrong
+   shape when [n > 0]. *)
 let random_leaf rng label n =
   let pick a = a.(Random.State.int rng (Array.length a)) in
-  let col attr scheme cell = { Enc_relation.attr; scheme; cells = Array.init n cell } in
-  let det = col "det" Scheme.Det (fun _ -> Enc_relation.C_bytes (pick det_pool)) in
-  let ope =
-    col "ope" Scheme.Ope (fun _ -> Enc_relation.C_ord { ord = pick ord_pool; payload = "p" })
-  in
-  let with_bad_cell (c : Enc_relation.enc_column) attr bad =
-    let cells = Array.copy c.Enc_relation.cells in
+  let cells cell = Array.init n cell in
+  let col attr scheme cells = Enc_relation.make_column ~attr ~scheme cells in
+  let det = cells (fun _ -> Enc_relation.C_bytes (pick det_pool)) in
+  let ope = cells (fun _ -> Enc_relation.C_ord { ord = pick ord_pool; payload = "p" }) in
+  let phe = cells (fun _ -> Enc_relation.C_nat (Snf_bignum.Nat.of_int (1 + Random.State.int rng 1000))) in
+  let with_bad_cell cells bad =
+    let cells = Array.copy cells in
     if n > 0 then cells.(Random.State.int rng n) <- bad;
-    { c with Enc_relation.attr; cells }
+    cells
   in
   { Enc_relation.label;
     row_count = n;
     tids = Array.init n (Printf.sprintf "tid%d");
     columns =
-      [ det;
-        ope;
-        col "ore" Scheme.Ore (fun _ ->
-            Enc_relation.C_ore { ore = Ore.encrypt ore (pick ord_pool); payload = "p" });
-        col "ndet" Scheme.Ndet (fun i -> Enc_relation.C_bytes (Printf.sprintf "n%d" i));
-        col "plain" Scheme.Plain (fun _ -> Enc_relation.C_plain (Value.Int (pick ord_pool)));
-        with_bad_cell det "bad_det" (Enc_relation.C_ord { ord = 10; payload = "p" });
-        with_bad_cell ope "bad_ope" (Enc_relation.C_bytes "d0") ] }
+      [ col "det" Scheme.Det det;
+        col "ope" Scheme.Ope ope;
+        col "ope2" Scheme.Ope
+          (cells (fun _ -> Enc_relation.C_ord { ord = pick ord_pool; payload = pick [| "p"; "q" |] }));
+        col "ore" Scheme.Ore
+          (cells (fun _ -> Enc_relation.C_ore { ore = Ore.encrypt ore (pick ord_pool); payload = "p" }));
+        col "ndet" Scheme.Ndet (cells (fun i -> Enc_relation.C_bytes (Printf.sprintf "n%d" i)));
+        col "plain" Scheme.Plain (cells (fun _ -> Enc_relation.C_plain (Value.Int (pick ord_pool))));
+        col "phe" Scheme.Phe phe;
+        col "bad_det" Scheme.Det (with_bad_cell det (Enc_relation.C_ord { ord = 10; payload = "p" }));
+        col "bad_ope" Scheme.Ope (with_bad_cell ope (Enc_relation.C_bytes "d0"));
+        col "bad_phe" Scheme.Phe (with_bad_cell phe (Enc_relation.C_bytes "d0")) ] }
 
+let random_attr rng =
+  let attrs =
+    [| "det"; "ope"; "ope2"; "ore"; "ndet"; "plain"; "phe"; "bad_det"; "bad_ope"; "bad_phe";
+       "det"; "ope"; "ope2"; "nope" |]
+  in
+  attrs.(Random.State.int rng (Array.length attrs))
+
+(* Token kinds are drawn apart from the column, so many ops pair a token
+   with a column of another scheme and raise the mismatch a scan raises. *)
 let random_op rng n =
   let pick a = a.(Random.State.int rng (Array.length a)) in
-  let attr () =
-    pick [| "det"; "ope"; "ore"; "ndet"; "plain"; "bad_det"; "bad_ope"; "det"; "ope"; "nope" |]
-  in
   let ord () = pick [| 10; 20; 30; 99 |] in
+  let attr = random_attr rng in
   match Random.State.int rng 10 with
   | 0 | 1 ->
     let slots = List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) in
@@ -170,7 +187,7 @@ let random_op rng n =
       | 4 -> Enc_relation.Eq_plain (Value.Int (ord ()))
       | _ -> Enc_relation.Eq_ore (Ore.encrypt ore (ord ()))
     in
-    Wire.F_eq (attr (), tok)
+    Wire.F_eq (attr, tok)
   | _ ->
     let lo = ord () and hi = ord () in
     let tok =
@@ -179,56 +196,127 @@ let random_op rng n =
       | 1 -> Enc_relation.Rng_plain (Value.Int lo, Value.Int hi)
       | _ -> Enc_relation.Rng_ore (Ore.encrypt ore lo, Ore.encrypt ore hi)
     in
-    Wire.F_range (attr (), tok)
+    Wire.F_range (attr, tok)
+
+let leaf_rows = [ ("L0", 0); ("L1", 1); ("L13", 13); ("L45", 45) ]
+
+(* One store-reading request of the given kind: a [Q_batch] of 1-3
+   queries of 1-3 leaves of 0-4 ops each, an [Index_probe], a
+   [Q_store_stats], a [Group_sum] or a [Fetch_rows]. Half of the
+   single-leaf requests name [L45], whose fetches go above
+   [Wire.small_rows] rows. *)
+let random_request rng kind =
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let label, n =
+    if Random.State.bool rng then ("L45", 45)
+    else List.nth leaf_rows (Random.State.int rng (List.length leaf_rows))
+  in
+  let label = if Random.State.int rng 20 = 0 then "nope" else label in
+  match kind with
+  | `Batch ->
+    Wire.Q_batch
+      { queries =
+          List.init (1 + Random.State.int rng 3) (fun _ ->
+              List.init (1 + Random.State.int rng 3) (fun _ ->
+                  let label, n = List.nth leaf_rows (Random.State.int rng (List.length leaf_rows)) in
+                  (label, List.init (Random.State.int rng 5) (fun _ -> random_op rng n)))) }
+  | `Probe ->
+    let key =
+      match Random.State.int rng 5 with
+      | 0 -> None
+      | 1 -> Some "d1"
+      | 2 -> Some "20"
+      | 3 -> Some (Value.encode (Value.Int 30))
+      | _ -> Some "absent"
+    in
+    Wire.Index_probe { leaf = label; attr = random_attr rng; key }
+  | `Stats -> Wire.Q_store_stats
+  | `Group ->
+    Wire.Group_sum
+      { leaf = label;
+        group_by = pick [| "det"; "ope"; "ope2"; "plain"; "bad_det"; "bad_ope"; random_attr rng |];
+        sum = pick [| "phe"; "phe"; "phe"; "bad_phe"; random_attr rng |] }
+  | `Fetch ->
+    let slots =
+      match Random.State.int rng 4 with
+      | 0 -> List.init n Fun.id
+      | 1 -> List.init (2 * n) (fun _ -> Random.State.int rng (max 1 n))
+      | 2 -> List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
+      | _ -> List.init (Random.State.int rng 3) (fun _ -> Random.State.int rng (n + 1))
+    in
+    Wire.Fetch_rows
+      { leaf = label; attrs = List.init (1 + Random.State.int rng 3) (fun _ -> random_attr rng); slots }
 
 let outcome f =
   match f () with
   | resp -> Ok (Wire.response_to_string resp)
   | exception Not_found -> Error "Not_found"
   | exception Invalid_argument msg -> Error ("Invalid_argument " ^ msg)
+  | exception Integrity.Corruption c -> Error (Integrity.to_string c)
 
 let eq_index_counters () =
   Snf_obs.Metrics.
     (value (counter "exec.eq_index.hits"), value (counter "exec.eq_index.builds"))
 
-(* Random Q_batches over random leaves: [Server_api.dispatch] answers
-   with the scan reference's bytes, or raises its error, and moves no
-   exec.eq_index.* counter. Each store answers several batches, so
-   later ones read tables built by earlier ones. *)
-let test_filter_index_matches_scan () =
+(* Random store-reading requests over random leaves: [Server_api.dispatch]
+   answers with the per-cell reference's bytes, or raises its error. Each
+   store answers four Q_batches and two of each other request. No
+   request builds a form: each probe reads one form, each store-stats
+   request one per Plain, DET or OPE column, and nothing else moves an
+   exec.eq_index.* counter. *)
+let test_requests_match_reference () =
   let rng = Random.State.make [| 29 |] in
-  let counters0 = eq_index_counters () in
-  let errors = ref 0 in
+  let seen = Hashtbl.create 16 and coded = ref 0 in
   for _ = 1 to 300 do
-    let rows = [ ("L0", 0); ("L1", 1); ("L13", 13) ] in
+    let builds0 = snd (eq_index_counters ()) in
     let store =
       { Enc_relation.relation_name = "R";
-        leaves = List.map (fun (label, n) -> random_leaf rng label n) rows;
-        paillier_public = Snf_crypto.Paillier.public_of_n (Snf_bignum.Nat.of_int 35);
-        index_cache = Hashtbl.create 4 }
+        leaves = List.map (fun (label, n) -> random_leaf rng label n) leaf_rows;
+        paillier_public = Snf_crypto.Paillier.public_of_n (Snf_bignum.Nat.of_int 35) }
     in
+    let columns pred =
+      List.concat_map (fun (l : Enc_relation.enc_leaf) -> l.Enc_relation.columns) store.Enc_relation.leaves
+      |> List.filter (fun (c : Enc_relation.enc_column) -> pred c.Enc_relation.scheme)
+    in
+    let keyed = function Scheme.Plain | Scheme.Det | Scheme.Ope -> true | _ -> false in
+    Alcotest.(check int) "one form built per deterministic column"
+      (List.length (columns Enc_relation.deterministic))
+      (snd (eq_index_counters ()) - builds0);
     let view = Backend_mem.view (Backend_mem.of_store store) in
-    for _ = 1 to 4 do
-      let queries =
-        List.init (1 + Random.State.int rng 3) (fun _ ->
-            List.init (1 + Random.State.int rng 3) (fun _ ->
-                let label, n = List.nth rows (Random.State.int rng 3) in
-                (label, List.init (Random.State.int rng 5) (fun _ -> random_op rng n))))
+    List.iter (fun kind ->
+      let req = random_request rng kind in
+      let expected = outcome (fun () -> Scan_reference.request store req) in
+      let tally = (kind, Result.is_ok expected) in
+      Hashtbl.replace seen tally (1 + Option.value (Hashtbl.find_opt seen tally) ~default:0);
+      let hits0, builds0 = eq_index_counters () in
+      let got = outcome (fun () -> Server_api.dispatch view req) in
+      Alcotest.(check (result string string)) "dispatch answers as the reference" expected got;
+      (match Wire.response_of_string (Result.value got ~default:"") with
+       | Wire.R_rows cols ->
+         if Array.exists (function Wire.Coded _ -> true | Wire.Cells _ -> false) cols then incr coded
+       | _ | (exception Invalid_argument _) -> ());
+      let reads =
+        match (req, got) with
+        | Wire.Index_probe { leaf; attr; _ }, Ok _ ->
+          let l = Enc_relation.find_leaf store leaf in
+          if keyed (Enc_relation.column l attr).Enc_relation.scheme then 1 else 0
+        | Wire.Q_store_stats, _ -> List.length (columns keyed)
+        | _ -> 0
       in
-      let expected = outcome (fun () -> Scan_reference.q_batch store queries) in
-      if Result.is_error expected then incr errors;
-      Alcotest.(check (result string string))
-        "dispatch answers as the scan reference" expected
-        (outcome (fun () -> Server_api.dispatch view (Wire.Q_batch { queries })))
-    done
+      Alcotest.(check (pair int int)) "hits count probe-side reads, no builds" (hits0 + reads, builds0)
+        (eq_index_counters ()))
+      [ `Batch; `Batch; `Batch; `Batch; `Probe; `Probe; `Stats; `Stats; `Group; `Group; `Fetch; `Fetch ]
   done;
-  Alcotest.(check bool) "some batches raised" true (!errors > 0);
-  Alcotest.(check (pair int int)) "filters move no eq_index counter" counters0
-    (eq_index_counters ())
+  List.iter
+    (fun (kind, name) ->
+      Alcotest.(check bool) (name ^ ": some answered") true (Hashtbl.mem seen (kind, true));
+      Alcotest.(check bool) (name ^ ": some raised") true (Hashtbl.mem seen (kind, false)))
+    [ (`Batch, "Q_batch"); (`Probe, "Index_probe"); (`Group, "Group_sum"); (`Fetch, "Fetch_rows") ];
+  Alcotest.(check bool) "some fetches were coded" true (!coded > 0)
 
-(* [Fault.flip_cell] copies the store with [{ t with leaves }], so the
-   copy shares the original's index cache; each must answer from its own
-   cells. *)
+(* [Fault.flip_cell] copies the store and builds the flipped column
+   afresh ([Enc_relation.make_column]); the copy shares every other
+   column with the original, and each answers from its own cells. *)
 let test_flipped_copy_answers_from_own_cells () =
   let o = owner () in
   let enc = o.System.enc in
@@ -239,10 +327,13 @@ let test_flipped_copy_answers_from_own_cells () =
        enc.Enc_relation.leaves)
       .Enc_relation.label
   in
+  let hits0, builds0 = eq_index_counters () in
   let flipped, slot = Snf_check.Fault.flip_cell ~seed:3 enc ~leaf ~attr:"ZipCode" in
-  let cell (t : Enc_relation.t) =
-    (Enc_relation.column (Enc_relation.find_leaf t leaf) "ZipCode").Enc_relation.cells.(slot)
-  in
+  let hits1, builds1 = eq_index_counters () in
+  Alcotest.(check (pair int int)) "the copy builds one form" (0, 1)
+    (hits1 - hits0, builds1 - builds0);
+  let column (t : Enc_relation.t) = Enc_relation.column (Enc_relation.find_leaf t leaf) "ZipCode" in
+  let cell t = (column t).Enc_relation.cells.(slot) in
   let tok =
     match cell enc with
     | Enc_relation.C_bytes b -> Enc_relation.Eq_det b
@@ -258,20 +349,21 @@ let test_flipped_copy_answers_from_own_cells () =
     | Wire.R_batch { results = [ [ (mask, _) ] ] } -> Bitmask.get mask slot
     | _ -> Alcotest.fail "one mask expected"
   in
-  Alcotest.(check bool) "the copy shares the cache" true
-    (flipped.Enc_relation.index_cache == enc.Enc_relation.index_cache);
+  Alcotest.(check bool) "the copy has its own form" true
+    ((column flipped).Enc_relation.form != (column enc).Enc_relation.form);
   Alcotest.(check bool) "the flipped cell is still canonical" true
     (match cell flipped with Enc_relation.C_bytes _ -> true | _ -> false);
   Alcotest.(check bool) "original matches its slot" true (answer enc);
   Alcotest.(check bool) "copy does not match its flipped slot" false (answer flipped);
   Alcotest.(check bool) "original again" true (answer enc);
-  (* The filters built that table; its first probe still counts a build. *)
-  let hits0, builds0 = eq_index_counters () in
-  ignore (Enc_relation.eq_index enc ~leaf ~attr:"ZipCode");
-  ignore (Enc_relation.eq_index enc ~leaf ~attr:"ZipCode");
-  let hits1, builds1 = eq_index_counters () in
-  Alcotest.(check (pair int int)) "first probe builds, second hits" (1, 1)
-    (hits1 - hits0, builds1 - builds0)
+  (* Filters moved no counter; each probe-side read is one hit. *)
+  let hits2, builds2 = eq_index_counters () in
+  Alcotest.(check (pair int int)) "filters move no counter" (hits1, builds1) (hits2, builds2);
+  ignore (Enc_relation.eq_index (Enc_relation.find_leaf enc leaf) ~attr:"ZipCode");
+  ignore (Enc_relation.eq_index (Enc_relation.find_leaf flipped leaf) ~attr:"ZipCode");
+  let hits3, builds3 = eq_index_counters () in
+  Alcotest.(check (pair int int)) "two reads, two hits, no build" (2, 0)
+    (hits3 - hits2, builds3 - builds2)
 
 let suite =
   [ t "index construction" test_index_construction;
@@ -280,5 +372,5 @@ let suite =
     t "ranges still scan" test_range_predicates_still_scan;
     prop_indexed_equals_scanned;
     t "index with oram mode" test_index_with_oram_mode;
-    t "filters answer as the scan reference" test_filter_index_matches_scan;
+    t "filters answer as the scan reference" test_requests_match_reference;
     t "a flipped copy answers from its own cells" test_flipped_copy_answers_from_own_cells ]

@@ -115,7 +115,8 @@ let test_ledger_batched_probes () =
   Alcotest.(check int) "two distinct zip constants visible" 2
     (tokens "ZipCode").Ledger.distinct_tokens;
   Alcotest.(check int) "one range token" 1 (tokens "Income").Ledger.tokens_issued;
-  Alcotest.(check bool) "probes served by the index" true (r.Ledger.index_misses >= 1)
+  Alcotest.(check (pair int int)) "probes served by the index" (3, 0)
+    (r.Ledger.index_hits, r.Ledger.index_misses)
 
 (* The profile's token counts see the same batched probes: its eq.*
    totals come from every round, not from the query windows. *)

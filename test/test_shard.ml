@@ -344,10 +344,10 @@ let test_sharded_aggregation_parity () =
       let enc_leaf = Enc_relation.find_leaf mem.System.enc leaf in
       Alcotest.(check bool) "merged sum ciphertext" true
         (Snf_bignum.Nat.equal
-           (Enc_relation.phe_sum mem.System.enc enc_leaf "salary")
+           (Enc_relation.phe_sum mem.System.enc.Enc_relation.paillier_public enc_leaf "salary")
            (Server_api.phe_sum outer ~leaf ~attr:"salary"));
       Alcotest.(check bool) "merged group ciphertexts" true
-        (Enc_relation.phe_group_sum mem.System.enc enc_leaf ~group_by:"dept" ~sum:"salary"
+        (Enc_relation.phe_group_sum mem.System.enc.Enc_relation.paillier_public enc_leaf ~group_by:"dept" ~sum:"salary"
          = Server_api.group_sum outer ~leaf ~group_by:"dept" ~sum:"salary");
       Alcotest.(check int) "sum agrees across the coordinator"
         (System.sum mem ~leaf ~attr:"salary")
@@ -499,7 +499,13 @@ let test_bad_slot_error_bytes () =
   let leaf = List.hd o.System.enc.Enc_relation.leaves in
   let label = leaf.Enc_relation.label in
   let attr = (List.hd leaf.Enc_relation.columns).Enc_relation.attr in
+  let on_shard0 =
+    let owner = List.assoc label (Backend_sharded.assignment Backend_sharded.Hash ~shards:2 o.System.enc) in
+    List.filter (fun g -> owner.(g) = 0) (List.init (Array.length owner) Fun.id)
+  in
   Alcotest.(check int) "a 10-row leaf" 10 leaf.Enc_relation.row_count;
+  Alcotest.(check bool) "shard 0 owns a row, not all" true
+    (on_shard0 <> [] && List.length on_shard0 < 10);
   let single = mem_connect 0 in
   let sharded =
     Backend_sharded.connect (Backend_sharded.create ~connect:mem_connect ~shards:2 ())
@@ -530,7 +536,13 @@ let test_bad_slot_error_bytes () =
                       Wire.F_slots [ 99 ] ] ) ] ] } );
       ("Fetch_rows [99]", Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 99 ] });
       ( "Fetch_rows [3; 10]",
-        Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 3; 10 ] } ) ]
+        Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 3; 10 ] } );
+      ( "an empty fetch of an unknown attribute",
+        Wire.Fetch_rows { leaf = label; attrs = [ "nope" ]; slots = [] } );
+      ( "a one-shard fetch of an unknown attribute",
+        Wire.Fetch_rows { leaf = label; attrs = [ attr; "nope" ]; slots = on_shard0 } );
+      ( "an empty fetch of an unknown leaf",
+        Wire.Fetch_rows { leaf = "nope"; attrs = [ attr ]; slots = [] } ) ]
 
 (* --- dictionary-coded fetches ------------------------------------------------
    A leaf placed by its distinct first column [k], so the repeated values
@@ -604,6 +616,37 @@ let coded_fetches ~connect check =
       ("one row", [ 5 ]);
       ("no rows", []) ]
 
+(* A fetch goes only to the shards that own a requested slot: one whose
+   slots all sit on shard 0 moves no request counter of shard 1, and
+   still answers a single backend's bytes. *)
+let test_fetch_skips_idle_shards () =
+  let o = coded_owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let leaf = List.hd o.System.enc.Enc_relation.leaves in
+  let label = leaf.Enc_relation.label in
+  let owner = List.assoc label (Backend_sharded.assignment Backend_sharded.Hash ~shards:2 o.System.enc) in
+  let image = Wire.to_string o.System.enc in
+  let single = mem_connect 0 in
+  let st = Backend_sharded.create ~policy:Backend_sharded.Hash ~connect:mem_connect ~shards:2 () in
+  let sharded = Backend_sharded.connect st in
+  Fun.protect ~finally:(fun () -> Server_api.close single; Server_api.close sharded)
+  @@ fun () ->
+  Server_api.install single image;
+  Server_api.install sharded image;
+  let shard1 = Snf_obs.Metrics.counter "exec.wire.shard1.requests" in
+  List.iter
+    (fun (name, slots) ->
+      let up = Wire.request_to_string (Wire.Fetch_rows { leaf = label; attrs = coded_fetched; slots }) in
+      let stats0 = (Backend_sharded.shard_stats st).(1).Server_api.requests in
+      let count0 = Snf_obs.Metrics.value shard1 in
+      let b = Server_api.exchange_raw sharded up in
+      Alcotest.(check (pair int int)) (name ^ ": shard 1 not asked") (stats0, count0)
+        ((Backend_sharded.shard_stats st).(1).Server_api.requests, Snf_obs.Metrics.value shard1);
+      Alcotest.(check string) (name ^ ": same response bytes") (Server_api.exchange_raw single up) b)
+    [ ("shard 0's rows", List.filter (fun g -> owner.(g) = 0) (List.init coded_rows Fun.id));
+      ("one of shard 0's rows", [ Option.get (Array.find_index (( = ) 0) owner) ]);
+      ("no rows", []) ]
+
 let test_coded_fetch_bytes () =
   coded_fetches ~connect:mem_connect (fun ~leaf ~owner name ~single ~sharded ~reference ->
       if name = "every row" then begin
@@ -634,7 +677,7 @@ let test_coded_fetch_bytes () =
    whose cell appeared before it, gets an entry of its own, so the
    dictionary holds that cell twice. [None] when no cell repeats. *)
 let duplicate_entry cells =
-  let { Enc_relation.class_of; _ } = Enc_relation.classes_of_cells cells in
+  let class_of, _ = Enc_relation.classes_of_cells cells in
   let seen = Hashtbl.create 16 and r = ref (-1) in
   Array.iteri
     (fun i c -> if Hashtbl.mem seen c then r := i else Hashtbl.add seen c ())
@@ -709,5 +752,6 @@ let suite =
     t "bad slots: sharded error bytes equal a single backend's"
       test_bad_slot_error_bytes;
     t "coded fetches: sharded bytes equal a single backend's" test_coded_fetch_bytes;
+    t "a fetch skips the shards that own none of its slots" test_fetch_skips_idle_shards;
     t "a shard's non-canonical coding is re-coded by the coordinator"
       test_noncanonical_shard_recoded ]

@@ -89,7 +89,7 @@ let test_loaded_phe_sum () =
         List.exists (fun c -> c.Enc_relation.attr = "amount") l.Enc_relation.columns)
       enc'.Enc_relation.leaves
   in
-  let cipher = Enc_relation.phe_sum enc' leaf "amount" in
+  let cipher = Enc_relation.phe_sum enc'.Enc_relation.paillier_public leaf "amount" in
   let kp = Enc_relation.client_paillier o.System.client in
   Alcotest.(check int) "homomorphic sum over loaded image" 360
     (Snf_bignum.Nat.to_int_exn (Snf_crypto.Paillier.decrypt kp cipher))

@@ -374,8 +374,7 @@ let test_high_integer_bits_rejected () =
         Wire.to_string
           { Enc_relation.relation_name = "R";
             leaves = [ leaf ];
-            paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35);
-            index_cache = Hashtbl.create 1 }
+            paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35) }
       in
       Alcotest.check_raises ("SNFE name length, " ^ what) out_of_range (fun () ->
           ignore (Wire.of_string (with_bits image ~word:5 ~mask)));
