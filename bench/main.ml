@@ -950,6 +950,20 @@ let run_micro_paillier () =
   if not deterministic then
     failwith "micro-paillier: bulk ciphertexts differ between 1 and 3 domains"
 
+(* Best-of-three nanoseconds per call of [f], over [reps] calls. *)
+let ns_per reps f =
+  let best = ref infinity in
+  for _ = 1 to 3 do
+    let _, dt =
+      time (fun () ->
+          for _ = 1 to reps do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    best := Float.min !best (dt /. float_of_int reps)
+  done;
+  !best *. 1e9
+
 (* Per-leaf slot arrays of a cascade-shaped answer: the shape the
    lockstep pass returns. *)
 let slots_of_joined k joined =
@@ -999,20 +1013,96 @@ let lockstep_reconstruction ~rows ~k =
   let warm_orders = orders () in
   if pass warm_orders <> Some (slots_of_joined k (cascade ())) then
     failwith (Printf.sprintf "micro-join: lockstep pass disagrees with the cascade (k=%d)" k);
-  let us_per reps f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let _, dt =
-        time (fun () ->
-            for _ = 1 to reps do
-              ignore (Sys.opaque_identity (f ()))
-            done)
-      in
-      best := Float.min !best (dt /. float_of_int reps)
-    done;
-    !best *. 1e6
-  in
+  let us_per reps f = ns_per reps f /. 1e3 in
   (us_per 5 (fun () -> pass (orders ())), us_per 50 (fun () -> pass warm_orders), us_per 5 cascade)
+
+(* The shard coordinator's mask merge, per bit (a [get] per local slot
+   and a [set] per set one) against [Bitmask.scatter], for two shards
+   holding a seeded half of [rows] each, every shard mask at [density].
+   Fails if the two merges differ. *)
+let mask_merge_row ~rows ~density =
+  let module B = Snf_exec.Bitmask in
+  let prng = Snf_crypto.Prng.create (rows + int_of_float (density *. 1e4)) in
+  let owner = Array.init rows (fun _ -> Snf_crypto.Prng.int prng 2) in
+  let locals =
+    Array.init 2 (fun s ->
+        Array.of_list (List.filter (fun g -> owner.(g) = s) (List.init rows Fun.id)))
+  in
+  let masks =
+    Array.map
+      (fun l ->
+        B.of_bools
+          (Array.map (fun _ -> Snf_crypto.Prng.float prng 1.0 < density) l))
+      locals
+  in
+  let per_bit () =
+    let out = B.create rows false in
+    Array.iteri
+      (fun s m ->
+        for j = 0 to B.length m - 1 do
+          if B.get m j then B.set out locals.(s).(j)
+        done)
+      masks;
+    out
+  in
+  let kernel () =
+    let out = B.create rows false in
+    Array.iteri (fun s m -> B.scatter m ~into:out locals.(s)) masks;
+    out
+  in
+  if per_bit () <> kernel () then
+    failwith
+      (Printf.sprintf "micro-join: mask merge kernel disagrees at rows=%d density=%g" rows density);
+  let reps = max 50 (200_000 / rows) in
+  (ns_per reps per_bit, ns_per reps kernel)
+
+(* A per-bit form of the lockstep pass, one [Bitmask.get] per leaf per
+   rank and the ranks in a list: the reference [lockstep_per_rank]
+   checks and times the pass against. *)
+let lockstep_per_bit orders masks =
+  let module OJ = Snf_exec.Oblivious_join in
+  let k = Array.length orders and n = Array.length orders.(0) in
+  let aligned = ref true and prev = ref (-1) and ranks = ref [] in
+  for r = 0 to n - 1 do
+    let t = OJ.Packed.tid orders.(0).(r) in
+    let sel = ref true in
+    for i = 0 to k - 1 do
+      let e = orders.(i).(r) in
+      if OJ.Packed.tid e <> t then aligned := false;
+      sel := Snf_exec.Bitmask.get masks.(i) (OJ.Packed.row e) && !sel
+    done;
+    if t <= !prev then aligned := false;
+    prev := t;
+    if !sel then ranks := r :: !ranks
+  done;
+  if not !aligned then None
+  else
+    let ranks = Array.of_list (List.rev !ranks) in
+    Some (Array.map (fun o -> Array.map (fun r -> OJ.Packed.row o.(r)) ranks) orders)
+
+(* Nanoseconds per rank of the warm lockstep pass over [k] shuffled
+   leaves of [rows] tids at mask [density], per bit and with the pass's
+   packed reads. Fails if the two passes differ. *)
+let lockstep_per_rank ~rows ~k ~density =
+  let module OJ = Snf_exec.Oblivious_join in
+  let prng = Snf_crypto.Prng.create (31 + k + rows) in
+  let orders =
+    Array.init k (fun _ ->
+        let a = Array.init rows Fun.id in
+        Snf_crypto.Prng.shuffle prng a;
+        Option.get (OJ.tid_order (OJ.fresh_stats ()) a))
+  in
+  let masks =
+    Array.init k (fun _ ->
+        Snf_exec.Bitmask.of_bools
+          (Array.init rows (fun _ -> Snf_crypto.Prng.float prng 1.0 < density)))
+  in
+  let pass () = OJ.lockstep (OJ.fresh_stats ()) ~drop_tid:(fun _ -> false) orders masks in
+  if pass () <> lockstep_per_bit orders masks then
+    failwith (Printf.sprintf "micro-join: lockstep disagrees with the per-bit pass (k=%d)" k);
+  let reps = max 20 (100_000 / rows) in
+  let per_rank ns = ns /. float_of_int rows in
+  (per_rank (ns_per reps (fun () -> lockstep_per_bit orders masks)), per_rank (ns_per reps pass))
 
 (* Join hot-path benchmark: the executor's sort-merge path (tid orders
    from the client's tid cache, then one lockstep pass) against the
@@ -1020,7 +1110,9 @@ let lockstep_reconstruction ~rows ~k =
    (`Oblivious_join.join_many_cascade`), under 1 and 4 domains. The
    production path runs cold (tid decrypts, tid orders, the pass) and
    warm (the pass over cached orders); both must equal the cascade. Then
-   the same path at k = 2 and 3 on shuffled tids, a correctness grid
+   the same path at k = 2 and 3 on shuffled tids, the mask kernels (the
+   coordinator's merge and the lockstep's bit reads, each against its
+   per-bit form, which it must equal), a correctness grid
    (five representations x three reconstruction modes x cache x domains,
    every answer bag-checked against the plaintext oracle) and two
    differential soaks; writes BENCH_figure3.json. *)
@@ -1130,6 +1222,45 @@ let run_micro_join () =
             ("cascade_us", Json.Float cascade) ])
       [ 2; 3 ]
   in
+  (* Mask kernels: the coordinator's merge and the lockstep's bit reads,
+     each against its per-bit form. Outputs are checked; times are
+     reported, dense masks included, and gate nothing. *)
+  let densities = [ 0.001; 0.01; 0.5; 1.0 ] in
+  let merge =
+    List.concat_map
+      (fun mrows ->
+        List.map
+          (fun density ->
+            let per_bit, kernel = mask_merge_row ~rows:mrows ~density in
+            Printf.printf
+              "  mask merge %5d rows %5.1f%%: per-bit %9.0f ns  kernel %9.0f ns  (%.1fx)\n"
+              mrows (density *. 100.) per_bit kernel (per_bit /. kernel);
+            Json.Obj
+              [ ("rows", Json.Int mrows);
+                ("density", Json.Float density);
+                ("per_bit_ns", Json.Float per_bit);
+                ("kernel_ns", Json.Float kernel) ])
+          densities)
+      [ 1_000; 2_000; 4_000 ]
+  in
+  let lockstep_ranks =
+    List.concat_map
+      (fun k ->
+        List.map
+          (fun density ->
+            let per_bit, packed = lockstep_per_rank ~rows ~k ~density in
+            Printf.printf
+              "  lockstep k=%d %5.1f%%: per-bit %6.2f ns/rank  packed %6.2f ns/rank  (%.1fx)\n"
+              k (density *. 100.) per_bit packed (per_bit /. packed);
+            Json.Obj
+              [ ("k", Json.Int k);
+                ("rows", Json.Int rows);
+                ("density", Json.Float density);
+                ("per_bit_ns_per_rank", Json.Float per_bit);
+                ("packed_ns_per_rank", Json.Float packed) ])
+          [ 0.01; 0.5; 1.0 ])
+      [ 2; 3 ]
+  in
   (* Correctness grid: five representations x reconstruction modes x
      warm/cold client caches x domains at reduced scale, every cell
      bag-checked against the plaintext oracle. A cold cell drops the
@@ -1234,6 +1365,8 @@ let run_micro_join () =
             ("tid_cache_misses", Json.Int cache_misses);
             ("answers_identical", Json.Bool identical) ] );
       ("lockstep_reconstruction", Json.List lockstep);
+      ("mask_merge", Json.List merge);
+      ("lockstep_per_rank", Json.List lockstep_ranks);
       ("grid_rows", Json.Int grid_rows);
       ("grid_all_match_oracle", Json.Bool !grid_ok);
       ("grid", Json.List (List.rev !grid));

@@ -263,9 +263,7 @@ let merge_masks ~leaf lm per_shard =
     (fun s (m, sc) ->
       check_placed lm ~leaf ~what:"mask" s (Bitmask.length m);
       scanned := !scanned + sc;
-      for j = 0 to Bitmask.length m - 1 do
-        if Bitmask.get m j then Bitmask.set mask lm.lm_locals.(s).(j)
-      done)
+      Bitmask.scatter m ~into:mask lm.lm_locals.(s))
     per_shard;
   (mask, !scanned)
 

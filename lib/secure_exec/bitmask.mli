@@ -24,6 +24,43 @@ val clear : t -> int -> unit
 val popcount : t -> int
 (** Number of set slots. *)
 
+(** {2 Kernels}
+
+    Loops over slots live here: dune's default profile compiles with
+    [-opaque], so a caller's per-slot {!get} or {!set} is a real call
+    each time. A kernel that walks a mask visits its set slots in
+    ascending order and passes over zero bytes eight at a time, so it
+    costs the set bits, not the length. No kernel allocates per slot or
+    ever yields a slot at or past {!length}. *)
+
+val iter_set : (int -> unit) -> t -> unit
+(** [iter_set f m] calls [f] on every set slot of [m], ascending. *)
+
+val to_slots : t -> int array
+(** The set slots, ascending: an array of {!popcount} entries. *)
+
+val scatter : t -> into:t -> int array -> unit
+(** [scatter m ~into pos] sets slot [pos.(j)] of [into] for every set
+    slot [j] of [m].
+    @raise Invalid_argument unless [pos] holds [length m] positions, or
+    when a position of a set slot is outside [into]. *)
+
+val filter : t -> (int -> bool) -> unit
+(** [filter m keep] clears every set slot [i] of [m] for which [keep i]
+    is false; [keep] is asked about set slots only, ascending. *)
+
+val select : t -> int array -> holds:(int -> bool) -> t
+(** [select m slots ~holds]: a new mask of [length m] slots, setting
+    each of [slots] that is set in [m] and passes [holds]. [holds] is
+    asked about those set in [m] only, in [slots] order.
+    @raise Invalid_argument on a slot outside [m]. *)
+
+val packed : t -> string
+(** A copy of the packed bytes, as {!write} appends them: slot [k] is
+    bit [k land 7] of byte [k lsr 3]. For a reader that must read bits
+    at positions of its own choosing without a call per bit; writes
+    still go through the mask. *)
+
 val of_bools : bool array -> t
 val to_bools : t -> bool array
 

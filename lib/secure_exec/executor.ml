@@ -186,15 +186,7 @@ let no_window = { w_slots = [||]; w_cols = [] }
 let ascending_slots ~rows iter =
   let mark = Bitmask.create rows false in
   iter (Bitmask.set mark);
-  let out = Array.make (Bitmask.popcount mark) 0 in
-  let k = ref 0 in
-  for s = 0 to rows - 1 do
-    if Bitmask.get mark s then begin
-      out.(!k) <- s;
-      incr k
-    end
-  done;
-  out
+  Bitmask.to_slots mark
 
 (* [slots] must be ascending and distinct. No attributes, no round trip. *)
 let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
@@ -345,21 +337,18 @@ let run_single ~drop_tid ~cache client conn ~scheme_of q plan (lv : leaf_view) c
   let label = lv.lv_label in
   let matches =
     Span.with_ ~name:"query.reconstruct" ~attrs:[ ("path", "single") ] @@ fun () ->
-    let n = lv.lv_rows in
-    let dropped =
-      match drop_tid with
-      | None -> fun _ -> false
-      | Some drop -> fun i -> drop (Enc_relation.tid_at client ~leaf:label ~rows:n i)
-    in
-    let slots = ref [] in
-    for i = n - 1 downto 0 do
-      if Bitmask.get mask i && not (dropped i) then slots := i :: !slots
-    done;
-    !slots
+    let slots = Bitmask.to_slots mask in
+    match drop_tid with
+    | None -> slots
+    | Some drop ->
+      let n = lv.lv_rows in
+      Array.to_list slots
+      |> List.filter (fun i -> not (drop (Enc_relation.tid_at client ~leaf:label ~rows:n i)))
+      |> Array.of_list
   in
   Span.with_ ~name:"query.client_decrypt" @@ fun () ->
   let attrs = fetched_attrs q plan label compiled in
-  let w = window ~cache client conn ~scheme_of ~label ~attrs ~slots:(Array.of_list matches) in
+  let w = window ~cache client conn ~scheme_of ~label ~attrs ~slots:matches in
   verify_indexed w label compiled;
   build_result q (List.map (values w) q.Query.select)
 
@@ -520,12 +509,11 @@ let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled
     @@ fun () ->
     let partners = List.filter (fun lv -> lv.lv_label <> anchor) lvs in
     let selected_tids = ref [] in
-    for slot = 0 to n - 1 do
-      if Bitmask.get anchor_mask slot then begin
+    Bitmask.iter_set
+      (fun slot ->
         let tid = Enc_relation.tid_at client ~leaf:anchor ~rows:n slot in
-        if not (drop_tid tid) then selected_tids := tid :: !selected_tids
-      end
-    done;
+        if not (drop_tid tid) then selected_tids := tid :: !selected_tids)
+      anchor_mask;
     let fetchers = List.map (make_fetcher ~wanted:(List.rev !selected_tids)) partners in
     List.filter_map
       (fun tid ->

@@ -149,7 +149,11 @@ let tid_order stats tids =
    once, so the tids at a rank agree and the slots there are one row
    split across the leaves. Every rank is visited and every leaf's mask
    bit at its order's slot is read, whatever the masks say; the alignment
-   checks run on the same reads, and one failure voids the whole pass. *)
+   checks run on the same reads, and one failure voids the whole pass.
+   A bit is read from a copy of the mask's packed bytes, a load and a
+   shift in this loop rather than a call per bit; the ranks that survive
+   are marked in a mask of their own and read back ascending, so the
+   pass keeps no per-match list. *)
 let lockstep stats ~drop_tid orders masks =
   let k = Array.length orders in
   if k = 0 || Array.length masks <> k then invalid_arg "Oblivious_join.lockstep: arity";
@@ -160,33 +164,26 @@ let lockstep stats ~drop_tid orders masks =
       invalid_arg "Oblivious_join.lockstep: mask length mismatch";
     stats.joins <- stats.joins + 1;
     Snf_obs.Metrics.incr m_joins;
+    let bits = Array.map Bitmask.packed masks in
     let aligned = ref true and prev = ref (-1) in
-    let ranks = ref [] and count = ref 0 in
+    let selected = Bitmask.create n false in
     for r = 0 to n - 1 do
       let t = Packed.tid orders.(0).(r) in
       let sel = ref 1 in
       for i = 0 to k - 1 do
         let e = orders.(i).(r) in
         if Packed.tid e <> t then aligned := false;
-        sel := !sel land Bool.to_int (Bitmask.get masks.(i) (Packed.row e))
+        let slot = Packed.row e in
+        if slot >= n then invalid_arg "Oblivious_join.lockstep: slot out of range";
+        sel := !sel land (Char.code (String.unsafe_get bits.(i) (slot lsr 3)) lsr (slot land 7))
       done;
       if t <= !prev then aligned := false;
       prev := t;
-      if !sel = 1 && not (drop_tid t) then begin
-        ranks := r :: !ranks;
-        incr count
-      end
+      if !sel land 1 = 1 && not (drop_tid t) then Bitmask.set selected r
     done;
     if not !aligned then None
     else begin
-      let slots = Array.init k (fun _ -> Array.make !count 0) in
-      List.iteri
-        (fun j r ->
-          let j = !count - 1 - j in
-          for i = 0 to k - 1 do
-            slots.(i).(j) <- Packed.row orders.(i).(r)
-          done)
-        !ranks;
-      Some slots
+      let ranks = Bitmask.to_slots selected in
+      Some (Array.map (fun order -> Array.map (fun r -> Packed.row order.(r)) ranks) orders)
     end
   end

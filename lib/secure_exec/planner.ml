@@ -287,6 +287,10 @@ type memo_plan = {
 type memo_decision = {
   e_result : (memo_plan * float option * candidate list * note list, string) result;
   e_stamp : (int * int) option;  (* None for greedy (stamp-independent) *)
+  e_hits : (Query.pred list, decision) Hashtbl.t;
+      (* The decision a hit returns, per [q.where]: a pure function of
+         this entry and the constants, so a repeated query gets the same
+         immutable value, not a fresh copy of it for every call. *)
 }
 
 type memo_state = {
@@ -302,6 +306,7 @@ type memo_state = {
 
 let max_digest_entries = 16
 let max_plan_entries = 1024
+let max_hit_decisions = 256
 
 let memo_key : memo_state Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
@@ -403,11 +408,23 @@ let decide ?(handle = Greedy) rep q =
         (key, Hashtbl.find_opt st.plans key))
   in
   match hit with
-  | Some e when e.e_stamp = stamp ->
-    finish ~cache:`Hit ~enumerated:0
-      (Result.map
-         (fun (m, est, rej, notes) -> (of_memo m q, est, rej, notes))
-         e.e_result)
+  | Some e when e.e_stamp = stamp -> (
+    match Mutex.protect st.lock (fun () -> Hashtbl.find_opt e.e_hits q.Query.where) with
+    | Some d ->
+      Metrics.incr m_cache_hit;
+      Ok d
+    | None ->
+      let result =
+        finish ~cache:`Hit ~enumerated:0
+          (Result.map (fun (m, est, rej, notes) -> (of_memo m q, est, rej, notes)) e.e_result)
+      in
+      Result.iter
+        (fun d ->
+          Mutex.protect st.lock (fun () ->
+              if Hashtbl.length e.e_hits >= max_hit_decisions then Hashtbl.reset e.e_hits;
+              Hashtbl.replace e.e_hits q.Query.where d))
+        result;
+      result)
   | _ ->
     (* Planning itself runs unlocked; a concurrent same-shape miss
        just plans twice and the second replace wins harmlessly. *)
@@ -423,7 +440,8 @@ let decide ?(handle = Greedy) rep q =
               Result.map
                 (fun (pl, est, rej, notes, _) -> (to_memo pl q, est, rej, notes))
                 result;
-            e_stamp = stamp });
+            e_stamp = stamp;
+            e_hits = Hashtbl.create 8 });
     finish ~cache:`Miss ~enumerated
       (Result.map
          (fun (pl, est, rej, notes, _) -> (pl, est, rej, notes))

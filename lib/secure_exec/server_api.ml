@@ -81,17 +81,13 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
   let n = l.Enc_relation.row_count in
   let mask = ref (Bitmask.create n true) in
   let scanned = ref 0 in
-  let keep_only iter slots ~holds =
-    let keep = Bitmask.create n false in
-    iter (fun s -> if Bitmask.get !mask s && holds s then Bitmask.set keep s) slots;
-    mask := keep
-  in
+  let keep_only slots ~holds = mask := Bitmask.select !mask slots ~holds in
   let scan col test =
     scanned := !scanned + n;
-    let mask = !mask in
-    Array.iteri
-      (fun i cell -> if Bitmask.get mask i && not (test cell) then Bitmask.clear mask i)
-      col.Enc_relation.cells
+    let cells = col.Enc_relation.cells in
+    (* A slot past the end of a short column keeps its bit: a short
+       column is [check_shape]'s to report. *)
+    Bitmask.filter !mask (fun i -> i >= Array.length cells || test cells.(i))
   in
   let stale attr =
     Integrity.fail ~leaf:l.Enc_relation.label ~attr ~where:"index"
@@ -101,7 +97,7 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
     (function
       | Wire.F_slots slots ->
         check_slots ~rows:n slots;
-        keep_only List.iter slots ~holds:(fun _ -> true)
+        keep_only (Array.of_list slots) ~holds:(fun _ -> true)
       | Wire.F_eq (attr, tok) -> (
         let col = Enc_relation.column l attr in
         match index_key col tok with
@@ -109,7 +105,7 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
           scanned := !scanned + n;
           let slots = Enc_relation.key_slots f key in
           if Array.exists (fun s -> s < 0 || s >= n) slots then stale attr;
-          keep_only Array.iter slots ~holds:(fun s ->
+          keep_only slots ~holds:(fun s ->
               Enc_relation.cell_matches_eq tok col.Enc_relation.cells.(s) || stale attr)
         | None -> scan col (Enc_relation.cell_matches_eq tok))
       | Wire.F_range (attr, tok) ->

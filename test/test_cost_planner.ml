@@ -369,7 +369,9 @@ let prop_cache_transparent =
   (* For random policies/graphs: a cost handle's second decision is a
      cache hit carrying bit-identical plan, estimate, rejected set and
      notes — and a fresh handle over the same pricing re-derives the
-     same answer from scratch. *)
+     same answer from scratch. A third call returns the second's very
+     decision, and a same-shape query with another constant still gets
+     its own, equal to a fresh handle's. *)
   Helpers.qtest ~count:60 "random reps: cached decision == fresh decision"
     Helpers.instance_gen (fun (names, policy, g) ->
       let rep = Strategy.non_repeating g policy in
@@ -385,11 +387,17 @@ let prop_cache_transparent =
       let r1 = Planner.decide ~handle:h1 rep q in
       let r2 = Planner.decide ~handle:h1 rep q in
       let r3 = Planner.decide ~handle:(cost_handle stats) rep q in
+      let r4 = Planner.decide ~handle:h1 rep q in
+      let q' = Query.point ~select:names [ (List.hd names, Value.Int 1) ] in
+      let r5 = Planner.decide ~handle:h1 rep q' in
+      let r6 = Planner.decide ~handle:(cost_handle stats) rep q' in
       (match r2 with
        | Ok d -> d.Planner.d_cache = `Hit && d.Planner.d_enumerated = 0
        | Error _ -> true)
       && project r1 = project r2
-      && project r1 = project r3)
+      && project r1 = project r3
+      && (match (r2, r4) with Ok d2, Ok d4 -> d2 == d4 | _ -> r2 = r4)
+      && project r5 = project r6)
 
 let suite =
   [ Alcotest.test_case "statistics versioning and drift" `Quick

@@ -543,7 +543,42 @@ let test_unequal_leaves_are_corruption () =
   expect_corruption "single query" ~where:"store" (fun () ->
       Executor.run_conn ~mode:`Sort_merge client (conn ()) rep join_query);
   expect_corruption "batch of two" ~where:"store" (fun () ->
-      Executor.run_batch ~mode:`Sort_merge client (conn ()) rep [ join_query; join_query ])
+      Executor.run_batch ~mode:`Sort_merge client (conn ()) rep [ join_query; join_query ]);
+  (* No row holds a = 99, so that predicate's leaf answers a mask with
+     no bit set. *)
+  let nothing =
+    Query.point ~select:[ "b" ]
+      [ ("a", Snf_relational.Value.Int 99); ("c", Snf_relational.Value.Int 3) ]
+  in
+  expect_corruption "a query matching no row" ~where:"store" (fun () ->
+      Executor.run_conn ~mode:`Sort_merge client (conn ()) rep nothing)
+
+(* The pass reads every rank whatever the masks hold, so a misaligned
+   store is caught when no mask bit is set and when only the masks' last
+   byte is: a pass that skipped zero mask bytes would miss the rank-1
+   mismatch below (slots 0 and 1, in the first byte) and answer. The
+   executor turns that refusal into typed store corruption (see the
+   unequal-leaves case, which also runs a query matching no row). *)
+let test_misaligned_under_sparse_masks () =
+  let n = 20 in
+  let straight = Array.init n Fun.id in
+  let duplicated = Array.init n (fun i -> if i = 1 then 0 else i) in
+  let last_byte () =
+    let m = Bitmask.create n false in
+    for s = n land lnot 7 to n - 1 do
+      Bitmask.set m s
+    done;
+    m
+  in
+  List.iter
+    (fun (label, mask) ->
+      H.check_bool (label ^ ": the pass refuses the store") true
+        (lockstep_slots [ straight; duplicated ] [ mask (); mask () ] ~drop_tid:(fun _ -> false)
+        = None);
+      H.check_bool (label ^ ": the aligned control answers") true
+        (lockstep_slots [ straight; straight ] [ mask (); mask () ] ~drop_tid:(fun _ -> false)
+        <> None))
+    [ ("no bit set", fun () -> Bitmask.create n false); ("last byte only", last_byte) ]
 
 (* Two authentic tid ciphertexts of a planned leaf swapped: every tid is
    present once, so only the slot check tells the relinked rows apart.
@@ -663,4 +698,6 @@ let suite =
       test_swapped_tids;
     Alcotest.test_case "1-row leaf charged its rows" `Quick test_one_row_leaf_charged;
     Alcotest.test_case "query: cache and domains invisible" `Quick
-      test_query_cache_and_domains_invisible ]
+      test_query_cache_and_domains_invisible;
+    Alcotest.test_case "misaligned store under empty and last-byte masks" `Quick
+      test_misaligned_under_sparse_masks ]

@@ -433,12 +433,12 @@ let misreporting_connect ~kind ~delta i =
 
 (* Placement follows a leaf's first canonical column, so the distinct
    [k] spreads both leaves over both shards. *)
-let misreport_owner () =
+let misreport_owner ?(rows = 40) () =
   let attrs = [ "k"; "a"; "b" ] in
   let r =
     Relation.create
       (Schema.of_attributes (List.map Attribute.int attrs))
-      (List.init 40 (fun i -> [| Value.Int i; Value.Int (i mod 3); Value.Int (i * 7) |]))
+      (List.init rows (fun i -> [| Value.Int i; Value.Int (i mod 3); Value.Int (i * 7) |]))
   in
   let policy =
     Snf_core.Policy.create [ ("k", Scheme.Det); ("a", Scheme.Det); ("b", Scheme.Det) ]
@@ -488,6 +488,96 @@ let test_shard_length_misreports_typed () =
     [ (`Mask, "R_batch mask", fun _ -> true);
       (`Tids, "R_tids", fun q -> q = "join");
       (`Rows, "R_rows", fun _ -> true) ]
+
+(* --- the coordinator's mask merge --------------------------------------------
+   Each shard's filter masks, captured on its own connection and
+   scattered bit by bit into the global slots its rows hold (the
+   shard's ascending global slots under [assignment]), must give the
+   coordinator's merged R_batch exactly, and that must be a single
+   backend's answer, for 1-4 shards under both placements. *)
+
+let capturing_connect captured i =
+  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
+  let handle up =
+    let down = serve up in
+    (match Wire.response_of_string down with
+     | Wire.R_batch { results } -> captured.(i) <- results
+     | _ -> ());
+    down
+  in
+  Server_api.connect_handler ~name:"mem" ~handle ~close:ignore
+
+let per_bit_merge ~owner ~shards per_shard =
+  let n = Array.length owner in
+  let merged = Bitmask.create n false in
+  for s = 0 to shards - 1 do
+    let locals = List.filter (fun g -> owner.(g) = s) (List.init n Fun.id) |> Array.of_list in
+    let m = per_shard.(s) in
+    for j = 0 to Bitmask.length m - 1 do
+      if Bitmask.get m j then Bitmask.set merged locals.(j)
+    done
+  done;
+  merged
+
+let test_merged_masks_per_bit () =
+  let rows = 300 in
+  let o = misreport_owner ~rows () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let image = Wire.to_string o.System.enc in
+  let labels = List.map (fun l -> l.Enc_relation.label) o.System.enc.Enc_relation.leaves in
+  let prng = Snf_crypto.Prng.create 5 in
+  let random_slots density =
+    List.filter (fun _ -> Snf_crypto.Prng.int prng 1000 < density) (List.init rows Fun.id)
+  in
+  (* Slot sets from empty to full; [None] is a query with no ops, whose
+     masks start all set. *)
+  let sets =
+    [ Some []; Some [ rows - 1 ]; Some [ 0 ]; Some (random_slots 1); Some (random_slots 10);
+      Some (random_slots 500); Some (List.init rows Fun.id); None ]
+  in
+  let queries =
+    List.map
+      (fun set ->
+        List.map
+          (fun l -> (l, match set with Some slots -> [ Wire.F_slots slots ] | None -> []))
+          labels)
+      sets
+  in
+  let single = mem_connect 0 in
+  Fun.protect ~finally:(fun () -> Server_api.close single) @@ fun () ->
+  Server_api.install single image;
+  let want = Server_api.filter_batch single ~queries in
+  List.iter
+    (fun (policy, shards) ->
+      let name = Printf.sprintf "%s x%d" (Backend_sharded.policy_name policy) shards in
+      let captured = Array.make shards [] in
+      let sharded =
+        Backend_sharded.connect
+          (Backend_sharded.create ~policy ~connect:(capturing_connect captured) ~shards ())
+      in
+      Fun.protect ~finally:(fun () -> Server_api.close sharded) @@ fun () ->
+      Server_api.install sharded image;
+      let got = Server_api.filter_batch sharded ~queries in
+      Alcotest.(check bool) (name ^ ": a single backend's masks") true (got = want);
+      let assign = Backend_sharded.assignment policy ~shards o.System.enc in
+      List.iteri
+        (fun qi entries ->
+          List.iteri
+            (fun ei ((mask, _), (label, _)) ->
+              let per_shard =
+                Array.map (fun res -> fst (List.nth (List.nth res qi) ei)) captured
+              in
+              let reference =
+                per_bit_merge ~owner:(List.assoc label assign) ~shards per_shard
+              in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: query %d leaf %s merged per bit" name qi label)
+                true (mask = reference))
+            (List.combine entries (List.nth queries qi)))
+        got)
+    (List.concat_map
+       (fun policy -> List.map (fun shards -> (policy, shards)) [ 1; 2; 3; 4 ])
+       [ Backend_sharded.Hash; Backend_sharded.Skew ])
 
 (* A request naming a slot outside its leaf, or an attribute the leaf
    does not hold, fails with the same response bytes whether one backend
@@ -754,4 +844,5 @@ let suite =
     t "coded fetches: sharded bytes equal a single backend's" test_coded_fetch_bytes;
     t "a fetch skips the shards that own none of its slots" test_fetch_skips_idle_shards;
     t "a shard's non-canonical coding is re-coded by the coordinator"
-      test_noncanonical_shard_recoded ]
+      test_noncanonical_shard_recoded;
+    t "merged masks equal a per-bit scatter of the shards' masks" test_merged_masks_per_bit ]
