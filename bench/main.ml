@@ -9,7 +9,10 @@
                                            — Montgomery vs reference
                                              modular exponentiation:
                                              ns and minor words per
-                                             call.
+                                             call, and the 4-limb
+                                             squaring body against the
+                                             product body; exits
+                                             nonzero if they disagree.
    `dune exec bench/main.exe -- micro-prf`
                                            — the PRF kernel under every
                                              cell decrypt, token and row
@@ -457,7 +460,9 @@ let run_sweeps () =
    (modulus p^2, exponent p - 1) and an encryption's r^n (modulus n^2,
    exponent n), for 48-bit primes: 4-limb/48-bit and 8-limb/96-bit. Each
    row is (name, ns per call, minor words per call). *)
-let paillier_shaped_modexp () =
+let modexp_leg_row = "mont.pow_mod 4 limbs, 48-bit e"
+
+let paillier_shaped_calls () =
   let prng = Snf_crypto.Prng.create 0x4d0e in
   let rand b = Snf_crypto.Prng.int prng b in
   List.map
@@ -465,9 +470,59 @@ let paillier_shaped_modexp () =
       let m = Nat.succ (Nat.shift_left (Nat.random_bits rand (m_bits - 1)) 1) in
       let b = Nat.random_below rand m and e = Nat.random_bits rand e_bits in
       let ctx = Nat.Mont.make m in
-      let f () = Nat.Mont.pow_mod ctx b e in
-      (name, ns_per_op f, words_per_op f))
-    [ ("mont.pow_mod 4 limbs, 48-bit e", 96, 48); ("mont.pow_mod 8 limbs, 96-bit e", 192, 96) ]
+      (name, fun () -> Nat.Mont.pow_mod ctx b e))
+    [ (modexp_leg_row, 96, 48); ("mont.pow_mod 8 limbs, 96-bit e", 192, 96) ]
+
+let paillier_shaped_modexp () =
+  List.map (fun (name, f) -> (name, ns_per_op f, words_per_op f)) (paillier_shaped_calls ())
+
+(* ns per call of [f] over ns per call of [g], from [rounds] alternating
+   batches of each, so that host drift between the two timings falls on
+   both: the median of the per-round ratios. *)
+let interleaved_ratio ?(rounds = 7) f g =
+  let r =
+    Array.init rounds (fun _ ->
+        let a = ns_per_op ~min_time:0.05 f in
+        a /. ns_per_op ~min_time:0.05 g)
+  in
+  Array.sort Float.compare r;
+  r.(rounds / 2)
+
+let squaring_samples = 2_000
+
+(* The 4-limb squaring body against the product body: ns per [Mont.sqr]
+   and per [Mont.mul a a] on one operand (both pay the same copies in and
+   out), and whether the two agree on [squaring_samples] operands below
+   the modulus: random ones, then m - 1, m - 2 and 1 at moduli whose limbs
+   are all ones, which drive the sums to the top of their range. *)
+let four_limb_squaring () =
+  let prng = Snf_crypto.Prng.create 0x5a4 in
+  let rand b = Snf_crypto.Prng.int prng b in
+  let modulus () = Nat.succ (Nat.shift_left (Nat.random_bits rand 103) 1) in
+  let m = modulus () in
+  let ctx = Nat.Mont.make m in
+  let a = Nat.random_below rand m in
+  let sqr_ns = ns_per_op (fun () -> Nat.Mont.sqr ctx a) in
+  let mul_ns = ns_per_op (fun () -> Nat.Mont.mul ctx a a) in
+  let top = Nat.pred (Nat.shift_left Nat.one 104) in
+  let edge =
+    List.concat_map
+      (fun m -> List.map (fun a -> (m, a)) [ Nat.pred m; Nat.sub m Nat.two; Nat.one ])
+      [ top; Nat.sub top Nat.two ]
+  in
+  let random =
+    List.init (squaring_samples - List.length edge) (fun _ ->
+        let m = modulus () in
+        (m, Nat.random_below rand m))
+  in
+  let agrees =
+    List.for_all
+      (fun (m, a) ->
+        let ctx = Nat.Mont.make m in
+        Nat.equal (Nat.Mont.sqr ctx a) (Nat.Mont.mul ctx a a))
+      (edge @ random)
+  in
+  (sqr_ns, mul_ns, agrees)
 
 let run_micro_modexp () =
   section "Micro: modular exponentiation (reference vs Montgomery)";
@@ -493,7 +548,12 @@ let run_micro_modexp () =
   Printf.printf "  Paillier shapes (ns and minor words per call):\n";
   List.iter
     (fun (name, ns, words) -> Printf.printf "  %-32s %9.0f ns %9.0f words\n" name ns words)
-    (paillier_shaped_modexp ())
+    (paillier_shaped_modexp ());
+  let sqr_ns, mul_ns, agrees = four_limb_squaring () in
+  Printf.printf "  4-limb square: %6.0f ns by Mont.sqr | %6.0f ns by Mont.mul a a\n" sqr_ns mul_ns;
+  Printf.printf "  squaring body agrees with the product body on %d samples: %b\n"
+    squaring_samples agrees;
+  if not agrees then failwith "micro-modexp: the squaring body disagrees with the product body"
 
 (* Per-call cost of the symmetric kernel: wall time and minor-heap words
    (the allocation the GC has to pay for) per operation. The schedule row
@@ -877,11 +937,22 @@ let run_micro_paillier () =
   let enc_speedup_mont = enc_ref_ns /. enc_mont_ns in
   let enc_speedup_pooled = enc_ref_ns /. enc_pool_ns in
   let dec_speedup_crt = dec_ref_ns /. dec_crt_ns in
+  (* Decrypt against its floor, two CRT legs' exponentiations: the
+     4-limb, 48-bit-exponent row, whatever [prime_bits] this run times,
+     timed alternately with the decrypt. *)
+  let dec_over_two_legs =
+    interleaved_ratio
+      (fun () -> Snf_crypto.Paillier.decrypt kp ct)
+      (List.assoc modexp_leg_row (paillier_shaped_calls ()))
+    /. 2.
+  in
   Printf.printf "  prime_bits=%d\n" prime_bits;
   Printf.printf "  encrypt: reference %8.0f ns | montgomery %8.0f ns (%.1fx) | pooled %8.0f ns (%.1fx)\n"
     enc_ref_ns enc_mont_ns enc_speedup_mont enc_pool_ns enc_speedup_pooled;
   Printf.printf "  decrypt: reference %8.0f ns | crt        %8.0f ns (%.1fx)\n"
     dec_ref_ns dec_crt_ns dec_speedup_crt;
+  Printf.printf "  decrypt_over_two_legs: %.2f (crt decrypt over twice the %s row, interleaved)\n"
+    dec_over_two_legs modexp_leg_row;
   Printf.printf "  minor words/call: encrypt %.0f ref, %.0f mont, %.0f pooled; decrypt %.0f ref, %.0f crt\n"
     enc_ref_words enc_mont_words enc_pool_words dec_ref_words dec_crt_words;
   List.iter
@@ -929,6 +1000,7 @@ let run_micro_paillier () =
       ("encrypt_speedup_montgomery", Json.Float enc_speedup_mont);
       ("encrypt_speedup_pooled", Json.Float enc_speedup_pooled);
       ("decrypt_speedup_crt", Json.Float dec_speedup_crt);
+      ("decrypt_over_two_legs", Json.Float dec_over_two_legs);
       ( "modexp",
         Json.List
           (List.map

@@ -488,11 +488,13 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
 (* Per-modulus fast path: REDC-based multiplication (CIOS) and
    sliding-window exponentiation. Works on fixed-width (k-limb) arrays and
    never divides — the reduction is interleaved shift-free limb
-   arithmetic. [pow_mod] runs every square and multiply into one k-limb
-   accumulator through one (k+2)-limb scratch, so its minor-heap cost is
-   a handful of arrays per call, not two per product. A 4-limb modulus
-   multiplies at register width ([mont_mul4]). The generic [pow_mod]
-   above stays as the reference implementation. *)
+   arithmetic, and an operand of any width enters by folding its k-limb
+   chunks ([fold]). [pow_mod] runs every square and multiply into one
+   k-limb accumulator through one (k+2)-limb scratch, so its minor-heap
+   cost is a handful of arrays per call, not two per product. A 4-limb
+   modulus multiplies and squares at register width ([mont_mul4],
+   [mont_sqr4]). The generic [pow_mod] above stays as the reference
+   implementation. *)
 module Mont = struct
   type ctx = {
     m : t;                (* modulus, odd, > 1 *)
@@ -534,8 +536,6 @@ module Mont = struct
 
   let modulus ctx = ctx.m
 
-  let limbs_of ctx (x : t) = widen ctx.k x
-
   (* In-place conditional final subtraction: a (length k, plus carry bit
      [hi]) minus m when a >= m. *)
   let reduce_once ctx (a : int array) hi =
@@ -563,7 +563,9 @@ module Mont = struct
     end
 
   (* CIOS Montgomery multiplication into [dst]: dst <- a*b*R^-1 mod m for
-     k-limb inputs below m, accumulated in the (k+2)-limb scratch [t].
+     k-limb inputs, [b] below m ([a], scanned limb by limb, may be any
+     k-limb value: the running sum stays below b + m < 2m), accumulated
+     in the (k+2)-limb scratch [t].
      [a] and [b] are only read before [dst] is written, so [dst] may be
      either of them. Every intermediate fits a 63-bit int: limb products
      stay below 2^52 and the running sums add at most two more bits. *)
@@ -595,6 +597,31 @@ module Mont = struct
     done;
     Array.blit t 0 dst 0 k;
     reduce_once ctx dst t.(k)
+
+  (* The register-width bodies' last step: r = r0..r3 plus the carry
+     [hi] above them, below 2m, into [dst] less m when r >= m. [asr]
+     turns a negative limb into the borrow. *)
+  let[@inline] store4 (dst : int array) m0 m1 m2 m3 r0 r1 r2 r3 hi =
+    if
+      hi > 0
+      || r3 > m3
+      || (r3 = m3 && (r2 > m2 || (r2 = m2 && (r1 > m1 || (r1 = m1 && r0 >= m0)))))
+    then begin
+      let d = r0 - m0 in
+      Array.unsafe_set dst 0 (d land limb_mask);
+      let d = r1 - m1 + (d asr limb_bits) in
+      Array.unsafe_set dst 1 (d land limb_mask);
+      let d = r2 - m2 + (d asr limb_bits) in
+      Array.unsafe_set dst 2 (d land limb_mask);
+      let d = r3 - m3 + (d asr limb_bits) in
+      Array.unsafe_set dst 3 (d land limb_mask)
+    end
+    else begin
+      Array.unsafe_set dst 0 r0;
+      Array.unsafe_set dst 1 r1;
+      Array.unsafe_set dst 2 r2;
+      Array.unsafe_set dst 3 r3
+    end
 
   (* The same CIOS product at register width for a 4-limb modulus — the
      p^2 of a Paillier CRT leg at 48-bit primes. Operand limbs and the
@@ -632,52 +659,162 @@ module Mont = struct
       t3 := s land limb_mask;
       t4 := s lsr limb_bits
     done;
-    let r0 = !t0 and r1 = !t1 and r2 = !t2 and r3 = !t3 in
-    if
-      !t4 > 0
-      || r3 > m3
-      || (r3 = m3 && (r2 > m2 || (r2 = m2 && (r1 > m1 || (r1 = m1 && r0 >= m0)))))
-    then begin
-      (* Final subtraction; [asr] turns a negative limb into the borrow. *)
-      let d = r0 - m0 in
-      Array.unsafe_set dst 0 (d land limb_mask);
-      let d = r1 - m1 + (d asr limb_bits) in
-      Array.unsafe_set dst 1 (d land limb_mask);
-      let d = r2 - m2 + (d asr limb_bits) in
-      Array.unsafe_set dst 2 (d land limb_mask);
-      let d = r3 - m3 + (d asr limb_bits) in
-      Array.unsafe_set dst 3 (d land limb_mask)
-    end
-    else begin
-      Array.unsafe_set dst 0 r0;
-      Array.unsafe_set dst 1 r1;
-      Array.unsafe_set dst 2 r2;
-      Array.unsafe_set dst 3 r3
-    end
+    store4 dst m0 m1 m2 m3 !t0 !t1 !t2 !t3 !t4
 
-  (* The body is chosen by the modulus's limb count alone. *)
+  (* The Montgomery square a*a*R^-1 mod m at register width for a 4-limb
+     modulus, for [a] below m: the 8-limb square first, each cross
+     product once and doubled (10 limb products against the 16 of
+     [mont_mul4]'s operand scan), then four REDC rounds, each adding u*m
+     and shifting down one limb. Column sums stay below 2^55. The limb
+     above each round's window takes its carry unmasked (below 2^28) and
+     is masked when the next round adds to it; the top carry lands in
+     [hi]. Equal to [mont_mul4 ctx dst a a] for every [a] below m. *)
+  let mont_sqr4 ctx (dst : int array) (a : int array) =
+    let m = ctx.m_limbs and m' = ctx.m' in
+    if Array.length a < 4 || Array.length dst < 4 then
+      invalid_arg "Nat.Mont: operand narrower than the modulus";
+    let m0 = Array.unsafe_get m 0 and m1 = Array.unsafe_get m 1
+    and m2 = Array.unsafe_get m 2 and m3 = Array.unsafe_get m 3 in
+    let a0 = Array.unsafe_get a 0 and a1 = Array.unsafe_get a 1
+    and a2 = Array.unsafe_get a 2 and a3 = Array.unsafe_get a 3 in
+    let s = a0 * a0 in
+    let x0 = s land limb_mask in
+    let s = (2 * (a0 * a1)) + (s lsr limb_bits) in
+    let x1 = s land limb_mask in
+    let s = (2 * (a0 * a2)) + (a1 * a1) + (s lsr limb_bits) in
+    let x2 = s land limb_mask in
+    let s = (2 * ((a0 * a3) + (a1 * a2))) + (s lsr limb_bits) in
+    let x3 = s land limb_mask in
+    let s = (2 * (a1 * a3)) + (a2 * a2) + (s lsr limb_bits) in
+    let x4 = s land limb_mask in
+    let s = (2 * (a2 * a3)) + (s lsr limb_bits) in
+    let x5 = s land limb_mask in
+    let s = (a3 * a3) + (s lsr limb_bits) in
+    let x6 = s land limb_mask and x7 = s lsr limb_bits in
+    (* REDC round over limbs (v0..v4): the result is limbs 1..4 of
+       v + u*m, the last unmasked. *)
+    let u = (x0 * m') land limb_mask in
+    let s = x1 + (u * m1) + ((x0 + (u * m0)) lsr limb_bits) in
+    let y0 = s land limb_mask in
+    let s = x2 + (u * m2) + (s lsr limb_bits) in
+    let y1 = s land limb_mask in
+    let s = x3 + (u * m3) + (s lsr limb_bits) in
+    let y2 = s land limb_mask in
+    let y3 = x4 + (s lsr limb_bits) in
+    let u = (y0 * m') land limb_mask in
+    let s = y1 + (u * m1) + ((y0 + (u * m0)) lsr limb_bits) in
+    let z0 = s land limb_mask in
+    let s = y2 + (u * m2) + (s lsr limb_bits) in
+    let z1 = s land limb_mask in
+    let s = y3 + (u * m3) + (s lsr limb_bits) in
+    let z2 = s land limb_mask in
+    let z3 = x5 + (s lsr limb_bits) in
+    let u = (z0 * m') land limb_mask in
+    let s = z1 + (u * m1) + ((z0 + (u * m0)) lsr limb_bits) in
+    let w0 = s land limb_mask in
+    let s = z2 + (u * m2) + (s lsr limb_bits) in
+    let w1 = s land limb_mask in
+    let s = z3 + (u * m3) + (s lsr limb_bits) in
+    let w2 = s land limb_mask in
+    let w3 = x6 + (s lsr limb_bits) in
+    let u = (w0 * m') land limb_mask in
+    let s = w1 + (u * m1) + ((w0 + (u * m0)) lsr limb_bits) in
+    let r0 = s land limb_mask in
+    let s = w2 + (u * m2) + (s lsr limb_bits) in
+    let r1 = s land limb_mask in
+    let s = w3 + (u * m3) + (s lsr limb_bits) in
+    let r2 = s land limb_mask in
+    let s = x7 + (s lsr limb_bits) in
+    store4 dst m0 m1 m2 m3 r0 r1 r2 (s land limb_mask) (s lsr limb_bits)
+
+  (* Each body is chosen by the modulus's limb count alone. *)
   let mont_mul_into ctx t dst a b =
     if ctx.k = 4 then mont_mul4 ctx dst a b else mont_mul_generic ctx t dst a b
 
-  (* Fresh-result product, for the one-shot entry points below. *)
-  let mont_mul ctx a b =
+  let mont_sqr_into ctx t dst a =
+    if ctx.k = 4 then mont_sqr4 ctx dst a else mont_mul_generic ctx t dst a a
+
+  (* [dst] <- [dst] + limbs [lo, lo+k) of [x], less m if the sum carries
+     out of k limbs. With [dst] below m and the chunk below R, the result
+     is below R. *)
+  let add_chunk ctx dst (x : t) lo =
+    let k = ctx.k and m = ctx.m_limbs in
+    let lx = Array.length x in
+    let c = ref 0 in
+    for i = 0 to k - 1 do
+      let s = dst.(i) + (if lo + i < lx then x.(lo + i) else 0) + !c in
+      dst.(i) <- s land limb_mask;
+      c := s lsr limb_bits
+    done;
+    if !c > 0 then begin
+      (* The borrow out of the top limb cancels the carry. *)
+      let b = ref 0 in
+      for i = 0 to k - 1 do
+        let d = dst.(i) - m.(i) + !b in
+        dst.(i) <- d land limb_mask;
+        b := d asr limb_bits
+      done
+    end
+
+  (* [dst] <- a k-limb value below R congruent to [x] mod m, for [x] of
+     any width, without dividing: Horner over x's k-limb chunks from the
+     top, acc <- acc*R + chunk, where acc*R mod m is one product by R^2.
+     A value of at most k limbs is copied; each further chunk costs one
+     product. CIOS only needs one operand below m, so the result can go
+     straight into a product with a reduced value. *)
+  let fold ctx t dst (x : t) =
+    let k = ctx.k in
+    let chunks = (Array.length x + k - 1) / k in
+    Array.fill dst 0 k 0;
+    if chunks > 0 then begin
+      add_chunk ctx dst x ((chunks - 1) * k);
+      for j = chunks - 2 downto 0 do
+        mont_mul_into ctx t dst dst ctx.r2;
+        add_chunk ctx dst x (j * k)
+      done
+    end
+
+  (* [dst] <- x*R mod m, the Montgomery form of [x] of any width: the
+     fold, then one product by R^2. *)
+  let enter ctx t dst x =
+    fold ctx t dst x;
+    mont_mul_into ctx t dst dst ctx.r2
+
+  let scratch ctx = Array.make (ctx.k + 2) 0
+
+  let reduced ctx (x : t) = if compare x ctx.m < 0 then x else rem x ctx.m
+
+  let to_mont ctx x =
     let r = Array.make ctx.k 0 in
-    mont_mul_into ctx (Array.make (ctx.k + 2) 0) r a b;
-    r
+    enter ctx (scratch ctx) r x;
+    normalize r
 
-  let to_mont ctx x = normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) ctx.r2)
-
-  let of_mont ctx x = normalize (mont_mul ctx (limbs_of ctx (rem x ctx.m)) ctx.one_k)
+  let of_mont ctx x =
+    let t = scratch ctx and r = Array.make ctx.k 0 in
+    fold ctx t r x;
+    mont_mul_into ctx t r r ctx.one_k;
+    normalize r
 
   let mul ctx a b =
-    normalize (mont_mul ctx (limbs_of ctx (rem a ctx.m)) (limbs_of ctx (rem b ctx.m)))
+    let t = scratch ctx and r = Array.make ctx.k 0 in
+    fold ctx t r a;
+    mont_mul_into ctx t r r (widen ctx.k (reduced ctx b));
+    normalize r
 
-  (* Plain-domain modular product: mont_mul (aR) b = a*b mod m. *)
+  let sqr ctx a =
+    let r = widen ctx.k (reduced ctx a) in
+    mont_sqr_into ctx (scratch ctx) r r;
+    normalize r
+
+  (* Plain-domain modular product: mont_mul b (aR) = a*b mod m, with aR
+     entering by [enter] (below m, so the operand CIOS reads whole) and b
+     by [fold] (below R, the operand it scans limb by limb). *)
   let mul_mod ctx a b =
-    let t = Array.make (ctx.k + 2) 0 in
-    let am = limbs_of ctx (rem a ctx.m) in
-    mont_mul_into ctx t am am ctx.r2;
-    mont_mul_into ctx t am am (limbs_of ctx (rem b ctx.m));
+    let t = scratch ctx in
+    let am = Array.make ctx.k 0 and bm = Array.make ctx.k 0 in
+    enter ctx t am a;
+    fold ctx t bm b;
+    mont_mul_into ctx t am bm am;
     normalize am
 
   (* Product of [xs] mod m, one CIOS product per factor after the first:
@@ -688,10 +825,10 @@ module Mont = struct
      form of R). Factors not below m are reduced first. *)
   let prod ctx (xs : t array) =
     let k = ctx.k in
-    let t = Array.make (k + 2) 0 in
+    let t = scratch ctx in
     let acc = Array.make k 0 and x = Array.make k 0 in
     let load dst (v : t) =
-      let v = if compare v ctx.m >= 0 then rem v ctx.m else v in
+      let v = reduced ctx v in
       Array.blit v 0 dst 0 (Array.length v);
       Array.fill dst (Array.length v) (k - Array.length v) 0
     in
@@ -707,7 +844,7 @@ module Mont = struct
         let e = j - 1 in
         mont_mul_into ctx t x ctx.r2 ctx.one_k;
         for b = bit_length (of_int e) - 1 downto 0 do
-          mont_mul_into ctx t x x x;
+          mont_sqr_into ctx t x x;
           if (e lsr b) land 1 = 1 then mont_mul_into ctx t x x ctx.r2
         done;
         mont_mul_into ctx t acc acc x
@@ -734,15 +871,22 @@ module Mont = struct
         incr muls;
         mont_mul_into ctx t dst a b
       in
-      let bm = limbs_of ctx (rem b ctx.m) in
-      mul_into bm bm ctx.r2;
+      let sqr_into dst a =
+        incr muls;
+        mont_sqr_into ctx t dst a
+      in
+      (* The base enters the Montgomery domain by the fold, whatever its
+         width; it counts as one product, its last. *)
+      let bm = Array.make k 0 in
+      enter ctx t bm b;
+      incr muls;
       let e_bits = bit_length e in
       let w = window_bits e_bits in
       (* Table of odd powers in Montgomery form: tbl.(i) = b^(2i+1). *)
       let tbl = Array.make (1 lsl (w - 1)) bm in
       if w > 1 then begin
         let b2 = Array.make k 0 in
-        mul_into b2 bm bm;
+        sqr_into b2 bm;
         for i = 1 to Array.length tbl - 1 do
           let p = Array.make k 0 in
           mul_into p tbl.(i - 1) b2;
@@ -754,7 +898,7 @@ module Mont = struct
       let i = ref (e_bits - 1) in
       while !i >= 0 do
         if not (testbit e !i) then begin
-          if !started then mul_into acc acc acc;
+          if !started then sqr_into acc acc;
           decr i
         end
         else begin
@@ -767,7 +911,7 @@ module Mont = struct
           done;
           if !started then begin
             for _ = 1 to !i - !j + 1 do
-              mul_into acc acc acc
+              sqr_into acc acc
             done;
             mul_into acc acc tbl.(!v lsr 1)
           end
@@ -782,4 +926,34 @@ module Mont = struct
       Snf_obs.Metrics.add m_mont_muls !muls;
       normalize acc
     end
+end
+
+(* --- exact division ------------------------------------------------------ *)
+
+(* Division by an odd [d] known to divide the dividend: the quotient is
+   the dividend times d^-1 mod base^k, so only the low k limbs of each
+   are needed, and the product is truncated to them. *)
+module Exact = struct
+  type divisor = { k : int; inv : int array (* d^-1 mod base^k, k limbs *) }
+
+  let divisor d =
+    if is_zero d || is_even d then invalid_arg "Nat.Exact.divisor: divisor must be odd";
+    let k = Array.length d in
+    match mod_inverse d (shift_left one (k * limb_bits)) with
+    | Some inv -> { k; inv = Mont.widen k inv }
+    | None -> assert false (* an odd d is a unit mod a power of two *)
+
+  let div dv (a : t) =
+    let k = dv.k and inv = dv.inv in
+    let r = Array.make k 0 in
+    for i = 0 to min k (Array.length a) - 1 do
+      let ai = a.(i) in
+      let c = ref 0 in
+      for j = 0 to k - 1 - i do
+        let s = r.(i + j) + (ai * inv.(j)) + !c in
+        r.(i + j) <- s land limb_mask;
+        c := s lsr limb_bits
+      done
+    done;
+    normalize r
 end

@@ -124,8 +124,20 @@ val pp : Format.formatter -> t -> unit
     a sliding-window exponentiation over division-free Montgomery
     multiplication — the kernel behind Paillier encryption/decryption. A
     4-limb modulus (the [p^2] of a CRT decrypt leg at 48-bit primes)
-    multiplies in a body that keeps its limbs in locals; every other width
-    takes the generic array body. The choice follows the modulus alone.
+    multiplies and squares in bodies that keep their limbs in locals, and
+    [pow_mod] runs every squaring through the squaring body (10 limb
+    products to the product body's 16 before the reduction); every other
+    width takes the generic array body for both. The choice follows the
+    modulus alone.
+
+    An operand of any width enters without dividing: its k-limb chunks
+    are folded from the top, one product by [R^2 mod m] per chunk after
+    the first, then one more product by [R^2] gives its Montgomery form.
+    [to_mont], [of_mont], [mul_mod] and [pow_mod] take every input that
+    way, whether below the modulus, below its square (a Paillier
+    ciphertext entering a CRT leg) or wider, and so does [mul]'s first
+    operand; [mul]'s second, [sqr]'s and [prod]'s factors are reduced
+    first when not below the modulus.
     The plain {!val:pow_mod} above is retained as the reference
     implementation; the two are cross-checked in the test suite. *)
 module Mont : sig
@@ -147,6 +159,10 @@ module Mont : sig
   (** Product of two values {e in Montgomery form} (result in Montgomery
       form): [mul ctx (to_mont a) (to_mont b) = to_mont (a*b mod m)]. *)
 
+  val sqr : ctx -> t -> t
+  (** [sqr ctx a] is [mul ctx a a], computed by the squaring body at 4
+      limbs. *)
+
   val mul_mod : ctx -> t -> t -> t
   (** Plain-domain modular product [a * b mod m]. *)
 
@@ -158,4 +174,19 @@ module Mont : sig
 
   val pow_mod : ctx -> t -> t -> t
   (** Plain-domain [b^e mod m]; agrees with [Nat.pow_mod b e (modulus ctx)]. *)
+end
+
+(** {1 Exact division} *)
+module Exact : sig
+  type divisor
+
+  val divisor : t -> divisor
+  (** Precompute [d^-1 mod base^k] for an odd [d] of [k] limbs.
+      @raise Invalid_argument if [d] is zero or even. *)
+
+  val div : divisor -> t -> t
+  (** [div d a] is [a / d] when [d] divides [a] and the quotient has at
+      most [d]'s limb count (e.g. [a < d^2]): a truncated product of [a]'s
+      low [k] limbs by the stored inverse, k(k+1)/2 limb products and no
+      division. On any other [a] the result is unspecified. *)
 end

@@ -599,13 +599,18 @@ let decrypt_with c ~leaf ~attr ~scheme keys cell =
     v
   | Scheme.Phe, C_nat n -> (
     (* Paillier is additively malleable by design, so individual PHE cells
-       carry no authenticator; the only detectable corruption is a
-       plaintext outside the encodable range. *)
-    match Nat.to_int_opt (Paillier.decrypt c.paillier n) with
-    | Some i -> Value.Int i
-    | None ->
-      Integrity.fail ~leaf ~attr ~where:"cell"
-        "PHE plaintext exceeds the native integer range")
+       carry no authenticator; the only detectable corruptions are a cell
+       that is no ciphertext (not a unit mod n) and a plaintext outside
+       the encodable range. *)
+    match Paillier.decrypt c.paillier n with
+    | exception Invalid_argument _ ->
+      Integrity.fail ~leaf ~attr ~where:"cell" "PHE cell is not a Paillier ciphertext"
+    | m -> (
+      match Nat.to_int_opt m with
+      | Some i -> Value.Int i
+      | None ->
+        Integrity.fail ~leaf ~attr ~where:"cell"
+          "PHE plaintext exceeds the native integer range"))
   | _ ->
     Integrity.fail ~leaf ~attr ~where:"cell"
       "scheme/cell shape mismatch (cell constructor does not fit the annotated scheme)"

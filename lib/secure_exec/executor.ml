@@ -224,7 +224,9 @@ let fetched w attr =
   | Some f -> f
   | None -> raise Not_found
 
-let rec search slots slot lo hi =
+(* Typed on ints: left polymorphic, every [=] and [<] here would be a
+   [caml_equal]/[caml_lessthan] call, once per probe of every row. *)
+let rec search (slots : int array) (slot : int) lo hi =
   if lo >= hi then invalid_arg "Executor: slot outside the fetched window"
   else
     let mid = (lo + hi) lsr 1 in
@@ -292,9 +294,16 @@ let build_result (q : Query.t) columns =
   in
   Relation.of_columns schema (Array.of_list columns)
 
+(* [List.assoc_opt] by [String.equal]: the anchor paths look up a
+   partner row's attributes and leaves once per row and column, where the
+   polymorphic [compare] under [List.assoc] is a C call per key. *)
+let rec assoc_str key = function
+  | (k, v) :: rest -> if String.equal k key then Some v else assoc_str key rest
+  | [] -> None
+
 let preds_at (plan : Planner.plan) label =
   List.filter_map
-    (fun (p, home) -> if home = label then Some p else None)
+    (fun (p, home) -> if String.equal home label then Some p else None)
     plan.Planner.pred_home
 
 let proj_leaf (plan : Planner.plan) attr =
@@ -386,7 +395,7 @@ let sort_merge_decrypt ~cache client conn ~scheme_of q plan lvs compiled slots =
   in
   Array.iteri (fun i w -> verify_indexed w lvs.(i).lv_label compiled.(i)) windows;
   let leaf_index label =
-    let rec go i = if lvs.(i).lv_label = label then i else go (i + 1) in
+    let rec go i = if String.equal lvs.(i).lv_label label then i else go (i + 1) in
     go 0
   in
   build_result q
@@ -397,6 +406,15 @@ let sort_merge_decrypt ~cache client conn ~scheme_of q plan lvs compiled slots =
        q.Query.select)
 
 (* --- anchor + fetch reconstructions (ORAM / binning) --------------------- *)
+
+(* The ORAM fetcher's rows by tid, compared as ints and hashed by value:
+   no [caml_hash] or [caml_compare] call per row. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash t = t land max_int
+end)
 
 (* Partner-leaf access plumbing shared by the ORAM and binning paths: for a
    tid, retrieve the decrypted values of the attrs this query needs from
@@ -442,17 +460,17 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
       ~block_size:(Ndet.ciphertext_length block_size) ~blocks ~slots
   in
   oram_touches := !oram_touches + touches;
-  let rows = Hashtbl.create (Array.length sealed) in
+  let rows = Int_tbl.create (Array.length sealed) in
   List.iteri
     (fun i (tid, slot) ->
       let data = Enc_relation.oram_open client ~leaf:label ~slot sealed.(i) in
-      Hashtbl.replace rows tid (Marshal.from_string data 0 : (string * Value.t) list))
+      Int_tbl.replace rows tid (Marshal.from_string data 0 : (string * Value.t) list))
     (List.combine wanted slots);
-  { leaf_label = label; fetch = Hashtbl.find rows }
+  { leaf_label = label; fetch = Int_tbl.find rows }
 
 let check_binned_slot ~key ~universe (s : Binning.schedule) slot =
   let bin = Binning.assign ~key ~universe ~bin_size:s.Binning.bin_size slot in
-  if not (List.mem bin s.Binning.bin_ids) then
+  if not (List.exists (Int.equal bin) s.Binning.bin_ids) then
     invalid_arg "Executor: partner slot outside the requested bins"
 
 let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved ~wanted
@@ -526,7 +544,7 @@ let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled
             (fun (label, values) ->
               List.for_all
                 (fun p ->
-                  match List.assoc_opt (Query.pred_attr p) values with
+                  match assoc_str (Query.pred_attr p) values with
                   | Some v -> pred_holds p v
                   | None -> invalid_arg "Executor: fetched row misses predicate attr")
                 (preds_at plan label))
@@ -553,9 +571,10 @@ let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled
     (List.map
        (fun attr ->
          match proj_leaf plan attr with
-         | label when label = anchor -> column_at w attr match_slots
+         | label when String.equal label anchor -> column_at w attr match_slots
          | label ->
-           Array.map (fun pv -> List.assoc attr (List.assoc label pv)) partner_values)
+           let get key l = match assoc_str key l with Some v -> v | None -> raise Not_found in
+           Array.map (fun pv -> get attr (get label pv)) partner_values)
        q.Query.select)
 
 (* --- the pipeline ------------------------------------------------------- *)

@@ -202,19 +202,30 @@ let rep_scheme owner ~leaf ~attr =
     | Some s -> s
     | None -> raise Not_found)
 
+(* A server-folded PHE sum, decrypted. A sum that is no ciphertext (zero
+   included) or whose plaintext leaves the native integer range comes
+   from corrupt cells or a corrupt fold, so both are typed corruption. *)
+let decrypt_sum owner ~leaf ~attr acc =
+  let kp = Enc_relation.client_paillier owner.client in
+  match Paillier.decrypt kp acc with
+  | exception Invalid_argument _ ->
+    Integrity.fail ~leaf ~attr ~where:"cell" "PHE sum is not a Paillier ciphertext"
+  | m -> (
+    match Nat.to_int_opt m with
+    | Some i -> i
+    | None ->
+      Integrity.fail ~leaf ~attr ~where:"cell" "PHE sum exceeds the native integer range")
+
 let group_sum owner ~leaf ~group_by ~sum =
   let conn = conn_of owner in
   let gscheme = rep_scheme owner ~leaf ~attr:group_by in
-  let kp = Enc_relation.client_paillier owner.client in
   Server_api.group_sum conn ~leaf ~group_by ~sum
   |> List.map (fun (rep_cell, acc) ->
          ( Enc_relation.decrypt_cell owner.client ~leaf ~attr:group_by ~scheme:gscheme
              rep_cell,
-           Nat.to_int_exn (Paillier.decrypt kp acc) ))
+           decrypt_sum owner ~leaf ~attr:sum acc ))
   |> List.sort (fun (v1, _) (v2, _) -> Value.compare v1 v2)
 
 let sum owner ~leaf ~attr =
   let conn = conn_of owner in
-  let c = Server_api.phe_sum conn ~leaf ~attr in
-  let kp = Enc_relation.client_paillier owner.client in
-  Nat.to_int_exn (Paillier.decrypt kp c)
+  decrypt_sum owner ~leaf ~attr (Server_api.phe_sum conn ~leaf ~attr)

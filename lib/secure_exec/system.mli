@@ -173,8 +173,11 @@ val storage_bytes : Storage_model.profile -> owner -> int
 
 val sum : owner -> leaf:string -> attr:string -> int
 (** Homomorphic SUM over a PHE column: server-side aggregation +
-    client-side decryption. @raise Invalid_argument / Not_found as the
-    underlying operations do. *)
+    client-side decryption.
+    @raise Integrity.Corruption (where ["cell"]) if the returned sum is no
+    Paillier ciphertext (zero included) or its plaintext exceeds the
+    native integer range.
+    @raise Invalid_argument / Not_found as the underlying operations do. *)
 
 val group_sum :
   owner -> leaf:string -> group_by:string -> sum:string ->
@@ -182,4 +185,4 @@ val group_sum :
 (** [SELECT group_by, SUM(sum) GROUP BY group_by], aggregated entirely
     server-side over ciphertexts ([Enc_relation.phe_group_sum]) and
     decrypted at the client; both columns must live in the named leaf.
-    Sorted by group value. *)
+    Sorted by group value. A group's sum fails as {!sum}'s does. *)

@@ -262,6 +262,83 @@ let test_paillier_kernels () =
         (Paillier.decrypt_int kp (Paillier.scalar_mul pk ca 7)))
     [ (48, kp48); (96, kp96) ]
 
+(* [Paillier.decrypt] against the floor-division CRT body it replaced
+   ([Paillier_reference]), at 25-, 48- and 96-bit primes: 2-, 4- and
+   8-limb legs. Inputs are true ciphertexts of 0, 1, n - 1 and random m,
+   and values that are no ciphertext: 1, values below n^2, at or above
+   it, wider than twice a leg's limbs, and multiples of p, of q and of n
+   (0 among them). Wherever the oracle returns, the new decrypt returns
+   the same value; wherever it raises, the new one raises its own typed
+   [Invalid_argument]. *)
+let decrypt_differential_keys =
+  List.map
+    (fun bits ->
+      let prng = Prng.create (7_000 + bits) in
+      let rand = Prng.int prng in
+      let p = Snf_bignum.Nat.random_prime rand bits in
+      let rec other () =
+        let q = Snf_bignum.Nat.random_prime rand bits in
+        if Snf_bignum.Nat.equal p q then other () else q
+      in
+      let q = other () in
+      (bits, p, q, Paillier.of_primes p q, Paillier_reference.of_primes p q))
+    [ 25; 48; 96 ]
+
+let prop_decrypt_matches_reference =
+  let module Nat = Snf_bignum.Nat in
+  Helpers.qtest ~count:600 "paillier decrypt equals the floor-division CRT oracle"
+    QCheck2.Gen.(triple (int_bound 2) (int_bound 11) (int_bound 1_000_000))
+    (fun (which, kind, seed) ->
+      let _, p, q, kp, oracle = List.nth decrypt_differential_keys which in
+      let pk = kp.Paillier.public in
+      let n = pk.Paillier.n and n2 = pk.Paillier.n_squared in
+      let prng = Prng.create seed in
+      let rand = Prng.int prng in
+      let below x = Nat.random_below rand x in
+      let leg_limbs = (Nat.bit_length (Nat.mul p p) + 25) / 26 in
+      let c =
+        match kind with
+        | 0 -> Paillier.encrypt prng pk Nat.zero
+        | 1 -> Paillier.encrypt prng pk Nat.one
+        | 2 -> Paillier.encrypt prng pk (Nat.pred n)
+        | 3 -> Paillier.encrypt prng pk (below n)
+        | 4 -> Nat.one
+        | 5 -> below n2
+        | 6 -> Nat.add n2 (below n2)
+        | 7 -> Nat.add (Nat.mul n2 (Nat.of_int (1 + rand 1_000))) (below n2)
+        | 8 -> Nat.random_bits rand (26 * ((2 * leg_limbs) + 1 + rand leg_limbs))
+        | 9 -> Nat.mul p (below (Nat.mul q n))
+        | 10 -> Nat.mul q (below (Nat.mul p n))
+        | _ -> Nat.mul n (below (Nat.mul n n))
+      in
+      match Paillier_reference.decrypt oracle c with
+      | m -> Nat.equal (Paillier.decrypt kp c) m
+      | exception Invalid_argument _ -> (
+        match Paillier.decrypt kp c with
+        | _ -> false
+        | exception Invalid_argument msg ->
+          String.equal msg "Paillier.decrypt: ciphertext is not a unit mod n"))
+
+(* The edge values the property draws only by chance: 0, p, q, n, n^2,
+   and n^2 + 1, which decrypts as 1 does. *)
+let test_decrypt_edges () =
+  let module Nat = Snf_bignum.Nat in
+  List.iter
+    (fun (bits, p, q, kp, oracle) ->
+      let n = kp.Paillier.public.Paillier.n and n2 = kp.Paillier.public.Paillier.n_squared in
+      List.iter
+        (fun (what, c) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s (prime_bits=%d)" what bits)
+            (Invalid_argument "Paillier.decrypt: ciphertext is not a unit mod n")
+            (fun () -> ignore (Paillier.decrypt kp c)))
+        [ ("0", Nat.zero); ("p", p); ("q", q); ("n", n); ("n^2", n2) ];
+      Alcotest.(check string)
+        (Printf.sprintf "n^2 + 1 (prime_bits=%d)" bits)
+        (Nat.to_string (Paillier_reference.decrypt oracle (Nat.succ n2)))
+        (Nat.to_string (Paillier.decrypt kp (Nat.succ n2))))
+    decrypt_differential_keys
+
 (* The public-key computation of pool entry [i]: the same draw of r,
    then one full-width exponentiation mod n^2. *)
 let public_pool_entry key (pk : Paillier.public_key) i =
@@ -405,4 +482,6 @@ let suite =
     t "paillier randomizer pool" test_paillier_pool;
     t "paillier sum equals the add chain bit for bit" test_paillier_sum_matches_chain;
     t "scheme profiles" test_scheme_profiles;
-    t "keyring" test_keyring ]
+    t "keyring" test_keyring;
+    prop_decrypt_matches_reference;
+    t "paillier decrypt edges: non-units raise, n^2 + 1 is 1" test_decrypt_edges ]

@@ -202,6 +202,31 @@ let remapped_class_group_sum () =
   | exception Integrity.Corruption c -> check_string "corruption site" "index" c.Integrity.where
   | got -> Alcotest.failf "undetected: %d groups from a damaged form" (List.length got)
 
+(* A PHE cell that is no Paillier ciphertext (0, n or n^2: none is a unit
+   mod n) is corruption where="cell", on its own decrypt and in a query.
+   A fold over such a cell is 0 mod n^2, and [System.sum] and
+   [System.group_sum] type that zero sum as corruption too. *)
+let phe_non_ciphertext_where () =
+  let owner = group_system "fault-phe-unit" in
+  let enc = owner.System.enc in
+  let n = enc.Enc_relation.paillier_public.Snf_crypto.Paillier.n in
+  let expect_cell what f =
+    match f () with
+    | exception Integrity.Corruption c -> check_string (what ^ ": corruption site") "cell" c.Integrity.where
+    | _ -> Alcotest.failf "%s: undetected" what
+  in
+  List.iter
+    (fun (what, bad) ->
+      expect_cell what (fun () ->
+          Enc_relation.decrypt_cell owner.System.client ~leaf:"l0" ~attr:"S" ~scheme:Scheme.Phe
+            (Enc_relation.C_nat bad)))
+    [ ("cell 0", Snf_bignum.Nat.zero); ("cell n", n); ("cell n^2", Snf_bignum.Nat.mul n n) ];
+  let cells = (Enc_relation.column (Enc_relation.find_leaf enc "l0") "S").Enc_relation.cells in
+  cells.(4) <- Enc_relation.C_nat Snf_bignum.Nat.zero;
+  expect_cell "sum of 0" (fun () -> System.sum owner ~leaf:"l0" ~attr:"S");
+  expect_cell "group sum of 0" (fun () -> group_sum owner);
+  expect_corruption ~where:"cell" owner { Query.select = [ "S" ]; where = [] }
+
 let key_mismatch_where () =
   let owner = det_system "fault-key" in
   let impostor = Fault.mismatched_client ~name:"fault-key" in
@@ -271,4 +296,6 @@ let suite =
     Alcotest.test_case "poisoned key map leaves Group_sum unchanged" `Quick
       poisoned_keys_group_sum;
     Alcotest.test_case "remapped class → where=index on Group_sum" `Quick
-      remapped_class_group_sum ]
+      remapped_class_group_sum;
+    Alcotest.test_case "PHE non-ciphertext cell and zero sum → where=cell" `Quick
+      phe_non_ciphertext_where ]

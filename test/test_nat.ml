@@ -261,6 +261,32 @@ let prop_mont_pow_mod =
       let b = Nat.rem b0 m in
       Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat.pow_mod b e m))
 
+(* The 4-limb squaring body under squaring-heavy exponents — all ones
+   (a square and a multiply per bit), m - 1 and 2^j (squarings only) —
+   and bases wider than the modulus, up to four times its limbs, which
+   enter by the fold rather than a division. *)
+let prop_mont_pow_mod_squarings =
+  Helpers.qtest ~count:300 "Mont.pow_mod agrees with Nat.pow_mod at 4 limbs: squarings, wide bases"
+    QCheck2.Gen.(
+      let limb = int_range 1 ((1 lsl 26) - 1) in
+      let of_limbs l = List.fold_left (fun acc x -> Nat.add (Nat.shift_left acc 26) (of_i x)) Nat.zero l in
+      let* m = map of_limbs (list_size (return 4) limb) in
+      let m = if Nat.is_even m then Nat.succ m else m in
+      let* b = oneof [ bytes_gen 0 13; bytes_gen 14 52 ] in
+      let* e =
+        oneof
+          [ map (fun j -> Nat.pred (Nat.shift_left Nat.one j)) (int_range 1 104);
+            return (Nat.pred m);
+            map (fun j -> Nat.shift_left Nat.one j) (int_range 0 104) ]
+      in
+      return (m, b, e))
+    (fun (m, b, e) ->
+      let ctx = Nat.Mont.make m in
+      Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat.pow_mod b e m)
+      && Nat.equal (Nat.Mont.sqr ctx b) (Nat.Mont.mul ctx b b)
+      && Nat.equal (Nat.Mont.of_mont ctx (Nat.Mont.sqr ctx (Nat.Mont.to_mont ctx b)))
+           (Nat.mul_mod b b m))
+
 let prop_mont_roundtrip =
   Helpers.qtest ~count:300 "to_mont/of_mont roundtrip"
     QCheck2.Gen.(pair odd_modulus_gen (bytes_gen 0 24))
@@ -369,4 +395,5 @@ let suite =
     prop_string_roundtrip;
     prop_pow_mod;
     prop_mod_inverse;
-    t "equal-width compares allocate nothing" test_compare_allocates_nothing ]
+    t "equal-width compares allocate nothing" test_compare_allocates_nothing;
+    prop_mont_pow_mod_squarings ]
