@@ -528,7 +528,7 @@ let run_micro_modexp () =
   section "Micro: modular exponentiation (reference vs Montgomery)";
   let prng = Snf_crypto.Prng.create 0xe47 in
   let rand b = Snf_crypto.Prng.int prng b in
-  Printf.printf "  %-10s %14s %14s %9s %12s\n" "modulus" "Nat.pow_mod" "Mont.pow_mod" "speedup"
+  Printf.printf "  %-10s %14s %14s %9s %12s\n" "modulus" "ref. pow_mod" "Mont.pow_mod" "speedup"
     "Mont words";
   List.iter
     (fun bits ->
@@ -539,7 +539,7 @@ let run_micro_modexp () =
       let b = Nat.random_below rand m in
       let e = Nat.random_below rand m in
       let ctx = Nat.Mont.make m in
-      let ref_ns = ns_per_op (fun () -> Nat.pow_mod b e m) in
+      let ref_ns = ns_per_op (fun () -> Snf_reference.Nat_reference.pow_mod b e m) in
       let mont () = Nat.Mont.pow_mod ctx b e in
       let mont_ns = ns_per_op mont in
       Printf.printf "  %6d-bit %11.0f ns %11.0f ns %8.1fx %12.0f\n" bits ref_ns mont_ns
@@ -813,11 +813,12 @@ let ciphertexts_deterministic () =
   in
   wire 1 = wire 3
 
-(* [Paillier.decrypt] against [decrypt_reference] on a fixed sample: the
-   edge plaintexts 0, 1 and n - 1, seeded random plaintexts, and
+(* [Paillier.decrypt] against the lambda/mu oracle on a fixed sample:
+   the edge plaintexts 0, 1 and n - 1, seeded random plaintexts, and
    homomorphic sums (including one that wraps past n). *)
-let decrypt_matches_reference kp =
+let decrypt_matches_reference kp oracle =
   let module P = Snf_crypto.Paillier in
+  let module R = Snf_reference.Paillier_reference in
   let pk = kp.P.public in
   let n = pk.P.n in
   let prng = Snf_crypto.Prng.create 0xdec in
@@ -825,23 +826,11 @@ let decrypt_matches_reference kp =
   let plain = [ Nat.zero; Nat.one; Nat.pred n ] @ List.init 16 (fun _ -> Nat.random_below rand n) in
   let cts = List.map (P.encrypt prng pk) plain in
   let sums =
-    List.map2 (P.add pk) cts (List.tl cts @ [ List.hd cts ])
-    @ [ List.fold_left (P.add pk) (List.hd cts) (List.tl cts) ]
+    List.map2 (R.add pk) cts (List.tl cts @ [ List.hd cts ])
+    @ [ List.fold_left (R.add pk) (List.hd cts) (List.tl cts) ]
   in
-  List.for_all (fun c -> Nat.equal (P.decrypt kp c) (P.decrypt_reference kp c)) (cts @ sums)
+  List.for_all (fun c -> Nat.equal (P.decrypt kp c) (R.decrypt_lambda_mu oracle c)) (cts @ sums)
   && List.for_all2 (fun m c -> Nat.equal (P.decrypt kp c) m) plain cts
-
-(* Pool entry [i] by the public key alone, as pools were filled before
-   the owner's CRT split: the same draw of r, then one full-width
-   exponentiation mod n^2. The oracle for [Paillier.pool_raw_entry]. *)
-let public_pool_entry key (pk : Snf_crypto.Paillier.public_key) i =
-  let module P = Snf_crypto.Paillier in
-  let prng = Snf_crypto.Prng.of_int64 (Snf_crypto.Prf.mac_int key i) in
-  let rec draw () =
-    let r = Nat.random_below (Snf_crypto.Prng.int prng) pk.P.n in
-    if Nat.is_zero r || not (Nat.is_one (Nat.gcd r pk.P.n)) then draw () else r
-  in
-  Nat.Mont.pow_mod pk.P.mont_n2 (draw ()) pk.P.n
 
 let pool_entries = 4_096
 
@@ -862,16 +851,22 @@ let pool_fill_both kp =
   in
   let public, public_ns =
     per_entry (fun () ->
-        Snf_exec.Parallel.tabulate pool_entries (public_pool_entry key kp.P.public))
+        Snf_exec.Parallel.tabulate pool_entries
+          (Snf_reference.Paillier_reference.public_pool_entry key kp.P.public))
   in
   let agrees = Array.for_all2 Nat.equal public (Array.init pool_entries (P.pool_entry pool)) in
   (pool, crt_ns, public_ns, agrees)
 
 let run_micro_paillier () =
   section "Micro: Paillier kernels (reference vs Montgomery/CRT/pool)";
+  let module R = Snf_reference.Paillier_reference in
   let prime_bits = arg_value "prime_bits" 48 in
   let prng = Snf_crypto.Prng.create 0x9a13 in
-  let kp = Snf_crypto.Paillier.key_gen ~prime_bits prng in
+  (* The primes [key_gen] would draw, so that the lambda/mu oracle can
+     be keyed on them too. *)
+  let p, q = R.primes ~prime_bits prng in
+  let kp = Snf_crypto.Paillier.of_primes p q in
+  let oracle = R.of_primes p q in
   let pk = kp.Snf_crypto.Paillier.public in
   let m = Nat.of_int 123_456 in
   let pool, pool_fill_ns, pool_fill_public_ns, pool_agrees = pool_fill_both kp in
@@ -892,7 +887,7 @@ let run_micro_paillier () =
   (* ns and minor-heap words per call of one kernel. *)
   let cost f = (ns_per_op f, words_per_op f) in
   let enc_ref_ns, enc_ref_words =
-    cost (fun () -> Snf_crypto.Paillier.encrypt_reference prng pk m)
+    cost (fun () -> R.encrypt prng pk m)
   in
   let enc_mont_ns, enc_mont_words = cost (fun () -> Snf_crypto.Paillier.encrypt prng pk m) in
   let slot = ref 0 in
@@ -903,11 +898,11 @@ let run_micro_paillier () =
   in
   let ct = Snf_crypto.Paillier.encrypt prng pk m in
   let dec_ref_ns, dec_ref_words =
-    cost (fun () -> Snf_crypto.Paillier.decrypt_reference kp ct)
+    cost (fun () -> R.decrypt_lambda_mu oracle ct)
   in
   let dec_crt_ns, dec_crt_words = cost (fun () -> Snf_crypto.Paillier.decrypt kp ct) in
   (* One homomorphic add, and the server's fold over a 600-cell column
-     two ways: the [Paillier.add] chain (one schoolbook product and
+     two ways: the [add] chain (one schoolbook product and
      division per cell) and [Paillier.sum] (one Montgomery product per
      cell), which must agree bit for bit. The addends vary, as in a fold
      over a column. Then the wire codecs every PHE cell crosses. *)
@@ -918,10 +913,10 @@ let run_micro_paillier () =
   let add_ns, add_words =
     cost (fun () ->
         pair := (!pair + 1) land 254;
-        Snf_crypto.Paillier.add pk addends.(!pair) addends.(!pair + 1))
+        R.add pk addends.(!pair) addends.(!pair + 1))
   in
   let chain () =
-    Array.fold_left (Snf_crypto.Paillier.add pk) addends.(0)
+    Array.fold_left (R.add pk) addends.(0)
       (Array.sub addends 1 (Array.length addends - 1))
   in
   let fold () = Snf_crypto.Paillier.sum pk addends in
@@ -933,7 +928,7 @@ let run_micro_paillier () =
   let to_bytes_ns, to_bytes_words = cost (fun () -> Nat.to_bytes_be ct) in
   let modexp = paillier_shaped_modexp () in
   let deterministic = ciphertexts_deterministic () in
-  let decrypt_agrees = decrypt_matches_reference kp in
+  let decrypt_agrees = decrypt_matches_reference kp oracle in
   let enc_speedup_mont = enc_ref_ns /. enc_mont_ns in
   let enc_speedup_pooled = enc_ref_ns /. enc_pool_ns in
   let dec_speedup_crt = dec_ref_ns /. dec_crt_ns in
@@ -968,7 +963,7 @@ let run_micro_paillier () =
   Printf.printf "  pool entries agree with the public-key path at 48 and 96-bit primes: %b\n"
     pool_agrees;
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
-  Printf.printf "  decrypt agrees with decrypt_reference on the sample: %b\n" decrypt_agrees;
+  Printf.printf "  decrypt agrees with the lambda/mu oracle on the sample: %b\n" decrypt_agrees;
   Printf.printf "  sum agrees with the add chain: %b\n" fold_agrees;
   write_bench ~metrics:true "BENCH_paillier.json"
     [ ("experiment", Json.String "paillier-kernels");
@@ -1015,7 +1010,7 @@ let run_micro_paillier () =
       ("sum_matches_add_chain", Json.Bool fold_agrees);
       ("pool_matches_public_key_path", Json.Bool pool_agrees) ];
   (* The kernels above are only worth their numbers if they are right. *)
-  if not decrypt_agrees then failwith "micro-paillier: decrypt disagrees with decrypt_reference";
+  if not decrypt_agrees then failwith "micro-paillier: decrypt disagrees with the lambda/mu oracle";
   if not fold_agrees then failwith "micro-paillier: sum disagrees with the add chain";
   if not pool_agrees then
     failwith "micro-paillier: pool entries disagree with the public-key path";
@@ -1077,7 +1072,7 @@ let lockstep_reconstruction ~rows ~k =
     Snf_exec.Enc_relation.make_client ~relation_name:"microjoin.lockstep" ~master:"lockstep" ()
   in
   let cascade () =
-    OJ.join_many_cascade
+    Snf_reference.Join_reference.join_many_cascade
       ~tids_for:(fun l -> List.assoc l leaves)
       ~masks:(List.mapi (fun i (l, _) -> (l, Snf_exec.Bitmask.to_bools masks.(i))) leaves)
       (OJ.fresh_stats ()) client
@@ -1178,8 +1173,9 @@ let lockstep_per_rank ~rows ~k ~density =
 
 (* Join hot-path benchmark: the executor's sort-merge path (tid orders
    from the client's tid cache, then one lockstep pass) against the
-   pairwise cascade, which is kept as the in-tree baseline
-   (`Oblivious_join.join_many_cascade`), under 1 and 4 domains. The
+   pairwise cascade, which is kept as the test-side baseline
+   (`Snf_reference.Join_reference.join_many_cascade`), under 1 and 4
+   domains. The
    production path runs cold (tid decrypts, tid orders, the pass) and
    warm (the pass over cached orders); both must equal the cascade. Then
    the same path at k = 2 and 3 on shuffled tids, the mask kernels (the
@@ -1237,7 +1233,7 @@ let run_micro_join () =
   in
   let cascade () =
     let stats = Snf_exec.Oblivious_join.fresh_stats () in
-    Snf_exec.Oblivious_join.join_many_cascade ~masks stats client
+    Snf_reference.Join_reference.join_many_cascade ~masks stats client
   in
   (* A cold run starts from an emptied tid cache. *)
   let production ~cold () =

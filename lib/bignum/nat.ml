@@ -281,22 +281,8 @@ let mul_mod a b m = rem (mul a b) m
 (* Op counters (see DESIGN.md §Observability). Exponentiations batch their
    inner-multiplication counts into one shard update per call, so the
    counting cost is invisible next to the limb work it measures. *)
-let m_nat_pow = Snf_obs.Metrics.counter "bignum.nat.pow_mod"
 let m_mont_pow = Snf_obs.Metrics.counter "bignum.mont.pow_mod"
 let m_mont_muls = Snf_obs.Metrics.counter "bignum.mont.muls"
-
-let pow_mod b e m =
-  if is_zero m then raise Division_by_zero;
-  Snf_obs.Metrics.incr m_nat_pow;
-  if is_one m then zero
-  else begin
-    let result = ref one and acc = ref (rem b m) in
-    for i = 0 to bit_length e - 1 do
-      if testbit e i then result := mul_mod !result !acc m;
-      acc := mul_mod !acc !acc m
-    done;
-    !result
-  end
 
 let rec gcd a b = if is_zero b then a else gcd b (rem a b)
 
@@ -435,52 +421,6 @@ let random_below rand n =
   in
   draw ()
 
-let small_primes = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47 ]
-
-let is_probable_prime ?(rounds = 24) rand n =
-  if compare n two < 0 then false
-  else if List.exists (fun p -> equal n (of_int p)) small_primes then true
-  else if List.exists (fun p -> is_zero (rem n (of_int p))) small_primes then false
-  else begin
-    (* n - 1 = d * 2^s with d odd *)
-    let n1 = pred n in
-    let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
-    let d, s = split n1 0 in
-    let witness a =
-      let x = ref (pow_mod a d n) in
-      if is_one !x || equal !x n1 then false
-      else begin
-        let composite = ref true in
-        (try
-           for _ = 1 to s - 1 do
-             x := mul_mod !x !x n;
-             if equal !x n1 then begin
-               composite := false;
-               raise Exit
-             end
-           done
-         with Exit -> ());
-        !composite
-      end
-    in
-    let rec trial i =
-      if i = 0 then true
-      else begin
-        let a = add two (random_below rand (sub n (of_int 3))) in
-        if witness a then false else trial (i - 1)
-      end
-    in
-    trial rounds
-  end
-
-let random_prime rand k =
-  let rec go () =
-    let c = random_bits rand k in
-    let c = if is_even c then succ c else c in
-    if bit_length c = k && is_probable_prime rand c then c else go ()
-  in
-  go ()
-
 let pp fmt a = Format.pp_print_string fmt (to_string a)
 
 (* --- Montgomery arithmetic ----------------------------------------------- *)
@@ -493,8 +433,7 @@ let pp fmt a = Format.pp_print_string fmt (to_string a)
    k-limb accumulator through one (k+2)-limb scratch, so its minor-heap
    cost is a handful of arrays per call, not two per product. A 4-limb
    modulus multiplies and squares at register width ([mont_mul4],
-   [mont_sqr4]). The generic [pow_mod] above stays as the reference
-   implementation. *)
+   [mont_sqr4]). *)
 module Mont = struct
   type ctx = {
     m : t;                (* modulus, odd, > 1 *)
@@ -927,6 +866,57 @@ module Mont = struct
       normalize acc
     end
 end
+
+(* --- primality ------------------------------------------------------------- *)
+
+let small_primes = [ 2; 3; 5; 7; 11; 13; 17; 19; 23; 29; 31; 37; 41; 43; 47 ]
+
+let is_probable_prime ?(rounds = 24) rand n =
+  if compare n two < 0 then false
+  else if List.exists (fun p -> equal n (of_int p)) small_primes then true
+  else if List.exists (fun p -> is_zero (rem n (of_int p))) small_primes then false
+  else begin
+    (* n - 1 = d * 2^s with d odd *)
+    let n1 = pred n in
+    let rec split d s = if is_even d then split (shift_right d 1) (s + 1) else (d, s) in
+    let d, s = split n1 0 in
+    (* Past the trial divisions n is odd and above 47, a modulus
+       [Mont.make] takes. *)
+    let ctx = Mont.make n in
+    let witness a =
+      let x = ref (Mont.pow_mod ctx a d) in
+      if is_one !x || equal !x n1 then false
+      else begin
+        let composite = ref true in
+        (try
+           for _ = 1 to s - 1 do
+             x := Mont.mul_mod ctx !x !x;
+             if equal !x n1 then begin
+               composite := false;
+               raise Exit
+             end
+           done
+         with Exit -> ());
+        !composite
+      end
+    in
+    let rec trial i =
+      if i = 0 then true
+      else begin
+        let a = add two (random_below rand (sub n (of_int 3))) in
+        if witness a then false else trial (i - 1)
+      end
+    in
+    trial rounds
+  end
+
+let random_prime rand k =
+  let rec go () =
+    let c = random_bits rand k in
+    let c = if is_even c then succ c else c in
+    if bit_length c = k && is_probable_prime rand c then c else go ()
+  in
+  go ()
 
 (* --- exact division ------------------------------------------------------ *)
 

@@ -86,10 +86,6 @@ val pred : t -> t
 val add_mod : t -> t -> t -> t
 val mul_mod : t -> t -> t -> t
 
-val pow_mod : t -> t -> t -> t
-(** [pow_mod b e m] is [b^e mod m] by square-and-multiply.
-    @raise Division_by_zero if [m] is zero. *)
-
 val gcd : t -> t -> t
 
 val lcm : t -> t -> t
@@ -103,7 +99,9 @@ val mod_inverse : t -> t -> t option
 val is_probable_prime : ?rounds:int -> (int -> int) -> t -> bool
 (** [is_probable_prime rand n] runs Miller–Rabin with [rounds] (default 24)
     random bases drawn via [rand bound], which must return a uniform integer
-    in [\[0, bound)]. *)
+    in [\[0, bound)]. Trial division by the primes up to 47 comes first;
+    every [n] that passes it is odd and above 47, and its witnesses and
+    squarings run on {!Mont} modulo [n]. *)
 
 val random_bits : (int -> int) -> int -> t
 (** [random_bits rand k] draws a uniform [k]-bit number with the top bit
@@ -138,8 +136,12 @@ val pp : Format.formatter -> t -> unit
     ciphertext entering a CRT leg) or wider, and so does [mul]'s first
     operand; [mul]'s second, [sqr]'s and [prod]'s factors are reduced
     first when not below the modulus.
-    The plain {!val:pow_mod} above is retained as the reference
-    implementation; the two are cross-checked in the test suite. *)
+    It is the library's one modular exponentiation: Paillier's kernels
+    and Miller–Rabin ({!is_probable_prime}) all run on it. The
+    square-and-multiply exponentiation it replaced is a test-side
+    oracle ([Snf_reference.Nat_reference.pow_mod]), cross-checked
+    against it in the test suite and timed against it by the
+    [micro-modexp] bench. *)
 module Mont : sig
   type ctx
 
@@ -173,7 +175,8 @@ module Mont : sig
       Agrees with folding [Nat.mul_mod] over the factors for k >= 2. *)
 
   val pow_mod : ctx -> t -> t -> t
-  (** Plain-domain [b^e mod m]; agrees with [Nat.pow_mod b e (modulus ctx)]. *)
+  (** Plain-domain [b^e mod m] by sliding windows; [one] for [e = 0],
+      whatever [b]. *)
 end
 
 (** {1 Exact division} *)

@@ -165,11 +165,6 @@ type outcome = {
   detail : string;
 }
 
-let pp_outcome fmt o =
-  Format.fprintf fmt "%-13s %s — %s" (name o.kind)
-    (if not o.applicable then "n/a" else if o.detected then "detected" else "UNDETECTED")
-    o.detail
-
 (* An attribute whose stored ciphertexts are authenticated (or onion-
    verified), i.e. a legitimate bit-flip target. *)
 let authenticated_attr (inst : Gen.instance) seed =
@@ -337,11 +332,6 @@ type conn_outcome = {
   recovered : bool;  (** reconnect-and-retry produced the oracle bag *)
   conn_detail : string;
 }
-
-let pp_conn_outcome fmt o =
-  Format.fprintf fmt "%-16s %s — %s" (conn_fault_name o.conn_kind)
-    (if o.typed && o.server_alive && o.recovered then "detected" else "UNDETECTED")
-    o.conn_detail
 
 let conn_campaign ~addr (inst : Gen.instance) =
   let owner = outsource_leaves inst ~tag:"connfault" [ ("f0", [ "s0"; "s1" ]) ] in

@@ -83,8 +83,6 @@ val campaign : ?seed:int -> Gen.instance -> outcome list
     with a query aimed at the damaged region. An applicable outcome with
     [detected = false] is a conformance failure. *)
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 (** {1 Connection faults}
 
     The transport analogue of the storage campaign: sever a live socket
@@ -120,5 +118,3 @@ val conn_campaign : addr:string -> Gen.instance -> conn_outcome list
     {!conn_fault} scenario on its own doomed connection. An outcome with
     any of the three flags [false] is a conformance failure. The server
     is left alive and serving. *)
-
-val pp_conn_outcome : Format.formatter -> conn_outcome -> unit

@@ -228,5 +228,3 @@ let spec_to_string s =
     (if s.clusters = [] then "-"
      else String.concat "," (List.map string_of_int s.clusters))
     s.singles
-
-let pp_spec fmt s = Format.pp_print_string fmt (spec_to_string s)

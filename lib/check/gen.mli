@@ -50,5 +50,3 @@ val spec_gen : spec QCheck2.Gen.t
 val spec_to_string : spec -> string
 (** Render as a reproduction command fragment,
     e.g. ["seed=7 rows=12 clusters=3,2 singles=4"]. *)
-
-val pp_spec : Format.formatter -> spec -> unit

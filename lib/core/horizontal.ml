@@ -47,12 +47,6 @@ let total_leaves t =
   List.fold_left (fun acc f -> acc + List.length f.rep) 0 t.fragments
   + match t.other with None -> 0 | Some rep -> List.length rep
 
-let max_leaves_per_fragment t =
-  List.fold_left
-    (fun acc f -> max acc (List.length f.rep))
-    (match t.other with None -> 0 | Some rep -> List.length rep)
-    t.fragments
-
 let materialize r t =
   let schema = Relation.schema r in
   let idx = Schema.index_of schema t.split_attr in

@@ -48,10 +48,6 @@ val is_snf :
 
 val total_leaves : t -> int
 
-val max_leaves_per_fragment : t -> int
-(** The worst fragment — the join depth bound any single-fragment query
-    sees. *)
-
 val materialize : Relation.t -> t -> (Value.t option * (Partition.leaf * Relation.t) list) list
 (** Split rows, then materialize each fragment's representation. The
     [Value.t option] is [Some v] for fragment [v], [None] for the

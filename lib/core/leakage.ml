@@ -39,7 +39,6 @@ let kind_to_string = function
   | Order -> "order"
   | Full -> "full"
 
-let compare_kind a b = Int.compare (rank a) (rank b)
 let equal_kind a b = rank a = rank b
 
 let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)

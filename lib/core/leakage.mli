@@ -80,7 +80,6 @@ module Assignment : sig
 end
 
 val kind_to_string : kind -> string
-val compare_kind : kind -> kind -> int
 val equal_kind : kind -> kind -> bool
 val pp_kind : Format.formatter -> kind -> unit
 val pp_provenance : Format.formatter -> provenance -> unit

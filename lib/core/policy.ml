@@ -40,13 +40,6 @@ let scheme_of t a =
 
 let permissible t a = Leakage.of_scheme (scheme_of t a)
 
-let permissible_assignment t =
-  List.fold_left
-    (fun acc a ->
-      Leakage.Assignment.set acc a
-        { Leakage.kind = permissible t a; provenance = Leakage.Direct })
-    Leakage.Assignment.empty t.order
-
 let weak_attrs t = List.filter (fun a -> Scheme.is_weak (scheme_of t a)) t.order
 let strong_attrs t = List.filter (fun a -> Scheme.is_strong (scheme_of t a)) t.order
 

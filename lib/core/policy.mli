@@ -32,9 +32,6 @@ val scheme_of : t -> string -> Snf_crypto.Scheme.kind
 val permissible : t -> string -> Leakage.kind
 (** L_P restricted to one attribute. @raise Not_found when unannotated. *)
 
-val permissible_assignment : t -> Leakage.Assignment.t
-(** The full L_P as a leakage assignment (provenance [Direct]). *)
-
 val weak_attrs : t -> string list
 (** Attributes whose annotation reveals a property (the leakage sources). *)
 

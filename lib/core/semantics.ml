@@ -3,5 +3,3 @@ type t = Marginal | Strict
 let default = Strict
 
 let to_string = function Marginal -> "marginal" | Strict -> "strict"
-
-let pp fmt s = Format.pp_print_string fmt (to_string s)

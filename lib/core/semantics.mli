@@ -26,4 +26,3 @@ val default : t
 (** [Strict]. *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

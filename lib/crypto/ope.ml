@@ -69,5 +69,3 @@ let decrypt t y =
   go 0 (1 lsl t.domain_bits) 0 (1 lsl t.range_bits)
 
 let compare_ciphertexts = Int.compare
-
-let ciphertext_length t = (t.range_bits + 7) / 8

@@ -35,6 +35,3 @@ val decrypt : t -> int -> int
 
 val compare_ciphertexts : int -> int -> int
 (** The server-side operation OPE permits: plain integer order. *)
-
-val ciphertext_length : t -> int
-(** Stored size in bytes of one ciphertext. *)

@@ -47,8 +47,6 @@ let first_diff_index a b =
   in
   go 0
 
-let ciphertext_length t = ((2 * t.bits) + 7) / 8
-
 let symbols (c : ciphertext) = Array.copy c
 
 let of_symbols a =

@@ -28,9 +28,6 @@ val first_diff_index : ciphertext -> ciphertext -> int option
 (** The most significant differing position — the extra CLWW leakage
     beyond pure order; [None] when equal. *)
 
-val ciphertext_length : t -> int
-(** Stored size in bytes (2 bits per symbol, rounded up). *)
-
 val symbols : ciphertext -> int array
 (** The raw mod-3 symbols (a copy), for serialization. *)
 

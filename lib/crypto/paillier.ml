@@ -7,9 +7,7 @@ module Metrics = Snf_obs.Metrics
    [encrypt_with] is a single modular multiplication and stays free of
    per-op accounting. *)
 let m_encrypt = Metrics.counter "crypto.paillier.encrypt"
-let m_encrypt_ref = Metrics.counter "crypto.paillier.encrypt_reference"
 let m_decrypt = Metrics.counter "crypto.paillier.decrypt"
-let m_decrypt_ref = Metrics.counter "crypto.paillier.decrypt_reference"
 let m_add = Metrics.counter "crypto.paillier.add"
 let m_scalar_mul = Metrics.counter "crypto.paillier.scalar_mul"
 let m_pool_entries = Metrics.counter "crypto.paillier.pool_entries"
@@ -17,8 +15,6 @@ let m_pool_entries = Metrics.counter "crypto.paillier.pool_entries"
 type public_key = { n : Nat.t; n_squared : Nat.t; mont_n2 : Mont.ctx }
 
 type private_key = {
-  lambda : Nat.t;
-  mu : Nat.t;
   p : Nat.t;
   q : Nat.t;
   mont_p2 : Mont.ctx;
@@ -40,55 +36,57 @@ type private_key = {
 
 type keypair = { public : public_key; secret : private_key }
 
-(* L(u) = (u - 1) / n, the floor division of the scheme's definition. *)
-let l_function ~n u = Nat.div (Nat.pred u) n
-
 let public_of_n n =
   let n_squared = Nat.mul n n in
   { n; n_squared; mont_n2 = Mont.make n_squared }
+
+let not_a_unit () = invalid_arg "Paillier.decrypt: ciphertext is not a unit mod n"
+
+(* One CRT leg: u = c^(prime-1) mod prime^2, then L(u) = (u - 1) / prime.
+   The ciphertext enters the Montgomery domain of prime^2 by the fold,
+   whatever its width. When prime does not divide c, u = 1 (mod prime)
+   by Fermat, so the division is exact and the quotient is below prime;
+   when it does, u = 0, and c is no ciphertext. *)
+let leg mont div prime_m1 c =
+  let u = Mont.pow_mod mont c prime_m1 in
+  if Nat.is_zero u then not_a_unit ();
+  Nat.Exact.div div (Nat.pred u)
 
 let of_primes p q =
   if Nat.equal p q || Nat.is_even p || Nat.is_even q || Nat.is_one p || Nat.is_one q then
     invalid_arg "Paillier.of_primes: need two distinct odd primes";
   let n = Nat.mul p q in
   let public = public_of_n n in
-  let lambda = Nat.lcm (Nat.pred p) (Nat.pred q) in
-  (* g = n + 1, so g^lambda mod n^2 = 1 + lambda*n mod n^2 and
-     mu = (L(g^lambda mod n^2))^-1 mod n = lambda^-1 mod n. *)
-  let mu =
-    match Nat.mod_inverse lambda n with
-    | Some mu -> mu
-    | None -> failwith "Paillier.key_gen: lambda not invertible (retry with new primes)"
-  in
+  (* g = n + 1 makes the scheme's mu the inverse of lambda = lcm(p-1, q-1)
+     mod n. CRT decryption never reads mu, but a pair with no such
+     inverse (p | q - 1 or q | p - 1) is no Paillier key. *)
+  if not (Nat.is_one (Nat.gcd (Nat.lcm (Nat.pred p) (Nat.pred q)) n)) then
+    failwith "Paillier.key_gen: lambda not invertible (retry with new primes)";
   (* CRT decryption precomputation (the h_p/h_q of the original paper,
-     specialised to g = n + 1). *)
+     specialised to g = n + 1): h is the inverse of the leg of g. *)
   let mont_p2 = Mont.make (Nat.mul p p) in
   let mont_q2 = Mont.make (Nat.mul q q) in
   let pm1 = Nat.pred p and qm1 = Nat.pred q in
+  let div_p = Nat.Exact.divisor p and div_q = Nat.Exact.divisor q in
   let g = Nat.succ n in
-  let h_of mont prime prime_m1 =
-    let u = Mont.pow_mod mont g prime_m1 in
-    match Nat.mod_inverse (l_function ~n:prime u) prime with
-    | Some h -> h
-    | None -> failwith "Paillier.key_gen: degenerate CRT precomputation"
-  in
-  let hp = h_of mont_p2 p pm1 in
-  let hq = h_of mont_q2 q qm1 in
-  let inverse a m =
+  let inverse failure a m =
     match Nat.mod_inverse a m with
     | Some inv -> inv
-    | None -> failwith "Paillier.key_gen: primes not coprime"
+    | None -> failwith ("Paillier.key_gen: " ^ failure)
   in
-  let q_inv_p = inverse q p in
-  let q2_inv_p2 = inverse (Mont.modulus mont_q2) (Mont.modulus mont_p2) in
+  let h mont div prime prime_m1 =
+    inverse "degenerate CRT precomputation" (leg mont div prime_m1 g) prime
+  in
+  let hp = h mont_p2 div_p p pm1 in
+  let hq = h mont_q2 div_q q qm1 in
+  let q_inv_p = inverse "primes not coprime" q p in
+  let q2_inv_p2 =
+    inverse "primes not coprime" (Mont.modulus mont_q2) (Mont.modulus mont_p2)
+  in
   let mont_p = Mont.make p and mont_q = Mont.make q in
   { public;
     secret =
-      { lambda; mu; p; q; mont_p2; mont_q2; pm1; qm1;
-        div_p = Nat.Exact.divisor p;
-        div_q = Nat.Exact.divisor q;
-        mont_p;
-        mont_q;
+      { p; q; mont_p2; mont_q2; pm1; qm1; div_p; div_q; mont_p; mont_q;
         hp_q_inv_r = Mont.to_mont mont_p (Nat.mul_mod hp q_inv_p p);
         q_inv_r = Mont.to_mont mont_p q_inv_p;
         hq_r = Mont.to_mont mont_q hq;
@@ -128,15 +126,6 @@ let encrypt prng pk m =
   Nat.mul_mod (g_pow_m pk m) r_n pk.n_squared
 
 let encrypt_int prng pk m = encrypt prng pk (Nat.of_int m)
-
-(* Reference kernel: the pre-Montgomery implementation, kept for
-   cross-checking and as the benchmark baseline. *)
-let encrypt_reference prng pk m =
-  check_plaintext pk m;
-  Metrics.incr m_encrypt_ref;
-  let r = draw_randomizer ~coprime:(coprime_to pk.n) (Prng.int prng) pk.n in
-  let r_n = Nat.pow_mod r pk.n pk.n_squared in
-  Nat.mul_mod (g_pow_m pk m) r_n pk.n_squared
 
 (* --- randomizer pool ----------------------------------------------------- *)
 
@@ -188,18 +177,6 @@ let encrypt_with t i m =
 
 (* --- decryption ----------------------------------------------------------- *)
 
-let not_a_unit () = invalid_arg "Paillier.decrypt: ciphertext is not a unit mod n"
-
-(* One CRT leg: u = c^(prime-1) mod prime^2, then L(u) = (u - 1) / prime.
-   The ciphertext enters the Montgomery domain of prime^2 by the fold,
-   whatever its width. When prime does not divide c, u = 1 (mod prime)
-   by Fermat, so the division is exact and the quotient is below prime;
-   when it does, u = 0, and c is no ciphertext. *)
-let leg mont div prime_m1 c =
-  let u = Mont.pow_mod mont c prime_m1 in
-  if Nat.is_zero u then not_a_unit ();
-  Nat.Exact.div div (Nat.pred u)
-
 (* CRT decryption: one half-width exponentiation with a half-width exponent
    per prime instead of one full-width pow mod n^2 — roughly 8x less limb
    work per leg, 4x overall — then three small Montgomery products and no
@@ -216,19 +193,9 @@ let decrypt kp c =
   let t = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a sk.p) b in
   Nat.add mq (Nat.mul sk.q t)
 
-let decrypt_reference kp c =
-  Metrics.incr m_decrypt_ref;
-  let { n; n_squared; mont_n2 = _ } = kp.public in
-  let u = Nat.pow_mod c kp.secret.lambda n_squared in
-  Nat.mul_mod (l_function ~n u) kp.secret.mu n
-
 let decrypt_int kp c = Nat.to_int_exn (decrypt kp c)
 
 (* --- homomorphisms -------------------------------------------------------- *)
-
-let add pk c1 c2 =
-  Metrics.incr m_add;
-  Nat.mul_mod c1 c2 pk.n_squared
 
 let sum pk cs =
   match Array.length cs with
@@ -242,5 +209,3 @@ let scalar_mul pk c k =
   if k < 0 then invalid_arg "Paillier.scalar_mul: negative scalar";
   Metrics.incr m_scalar_mul;
   Mont.pow_mod pk.mont_n2 c (Nat.of_int k)
-
-let ciphertext_length pk = (Nat.bit_length pk.n_squared + 7) / 8

@@ -25,9 +25,12 @@
     CRT, since only the owner, who holds the keypair, fills a pool;
     and the server's homomorphic folds ({!sum}) take one Montgomery
     product per ciphertext and no division.
-    [encrypt_reference]/[decrypt_reference] keep the original
-    square-and-multiply kernels as the benchmark baseline and the test
-    oracle, and [add] is the oracle for [sum].
+    The kernels these replaced (square-and-multiply encryption, the
+    textbook lambda/mu decryption, the floor-division CRT decryption and
+    the pairwise [add] chain {!sum} folds bit for bit) are not part of
+    this library: they live in the test-side [Snf_reference], whose
+    [Paillier_reference] the tests and the [micro-paillier] bench check
+    these kernels against.
 
     Randomized: two encryptions of the same plaintext differ. *)
 
@@ -53,16 +56,16 @@ val key_gen : ?prime_bits:int -> Prng.t -> keypair
 val of_primes : Nat.t -> Nat.t -> keypair
 (** The keypair of two given distinct primes, with the precomputation
     [key_gen] runs on the primes it draws. Primality is not checked.
-    @raise Invalid_argument if the two are equal, even or one. *)
+    The secret key holds the primes and the CRT decryption's constants,
+    not the textbook [lambda] and [mu].
+    @raise Invalid_argument if the two are equal, even or one.
+    @raise Failure if [lambda = lcm (p - 1) (q - 1)] is not a unit mod
+    [n] ([p] divides [q - 1] or [q] divides [p - 1]). *)
 
 val encrypt : Prng.t -> public_key -> Nat.t -> Nat.t
 (** @raise Invalid_argument if the plaintext is not below [n]. *)
 
 val encrypt_int : Prng.t -> public_key -> int -> Nat.t
-
-val encrypt_reference : Prng.t -> public_key -> Nat.t -> Nat.t
-(** Pre-Montgomery kernel ([Nat.pow_mod] square-and-multiply); the
-    benchmark baseline. Same distribution as [encrypt]. *)
 
 val decrypt : keypair -> Nat.t -> Nat.t
 (** CRT decryption (two half-width exponentiations recombined by
@@ -71,10 +74,6 @@ val decrypt : keypair -> Nat.t -> Nat.t
     @raise Invalid_argument ["Paillier.decrypt: ciphertext is not a unit
     mod n"] if [p] or [q] divides [c] (zero, [n] and every multiple of
     either prime): no ciphertext is such a value. *)
-
-val decrypt_reference : keypair -> Nat.t -> Nat.t
-(** The lambda/mu decryption over the reference [Nat.pow_mod]; the test
-    oracle for [decrypt]. *)
 
 val decrypt_int : keypair -> Nat.t -> int
 
@@ -117,19 +116,15 @@ val encrypt_with : pool -> int -> Nat.t -> Nat.t
 
 (** {1 Homomorphisms} *)
 
-val add : public_key -> Nat.t -> Nat.t -> Nat.t
-(** Homomorphic: [decrypt (add pk c1 c2) = m1 + m2 mod n]. *)
-
 val sum : public_key -> Nat.t array -> Nat.t
-(** The homomorphic sum of k ciphertexts, bit for bit what folding [add]
-    over them from the first gives: [Nat.zero] for none, the ciphertext
+(** The homomorphic sum of k ciphertexts, [decrypt (sum pk cs)] the sum
+    of their plaintexts mod [n]: [Nat.zero] for none, the ciphertext
     itself (unreduced) for one, else their product mod [n^2], which is
-    canonical whatever the order. It multiplies in the Montgomery domain
+    canonical whatever the order, so bit for bit what folding the
+    pairwise product ([Paillier_reference.add], its test oracle) over
+    them from the first gives. It multiplies in the Montgomery domain
     of [mont_n2] — one CIOS product per ciphertext and no division unless
     one is not below [n^2] — and counts k - 1 [crypto.paillier.add]s. *)
 
 val scalar_mul : public_key -> Nat.t -> int -> Nat.t
 (** [decrypt (scalar_mul pk c k) = k * m mod n]. *)
-
-val ciphertext_length : public_key -> int
-(** Stored size in bytes of one ciphertext (a residue mod [n^2]). *)

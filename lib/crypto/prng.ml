@@ -6,8 +6,6 @@ let create seed = { state = Int64.of_int seed }
 
 let of_int64 state = { state }
 
-let copy t = { state = t.state }
-
 let mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in

@@ -17,9 +17,6 @@ val of_int64 : int64 -> t
     PRF of a position and the resulting stream depends only on (key,
     position), never on traversal order or worker count. *)
 
-val copy : t -> t
-(** Independent snapshot of the current state. *)
-
 val split : t -> t
 (** [split t] advances [t] and returns a new generator seeded from it,
     statistically independent of subsequent draws from [t]. *)

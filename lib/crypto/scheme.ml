@@ -46,9 +46,6 @@ let supports_equality_predicate k = (profile k).reveals_equality
 
 let supports_range_predicate k = (profile k).reveals_order
 
-let equal (a : kind) b = a = b
-let compare (a : kind) b = Stdlib.compare (rank a, a) (rank b, b)
-
 let to_string = function
   | Plain -> "PLAIN"
   | Ndet -> "NDET"

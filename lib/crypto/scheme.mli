@@ -44,8 +44,6 @@ val supports_equality_predicate : kind -> bool
 
 val supports_range_predicate : kind -> bool
 
-val equal : kind -> kind -> bool
-val compare : kind -> kind -> int
 val to_string : kind -> string
 val of_string : string -> kind option
 val pp : Format.formatter -> kind -> unit

@@ -64,8 +64,6 @@ let cramers_v t =
   if m <= 0 || t.total = 0 then 0.0
   else Float.sqrt (chi_square t /. (float_of_int t.total *. float_of_int m))
 
-let correlated ?(threshold = 0.3) r a b = cramers_v (contingency r a b) >= threshold
-
 let all_pairs ?(threshold = 0.3) r =
   let names = Schema.names (Relation.schema r) in
   let rec pairs = function

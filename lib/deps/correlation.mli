@@ -27,9 +27,6 @@ val cramers_v : table -> float
 (** In [\[0, 1\]]; 1 iff one column determines the other (for square
     tables). Returns 0 for degenerate (single-valued) columns. *)
 
-val correlated : ?threshold:float -> Relation.t -> string -> string -> bool
-(** [cramers_v >= threshold] (default 0.3). *)
-
 val all_pairs : ?threshold:float -> Relation.t -> (string * string * float) list
 (** Cramér's V for every unordered attribute pair at or above the
     threshold, strongest first. Quadratic in arity; meant for modest

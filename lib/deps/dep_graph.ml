@@ -159,15 +159,3 @@ let of_relation ?(mode = Optimistic) ?(max_lhs = 1) ?correlation_threshold
       (fun t (a, b, v) -> if exclude a || exclude b then t else add_correlation t a b v)
       t
       (Correlation.all_pairs ~threshold r)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>dep-graph (%s default, %d attrs, %.0f%% decided)@,"
-    (match t.mode with Pessimistic -> "pessimistic" | Optimistic -> "optimistic")
-    (Fd.Names.cardinal t.universe)
-    (100.0 *. completeness t);
-  Pair_map.iter
-    (fun (a, b) es ->
-      let dep = List.exists is_dependent_evidence es in
-      Format.fprintf fmt "  %s %s %s@," a (if dep then "~~" else "⊥") b)
-    t.edges;
-  Format.fprintf fmt "@]"

@@ -85,5 +85,3 @@ val explicit_pairs : t -> (string * string * evidence list) list
 
 val conditional_independences : t -> ((string * Snf_relational.Value.t) * (string * string)) list
 (** All declared conditional independences: ((attr, value), (a, b)). *)
-
-val pp : Format.formatter -> t -> unit

@@ -41,8 +41,6 @@ let select p r =
   let schema = Relation.schema r in
   Relation.filter r (fun _ row -> eval_predicate schema p row)
 
-let project names r = Relation.project r names
-
 let equi_join ~on left right =
   let ls = Relation.schema left and rs = Relation.schema right in
   if not (Schema.mem ls on && Schema.mem rs on) then
@@ -99,10 +97,6 @@ let natural_join left right =
           out_rows := Array.append lrow (Array.of_list extra) :: !out_rows)
         (Hashtbl.find_all index (key_of lrow shared_idx_l)));
   Relation.create out_schema (List.rev !out_rows)
-
-let union = Relation.concat
-
-let distinct = Relation.distinct
 
 let count = Relation.cardinality
 

@@ -25,8 +25,6 @@ val eval_predicate : Schema.t -> predicate -> Value.t array -> bool
 
 val select : predicate -> Relation.t -> Relation.t
 
-val project : string list -> Relation.t -> Relation.t
-
 val equi_join : on:string -> Relation.t -> Relation.t -> Relation.t
 (** Natural join on a single shared attribute [on]; the right copy of the
     join attribute is dropped and remaining duplicate names on the right
@@ -34,11 +32,6 @@ val equi_join : on:string -> Relation.t -> Relation.t -> Relation.t
 
 val natural_join : Relation.t -> Relation.t -> Relation.t
 (** Join on all shared attribute names (hash join on the composite key). *)
-
-val union : Relation.t -> Relation.t -> Relation.t
-(** Bag union. @raise Invalid_argument on schema mismatch. *)
-
-val distinct : Relation.t -> Relation.t
 
 val count : Relation.t -> int
 

@@ -139,10 +139,6 @@ let of_string text =
     in
     Relation.create schema rows
 
-let save path r =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (to_string r))
-
 let load path =
   let ic = open_in path in
   Fun.protect

@@ -11,7 +11,4 @@ val of_string : string -> Relation.t
     unparsable cells). Cell syntax per type: [int]/[float]/[bool] literals,
     anything for [text]; the empty unquoted field is [Null]. *)
 
-val save : string -> Relation.t -> unit
-(** Write to a file path. *)
-
 val load : string -> Relation.t

@@ -37,8 +37,6 @@ let create schema rows =
   List.iteri (fun i r -> Array.iteri (fun j v -> columns.(j).(i) <- v) r) rows;
   of_columns schema columns
 
-let empty schema = of_columns schema (Array.make (Schema.arity schema) [||])
-
 let schema t = t.schema
 
 let cardinality t =

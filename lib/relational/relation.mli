@@ -16,8 +16,6 @@ val of_columns : Schema.t -> Value.t array array -> t
 (** [of_columns schema cols] adopts the given column arrays (one per
     attribute, equal lengths). @raise Invalid_argument on shape mismatch. *)
 
-val empty : Schema.t -> t
-
 val schema : t -> Schema.t
 val cardinality : t -> int
 (** Number of rows. *)

@@ -31,13 +31,7 @@ let index_of t name =
 
 let project t wanted = build (Array.of_list (List.map (find_exn t) wanted))
 
-let restrict t keep =
-  build (Array.of_list (List.filter (fun (a : Attribute.t) -> keep a.name) (attributes t)))
-
 let append t attr = build (Array.append t.attrs [| attr |])
-
-let remove t name =
-  build (Array.of_list (List.filter (fun (a : Attribute.t) -> a.name <> name) (attributes t)))
 
 let equal a b =
   arity a = arity b && Array.for_all2 Attribute.equal a.attrs b.attrs

@@ -21,13 +21,8 @@ val project : t -> string list -> t
 (** Sub-schema with the given attributes, in the order given.
     @raise Not_found if any name is absent. *)
 
-val restrict : t -> (string -> bool) -> t
-(** Keep attributes whose name satisfies the predicate, preserving order. *)
-
 val append : t -> Attribute.t -> t
 (** @raise Invalid_argument if the name already exists. *)
-
-val remove : t -> string -> t
 
 val equal : t -> t -> bool
 (** Same attributes in the same order. *)

@@ -298,28 +298,6 @@ let merge_column (scheme : Scheme.kind) ~owner ~local (cols : Wire.rows_column a
         entry_class.(offsets.(s) + entry.(s) local.(k)))
       ~cell_of:(fun _ c -> class_rep.(c))
 
-let sub_store (enc : Enc_relation.t) assign s =
-  let leaves =
-    List.map2
-      (fun (l : Enc_relation.enc_leaf) (_, owner) ->
-        let globals = ref [] in
-        for g = Array.length owner - 1 downto 0 do
-          if owner.(g) = s then globals := g :: !globals
-        done;
-        let globals = Array.of_list !globals in
-        { l with
-          Enc_relation.row_count = Array.length globals;
-          tids = Array.map (fun g -> l.Enc_relation.tids.(g)) globals;
-          columns =
-            List.map
-              (fun (c : Enc_relation.enc_column) ->
-                Enc_relation.make_column ~attr:c.Enc_relation.attr ~scheme:c.Enc_relation.scheme
-                  (Array.map (fun g -> c.Enc_relation.cells.(g)) globals))
-              l.Enc_relation.columns })
-      enc.Enc_relation.leaves assign
-  in
-  { enc with Enc_relation.leaves }
-
 let install t conns image =
   let enc = Wire.of_string image in
   let assign = assignment t.t_policy ~shards:t.shards enc in
@@ -363,12 +341,12 @@ let install t conns image =
         (float_of_int n))
     (shard_loads ~shards:t.shards assign);
   (* Sub-image building is per-shard work too: serialize and ship in the
-     same fan-out lanes that will later carry queries. *)
+     same fan-out lanes that will later carry queries. A shard's part of
+     a leaf is its owned slots, ascending. *)
   let _ =
     fan_out t (fun i ->
-        match
-          shard_call t conns i (Wire.Install (Wire.to_string (sub_store enc assign i)))
-        with
+        let rows = List.map (fun (_, lm) -> lm.lm_locals.(i)) metas in
+        match shard_call t conns i (Wire.Install (Wire.sub_image enc rows)) with
         | Wire.R_unit -> ()
         | r -> ignore r; protocol_error "Install")
   in

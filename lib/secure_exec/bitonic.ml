@@ -222,10 +222,3 @@ let sort_ints ?counter arr =
     Snf_obs.Metrics.add m_comparators ticks;
     match counter with Some c -> c := !c + ticks | None -> ()
   end
-
-let is_sorted ~cmp arr =
-  let ok = ref true in
-  for i = 0 to Array.length arr - 2 do
-    if cmp arr.(i) arr.(i + 1) > 0 then ok := false
-  done;
-  !ok

@@ -40,5 +40,3 @@ val sort_ints : ?counter:int ref -> int array -> unit
     schedule, the resulting order and the [counter] value are identical
     for every domain count (and equal to what {!sort} with [Int.compare]
     would report). *)
-
-val is_sorted : cmp:('a -> 'a -> int) -> 'a array -> bool

@@ -30,13 +30,3 @@ let to_ordinal = function
 let of_ordinal_int o =
   if o < 0 || o lsr ordinal_bits <> 0 then invalid_arg "Codec.of_ordinal_int: out of range";
   Value.Int (o - offset)
-
-let monotone_on values =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-      (if Value.compare a b <= 0 then to_ordinal a <= to_ordinal b
-       else to_ordinal a >= to_ordinal b)
-      && go rest
-    | _ -> true
-  in
-  go values

@@ -25,7 +25,3 @@ val to_ordinal : Value.t -> int
 val of_ordinal_int : int -> Value.t
 (** Inverse for the [Int] type only (the one the workloads use).
     @raise Invalid_argument when out of range. *)
-
-val monotone_on : Value.t list -> bool
-(** Sanity helper for tests: ordinals are non-decreasing on a
-    [Value.compare]-sorted same-type list. *)

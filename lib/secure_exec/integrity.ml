@@ -9,8 +9,6 @@ exception Corruption of corruption
 
 let fail ?leaf ?attr ~where detail = raise (Corruption { where; leaf; attr; detail })
 
-let guard f = match f () with v -> Ok v | exception Corruption c -> Error c
-
 let to_string c =
   let coord =
     match (c.leaf, c.attr) with
@@ -20,8 +18,6 @@ let to_string c =
     | None, None -> ""
   in
   Printf.sprintf "corruption detected in %s%s: %s" c.where coord c.detail
-
-let pp fmt c = Format.pp_print_string fmt (to_string c)
 
 let () =
   Printexc.register_printer (function

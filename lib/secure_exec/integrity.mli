@@ -26,9 +26,4 @@ exception Corruption of corruption
 val fail : ?leaf:string -> ?attr:string -> where:string -> string -> 'a
 (** Raise {!Corruption} with the given coordinates. *)
 
-val guard : (unit -> 'a) -> ('a, corruption) result
-(** Run the thunk, catching {!Corruption} (and nothing else). *)
-
 val to_string : corruption -> string
-
-val pp : Format.formatter -> corruption -> unit

@@ -17,8 +17,6 @@ let outsource ?semantics ?strategy ?mode ?(seed = 0x0d6) specs =
               ~name r policy ))
         specs }
 
-let relation_names db = List.map fst db.owners
-
 let owner db name =
   match List.assoc_opt name db.owners with
   | Some o -> o

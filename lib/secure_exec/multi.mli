@@ -38,8 +38,6 @@ val outsource :
     dependence graph is mined from the data. @raise Invalid_argument on
     duplicate relation names. *)
 
-val relation_names : t -> string list
-
 val owner : t -> string -> System.owner
 (** @raise Not_found for unknown relations. *)
 

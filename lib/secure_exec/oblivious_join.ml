@@ -10,19 +10,6 @@ type stats = {
 
 let fresh_stats () = { comparisons = 0; rows_processed = 0; joins = 0 }
 
-let check_mask label n m =
-  if Array.length m <> n then
-    invalid_arg (Printf.sprintf "Oblivious_join: %s mask length mismatch" label);
-  m
-
-(* Explicit int-first comparator for (tid, row-index list) pairs — the
-   accumulator ordering must not silently change if the payload type
-   does, so polymorphic compare is banned here. *)
-let compare_tid_rows (t1, r1) (t2, r2) =
-  match Int.compare t1 t2 with
-  | 0 -> List.compare Int.compare r1 r2
-  | c -> c
-
 (* --- packed sort keys ----------------------------------------------------- *)
 
 module Packed = struct
@@ -46,81 +33,6 @@ module Packed = struct
   let tid e = e lsr row_bits
   let row e = e land max_row
 end
-
-(* --- pairwise cascade (reference implementation) -------------------------- *)
-
-(* Entry: (tid, side, row index, selected). The enclave sorts all entries
-   of both leaves obliviously by (tid, side); matching pairs end up
-   adjacent with side 0 first. *)
-let join_entries stats entries_a entries_b =
-  let all = Array.append entries_a entries_b in
-  stats.rows_processed <- stats.rows_processed + Array.length all;
-  stats.joins <- stats.joins + 1;
-  Snf_obs.Metrics.incr m_joins;
-  Snf_obs.Metrics.add m_rows (Array.length all);
-  Snf_obs.Metrics.observe h_batch (Array.length all);
-  let counter = ref 0 in
-  Bitonic.sort ~counter
-    ~cmp:(fun (t1, s1, _, _) (t2, s2, _, _) ->
-      match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c)
-    all;
-  stats.comparisons <- stats.comparisons + !counter;
-  let out = ref [] in
-  for i = Array.length all - 2 downto 0 do
-    let t1, s1, r1, sel1 = all.(i) in
-    let t2, s2, r2, sel2 = all.(i + 1) in
-    if t1 = t2 && s1 = 0 && s2 = 1 && sel1 && sel2 then out := (t1, r1, r2) :: !out
-  done;
-  Array.of_list !out
-
-let entries_of tids side mask =
-  Array.init (Array.length tids) (fun i -> (tids.(i), side, i, mask.(i)))
-
-let tids_of ?tids_for client =
-  match tids_for with
-  | Some f -> f
-  | None -> fun leaf -> Enc_relation.decrypt_tids client leaf
-
-let join_many_cascade ?tids_for ~masks stats client =
-  let tids_of = tids_of ?tids_for client in
-  match masks with
-  | [] -> invalid_arg "Oblivious_join.join_many_cascade: no leaves"
-  | [ (leaf, mask) ] ->
-    let mask = check_mask "only" leaf.Enc_relation.row_count mask in
-    let tids = tids_of leaf in
-    let out = ref [] in
-    for i = Array.length tids - 1 downto 0 do
-      if mask.(i) then out := (tids.(i), [ i ]) :: !out
-    done;
-    Array.of_list (List.sort compare_tid_rows !out)
-  | (first, mask_first) :: rest ->
-    (* Accumulator: (tid, row-index list) pairs; each further leaf joins by
-       synthesising entry arrays for the accumulated side. *)
-    let mask = check_mask "first" first.Enc_relation.row_count mask_first in
-    let acc =
-      let tids = tids_of first in
-      Array.mapi (fun i tid -> (tid, [ i ], mask.(i))) tids
-    in
-    let result =
-      List.fold_left
-        (fun acc_pairs (leaf, mask) ->
-          let mask = check_mask "next" leaf.Enc_relation.row_count mask in
-          let entries_a =
-            Array.mapi (fun i (tid, _, sel) -> (tid, 0, i, sel)) acc_pairs
-          in
-          let entries_b = entries_of (tids_of leaf) 1 mask in
-          let matched = join_entries stats entries_a entries_b in
-          Array.map
-            (fun (tid, ra, rb) ->
-              let _, rows, _ = acc_pairs.(ra) in
-              (tid, rows @ [ rb ], true))
-            matched)
-        acc rest
-    in
-    Array.of_list
-      (List.sort compare_tid_rows
-         (Array.to_list result
-         |> List.filter_map (fun (tid, rows, sel) -> if sel then Some (tid, rows) else None)))
 
 (* --- cached tid orders and the lockstep pass ------------------------------ *)
 

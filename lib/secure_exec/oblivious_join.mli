@@ -21,16 +21,15 @@
     once per key epoch, and every query is one linear {!lockstep} pass
     over the orders under its own masks. A store the pass cannot align is
     a tampered one; the executor reports it as typed corruption. The
-    pairwise cascade survives as {!join_many_cascade}, the reference
-    baseline the equivalence tests and the [micro-join] bench compare
-    against; its tid decryption is injectable via [?tids_for]. *)
+    pairwise cascade the pass replaced is a test-side oracle
+    ([Snf_reference.Join_reference]), which the equivalence tests and
+    the [micro-join] bench compare the pass against. *)
 
 type stats = {
   mutable comparisons : int;  (** compare-exchanges inside bitonic sorts *)
   mutable rows_processed : int; (** total entries fed to sort networks *)
   mutable joins : int;          (** oblivious join passes: one per
-                                    {!lockstep} pass, [k - 1] per
-                                    {!join_many_cascade} *)
+                                    {!lockstep} pass *)
 }
 
 val fresh_stats : unit -> stats
@@ -54,17 +53,6 @@ module Packed : sig
   val row : int -> int
 end
 
-val join_many_cascade :
-  ?tids_for:(Enc_relation.enc_leaf -> int array) ->
-  masks:(Enc_relation.enc_leaf * bool array) list ->
-  stats -> Enc_relation.client ->
-  (int * int list) array
-(** The pairwise cascade: [(tid, row index per leaf)] for tids selected
-    in every leaf, ascending by tid. Kept as the reference baseline and
-    differential oracle for {!lockstep} ([k - 1] joins charged to
-    [stats], generic boxed sorts inside).
-    @raise Invalid_argument on an empty list. *)
-
 (** {1 Cached tid orders}
 
     The executor keeps each leaf's order per key epoch in
@@ -86,8 +74,8 @@ val lockstep :
     selected iff every leaf's mask bit at the slot its order names is set,
     and then kept unless [drop_tid]. The result holds, per leaf, the
     slots of the kept tids in ascending tid order ([result.(i).(j)] is
-    leaf [i]'s slot of match [j]) — exactly {!join_many_cascade}'s rows
-    under the same masks, with [drop_tid] applied.
+    leaf [i]'s slot of match [j]): the pairwise cascade's rows under the
+    same masks, with [drop_tid] applied.
 
     The same pass checks that the store is aligned: equal row counts, equal
     tids at every rank and strictly increasing tids (a duplicate must not

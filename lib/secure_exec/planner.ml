@@ -453,7 +453,5 @@ let plan ?handle rep q = Result.map (fun d -> d.d_plan) (decide ?handle rep q)
    [Planner.greedy] is the default handle. *)
 let greedy = Greedy
 
-let single_leaf p = List.length p.leaves <= 1
-
 let pp fmt p =
   Format.fprintf fmt "leaves [%s], %d joins" (String.concat "; " p.leaves) p.joins

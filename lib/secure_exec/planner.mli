@@ -100,6 +100,4 @@ val plan :
 (** {!decide}'s plan, for callers that don't need the diagnostics. Same
     caching and counter movement. *)
 
-val single_leaf : plan -> bool
-
 val pp : Format.formatter -> plan -> unit

@@ -16,17 +16,6 @@ let range ~select where =
 
 let pred_attr = function Point (a, _) -> a | Range (a, _, _) -> a
 
-let attrs q =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun a ->
-      if Hashtbl.mem seen a then false
-      else begin
-        Hashtbl.add seen a ();
-        true
-      end)
-    (q.select @ List.map pred_attr q.where)
-
 let way q =
   List.length (List.sort_uniq String.compare (List.map pred_attr q.where))
 

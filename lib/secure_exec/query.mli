@@ -20,10 +20,6 @@ val range : select:string list -> (string * Value.t * Value.t) list -> t
 
 val pred_attr : pred -> string
 
-val attrs : t -> string list
-(** All attributes the query touches (projection ∪ predicates), without
-    duplicates, in first-mention order. *)
-
 val way : t -> int
 (** Number of distinct predicate attributes ("2-way", "3-way"). *)
 

@@ -142,19 +142,3 @@ let observe_wire t =
 let wire_bytes_per_request t ~phase =
   Mutex.protect t.lock (fun () ->
       Option.value (List.assoc_opt phase t.wire_ewma) ~default:(cold_estimate phase))
-
-let leaf_labels t = Mutex.protect t.lock (fun () -> List.map fst t.leaves)
-
-let pp fmt t =
-  let leaves = Mutex.protect t.lock (fun () -> t.leaves) in
-  Format.fprintf fmt "@[<v>stats v%d:" (version t);
-  List.iter
-    (fun (lbl, l) ->
-      Format.fprintf fmt "@,  %s: %d rows%s" lbl l.rows
-        (String.concat ""
-           (List.map
-              (fun (a, (s : attr_stats)) ->
-                Printf.sprintf ", %s d=%d max=%d" a s.distinct s.max_class)
-              l.attrs)))
-    leaves;
-  Format.fprintf fmt "@]"

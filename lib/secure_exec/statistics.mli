@@ -56,7 +56,3 @@ val eq_selectivity : t -> leaf:string -> attr:string -> float
 val wire_bytes_per_request : t -> phase:string -> float
 (** Per-phase EWMA of bytes per request (both directions); a calibrated
     cold-start estimate before the first observation. *)
-
-val leaf_labels : t -> string list
-
-val pp : Format.formatter -> t -> unit

@@ -60,10 +60,3 @@ let leaf_bytes profile r (l : Snf_core.Partition.leaf) =
 
 let representation_bytes profile r rep =
   List.fold_left (fun acc l -> acc + leaf_bytes profile r l) 0 rep
-
-let strawman_bytes profile r policy =
-  List.fold_left
-    (fun acc a ->
-      acc + column_bytes profile (Snf_core.Policy.scheme_of policy a) (Relation.column r a))
-    0
-    (Snf_core.Policy.attrs policy)

@@ -39,6 +39,5 @@ val leaf_bytes :
 val representation_bytes :
   profile -> Relation.t -> Snf_core.Partition.t -> int
 
-val strawman_bytes : profile -> Relation.t -> Snf_core.Policy.t -> int
 (** Single co-located relation, annotated schemes, {e no} tid column —
     the paper's strawman (naive CryptDB usage). *)

@@ -157,16 +157,24 @@ let r_cell c : Enc_relation.cell =
 
 (* --- leaf codec ----------------------------------------------------------------- *)
 
-let w_leaf buf (l : Enc_relation.enc_leaf) =
+(* The whole leaf, its arrays as they stand, or with [Some rows] only
+   those slots: slot [j] of the written leaf is the leaf's slot
+   [rows.(j)]. *)
+let w_leaf buf rows (l : Enc_relation.enc_leaf) =
+  let each w a =
+    match rows with
+    | None -> Array.iter w a
+    | Some rows -> Array.iter (fun g -> w a.(g)) rows
+  in
   w_string buf l.Enc_relation.label;
-  w_int buf l.Enc_relation.row_count;
-  Array.iter (w_string buf) l.Enc_relation.tids;
+  w_int buf (match rows with None -> l.Enc_relation.row_count | Some rows -> Array.length rows);
+  each (w_string buf) l.Enc_relation.tids;
   w_int buf (List.length l.Enc_relation.columns);
   List.iter
     (fun (col : Enc_relation.enc_column) ->
       w_string buf col.Enc_relation.attr;
       w_u8 buf (scheme_tag col.Enc_relation.scheme);
-      Array.iter (w_cell buf) col.Enc_relation.cells)
+      each (w_cell buf) col.Enc_relation.cells)
     l.Enc_relation.columns
 
 let r_leaf c : Enc_relation.enc_leaf =
@@ -185,7 +193,7 @@ let r_leaf c : Enc_relation.enc_leaf =
 
 let leaf_to_string l =
   let buf = Buffer.create 1024 in
-  w_leaf buf l;
+  w_leaf buf None l;
   Buffer.contents buf
 
 let leaf_of_string data =
@@ -196,15 +204,18 @@ let leaf_of_string data =
 
 (* --- top level ----------------------------------------------------------------- *)
 
-let to_string (t : Enc_relation.t) =
+let image (t : Enc_relation.t) rows =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf magic;
   w_u8 buf version;
   w_string buf t.Enc_relation.relation_name;
   w_string buf (Nat.to_bytes_be t.Enc_relation.paillier_public.Snf_crypto.Paillier.n);
   w_int buf (List.length t.Enc_relation.leaves);
-  List.iter (w_leaf buf) t.Enc_relation.leaves;
+  List.iter2 (w_leaf buf) rows t.Enc_relation.leaves;
   Buffer.contents buf
+
+let to_string (t : Enc_relation.t) = image t (List.map (fun _ -> None) t.Enc_relation.leaves)
+let sub_image t rows = image t (List.map Option.some rows)
 
 let of_string data =
   let c = { data; pos = 0 } in
@@ -590,13 +601,6 @@ let code_rows ~classes n ~class_of ~cell_of =
   done;
   let dict = Array.init !size (fun j -> cell_of firsts.(j) (class_of firsts.(j))) in
   if !size = n then Cells dict else Coded { dict; codes }
-
-let rows_column_of_cells cells =
-  let n = Array.length cells in
-  if n <= small_rows then Cells cells
-  else
-    let class_of, class_rep = Enc_relation.classes_of_cells cells in
-    if Array.length class_rep = n then Cells cells else Coded { dict = class_rep; codes = class_of }
 
 let w_rows_column buf = function
   | Cells cells ->

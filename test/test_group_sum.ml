@@ -101,7 +101,7 @@ let prop_group_sum_matches_plaintext =
         secure = expected
       end)
 
-(* The server's folds against the [Paillier.add] chain they replaced, bit
+(* The server's folds against the [add] chain they replaced, bit
    for bit: [phe_sum] over the whole column, and [phe_group_sum] per
    group (a group of one keeps its cell as-is). The groups hold 600 rows,
    one row and two rows. *)
@@ -119,7 +119,7 @@ let test_folds_match_add_chain () =
   let nat = function Enc_relation.C_nat n -> n | _ -> Alcotest.fail "not a PHE cell" in
   let chain = function
     | [] -> Snf_bignum.Nat.zero
-    | c :: rest -> List.fold_left (Snf_crypto.Paillier.add pk) c rest
+    | c :: rest -> List.fold_left (Snf_reference.Paillier_reference.add pk) c rest
   in
   let cells attr = Array.to_list (Enc_relation.column leaf attr).Enc_relation.cells in
   let hex n = Snf_bignum.Nat.to_string n in

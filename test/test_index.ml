@@ -1,5 +1,6 @@
 open Snf_relational
 open Snf_exec
+open Snf_reference
 module Scheme = Snf_crypto.Scheme
 
 let t name f = Alcotest.test_case name `Quick f

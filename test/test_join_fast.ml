@@ -297,7 +297,7 @@ let test_fetch_tids_checked_against_digest () =
 
 (* --- cached tid orders and the lockstep pass ---------------------------------- *)
 
-(* Leaves that are only tid arrays: [join_many_cascade] reads them
+(* Leaves that are only tid arrays: the cascade oracle reads them
    through [tids_for], so no encryption is needed to compare it with the
    pass. *)
 let bare_leaves tid_arrays =
@@ -317,7 +317,7 @@ let cascade_slots tid_arrays masks ~drop_tid =
   let leaves = bare_leaves tid_arrays in
   let tids_for (l : Enc_relation.enc_leaf) = List.assoc l leaves in
   let joined =
-    Oblivious_join.join_many_cascade ~tids_for
+    Snf_reference.Join_reference.join_many_cascade ~tids_for
       ~masks:(List.map2 (fun (l, _) m -> (l, Bitmask.to_bools m)) leaves masks)
       (Oblivious_join.fresh_stats ()) (Lazy.force bare_client)
     |> Array.to_list

@@ -1,4 +1,5 @@
 open Snf_bignum
+open Snf_reference
 
 let nat = Alcotest.testable Nat.pp Nat.equal
 
@@ -55,7 +56,7 @@ let test_modular () =
   let m = of_i 1000003 in
   let a = of_i 123456 in
   Alcotest.check nat "pow_mod small" (of_i 1)
-    (Nat.pow_mod a (Nat.pred m) m) (* Fermat: m prime *);
+    (Nat_reference.pow_mod a (Nat.pred m) m) (* Fermat: m prime *);
   (match Nat.mod_inverse a m with
    | Some inv -> Alcotest.check nat "inverse" (of_i 1) (Nat.mul_mod a inv m)
    | None -> Alcotest.fail "inverse should exist");
@@ -112,7 +113,7 @@ let prop_pow_mod =
       for _ = 1 to e do
         expected := Nat.mul_mod !expected (of_i b) (of_i m)
       done;
-      Nat.equal !expected (Nat.pow_mod (of_i b) (of_i e) (of_i m)))
+      Nat.equal !expected (Nat_reference.pow_mod (of_i b) (of_i e) (of_i m)))
 
 (* Multi-limb stress for Algorithm D, including near-boundary divisors that
    exercise the qhat-correction and add-back paths. *)
@@ -259,7 +260,7 @@ let prop_mont_pow_mod =
     (fun (m, b0, e) ->
       let ctx = Nat.Mont.make m in
       let b = Nat.rem b0 m in
-      Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat.pow_mod b e m))
+      Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat_reference.pow_mod b e m))
 
 (* The 4-limb squaring body under squaring-heavy exponents — all ones
    (a square and a multiply per bit), m - 1 and 2^j (squarings only) —
@@ -282,7 +283,7 @@ let prop_mont_pow_mod_squarings =
       return (m, b, e))
     (fun (m, b, e) ->
       let ctx = Nat.Mont.make m in
-      Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat.pow_mod b e m)
+      Nat.equal (Nat.Mont.pow_mod ctx b e) (Nat_reference.pow_mod b e m)
       && Nat.equal (Nat.Mont.sqr ctx b) (Nat.Mont.mul ctx b b)
       && Nat.equal (Nat.Mont.of_mont ctx (Nat.Mont.sqr ctx (Nat.Mont.to_mont ctx b)))
            (Nat.mul_mod b b m))
@@ -310,7 +311,7 @@ let test_mont_four_limb_extremes () =
               Alcotest.check nat
                 (Printf.sprintf "%s^%s mod %s" (Nat.to_string b) (Nat.to_string e)
                    (Nat.to_string m))
-                (Nat.pow_mod b e m) (Nat.Mont.pow_mod ctx b e))
+                (Nat_reference.pow_mod b e m) (Nat.Mont.pow_mod ctx b e))
             [ Nat.one; of_i 2; of_i 65537; Nat.pred (Nat.shift_left Nat.one 48) ];
           Alcotest.check nat "mul_mod" (Nat.mul_mod b b m) (Nat.Mont.mul_mod ctx b b))
         [ Nat.pred m; Nat.sub m (of_i 2); Nat.one; Nat.shift_right m 1 ])
@@ -337,7 +338,7 @@ let test_mont_edges () =
   let ctx = Nat.Mont.make m in
   let e = Nat.of_string "123456789012345678901234567890123456789" in
   let b = of_i 987654321 in
-  Alcotest.check nat "multi-limb exponent" (Nat.pow_mod b e m)
+  Alcotest.check nat "multi-limb exponent" (Nat_reference.pow_mod b e m)
     (Nat.Mont.pow_mod ctx b e)
 
 (* [Paillier.sum] compares every addend with n^2, so a compare of two
@@ -373,6 +374,58 @@ let test_compare_allocates_nothing () =
         cases)
     [ 20; 96; 192; 384 ]
 
+(* [Nat.is_probable_prime], whose witnesses and squarings run on [Mont],
+   against the square-and-multiply Miller–Rabin it replaced: from one
+   seeded [rand] stream each, the two give the same answer and leave the
+   stream in the same state (the next draw agrees), on random odd n of
+   3–200 bits with a probable prime at each of six widths, on Carmichael
+   numbers (the last two with no factor up to 47, so Miller–Rabin itself
+   rejects them) and on the strong pseudoprimes to base 2 2047 and
+   3215031751. Then [Paillier.key_gen] draws the primes it drew while its
+   Miller–Rabin squared by [Nat.mul_mod], pinned by the modulus at three
+   seeds, and [Paillier.of_primes] on the primes [Paillier_reference]
+   draws at a seed is that same key. *)
+let test_miller_rabin_matches_reference () =
+  let sample = Snf_crypto.Prng.create 0x3b1 in
+  let rand = Snf_crypto.Prng.int sample in
+  let random_odd () =
+    let v = Nat.random_bits rand (3 + rand 198) in
+    if Nat.is_even v then Nat.succ v else v
+  in
+  let agree n =
+    let run test =
+      let prng = Snf_crypto.Prng.create 0x3b2 in
+      let answer = test (Snf_crypto.Prng.int prng) n in
+      (answer, Snf_crypto.Prng.int prng 1_000_000)
+    in
+    let expected = run (fun rand n -> Nat_reference.is_probable_prime rand n) in
+    let got = run (fun rand n -> Nat.is_probable_prime rand n) in
+    Alcotest.(check (pair bool int)) (Nat.to_string n) expected got;
+    fst got
+  in
+  let primes = List.map (fun bits -> Nat.random_prime rand bits) [ 6; 25; 48; 64; 96; 200 ] in
+  Alcotest.(check bool) "probable primes pass" true (List.for_all agree primes);
+  List.iter (fun n -> ignore (agree n)) (List.init 400 (fun _ -> random_odd ()));
+  List.iter
+    (fun n -> Alcotest.(check bool) (n ^ " is composite") false (agree (Nat.of_string n)))
+    [ "561"; "1105"; "1729"; "41041"; "825265"; "56052361"; "118901521"; "2047"; "3215031751" ];
+  let hex n =
+    let b = Nat.to_bytes_be n in
+    String.concat ""
+      (List.init (String.length b) (fun i -> Printf.sprintf "%02x" (Char.code b.[i])))
+  in
+  let module P = Snf_crypto.Paillier in
+  List.iter
+    (fun (seed, bits, modulus) ->
+      let label = Printf.sprintf "key_gen seed %d, %d-bit primes" seed bits in
+      let kp = P.key_gen ~prime_bits:bits (Snf_crypto.Prng.create seed) in
+      Alcotest.(check string) label modulus (hex kp.P.public.P.n);
+      let p, q = Paillier_reference.primes ~prime_bits:bits (Snf_crypto.Prng.create seed) in
+      Alcotest.(check string) (label ^ ", of_primes") modulus (hex (P.of_primes p q).P.public.P.n))
+    [ (11, 25, "02f639ff7df009");
+      (48, 48, "b6f4a59729a0822afd4a024b");
+      (96, 96, "c47061b8c3fea4f2aa12d66f2e71bd831a619ec9bb077fef") ]
+
 let suite =
   [ t "conversions" test_conversions;
     t "montgomery edges" test_mont_edges;
@@ -396,4 +449,6 @@ let suite =
     prop_pow_mod;
     prop_mod_inverse;
     t "equal-width compares allocate nothing" test_compare_allocates_nothing;
-    prop_mont_pow_mod_squarings ]
+    prop_mont_pow_mod_squarings;
+    t "Miller-Rabin on Montgomery agrees with the reference; key_gen pinned"
+      test_miller_rabin_matches_reference ]

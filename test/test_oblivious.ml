@@ -48,7 +48,7 @@ let prop_bitonic_sorts =
     (fun l ->
       let arr = Array.of_list l in
       Bitonic.sort ~cmp:Int.compare arr;
-      Bitonic.is_sorted ~cmp:Int.compare arr
+      Snf_reference.Join_reference.is_sorted ~cmp:Int.compare arr
       && List.sort Int.compare l = Array.to_list arr)
 
 let test_bitonic_counter_data_independent () =

@@ -10,6 +10,7 @@ open Snf_relational
 open Snf_exec
 module Scheme = Snf_crypto.Scheme
 module Metrics = Snf_obs.Metrics
+module Scan_reference = Snf_reference.Scan_reference
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -417,7 +418,7 @@ let misreport ~kind ~delta (resp : Wire.response) =
          (fun col ->
            let col = Wire.column_cells col in
            let fill = if Array.length col = 0 then Enc_relation.C_bytes "" else col.(0) in
-           Wire.rows_column_of_cells (resize_array col (n (Array.length col)) fill))
+           Scan_reference.rows_column_of_cells (resize_array col (n (Array.length col)) fill))
          cols)
   | _ -> resp
 
@@ -692,7 +693,7 @@ let coded_fetches ~connect check =
                 (fun attr ->
                   let cells = (Enc_relation.column leaf attr).Enc_relation.cells in
                   let picked = Array.of_list (List.map (Array.get cells) slots) in
-                  if List.mem attr [ "a"; "b"; "c"; "k" ] then Wire.rows_column_of_cells picked
+                  if List.mem attr [ "a"; "b"; "c"; "k" ] then Scan_reference.rows_column_of_cells picked
                   else Wire.Cells picked)
                 coded_fetched))
       in
@@ -825,6 +826,87 @@ let test_noncanonical_shard_recoded () =
           Alcotest.(check string) (form_name ^ ", " ^ name ^ ": same response bytes") single sharded))
     [ (`Dup, "a duplicated entry"); (`Plain, "repeats under tag 0") ]
 
+(* A shard's part of a store as the coordinator once built it before
+   writing it: every leaf cut, record by record, to the slots [assign]
+   gives shard [s], ascending. The oracle for the sub-image bytes. *)
+let restricted_store (enc : Enc_relation.t) assign s =
+  let leaves =
+    List.map2
+      (fun (l : Enc_relation.enc_leaf) (_, owner) ->
+        let globals =
+          List.init (Array.length owner) Fun.id
+          |> List.filter (fun g -> owner.(g) = s)
+          |> Array.of_list
+        in
+        let pick a = Array.map (Array.get a) globals in
+        { l with
+          Enc_relation.row_count = Array.length globals;
+          tids = pick l.Enc_relation.tids;
+          columns =
+            List.map
+              (fun (c : Enc_relation.enc_column) ->
+                Enc_relation.make_column ~attr:c.Enc_relation.attr ~scheme:c.Enc_relation.scheme
+                  (pick c.Enc_relation.cells))
+              l.Enc_relation.columns })
+      enc.Enc_relation.leaves assign
+  in
+  { enc with Enc_relation.leaves }
+
+(* An Install over S mem shards builds a form for each of the image's D
+   deterministic columns at the coordinator's decode and at each shard's,
+   (1 + S) * D in all: the sub-images are written from the decoded
+   leaves' rows, building none. Each shard receives the bytes of its
+   restricted store. *)
+let test_install_writes_sub_images () =
+  let o = mixed_owner () in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let enc = o.System.enc in
+  let image = Wire.to_string enc in
+  let d =
+    List.fold_left
+      (fun acc (l : Enc_relation.enc_leaf) ->
+        acc
+        + List.length
+            (List.filter
+               (fun (c : Enc_relation.enc_column) ->
+                 Enc_relation.deterministic c.Enc_relation.scheme)
+               l.Enc_relation.columns))
+      0 enc.Enc_relation.leaves
+  in
+  Alcotest.(check bool) "the image has deterministic columns" true (d > 0);
+  let builds = Metrics.counter "exec.eq_index.builds" in
+  List.iter
+    (fun shards ->
+      let installed = Array.make shards "" in
+      let connect i =
+        let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
+        let handle up =
+          (match Wire.request_of_string up with
+           | Wire.Install sub -> installed.(i) <- sub
+           | _ -> ());
+          serve up
+        in
+        Server_api.connect_handler ~name:"mem" ~handle ~close:ignore
+      in
+      let st = Backend_sharded.create ~policy:Backend_sharded.Hash ~connect ~shards () in
+      let conn = Backend_sharded.connect st in
+      Fun.protect ~finally:(fun () -> Server_api.close conn) @@ fun () ->
+      let before = Metrics.value builds in
+      Server_api.install conn image;
+      Alcotest.(check int)
+        (Printf.sprintf "%d shards: form builds" shards)
+        ((1 + shards) * d)
+        (Metrics.value builds - before);
+      let assign = Backend_sharded.assignment Backend_sharded.Hash ~shards enc in
+      Array.iteri
+        (fun s sub ->
+          Alcotest.(check string)
+            (Printf.sprintf "%d shards: shard %d's sub-image" shards s)
+            (Wire.to_string (restricted_store enc assign s))
+            sub)
+        installed)
+    [ 1; 2; 3 ]
+
 let suite =
   [ t "policy names round-trip" test_policy_names;
     t "assignment deterministic, total, in range" test_assignment_deterministic;
@@ -845,4 +927,6 @@ let suite =
     t "a fetch skips the shards that own none of its slots" test_fetch_skips_idle_shards;
     t "a shard's non-canonical coding is re-coded by the coordinator"
       test_noncanonical_shard_recoded;
-    t "merged masks equal a per-bit scatter of the shards' masks" test_merged_masks_per_bit ]
+    t "merged masks equal a per-bit scatter of the shards' masks" test_merged_masks_per_bit;
+    t "an Install writes each shard's sub-image without building its forms"
+      test_install_writes_sub_images ]

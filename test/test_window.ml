@@ -6,6 +6,7 @@
 open Snf_relational
 open Snf_exec
 module Scheme = Snf_crypto.Scheme
+module Scan_reference = Snf_reference.Scan_reference
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -141,7 +142,7 @@ let test_misshapen_rows_refused () =
   let short =
     first_column (fun c ->
         let cells = Wire.column_cells c in
-        Wire.rows_column_of_cells (Array.sub cells 0 (max 0 (Array.length cells - 1))))
+        Scan_reference.rows_column_of_cells (Array.sub cells 0 (max 0 (Array.length cells - 1))))
   in
   let extra cols = Array.append cols [| Wire.Cells [||] |] in
   let point = Query.point ~select:[ "note" ] [ ("code", Value.Text "c1") ] in

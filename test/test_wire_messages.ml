@@ -10,6 +10,7 @@ open Snf_exec
 module Gen = QCheck2.Gen
 module Nat = Snf_bignum.Nat
 module Ore = Snf_crypto.Ore
+module Scan_reference = Snf_reference.Scan_reference
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -144,7 +145,7 @@ let gen_response =
         (fun cols ->
           Wire.R_rows
             (Array.of_list
-               (List.map (fun c -> Wire.rows_column_of_cells (Array.of_list c)) cols)))
+               (List.map (fun c -> Scan_reference.rows_column_of_cells (Array.of_list c)) cols)))
         (Gen.list_size (Gen.int_bound 3)
            (Gen.oneof
               [ Gen.list_size (Gen.int_bound 5) gen_cell;
@@ -596,7 +597,7 @@ let has_repeat cells =
    is coded exactly when a cell repeats in more than [Wire.small_rows]
    rows, and spends the code width its dictionary size fixes. *)
 let rows_roundtrip cells =
-  let col = Wire.rows_column_of_cells cells in
+  let col = Scan_reference.rows_column_of_cells cells in
   let bytes = Wire.response_to_string (Wire.R_rows [| col |]) in
   match Wire.response_of_string bytes with
   | Wire.R_rows [| back |] ->
