@@ -252,6 +252,18 @@ let most_frequent col =
     counts None
   |> Option.map fst
 
+(* A batch's answer bags in request order (a planner error as its
+   message) and its traces' wire triple, summed: the batch's outer
+   traffic, since the shared rounds are charged to its first member. *)
+let batch_bags results =
+  List.map (function Ok (ans, _) -> Ok (Oracle.bag ans) | Error e -> Error e) results
+
+let batch_wire traces =
+  List.fold_left
+    (fun (r, u, d) (t : Executor.trace) ->
+      (r + t.Executor.wire_requests, u + t.Executor.wire_bytes_up, d + t.Executor.wire_bytes_down))
+    (0, 0, 0) traces
+
 let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner = `Greedy)
     (inst : Gen.instance) =
   let qs = Gen.queries ~count:queries ~seed:inst.Gen.spec.Gen.seed inst in
@@ -506,6 +518,7 @@ let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner 
         let mstr = Printf.sprintf "%s+batch%d" (mode_name mode) size in
         List.iter
           (fun chunk ->
+            let snf_batch = ref None in
             let bags_by_rep =
               List.filter_map
                 (fun (label, owner) ->
@@ -557,6 +570,7 @@ let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner 
                         (function Ok (_, t) -> Some t | Error _ -> None)
                         results
                     in
+                    if label = "snf" then snf_batch := Some (batch_bags results, batch_wire traces);
                     (match
                        batch_counter_mismatches ~planned:(List.length chunk) traces
                          deltas
@@ -585,6 +599,36 @@ let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner 
                     Some (label, bags))
                 owners
             in
+            (* The twin runs the same chunk as one batch, which is how a
+               batch reaches a disk, socket or sharded server: equal answer
+               bags, and outer wire bytes equal to the mem SNF batch's. *)
+            (match (twin, !snf_batch) with
+             | Some (towner, tlabel, tkind), Some (mem_bags, mem_wire) -> (
+               let tname = System.backend_kind_name (System.backend towner) in
+               (* A size-1 chunk ran first as the single query on the mem
+                  owner, which left its tid columns on that connection;
+                  the twin's connection is given the same history. *)
+               (match chunk with
+                | [ q ] -> ignore (System.query_checked ~mode ?planner:twin_handle towner q)
+                | _ -> ());
+               match System.query_batch ~mode ?planner:twin_handle towner chunk with
+               | exception Integrity.Corruption c ->
+                 fail ~rep:tlabel ~mode:mstr ~kind:tkind
+                   (tname ^ " batch flagged corruption: " ^ Integrity.to_string c)
+               | results ->
+                 let traces =
+                   List.filter_map (function Ok (_, t) -> Some t | Error _ -> None) results
+                 in
+                 if batch_bags results <> mem_bags then
+                   fail ~rep:tlabel ~mode:mstr ~kind:tkind
+                     ("mem and " ^ tname ^ " batches disagree on the answer bags");
+                 if batch_wire traces <> mem_wire then
+                   let r, u, d = mem_wire and r', u', d' = batch_wire traces in
+                   fail ~rep:tlabel ~mode:mstr ~kind:tkind
+                     (Printf.sprintf
+                        "batch wire traffic differs: mem %d req %d/%d B, %s %d req %d/%d B" r
+                        u d tname r' u' d'))
+             | _ -> ());
             match bags_by_rep with
             | [] -> ()
             | (l0, b0) :: rest ->

@@ -112,7 +112,11 @@ val run_instance :
     zeroed. Each of these runs is recorded with
     [System.record_wire_trace], which nests, so the checks hold in full
     under an enclosing recording too. Disagreements are tagged
-    ["batch"].
+    ["batch"]. With a twin backend ([`Rotate], [`Socket],
+    [`Sharded n]), every chunk also runs as one batch on the twin (a
+    size-1 chunk after its single query, as on the mem owner): its
+    answer bags and its traces' summed wire triple must equal the mem
+    SNF owner's batch, tagged as the twin's single-query checks are.
 
     [planner] (default [`Greedy]) selects the planning handle for the
     differential and batched passes; [`Cost] builds a per-owner

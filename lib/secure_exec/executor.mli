@@ -27,7 +27,8 @@
        a single query window opens before [Describe]; no batch is
        announced and [exec.batch.*] do not move. With two or more, each
        query gets its own window inside a [batch.begin]/[batch.end]
-       pair, and [exec.batch.{count,queries}] tick.}
+       pair, opened after the shared fetch rounds, and
+       [exec.batch.{count,queries}] tick.}
     {- {e Mapping cache.} With two or more executable queries, token
        minting and cell decrypts go through the client's crypto-free
        mapping cache, so later members reuse what earlier ones minted
@@ -37,7 +38,14 @@
 
     Every member resolves its own leaves, in plan order, exactly as a
     lone query does; reuse across members comes from the connection's
-    tid-column memo and the client's tid cache.
+    tid-column memo and the client's tid cache. Members share their
+    fetch windows: after the filter round, every member that is not an
+    [`Oram] or [`Binning] member over several leaves is reconstructed
+    first, then one [Wire.Fetch_rows] per distinct (leaf, fetched
+    attribute list) carries the ascending union of those members'
+    slots, and each member reads its own rows from the shared windows.
+    A lone query's windows are one per planned leaf that fetches
+    anything, in plan order, so it crosses the wire as it would alone.
 
     Three reconstruction mechanisms ({!mode}); single-leaf plans need
     none:
@@ -142,7 +150,9 @@ val run_conn :
     relinked ciphertexts, stale index entries — raises the typed
     [Integrity.Corruption] rather than returning a wrong answer: leaf
     shapes are checked up front, index-served slots are bounds-checked
-    and their rows re-verified against the predicate after decryption,
+    and the query's own rows re-verified against the predicate after
+    decryption (a window shared in a batch also holds other members'
+    rows),
     every decrypt authenticates, and every decrypted tid must be the one
     its slot was written with (see [Enc_relation]). Use
     [System.query_checked] for a result-typed wrapper. *)
@@ -165,8 +175,9 @@ val run_batch :
     cache use as well as on the wire.
 
     Trace accounting is exact: each trace carries its own minting and
-    reconstruction traffic, the shared traffic (Describe and the filter
-    round trips) is charged to the first executed query, and
+    reconstruction traffic, the shared traffic (Describe, the filter
+    round trip and the shared [Fetch_rows] rounds) is charged to the
+    first executed query, and
     a tid order's comparisons are charged to the query that built it
     (later queries report zero). Summed traces therefore reconcile exactly
     with the global [exec.query.*] / [exec.wire.*] counter deltas —

@@ -228,6 +228,62 @@ let prop_batch_domain_independent =
       let b1, d1 = run 1 and b4, d4 = run 4 in
       b1 = b4 && d1 = d4)
 
+(* --- shared fetch windows and the equality index ---------------------------- *)
+
+(* Index-served members that share a leaf and an attribute list share
+   one fetch window, which then holds rows of both predicates. Each
+   member re-verifies only its own rows, so members that disagree on the
+   indexed attribute all answer as the oracle; a check of the whole
+   window would call the other member's rows stale. A poisoned index
+   entry is still caught, on the member it misleads. *)
+let test_index_verifies_own_rows () =
+  let o = owner 80 in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let a v = ("a", Value.Int v) in
+  let qs =
+    [ Query.point ~select:[ "a" ] [ a 1 ];
+      Query.point ~select:[ "a" ] [ a 2 ];
+      Query.point ~select:[ "b" ] [ a 1 ];
+      Query.point ~select:[ "b" ] [ a 2 ] ]
+  in
+  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [] }) in
+  let results, trace =
+    System.record_wire_trace (fun () -> System.query_batch ~use_index:true o qs)
+  in
+  List.iteri
+    (fun i (q, r) ->
+      let ans, tr = ok_or_fail r in
+      Alcotest.(check bool) (Printf.sprintf "query %d: index-served" i) true
+        (tr.Executor.index_probes > 0);
+      Helpers.check_same_bag (Printf.sprintf "query %d: oracle" i) (System.reference o q) ans)
+    (List.combine qs results);
+  Alcotest.(check int) "one fetch per leaf and attribute list" 2
+    (List.length
+       (List.filter
+          (fun (e : Snf_obs.Wiretrace.event) ->
+            e.dir = Snf_obs.Wiretrace.Up && e.tag = fetch_tag)
+          trace.Snf_obs.Wiretrace.events));
+  let leaf =
+    match results with
+    | Ok (_, tr) :: _ -> List.hd tr.Executor.plan.Planner.leaves
+    | _ -> Alcotest.fail "query 0 failed"
+  in
+  let key v =
+    match
+      Enc_relation.eq_token o.System.client ~leaf ~attr:"a" ~scheme:Scheme.Det (Value.Int v)
+    with
+    | Some tok -> Option.get (Enc_relation.index_key_of_token tok)
+    | None -> Alcotest.fail "no token for a DET column"
+  in
+  Alcotest.(check bool) "index poisoned" true
+    (Snf_check.Fault.poison_index o.System.enc ~leaf ~attr:"a" ~key_a:(key 1) ~key_b:(key 2));
+  match
+    System.query_batch ~use_index:true o [ Query.point ~select:[ "a" ] [ a 1 ]; List.nth qs 3 ]
+  with
+  | exception Integrity.Corruption c ->
+    Alcotest.(check string) "stale entry detected" "index" c.Integrity.where
+  | _ -> Alcotest.fail "a poisoned index entry went undetected in a shared window"
+
 let suite =
   [ t "batched equals sequential (all modes)" test_batch_matches_sequential;
     t "batched equals across backends" test_batch_backend_parity;
@@ -238,4 +294,6 @@ let suite =
     t "single queries and batches of one move no mapping-cache counter"
       test_single_queries_skip_mapping_cache;
     t "a batch of one moves the single query's counters" test_batch_of_one_counters;
-    prop_batch_domain_independent ]
+    prop_batch_domain_independent;
+    t "index-served members sharing a window verify their own rows"
+      test_index_verifies_own_rows ]

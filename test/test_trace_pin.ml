@@ -222,7 +222,13 @@ let observe_view o =
    value that covers an R_rows answer moves, through that answer's byte
    count and the record's wire_bytes_down alone (with those two masked,
    every event and record equals the parent's), and [pinned_view] below
-   does not move. *)
+   does not move. Re-recorded when a batch's members began to share
+   their fetch windows, one Fetch_rows per leaf and attribute list: the
+   shared rounds cross in the batch prelude (window 0), before any
+   member window opens, so every member window of these two sort-merge
+   batches now holds only its marks, and every member record moves,
+   since each carries its own traffic and the shared rounds go to the
+   first executed member. No single case moved. *)
 let pinned =
   [ "1-leaf point: snft 80bbb1a402aaab7e6b0cefd2bc9a2ba4 trace d70343bce3d3b31770b601ea974f47f0";
     "1-leaf range: snft 5020a81f87e9b5fead1d227f0e59cfc7 trace 7b4ec9ddb6896f57671d56705acaaf89";
@@ -234,40 +240,40 @@ let pinned =
     "index 1-leaf: snft f0d26363900a196b951655dcc91e796a trace a588093c2aaf7e7df9e22a2fecf26b75";
     "index 2-leaf: snft 6a02663307569242094488a074b0c78c trace 625dada238b70aa635c3029360f24ca5";
     "drop_tid: snft 3999aa84ee2c1ac6e77372ff16f90195 trace dc4fe30803b1da94a7292c95768f5a39";
-    "batch sort-merge window 0: fc97cac50c82ef57905bfe2448805b14";
-    "batch sort-merge window 1: 8fb92f4a123f8b7c040f068194b7f7bd";
-    "batch sort-merge window 2: a5a18f6ed523b4fa9d05a8e3f39b03e1";
-    "batch sort-merge window 3: 3890d07354aa53fd01d6cb1b7d270fd7";
-    "batch sort-merge window 4: 6d3c7a0b3aa94dab8be83f6423c7d324";
-    "batch sort-merge window 5: 23ae29f8f90a9e6c815446f74e92b996";
-    "batch sort-merge window 6: 2a0b99223c20d14bbaec511cd1ee6b04";
-    "batch sort-merge window 7: 0ea5de824acc699b46497b70d9b735bc";
+    "batch sort-merge window 0: 894960532b54b2934029296e715f719e";
+    "batch sort-merge window 1: 465506b6f7e2380148289d2acf16593c";
+    "batch sort-merge window 2: 1ff558507ac2c1e8ddc5135c4399b1ac";
+    "batch sort-merge window 3: a0035452dd9ababe9ae79c379e42d851";
+    "batch sort-merge window 4: 5675556d7fb9bbc7421336440b54a9dc";
+    "batch sort-merge window 5: 7ba61bda3a85a35ab1def9fc37101786";
+    "batch sort-merge window 6: 90eb9371e1982d0f244ae69627529783";
+    "batch sort-merge window 7: 46dfff7b4fa3a9dda8974e986ddce434";
     "batch sort-merge window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch sort-merge[0]: trace c5b79ebf7bf0feb3e48f42037dd73630";
+    "batch sort-merge[0]: trace b2fe3fa329e3bcb8dc56e5644a3c29c8";
     "batch sort-merge[1]: trace error: no stored copy of \"D\" can evaluate the predicate";
-    "batch sort-merge[2]: trace ee070997b784b0b86f42ea46cdb89c2b";
-    "batch sort-merge[3]: trace 07bb017ac4b14075b23be4c5c105f97d";
-    "batch sort-merge[4]: trace 82dbec50b1e046ec7c73919138c9a138";
-    "batch sort-merge[5]: trace 7ac2929234b8525a6c20ed70c79b7c8f";
-    "batch sort-merge[6]: trace b1b032421c7dfae98560874aea2f302a";
-    "batch sort-merge[7]: trace 3fb13332b7c502557aa58f74497d52c6";
-    "batch index+drop_tid window 0: b446028df7ee4f5e012f0f142b4c12e1";
-    "batch index+drop_tid window 1: 5a356c938fc773c1ac8d66b7c12a4798";
-    "batch index+drop_tid window 2: fdafb15963536919644fec148e872670";
-    "batch index+drop_tid window 3: 5da1873ce8206a8444faedb42a66426b";
-    "batch index+drop_tid window 4: e0666c33e0ed78bd82dd0c97fb598dc0";
-    "batch index+drop_tid window 5: 945a13af7351c641b5dff4333d60522f";
-    "batch index+drop_tid window 6: fd1666411679fec1433ae983a2e09260";
-    "batch index+drop_tid window 7: 7342501d3cc9f8dee9c5e50acc4b4503";
+    "batch sort-merge[2]: trace 7fdb686c4d128406c38a1d15e9e60b86";
+    "batch sort-merge[3]: trace b30683556abe67945da4e5da9210d1fa";
+    "batch sort-merge[4]: trace 99c7e3a5161e22f980f1de8f46af07d4";
+    "batch sort-merge[5]: trace b44327e19d43ab3b0f5e6da46071f51e";
+    "batch sort-merge[6]: trace daa4072ac24cf95fedbb261355fd4ede";
+    "batch sort-merge[7]: trace 4d5046402496f563a0efbe6eceea5987";
+    "batch index+drop_tid window 0: f106057a59018d624632a7aeae9bba84";
+    "batch index+drop_tid window 1: 465506b6f7e2380148289d2acf16593c";
+    "batch index+drop_tid window 2: 1ff558507ac2c1e8ddc5135c4399b1ac";
+    "batch index+drop_tid window 3: a0035452dd9ababe9ae79c379e42d851";
+    "batch index+drop_tid window 4: 5675556d7fb9bbc7421336440b54a9dc";
+    "batch index+drop_tid window 5: 7ba61bda3a85a35ab1def9fc37101786";
+    "batch index+drop_tid window 6: 90eb9371e1982d0f244ae69627529783";
+    "batch index+drop_tid window 7: 46dfff7b4fa3a9dda8974e986ddce434";
     "batch index+drop_tid window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch index+drop_tid[0]: trace 5298e023352bf29bda9dad9833b76f7d";
-    "batch index+drop_tid[1]: trace 0e516b2257425e52999a7b344dfb63e2";
-    "batch index+drop_tid[2]: trace 0826d9109c0c3669b3c3b247d3d60d8d";
-    "batch index+drop_tid[3]: trace 80bdf7065cb3f48a93ece28b1225b075";
+    "batch index+drop_tid[0]: trace 6acb0280b42fb475e4045a1f45f875ef";
+    "batch index+drop_tid[1]: trace 85ee26598bca76b70953ca295424cd8f";
+    "batch index+drop_tid[2]: trace cc2cd6e02b407cd0e94786c94abe8e62";
+    "batch index+drop_tid[3]: trace 99c5540dcf177fd85ed86551f6b9dee3";
     "batch index+drop_tid[4]: trace error: no stored copy of \"D\" can evaluate the predicate";
-    "batch index+drop_tid[5]: trace e84de84330c7e0cfb1ef6b5fae930975";
-    "batch index+drop_tid[6]: trace e6438dedfbe06a1d1f988fa46f113f60";
-    "batch index+drop_tid[7]: trace 36ba0a74d1044b76d26628dda4328edb" ]
+    "batch index+drop_tid[5]: trace 5fd48563f7d56c5020133a6cf2b80a6a";
+    "batch index+drop_tid[6]: trace bd066614aceb10adcf3f66ff305a6a76";
+    "batch index+drop_tid[7]: trace cbc76ec11a65d4dd08f38bb672b47eec" ]
 
 let fresh_addr () =
   let path = Filename.temp_file "snfpin" ".sock" in
@@ -336,7 +342,8 @@ let test_pinned backend domains () =
 
 (* Recorded before fetched columns crossed dictionary-coded: that change
    moved R_rows bytes only, so this bytes-free view must not move with
-   it. *)
+   it. Its batch windows were re-recorded with [pinned]'s when batch
+   members began to share their fetch windows; no single case moved. *)
 let pinned_view =
   [ "1-leaf point: view 139d66f69b76ccc79e459c8176eb3d8f";
     "1-leaf range: view c26d56e621c0f8d119abb6c0988e3d86";
@@ -348,23 +355,23 @@ let pinned_view =
     "index 1-leaf: view b4feb3da8dbc59cd3e7bb6828450a296";
     "index 2-leaf: view c7ea5b3545e6a76f02b1fe65fa3fd678";
     "drop_tid: view 9e0281a664b2fb89bfe102d112d0869d";
-    "batch sort-merge window 0: view 6b83125792ef5c740b5ff816ce3d11b5";
-    "batch sort-merge window 1: view 24c331f0fe93e79dc93a7c21b406227c";
-    "batch sort-merge window 2: view 21ee9c0b706f8e72b5b3fed7499bbc89";
-    "batch sort-merge window 3: view 8ec2e6ea25089cf9f48fd7ee9fc07937";
-    "batch sort-merge window 4: view abb670d4d61229572d23c51d6add7243";
-    "batch sort-merge window 5: view b23efc849b7bc2d5242d49baf1879d7b";
-    "batch sort-merge window 6: view bfc3cb17826c4b3e6d6acbcdb56ff18e";
-    "batch sort-merge window 7: view a42149fbb422957267083a9983e698d6";
+    "batch sort-merge window 0: view 9ef637ceff8ed9a766a513aac8004090";
+    "batch sort-merge window 1: view 74f729e60dbedbfc01b8ddf72c54b136";
+    "batch sort-merge window 2: view b4aed7d558f4a51781bbdfbfc766a537";
+    "batch sort-merge window 3: view b3851ffaea9087a0c4edabd988e23776";
+    "batch sort-merge window 4: view e2c03faae7b6664aee24ebcd44c3ff9f";
+    "batch sort-merge window 5: view 421d99744b3977cb2177bfa30b2c4948";
+    "batch sort-merge window 6: view e12d7c88e3639dadf66673e2a5d46cc5";
+    "batch sort-merge window 7: view 8fe89f4f6566d232d53ea5f708a153d1";
     "batch sort-merge window 8: view 2995adf65eea05cc1fbcdec17391fea5";
-    "batch index+drop_tid window 0: view b02722dc853cf1fa38d08edff9ae78b3";
-    "batch index+drop_tid window 1: view 779280e70093cd5531c6fcefbb06b09b";
-    "batch index+drop_tid window 2: view 7e225189240dd01cd5db02b5911cc82b";
-    "batch index+drop_tid window 3: view bba9712e518525e6cdcf299209c094ab";
-    "batch index+drop_tid window 4: view 54456675a4ffe107ed03c7c589c9e95e";
-    "batch index+drop_tid window 5: view b90c85484faa0809eb142105a0036f11";
-    "batch index+drop_tid window 6: view 6a750d2d173a02d8f77648ec33363f24";
-    "batch index+drop_tid window 7: view 3b012a78e849207d704df2d4fe8f0302";
+    "batch index+drop_tid window 0: view 22055b5e4ebf6b3c689f7bf5f44ba894";
+    "batch index+drop_tid window 1: view 74f729e60dbedbfc01b8ddf72c54b136";
+    "batch index+drop_tid window 2: view b4aed7d558f4a51781bbdfbfc766a537";
+    "batch index+drop_tid window 3: view b3851ffaea9087a0c4edabd988e23776";
+    "batch index+drop_tid window 4: view e2c03faae7b6664aee24ebcd44c3ff9f";
+    "batch index+drop_tid window 5: view 421d99744b3977cb2177bfa30b2c4948";
+    "batch index+drop_tid window 6: view e12d7c88e3639dadf66673e2a5d46cc5";
+    "batch index+drop_tid window 7: view 8fe89f4f6566d232d53ea5f708a153d1";
     "batch index+drop_tid window 8: view 2995adf65eea05cc1fbcdec17391fea5" ]
 
 let test_pinned_view backend domains () =

@@ -1,7 +1,8 @@
 (* Client fetch windows: every reconstruction path — 1-leaf plans, 2-leaf
    sort-merge, ORAM and Binning 16 — answers as the plaintext oracle when
    it projects a column of each scheme, on the mem, disk and socket
-   backends; and a Fetch_rows answer of the wrong shape is refused. *)
+   backends; and a Fetch_rows answer of the wrong shape is refused, or
+   its tampering typed, alone and in a window batch members share. *)
 
 open Snf_relational
 open Snf_exec
@@ -135,7 +136,11 @@ let test_misshapen_rows_refused () =
   let expect msg tamper q =
     let conn = tampered_conn o tamper in
     Alcotest.check_raises msg (Invalid_argument ("Executor: " ^ msg)) (fun () ->
-        ignore (Executor.run_conn o.System.client conn rep q))
+        ignore (Executor.run_conn o.System.client conn rep q));
+    (* The same query twice in a batch: both members read one shared
+       window. *)
+    Alcotest.check_raises (msg ^ ", shared window") (Invalid_argument ("Executor: " ^ msg))
+      (fun () -> ignore (Executor.run_batch o.System.client conn rep [ q; q ]))
   in
   (* The first column loses its last row and is coded afresh, so a
      coded column arrives short in canonical form. *)
@@ -160,7 +165,13 @@ let test_coded_tampering_typed () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
   let rep = o.System.plan.Snf_core.Normalizer.representation in
-  let run tamper q = Executor.run_conn o.System.client (tampered_conn o tamper) rep q in
+  let single tamper q = Executor.run_conn o.System.client (tampered_conn o tamper) rep q in
+  (* The query twice in one batch: both members read its shared windows. *)
+  let shared tamper q =
+    match Executor.run_batch o.System.client (tampered_conn o tamper) rep [ q; q ] with
+    | [ first; _ ] -> first
+    | _ -> Alcotest.fail "a batch of two returned other than two results"
+  in
   let coded f = function Wire.Coded { dict; codes } -> f dict codes | c -> c in
   let malformed =
     [ ( "a code past the dictionary",
@@ -190,25 +201,28 @@ let test_coded_tampering_typed () =
   in
   List.iteri
     (fun qi q ->
-      (match run Fun.id q with
-       | Ok (ans, _) -> Helpers.check_same_bag (Printf.sprintf "q%d untampered" qi) (System.reference o q) ans
-       | Error e -> Alcotest.failf "q%d: %s" qi e);
       List.iter
-        (fun (name, tamper, word) ->
-          match run (first_column tamper) q with
-          | exception Invalid_argument msg ->
-            let prefix = "Wire: " in
-            Alcotest.(check bool)
-              (Printf.sprintf "q%d %s: %S is a Wire error naming the rule" qi name msg)
-              true
-              (String.starts_with ~prefix msg
-              && mentions msg word)
-          | _ -> Alcotest.failf "q%d %s: not refused" qi name)
-        malformed;
-      match run (first_column flip_entry) q with
-      | exception Integrity.Corruption c ->
-        Alcotest.(check string) (Printf.sprintf "q%d flipped entry" qi) "cell" c.Integrity.where
-      | _ -> Alcotest.failf "q%d: a flipped dictionary entry went undetected" qi)
+        (fun run ->
+          (match run Fun.id q with
+           | Ok (ans, _) ->
+             Helpers.check_same_bag (Printf.sprintf "q%d untampered" qi) (System.reference o q) ans
+           | Error e -> Alcotest.failf "q%d: %s" qi e);
+          List.iter
+            (fun (name, tamper, word) ->
+              match run (first_column tamper) q with
+              | exception Invalid_argument msg ->
+                let prefix = "Wire: " in
+                Alcotest.(check bool)
+                  (Printf.sprintf "q%d %s: %S is a Wire error naming the rule" qi name msg)
+                  true
+                  (String.starts_with ~prefix msg && mentions msg word)
+              | _ -> Alcotest.failf "q%d %s: not refused" qi name)
+            malformed;
+          match run (first_column flip_entry) q with
+          | exception Integrity.Corruption c ->
+            Alcotest.(check string) (Printf.sprintf "q%d flipped entry" qi) "cell" c.Integrity.where
+          | _ -> Alcotest.failf "q%d: a flipped dictionary entry went undetected" qi)
+        [ single; shared ])
     coded_queries
 
 let suite =

@@ -321,6 +321,66 @@ let test_nested_record () =
   Alcotest.(check bool) "recorder off once every recording closed" false
     (Wiretrace.recording ())
 
+(* A batch's shared Fetch_rows rounds cross before any member window
+   opens. Each is attached to every member view whose Q_batch group
+   names its leaf, so every member that planned leaf L holds all of the
+   batch's L fetches, in wire order; the profile counts each round's
+   slots once, however many views hold it. *)
+let test_shared_fetch_attribution () =
+  let o = owner 80 in
+  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
+  let qs = workload 5 @ workload 7 in
+  let outcomes, trace = System.record_wire_trace (fun () -> System.query_batch o qs) in
+  let planned =
+    List.map
+      (function Ok (_, tr) -> tr.Executor.plan.Planner.leaves | Error e -> Alcotest.fail e)
+      outcomes
+  in
+  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [] }) in
+  let rounds =
+    List.filter
+      (fun (e : Wiretrace.event) -> e.dir = Wiretrace.Up && e.tag = fetch_tag)
+      trace.Wiretrace.events
+  in
+  Alcotest.(check bool) "fewer fetch rounds than members" true
+    (rounds <> [] && List.length rounds < List.length qs);
+  let field k (e : Wiretrace.event) = Option.value (List.assoc_opt k e.summary) ~default:"" in
+  let views = Leakage.queries trace in
+  Alcotest.(check int) "one view per member" (List.length qs) (List.length views);
+  List.iteri
+    (fun i (v, leaves) ->
+      List.iter
+        (fun leaf ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "member %d holds the batch's %s fetches" i leaf)
+            (List.filter_map
+               (fun (e : Wiretrace.event) ->
+                 if field "leaf" e = leaf then Some e.round else None)
+               rounds)
+            (List.filter_map
+               (fun (f : Leakage.fetch_obs) ->
+                 if f.Leakage.f_leaf = leaf then Some f.Leakage.f_round else None)
+               v.Leakage.q_fetches))
+        leaves)
+    (List.combine views planned);
+  let slots e = List.length (List.filter (( <> ) "") (String.split_on_char ',' (field "slots" e))) in
+  let round_slots = List.fold_left (fun acc e -> acc + slots e) 0 rounds in
+  let view_slots =
+    List.fold_left
+      (fun acc v ->
+        List.fold_left (fun acc f -> acc + List.length f.Leakage.f_slots) acc v.Leakage.q_fetches)
+      0 views
+  in
+  Alcotest.(check bool) "the views hold shared rounds more than once" true
+    (view_slots > round_slots);
+  let p = Leakage.profile trace in
+  let before = Metrics.snapshot () in
+  Leakage.publish p;
+  let deltas = Metrics.counter_diff before (Metrics.snapshot ()) in
+  Alcotest.(check int) "exec.leak.fetch.slots: the recorded rounds' slots, once each"
+    round_slots
+    (Option.value (List.assoc_opt "exec.leak.fetch.slots" deltas) ~default:0)
+
 let suite =
   [ t "json codec round-trips" test_json_roundtrip;
     t "binary codec round-trips" test_binary_roundtrip;
@@ -330,4 +390,6 @@ let suite =
     t "a lone query's filters attributed to its window" test_lone_query_attribution;
     t "profile reconciles with workload" test_profile_sanity;
     prop_trace_domain_independent;
-    t "nested recordings: inner as standalone, outer unchanged" test_nested_record ]
+    t "nested recordings: inner as standalone, outer unchanged" test_nested_record;
+    t "shared fetch rounds held by every member that planned their leaf"
+      test_shared_fetch_attribution ]
