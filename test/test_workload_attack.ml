@@ -226,7 +226,7 @@ let test_access_score_order_invariant () =
       m_ops = [ Leakage.Op_token (token i); Leakage.Op_slots [] ];
       m_matched = c;
       m_scanned = 10 * classes;
-      m_slots = List.init c (fun j -> (10 * i) + j) }
+      m_slots = Array.init c (fun j -> (10 * i) + j) }
   in
   let view =
     { Leakage.q_index = 0;
