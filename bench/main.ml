@@ -31,9 +31,8 @@
    `dune exec bench/main.exe -- micro-fanout`
                                            — one empty fan-out at 2 and 4
                                              lanes through the domain
-                                             pool vs spawning a domain
-                                             per lane: wall and CPU us
-                                             per call; writes
+                                             pool: wall and CPU us per
+                                             call; writes
                                              BENCH_fanout.json.
    `dune exec bench/main.exe -- micro-paillier`
                                            — Paillier kernel comparison,
@@ -723,52 +722,39 @@ let run_micro_sort () =
              rows) ) ]
 
 (* The cost of one empty fan-out (one trivial item per lane) at 2 and 4
-   lanes: through [Parallel.tabulate]'s persistent pool, and through a
-   spawn-per-call reference (the caller runs lane 0 and spawns then joins
-   a fresh domain for each other lane). Wall and process CPU us per call,
-   best of five rounds by wall time. Fails unless every output equals
-   [Array.init]. *)
+   lanes through [Parallel.tabulate]'s persistent pool: the hand-off
+   floor a parallel cutoff has to pay for. Wall and process CPU us per
+   call, best of five rounds by wall time. Fails unless every output
+   equals [Array.init]. *)
 let run_micro_fanout () =
-  section "Micro: empty fan-out (us per call, pool vs spawn per call)";
-  let spawn_per_call lanes f =
-    let others = List.init (lanes - 1) (fun i -> Domain.spawn (fun () -> f (i + 1))) in
-    let first = f 0 in
-    Array.of_list (first :: List.map Domain.join others)
-  in
-  let methods =
-    [ ("pool", fun lanes f -> Snf_exec.Parallel.tabulate ~domains:lanes lanes f);
-      ("spawn", spawn_per_call) ]
-  in
-  Printf.printf "  %6s %6s %12s %12s\n" "lanes" "method" "wall us" "cpu us";
+  section "Micro: empty fan-out through the domain pool (us per call)";
+  Printf.printf "  %6s %12s %12s\n" "lanes" "wall us" "cpu us";
   let rows =
-    List.concat_map
+    List.map
       (fun lanes ->
         let want = Array.init lanes Fun.id in
-        List.map
-          (fun (name, fan_out) ->
-            let call () =
-              if fan_out lanes Fun.id <> want then
-                failwith (Printf.sprintf "micro-fanout: %s at %d lanes is not Array.init" name lanes)
-            in
-            let round () =
-              call ();
-              let reps = ref 0 in
-              let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-              while Unix.gettimeofday () -. w0 < 0.2 do
-                call ();
-                incr reps
-              done;
-              let per x = x /. float_of_int !reps *. 1e6 in
-              (per (Unix.gettimeofday () -. w0), per (Sys.time () -. c0))
-            in
-            let wall, cpu =
-              List.fold_left
-                (fun best r -> if fst r < fst best then r else best)
-                (infinity, infinity) (List.init 5 (fun _ -> round ()))
-            in
-            Printf.printf "  %6d %6s %12.1f %12.1f\n" lanes name wall cpu;
-            (lanes, name, wall, cpu))
-          methods)
+        let call () =
+          if Snf_exec.Parallel.tabulate ~domains:lanes lanes Fun.id <> want then
+            failwith (Printf.sprintf "micro-fanout: pool at %d lanes is not Array.init" lanes)
+        in
+        let round () =
+          call ();
+          let reps = ref 0 in
+          let w0 = Unix.gettimeofday () and c0 = Sys.time () in
+          while Unix.gettimeofday () -. w0 < 0.2 do
+            call ();
+            incr reps
+          done;
+          let per x = x /. float_of_int !reps *. 1e6 in
+          (per (Unix.gettimeofday () -. w0), per (Sys.time () -. c0))
+        in
+        let wall, cpu =
+          List.fold_left
+            (fun best r -> if fst r < fst best then r else best)
+            (infinity, infinity) (List.init 5 (fun _ -> round ()))
+        in
+        Printf.printf "  %6d %12.1f %12.1f\n" lanes wall cpu;
+        (lanes, wall, cpu))
       [ 2; 4 ]
   in
   write_bench "BENCH_fanout.json"
@@ -777,10 +763,9 @@ let run_micro_fanout () =
       ( "fan_outs",
         Json.List
           (List.map
-             (fun (lanes, name, wall, cpu) ->
+             (fun (lanes, wall, cpu) ->
                Json.Obj
                  [ ("lanes", Json.Int lanes);
-                   ("method", Json.String name);
                    ("wall_us_per_call", Json.Float wall);
                    ("cpu_us_per_call", Json.Float cpu) ])
              rows) ) ]
@@ -965,7 +950,7 @@ let run_micro_paillier () =
   Printf.printf "  bulk ciphertexts deterministic across 1 vs 3 domains: %b\n" deterministic;
   Printf.printf "  decrypt agrees with the lambda/mu oracle on the sample: %b\n" decrypt_agrees;
   Printf.printf "  sum agrees with the add chain: %b\n" fold_agrees;
-  write_bench ~metrics:true "BENCH_paillier.json"
+  write_bench "BENCH_paillier.json"
     [ ("experiment", Json.String "paillier-kernels");
       ("prime_bits", Json.Int prime_bits);
       ("encrypt_reference_ns", Json.Float enc_ref_ns);

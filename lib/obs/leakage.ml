@@ -12,13 +12,12 @@ type token = {
   t_key : string;
 }
 
-type op = Op_slots of int list | Op_token of token
+type op = Op_slots of int array | Op_token of token
 
 type mask_obs = {
   m_leaf : string;
   m_ops : op list;
   m_matched : int;
-  m_scanned : int;
   m_slots : int array;
 }
 
@@ -26,7 +25,7 @@ type fetch_obs = {
   f_round : int;
   f_leaf : string;
   f_attrs : string list;
-  f_slots : int list;
+  f_slots : int array;
 }
 
 type query_view = {
@@ -34,7 +33,7 @@ type query_view = {
   q_tokens : token list;
   q_masks : mask_obs list;
   q_fetches : fetch_obs list;
-  q_probes : (string * string * int list option) list;
+  q_probes : (string * string * int array option) list;
   q_oram : (string * int) list;
   q_leaves : string list;
   q_in_batch : bool;
@@ -89,9 +88,7 @@ let slots_of_hex hex =
   done;
   out
 
-let ints_of_csv s =
-  if s = "" then []
-  else List.filter_map int_of_string_opt (String.split_on_char ',' s)
+let ints_of_csv s = Array.of_list (List.filter_map int_of_string_opt (String.split_on_char ',' s))
 
 let parse_op desc =
   match String.split_on_char ':' desc with
@@ -152,8 +149,8 @@ let batch_groups_of_summary sum =
     groups []
 
 (* R_batch response summary: [("q", i); ("mask", "m:s:hex"); ...] →
-   per-query-index list of (matched, scanned, slots), positional with
-   the request's leaf list. *)
+   per-query-index list of (matched, slots), positional with the
+   request's leaf list. The scanned count [s] is not kept. *)
 let batch_masks_of_summary sum =
   let groups = Hashtbl.create 8 in
   let cur_q = ref (-1) in
@@ -168,12 +165,12 @@ let batch_masks_of_summary sum =
         | None -> ())
       | "mask" -> (
         match String.split_on_char ':' v with
-        | [ m; s; hex ] -> (
-          match (int_of_string_opt m, int_of_string_opt s) with
-          | Some m, Some s ->
+        | [ m; _; hex ] -> (
+          match int_of_string_opt m with
+          | Some m ->
             let prev = try Hashtbl.find groups !cur_q with Not_found -> [] in
-            Hashtbl.replace groups !cur_q ((m, s, slots_of_hex hex) :: prev)
-          | _ -> ())
+            Hashtbl.replace groups !cur_q ((m, slots_of_hex hex) :: prev)
+          | None -> ())
         | _ -> ())
       | _ -> ())
     sum;
@@ -183,7 +180,7 @@ type builder = {
   mutable b_tokens : token list; (* reversed *)
   mutable b_masks : mask_obs list;
   mutable b_fetches : fetch_obs list;
-  mutable b_probes : (string * string * int list option) list;
+  mutable b_probes : (string * string * int array option) list;
   mutable b_oram : (string * int) list;
   b_in_batch : bool;
 }
@@ -218,19 +215,15 @@ let finish idx b =
 let attach b ops masks =
   let rec go ops masks =
     match (ops, masks) with
-    | (leaf, lops) :: otl, (m, s, slots) :: mtl ->
-      b.b_masks <-
-        { m_leaf = leaf; m_ops = lops; m_matched = m; m_scanned = s; m_slots = slots }
-        :: b.b_masks;
+    | (leaf, lops) :: otl, (m, slots) :: mtl ->
+      b.b_masks <- { m_leaf = leaf; m_ops = lops; m_matched = m; m_slots = slots } :: b.b_masks;
       List.iter
         (function Op_token t -> b.b_tokens <- t :: b.b_tokens | Op_slots _ -> ())
         lops;
       go otl mtl
     | (leaf, lops) :: otl, [] ->
       (* planner error slot: ops shipped, no mask came back *)
-      b.b_masks <-
-        { m_leaf = leaf; m_ops = lops; m_matched = 0; m_scanned = 0; m_slots = [||] }
-        :: b.b_masks;
+      b.b_masks <- { m_leaf = leaf; m_ops = lops; m_matched = 0; m_slots = [||] } :: b.b_masks;
       go otl []
     | [], _ -> ()
   in
@@ -267,7 +260,7 @@ let fetch_of (u : Wiretrace.event) =
       (match find "attrs" sum with
        | Some "" | None -> []
        | Some s -> String.split_on_char ',' s);
-    f_slots = (match find "slots" sum with Some s -> ints_of_csv s | None -> []) }
+    f_slots = (match find "slots" sum with Some s -> ints_of_csv s | None -> [||]) }
 
 let tokens (trace : Wiretrace.trace) =
   List.concat_map
@@ -326,11 +319,7 @@ let queries (trace : Wiretrace.trace) =
       | Some b ->
         let leaf = Option.value ~default:"" (find "leaf" u.summary) in
         let attr = Option.value ~default:"" (find "attr" u.summary) in
-        let slots =
-          match find "slots" d.summary with
-          | Some s -> Some (ints_of_csv s)
-          | None -> None
-        in
+        let slots = Option.map ints_of_csv (find "slots" d.summary) in
         b.b_probes <- (leaf, attr, slots) :: b.b_probes;
         Option.iter (fun t -> b.b_tokens <- t :: b.b_tokens) (probe_token u.summary))
     | 5 -> (
@@ -419,7 +408,7 @@ let profile trace =
         incr rounds;
         up := !up + e.bytes;
         if e.tag = 5 then
-          slots_fetched := !slots_fetched + List.length (fetch_of e).f_slots
+          slots_fetched := !slots_fetched + Array.length (fetch_of e).f_slots
       | Wiretrace.Down -> down := !down + e.bytes
       | Wiretrace.Mark -> if e.phase = "batch.begin" then incr batches)
     trace.Wiretrace.events;

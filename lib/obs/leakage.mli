@@ -21,13 +21,14 @@ type token = {
       (** identity: hex fingerprint, ordinal text, or ["lo..hi"] *)
 }
 
-type op = Op_slots of int list | Op_token of token
+(** Every slot set in a view is an [int array], in the order it crossed
+    the wire. *)
+type op = Op_slots of int array | Op_token of token
 
 type mask_obs = {
   m_leaf : string;
   m_ops : op list;  (** the filter ops that produced this mask *)
   m_matched : int;
-  m_scanned : int;
   m_slots : int array;  (** set bit positions of the returned mask, ascending *)
 }
 
@@ -37,7 +38,7 @@ type fetch_obs = {
           the same id in every member view that holds it *)
   f_leaf : string;
   f_attrs : string list;
-  f_slots : int list;
+  f_slots : int array;
 }
 
 type query_view = {
@@ -45,7 +46,7 @@ type query_view = {
   q_tokens : token list;  (** in wire order *)
   q_masks : mask_obs list;
   q_fetches : fetch_obs list;
-  q_probes : (string * string * int list option) list;
+  q_probes : (string * string * int array option) list;
       (** index probes: leaf, attr, returned slots (None = no index) *)
   q_oram : (string * int) list;
       (** ORAM fetches: leaf, bucket touches of the fetch's reads *)

@@ -368,7 +368,7 @@ let test_shared_fetch_attribution () =
   let view_slots =
     List.fold_left
       (fun acc v ->
-        List.fold_left (fun acc f -> acc + List.length f.Leakage.f_slots) acc v.Leakage.q_fetches)
+        List.fold_left (fun acc f -> acc + Array.length f.Leakage.f_slots) acc v.Leakage.q_fetches)
       0 views
   in
   Alcotest.(check bool) "the views hold shared rounds more than once" true
