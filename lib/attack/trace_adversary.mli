@@ -25,6 +25,9 @@
       [source -> protected], and attributed to physical rows through
       every slot channel naming a leaf known to hold the protected
       attribute (masks on co-located leaves, fetches, probe answers).
+      Every guess a row receives is a vote; the row keeps the value with
+      the most votes, a tie going to the least value by
+      {!Value.compare}.
     - {b access pattern}: mean of two sub-scores. {e Token exposure}: per
       queried token, the fraction of its true row set the server saw
       certified by mask slots — per-conjunct solo masks expose it all,
@@ -79,9 +82,12 @@ val run :
     [range_truth] lists the truly queried range endpoints
     [(attr, lo, hi)] for the sorting row; omitted or empty yields a 0.0
     sorting score when no range tokens were observed, and scores against
-    an empty multiset otherwise. Deterministic: every tie is broken by
-    value or token identity, never by hash order, and the access means
-    are summed in ascending order, so the order in which a view lists
-    its tokens and masks never moves a score, not even in the last bit. *)
+    an empty multiset otherwise. Deterministic, and a function of the
+    multiset of views: every tie is broken by value or token identity,
+    never by hash order, a row's guess is the plurality of its votes,
+    and the access means are summed in ascending order. So neither the
+    order of [views] nor the order in which a view lists its tokens,
+    masks, fetches and probes ever moves a score, not even in the last
+    bit. *)
 
 val scores_to_json : scores -> Snf_obs.Json.t
