@@ -1576,8 +1576,11 @@ let run_micro_plan () =
    carries all of them at once — and each runs a point/range/batch mix
    of queries. Gated on oracle-bag-identical answers for every single
    response; typed busy rejections are retried and counted, never
-   errors. Writes BENCH_server.json with p50/p99 latency and
-   queries/sec. *)
+   errors. Then a socket-sharded arm: the same store outsourced onto a
+   coordinator over two more servers, each shape of the mix run once on
+   it and bag-checked against the oracle. Writes BENCH_server.json with
+   p50/p99 latency, queries/sec and the sharded arm's per-shape
+   latency. *)
 let run_micro_server () =
   section "Micro: networked server (SNFF sessions + domain worker pool)";
   let module Server = Snf_net.Server in
@@ -1792,6 +1795,43 @@ let run_micro_server () =
     sstats.Server.sessions_opened sstats.Server.requests_served
     sstats.Server.busy_rejections (Atomic.get busy_retries) sstats.Server.frame_errors;
   let all_ok = Atomic.get failures = 0 in
+  let shard_srvs = ref [] in
+  let sharded_ms =
+    Fun.protect ~finally:(fun () -> List.iter Server.stop !shard_srvs) @@ fun () ->
+    let addrs =
+      List.init 2 (fun i ->
+          let sock = Filename.temp_file (Printf.sprintf "snfshard%d" i) ".sock" in
+          Sys.remove sock;
+          match Server.start_mem ~config ~addr:("unix:" ^ sock) () with
+          | Ok srv ->
+            shard_srvs := srv :: !shard_srvs;
+            Server.address srv
+          | Error e -> failwith ("micro-server: cannot start shard server: " ^ e))
+    in
+    let sharded = Snf_exec.System.with_backend owner (`Ext (Client.sharded_backend addrs)) in
+    Fun.protect ~finally:(fun () -> Snf_exec.System.release sharded) @@ fun () ->
+    let matches bag = function
+      | Ok (ans, _) -> Snf_check.Oracle.bag ans = bag
+      | Error _ -> false
+    in
+    let timed shape ok =
+      let t0 = Unix.gettimeofday () in
+      let ok = ok () in
+      (shape, (Unix.gettimeofday () -. t0) *. 1e3, ok)
+    in
+    let query q = Snf_exec.System.query ~use_index:true sharded q in
+    [ timed "point" (fun () -> matches point_bags.(3) (query (q_point 3)));
+      timed "range" (fun () -> matches range_bags.(2) (query (q_range 20)));
+      timed "batch" (fun () ->
+          match Snf_exec.System.query_batch ~use_index:true sharded [ q_point 3; q_range 20 ] with
+          | [ p; g ] -> matches point_bags.(3) p && matches range_bags.(2) g
+          | _ -> false) ]
+  in
+  let sharded_ok = List.for_all (fun (_, _, ok) -> ok) sharded_ms in
+  Printf.printf "  socket-sharded (2 shards): %s\n"
+    (String.concat ", "
+       (List.map (fun (shape, ms, ok) -> Printf.sprintf "%s %.1f ms%s" shape ms
+            (if ok then "" else " MISMATCH")) sharded_ms));
   write_bench ~metrics:true "BENCH_server.json"
     [ ("experiment", Json.String "server-storm");
       ("clients", Json.Int clients);
@@ -1810,11 +1850,16 @@ let run_micro_server () =
       ("server_requests", Json.Int sstats.Server.requests_served);
       ("server_busy_rejections", Json.Int sstats.Server.busy_rejections);
       ("server_frame_errors", Json.Int sstats.Server.frame_errors);
-      ("all_match_oracle", Json.Bool all_ok) ];
+      ("all_match_oracle", Json.Bool all_ok);
+      ( "sharded_socket_ms",
+        Json.Obj (List.map (fun (shape, ms, _) -> (shape, Json.Float ms)) sharded_ms) );
+      ("sharded_socket_match_oracle", Json.Bool sharded_ok) ];
   if not all_ok then
     failwith
       (Printf.sprintf "micro-server: %d responses disagreed with the oracle (or failed)"
          (Atomic.get failures));
+  if not sharded_ok then
+    failwith "micro-server: a socket-sharded answer disagreed with the oracle";
   if concurrent_sessions < clients then
     failwith
       (Printf.sprintf "micro-server: only %d of %d sessions were concurrently open"

@@ -99,14 +99,14 @@ let backend addr_s =
 
 (* Multi-connection fan-out: one coordinator over N socket servers, one
    address per shard. Each shard leg is its own SNFF stream and, being
-   [remote], its own Parallel lane even on one domain, so the legs are
-   genuinely concurrent on the wire — per-handle serialization never
-   queues one shard behind another. *)
+   a "socket" connection, its own Parallel lane even on one domain, so
+   the legs are genuinely concurrent on the wire — per-handle
+   serialization never queues one shard behind another. *)
 let sharded ?policy addrs =
   let addrs = Array.of_list addrs in
   if Array.length addrs = 0 then
     invalid_arg "Snf_net.Client.sharded: need at least one shard address";
-  Backend_sharded.create ?policy ~remote:true ~shards:(Array.length addrs)
+  Backend_sharded.create ?policy ~shards:(Array.length addrs)
     ~connect:(fun i ->
       match connect addrs.(i) with
       | Ok conn -> conn

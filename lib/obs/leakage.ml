@@ -1,9 +1,9 @@
 (* Leakage profiler over SNFT traces. See leakage.mli.
 
    This module owns both sides of the summary micro-grammar: the
-   producer helpers ([desc_slots]/[desc_token]/[mask_to_hex]) used by
-   [Server_api.call] when it records a round, and the parsers used
-   here — one place, so they cannot drift apart. *)
+   producer helpers ([slots_csv]/[desc_slots]/[desc_token]/[mask_to_hex])
+   used by [Server_api.call] when it records a round, and the parsers
+   used here — one place, so they cannot drift apart. *)
 
 type token = {
   t_attr : string;
@@ -41,8 +41,8 @@ type query_view = {
 
 (* --- summary micro-grammar -------------------------------------------------------- *)
 
-let desc_slots slots =
-  "slots:" ^ String.concat "," (List.map string_of_int slots)
+let slots_csv slots = String.concat "," (Array.to_list (Array.map string_of_int slots))
+let desc_slots slots = "slots:" ^ slots_csv slots
 
 let desc_token ~kind ~scheme ~key ~attr =
   let k = match kind with `Eq -> "eq" | `Range -> "range" in

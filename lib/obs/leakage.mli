@@ -59,8 +59,11 @@ type query_view = {
     Producer helpers used by [Server_api.call] when it records a round;
     the matching parsers live here too so the two sides cannot drift. *)
 
-val desc_slots : int list -> string
-(** Filter op descriptor for an explicit slot list: ["slots:1,2,3"]. *)
+val slots_csv : int array -> string
+(** A slot set as summaries carry it, in its order: ["1,2,3"]. *)
+
+val desc_slots : int array -> string
+(** Filter op descriptor for an explicit slot set: ["slots:1,2,3"]. *)
 
 val desc_token :
   kind:[ `Eq | `Range ] -> scheme:string -> key:string -> attr:string -> string

@@ -126,7 +126,6 @@ type shard_ctrs = {
 type t = {
   t_policy : policy;
   shards : int;
-  remote : bool;
   connector : int -> Server_api.conn;
   ctrs : shard_ctrs array;
   lock : Mutex.t;
@@ -134,12 +133,11 @@ type t = {
   mutable meta : meta option;
 }
 
-let create ?(policy = Hash) ?(remote = false) ~connect ~shards () =
+let create ?(policy = Hash) ~connect ~shards () =
   if shards < 1 then
     invalid_arg "Backend_sharded.create: shard count must be positive";
   { t_policy = policy;
     shards;
-    remote;
     connector = connect;
     ctrs =
       Array.init shards (fun i ->
@@ -192,8 +190,8 @@ let loads t =
    already counts the boundary traffic; here we account the fan-out in
    the per-shard counters (domain-sharded, merged at Parallel joins) and
    re-raise server-reported failures typed, exactly like [call] does —
-   the outer serve wrapper re-encodes them into the same bytes a single
-   backend would have produced. *)
+   [Server_api.serve] in [handle] re-encodes them into the same bytes a
+   single backend would have produced. *)
 let shard_call t conns i req =
   let up = Wire.request_to_string req in
   let down = Server_api.exchange_raw conns.(i) up in
@@ -201,47 +199,60 @@ let shard_call t conns i req =
   Metrics.incr c.sc_requests;
   Metrics.add c.sc_bytes_up (String.length up);
   Metrics.add c.sc_bytes_down (String.length down);
-  match Wire.response_of_string down with
-  | Wire.R_corrupt c -> raise (Integrity.Corruption c)
-  | Wire.R_error { not_found = true; _ } -> raise Not_found
-  | Wire.R_error { not_found = false; msg } -> invalid_arg msg
-  | Wire.R_busy -> raise Server_api.Busy
-  | resp -> resp
+  Server_api.raise_failure (Wire.response_of_string down)
 
 let protocol_error what =
   invalid_arg ("Backend_sharded: unexpected shard response to " ^ what)
 
-(* Run [f] once per shard: socket legs mostly wait, so each gets a lane;
-   in-process legs take at most [Parallel.domain_count ()], so one domain
-   runs them in turn on the caller. Every leg completes even if another
-   raises (a dead shard must not strand the survivors' work or counter
-   flushes); the first failure by shard index is then re-raised. *)
-let fan_out t f =
-  let lanes = if t.remote then t.shards else min t.shards (Parallel.domain_count ()) in
+(* Run [f] once per shard. Socket legs mostly wait, so a coordinator with
+   one gives every leg its own lane; in-process legs take at most
+   [Parallel.domain_count ()], so one domain runs them in turn on the
+   caller. Every leg completes even if another raises (a dead shard must
+   not strand the survivors' work or counter flushes); the first failure
+   by shard index is then re-raised. *)
+let fan_out t conns f =
+  let lanes =
+    if Array.exists (fun c -> String.equal (Server_api.backend_name c) "socket") conns then
+      t.shards
+    else min t.shards (Parallel.domain_count ())
+  in
   Parallel.tabulate ~domains:lanes t.shards (fun i ->
       match f i with r -> Ok r | exception e -> Error (e, Printexc.get_raw_backtrace ()))
   |> Array.map (function Ok r -> r | Error (e, bt) -> Printexc.raise_with_backtrace e bt)
 
-let leaf_meta t leaf =
-  match t.meta with
-  | None -> invalid_arg "Backend_sharded: no store installed"
-  | Some m -> (
-    match List.assoc_opt leaf m.m_leaves with
-    | Some lm -> (m, lm)
-    | None -> raise Not_found)
+let meta t =
+  match t.meta with Some m -> m | None -> invalid_arg "Backend_sharded: no store installed"
 
-(* Slot translation for one shard: token ops forwarded verbatim, probe
-   result slots narrowed to the rows the shard owns, in local indexing. *)
-let translate lm i ops =
-  List.map
-    (function
-      | Wire.F_slots slots ->
-        Wire.F_slots
-          (List.filter_map
-             (fun g -> if lm.lm_owner.(g) = i then Some lm.lm_pos.(g) else None)
-             slots)
-      | op -> op)
-    ops
+let leaf_meta t leaf =
+  let m = meta t in
+  match List.assoc_opt leaf m.m_leaves with Some lm -> (m, lm) | None -> raise Not_found
+
+(* Global slots as shard-local ones, in request order: [local.(s)] holds
+   the local slots of those shard [s] owns, and slot [k] of the request is
+   row [pos.(k)] of [local.(owner.(k))]. The slots must be in range
+   ([Server_api.check_slots]). *)
+let split lm slots =
+  let n = Array.length slots in
+  let owner = Array.make n 0 and pos = Array.make n 0 in
+  let counts = Array.make (Array.length lm.lm_locals) 0 in
+  Array.iteri
+    (fun k g ->
+      let s = lm.lm_owner.(g) in
+      owner.(k) <- s;
+      pos.(k) <- counts.(s);
+      counts.(s) <- counts.(s) + 1)
+    slots;
+  let local = Array.map (fun c -> Array.make c 0) counts in
+  Array.iteri (fun k g -> local.(owner.(k)).(pos.(k)) <- lm.lm_pos.(g)) slots;
+  (local, owner, pos)
+
+(* Local slot [l] of shard [s] as a global slot. *)
+let global_slot lm ~leaf s l =
+  let locals = lm.lm_locals.(s) in
+  if l < 0 || l >= Array.length locals then
+    Integrity.fail ~leaf ~where:"index"
+      (Printf.sprintf "shard %d answered slot %d outside its %d rows" s l (Array.length locals));
+  locals.(l)
 
 (* A shard answers for exactly the rows the coordinator placed on it.
    Any other length is damaged storage: typed like a single backend's
@@ -268,17 +279,18 @@ let merge_masks ~leaf lm per_shard =
   (mask, !scanned)
 
 (* One fetched column from its shards' columns, coded as a single
-   backend codes it. A column of at most [Wire.small_rows] rows, or an
-   NDET or PHE one, is its gathered cells. Otherwise each shard's
-   dictionary (a [Cells] column: its cells) is hashed into global
-   classes, and every row maps through its shard's entry to a class.
-   Coding every larger column afresh, even one a single shard holds,
-   makes the answer independent of how a shard coded its part. *)
-let merge_column (scheme : Scheme.kind) ~owner ~local (cols : Wire.rows_column array) =
+   backend codes it: row [k] is row [pos.(k)] of shard [owner.(k)]'s
+   column. A column of at most [Wire.small_rows] rows, or an NDET or PHE
+   one, is its gathered cells. Otherwise each shard's dictionary (a
+   [Cells] column: its cells) is hashed into global classes, and every
+   row maps through its shard's entry to a class. Coding every larger
+   column afresh, even one a single shard holds, makes the answer
+   independent of how a shard coded its part. *)
+let merge_column (scheme : Scheme.kind) ~owner ~pos (cols : Wire.rows_column array) =
   let n = Array.length owner in
   if n <= Wire.small_rows || not (Enc_relation.deterministic scheme) then begin
     let cells = Array.map Wire.column_cells cols in
-    Wire.Cells (Array.init n (fun k -> cells.(owner.(k)).(local.(k))))
+    Wire.Cells (Array.init n (fun k -> cells.(owner.(k)).(pos.(k))))
   end
   else
     let dicts = Array.map (function Wire.Cells d | Wire.Coded { dict = d; _ } -> d) cols in
@@ -295,7 +307,7 @@ let merge_column (scheme : Scheme.kind) ~owner ~local (cols : Wire.rows_column a
     Wire.code_rows ~classes:(Array.length class_rep) n
       ~class_of:(fun k ->
         let s = owner.(k) in
-        entry_class.(offsets.(s) + entry.(s) local.(k)))
+        entry_class.(offsets.(s) + entry.(s) pos.(k)))
       ~cell_of:(fun _ c -> class_rep.(c))
 
 let install t conns image =
@@ -344,7 +356,7 @@ let install t conns image =
      same fan-out lanes that will later carry queries. A shard's part of
      a leaf is its owned slots, ascending. *)
   let _ =
-    fan_out t (fun i ->
+    fan_out t conns (fun i ->
         let rows = List.map (fun (_, lm) -> lm.lm_locals.(i)) metas in
         match shard_call t conns i (Wire.Install (Wire.sub_image enc rows)) with
         | Wire.R_unit -> ()
@@ -355,49 +367,42 @@ let install t conns image =
 let dispatch t conns (req : Wire.request) : Wire.response =
   match req with
   | Wire.Install image -> install t conns image
-  | Wire.Describe -> (
-    match t.meta with
-    | None -> invalid_arg "Backend_sharded: no store installed"
-    | Some m ->
-      (* Each shard checks its stored shapes before it describes them,
-         so a corrupt shard fails the Describe; the answer itself comes
-         from the placed image. *)
-      let _ =
-        fan_out t (fun i ->
-            match shard_call t conns i Wire.Describe with
-            | Wire.R_described _ -> ()
-            | _ -> protocol_error "Describe")
-      in
-      Wire.R_described
-        { relation_name = m.m_relation;
-          leaves =
-            List.map (fun (lbl, lm) -> (lbl, lm.lm_rows, lm.lm_digest)) m.m_leaves })
+  | Wire.Describe ->
+    (* Each shard checks its stored shapes before it describes them, so
+       a corrupt shard fails the Describe; the answer itself comes from
+       the placed image. *)
+    let m = meta t in
+    let _ =
+      fan_out t conns (fun i ->
+          match shard_call t conns i Wire.Describe with
+          | Wire.R_described _ -> ()
+          | _ -> protocol_error "Describe")
+    in
+    Wire.R_described
+      { relation_name = m.m_relation;
+        leaves = List.map (fun (lbl, lm) -> (lbl, lm.lm_rows, lm.lm_digest)) m.m_leaves }
   | Wire.Index_probe { leaf; _ } ->
     (* Probe every shard — each reads its part of the column's form, as
        a single backend reads the whole — then map local hits to global
        slots. Descending sort reproduces the single backend's
-       descending list. *)
+       descending answer. *)
     let _, lm = leaf_meta t leaf in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           match shard_call t conns i req with
           | Wire.R_slots r -> r
           | _ -> protocol_error "Index_probe")
     in
-    if Array.exists Option.is_some rs then (
-      let all = ref [] in
-      Array.iteri
-        (fun s r ->
-          Option.iter
-            (List.iter (fun l ->
-                 if l < 0 || l >= Array.length lm.lm_locals.(s) then
-                   Integrity.fail ~leaf ~where:"index"
-                     (Printf.sprintf "shard %d answered slot %d outside its %d rows" s l
-                        (Array.length lm.lm_locals.(s)));
-                 all := lm.lm_locals.(s).(l) :: !all))
-            r)
-        rs;
-      Wire.R_slots (Some (List.sort (fun a b -> compare b a) !all)))
+    if Array.exists Option.is_some rs then begin
+      let all =
+        Array.concat
+          (List.mapi
+             (fun s r -> Array.map (global_slot lm ~leaf s) (Option.value r ~default:[||]))
+             (Array.to_list rs))
+      in
+      Array.sort (fun a b -> Int.compare b a) all;
+      Wire.R_slots (Some all)
+    end
     else Wire.R_slots None
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     (* Validated as a single backend validates it — leaf, slots, then
@@ -406,22 +411,14 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     let _, lm = leaf_meta t leaf in
     Server_api.check_slots ~rows:lm.lm_rows slots;
     List.iter (fun attr -> if not (List.mem_assoc attr lm.lm_schemes) then raise Not_found) attrs;
-    let per_shard = Array.make t.shards [] in
-    List.iter
-      (fun g ->
-        let s = lm.lm_owner.(g) in
-        per_shard.(s) <- lm.lm_pos.(g) :: per_shard.(s))
-      slots;
-    let per_shard = Array.map List.rev per_shard in
+    let local, owner, pos = split lm slots in
     let na = List.length attrs in
     let rs =
-      fan_out t (fun i ->
-          if per_shard.(i) = [] then Array.make na (Wire.Cells [||])
+      fan_out t conns (fun i ->
+          let want = Array.length local.(i) in
+          if want = 0 then Array.make na (Wire.Cells [||])
           else
-            match
-              shard_call t conns i
-                (Wire.Fetch_rows { leaf; attrs; slots = per_shard.(i) })
-            with
+            match shard_call t conns i (Wire.Fetch_rows { leaf; attrs; slots = local.(i) }) with
             | Wire.R_rows rows ->
               if Array.length rows <> na then
                 Integrity.fail ~leaf ~where:"store"
@@ -429,35 +426,24 @@ let dispatch t conns (req : Wire.request) : Wire.response =
                      (Array.length rows) na);
               Array.iter
                 (fun col ->
-                  if Wire.column_length col <> List.length per_shard.(i) then
+                  if Wire.column_length col <> want then
                     Integrity.fail ~leaf ~where:"store"
                       (Printf.sprintf "shard %d answered %d rows for %d requested slots" i
-                         (Wire.column_length col) (List.length per_shard.(i))))
+                         (Wire.column_length col) want))
                 rows;
               rows
             | _ -> protocol_error "Fetch_rows")
     in
-    (* Row k of the answer is row [local.(k)] of shard [owner.(k)]. *)
-    let n = List.length slots in
-    let owner = Array.make n 0 and local = Array.make n 0 in
-    let cursors = Array.make t.shards 0 in
-    List.iteri
-      (fun k g ->
-        let s = lm.lm_owner.(g) in
-        owner.(k) <- s;
-        local.(k) <- cursors.(s);
-        cursors.(s) <- cursors.(s) + 1)
-      slots;
     Wire.R_rows
       (Array.of_list
          (List.mapi
-            (fun a attr -> merge_column (List.assoc attr lm.lm_schemes) ~owner ~local
+            (fun a attr -> merge_column (List.assoc attr lm.lm_schemes) ~owner ~pos
                 (Array.map (fun cols -> cols.(a)) rs))
             attrs))
   | Wire.Fetch_tids { leaf } ->
     let _, lm = leaf_meta t leaf in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           match shard_call t conns i req with
           | Wire.R_tids tids ->
             check_placed lm ~leaf ~what:"tid column" i (Array.length tids);
@@ -478,7 +464,7 @@ let dispatch t conns (req : Wire.request) : Wire.response =
   | Wire.Phe_sum { leaf; _ } ->
     let m, lm = leaf_meta t leaf in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           match shard_call t conns i req with
           | Wire.R_nat n -> n
           | _ -> protocol_error "Phe_sum")
@@ -496,7 +482,7 @@ let dispatch t conns (req : Wire.request) : Wire.response =
       | None -> raise Not_found
     in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           match shard_call t conns i req with
           | Wire.R_groups g -> g
           | _ -> protocol_error "Group_sum")
@@ -529,25 +515,31 @@ let dispatch t conns (req : Wire.request) : Wire.response =
   | Wire.Q_batch { queries } ->
     (* Validate entry by entry, op by op, in the order a single backend
        evaluates them, so the first bad leaf, attribute or slot raises
-       the error a single backend would. *)
+       the error a single backend would. Each op becomes its shard legs:
+       token ops are forwarded verbatim, slot sets split once. *)
     let metas =
       List.map
         (List.map (fun (leaf, ops) ->
              let lm = snd (leaf_meta t leaf) in
-             List.iter
-               (function
-                 | Wire.F_slots slots -> Server_api.check_slots ~rows:lm.lm_rows slots
-                 | Wire.F_eq (attr, _) | Wire.F_range (attr, _) ->
-                   if not (List.mem_assoc attr lm.lm_schemes) then raise Not_found)
-               ops;
-             (leaf, lm, ops)))
+             let legs =
+               List.map
+                 (function
+                   | Wire.F_slots slots ->
+                     Server_api.check_slots ~rows:lm.lm_rows slots;
+                     let local, _, _ = split lm slots in
+                     fun i -> Wire.F_slots local.(i)
+                   | (Wire.F_eq (attr, _) | Wire.F_range (attr, _)) as op ->
+                     if not (List.mem_assoc attr lm.lm_schemes) then raise Not_found;
+                     fun _ -> op)
+                 ops
+             in
+             (leaf, lm, legs)))
         queries
     in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           let qs_i =
-            List.map
-              (List.map (fun (leaf, lm, ops) -> (leaf, translate lm i ops)))
+            List.map (List.map (fun (leaf, _, legs) -> (leaf, List.map (fun leg -> leg i) legs)))
               metas
           in
           match shard_call t conns i (Wire.Q_batch { queries = qs_i }) with
@@ -574,13 +566,9 @@ let dispatch t conns (req : Wire.request) : Wire.response =
        class's global size is the sum of its per-shard sizes, and
        re-sorting by digest restores the byte-deterministic order a
        single backend emits. *)
-    let m =
-      match t.meta with
-      | None -> invalid_arg "Backend_sharded: no store installed"
-      | Some m -> m
-    in
+    let m = meta t in
     let rs =
-      fan_out t (fun i ->
+      fan_out t conns (fun i ->
           match shard_call t conns i req with
           | Wire.R_store_stats { leaves } -> leaves
           | _ -> protocol_error "Q_store_stats")
@@ -631,20 +619,10 @@ let dispatch t conns (req : Wire.request) : Wire.response =
     in
     Wire.R_store_stats { leaves = merged }
 
-(* The outer boundary: decode, route, re-encode — with the exact error
-   mapping of [Server_api.serve], so typed shard failures re-encode into
-   the same R_error/R_corrupt bytes a single backend would have sent. *)
-let handle t request_bytes =
-  let resp =
-    match dispatch t (ensure_conns t) (Wire.request_of_string request_bytes) with
-    | resp -> resp
-    | exception Integrity.Corruption c -> Wire.R_corrupt c
-    | exception Not_found ->
-      Wire.R_error { not_found = true; msg = "unknown leaf or attribute" }
-    | exception Invalid_argument msg -> Wire.R_error { not_found = false; msg }
-    | exception Server_api.Busy -> Wire.R_busy
-  in
-  Wire.response_to_string resp
+(* The outer boundary: decode, route, re-encode through
+   [Server_api.serve], so typed shard failures re-encode into the same
+   R_error/R_corrupt/R_busy bytes a single backend would have sent. *)
+let handle t = Server_api.serve (fun req -> dispatch t (ensure_conns t) req)
 
 let connect t =
   ignore (ensure_conns t);

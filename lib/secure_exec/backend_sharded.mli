@@ -5,19 +5,22 @@
     time (every leaf exists on every shard, possibly empty), routes each
     SNFM request to the owning shards, executes the per-shard legs —
     in-process legs on at most [Parallel.domain_count ()] lanes, so a
-    one-domain coordinator runs them in turn on the calling domain;
-    socket legs ([~remote:true]) one lane each, so they overlap on the
-    wire whatever the domain count — and merges the per-shard answers
-    back into the {e byte-identical} single-backend response:
+    one-domain coordinator runs them in turn on the calling domain; if
+    any leg's connection is a socket ([Server_api.backend_name] is
+    ["socket"]), one lane per leg, so the legs overlap on the wire
+    whatever the domain count — and merges the per-shard answers back
+    into the {e byte-identical} single-backend response. Every slot set
+    a request names is split once into per-shard local slot arrays,
+    keeping each slot's owner and position for the merge:
 
     {ul
-    {- [Q_batch]: token ops are forwarded verbatim and [F_slots] lists
-       translated to shard-local slots; the local match masks scatter
+    {- [Q_batch]: token ops are forwarded verbatim and [F_slots] sets
+       split into shard-local slots; the local match masks scatter
        back into global positions and the scanned-cell counts add up, so
        every merged [R_batch] mask is bit-for-bit what one backend
        scanning the whole leaf would return.}
     {- [Index_probe]: every shard probes its part of the column's form
-       (keeping the hit accounting uniform); local hit lists map to
+       (keeping the hit accounting uniform); local hits map to
        global slots and the union is sorted descending — the order a
        single backend answers in.}
     {- [Describe]: fanned out so every shard checks its stored shapes
@@ -93,7 +96,6 @@ type t
 
 val create :
   ?policy:policy ->
-  ?remote:bool ->
   connect:(int -> Server_api.conn) ->
   shards:int ->
   unit ->
@@ -103,8 +105,6 @@ val create :
     [Snf_net.Client] connection — any mix). Connections are opened
     lazily on {!connect} and re-opened after a close, so a
     reconnect-and-retry after a shard failure is just close + connect.
-    [remote] (default false) says the legs mostly wait on sockets: each
-    then runs on its own lane whatever [Parallel.domain_count ()] is.
     Default policy {!Hash}. @raise Invalid_argument if [shards < 1]. *)
 
 val shard_count : t -> int

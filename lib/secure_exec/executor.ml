@@ -84,7 +84,7 @@ let scheme_table (rep : Partition.t) =
    server, which checks every slot it keeps against the leaf's cells
    ([Server_api.eval_filter]), so it needs no client check. *)
 type compiled_pred =
-  | Indexed of Query.pred * int list
+  | Indexed of Query.pred * int array
   | Scan of Wire.filter_op
 
 (* Client role: mint the token for one predicate. Under [use_index],
@@ -110,13 +110,13 @@ let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index
         in
         match Server_api.index_probe conn ~leaf:label ~attr ~key with
         | Some slots ->
-          List.iter
+          Array.iter
             (fun s ->
               if s < 0 || s >= lv.lv_rows then
                 Integrity.fail ~leaf:label ~attr ~where:"index"
                   (Printf.sprintf "equality-index slot %d outside [0, %d)" s lv.lv_rows))
             slots;
-          index_probes := !index_probes + 1 + List.length slots;
+          index_probes := !index_probes + 1 + Array.length slots;
           Some slots
         | None -> None)
       | _ -> None
@@ -192,7 +192,7 @@ let ascending_slots ~rows iter =
 let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
   if attrs = [] then no_window
   else begin
-    let cols = Server_api.fetch_rows conn ~leaf:label ~attrs ~slots:(Array.to_list slots) in
+    let cols = Server_api.fetch_rows conn ~leaf:label ~attrs ~slots in
     if Array.length cols <> List.length attrs then
       invalid_arg "Executor: row fetch returned a wrong number of columns";
     { w_slots = slots;
@@ -412,14 +412,17 @@ let answer q plan reads =
    here: a slot's tid costs a Feistel unpermute, and only the caller's
    tombstone filter needs it. *)
 let single_slots ~drop_tid client (lv : leaf_view) mask =
-  let slots = Bitmask.to_slots mask in
   match drop_tid with
-  | None -> slots
+  | None -> Bitmask.to_slots mask
   | Some drop ->
     let label = lv.lv_label and n = lv.lv_rows in
-    Array.to_list slots
-    |> List.filter (fun i -> not (drop (Enc_relation.tid_at client ~leaf:label ~rows:n i)))
-    |> Array.of_list
+    let kept = Bitmask.create n false in
+    Bitmask.iter_set
+      (fun i ->
+        if not (drop (Enc_relation.tid_at client ~leaf:label ~rows:n i)) then
+          Bitmask.set kept i)
+      mask;
+    Bitmask.to_slots kept
 
 (* --- sort-merge reconstruction ------------------------------------------ *)
 
@@ -484,7 +487,8 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
     Array.mapi (fun slot p -> Enc_relation.oram_seal client ~leaf:label ~slot (pad p)) payloads
   in
   let slots =
-    List.map (fun tid -> Enc_relation.row_position client ~leaf:label ~rows:n tid) wanted
+    Array.of_list
+      (List.map (fun tid -> Enc_relation.row_position client ~leaf:label ~rows:n tid) wanted)
   in
   let sealed, touches =
     Server_api.oram_fetch conn ~leaf:label ~seed
@@ -493,10 +497,10 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
   oram_touches := !oram_touches + touches;
   let rows = Int_tbl.create (Array.length sealed) in
   List.iteri
-    (fun i (tid, slot) ->
-      let data = Enc_relation.oram_open client ~leaf:label ~slot sealed.(i) in
+    (fun i tid ->
+      let data = Enc_relation.oram_open client ~leaf:label ~slot:slots.(i) sealed.(i) in
       Int_tbl.replace rows tid (Marshal.from_string data 0 : (string * Value.t) list))
-    (List.combine wanted slots);
+    wanted;
   { leaf_label = label; fetch = Int_tbl.find rows }
 
 let check_binned_slot ~key ~universe (s : Binning.schedule) slot =

@@ -54,7 +54,7 @@ module type BACKEND = sig
 end
 
 let check_slots ~rows slots =
-  List.iter
+  Array.iter
     (fun s ->
       if s < 0 || s >= rows then
         invalid_arg (Printf.sprintf "slot %d out of range for a leaf of %d rows" s rows))
@@ -97,7 +97,7 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
     (function
       | Wire.F_slots slots ->
         check_slots ~rows:n slots;
-        keep_only (Array.of_list slots) ~holds:(fun _ -> true)
+        keep_only slots ~holds:(fun _ -> true)
       | Wire.F_eq (attr, tok) -> (
         let col = Enc_relation.column l attr in
         match index_key col tok with
@@ -157,22 +157,21 @@ let dispatch view (req : Wire.request) : Wire.response =
     match (view.eq_index ~leaf ~attr, key) with
     | Some form, Some key ->
       (* Descending, as the answer has always listed them. *)
-      Wire.R_slots
-        (Some (Array.fold_left (fun acc s -> s :: acc) [] (Enc_relation.key_slots form key)))
+      let slots = Enc_relation.key_slots form key in
+      let n = Array.length slots in
+      Wire.R_slots (Some (Array.init n (fun i -> slots.(n - 1 - i))))
     | _ -> Wire.R_slots None)
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     let l = view.leaf leaf in
     check_slots ~rows:l.Enc_relation.row_count slots;
-    let slots = Array.of_list slots in
     Wire.R_rows (Array.of_list (List.map (fetch_column l slots) attrs))
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
   | Wire.Oram_fetch { leaf = _; seed; block_size; blocks; slots } ->
     (* One partner's ORAM round, start to finish: the tree lives only for
        this request, so a session keeps no ORAM state between requests. *)
-    let n = Array.length blocks in
-    List.iter (fun s -> if s < 0 || s >= n then invalid_arg "ORAM slot out of range") slots;
+    check_slots ~rows:(Array.length blocks) slots;
     let oram = Path_oram.of_blocks ~block_size (Prng.create seed) blocks in
-    let blocks = Array.of_list (List.map (Path_oram.read oram) slots) in
+    let blocks = Array.map (Path_oram.read oram) slots in
     Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram }
   | Wire.Phe_sum { leaf; attr } ->
     let l = view.leaf leaf in
@@ -235,20 +234,33 @@ let dispatch view (req : Wire.request) : Wire.response =
     in
     Wire.R_store_stats { leaves = stats }
 
-let session_handler view request_bytes =
+exception Busy
+
+(* The failure codec: [serve] answers a raised failure with its carrier,
+   and [raise_failure] raises a carrier again. *)
+let serve answer request_bytes =
   let resp =
-    match dispatch view (Wire.request_of_string request_bytes) with
+    match answer (Wire.request_of_string request_bytes) with
     | resp -> resp
     | exception Integrity.Corruption c -> Wire.R_corrupt c
     | exception Not_found ->
       Wire.R_error { not_found = true; msg = "unknown leaf or attribute" }
     | exception Invalid_argument msg -> Wire.R_error { not_found = false; msg }
+    | exception Busy -> Wire.R_busy
   in
   Wire.response_to_string resp
 
-(* --- the connection -------------------------------------------------------- *)
+let raise_failure (resp : Wire.response) =
+  match resp with
+  | Wire.R_corrupt c -> raise (Integrity.Corruption c)
+  | Wire.R_error { not_found = true; _ } -> raise Not_found
+  | Wire.R_error { not_found = false; msg } -> invalid_arg msg
+  | Wire.R_busy -> raise Busy
+  | resp -> resp
 
-exception Busy
+let session_handler view = serve (dispatch view)
+
+(* --- the connection -------------------------------------------------------- *)
 
 type wire_stats = { requests : int; bytes_up : int; bytes_down : int }
 
@@ -303,7 +315,6 @@ let stats conn =
    still count; the access pattern is the [touches] in the response). *)
 
 let fp_op op = fp (Wire.filter_op_to_string op)
-let csv_int l = String.concat "," (List.map string_of_int l)
 
 let op_desc op =
   match op with
@@ -335,7 +346,7 @@ let summarize_request (req : Wire.request) =
       ("attr", attr);
       ("key", match key with None -> "none" | Some k -> fp k) ]
   | Wire.Fetch_rows { leaf; attrs; slots } ->
-    [ ("leaf", leaf); ("attrs", String.concat "," attrs); ("slots", csv_int slots) ]
+    [ ("leaf", leaf); ("attrs", String.concat "," attrs); ("slots", Leakage.slots_csv slots) ]
   | Wire.Fetch_tids { leaf } -> [ ("leaf", leaf) ]
   | Wire.Oram_fetch { leaf; block_size; blocks; _ } ->
     [ ("leaf", leaf);
@@ -367,7 +378,7 @@ let summarize_response (resp : Wire.response) =
           (List.map (fun (l, n, _) -> Printf.sprintf "%s=%d" l n) leaves) ) ]
   | Wire.R_slots None -> [ ("slots", "none") ]
   | Wire.R_slots (Some slots) ->
-    [ ("n", string_of_int (List.length slots)); ("slots", csv_int slots) ]
+    [ ("n", string_of_int (Array.length slots)); ("slots", Leakage.slots_csv slots) ]
   | Wire.R_rows cols ->
     [ ("cols", string_of_int (Array.length cols));
       ("rows", string_of_int (if Array.length cols = 0 then 0 else Wire.column_length cols.(0)))
@@ -418,12 +429,7 @@ let call ?(decode = Wire.response_of_string) conn ph req =
     Wiretrace.record_round ~phase:ph.p_name
       ~up:(Wire.request_tag req, String.length up, summarize_request req)
       ~down:(Wire.response_tag resp, String.length down, summarize_response resp);
-  match resp with
-  | Wire.R_corrupt c -> raise (Integrity.Corruption c)
-  | Wire.R_error { not_found = true; _ } -> raise Not_found
-  | Wire.R_error { not_found = false; msg } -> invalid_arg msg
-  | Wire.R_busy -> raise Busy
-  | resp -> resp
+  raise_failure resp
 
 (* One raw round trip for connection *composers* (the sharded
    coordinator): per-connection atomics only — none of the global or
@@ -496,7 +502,7 @@ let fetch_tids conn ~leaf ~digest =
 let oram_fetch conn ~leaf ~seed ~block_size ~blocks ~slots =
   match call conn ph_oram (Wire.Oram_fetch { leaf; seed; block_size; blocks; slots }) with
   | Wire.R_oram { blocks; touches } ->
-    if Array.length blocks <> List.length slots then
+    if Array.length blocks <> Array.length slots then
       Integrity.fail ~leaf ~where:"oram" "ORAM answer count disagrees with the slots read";
     (blocks, touches)
   | _ -> protocol_error "Oram_fetch"

@@ -64,9 +64,10 @@ exception Busy
     ([Wire.R_busy]): the request was never executed and is safe to
     retry. In-process backends never raise it. *)
 
-val check_slots : rows:int -> int list -> unit
+val check_slots : rows:int -> int array -> unit
 (** Every slot a request names ([F_slots], [Fetch_rows]) must lie in
-    [\[0, rows)] of its leaf.
+    [\[0, rows)] of its leaf, and every slot an [Oram_fetch] reads in
+    [\[0, blocks)].
     @raise Invalid_argument naming the first slot outside, with the one
     message every backend answers with. *)
 
@@ -85,12 +86,19 @@ val dispatch : store_view -> Wire.request -> Wire.response
     [Integrity.Corruption] where ["index"]. Every other token op
     scans. *)
 
+val serve : (Wire.request -> Wire.response) -> string -> string
+(** [serve answer]: decode the request bytes, answer, serialize. A typed
+    failure comes back as its carrier, never raised: [Integrity.Corruption]
+    as [R_corrupt], [Not_found] / [Invalid_argument] (malformed bytes and
+    out-of-range slots included) as [R_error], {!Busy} as [R_busy]. *)
+
+val raise_failure : Wire.response -> Wire.response
+(** {!serve}'s mapping inverted: a carrier raises its failure; any other
+    response is returned. The typed stubs and [Backend_sharded] run it. *)
+
 val session_handler : store_view -> string -> string
-(** The server half of {!connect}: decode request bytes, dispatch against
-    the view, serialize the response. Typed failures
-    ([Integrity.Corruption], [Not_found], [Invalid_argument] — which
-    covers malformed request bytes and out-of-range slots) come back as
-    [R_corrupt]/[R_error] payloads, never as raised exceptions.
+(** The server half of {!connect}: {!serve} over {!dispatch} against the
+    view.
 
     A handler keeps no state between requests: an [Oram_fetch] builds its
     tree, reads its slots and drops it, so every answer depends only on
@@ -127,7 +135,7 @@ val exchange_raw : conn -> string -> string
 (** One raw serialized-request -> serialized-response round trip,
     updating {e only} this connection's {!stats} — none of the global or
     per-phase [exec.wire.*] counters, no SNFT recording, and no typed
-    re-raising of [R_error]/[R_corrupt]/[R_busy]. For connection
+    re-raising ({!raise_failure} is the caller's). For connection
     composers ([Backend_sharded]) that sit {e behind} an outer
     connection: the outer [call] counts the boundary traffic exactly
     once, and the composer accounts its inner fan-out traffic itself
@@ -138,10 +146,8 @@ val exchange_raw : conn -> string -> string
 
     One round trip each: serialize the request, hand the bytes to the
     backend's dispatcher, decode the response. Server-side failures come
-    back typed and are re-raised as the exceptions the pre-split executor
-    threw from the same situations: [R_corrupt] as
-    [Integrity.Corruption], [R_error] as [Not_found] /
-    [Invalid_argument]. *)
+    back typed and are re-raised by {!raise_failure} as the exceptions
+    the pre-split executor threw from the same situations. *)
 
 val describe : conn -> string * (string * int * string) list
 (** Relation name and, per stored leaf, its label, row count and tid
@@ -152,10 +158,11 @@ val describe : conn -> string * (string * int * string) list
 val install : conn -> string -> unit
 
 val index_probe :
-  conn -> leaf:string -> attr:string -> key:string option -> int list option
+  conn -> leaf:string -> attr:string -> key:string option -> int array option
 (** Always sent (and the server always consults [Enc_relation.eq_index]),
     even with [key = None] — index accounting must not depend on the
-    token's shape. [None] result: the column has no canonical index. *)
+    token's shape. [None] result: the column has no canonical index;
+    otherwise the slots holding the key, descending. *)
 
 val filter_batch :
   conn ->
@@ -173,7 +180,7 @@ val filter_batch :
     queries than were asked. *)
 
 val fetch_rows :
-  conn -> leaf:string -> attrs:string list -> slots:int list -> Wire.rows_column array
+  conn -> leaf:string -> attrs:string list -> slots:int array -> Wire.rows_column array
 (** Ciphertext columns, one per requested attribute (request order),
     each in [slots] order: a Plain, DET, OPE or ORE column with a
     repeated cell comes dictionary-coded ([Wire.rows_column]). *)
@@ -197,7 +204,7 @@ val fetch_tids : conn -> leaf:string -> digest:string -> string array
 
 val oram_fetch :
   conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array ->
-  slots:int list -> string array * int
+  slots:int array -> string array * int
 (** One partner's ORAM round in one round trip ([Wire.Oram_fetch]): the
     server installs the sealed blocks into a Path ORAM seeded by [seed],
     reads [slots] in order and drops the tree. Returns the sealed block

@@ -251,7 +251,7 @@ let msg_magic = "SNFM"
 let msg_version = 5
 
 type filter_op =
-  | F_slots of int list
+  | F_slots of int array
   | F_eq of string * Enc_relation.eq_token
   | F_range of string * Enc_relation.range_token
 
@@ -259,14 +259,14 @@ type request =
   | Describe
   | Install of string
   | Index_probe of { leaf : string; attr : string; key : string option }
-  | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
+  | Fetch_rows of { leaf : string; attrs : string list; slots : int array }
   | Fetch_tids of { leaf : string }
   | Oram_fetch of {
       leaf : string;
       seed : int;
       block_size : int;
       blocks : string array;
-      slots : int list;
+      slots : int array;
     }
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
@@ -288,7 +288,7 @@ type rows_column =
 type response =
   | R_unit
   | R_described of { relation_name : string; leaves : (string * int * string) list }
-  | R_slots of int list option
+  | R_slots of int array option
   | R_rows of rows_column array
   | R_tids of string array
   | R_oram of { blocks : string array; touches : int }
@@ -366,7 +366,7 @@ let r_range_token c : Enc_relation.range_token =
 let w_filter_op buf = function
   | F_slots slots ->
     w_u8 buf 0;
-    w_list w_int buf slots
+    w_array w_int buf slots
   | F_eq (attr, tok) ->
     w_u8 buf 1;
     w_string buf attr;
@@ -410,7 +410,7 @@ let response_tag = function
 
 let r_filter_op c =
   match r_u8 c with
-  | 0 -> F_slots (r_list r_int c)
+  | 0 -> F_slots (r_array r_int c)
   | 1 ->
     let attr = r_string c in
     F_eq (attr, r_eq_token c)
@@ -433,7 +433,7 @@ let w_request buf = function
     w_u8 buf 5;
     w_string buf leaf;
     w_list w_string buf attrs;
-    w_list w_int buf slots
+    w_array w_int buf slots
   | Fetch_tids { leaf } ->
     w_u8 buf 6;
     w_string buf leaf
@@ -443,7 +443,7 @@ let w_request buf = function
     w_int buf seed;
     w_int buf block_size;
     w_array w_string buf blocks;
-    w_list w_int buf slots
+    w_array w_int buf slots
   | Phe_sum { leaf; attr } ->
     w_u8 buf 9;
     w_string buf leaf;
@@ -473,14 +473,14 @@ let r_request c =
   | 5 ->
     let leaf = r_string c in
     let attrs = r_list r_string c in
-    Fetch_rows { leaf; attrs; slots = r_list r_int c }
+    Fetch_rows { leaf; attrs; slots = r_array r_int c }
   | 6 -> Fetch_tids { leaf = r_string c }
   | 7 ->
     let leaf = r_string c in
     let seed = r_int c in
     let block_size = r_int c in
     let blocks = r_array r_string c in
-    Oram_fetch { leaf; seed; block_size; blocks; slots = r_list r_int c }
+    Oram_fetch { leaf; seed; block_size; blocks; slots = r_array r_int c }
   | 9 ->
     let leaf = r_string c in
     Phe_sum { leaf; attr = r_string c }
@@ -662,7 +662,7 @@ let w_response buf = function
       buf leaves
   | R_slots slots ->
     w_u8 buf 2;
-    w_option (w_list w_int) buf slots
+    w_option (w_array w_int) buf slots
   | R_rows cols ->
     w_u8 buf 4;
     w_array w_rows_column buf cols
@@ -716,7 +716,7 @@ let r_response c =
         c
     in
     R_described { relation_name; leaves }
-  | 2 -> R_slots (r_option (r_list r_int) c)
+  | 2 -> R_slots (r_option (r_array r_int) c)
   | 4 -> R_rows (r_array r_rows_column c)
   | 5 -> R_tids (r_array r_string c)
   | 6 ->

@@ -55,10 +55,11 @@ val leaf_of_string : string -> Enc_relation.enc_leaf
 
     The typed grammar of the client/server boundary; see [Server_api] for
     the operational semantics and DESIGN.md §Server boundary for the
-    per-message leakage account. *)
+    per-message leakage account. A slot set ([F_slots], [Fetch_rows],
+    [Oram_fetch], [R_slots]) is an [int array]: its count, then its slots. *)
 
 type filter_op =
-  | F_slots of int list
+  | F_slots of int array
       (** restrict to these slots (an index-probe result); leaks the
           matching row set, exactly like the probe already did *)
   | F_eq of string * Enc_relation.eq_token
@@ -74,14 +75,14 @@ type request =
       (** probe the column's equality index (its form's key map);
           [key = None] still reads the form, keeping index accounting
           backend-independent *)
-  | Fetch_rows of { leaf : string; attrs : string list; slots : int list }
+  | Fetch_rows of { leaf : string; attrs : string list; slots : int array }
   | Fetch_tids of { leaf : string }
   | Oram_fetch of {
       leaf : string;
       seed : int;
       block_size : int;
       blocks : string array;
-      slots : int list;
+      slots : int array;
     }
       (** one partner's whole ORAM round: the server builds a Path ORAM
           from [seed], writes the sealed [blocks] (block [i] at id [i]),
@@ -159,7 +160,7 @@ type response =
       (** per stored leaf: label, row count and {!tids_digest} of its tid
           column. The digest travels as 16 raw bytes (no length prefix);
           any other length is rejected on both sides. *)
-  | R_slots of int list option
+  | R_slots of int array option
       (** [None]: no canonical index exists for that column *)
   | R_rows of rows_column array
       (** one column per requested attribute, in request order, each in

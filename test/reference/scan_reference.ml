@@ -13,7 +13,7 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
   let apply_slots slots =
     Server_api.check_slots ~rows:n slots;
     let keep = Bitmask.create n false in
-    List.iter (fun s -> Bitmask.set keep s) slots;
+    Array.iter (fun s -> Bitmask.set keep s) slots;
     for i = 0 to n - 1 do
       if not (Bitmask.get keep i) then Bitmask.clear mask i
     done
@@ -66,7 +66,7 @@ let index_probe (t : Enc_relation.t) ~leaf ~attr ~key =
         if Enc_relation.canonical_key col.Enc_relation.scheme cell = Some key then
           slots := i :: !slots)
       col.Enc_relation.cells;
-    Wire.R_slots (Some !slots)
+    Wire.R_slots (Some (Array.of_list !slots))
   | _ -> Wire.R_slots None
 
 let fp s = String.sub (Digest.to_hex (Digest.string s)) 0 16
@@ -153,7 +153,7 @@ let fetch_rows (t : Enc_relation.t) ~leaf ~attrs ~slots =
        (List.map
           (fun attr ->
             let col = Enc_relation.column l attr in
-            let picked = Array.of_list (List.map (Array.get col.Enc_relation.cells) slots) in
+            let picked = Array.map (Array.get col.Enc_relation.cells) slots in
             if Enc_relation.deterministic col.Enc_relation.scheme then
               rows_column_of_cells picked
             else Wire.Cells picked)

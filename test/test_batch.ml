@@ -246,7 +246,7 @@ let test_index_verifies_own_rows () =
       Query.point ~select:[ "b" ] [ a 1 ];
       Query.point ~select:[ "b" ] [ a 2 ] ]
   in
-  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [] }) in
+  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [||] }) in
   let results, trace =
     System.record_wire_trace (fun () -> System.query_batch ~use_index:true o qs)
   in

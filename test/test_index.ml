@@ -179,7 +179,7 @@ let random_op rng n =
   match Random.State.int rng 10 with
   | 0 | 1 ->
     let slots = List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id) in
-    Wire.F_slots (if Random.State.int rng 12 = 0 then n :: slots else slots)
+    Wire.F_slots (Array.of_list (if Random.State.int rng 12 = 0 then n :: slots else slots))
   | 2 | 3 | 4 | 5 | 6 ->
     let tok =
       match Random.State.int rng 6 with
@@ -246,7 +246,9 @@ let random_request rng kind =
       | _ -> List.init (Random.State.int rng 3) (fun _ -> Random.State.int rng (n + 1))
     in
     Wire.Fetch_rows
-      { leaf = label; attrs = List.init (1 + Random.State.int rng 3) (fun _ -> random_attr rng); slots }
+      { leaf = label;
+        attrs = List.init (1 + Random.State.int rng 3) (fun _ -> random_attr rng);
+        slots = Array.of_list slots }
 
 let outcome f =
   match f () with

@@ -101,7 +101,7 @@ let test_swapped_block_is_corruption () =
           let n = Array.length blocks in
           Wire.response_to_string
             (Wire.R_oram
-               { blocks = Array.of_list (List.map (fun s -> blocks.((s + 1) mod n)) slots);
+               { blocks = Array.map (fun s -> blocks.((s + 1) mod n)) slots;
                  touches })
         | _ -> down)
   in

@@ -529,12 +529,16 @@ let test_merged_masks_per_bit () =
   let prng = Snf_crypto.Prng.create 5 in
   let random_slots density =
     List.filter (fun _ -> Snf_crypto.Prng.int prng 1000 < density) (List.init rows Fun.id)
+    |> Array.of_list
   in
-  (* Slot sets from empty to full; [None] is a query with no ops, whose
-     masks start all set. *)
+  (* Slot sets from empty to full, then one descending, as an index
+     answer crosses, and one with repeats; [None] is a query with no ops,
+     whose masks start all set. *)
   let sets =
-    [ Some []; Some [ rows - 1 ]; Some [ 0 ]; Some (random_slots 1); Some (random_slots 10);
-      Some (random_slots 500); Some (List.init rows Fun.id); None ]
+    [ Some [||]; Some [| rows - 1 |]; Some [| 0 |]; Some (random_slots 1);
+      Some (random_slots 10); Some (random_slots 500); Some (Array.init rows Fun.id); None;
+      Some (Array.init rows (fun i -> rows - 1 - i));
+      Some (Array.init 40 (fun i -> i * 7 mod 23 * 13)) ]
   in
   let queries =
     List.map
@@ -615,25 +619,25 @@ let test_bad_slot_error_bytes () =
        | Wire.R_error _ -> ()
        | _ -> Alcotest.failf "%s: the single backend did not answer an error" name);
       Alcotest.(check string) (name ^ ": same response bytes") a b)
-    [ ("F_slots [99]", Wire.Q_batch { queries = [ [ (label, [ Wire.F_slots [ 99 ] ]) ] ] });
+    [ ("F_slots [99]", Wire.Q_batch { queries = [ [ (label, [ Wire.F_slots [| 99 |] ]) ] ] });
       ( "F_slots [0; 10]",
         Wire.Q_batch
-          { queries = [ [ (label, [ Wire.F_slots [ 0 ]; Wire.F_slots [ 0; 10 ] ]) ] ] } );
+          { queries = [ [ (label, [ Wire.F_slots [| 0 |]; Wire.F_slots [| 0; 10 |] ]) ] ] } );
       ( "unknown attribute before a bad slot",
         Wire.Q_batch
           { queries =
               [ [ ( label,
                     [ Wire.F_eq ("nope", Enc_relation.Eq_plain (Value.Int 1));
-                      Wire.F_slots [ 99 ] ] ) ] ] } );
-      ("Fetch_rows [99]", Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 99 ] });
+                      Wire.F_slots [| 99 |] ] ) ] ] } );
+      ("Fetch_rows [99]", Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [| 99 |] });
       ( "Fetch_rows [3; 10]",
-        Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [ 3; 10 ] } );
+        Wire.Fetch_rows { leaf = label; attrs = [ attr ]; slots = [| 3; 10 |] } );
       ( "an empty fetch of an unknown attribute",
-        Wire.Fetch_rows { leaf = label; attrs = [ "nope" ]; slots = [] } );
+        Wire.Fetch_rows { leaf = label; attrs = [ "nope" ]; slots = [||] } );
       ( "a one-shard fetch of an unknown attribute",
-        Wire.Fetch_rows { leaf = label; attrs = [ attr; "nope" ]; slots = on_shard0 } );
+        Wire.Fetch_rows { leaf = label; attrs = [ attr; "nope" ]; slots = Array.of_list on_shard0 } );
       ( "an empty fetch of an unknown leaf",
-        Wire.Fetch_rows { leaf = "nope"; attrs = [ attr ]; slots = [] } ) ]
+        Wire.Fetch_rows { leaf = "nope"; attrs = [ attr ]; slots = [||] } ) ]
 
 (* --- dictionary-coded fetches ------------------------------------------------
    A leaf placed by its distinct first column [k], so the repeated values
@@ -684,6 +688,7 @@ let coded_fetches ~connect check =
   let all = List.init coded_rows Fun.id in
   List.iter
     (fun (name, slots) ->
+      let slots = Array.of_list slots in
       let up = Wire.request_to_string (Wire.Fetch_rows { leaf = label; attrs = coded_fetched; slots }) in
       let a = Server_api.exchange_raw single up and b = Server_api.exchange_raw sharded up in
       let reference =
@@ -692,7 +697,7 @@ let coded_fetches ~connect check =
              (List.map
                 (fun attr ->
                   let cells = (Enc_relation.column leaf attr).Enc_relation.cells in
-                  let picked = Array.of_list (List.map (Array.get cells) slots) in
+                  let picked = Array.map (Array.get cells) slots in
                   if List.mem attr [ "a"; "b"; "c"; "k" ] then Scan_reference.rows_column_of_cells picked
                   else Wire.Cells picked)
                 coded_fetched))
@@ -727,6 +732,7 @@ let test_fetch_skips_idle_shards () =
   let shard1 = Snf_obs.Metrics.counter "exec.wire.shard1.requests" in
   List.iter
     (fun (name, slots) ->
+      let slots = Array.of_list slots in
       let up = Wire.request_to_string (Wire.Fetch_rows { leaf = label; attrs = coded_fetched; slots }) in
       let stats0 = (Backend_sharded.shard_stats st).(1).Server_api.requests in
       let count0 = Snf_obs.Metrics.value shard1 in
@@ -946,9 +952,10 @@ let test_one_domain_legs_run_on_caller () =
     (List.for_all (fun (_, d) -> d = caller) !legs);
   Alcotest.(check int) "leg 1 counted its round" 1 (Metrics.value shard1 - before)
 
-(* Socket legs mostly wait, so a [~remote] coordinator gives each its
-   own lane even on one domain: each leg of a Describe waits (up to 5 s)
-   until the other has also entered, which only overlapping legs do. *)
+(* Socket legs mostly wait, so a coordinator whose legs are "socket"
+   connections gives each its own lane even on one domain: each leg of a
+   Describe waits (up to 5 s) until the other has also entered, which
+   only overlapping legs do. *)
 let test_remote_legs_overlap_on_one_domain () =
   let o = misreport_owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -959,7 +966,7 @@ let test_remote_legs_overlap_on_one_domain () =
   let met = Array.make 2 false in
   let connect i =
     let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
-    Server_api.connect_handler ~name:"mem" ~close:ignore ~handle:(fun up ->
+    Server_api.connect_handler ~name:"socket" ~close:ignore ~handle:(fun up ->
         if Atomic.get barrier then begin
           Atomic.incr entered;
           let deadline = Unix.gettimeofday () +. 5.0 in
@@ -971,7 +978,7 @@ let test_remote_legs_overlap_on_one_domain () =
         serve up)
   in
   let st =
-    Backend_sharded.create ~policy:Backend_sharded.Hash ~remote:true ~connect ~shards:2 ()
+    Backend_sharded.create ~policy:Backend_sharded.Hash ~connect ~shards:2 ()
   in
   let conn = Backend_sharded.connect st in
   Fun.protect ~finally:(fun () -> Server_api.close conn) @@ fun () ->

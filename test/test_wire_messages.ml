@@ -20,7 +20,7 @@ let gen_label = Gen.oneofl [ "R"; "R.a~b"; "wire"; "t0"; "leaf-x" ]
 let gen_attr = Gen.oneofl [ "a"; "b"; "code"; "score"; "amount" ]
 let gen_blob = Gen.string_size (Gen.int_bound 16)
 let gen_slot = Gen.int_bound 1000
-let gen_slots = Gen.list_size (Gen.int_bound 8) gen_slot
+let gen_slots = Gen.array_size (Gen.int_bound 8) gen_slot
 
 let gen_value =
   Gen.oneof
@@ -204,7 +204,7 @@ let sample_requests =
     Wire.Q_batch
       { queries =
           [ [ ( "R",
-                [ Wire.F_slots [ 0; 2; 5 ];
+                [ Wire.F_slots [| 0; 2; 5 |];
                   Wire.F_eq ("a", Enc_relation.Eq_plain (Value.Int 3));
                   Wire.F_eq ("a", Enc_relation.Eq_det "det-bytes");
                   Wire.F_eq ("a", Enc_relation.Eq_ord 17);
@@ -212,13 +212,13 @@ let sample_requests =
                   Wire.F_range ("b", Enc_relation.Rng_plain (Value.Int 1, Value.Int 9));
                   Wire.F_range ("b", Enc_relation.Rng_ord (2, 4));
                   Wire.F_range ("b", Enc_relation.Rng_ore (ore, ore)) ] ) ] ] };
-    Wire.Fetch_rows { leaf = "R"; attrs = [ "a"; "b" ]; slots = [ 1; 3 ] };
+    Wire.Fetch_rows { leaf = "R"; attrs = [ "a"; "b" ]; slots = [| 1; 3 |] };
     Wire.Fetch_tids { leaf = "R" };
     Wire.Oram_fetch
       { leaf = "R"; seed = 0x09a7; block_size = 8;
         blocks = [| "blk0\x00\x00\x00\x00"; "blk1\x01\x01\x01\x01" |];
-        slots = [ 1; 0; 1 ] };
-    Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = [] };
+        slots = [| 1; 0; 1 |] };
+    Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = [||] };
     Wire.Phe_sum { leaf = "R"; attr = "amount" };
     Wire.Group_sum { leaf = "R"; group_by = "a"; sum = "amount" };
     Wire.Q_batch { queries = [] };
@@ -227,7 +227,7 @@ let sample_requests =
           [ [ ("R.a", [ Wire.F_eq ("a", Enc_relation.Eq_det "tok") ]);
               ("R.b", [ Wire.F_range ("b", Enc_relation.Rng_ord (1, 5)) ]) ];
             [];
-            [ ("R.a", [ Wire.F_slots [ 0; 3 ] ]) ] ] };
+            [ ("R.a", [ Wire.F_slots [| 0; 3 |] ]) ] ] };
     Wire.Q_store_stats ]
 
 let sample_responses =
@@ -238,7 +238,7 @@ let sample_responses =
           [ ("R.a", 4, Wire.tids_digest [| "t0"; "t1"; "t2"; "t3" |]);
             ("R.b", 0, Wire.tids_digest [||]) ] };
     Wire.R_described { relation_name = ""; leaves = [] };
-    Wire.R_slots None; Wire.R_slots (Some [ 0; 7 ]);
+    Wire.R_slots None; Wire.R_slots (Some [| 0; 7 |]);
     Wire.R_batch
       { results = [ [ (Bitmask.of_bools [| true; false; true; true; false |], 5) ] ] };
     Wire.R_rows
@@ -526,24 +526,24 @@ let test_oram_fetch_served () =
          (Wire.request_to_string
             (Wire.Oram_fetch { leaf = "R"; seed = 7; block_size = 8; blocks; slots })))
   in
-  (match fetch [ 3; 0; 3 ] with
+  (match fetch [| 3; 0; 3 |] with
    | Wire.R_oram { blocks = got; touches } ->
      Alcotest.(check (array string)) "blocks in request order"
        [| blocks.(3); blocks.(0); blocks.(3) |] got;
      Alcotest.(check bool) "touches count the three reads only" true
        (touches > 0 && touches mod 3 = 0)
    | _ -> Alcotest.fail "not an R_oram");
-  (match fetch [] with
+  (match fetch [||] with
    | Wire.R_oram { blocks = [||]; touches = 0 } -> ()
    | _ -> Alcotest.fail "empty slots: expected R_oram with no blocks and no touches");
   List.iter
     (fun slots ->
       match fetch slots with
       | Wire.R_error { not_found = false; _ } -> ()
-      | _ -> Alcotest.failf "slot list %s: expected a typed R_error"
-               (String.concat "," (List.map string_of_int slots)))
-    [ [ 5 ]; [ 0; 99 ] ];
-  match fetch ~blocks:(Array.append blocks [| "short" |]) [ 0 ] with
+      | _ -> Alcotest.failf "slot set %s: expected a typed R_error"
+               (Snf_obs.Leakage.slots_csv slots))
+    [ [| 5 |]; [| 0; 99 |] ];
+  match fetch ~blocks:(Array.append blocks [| "short" |]) [| 0 |] with
   | Wire.R_error { not_found = false; msg } ->
     Alcotest.(check string) "a block of the wrong size" "Path_oram: wrong block size" msg
   | _ -> Alcotest.fail "a block of the wrong size: expected a typed R_error"

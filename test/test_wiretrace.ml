@@ -336,7 +336,7 @@ let test_shared_fetch_attribution () =
       (function Ok (_, tr) -> tr.Executor.plan.Planner.leaves | Error e -> Alcotest.fail e)
       outcomes
   in
-  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [] }) in
+  let fetch_tag = Wire.request_tag (Wire.Fetch_rows { leaf = ""; attrs = []; slots = [||] }) in
   let rounds =
     List.filter
       (fun (e : Wiretrace.event) -> e.dir = Wiretrace.Up && e.tag = fetch_tag)
