@@ -85,3 +85,33 @@ let instance_gen =
         names)
     names;
   return (names, policy, !g)
+
+(* --- stored content ------------------------------------------------------ *)
+
+(* A digest of what a store holds: each leaf's label and tids, and each
+   column's attribute and cells, rendered without [Wire]. It pins the
+   content a store image decodes to, not the image's byte format. *)
+let store_content_digest (enc : Snf_exec.Enc_relation.t) =
+  let module E = Snf_exec.Enc_relation in
+  let buf = Buffer.create 4096 in
+  let cell = function
+    | E.C_plain v -> Printf.bprintf buf "plain %S\n" (Value.encode v)
+    | E.C_bytes b -> Printf.bprintf buf "bytes %S\n" b
+    | E.C_ord { ord; payload } -> Printf.bprintf buf "ord %d %S\n" ord payload
+    | E.C_ore { ore; payload } ->
+      Printf.bprintf buf "ore %s %S\n"
+        (String.concat "" (List.map string_of_int (Array.to_list (Snf_crypto.Ore.symbols ore))))
+        payload
+    | E.C_nat n -> Printf.bprintf buf "nat %s\n" (Snf_bignum.Nat.to_string n)
+  in
+  List.iter
+    (fun (l : E.enc_leaf) ->
+      Printf.bprintf buf "leaf %S\n" l.E.label;
+      Array.iter (Printf.bprintf buf "tid %S\n") l.E.tids;
+      List.iter
+        (fun (col : E.enc_column) ->
+          Printf.bprintf buf "column %S\n" col.E.attr;
+          Array.iter cell col.E.cells)
+        l.E.columns)
+    enc.E.leaves;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

@@ -166,6 +166,8 @@ let test_outsource_golden_across_domains () =
       Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
       Alcotest.(check string) (tag "store image") "d03415262143e4016b2b57606c6e8220"
         (md5 (Wire.to_string o.System.enc));
+      Alcotest.(check string) (tag "decoded store content") "0cd8f35db47ee3f3414d628f305b3b29"
+        (Helpers.store_content_digest (Wire.of_string (Wire.to_string o.System.enc)));
       let c = o.System.client in
       let leaf = (List.hd o.System.enc.Enc_relation.leaves).Enc_relation.label in
       Alcotest.(check string) (tag "row positions") "6fb0b94adc45807084d9db569ffc39d0"
@@ -176,7 +178,9 @@ let test_outsource_golden_across_domains () =
       Fun.protect ~finally:(fun () -> System.release o2) @@ fun () ->
       Alcotest.(check int) (tag "two leaves") 2 (List.length o2.System.enc.Enc_relation.leaves);
       Alcotest.(check string) (tag "two-leaf store image") "d755c593403f5887438cfb84ace68a85"
-        (md5 (Wire.to_string o2.System.enc)))
+        (md5 (Wire.to_string o2.System.enc));
+      Alcotest.(check string) (tag "two-leaf decoded store content") "067a57e0baee5fe1c0954ca01f320b47"
+        (Helpers.store_content_digest (Wire.of_string (Wire.to_string o2.System.enc))))
     [ 1; 2 ]
 
 (* --- the closure-based SipHash as an oracle ------------------------------- *)

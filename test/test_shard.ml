@@ -707,7 +707,7 @@ let coded_fetches ~connect check =
       ("descending", List.rev all);
       ("every third row", List.init (coded_rows / 3) (fun i -> 3 * i));
       ("only shard 0's rows", List.filter (fun g -> owner.(g) = 0) all);
-      ("repeated slots", List.init 40 (fun i -> i * 7 mod 50));
+      ("repeated slots", List.init 40 (fun i -> i * 7 mod 31));
       ("a few repeated slots", [ 7; 3; 7; 12; 3; 30; 0 ]);
       ("one row", [ 5 ]);
       ("no rows", []) ]

@@ -412,9 +412,13 @@ let install_image () =
 let test_install_image () =
   List.iter
     (fun d ->
+      let image = with_domains d install_image in
       Alcotest.(check string)
         (Printf.sprintf "Install image (domains=%d)" d)
-        "19ac0ce46c2341e4123ca1cef5c018eb" (hex (with_domains d install_image)))
+        "19ac0ce46c2341e4123ca1cef5c018eb" (hex image);
+      Alcotest.(check string)
+        (Printf.sprintf "decoded store content (domains=%d)" d)
+        "9a75f5caa1bf6fdc0b941b0aff586f74" (Helpers.store_content_digest (Wire.of_string image)))
     [ 1; 2 ]
 
 let suite =
