@@ -67,6 +67,14 @@
                                            — trace-replay adversary
                                              scorecard, leakage-gated;
                                              writes BENCH_attack.json.
+   `dune exec bench/main.exe -- micro-wire`
+                                           — the SNFM codec on a fixed
+                                             message mix (slot sets in
+                                             each form, a batch answer,
+                                             tids, coded rows): bytes
+                                             and ns per encode and
+                                             decode; writes
+                                             BENCH_wire.json.
    `dune exec bench/main.exe -- ablation-index`
                                            — scans vs equality-index
                                              probes on 3,000 rows
@@ -2099,6 +2107,98 @@ let run_micro_attack () =
 (* Span-tracer demo: outsource a small three-leaf relation, run one query
    per reconstruction mode with spans on, and write a Chrome trace_event
    file (CI uploads it as an artifact). *)
+(* The SNFM codec on a fixed message mix: per message its encoded bytes
+   and ns per encode and per decode. Slot sets are drawn from 4,000 rows:
+   a fetch window of 1,900 (a mask), one of 70 (gaps) and a descending
+   index answer of 300 (plain varints); then a Q_batch answer of 16
+   4,000-slot masks, 4,000 tids and an R_rows answer of two coded
+   1,900-row columns. Exits nonzero unless every message decodes and
+   re-encodes to its own bytes. *)
+let run_micro_wire () =
+  section "Micro: SNFM encode/decode on a fixed message mix";
+  let module W = Snf_exec.Wire in
+  let module E = Snf_exec.Enc_relation in
+  let rows = 4_000 in
+  let st = Random.State.make [| 39 |] in
+  let pick k =
+    let all = Array.init rows Fun.id in
+    for i = rows - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let x = all.(i) in
+      all.(i) <- all.(j);
+      all.(j) <- x
+    done;
+    let a = Array.sub all 0 k in
+    Array.sort Int.compare a;
+    a
+  in
+  let bytes_of n = String.init n (fun _ -> Char.chr (Random.State.int st 256)) in
+  let fetch slots = W.Fetch_rows { leaf = "acs.q0"; attrs = [ "a"; "b"; "c" ]; slots } in
+  let mask () =
+    Snf_exec.Bitmask.of_bools (Array.init rows (fun _ -> Random.State.int st 10 = 0))
+  in
+  let coded payload =
+    W.code_rows ~classes:40 1_900
+      ~class_of:(fun i -> i * 7 mod 40)
+      ~cell_of:(fun _ c -> payload c)
+  in
+  let tokens = Array.init 40 (fun _ -> bytes_of 16) in
+  let messages =
+    [ ("fetch_rows_1900_of_4000", `Req (fetch (pick 1_900)));
+      ("fetch_rows_70_of_4000", `Req (fetch (pick 70)));
+      ( "r_slots_300_descending",
+        `Resp (W.R_slots (Some (Array.of_list (List.rev (Array.to_list (pick 300))))))
+      );
+      ( "r_batch_8x2_masks_of_4000",
+        `Resp
+          (W.R_batch
+             { results = List.init 8 (fun _ -> [ (mask (), rows); (mask (), rows) ]) }) );
+      ("r_tids_4000", `Resp (W.R_tids (Array.init rows (fun _ -> bytes_of 25))));
+      ( "r_rows_2_coded_1900",
+        `Resp
+          (W.R_rows
+             [| coded (fun c -> E.C_bytes tokens.(c));
+                coded (fun c -> E.C_ord { ord = 1_000 * c; payload = tokens.(c) }) |]) ) ]
+  in
+  Printf.printf "  %-28s %8s %12s %12s\n" "message" "bytes" "encode ns" "decode ns";
+  let measured =
+    List.map
+      (fun (name, msg) ->
+        let encode, decode =
+          match msg with
+          | `Req r ->
+            ( (fun () -> W.request_to_string r),
+              fun s -> W.request_to_string (W.request_of_string s) )
+          | `Resp r ->
+            ( (fun () -> W.response_to_string r),
+              fun s -> W.response_to_string (W.response_of_string s) )
+        in
+        let bytes = encode () in
+        if decode bytes <> bytes then
+          failwith (Printf.sprintf "micro-wire: %s does not re-encode to its bytes" name);
+        let decode_only =
+          match msg with
+          | `Req _ -> fun () -> ignore (W.request_of_string bytes)
+          | `Resp _ -> fun () -> ignore (W.response_of_string bytes)
+        in
+        let enc_ns = ns_per_op encode and dec_ns = ns_per_op decode_only in
+        Printf.printf "  %-28s %8d %12.0f %12.0f\n" name (String.length bytes) enc_ns dec_ns;
+        (name, String.length bytes, enc_ns, dec_ns))
+      messages
+  in
+  write_bench "BENCH_wire.json"
+    [ ("experiment", Json.String "snfm-codec");
+      ( "messages",
+        Json.List
+          (List.map
+             (fun (name, bytes, enc_ns, dec_ns) ->
+               Json.Obj
+                 [ ("message", Json.String name);
+                   ("bytes", Json.Int bytes);
+                   ("encode_ns", Json.Float enc_ns);
+                   ("decode_ns", Json.Float dec_ns) ])
+             measured) ) ]
+
 let run_trace_demo () =
   section "Trace demo (Chrome trace_event export)";
   let rows = arg_value "rows" 400 in
@@ -2161,6 +2261,7 @@ let targets =
     ("micro-plan", run_micro_plan);
     ("micro-server", run_micro_server);
     ("micro-attack", run_micro_attack);
+    ("micro-wire", run_micro_wire);
     ("trace-demo", run_trace_demo) ]
 
 (* Every argument without a '=' names a target. *)

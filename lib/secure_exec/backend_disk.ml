@@ -26,20 +26,21 @@ let name = "disk"
 let dir t = t.dir
 
 (* --- manifest codec --------------------------------------------------------
-   SNFD version 2, in [Wire.Prim] primitives:
+   SNFD version 3, in [Wire.Prim] primitives (integers are varints):
 
-     "SNFD" | u8 version = 2 | string relation name | nat Paillier n
+     "SNFD" | u8 version = 3 | string relation name | nat Paillier n
      | int entry count | per entry, in stored leaf order:
          string label | int row count | string tid digest (16 bytes)
          | string leaf file name
 
    The tid digest ([Wire.tids_digest]) is computed once at Install, so
    Describe answers from the manifest without paging a leaf in. Version 1
-   had no digests; a version-1 manifest is refused like any unknown
-   version, and the store must be installed again. *)
+   had no digests, and version 2 wrote 8-byte integers in the manifest
+   and its SNFE version 1 leaf files; a manifest of either is refused
+   like any unknown version, and the store must be installed again. *)
 
 let manifest_magic = "SNFD"
-let manifest_version = 2
+let manifest_version = 3
 let manifest_file = "manifest.snfd"
 let manifest_path d = Filename.concat d manifest_file
 

@@ -14,7 +14,7 @@
     row-count disagreements with the manifest, and shape violations all
     raise typed [Integrity.Corruption].
 
-    The manifest (SNFD version 2, layout in backend_disk.ml) records each
+    The manifest (SNFD version 3, layout in backend_disk.ml) records each
     leaf's label, row count, tid digest ([Wire.tids_digest], computed at
     Install) and file, so Describe pages nothing in. *)
 
@@ -28,7 +28,8 @@ val create : ?owns_dir:bool -> dir:string -> unit -> t
     [owns_dir] the directory and its store files are removed on
     {!close}.
     @raise Invalid_argument on a malformed manifest or one of another
-    version — a version-1 manifest, which has no tid digests, included. *)
+    version — a version-1 manifest, which has no tid digests, and a
+    version-2 one, whose integers are 8-byte words, included. *)
 
 val create_temp : unit -> t
 (** A fresh private temp directory, owned: {!close} cleans it up. *)

@@ -1,6 +1,7 @@
 type t = { length : int; bits : Bytes.t }
 
-let nbytes n = (n + 7) / 8
+(* [(n + 7) / 8] without overflowing at [max_int]. *)
+let nbytes n = (n lsr 3) + (((n land 7) + 7) lsr 3)
 
 (* Bits of the last byte that carry slots; 0xff when it is full. *)
 let last_byte_mask n = if n land 7 = 0 then 0xff else (1 lsl (n land 7)) - 1
@@ -56,6 +57,12 @@ let popcount m =
     done
   done;
   !count
+
+(* Per byte value, its set bits. *)
+let byte_popcount =
+  String.init 256 (fun b ->
+      let rec go b n = if b = 0 then n else go (b land (b - 1)) (n + 1) in
+      Char.chr (go b 0))
 
 (* Per byte value, its lowest set bit (8 for 0). *)
 let byte_low_bit =
@@ -147,8 +154,41 @@ let to_hex m = Snf_obs.Leakage.mask_to_hex (Bytes.to_string m.bits)
 
 let write buf m = Buffer.add_bytes buf m.bits
 
-let read ~length s ~pos =
+let write_slots buf ~length slots =
+  let bits = Bytes.make (nbytes length) '\000' in
+  for k = 0 to Array.length slots - 1 do
+    let s = Array.unsafe_get slots k in
+    if s < 0 || s >= length then out_of_range ();
+    set_bit bits s
+  done;
+  Buffer.add_bytes buf bits
+
+(* None when a padding bit past [length] is set. *)
+let padded_clear ~length s ~pos =
   let n = nbytes length in
   if pos < 0 || n > String.length s - pos then invalid_arg "Bitmask.read: truncated";
-  if n > 0 && Char.code s.[pos + n - 1] land lnot (last_byte_mask length) <> 0 then None
-  else Some { length; bits = Bytes.of_string (String.sub s pos n) }
+  n = 0 || Char.code s.[pos + n - 1] land lnot (last_byte_mask length) = 0
+
+let read_slots ~length s ~pos =
+  if not (padded_clear ~length s ~pos) then None
+  else begin
+    let last = pos + nbytes length - 1 in
+    let count = ref 0 in
+    for k = pos to last do
+      count := !count + Char.code (String.unsafe_get byte_popcount (Char.code (String.unsafe_get s k)))
+    done;
+    let out = Array.make !count 0 and j = ref 0 in
+    for k = pos to last do
+      let b = ref (Char.code (String.unsafe_get s k)) in
+      while !b <> 0 do
+        Array.unsafe_set out !j (((k - pos) lsl 3) + Char.code (String.unsafe_get byte_low_bit !b));
+        incr j;
+        b := !b land (!b - 1)
+      done
+    done;
+    Some out
+  end
+
+let read ~length s ~pos =
+  if not (padded_clear ~length s ~pos) then None
+  else Some { length; bits = Bytes.of_string (String.sub s pos (nbytes length)) }

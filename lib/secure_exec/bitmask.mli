@@ -15,6 +15,10 @@ val create : int -> bool -> t
 
 val length : t -> int
 
+val nbytes : int -> int
+(** [nbytes n]: the [(n + 7) / 8] bytes that pack [n] slots, without
+    overflowing at [max_int]. *)
+
 val get : t -> int -> bool
 (** @raise Invalid_argument outside [\[0, length)]. *)
 
@@ -70,6 +74,18 @@ val to_hex : t -> string
 
 val write : Buffer.t -> t -> unit
 (** Append the [(length + 7) / 8] packed bytes. *)
+
+val write_slots : Buffer.t -> length:int -> int array -> unit
+(** [write_slots buf ~length slots] appends what {!write} appends for
+    the [length]-slot mask whose set slots are [slots], without building
+    the mask.
+    @raise Invalid_argument on a slot outside [\[0, length)]. *)
+
+val read_slots : length:int -> string -> pos:int -> int array option
+(** Inverse of {!write_slots}: the set slots, ascending, of the
+    [length]-slot mask packed at [pos], or [None] when a padding bit is
+    set. Like {!to_slots} of {!read}, without building the mask.
+    @raise Invalid_argument if the bytes run past the string. *)
 
 val read : length:int -> string -> pos:int -> t option
 (** Inverse of {!write}: the [length]-slot mask packed at [pos], or [None]

@@ -306,15 +306,14 @@ let stats conn =
 
 (* --- SNFT summaries ---------------------------------------------------------
    What the recorder logs for each message: only server-visible facts.
-   Ciphertext tokens are fingerprinted (MD5 of their canonical [Wire]
-   bytes) — the trace carries token {e identity}, never token bytes;
+   Ciphertext tokens are fingerprinted ([Wire.token_fingerprint], over a
+   fixed layout that does not follow the SNFM version) — the trace
+   carries token {e identity}, never token bytes;
    order-revealing ordinals are logged as-is because their numeric order
    IS what the server sees. The ORAM fetch's slots are withheld: they
    model the client-held position map, whose output the simulator's
    in-process ORAM ships in the clear only as an artifact (the raw bytes
    still count; the access pattern is the [touches] in the response). *)
-
-let fp_op op = fp (Wire.filter_op_to_string op)
 
 let op_desc op =
   match op with
@@ -322,18 +321,18 @@ let op_desc op =
   | Wire.F_eq (attr, tok) ->
     let scheme, key =
       match tok with
-      | Enc_relation.Eq_plain _ -> ("plain", fp_op op)
-      | Enc_relation.Eq_det _ -> ("det", fp_op op)
+      | Enc_relation.Eq_plain _ -> ("plain", Wire.token_fingerprint op)
+      | Enc_relation.Eq_det _ -> ("det", Wire.token_fingerprint op)
       | Enc_relation.Eq_ord o -> ("ord", string_of_int o)
-      | Enc_relation.Eq_ore _ -> ("ore", fp_op op)
+      | Enc_relation.Eq_ore _ -> ("ore", Wire.token_fingerprint op)
     in
     Leakage.desc_token ~kind:`Eq ~scheme ~key ~attr
   | Wire.F_range (attr, tok) ->
     let scheme, key =
       match tok with
-      | Enc_relation.Rng_plain _ -> ("plain", fp_op op)
+      | Enc_relation.Rng_plain _ -> ("plain", Wire.token_fingerprint op)
       | Enc_relation.Rng_ord (lo, hi) -> ("ord", Printf.sprintf "%d..%d" lo hi)
-      | Enc_relation.Rng_ore _ -> ("ore", fp_op op)
+      | Enc_relation.Rng_ore _ -> ("ore", Wire.token_fingerprint op)
     in
     Leakage.desc_token ~kind:`Range ~scheme ~key ~attr
 

@@ -4,20 +4,39 @@ module Ore = Snf_crypto.Ore
 module Nat = Snf_bignum.Nat
 
 let magic = "SNFE"
-let version = 1
+let version = 2
 
 (* --- primitive writers ---------------------------------------------------- *)
 
 let w_u8 buf n = Buffer.add_char buf (Char.chr (n land 0xff))
 
+(* A non-negative integer as an unsigned LEB128 varint: seven bits a
+   byte, low bits first, the top bit set on every byte but the last.
+   [max_int] (62 bits) takes nine bytes. *)
 let w_int buf n =
-  (* 63-bit non-negative, 8 bytes LE: the top two bits are always clear *)
+  if n < 0 then invalid_arg "Wire: negative integer";
+  if n < 0x80 then Buffer.add_char buf (Char.unsafe_chr n)
+  else begin
+    let n = ref n in
+    while !n >= 0x80 do
+      Buffer.add_char buf (Char.unsafe_chr (!n land 0x7f lor 0x80));
+      n := !n lsr 7
+    done;
+    Buffer.add_char buf (Char.unsafe_chr !n)
+  end
+
+(* The fixed 8-byte little-endian word SNFM version 5 wrote for every
+   integer: the layout token fingerprints are taken over. *)
+let w_word buf n =
   if n < 0 then invalid_arg "Wire: negative integer";
   Buffer.add_int64_le buf (Int64.of_int n)
 
-let w_string buf s =
-  w_int buf (String.length s);
+(* A length under the integer writer [wi], then the bytes. *)
+let w_bytes wi buf s =
+  wi buf (String.length s);
   Buffer.add_string buf s
+
+let w_string buf s = w_bytes w_int buf s
 
 (* --- primitive readers ----------------------------------------------------- *)
 
@@ -31,19 +50,45 @@ let r_u8 c =
   c.pos <- c.pos + 1;
   v
 
-(* Canonical: bit 62 would make a negative native int and bit 63 does not
-   fit one at all, so an 8-byte word with either set is no integer [w_int]
-   writes — reject it rather than drop a bit and alias another encoding. *)
+(* Past the first byte. Canonical: a last byte of zero after the first
+   is an overlong encoding, and the ninth byte carries bits 56-61 only,
+   so one at 0x40 or above is past 62 bits (a negative or no native
+   int): either is rejected rather than read as another encoding. *)
+let r_int_long c =
+  let data = c.data in
+  let len = String.length data in
+  let pos = ref c.pos and shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
+    if !pos >= len then fail "truncated";
+    let b = Char.code (String.unsafe_get data !pos) in
+    incr pos;
+    if !shift = 56 && b >= 0x40 then fail "integer out of range";
+    if b < 0x80 then begin
+      if b = 0 then fail "overlong integer";
+      acc := !acc lor (b lsl !shift);
+      more := false
+    end
+    else begin
+      acc := !acc lor ((b land 0x7f) lsl !shift);
+      shift := !shift + 7
+    end
+  done;
+  c.pos <- !pos;
+  !acc
+
 let r_int c =
-  if c.pos + 8 > String.length c.data then fail "truncated";
-  let v = String.get_int64_le c.data c.pos in
-  if Int64.shift_right_logical v 62 <> 0L then fail "integer out of range";
-  c.pos <- c.pos + 8;
-  Int64.to_int v
+  let pos = c.pos in
+  if pos >= String.length c.data then fail "truncated";
+  let b = Char.code (String.unsafe_get c.data pos) in
+  if b < 0x80 then begin
+    c.pos <- pos + 1;
+    b
+  end
+  else r_int_long c
 
 let r_string c =
   let n = r_int c in
-  if c.pos + n > String.length c.data then fail "truncated string";
+  if n > String.length c.data - c.pos then fail "truncated string";
   let s = String.sub c.data c.pos n in
   c.pos <- c.pos + n;
   s
@@ -93,14 +138,147 @@ let w_mask buf m =
 
 let r_mask c =
   let n = r_int c in
-  if (n + 7) / 8 > String.length c.data - c.pos then fail "truncated mask";
+  if Bitmask.nbytes n > String.length c.data - c.pos then fail "truncated mask";
   match Bitmask.read ~length:n c.data ~pos:c.pos with
   | None -> fail "nonzero mask padding"
   | Some m ->
-    c.pos <- c.pos + ((n + 7) / 8);
+    c.pos <- c.pos + Bitmask.nbytes n;
     m
 
+(* --- slot arrays --------------------------------------------------------------
+
+   A slot array crosses under a one-byte form its content selects:
+
+   - 2, a mask: a strictly ascending array whose span (last slot + 1,
+     0 when empty) is at most 8 bits per slot. The span, then the
+     [Bitmask] bytes of that many slots; the top bit is set, padding
+     bits are clear.
+   - 1, gaps: any other strictly ascending array. The count, the first
+     slot, then each slot less its predecessor less one.
+   - 0, plain: an array that is not strictly ascending (index answers
+     cross descending; ORAM reads keep their order and repeats). The
+     count, then each slot.
+
+   The reader refuses an array in any form but the one its content
+   selects, so every slot array has exactly one encoding. *)
+
+let strictly_ascending (slots : int array) =
+  let k = Array.length slots in
+  let i = ref 1 in
+  while !i < k && Array.unsafe_get slots (!i - 1) < Array.unsafe_get slots !i do
+    incr i
+  done;
+  !i >= k
+
+(* A strictly ascending array of [k] slots ending at [last] is a mask
+   when its span, [last + 1], is at most [8k]. *)
+let mask_selected ~k ~last = last < 8 * k
+
+let not_selected () = fail "slots in a form their content does not select"
+
+let w_slots buf slots =
+  let k = Array.length slots in
+  if not (strictly_ascending slots) then begin
+    w_u8 buf 0;
+    w_int buf k;
+    for i = 0 to k - 1 do
+      w_int buf (Array.unsafe_get slots i)
+    done
+  end
+  else if k = 0 then begin
+    w_u8 buf 2;
+    w_int buf 0
+  end
+  else begin
+    if slots.(0) < 0 then invalid_arg "Wire: negative integer";
+    let last = slots.(k - 1) in
+    if mask_selected ~k ~last then begin
+      w_u8 buf 2;
+      w_int buf (last + 1);
+      Bitmask.write_slots buf ~length:(last + 1) slots
+    end
+    else begin
+      w_u8 buf 1;
+      w_int buf k;
+      w_int buf slots.(0);
+      for i = 1 to k - 1 do
+        w_int buf (Array.unsafe_get slots i - Array.unsafe_get slots (i - 1) - 1)
+      done
+    end
+  end
+
+let r_slots c =
+  match r_u8 c with
+  | 0 ->
+    let k = r_count c in
+    let slots = Array.make k 0 in
+    for i = 0 to k - 1 do
+      Array.unsafe_set slots i (r_int c)
+    done;
+    if strictly_ascending slots then not_selected ();
+    slots
+  | 1 ->
+    let k = r_count c in
+    if k = 0 then not_selected ();
+    let slots = Array.make k 0 in
+    slots.(0) <- r_int c;
+    for i = 1 to k - 1 do
+      let prev = Array.unsafe_get slots (i - 1) in
+      let gap = r_int c in
+      if gap >= max_int - prev then fail "slot out of range";
+      Array.unsafe_set slots i (prev + gap + 1)
+    done;
+    if mask_selected ~k ~last:slots.(k - 1) then not_selected ();
+    slots
+  | 2 -> (
+    let span = r_int c in
+    let n = Bitmask.nbytes span in
+    if n > String.length c.data - c.pos then fail "truncated mask";
+    if span > 0 && Char.code c.data.[c.pos + n - 1] land (1 lsl ((span - 1) land 7)) = 0 then
+      fail "mask top bit clear";
+    match Bitmask.read_slots ~length:span c.data ~pos:c.pos with
+    | None -> fail "nonzero mask padding"
+    | Some slots ->
+      c.pos <- c.pos + n;
+      if span > 8 * Array.length slots then not_selected ();
+      slots)
+  | n -> fail (Printf.sprintf "unknown slot form %d" n)
+
 (* --- scheme and cell codecs -------------------------------------------------- *)
+
+(* A natural as its minimal big-endian bytes: a leading zero byte would
+   be a second encoding. *)
+let w_nat buf n = w_string buf (Nat.to_bytes_be n)
+
+let r_nat c =
+  let s = r_string c in
+  if String.length s > 0 && s.[0] = '\000' then fail "natural with a leading zero byte";
+  Nat.of_bytes_be s
+
+(* A plain value in [Value.encode]'s bytes. [Value.decode] also reads a
+   Bool byte other than 0 or 1, and an Int whose bit 63 differs from its
+   bit 62 (dropping it); both would be second encodings. *)
+let r_value c =
+  let s = r_string c in
+  let v = Value.decode s in
+  let canonical =
+    match s.[0] with
+    | 'b' -> s.[1] = '\000' || s.[1] = '\001'
+    | 'i' -> Char.code s.[8] lsr 7 = (Char.code s.[8] lsr 6) land 1
+    | _ -> true
+  in
+  if not canonical then fail "non-canonical value";
+  v
+
+(* An ORE ciphertext: its symbol count under [wi], one byte a symbol. *)
+let w_symbols wi buf o =
+  let syms = Ore.symbols o in
+  wi buf (Array.length syms);
+  Array.iter (fun s -> w_u8 buf s) syms
+
+let r_symbols c =
+  let n = r_count c in
+  Ore.of_symbols (Array.init n (fun _ -> r_u8 c))
 
 let scheme_tag = function
   | Scheme.Plain -> 0
@@ -133,26 +311,23 @@ let w_cell buf (cell : Enc_relation.cell) =
     w_string buf payload
   | Enc_relation.C_ore { ore; payload } ->
     w_u8 buf 3;
-    let syms = Ore.symbols ore in
-    w_int buf (Array.length syms);
-    Array.iter (fun s -> w_u8 buf s) syms;
+    w_symbols w_int buf ore;
     w_string buf payload
   | Enc_relation.C_nat n ->
     w_u8 buf 4;
-    w_string buf (Nat.to_bytes_be n)
+    w_nat buf n
 
 let r_cell c : Enc_relation.cell =
   match r_u8 c with
-  | 0 -> Enc_relation.C_plain (Value.decode (r_string c))
+  | 0 -> Enc_relation.C_plain (r_value c)
   | 1 -> Enc_relation.C_bytes (r_string c)
   | 2 ->
     let ord = r_int c in
     Enc_relation.C_ord { ord; payload = r_string c }
   | 3 ->
-    let n = r_count c in
-    let syms = Array.init n (fun _ -> r_u8 c) in
-    Enc_relation.C_ore { ore = Ore.of_symbols syms; payload = r_string c }
-  | 4 -> Enc_relation.C_nat (Nat.of_bytes_be (r_string c))
+    let ore = r_symbols c in
+    Enc_relation.C_ore { ore; payload = r_string c }
+  | 4 -> Enc_relation.C_nat (r_nat c)
   | n -> fail (Printf.sprintf "unknown cell tag %d" n)
 
 (* --- leaf codec ----------------------------------------------------------------- *)
@@ -209,7 +384,7 @@ let image (t : Enc_relation.t) rows =
   Buffer.add_string buf magic;
   w_u8 buf version;
   w_string buf t.Enc_relation.relation_name;
-  w_string buf (Nat.to_bytes_be t.Enc_relation.paillier_public.Snf_crypto.Paillier.n);
+  w_nat buf t.Enc_relation.paillier_public.Snf_crypto.Paillier.n;
   w_int buf (List.length t.Enc_relation.leaves);
   List.iter2 (w_leaf buf) rows t.Enc_relation.leaves;
   Buffer.contents buf
@@ -224,7 +399,7 @@ let of_string data =
   let v = r_u8 c in
   if v <> version then fail (Printf.sprintf "unsupported version %d" v);
   let relation_name = r_string c in
-  let n = Nat.of_bytes_be (r_string c) in
+  let n = r_nat c in
   let paillier_public = Snf_crypto.Paillier.public_of_n n in
   let leaf_count = r_count c in
   let leaves = List.init leaf_count (fun _ -> r_leaf c) in
@@ -248,7 +423,7 @@ let load path =
    magic so a message can never be confused with a database image. *)
 
 let msg_magic = "SNFM"
-let msg_version = 5
+let msg_version = 6
 
 type filter_op =
   | F_slots of int array
@@ -300,86 +475,85 @@ type response =
   | R_busy
   | R_store_stats of { leaves : leaf_stats list }
 
-let w_eq_token buf (tok : Enc_relation.eq_token) =
+(* Token writers take the integer writer [wi]: [w_int] on the wire,
+   [w_word] for {!token_fingerprint}. *)
+let w_eq_token wi buf (tok : Enc_relation.eq_token) =
   match tok with
   | Enc_relation.Eq_plain v ->
     w_u8 buf 0;
-    w_string buf (Value.encode v)
+    w_bytes wi buf (Value.encode v)
   | Enc_relation.Eq_det b ->
     w_u8 buf 1;
-    w_string buf b
+    w_bytes wi buf b
   | Enc_relation.Eq_ord o ->
     w_u8 buf 2;
-    w_int buf o
+    wi buf o
   | Enc_relation.Eq_ore o ->
     w_u8 buf 3;
-    let syms = Ore.symbols o in
-    w_int buf (Array.length syms);
-    Array.iter (fun s -> w_u8 buf s) syms
+    w_symbols wi buf o
 
 let r_eq_token c : Enc_relation.eq_token =
   match r_u8 c with
-  | 0 -> Enc_relation.Eq_plain (Value.decode (r_string c))
+  | 0 -> Enc_relation.Eq_plain (r_value c)
   | 1 -> Enc_relation.Eq_det (r_string c)
   | 2 -> Enc_relation.Eq_ord (r_int c)
-  | 3 ->
-    let n = r_count c in
-    Enc_relation.Eq_ore (Ore.of_symbols (Array.init n (fun _ -> r_u8 c)))
+  | 3 -> Enc_relation.Eq_ore (r_symbols c)
   | n -> fail (Printf.sprintf "unknown eq-token tag %d" n)
 
-let w_range_token buf (tok : Enc_relation.range_token) =
+let w_range_token wi buf (tok : Enc_relation.range_token) =
   match tok with
   | Enc_relation.Rng_plain (lo, hi) ->
     w_u8 buf 0;
-    w_string buf (Value.encode lo);
-    w_string buf (Value.encode hi)
+    w_bytes wi buf (Value.encode lo);
+    w_bytes wi buf (Value.encode hi)
   | Enc_relation.Rng_ord (lo, hi) ->
     w_u8 buf 1;
-    w_int buf lo;
-    w_int buf hi
+    wi buf lo;
+    wi buf hi
   | Enc_relation.Rng_ore (lo, hi) ->
     w_u8 buf 2;
-    List.iter
-      (fun o ->
-        let syms = Ore.symbols o in
-        w_int buf (Array.length syms);
-        Array.iter (fun s -> w_u8 buf s) syms)
-      [ lo; hi ]
+    w_symbols wi buf lo;
+    w_symbols wi buf hi
 
 let r_range_token c : Enc_relation.range_token =
   match r_u8 c with
   | 0 ->
-    let lo = Value.decode (r_string c) in
-    Enc_relation.Rng_plain (lo, Value.decode (r_string c))
+    let lo = r_value c in
+    Enc_relation.Rng_plain (lo, r_value c)
   | 1 ->
     let lo = r_int c in
     Enc_relation.Rng_ord (lo, r_int c)
   | 2 ->
-    let symbols () =
-      let n = r_count c in
-      Ore.of_symbols (Array.init n (fun _ -> r_u8 c))
-    in
-    let lo = symbols () in
-    Enc_relation.Rng_ore (lo, symbols ())
+    let lo = r_symbols c in
+    Enc_relation.Rng_ore (lo, r_symbols c)
   | n -> fail (Printf.sprintf "unknown range-token tag %d" n)
 
-let w_filter_op buf = function
+(* [wi] writes the integers of a token and [ws] a slot array. *)
+let w_filter_op_with wi ws buf = function
   | F_slots slots ->
     w_u8 buf 0;
-    w_array w_int buf slots
+    ws buf slots
   | F_eq (attr, tok) ->
     w_u8 buf 1;
-    w_string buf attr;
-    w_eq_token buf tok
+    w_bytes wi buf attr;
+    w_eq_token wi buf tok
   | F_range (attr, tok) ->
     w_u8 buf 2;
-    w_string buf attr;
-    w_range_token buf tok
+    w_bytes wi buf attr;
+    w_range_token wi buf tok
 
-let filter_op_to_string op =
+let w_filter_op buf op = w_filter_op_with w_int w_slots buf op
+
+(* Over the op's SNFM version 5 bytes, every integer an 8-byte word, so
+   a token keeps its name in SNFT summaries whatever the transport. *)
+let token_fingerprint op =
   let buf = Buffer.create 64 in
-  w_filter_op buf op;
-  Buffer.contents buf
+  w_filter_op_with w_word
+    (fun buf slots ->
+      w_word buf (Array.length slots);
+      Array.iter (w_word buf) slots)
+    buf op;
+  String.sub (Digest.to_hex (Digest.string (Buffer.contents buf))) 0 16
 
 let request_tag = function
   | Describe -> 0
@@ -410,7 +584,7 @@ let response_tag = function
 
 let r_filter_op c =
   match r_u8 c with
-  | 0 -> F_slots (r_array r_int c)
+  | 0 -> F_slots (r_slots c)
   | 1 ->
     let attr = r_string c in
     F_eq (attr, r_eq_token c)
@@ -433,7 +607,7 @@ let w_request buf = function
     w_u8 buf 5;
     w_string buf leaf;
     w_list w_string buf attrs;
-    w_array w_int buf slots
+    w_slots buf slots
   | Fetch_tids { leaf } ->
     w_u8 buf 6;
     w_string buf leaf
@@ -443,7 +617,7 @@ let w_request buf = function
     w_int buf seed;
     w_int buf block_size;
     w_array w_string buf blocks;
-    w_array w_int buf slots
+    w_slots buf slots
   | Phe_sum { leaf; attr } ->
     w_u8 buf 9;
     w_string buf leaf;
@@ -473,14 +647,14 @@ let r_request c =
   | 5 ->
     let leaf = r_string c in
     let attrs = r_list r_string c in
-    Fetch_rows { leaf; attrs; slots = r_array r_int c }
+    Fetch_rows { leaf; attrs; slots = r_slots c }
   | 6 -> Fetch_tids { leaf = r_string c }
   | 7 ->
     let leaf = r_string c in
     let seed = r_int c in
     let block_size = r_int c in
     let blocks = r_array r_string c in
-    Oram_fetch { leaf; seed; block_size; blocks; slots = r_array r_int c }
+    Oram_fetch { leaf; seed; block_size; blocks; slots = r_slots c }
   | 9 ->
     let leaf = r_string c in
     Phe_sum { leaf; attr = r_string c }
@@ -538,9 +712,6 @@ let r_corruption c : Integrity.corruption =
   let leaf = r_option r_string c in
   let attr = r_option r_string c in
   { Integrity.where; leaf; attr; detail = r_string c }
-
-let w_nat buf n = w_string buf (Nat.to_bytes_be n)
-let r_nat c = Nat.of_bytes_be (r_string c)
 
 (* A tid digest travels as its 16 raw bytes, no length prefix. *)
 let digest_length = 16
@@ -662,7 +833,7 @@ let w_response buf = function
       buf leaves
   | R_slots slots ->
     w_u8 buf 2;
-    w_option (w_array w_int) buf slots
+    w_option w_slots buf slots
   | R_rows cols ->
     w_u8 buf 4;
     w_array w_rows_column buf cols
@@ -716,7 +887,7 @@ let r_response c =
         c
     in
     R_described { relation_name; leaves }
-  | 2 -> R_slots (r_option (r_array r_int) c)
+  | 2 -> R_slots (r_option r_slots c)
   | 4 -> R_rows (r_array r_rows_column c)
   | 5 -> R_tids (r_array r_string c)
   | 6 ->
@@ -731,7 +902,9 @@ let r_response c =
            (cell, r_nat c))
          c)
   | 9 ->
-    let not_found = r_u8 c = 1 in
+    let not_found =
+      match r_u8 c with 0 -> false | 1 -> true | n -> fail (Printf.sprintf "bad flag %d" n)
+    in
     R_error { not_found; msg = r_string c }
   | 10 -> R_corrupt (r_corruption c)
   | 11 ->
@@ -771,20 +944,20 @@ let request_of_string s = msg_of_string r_request s
    are guessed; a short guess only costs a regrowth. *)
 let cell_size_hint (cell : Enc_relation.cell) =
   match cell with
-  | Enc_relation.C_bytes b -> 9 + String.length b
-  | Enc_relation.C_ord { payload; _ } -> 17 + String.length payload
+  | Enc_relation.C_bytes b -> 3 + String.length b
+  | Enc_relation.C_ord { payload; _ } -> 12 + String.length payload
   | Enc_relation.C_ore { payload; _ } -> 64 + String.length payload
   | Enc_relation.C_plain _ | Enc_relation.C_nat _ -> 32
 
 let response_size_hint = function
-  | R_tids tids -> Array.fold_left (fun acc t -> acc + 8 + String.length t) 32 tids
+  | R_tids tids -> Array.fold_left (fun acc t -> acc + 2 + String.length t) 32 tids
   | R_rows cols ->
-    let cells acc = Array.fold_left (fun acc cell -> acc + cell_size_hint cell) (acc + 9) in
+    let cells acc = Array.fold_left (fun acc cell -> acc + cell_size_hint cell) (acc + 4) in
     Array.fold_left
       (fun acc -> function
         | Cells cs -> cells acc cs
         | Coded { dict; codes } ->
-          cells (acc + 8) dict + (Array.length codes * code_width (Array.length dict)))
+          cells (acc + 3) dict + (Array.length codes * code_width (Array.length dict)))
       32 cols
   | _ -> 256
 

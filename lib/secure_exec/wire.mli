@@ -1,19 +1,19 @@
 (** Binary serialization of the outsourced (server-side) database and of
     the client/server message protocol.
 
-    Two artifacts share the primitive discipline (little-endian 63-bit
-    non-negative integers, length-prefixed strings, tagged unions,
+    Two artifacts share the primitive discipline (non-negative integers
+    as unsigned LEB128 varints, length-prefixed strings, tagged unions,
     trailing-bytes check):
 
     {ul
-    {- the {e store image} (magic ["SNFE"]): a self-describing, versioned
+    {- the {e store image} (magic ["SNFE"], version 2): a self-describing, versioned
        binary image of [Enc_relation.t] — the artifact the owner actually
        ships to the cloud. Contains only ciphertexts, public parameters
        and structural metadata, no key material. The column forms
        (equality classes and key maps) are not serialized; every decode
        rebuilds them from what the image already reveals (the disk
        backend proves this claim).}
-    {- the {e message codec} (magic ["SNFM"], version 5): every
+    {- the {e message codec} (magic ["SNFM"], version 6): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
        about — what a network observer (or the honest-but-curious
@@ -21,10 +21,15 @@
 
     All decoders reject malformed input with a typed [Invalid_argument]
     (message ["Wire: ..."]) — never a crash, never a silently wrong
-    value. Integers are canonical: an 8-byte word with bit 62 or bit 63
-    set encodes no integer and is rejected. Masks are canonical too: a
-    set padding bit past the last slot is rejected. So every value has
-    exactly one encoding and equal messages have equal bytes. *)
+    value. Integers are canonical: a varint is seven bits a byte, low
+    bits first, and one with a zero last byte after its first (overlong),
+    one past 62 bits (a ninth byte at [0x40] or above) or one cut short
+    is rejected. Masks are canonical too: a set padding bit past the last
+    slot is rejected. A slot array crosses in the one form its content
+    selects (see {!filter_op}), and any other form is rejected. So every
+    value has exactly one encoding and equal messages have equal bytes.
+    Earlier versions of either artifact are refused whole by their
+    version byte, never read under this grammar. *)
 
 val to_string : Enc_relation.t -> string
 
@@ -55,8 +60,24 @@ val leaf_of_string : string -> Enc_relation.enc_leaf
 
     The typed grammar of the client/server boundary; see [Server_api] for
     the operational semantics and DESIGN.md §Server boundary for the
-    per-message leakage account. A slot set ([F_slots], [Fetch_rows],
-    [Oram_fetch], [R_slots]) is an [int array]: its count, then its slots. *)
+    per-message leakage account.
+
+    A slot set ([F_slots], [Fetch_rows], [Oram_fetch], [R_slots]) is an
+    [int array]. It crosses under a one-byte form its content selects:
+
+    {ul
+    {- 2, a mask: a strictly ascending array whose span ([last + 1], 0
+       when empty) is at most 8 bits per slot. The span, then the packed
+       {!Bitmask} bytes of that many slots; the top bit is set and the
+       padding bits are clear.}
+    {- 1, gaps: any other strictly ascending array. The count, the first
+       slot, then each slot less its predecessor less one.}
+    {- 0, plain: an array that is not strictly ascending (an index answer
+       crosses descending; an ORAM read list keeps its order and
+       repeats). The count, then each slot.}}
+
+    The form is a function of the array, so it adds no leakage: the
+    server decodes the array either way. *)
 
 type filter_op =
   | F_slots of int array
@@ -246,16 +267,20 @@ val response_tag : response -> int
     mirrored in SNFT trace events. Request tags 1, 4 and 8 and response
     tag 3 are unassigned and decode as unknown tags. *)
 
-val filter_op_to_string : filter_op -> string
-(** Canonical serialized bytes of one filter op (no magic/version) — the
-    stable identity the wire-trace recorder fingerprints tokens by. *)
+val token_fingerprint : filter_op -> string
+(** The SNFT name of a filter op: the first 16 hex digits of the MD5 of
+    its bytes in a fixed layout, SNFM version 5's: the op's tag byte,
+    then every integer (lengths, counts, ordinals, slots) as an 8-byte
+    little-endian word. It does not follow the message format, so a
+    token keeps its name across SNFM versions. *)
 
 (** Low-level primitives, shared with the disk backend's manifest codec.
     Same conventions as the store image; readers raise [Invalid_argument]
-    on malformed input. The manifest (magic ["SNFD"], version 2) is, in
+    on malformed input. The manifest (magic ["SNFD"], version 3) is, in
     these primitives: the version byte, the relation name, the Paillier
     modulus, then per stored leaf its label, row count, {!tids_digest}
-    (as a 16-byte string) and file name. Version 1 had no digests. *)
+    (as a 16-byte string) and file name. Version 1 had no digests, and
+    version 2 wrote every integer as an 8-byte word. *)
 module Prim : sig
   val w_u8 : Buffer.t -> int -> unit
   val w_int : Buffer.t -> int -> unit

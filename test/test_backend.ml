@@ -333,8 +333,9 @@ let test_reinstall_refetches () =
     (fst (run "after re-install"))
 
 (* A disk store written before manifests carried tid digests (SNFD
-   version 1) is refused on reopen; a version-2 store reopens and
-   describes itself unchanged. *)
+   version 1), or with 8-byte integers (SNFD version 2, over SNFE
+   version 1 leaf files), is refused on reopen; a version-3 store reopens
+   and describes itself unchanged. *)
 let test_v1_manifest_refused () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -344,32 +345,48 @@ let test_v1_manifest_refused () =
   Server_api.install conn (Wire.to_string o.System.enc);
   let dir = Backend_disk.dir b in
   let reopened = Server_api.connect (module Backend_disk) (Backend_disk.create ~dir ()) in
-  Alcotest.(check string) "a version-2 store reopens as described" (describe_bytes conn)
+  Alcotest.(check string) "a version-3 store reopens as described" (describe_bytes conn)
     (describe_bytes reopened);
   Server_api.close reopened;
   let manifest = Filename.concat dir "manifest.snfd" in
-  let v2 = In_channel.with_open_bin manifest In_channel.input_all in
-  let v1 = Buffer.create 64 in
-  Buffer.add_string v1 "SNFD";
-  Wire.Prim.w_u8 v1 1;
-  Wire.Prim.w_string v1 o.System.enc.Enc_relation.relation_name;
-  Wire.Prim.w_nat v1 o.System.enc.Enc_relation.paillier_public.Snf_crypto.Paillier.n;
-  let leaves = o.System.enc.Enc_relation.leaves in
-  Wire.Prim.w_int v1 (List.length leaves);
-  List.iteri
-    (fun i (l : Enc_relation.enc_leaf) ->
-      Wire.Prim.w_string v1 l.Enc_relation.label;
-      Wire.Prim.w_int v1 l.Enc_relation.row_count;
-      Wire.Prim.w_string v1 (Printf.sprintf "leaf-%03d.snfl" i))
-    leaves;
-  Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc (Buffer.contents v1));
-  Fun.protect
-    ~finally:(fun () ->
-      Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc v2))
-  @@ fun () ->
-  Alcotest.check_raises "a version-1 manifest is refused"
-    (Invalid_argument "Backend_disk: unsupported manifest version 1") (fun () ->
-      ignore (Backend_disk.create ~dir ()))
+  let v3 = In_channel.with_open_bin manifest In_channel.input_all in
+  let enc = o.System.enc in
+  let leaves = enc.Enc_relation.leaves in
+  let name = enc.Enc_relation.relation_name in
+  let n = Snf_bignum.Nat.to_bytes_be enc.Enc_relation.paillier_public.Snf_crypto.Paillier.n in
+  (* Versions 1 and 2 as they were written: every integer an 8-byte
+     word, and tid digests from version 2 on. *)
+  let old_manifest v ~digests =
+    let buf = Buffer.create 64 in
+    let word k = Buffer.add_int64_le buf (Int64.of_int k) in
+    let str s =
+      word (String.length s);
+      Buffer.add_string buf s
+    in
+    Buffer.add_string buf "SNFD";
+    Wire.Prim.w_u8 buf v;
+    str name;
+    str n;
+    word (List.length leaves);
+    List.iteri
+      (fun i (l : Enc_relation.enc_leaf) ->
+        str l.Enc_relation.label;
+        word l.Enc_relation.row_count;
+        if digests then str (Wire.tids_digest l.Enc_relation.tids);
+        str (Printf.sprintf "leaf-%03d.snfl" i))
+      leaves;
+    Buffer.contents buf
+  in
+  let write s = Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc s) in
+  Fun.protect ~finally:(fun () -> write v3) @@ fun () ->
+  List.iter
+    (fun (v, bytes) ->
+      write bytes;
+      Alcotest.check_raises
+        (Printf.sprintf "a version-%d manifest is refused" v)
+        (Invalid_argument (Printf.sprintf "Backend_disk: unsupported manifest version %d" v))
+        (fun () -> ignore (Backend_disk.create ~dir ())))
+    [ (1, old_manifest 1 ~digests:false); (2, old_manifest 2 ~digests:true) ]
 
 let suite =
   [ t "mem/disk parity: bags, counters, wire traffic" test_mem_disk_parity;
@@ -381,4 +398,4 @@ let suite =
     t "R_described bytes identical on mem, disk, sharded and socket"
       test_described_bytes_identical;
     t "re-install changes the digests, columns fetched again" test_reinstall_refetches;
-    t "a version-1 disk manifest is refused" test_v1_manifest_refused ]
+    t "a version-1 disk manifest is refused, and a version-2 one" test_v1_manifest_refused ]

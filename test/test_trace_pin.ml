@@ -228,19 +228,22 @@ let observe_view o =
    member window opens, so every member window of these two sort-merge
    batches now holds only its marks, and every member record moves,
    since each carries its own traffic and the shared rounds go to the
-   first executed member. No single case moved. *)
+   first executed member. No single case moved. Re-recorded when SNFM
+   went to version 6 (varint integers, slot arrays in the form their
+   content selects): every value that covers a message moves through its
+   byte counts alone, and [pinned_view] below does not move. *)
 let pinned =
-  [ "1-leaf point: snft 80bbb1a402aaab7e6b0cefd2bc9a2ba4 trace d70343bce3d3b31770b601ea974f47f0";
-    "1-leaf range: snft 5020a81f87e9b5fead1d227f0e59cfc7 trace 7b4ec9ddb6896f57671d56705acaaf89";
-    "2-leaf sort-merge: snft 62a990fec28bcfe830e8fc729e01981a trace bfd2e49d7fa0b8967c4f9f46a6611ac3";
-    "3-leaf sort-merge: snft 1eb9baaa3c4c02036e084a8f987a2e33 trace 66365068fca38295aeaf5ce3e2a4d784";
-    "2-leaf sort-merge, warm: snft 4dabd7d8c6728276a50f7d3a11b39be3 trace c07762148f6f9a7d45380bcb75ba24f9";
-    "oram: snft d71bfab573134110447acc2244bcaeee trace cc6870162b46729a0cb33e442f2b2db4";
-    "binning 16: snft ee308555698a74bd97667068fe379143 trace 7fbe62bccbd7c0ee780ed80a9c9e6e03";
-    "index 1-leaf: snft f0d26363900a196b951655dcc91e796a trace a588093c2aaf7e7df9e22a2fecf26b75";
-    "index 2-leaf: snft 6a02663307569242094488a074b0c78c trace 625dada238b70aa635c3029360f24ca5";
-    "drop_tid: snft 3999aa84ee2c1ac6e77372ff16f90195 trace dc4fe30803b1da94a7292c95768f5a39";
-    "batch sort-merge window 0: 894960532b54b2934029296e715f719e";
+  [ "1-leaf point: snft 486c85421126cffb4e105088d7de21f0 trace 7b56bd7fbc6a853c2d92b47b83e3edb5";
+    "1-leaf range: snft 808eeee0df76e80015dd183b7cf9b0e5 trace 0cfb00d61dca6546a0ed352c2a39529e";
+    "2-leaf sort-merge: snft c6f4cb626a36f4856f50daa12298aa68 trace b41af048a415609e82f196ac912ecc90";
+    "3-leaf sort-merge: snft a8ec3071fd4fd4a9f2800b428be7c4f4 trace ffefac7bb3663ba9117bb20a345c94c9";
+    "2-leaf sort-merge, warm: snft 8288f8e7e2171849df7a8445992326a3 trace a524dda0b40d3a26db1813630fac6808";
+    "oram: snft 803ab2dee1f4ed4b77f605f3d85225e1 trace d6c2e2247ad43fe6f71dd879da9a41a3";
+    "binning 16: snft 09333f360860c5e359380e8cf8e9fb02 trace 960c43df4a3b037393f6f4953f2816f5";
+    "index 1-leaf: snft 34aed077dfc7a2ccdc09959aeb8af1e4 trace ebb6ad6069b0ec3bfc6668e5c9d594fe";
+    "index 2-leaf: snft b8ecd6bc95c88fdb5a72a684ab882b49 trace caf6bc811945ffdd767a6e01f4dce317";
+    "drop_tid: snft 9ade90fdc8741c320a062086817b0533 trace b02d12f0b97d0ba5cd13c633c8b5dc78";
+    "batch sort-merge window 0: 2ad4fa7d839ec85adee0c9a214f3858c";
     "batch sort-merge window 1: 465506b6f7e2380148289d2acf16593c";
     "batch sort-merge window 2: 1ff558507ac2c1e8ddc5135c4399b1ac";
     "batch sort-merge window 3: a0035452dd9ababe9ae79c379e42d851";
@@ -249,15 +252,15 @@ let pinned =
     "batch sort-merge window 6: 90eb9371e1982d0f244ae69627529783";
     "batch sort-merge window 7: 46dfff7b4fa3a9dda8974e986ddce434";
     "batch sort-merge window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch sort-merge[0]: trace b2fe3fa329e3bcb8dc56e5644a3c29c8";
+    "batch sort-merge[0]: trace c290dbdaf530942486efcdfad5938e2c";
     "batch sort-merge[1]: trace error: no stored copy of \"D\" can evaluate the predicate";
     "batch sort-merge[2]: trace 7fdb686c4d128406c38a1d15e9e60b86";
     "batch sort-merge[3]: trace b30683556abe67945da4e5da9210d1fa";
     "batch sort-merge[4]: trace 99c7e3a5161e22f980f1de8f46af07d4";
-    "batch sort-merge[5]: trace b44327e19d43ab3b0f5e6da46071f51e";
+    "batch sort-merge[5]: trace 9a508dbe00511481fa9905a5299abb5e";
     "batch sort-merge[6]: trace daa4072ac24cf95fedbb261355fd4ede";
     "batch sort-merge[7]: trace 4d5046402496f563a0efbe6eceea5987";
-    "batch index+drop_tid window 0: f106057a59018d624632a7aeae9bba84";
+    "batch index+drop_tid window 0: be778bf3ab3f9be32e5112d46adb2fa6";
     "batch index+drop_tid window 1: 465506b6f7e2380148289d2acf16593c";
     "batch index+drop_tid window 2: 1ff558507ac2c1e8ddc5135c4399b1ac";
     "batch index+drop_tid window 3: a0035452dd9ababe9ae79c379e42d851";
@@ -266,14 +269,14 @@ let pinned =
     "batch index+drop_tid window 6: 90eb9371e1982d0f244ae69627529783";
     "batch index+drop_tid window 7: 46dfff7b4fa3a9dda8974e986ddce434";
     "batch index+drop_tid window 8: 06b946fab511f7020b27e83e3338515f";
-    "batch index+drop_tid[0]: trace 6acb0280b42fb475e4045a1f45f875ef";
-    "batch index+drop_tid[1]: trace 85ee26598bca76b70953ca295424cd8f";
-    "batch index+drop_tid[2]: trace cc2cd6e02b407cd0e94786c94abe8e62";
-    "batch index+drop_tid[3]: trace 99c5540dcf177fd85ed86551f6b9dee3";
+    "batch index+drop_tid[0]: trace b8c14d4f608a93933f4c1a1eeb6a9683";
+    "batch index+drop_tid[1]: trace 5c7d8be87c4046ab6733faaa8239a68a";
+    "batch index+drop_tid[2]: trace 8d8a6553b0e86090e8ebce8d77383c64";
+    "batch index+drop_tid[3]: trace 6669579d0d927b35c756eece9907ce42";
     "batch index+drop_tid[4]: trace error: no stored copy of \"D\" can evaluate the predicate";
-    "batch index+drop_tid[5]: trace 5fd48563f7d56c5020133a6cf2b80a6a";
-    "batch index+drop_tid[6]: trace bd066614aceb10adcf3f66ff305a6a76";
-    "batch index+drop_tid[7]: trace cbc76ec11a65d4dd08f38bb672b47eec" ]
+    "batch index+drop_tid[5]: trace f26e2e16ced9537740ff1602aad18b33";
+    "batch index+drop_tid[6]: trace 94658884eeb35fcb8960b80fde88f704";
+    "batch index+drop_tid[7]: trace 98642f259a90680c047d056c40f7c320" ]
 
 let fresh_addr () =
   let path = Filename.temp_file "snfpin" ".sock" in
@@ -387,7 +390,9 @@ let test_pinned_view backend domains () =
    fan out over them). Recorded before deterministic cells were encrypted
    once per distinct value and before the Paillier pool went through the
    CRT split; every stored byte must stay as it was, under 1 and 2
-   domains. *)
+   domains. The image digest was re-recorded when SNFE went to version 2
+   (varint integers); the digest of the content it decodes to, recorded
+   before, did not move. *)
 let install_representation =
   [ Snf_core.Partition.leaf "q0"
       [ ("a", Scheme.Det); ("c", Scheme.Ope); ("e", Scheme.Phe) ];
@@ -415,7 +420,7 @@ let test_install_image () =
       let image = with_domains d install_image in
       Alcotest.(check string)
         (Printf.sprintf "Install image (domains=%d)" d)
-        "19ac0ce46c2341e4123ca1cef5c018eb" (hex image);
+        "44a1d5a08df49d26d3e6ee30309d272d" (hex image);
       Alcotest.(check string)
         (Printf.sprintf "decoded store content (domains=%d)" d)
         "9a75f5caa1bf6fdc0b941b0aff586f74" (Helpers.store_content_digest (Wire.of_string image)))

@@ -310,6 +310,14 @@ let decodes_safely decode s =
   | exception Invalid_argument _ -> true
   | exception Integrity.Corruption _ -> true
 
+(* As [decodes_safely], and a decoded value re-encodes to the very bytes
+   it came from: no second encoding of any message decodes. *)
+let decodes_canonically decode encode s =
+  match decode s with
+  | m -> String.equal (encode m) s
+  | exception Invalid_argument _ -> true
+  | exception Integrity.Corruption _ -> true
+
 let rejects decode s =
   match decode s with
   | _ -> false
@@ -346,89 +354,274 @@ let flip s pos byte =
 
 (* {1 Canonical integers}
 
-   [w_int] writes 8-byte words whose top two bits are clear. A word with
-   bit 62 or bit 63 set is no encoding of any integer, and every reader —
-   messages, store images, the disk manifest — must reject it with the
-   typed error instead of dropping the bit and aliasing another frame. *)
+   Every integer is an unsigned LEB128 varint: seven bits a byte, low
+   bits first, the top bit set on every byte but the last. An overlong
+   varint (a zero last byte after the first), one past 62 bits (a ninth
+   byte at 0x40 or above) and one cut short encode no integer [w_int]
+   writes, and every reader — messages, store images, the disk manifest —
+   must reject them with the typed error instead of aliasing another
+   frame. *)
 
-let with_bits s ~word ~mask =
-  let b = Bytes.of_string s in
-  let pos = word + 7 in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lor mask));
-  Bytes.to_string b
+(* An independent LEB128 writer for hand-built frames. *)
+let leb128 n =
+  let b = Buffer.create 9 in
+  let rec go n =
+    if n < 0x80 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n;
+  Buffer.contents b
 
-let out_of_range = Invalid_argument "Wire: integer out of range"
+(* [s] with the [len] bytes at [pos] replaced by [by]. *)
+let splice s ~pos ~len by =
+  String.sub s 0 pos ^ by ^ String.sub s (pos + len) (String.length s - pos - len)
 
-let test_high_integer_bits_rejected () =
+let prim_int n =
+  let buf = Buffer.create 9 in
+  Wire.Prim.w_int buf n;
+  Buffer.contents buf
+
+let test_varint_lengths () =
   List.iter
-    (fun mask ->
-      let what = Printf.sprintf "top bits %#x" mask in
-      (* R_tids: magic (4) + version (1) + tag (1), then the count. *)
-      let tids = Wire.response_to_string (Wire.R_tids [| "t1"; "t2" |]) in
-      Alcotest.check_raises ("R_tids count, " ^ what) out_of_range (fun () ->
-          ignore (Wire.response_of_string (with_bits tids ~word:6 ~mask)));
-      (* SNFE store image: magic (4) + version (1), then the name length. *)
-      let leaf =
-        { Enc_relation.label = "L"; row_count = 1; tids = [| "x" |]; columns = [] }
-      in
-      let image =
-        Wire.to_string
-          { Enc_relation.relation_name = "R";
-            leaves = [ leaf ];
-            paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35) }
-      in
-      Alcotest.check_raises ("SNFE name length, " ^ what) out_of_range (fun () ->
-          ignore (Wire.of_string (with_bits image ~word:5 ~mask)));
-      Alcotest.check_raises ("leaf label length, " ^ what) out_of_range (fun () ->
-          ignore (Wire.leaf_of_string (with_bits (Wire.leaf_to_string leaf) ~word:0 ~mask)));
+    (fun (n, len) ->
+      let s = prim_int n in
+      Alcotest.(check string) (Printf.sprintf "%d is LEB128" n) (leb128 n) s;
+      Alcotest.(check int) (Printf.sprintf "%d takes %d bytes" n len) len (String.length s);
+      Alcotest.(check int) (Printf.sprintf "%d round-trips" n) n
+        (Wire.Prim.r_int (Wire.Prim.cursor s)))
+    [ (0, 1); (1, 1); (0x7f, 1); (0x80, 2); (0x3fff, 2); (0x4000, 3);
+      ((1 lsl 56) - 1, 8); (1 lsl 56, 9); (max_int, 9) ]
+
+(* Non-canonical forms of the one-byte integer 2, and malformed ones. *)
+let bad_varints =
+  [ ("overlong 2", "\x82\x00", "Wire: overlong integer");
+    ("overlong 0", "\x80\x80\x00", "Wire: overlong integer");
+    ("past 62 bits", String.make 8 '\xff' ^ "\x40", "Wire: integer out of range");
+    ("past 63 bits", String.make 8 '\x80' ^ "\x80\x01", "Wire: integer out of range") ]
+
+let test_noncanonical_integers_rejected () =
+  let tids = Wire.response_to_string (Wire.R_tids [| "t1"; "t2" |]) in
+  let leaf = { Enc_relation.label = "L"; row_count = 1; tids = [| "x" |]; columns = [] } in
+  let image =
+    Wire.to_string
+      { Enc_relation.relation_name = "R";
+        leaves = [ leaf ];
+        paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35) }
+  in
+  List.iter
+    (fun (what, bytes, msg) ->
+      let raises where f = Alcotest.check_raises (where ^ ", " ^ what) (Invalid_argument msg) f in
+      (* R_tids: magic (4) + version (1) + tag (1), then the count 2. *)
+      raises "R_tids count" (fun () ->
+          ignore (Wire.response_of_string (splice tids ~pos:6 ~len:1 bytes)));
+      (* SNFE store image: magic (4) + version (1), then the name length 1. *)
+      raises "SNFE name length" (fun () ->
+          ignore (Wire.of_string (splice image ~pos:5 ~len:1 bytes)));
+      raises "leaf label length" (fun () ->
+          ignore (Wire.leaf_of_string (splice (Wire.leaf_to_string leaf) ~pos:0 ~len:1 bytes)));
       (* The manifest primitives. *)
-      let buf = Buffer.create 8 in
-      Wire.Prim.w_int buf 12345;
-      Alcotest.check_raises ("Prim.r_int, " ^ what) out_of_range (fun () ->
-          ignore (Wire.Prim.r_int (Wire.Prim.cursor (with_bits (Buffer.contents buf) ~word:0 ~mask)))))
-    [ 0x80; 0x40; 0xc0 ];
-  let buf = Buffer.create 8 in
-  Wire.Prim.w_int buf max_int;
-  Alcotest.(check int) "max_int still round-trips" max_int
-    (Wire.Prim.r_int (Wire.Prim.cursor (Buffer.contents buf)))
+      raises "Prim.r_int" (fun () -> ignore (Wire.Prim.r_int (Wire.Prim.cursor bytes))))
+    bad_varints;
+  List.iter
+    (fun cut ->
+      Alcotest.check_raises
+        (Printf.sprintf "a varint cut after %d bytes" (String.length cut))
+        (Invalid_argument "Wire: truncated") (fun () ->
+          ignore (Wire.Prim.r_int (Wire.Prim.cursor cut))))
+    [ ""; "\x80"; String.sub (prim_int max_int) 0 8 ];
+  Alcotest.check_raises "R_tids cut inside its count" (Invalid_argument "Wire: truncated")
+    (fun () -> ignore (Wire.response_of_string (String.sub tids 0 6 ^ "\x82")))
 
 (* {1 Canonical masks}
 
    A mask of n slots is packed into ceil(n/8) bytes, slot k at bit k mod 8
    of byte k/8. The padding bits past slot n-1 carry no slot, so a set
    padding bit is a second encoding of the same mask and must be rejected
-   with the typed error, like a non-canonical integer. *)
+   with the typed error, like a non-canonical integer. A slot array in
+   mask form ends at its last slot, so its top bit must be set too. *)
 
 let padding_rejected = Invalid_argument "Wire: nonzero mask padding"
 
-let set_bit s ~pos ~bit =
+let flip_bit s ~pos ~bit =
   let b = Bytes.of_string s in
-  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lor (1 lsl bit)));
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
   Bytes.to_string b
 
 let test_mask_padding_rejected () =
-  (* R_batch: magic (4) + version (1) + tag (1) + query count (8) + entry
-     count (8) + slot count (8), then the packed byte of a 5-slot mask;
+  (* R_batch: magic (4) + version (1) + tag (1) + query count (1) + entry
+     count (1) + slot count (1), then the packed byte of a 5-slot mask;
      bits 5..7 are padding. *)
   let batch mask = Wire.R_batch { results = [ [ (Bitmask.of_bools mask, 5) ] ] } in
   let bytes = Wire.response_to_string (batch [| true; false; true; true; false |]) in
   List.iter
     (fun bit ->
       Alcotest.check_raises (Printf.sprintf "R_batch padding bit %d" bit) padding_rejected
-        (fun () -> ignore (Wire.response_of_string (set_bit bytes ~pos:30 ~bit))))
+        (fun () -> ignore (Wire.response_of_string (flip_bit bytes ~pos:9 ~bit))))
     [ 5; 6; 7 ];
   let three =
     Wire.response_to_string
       (Wire.R_batch { results = [ [ (Bitmask.of_bools [| false; true; false |], 3) ] ] })
   in
   Alcotest.check_raises "R_batch padding bit 3 of a 3-slot mask" padding_rejected
-    (fun () -> ignore (Wire.response_of_string (set_bit three ~pos:30 ~bit:3)));
+    (fun () -> ignore (Wire.response_of_string (flip_bit three ~pos:9 ~bit:3)));
   (* A slot bit is data, not padding: the mask decodes with slot 1 set. *)
-  match Wire.response_of_string (set_bit bytes ~pos:30 ~bit:1) with
-  | Wire.R_batch _ as r ->
-    Alcotest.(check bool) "slot bit decodes" true
-      (r = batch [| true; true; true; true; false |])
-  | _ -> Alcotest.fail "slot bit: not an R_batch"
+  (match Wire.response_of_string (flip_bit bytes ~pos:9 ~bit:1) with
+   | Wire.R_batch _ as r ->
+     Alcotest.(check bool) "slot bit decodes" true
+       (r = batch [| true; true; true; true; false |])
+   | _ -> Alcotest.fail "slot bit: not an R_batch");
+  (* R_slots [0; 2; 3; 9]: magic (4) + version (1) + tag (1) + option (1),
+     then form 2, the span 10 and two packed bytes; slot 9 is bit 1 of
+     the second, so bits 2..7 of it are padding and bit 1 is the top. *)
+  let slots = Wire.response_to_string (Wire.R_slots (Some [| 0; 2; 3; 9 |])) in
+  Alcotest.(check int) "a mask form" 2 (Char.code slots.[7]);
+  Alcotest.(check int) "its bytes" 11 (String.length slots);
+  List.iter
+    (fun bit ->
+      Alcotest.check_raises (Printf.sprintf "R_slots padding bit %d" bit) padding_rejected
+        (fun () -> ignore (Wire.response_of_string (flip_bit slots ~pos:10 ~bit))))
+    [ 2; 7 ];
+  Alcotest.check_raises "R_slots top bit clear" (Invalid_argument "Wire: mask top bit clear")
+    (fun () -> ignore (Wire.response_of_string (flip_bit slots ~pos:10 ~bit:1)))
+
+(* {1 Slot arrays}
+
+   A slot array crosses in the one form its content selects: a strictly
+   ascending array as a mask when its span is at most eight bits a slot
+   and as gaps otherwise, any other array as plain varints. *)
+
+(* Every form, and the boundaries between them: dense and sparse
+   ascending arrays, the empty one, descending ones and ones with
+   repeats. *)
+let gen_slot_array =
+  let open Gen in
+  let ascending =
+    map2
+      (fun start gaps ->
+        let a = Array.of_list gaps in
+        let acc = ref start in
+        Array.map (fun g -> let s = !acc in acc := s + g + 1; s) a)
+      (oneof [ int_bound 20; int_bound 100_000; return (max_int - 100) ])
+      (list_size (int_bound 40)
+         (oneof [ return 0; int_bound 7; int_bound 20; int_bound 1_000_000 ]))
+  in
+  oneof
+    [ ascending;
+      map (fun a -> Array.of_list (List.rev (Array.to_list a))) ascending;
+      map (fun a -> Array.append a a) ascending;
+      array_size (int_bound 40) (int_bound 60);
+      map (fun n -> Array.init n Fun.id) (int_bound 70);
+      map (fun n -> Array.init n (fun i -> 9 * i)) (int_bound 20);
+      map (fun n -> Array.init n (fun i -> 8 * i)) (int_bound 20) ]
+  |> map (Array.map (fun s -> if s < 0 then max_int else s))
+
+let strictly_ascending a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if a.(i - 1) >= a.(i) then ok := false
+  done;
+  !ok
+
+(* The form the content selects: 2 (mask), 1 (gaps) or 0 (plain). *)
+let selected_form a =
+  let k = Array.length a in
+  if not (strictly_ascending a) then 0
+  else if k = 0 || a.(k - 1) < 8 * k then 2
+  else 1
+
+(* The slot array in [form], built here rather than by [Wire], whether
+   or not its content selects that form. [None] when the form cannot
+   hold the array. *)
+let encode_form form a =
+  let k = Array.length a in
+  match form with
+  | 0 -> Some ("\x00" ^ leb128 k ^ String.concat "" (Array.to_list (Array.map leb128 a)))
+  | _ when not (strictly_ascending a) -> None
+  | 1 when k > 0 ->
+    Some
+      ("\x01" ^ leb128 k ^ leb128 a.(0)
+      ^ String.concat ""
+          (List.init (k - 1) (fun i -> leb128 (a.(i + 1) - a.(i) - 1))))
+  | 1 -> None
+  | _ ->
+    if k > 0 && a.(k - 1) >= 1 lsl 20 then None
+    else begin
+      let span = if k = 0 then 0 else a.(k - 1) + 1 in
+      let b = Bytes.make ((span + 7) / 8) '\000' in
+      Array.iter
+        (fun s ->
+          Bytes.set b (s / 8) (Char.chr (Char.code (Bytes.get b (s / 8)) lor (1 lsl (s mod 8)))))
+        a;
+      Some ("\x02" ^ leb128 span ^ Bytes.to_string b)
+    end
+
+(* R_slots (Some a): magic (4) + version (1) + tag (1) + option (1),
+   then the slot array. *)
+let r_slots_header = "SNFM\x06\x02\x01"
+
+let slots_roundtrip a =
+  let bytes = Wire.response_to_string (Wire.R_slots (Some a)) in
+  let requests =
+    [ Wire.Fetch_rows { leaf = "R"; attrs = [ "a" ]; slots = a };
+      Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = a };
+      Wire.Q_batch { queries = [ [ ("R", [ Wire.F_slots a ]) ] ] } ]
+  in
+  Char.code bytes.[7] = selected_form a
+  && Some (String.sub bytes 7 (String.length bytes - 7)) = encode_form (selected_form a) a
+  && Wire.response_of_string bytes = Wire.R_slots (Some a)
+  && List.for_all (fun r -> Wire.request_of_string (Wire.request_to_string r) = r) requests
+
+let other_forms_rejected a =
+  List.for_all
+    (fun form ->
+      form = selected_form a
+      ||
+      match encode_form form a with
+      | None -> true
+      | Some body -> (
+        match Wire.response_of_string (r_slots_header ^ body) with
+        | _ -> false
+        | exception Invalid_argument msg ->
+          msg = "Wire: slots in a form their content does not select"))
+    [ 0; 1; 2 ]
+
+let test_slot_forms () =
+  List.iter
+    (fun (what, a, form, len) ->
+      let bytes = Wire.response_to_string (Wire.R_slots (Some a)) in
+      Alcotest.(check int) (what ^ ": form") form (Char.code bytes.[7]);
+      Alcotest.(check int) (what ^ ": bytes after the form") len (String.length bytes - 8);
+      Alcotest.(check bool) (what ^ ": round-trips") true (slots_roundtrip a);
+      Alcotest.(check bool) (what ^ ": other forms rejected") true (other_forms_rejected a))
+    [ ("empty", [||], 2, 1);
+      ("one slot at 0", [| 0 |], 2, 2);
+      ("one slot at 7", [| 7 |], 2, 2);
+      ("one slot at 8", [| 8 |], 1, 2);
+      ("1,900 of 4,000", Array.init 1900 (fun i -> (i * 4000 / 1900)), 2, 2 + 500);
+      ("70 of 4,000", Array.init 70 (fun i -> 13 + (i * 57)), 1, 1 + 1 + 69);
+      ("every 8th", Array.init 10 (fun i -> 8 * i), 2, 1 + 10);
+      ("every 9th", Array.init 10 (fun i -> 9 * i), 1, 1 + 1 + 9);
+      ("descending", [| 9; 4; 1 |], 0, 4);
+      ("repeats", [| 1; 0; 1 |], 0, 4);
+      ("max_int", [| max_int |], 1, 1 + 9) ];
+  (* A gap that would carry a slot past [max_int] is out of range. *)
+  Alcotest.check_raises "a gap past max_int" (Invalid_argument "Wire: slot out of range")
+    (fun () ->
+      ignore
+        (Wire.response_of_string
+           (r_slots_header ^ "\x01\x02" ^ leb128 (max_int - 1) ^ leb128 1)));
+  Alcotest.check_raises "an unknown form" (Invalid_argument "Wire: unknown slot form 3")
+    (fun () -> ignore (Wire.response_of_string (r_slots_header ^ "\x03\x00")));
+  (* A mask's span is checked against the bytes left before any slot is
+     read: a span of 2^40 slots in a short message is truncated. *)
+  Alcotest.check_raises "a mask longer than the message" (Invalid_argument "Wire: truncated mask")
+    (fun () -> ignore (Wire.response_of_string (r_slots_header ^ "\x02" ^ leb128 (1 lsl 40))));
+  Alcotest.check_raises "a plain count longer than the message"
+    (Invalid_argument "Wire: count exceeds input") (fun () ->
+      ignore (Wire.response_of_string (r_slots_header ^ "\x00" ^ leb128 (1 lsl 40))))
 
 (* {1 Deleted tags}
 
@@ -455,13 +648,21 @@ let test_deleted_tags_rejected () =
    Byte 4 of every message is the SNFM version. Version 1 described
    leaves without tid digests, and version 2 still had a separate
    shape-check request and a two-message ORAM (install, then one read per
-   slot), and version 3 still had a per-leaf filter request and its
-   mask response; a message of any version but the current one is rejected
-   whole, never read under the wrong grammar. *)
+   slot), version 3 still had a per-leaf filter request and its mask
+   response, and version 5 wrote every integer as an 8-byte word; a
+   message of any version but the current one is rejected whole, never
+   read under the wrong grammar. The store image carries its own SNFE
+   version byte, also at byte 4: version 1 wrote 8-byte words. *)
 
 let with_version s v =
   let b = Bytes.of_string s in
   Bytes.set b 4 (Char.chr v);
+  Bytes.to_string b
+
+(* An 8-byte little-endian word, the integer of SNFM 5 and SNFE 1. *)
+let word n =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.of_int n);
   Bytes.to_string b
 
 let test_other_versions_rejected () =
@@ -475,9 +676,9 @@ let test_other_versions_rejected () =
             (Printf.sprintf "%s at version %d" what v)
             (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
             (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
-      [ 0; 1; 2; 3; 4; current + 1; 255 ]
+      [ 0; 1; 2; 3; 4; 5; current + 1; 255 ]
   in
-  Alcotest.(check int) "messages are SNFM version 5" 5
+  Alcotest.(check int) "messages are SNFM version 6" 6
     (version_of (Wire.request_to_string Wire.Describe));
   List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
     sample_responses;
@@ -487,7 +688,36 @@ let test_other_versions_rejected () =
       Alcotest.check_raises "request at version 1"
         (Invalid_argument "Wire: unsupported message version 1")
         (fun () -> ignore (Wire.request_of_string (with_version bytes 1))))
-    sample_requests
+    sample_requests;
+  (* Whole messages as SNFM 5 wrote them. *)
+  let v5_tids = "SNFM\x05\x05" ^ word 2 ^ word 2 ^ "t1" ^ word 2 ^ "t2" in
+  let v5_fetch =
+    "SNFM\x05\x05" ^ word 1 ^ "R" ^ word 1 ^ word 1 ^ "a" ^ word 2 ^ word 1 ^ word 3
+  in
+  Alcotest.check_raises "an SNFM 5 R_tids"
+    (Invalid_argument "Wire: unsupported message version 5") (fun () ->
+      ignore (Wire.response_of_string v5_tids));
+  Alcotest.check_raises "an SNFM 5 Fetch_rows"
+    (Invalid_argument "Wire: unsupported message version 5") (fun () ->
+      ignore (Wire.request_of_string v5_fetch));
+  (* A whole store image as SNFE 1 wrote it: relation "R", Paillier n =
+     35, one leaf "L" of one row with tid "x" and no columns. *)
+  let v1_image =
+    "SNFE\x01" ^ word 1 ^ "R" ^ word 1 ^ "\x23" ^ word 1 ^ word 1 ^ "L" ^ word 1 ^ word 1 ^ "x"
+    ^ word 0
+  in
+  Alcotest.(check int) "images are SNFE version 2" 2
+    (version_of
+       (Wire.to_string
+          { Enc_relation.relation_name = "R";
+            leaves = [];
+            paillier_public = Snf_crypto.Paillier.public_of_n (Nat.of_int 35) }));
+  List.iter
+    (fun (what, bytes, v) ->
+      Alcotest.check_raises what
+        (Invalid_argument (Printf.sprintf "Wire: unsupported version %d" v))
+        (fun () -> ignore (Wire.of_string bytes)))
+    [ ("an SNFE 1 image", v1_image, 1); ("an SNFE 3 image", with_version v1_image 3, 3) ]
 
 (* The digest is the MD5 of the canonical R_tids bytes, and it travels
    as exactly 16 bytes: a digest of another length is refused on encode. *)
@@ -508,6 +738,35 @@ let test_tids_digest () =
             (Wire.response_to_string
                (Wire.R_described { relation_name = "r"; leaves = [ ("L", 1, d) ] }))))
     [ ""; String.make 15 'x'; String.make 17 'x' ]
+
+(* {1 Token fingerprints}
+
+   SNFT summaries name a filter op by [Wire.token_fingerprint]: the
+   first 16 hex digits of the MD5 of its bytes in SNFM version 5's
+   layout, every integer an 8-byte word, whatever the transport writes.
+   Built here by hand, so a change to the message codec cannot move a
+   token's name. *)
+let test_token_fingerprint_layout () =
+  let fp bytes = String.sub (Digest.to_hex (Digest.string bytes)) 0 16 in
+  let ore = Ore.of_symbols [| 0; 1; 2 |] in
+  List.iter
+    (fun (what, op, v5) ->
+      Alcotest.(check string) what (fp v5) (Wire.token_fingerprint op))
+    [ ("det", Wire.F_eq ("a", Enc_relation.Eq_det "tok"), "\x01" ^ word 1 ^ "a\x01" ^ word 3 ^ "tok");
+      ( "plain",
+        Wire.F_eq ("a", Enc_relation.Eq_plain (Value.Text "x")),
+        "\x01" ^ word 1 ^ "a\x00" ^ word 2 ^ "tx" );
+      ("ord", Wire.F_eq ("b", Enc_relation.Eq_ord 300), "\x01" ^ word 1 ^ "b\x02" ^ word 300);
+      ( "ore",
+        Wire.F_eq ("b", Enc_relation.Eq_ore ore),
+        "\x01" ^ word 1 ^ "b\x03" ^ word 3 ^ "\x00\x01\x02" );
+      ( "ord range",
+        Wire.F_range ("c", Enc_relation.Rng_ord (2, 40_000)),
+        "\x02" ^ word 1 ^ "c\x01" ^ word 2 ^ word 40_000 );
+      ( "ore range",
+        Wire.F_range ("c", Enc_relation.Rng_ore (ore, ore)),
+        "\x02" ^ word 1 ^ "c\x02" ^ word 3 ^ "\x00\x01\x02" ^ word 3 ^ "\x00\x01\x02" );
+      ("slots", Wire.F_slots [| 9; 2 |], "\x00" ^ word 2 ^ word 9 ^ word 2) ]
 
 (* {1 The ORAM fetch, served}
 
@@ -616,7 +875,8 @@ let rows_roundtrip cells =
           && has_repeat cells
           && String.length bytes
              = String.length (Wire.response_to_string (Wire.R_rows [| Wire.Cells dict |]))
-               + 8 + (Array.length codes * width))
+               + String.length (leb128 (Array.length codes))
+               + (Array.length codes * width))
   | _ -> false
 
 (* One malformed coded column per decoder rule. Columns hold 40 rows,
@@ -628,9 +888,10 @@ let test_malformed_coded_rejected () =
   let n = 40 in
   let alternating = Array.init n (fun i -> i mod 2) in
   let good = rows [| a; b |] alternating in
-  (* magic, version, response tag, column count: the coding tag follows *)
+  (* magic (4), version (1), response tag (1), column count (1): the
+     coding tag follows *)
   let retag = Bytes.of_string good in
-  Bytes.set retag 14 '\x02';
+  Bytes.set retag 7 '\x02';
   List.iter
     (fun (name, bytes, msg) ->
       Alcotest.check_raises name (Invalid_argument ("Wire: " ^ msg)) (fun () ->
@@ -657,23 +918,31 @@ let suite =
     t "an ORAM fetch is served in one round trip" test_oram_fetch_served;
     t "messages of another version rejected" test_other_versions_rejected;
     t "tid digests: R_tids bytes, 16 bytes on the wire" test_tids_digest;
+    t "token fingerprints over the SNFM 5 layout" test_token_fingerprint_layout;
     t "every strict prefix rejected" test_every_prefix_rejected;
-    t "integers with the top bits set rejected" test_high_integer_bits_rejected;
+    t "integers are canonical LEB128 varints" test_varint_lengths;
+    t "integers with the top bits set, overlong or cut short rejected"
+      test_noncanonical_integers_rejected;
     t "masks with padding bits set rejected" test_mask_padding_rejected;
+    t "slot arrays cross in the form their content selects" test_slot_forms;
+    Helpers.qtest ~count:300 "random slot arrays roundtrip in their form" gen_slot_array
+      slots_roundtrip;
+    Helpers.qtest ~count:300 "slot arrays in another form rejected" gen_slot_array
+      other_forms_rejected;
     t "the deleted filter tags are unknown" test_deleted_tags_rejected;
     Helpers.qtest ~count:300 "random requests roundtrip" gen_request
       req_roundtrips;
     Helpers.qtest ~count:300 "random responses roundtrip" gen_response
       resp_roundtrips;
-    Helpers.qtest ~count:300 "flipped request bytes decode safely"
+    Helpers.qtest ~count:300 "flipped request bytes decode safely and canonically"
       (Gen.triple gen_request Gen.nat Gen.nat)
       (fun (req, pos, byte) ->
-        decodes_safely Wire.request_of_string
+        decodes_canonically Wire.request_of_string Wire.request_to_string
           (flip (Wire.request_to_string req) pos byte));
-    Helpers.qtest ~count:300 "flipped response bytes decode safely"
+    Helpers.qtest ~count:300 "flipped response bytes decode safely and canonically"
       (Gen.triple gen_response Gen.nat Gen.nat)
       (fun (resp, pos, byte) ->
-        decodes_safely Wire.response_of_string
+        decodes_canonically Wire.response_of_string Wire.response_to_string
           (flip (Wire.response_to_string resp) pos byte));
     Helpers.qtest ~count:300 "random garbage rejected, never a crash"
       (Gen.string_size (Gen.int_bound 64))
