@@ -850,6 +850,38 @@ let pool_fill_both kp =
   let agrees = Array.for_all2 Nat.equal public (Array.init pool_entries (P.pool_entry pool)) in
   (pool, crt_ns, public_ns, agrees)
 
+(* A PHE column of [column_cells] cells decrypted twice through
+   [Enc_relation.cell_decryptor], as the client decrypts a fetched
+   column: µs per cell on the cold and on the warm pass, whether both
+   passes returned the encrypted plaintexts, and the Paillier decrypts
+   the warm pass ran. The warm pass reads the column's crypto memo. *)
+let column_cells = 600
+
+let column_decrypt_passes ~prime_bits =
+  let module E = Snf_exec.Enc_relation in
+  let client =
+    E.make_client ~paillier_prime_bits:prime_bits ~relation_name:"bench"
+      ~master:"micro-paillier" ()
+  in
+  let pk = (E.client_paillier client).Snf_crypto.Paillier.public in
+  let prng = Snf_crypto.Prng.create 0x600 in
+  let plain = Array.init column_cells (fun i -> i * 7_919) in
+  let cells =
+    Array.map (fun m -> E.C_nat (Snf_crypto.Paillier.encrypt prng pk (Nat.of_int m))) plain
+  in
+  let pass () =
+    let decrypt = E.cell_decryptor client ~leaf:"leaf" ~attr:"amount" ~scheme:Snf_crypto.Scheme.Phe in
+    let t0 = Unix.gettimeofday () in
+    let values = Array.map decrypt cells in
+    (values, (Unix.gettimeofday () -. t0) /. float_of_int column_cells *. 1e6)
+  in
+  let decrypts = Snf_obs.Metrics.counter "crypto.paillier.decrypt" in
+  let cold, cold_us = pass () in
+  let d0 = Snf_obs.Metrics.value decrypts in
+  let warm, warm_us = pass () in
+  let want = Array.map (fun m -> Snf_relational.Value.Int m) plain in
+  (cold_us, warm_us, cold = want && warm = want, Snf_obs.Metrics.value decrypts - d0)
+
 let run_micro_paillier () =
   section "Micro: Paillier kernels (reference vs Montgomery/CRT/pool)";
   let module R = Snf_reference.Paillier_reference in
@@ -922,6 +954,9 @@ let run_micro_paillier () =
   let modexp = paillier_shaped_modexp () in
   let deterministic = ciphertexts_deterministic () in
   let decrypt_agrees = decrypt_matches_reference kp oracle in
+  let column_cold_us, column_warm_us, column_agrees, column_warm_decrypts =
+    column_decrypt_passes ~prime_bits
+  in
   let enc_speedup_mont = enc_ref_ns /. enc_mont_ns in
   let enc_speedup_pooled = enc_ref_ns /. enc_pool_ns in
   let dec_speedup_crt = dec_ref_ns /. dec_crt_ns in
@@ -951,6 +986,9 @@ let run_micro_paillier () =
     (Array.length addends) chain_ns chain_words fold_ns fold_words (chain_ns /. fold_ns);
   Printf.printf "  Nat codecs, %d B: of_bytes_be %6.0f ns, %.0f words | to_bytes_be %6.0f ns, %.0f words\n"
     (String.length ct_bytes) of_bytes_ns of_bytes_words to_bytes_ns to_bytes_words;
+  Printf.printf
+    "  column decrypt, %d PHE cells: cold %6.2f us/cell | warm %6.2f us/cell, %d Paillier decrypts, plaintexts agree: %b\n"
+    column_cells column_cold_us column_warm_us column_warm_decrypts column_agrees;
   Printf.printf "  pool fill: %8.0f ns/entry by CRT | %8.0f ns/entry by the public key (%d entries)\n"
     pool_fill_ns pool_fill_public_ns pool_entries;
   Printf.printf "  pool entries agree with the public-key path at 48 and 96-bit primes: %b\n"
@@ -989,6 +1027,11 @@ let run_micro_paillier () =
       ("encrypt_speedup_pooled", Json.Float enc_speedup_pooled);
       ("decrypt_speedup_crt", Json.Float dec_speedup_crt);
       ("decrypt_over_two_legs", Json.Float dec_over_two_legs);
+      ("column_decrypt_cells", Json.Int column_cells);
+      ("column_decrypt_cold_us_per_cell", Json.Float column_cold_us);
+      ("column_decrypt_warm_us_per_cell", Json.Float column_warm_us);
+      ("column_decrypt_warm_paillier_decrypts", Json.Int column_warm_decrypts);
+      ("column_decrypt_warm_matches_cold", Json.Bool column_agrees);
       ( "modexp",
         Json.List
           (List.map
@@ -1007,6 +1050,12 @@ let run_micro_paillier () =
   if not fold_agrees then failwith "micro-paillier: sum disagrees with the add chain";
   if not pool_agrees then
     failwith "micro-paillier: pool entries disagree with the public-key path";
+  if not column_agrees then
+    failwith "micro-paillier: a column decrypt pass returned other plaintexts";
+  if column_warm_decrypts <> 0 then
+    failwith
+      (Printf.sprintf "micro-paillier: the warm column pass ran %d Paillier decrypts"
+         column_warm_decrypts);
   if not deterministic then
     failwith "micro-paillier: bulk ciphertexts differ between 1 and 3 domains"
 

@@ -195,8 +195,8 @@ let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
    from the same cache state: the same trace record up to the planner's
    cache outcome (a hit prices no candidates, so [d_enumerated] follows
    [d_cache]), the same counter deltas apart from timing series (the
-   mapping-cache counters included: neither run may touch that cache)
-   and the same SNFT bytes once timestamps are zeroed. *)
+   crypto memo's counters included: both runs start warm and read it
+   alike) and the same SNFT bytes once timestamps are zeroed. *)
 let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
     (batched : Executor.trace) batched_snft batched_deltas =
   let normal (t : Executor.trace) =
@@ -355,10 +355,9 @@ let run_instance ?(queries = 25) ?(backend = `Mem) ?(batch = `Rotate) ?(planner 
       let use_index = i land 1 = 0 in
       (* The client's caches must be invisible in the answers. Every
          other pair of queries runs cold: each owner's client, the twin's
-         included, drops its tid orders and mapping entries right before
-         it executes, so every soak covers both building the orders and
-         reusing them, and the mem, twin and counter comparisons stay
-         like-for-like. *)
+         included, drops its tid orders right before it executes, so
+         every soak covers both building the orders and reusing them, and
+         the mem, twin and counter comparisons stay like-for-like. *)
       let cold = i land 2 <> 0 in
       let empty_caches owner =
         if cold then Enc_relation.bump_key_epoch owner.System.client

@@ -64,10 +64,10 @@ val run_instance :
 (** Default [queries] 25. Every check runs. An empty [failures] list is
     the conformance verdict. The differential pass runs every other pair
     of queries cold: before each of their executions, twin included,
-    the owner's client drops its tid orders and mapping-cache entries
-    ([Snf_exec.Enc_relation.bump_key_epoch]), so every run covers both
-    building and reusing the tid orders — answers must be identical
-    either way. A cold execution is tagged ["-cold"] in failure modes.
+    the owner's client drops its tid orders
+    ([Snf_exec.Enc_relation.bump_key_epoch]; its crypto memo stays), so
+    every run covers both building and reusing the tid orders — answers
+    must be identical either way. A cold execution is tagged ["-cold"] in failure modes.
 
     [backend] (default [`Mem]) picks the server backend behind every
     owner. [`Disk] runs all five representations file-backed. [`Rotate]
@@ -107,8 +107,9 @@ val run_instance :
     reproduce the repeat: the same outcome, the same trace record
     field-for-field except the planner's cache outcome ([d_cache], and
     the [d_enumerated] it implies), the same counter deltas except
-    [time.*] series ([exec.mapping_cache.*] included, so neither may
-    touch the mapping cache), and the same SNFT bytes with timestamps
+    [time.*] series (the crypto memo's [exec.mapping_cache.*] included:
+    both runs start warm, so both read the memo alike), and the same
+    SNFT bytes with timestamps
     zeroed. Each of these runs is recorded with
     [System.record_wire_trace], which nests, so the checks hold in full
     under an enclosing recording too. Disagreements are tagged

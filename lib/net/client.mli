@@ -3,7 +3,7 @@
 
     Because the exchange hands [Server_api] exactly the unframed SNFM
     bytes, every piece of client machinery — [Executor.run_conn],
-    [run_batch], the tid-decrypt and mapping caches, the [exec.wire.*]
+    [run_batch], the tid-decrypt cache and the crypto memo, the [exec.wire.*]
     counters, the SNFT recorder — works over the network unchanged, and
     counts the {e same} bytes as an in-process backend (framing overhead
     is transport bookkeeping, not protocol traffic). *)

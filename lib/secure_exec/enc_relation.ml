@@ -22,8 +22,11 @@ let m_idx_hits = Metrics.counter "exec.eq_index.hits"
 let m_idx_builds = Metrics.counter "exec.eq_index.builds"
 let m_tid_cache_hits = Metrics.counter "exec.join.tid_cache.hits"
 let m_tid_cache_misses = Metrics.counter "exec.join.tid_cache.misses"
-let m_map_hits = Metrics.counter "exec.mapping_cache.hits"
-let m_map_misses = Metrics.counter "exec.mapping_cache.misses"
+(* Lookups of the per-column crypto memo ([memoised]); the names date
+   from the client's former mapping cache, and perfbench and [Ledger]
+   read them under these names. *)
+let m_memo_hits = Metrics.counter "exec.mapping_cache.hits"
+let m_memo_misses = Metrics.counter "exec.mapping_cache.misses"
 let m_cells = Metrics.counter "enc.cells_encrypted"
 let m_tids = Metrics.counter "enc.tids_encrypted"
 let m_pooled = Metrics.counter "crypto.paillier.encrypt_pooled"
@@ -175,30 +178,6 @@ let make_column ~attr ~scheme cells =
   in
   { attr; scheme; cells; form }
 
-(* Predicate token types are declared up front (their constructors live in
-   the "predicate tokens" section below) because the client's crypto-free
-   mapping cache memoizes them. *)
-type eq_token =
-  | Eq_plain of Value.t
-  | Eq_det of string
-  | Eq_ord of int
-  | Eq_ore of Ore.ciphertext
-
-type range_token =
-  | Rng_plain of Value.t * Value.t
-  | Rng_ord of int * int
-  | Rng_ore of Ore.ciphertext * Ore.ciphertext
-
-(* A memoized crypto-free mapping: the decoded form of one deterministic
-   client-side crypto operation. *)
-type mapping_entry =
-  | M_eq of eq_token option
-  | M_rng of range_token option
-  | M_val of Value.t
-
-(* (operation kind, leaf, attr, key epoch, scheme code, input identity) *)
-type mapping_key = string * string * string * int * int * string
-
 (* The client's key schedule: every subkey a column or a leaf can need,
    derived from the keyring once per client instead of on every cell
    decrypt, token, row position and seal (one derivation is a dozen
@@ -211,19 +190,27 @@ type column_keys = {
   k_ore : Ore.t;
   k_cell_rng : Prf.key;  (* per-slot randomness of randomized cells *)
   k_phe_pool : Prf.key;
-  order_parts : order_memo;
+  memo : crypto_memo;
 }
 
-(* The onion-check memo: the column's OPE/ORE order part by plaintext
-   ordinal, i.e. [Ope.encrypt k_ope o] / [Ore.encrypt k_ore o]. Keyed and
-   filled from client key material only, never from server bytes, so like
-   the keys beside it it stays valid across key epochs. Bounded by
-   [order_memo_cap] entries per table; decrypts may run on any domain, so
-   it is read and written under [order_mutex]. *)
-and order_memo = {
-  order_mutex : Mutex.t;
+(* The client's one memo of per-value crypto, per column:
+   - the OPE/ORE order part by plaintext ordinal, [Ope.encrypt k_ope o] /
+     [Ore.encrypt k_ore o], which both the onion check and token minting
+     read; these tables are filled from client key material only;
+   - a PHE cell's plaintext by its ciphertext bytes. This table is keyed
+     by server bytes, and is safe because a Paillier decrypt is a
+     function of the client's key and those bytes alone: only a
+     plaintext that decoded is stored, and a replaced cell has other
+     bytes, so it misses and is decrypted and checked afresh.
+   Neither depends on the key epoch (the Paillier keypair never rotates),
+   so the memo lives with the keys. Each table holds at most
+   [crypto_memo_cap] entries; decrypts may run on any domain, so it is
+   read and written under [memo_mutex]. *)
+and crypto_memo = {
+  memo_mutex : Mutex.t;
   ope_parts : (int, int) Hashtbl.t;
   ore_parts : (int, Ore.ciphertext) Hashtbl.t;
+  phe_plains : (string, Value.t) Hashtbl.t;
 }
 
 type leaf_keys = {
@@ -255,11 +242,6 @@ type client = {
      and goes through the authenticated decrypt path. *)
   mutable key_epoch : int;
   tid_cache : (string * int, tid_entry) Hashtbl.t;
-  (* The tid memo generalized (see the mapping-cache section below):
-     epoch-keyed decoded sort keys, eq/range tokens and cell plaintexts,
-     so repeated queries skip Paillier/OPE/ORE work entirely. *)
-  mapping_cache : (mapping_key, mapping_entry) Hashtbl.t;
-  mapping_mutex : Mutex.t;
   (* Key schedule, filled on first use; [encrypt] fans out over domains,
      so lookups go through [schedule_mutex]. *)
   column_schedule : (string * string, column_keys) Hashtbl.t;
@@ -275,8 +257,6 @@ let make_client ?(seed = 0x0c11e47) ?(paillier_prime_bits = 48) ~relation_name ~
     prng;
     key_epoch = 0;
     tid_cache = Hashtbl.create 8;
-    mapping_cache = Hashtbl.create 64;
-    mapping_mutex = Mutex.create ();
     column_schedule = Hashtbl.create 16;
     leaf_schedule = Hashtbl.create 8;
     schedule_mutex = Mutex.create () }
@@ -285,58 +265,7 @@ let key_epoch c = c.key_epoch
 
 let bump_key_epoch c =
   c.key_epoch <- c.key_epoch + 1;
-  Hashtbl.reset c.tid_cache;
-  Mutex.protect c.mapping_mutex (fun () -> Hashtbl.reset c.mapping_cache)
-
-(* --- crypto-free mapping cache ------------------------------------------- *)
-
-(* Generalizes the tid-decrypt memo: an epoch-keyed map from (operation
-   kind, leaf, attr, scheme, input identity) to the decoded result, so
-   repeated queries — and queries after the first in a batch — skip
-   Paillier/OPE/ORE work entirely. Safety rests on byte identity: every
-   cached operation is a deterministic function of key material and its
-   input bytes, so byte-identical inputs decode identically, and a
-   tampered cell differs in bytes, misses, and goes through the
-   authenticated decrypt path as if the cache did not exist. Only
-   successful decodes are stored (a raise memoizes nothing), so the cache
-   can never mask corruption. Invalidated by [bump_key_epoch] exactly
-   like the tid cache. *)
-
-let scheme_code = function
-  | Scheme.Plain -> 0
-  | Scheme.Ndet -> 1
-  | Scheme.Det -> 2
-  | Scheme.Ope -> 3
-  | Scheme.Ore -> 4
-  | Scheme.Phe -> 5
-
-(* Byte-level identity of a cell; constructor prefix plus length framing
-   keep distinct cells distinct. *)
-let cell_fingerprint = function
-  | C_plain v -> "p" ^ Value.encode v
-  | C_bytes b -> "b" ^ b
-  | C_ord { ord; payload } -> Printf.sprintf "o%d:%s" ord payload
-  | C_ore { ore; payload } ->
-    let syms = Ore.symbols ore in
-    let b = Buffer.create (8 + Array.length syms + String.length payload) in
-    Buffer.add_string b (Printf.sprintf "r%d:" (Array.length syms));
-    Array.iter (fun s -> Buffer.add_char b (Char.chr (s land 0xff))) syms;
-    Buffer.add_string b payload;
-    Buffer.contents b
-  | C_nat n -> "n" ^ Nat.to_bytes_be n
-
-let mapping_memo c key compute =
-  match
-    Mutex.protect c.mapping_mutex (fun () -> Hashtbl.find_opt c.mapping_cache key)
-  with
-  | Some e ->
-    Metrics.incr m_map_hits;
-    e
-  | None ->
-    Metrics.incr m_map_misses;
-    let e = compute () in
-    Mutex.protect c.mapping_mutex (fun () -> Hashtbl.replace c.mapping_cache key e);
-    e
+  Hashtbl.reset c.tid_cache
 
 let client_paillier c = c.paillier
 
@@ -361,10 +290,11 @@ let derive_column_keys c ~leaf ~attr =
     k_ore = Keyring.ore kr path ~bits:Codec.ordinal_bits;
     k_cell_rng = Keyring.derive kr ("cellrng" :: path);
     k_phe_pool = Keyring.derive kr ("phepool" :: path);
-    order_parts =
-      { order_mutex = Mutex.create ();
+    memo =
+      { memo_mutex = Mutex.create ();
         ope_parts = Hashtbl.create 64;
-        ore_parts = Hashtbl.create 64 } }
+        ore_parts = Hashtbl.create 64;
+        phe_plains = Hashtbl.create 64 } }
 
 let derive_leaf_keys c ~leaf =
   let at suffix = [ c.name; leaf; suffix ] in
@@ -391,33 +321,35 @@ let column_keys c ~leaf ~attr =
 let leaf_keys c ~leaf = scheduled c c.leaf_schedule leaf (fun () -> derive_leaf_keys c ~leaf)
 
 (* A full table is emptied before the next insert: the bound holds, and a
-   column whose working set moves past the first [order_memo_cap] values
-   keeps memoising. *)
-let order_memo_cap = 4096
+   column whose working set moves past the first [crypto_memo_cap] values
+   keeps memoising. [derive] runs outside the mutex and may raise, which
+   stores nothing. *)
+let crypto_memo_cap = 4096
 
-let memoised_part om table ordinal derive =
-  match Mutex.protect om.order_mutex (fun () -> Hashtbl.find_opt table ordinal) with
-  | Some part -> part
+let memoised m table key derive =
+  match Mutex.protect m.memo_mutex (fun () -> Hashtbl.find_opt table key) with
+  | Some v ->
+    Metrics.incr m_memo_hits;
+    v
   | None ->
-    let part = derive ordinal in
-    Mutex.protect om.order_mutex (fun () ->
-        if Hashtbl.length table >= order_memo_cap then Hashtbl.reset table;
-        Hashtbl.replace table ordinal part);
-    part
+    Metrics.incr m_memo_misses;
+    let v = derive key in
+    Mutex.protect m.memo_mutex (fun () ->
+        if Hashtbl.length table >= crypto_memo_cap then Hashtbl.reset table;
+        Hashtbl.replace table key v);
+    v
 
-let ope_part ck ordinal =
-  memoised_part ck.order_parts ck.order_parts.ope_parts ordinal (Ope.encrypt ck.k_ope)
+let ope_part ck ordinal = memoised ck.memo ck.memo.ope_parts ordinal (Ope.encrypt ck.k_ope)
+let ore_part ck ordinal = memoised ck.memo ck.memo.ore_parts ordinal (Ore.encrypt ck.k_ore)
 
-let ore_part ck ordinal =
-  memoised_part ck.order_parts ck.order_parts.ore_parts ordinal (Ore.encrypt ck.k_ore)
-
-let order_memo_size c ~leaf ~attr ~scheme =
-  let om = (column_keys c ~leaf ~attr).order_parts in
-  Mutex.protect om.order_mutex (fun () ->
+let crypto_memo_size c ~leaf ~attr ~scheme =
+  let m = (column_keys c ~leaf ~attr).memo in
+  Mutex.protect m.memo_mutex (fun () ->
       match (scheme : Scheme.kind) with
-      | Scheme.Ope -> Hashtbl.length om.ope_parts
-      | Scheme.Ore -> Hashtbl.length om.ore_parts
-      | _ -> 0)
+      | Scheme.Ope -> Hashtbl.length m.ope_parts
+      | Scheme.Ore -> Hashtbl.length m.ore_parts
+      | Scheme.Phe -> Hashtbl.length m.phe_plains
+      | Scheme.Plain | Scheme.Det | Scheme.Ndet -> 0)
 
 let row_position c ~leaf ~rows tid =
   if rows < 2 then tid
@@ -597,20 +529,22 @@ let decrypt_with c ~leaf ~attr ~scheme keys cell =
       Integrity.fail ~leaf ~attr ~where:"cell"
         "ORE onion mismatch: order part disagrees with authenticated payload";
     v
-  | Scheme.Phe, C_nat n -> (
+  | Scheme.Phe, C_nat n ->
     (* Paillier is additively malleable by design, so individual PHE cells
        carry no authenticator; the only detectable corruptions are a cell
        that is no ciphertext (not a unit mod n) and a plaintext outside
-       the encodable range. *)
-    match Paillier.decrypt c.paillier n with
-    | exception Invalid_argument _ ->
-      Integrity.fail ~leaf ~attr ~where:"cell" "PHE cell is not a Paillier ciphertext"
-    | m -> (
-      match Nat.to_int_opt m with
-      | Some i -> Value.Int i
-      | None ->
-        Integrity.fail ~leaf ~attr ~where:"cell"
-          "PHE plaintext exceeds the native integer range"))
+       the encodable range. Both raise before the memo stores anything. *)
+    let ck = keys () in
+    memoised ck.memo ck.memo.phe_plains (Nat.to_bytes_be n) (fun _ ->
+        match Paillier.decrypt c.paillier n with
+        | exception Invalid_argument _ ->
+          Integrity.fail ~leaf ~attr ~where:"cell" "PHE cell is not a Paillier ciphertext"
+        | m -> (
+          match Nat.to_int_opt m with
+          | Some i -> Value.Int i
+          | None ->
+            Integrity.fail ~leaf ~attr ~where:"cell"
+              "PHE plaintext exceeds the native integer range"))
   | _ ->
     Integrity.fail ~leaf ~attr ~where:"cell"
       "scheme/cell shape mismatch (cell constructor does not fit the annotated scheme)"
@@ -619,7 +553,7 @@ let decrypt_with c ~leaf ~attr ~scheme keys cell =
    once per cell: a schedule lookup takes its mutex and hashes the leaf
    and attribute names, which costs about what a DET cell decrypt does.
    A plaintext column's cells need no keys, so it reads none. *)
-let cell_decryptor ?(cache = false) c ~leaf ~attr ~scheme =
+let cell_decryptor c ~leaf ~attr ~scheme =
   let keys =
     match (scheme : Scheme.kind) with
     | Scheme.Plain -> fun () -> column_keys c ~leaf ~attr
@@ -627,18 +561,9 @@ let cell_decryptor ?(cache = false) c ~leaf ~attr ~scheme =
       let ck = column_keys c ~leaf ~attr in
       fun () -> ck
   in
-  let decrypt = decrypt_with c ~leaf ~attr ~scheme keys in
-  if not cache then decrypt
-  else
-    let code = scheme_code scheme in
-    fun cell ->
-      let key = ("val", leaf, attr, c.key_epoch, code, cell_fingerprint cell) in
-      match mapping_memo c key (fun () -> M_val (decrypt cell)) with
-      | M_val v -> v
-      | _ -> assert false
+  decrypt_with c ~leaf ~attr ~scheme keys
 
-let decrypt_cell ?cache c ~leaf ~attr ~scheme cell =
-  cell_decryptor ?cache c ~leaf ~attr ~scheme cell
+let decrypt_cell c ~leaf ~attr ~scheme cell = cell_decryptor c ~leaf ~attr ~scheme cell
 
 let decrypt_column c ~leaf (col : enc_column) =
   Array.map (cell_decryptor c ~leaf ~attr:col.attr ~scheme:col.scheme) col.cells
@@ -729,48 +654,38 @@ let decrypt_leaf c (l : enc_leaf) =
 
 (* --- predicate tokens --------------------------------------------------- *)
 
-(* The [eq_token] / [range_token] type declarations live next to [client]
-   above; only the minting functions are here. *)
+type eq_token =
+  | Eq_plain of Value.t
+  | Eq_det of string
+  | Eq_ord of int
+  | Eq_ore of Ore.ciphertext
 
-let mint_eq_token c ~leaf ~attr ~scheme v =
+type range_token =
+  | Rng_plain of Value.t * Value.t
+  | Rng_ord of int * int
+  | Rng_ore of Ore.ciphertext * Ore.ciphertext
+
+(* An OPE/ORE token is the order part of its ordinal, read through the
+   column's memo, which the onion check fills too. *)
+let eq_token c ~leaf ~attr ~scheme v =
   let keys () = column_keys c ~leaf ~attr in
   match (scheme : Scheme.kind) with
   | Scheme.Plain -> Some (Eq_plain v)
   | Scheme.Det -> Some (Eq_det (Det.encrypt (keys ()).k_det (Value.encode v)))
-  | Scheme.Ope -> Some (Eq_ord (Ope.encrypt (keys ()).k_ope (Codec.to_ordinal v)))
-  | Scheme.Ore -> Some (Eq_ore (Ore.encrypt (keys ()).k_ore (Codec.to_ordinal v)))
+  | Scheme.Ope -> Some (Eq_ord (ope_part (keys ()) (Codec.to_ordinal v)))
+  | Scheme.Ore -> Some (Eq_ore (ore_part (keys ()) (Codec.to_ordinal v)))
   | Scheme.Ndet | Scheme.Phe -> None
 
-let eq_token ?(cache = false) c ~leaf ~attr ~scheme v =
-  if not cache then mint_eq_token c ~leaf ~attr ~scheme v
-  else
-    let key = ("eq", leaf, attr, c.key_epoch, scheme_code scheme, Value.encode v) in
-    match mapping_memo c key (fun () -> M_eq (mint_eq_token c ~leaf ~attr ~scheme v)) with
-    | M_eq t -> t
-    | _ -> assert false
-
-let mint_range_token c ~leaf ~attr ~scheme ~lo ~hi =
+let range_token c ~leaf ~attr ~scheme ~lo ~hi =
   match (scheme : Scheme.kind) with
   | Scheme.Plain -> Some (Rng_plain (lo, hi))
   | Scheme.Ope ->
-    let e = Ope.encrypt (column_keys c ~leaf ~attr).k_ope in
-    Some (Rng_ord (e (Codec.to_ordinal lo), e (Codec.to_ordinal hi)))
+    let ck = column_keys c ~leaf ~attr in
+    Some (Rng_ord (ope_part ck (Codec.to_ordinal lo), ope_part ck (Codec.to_ordinal hi)))
   | Scheme.Ore ->
-    let e = Ore.encrypt (column_keys c ~leaf ~attr).k_ore in
-    Some (Rng_ore (e (Codec.to_ordinal lo), e (Codec.to_ordinal hi)))
+    let ck = column_keys c ~leaf ~attr in
+    Some (Rng_ore (ore_part ck (Codec.to_ordinal lo), ore_part ck (Codec.to_ordinal hi)))
   | Scheme.Det | Scheme.Ndet | Scheme.Phe -> None
-
-let range_token ?(cache = false) c ~leaf ~attr ~scheme ~lo ~hi =
-  if not cache then mint_range_token c ~leaf ~attr ~scheme ~lo ~hi
-  else
-    let lo_s = Value.encode lo in
-    let input = Printf.sprintf "%d:%s%s" (String.length lo_s) lo_s (Value.encode hi) in
-    let key = ("rng", leaf, attr, c.key_epoch, scheme_code scheme, input) in
-    match
-      mapping_memo c key (fun () -> M_rng (mint_range_token c ~leaf ~attr ~scheme ~lo ~hi))
-    with
-    | M_rng t -> t
-    | _ -> assert false
 
 let cell_matches_eq tok cell =
   match (tok, cell) with

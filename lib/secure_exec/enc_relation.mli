@@ -121,48 +121,51 @@ val column : enc_leaf -> string -> enc_column
     (see DESIGN.md §Testing & Conformance). *)
 
 val decrypt_cell :
-  ?cache:bool ->
   client -> leaf:string -> attr:string -> scheme:Scheme.kind -> cell -> Value.t
 (** @raise Integrity.Corruption on authentication failure, onion
     order/payload disagreement, or scheme/cell shape mismatch.
 
-    [~cache:true] consults the client's {e crypto-free mapping cache}: an
-    epoch-keyed memo from (leaf, attr, scheme, cell bytes) to the decoded
-    plaintext, generalizing {!decrypt_tids_cached} so repeated queries —
-    and queries after the first in a batch — skip Paillier/OPE/ORE work
-    entirely. Safe because every cached operation is deterministic in its
-    input bytes: a tampered cell differs in bytes, misses, and goes
-    through the authenticated path (only successful decodes are stored,
-    so the cache never masks corruption). Invalidated by
-    {!bump_key_epoch} / [encrypt] exactly like the tid cache. Hits and
-    misses are accounted in ["exec.mapping_cache.hits"] /
-    ["exec.mapping_cache.misses"]. *)
+    OPE/ORE and PHE cells go through the column's crypto memo (see
+    {!crypto_memo_cap}); every other cell is decrypted each time. *)
 
 val cell_decryptor :
-  ?cache:bool ->
   client -> leaf:string -> attr:string -> scheme:Scheme.kind -> cell -> Value.t
 (** [cell_decryptor c ~leaf ~attr ~scheme] is [decrypt_cell c ~leaf ~attr
     ~scheme] with the column's keys resolved once, for decrypting many
-    cells of one column. Same checks, same errors, same cache. *)
+    cells of one column. Same checks, same errors, same memo. *)
 
-val order_memo_cap : int
-(** Bound on the onion-check memo: per column and per order scheme, at
-    most this many order parts are memoised.
+val crypto_memo_cap : int
+(** Bound on the client's crypto memo: per column and per table, at most
+    this many entries. A full table is emptied before its next insert.
 
-    Checking an OPE/ORE onion re-encrypts the authenticated plaintext's
-    ordinal to compare it with the stored order part. The client's key
-    schedule memoises that re-encryption per (leaf, attr) by ordinal, so
-    a column pays it once per distinct value rather than once per cell;
-    every cell's order part is still compared. The memo is a pure
-    function of client key material — no server byte is ever its key or
-    its value — so it cannot mask a tampered order part, and it stays
-    valid across key epochs like the rest of the schedule. A full table
-    is emptied before its next insert. *)
+    The memo is the client's one memo of per-value crypto, kept with
+    each column's keys and read by every query, alone or in a batch. It
+    holds three tables:
+    - the OPE and the ORE order part by plaintext ordinal. Checking an
+      onion re-encrypts the authenticated plaintext's ordinal to compare
+      it with the stored order part, and an OPE/ORE token is that same
+      encryption of its bound's ordinal; both read the memo, so a column
+      pays each distinct value once. Every cell's order part is still
+      compared. These tables are a function of client key material
+      alone, so they cannot mask a tampered order part;
+    - a PHE cell's plaintext by its ciphertext bytes. This table, unlike
+      the order parts, is keyed by server bytes. A Paillier decrypt
+      depends only on the client's key and those bytes, and only a
+      plaintext that decoded is stored: a cell that is no ciphertext, or
+      whose plaintext is past the native range, raises and stores
+      nothing, and a replaced cell has other bytes, so it misses and is
+      decrypted and checked afresh.
 
-val order_memo_size : client -> leaf:string -> attr:string -> scheme:Scheme.kind -> int
-(** Order parts currently memoised for the column under [scheme]
-    ([Ope] or [Ore]; [0] for any other scheme). At most
-    {!order_memo_cap}. *)
+    Nothing in it depends on the key epoch (the Paillier keypair never
+    rotates), so {!bump_key_epoch} leaves it alone. DET, NDET and plain
+    cells are not memoised: their decrypt costs about what a lookup
+    would. Each lookup moves ["exec.mapping_cache.hits"] or
+    ["exec.mapping_cache.misses"]. *)
+
+val crypto_memo_size : client -> leaf:string -> attr:string -> scheme:Scheme.kind -> int
+(** Entries the column's memo holds under [scheme]: order parts for [Ope]
+    or [Ore], plaintexts for [Phe], [0] for any other scheme. At most
+    {!crypto_memo_cap}. *)
 
 val decrypt_column : client -> leaf:string -> enc_column -> Value.t array
 
@@ -209,11 +212,11 @@ val key_epoch : client -> int
     {!bump_key_epoch}. *)
 
 val bump_key_epoch : client -> unit
-(** Explicit invalidation of the tid-decrypt cache (tid orders included)
-    {e and} the crypto-free
-    mapping cache (e.g. after rotating key material or mutating a store in
-    place): advances the epoch and drops every cached entry. [encrypt]
-    calls this itself, so re-encryption never serves stale decodes. *)
+(** Explicit invalidation of the tid-decrypt cache (tid orders included),
+    e.g. after rotating key material or mutating a store in place:
+    advances the epoch and drops every cached entry. [encrypt] calls this
+    itself, so re-encryption never serves stale decodes. The crypto memo
+    ({!crypto_memo_cap}) does not depend on the epoch and stays. *)
 
 val check_shape : t -> unit
 (** Structural integrity of the stored leaves: every leaf's tid column and
@@ -269,19 +272,18 @@ type range_token =
   | Rng_ord of int * int
   | Rng_ore of Snf_crypto.Ore.ciphertext * Snf_crypto.Ore.ciphertext
 
-val eq_token : ?cache:bool ->
+val eq_token :
   client -> leaf:string -> attr:string -> scheme:Scheme.kind ->
   Value.t -> eq_token option
 (** [None] when the scheme does not support server-side equality
-    (NDET/PHE). [~cache:true] memoizes the token per (leaf, attr, scheme,
-    value, key epoch) in the crypto-free mapping cache — token minting is
-    deterministic, so repeated predicates skip the OPE/ORE encryptions
-    (see {!decrypt_cell}). *)
+    (NDET/PHE). An OPE/ORE token is read through the column's crypto
+    memo ({!crypto_memo_cap}), so a repeated constant skips its
+    encryption. *)
 
-val range_token : ?cache:bool ->
+val range_token :
   client -> leaf:string -> attr:string -> scheme:Scheme.kind ->
   lo:Value.t -> hi:Value.t -> range_token option
-(** Inclusive bounds; [None] unless the scheme reveals order. [~cache]
+(** Inclusive bounds; [None] unless the scheme reveals order. Memoised
     as {!eq_token}. *)
 
 val cell_matches_eq : eq_token -> cell -> bool

@@ -93,7 +93,7 @@ type compiled_pred =
    when the token yields no canonical key, so index accounting does not
    depend on the token's shape. Probing happens sequentially, here, so
    the probes cross in predicate order. *)
-let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index_probes
+let compile_pred ~use_index client conn ~scheme_of (lv : leaf_view) index_probes
     (p : Query.pred) =
   let attr = Query.pred_attr p in
   let label = lv.lv_label in
@@ -105,7 +105,7 @@ let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index
       | Query.Point (_, v) -> (
         let key =
           Option.bind
-            (Enc_relation.eq_token ~cache client ~leaf:label ~attr ~scheme v)
+            (Enc_relation.eq_token client ~leaf:label ~attr ~scheme v)
             Enc_relation.index_key_of_token
         in
         match Server_api.index_probe conn ~leaf:label ~attr ~key with
@@ -128,11 +128,11 @@ let compile_pred ~use_index ~cache client conn ~scheme_of (lv : leaf_view) index
     let op =
       match p with
       | Query.Point (_, v) -> (
-        match Enc_relation.eq_token ~cache client ~leaf:label ~attr ~scheme v with
+        match Enc_relation.eq_token client ~leaf:label ~attr ~scheme v with
         | Some tok -> Wire.F_eq (attr, tok)
         | None -> invalid_arg "Executor: planner homed an unsupported point predicate")
       | Query.Range (_, lo, hi) -> (
-        match Enc_relation.range_token ~cache client ~leaf:label ~attr ~scheme ~lo ~hi with
+        match Enc_relation.range_token client ~leaf:label ~attr ~scheme ~lo ~hi with
         | Some tok -> Wire.F_range (attr, tok)
         | None -> invalid_arg "Executor: planner homed an unsupported range predicate")
     in
@@ -189,7 +189,7 @@ let ascending_slots ~rows iter =
   Bitmask.to_slots mark
 
 (* [slots] must be ascending and distinct. No attributes, no round trip. *)
-let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
+let window client conn ~scheme_of ~label ~attrs ~slots =
   if attrs = [] then no_window
   else begin
     let cols = Server_api.fetch_rows conn ~leaf:label ~attrs ~slots in
@@ -212,7 +212,7 @@ let window ~cache client conn ~scheme_of ~label ~attrs ~slots =
               f_plain =
                 (if Option.is_none f_codes then [||] else Array.make (Array.length f_dict) None);
               f_decrypt =
-                Enc_relation.cell_decryptor ~cache client ~leaf:label ~attr
+                Enc_relation.cell_decryptor client ~leaf:label ~attr
                   ~scheme:(scheme_of label attr);
               f_values = None })
           attrs }
@@ -372,7 +372,7 @@ let reads_of q plan lvs compiled slots =
    request. Every window is fetched before any cell is decrypted.
    Attribute lists are not merged within a leaf: a window of every
    attribute at every slot ships and decrypts cells no member reads. *)
-let fetch_shared ~cache client conn ~scheme_of reads =
+let fetch_shared client conn ~scheme_of reads =
   let groups = Hashtbl.create 8 and order = ref [] in
   List.iter
     (fun r ->
@@ -390,7 +390,7 @@ let fetch_shared ~cache client conn ~scheme_of reads =
         ascending_slots ~rows:(List.hd rs).r_lv.lv_rows (fun f ->
             List.iter (fun r -> Array.iter f r.r_slots) rs)
       in
-      let w = window ~cache client conn ~scheme_of ~label ~attrs ~slots in
+      let w = window client conn ~scheme_of ~label ~attrs ~slots in
       List.iter (fun r -> r.r_window <- w) rs)
     (List.rev !order)
 
@@ -464,7 +464,7 @@ type fetcher = {
    builds a Path ORAM from the blocks, reads one block per anchor
    survivor and drops the tree: it observes the install, one
    root-to-leaf bucket path per read and nothing else. *)
-let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
+let oram_fetcher client conn ~scheme_of q plan oram_touches ~seed ~wanted
     (lv : leaf_view) =
   let label = lv.lv_label in
   let needed = needed_attrs_of_leaf q plan label in
@@ -473,7 +473,7 @@ let oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
     if n = 0 then []
     else
       let w =
-        window ~cache client conn ~scheme_of ~label ~attrs:needed ~slots:(Array.init n Fun.id)
+        window client conn ~scheme_of ~label ~attrs:needed ~slots:(Array.init n Fun.id)
       in
       List.map (fun a -> (a, values w a)) needed
   in
@@ -508,7 +508,7 @@ let check_binned_slot ~key ~universe (s : Binning.schedule) slot =
   if not (List.exists (Int.equal bin) s.Binning.bin_ids) then
     invalid_arg "Executor: partner slot outside the requested bins"
 
-let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved ~wanted
+let binning_fetcher client conn ~scheme_of q plan bin_size bin_retrieved ~wanted
     (lv : leaf_view) =
   let label = lv.lv_label in
   let needed = needed_attrs_of_leaf q plan label in
@@ -535,7 +535,7 @@ let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved 
     | Some (_, s) ->
       let bin_slots = ascending_slots ~rows:n (fun f -> List.iter (List.iter f) s.Binning.bins) in
       if Array.length bin_slots = 0 then no_window
-      else window ~cache client conn ~scheme_of ~label ~attrs:needed ~slots:bin_slots
+      else window client conn ~scheme_of ~label ~attrs:needed ~slots:bin_slots
     | None -> no_window
   in
   { leaf_label = label;
@@ -545,7 +545,7 @@ let binning_fetcher ~cache client conn ~scheme_of q plan bin_size bin_retrieved 
         Option.iter (fun (key, s) -> check_binned_slot ~key ~universe:n s slot) schedule;
         List.map (fun a -> (a, value w a slot)) needed) }
 
-let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled masks
+let run_anchor_fetch ~drop_tid client conn ~scheme_of q plan lvs compiled masks
     ~make_fetcher =
   let anchor = anchor_label plan lvs masks in
   let anchor_lv, anchor_mask =
@@ -598,7 +598,7 @@ let run_anchor_fetch ~drop_tid ~cache client conn ~scheme_of q plan lvs compiled
     | [] -> no_window
     | attrs ->
       let slots = ascending_slots ~rows:n (fun f -> Array.iter f match_slots) in
-      window ~cache client conn ~scheme_of ~label:anchor ~attrs ~slots
+      window client conn ~scheme_of ~label:anchor ~attrs ~slots
   in
   verify_indexed w anchor anchor_compiled w.w_slots;
   let partner_values = Array.of_list (List.map snd matches) in
@@ -653,12 +653,9 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
        counters. *)
     List.map (function Ok _ -> assert false | Error e -> Error e) decisions
   | executable ->
-    (* The query windows and the mapping cache follow the batch: a lone
-       executable query's window spans the whole pass and no batch is
-       announced, and it leaves the mapping cache alone, so only two or
-       more queries share minted tokens and decrypted cells. *)
+    (* The query windows follow the batch: a lone executable query's
+       window spans the whole pass and no batch is announced. *)
     let single = List.compare_length_with executable 1 = 0 in
-    let cache = not single in
     if single then Wiretrace.mark "query.begin"
     else begin
       Metrics.incr m_batches;
@@ -709,7 +706,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
                 List.map
                   (fun lv ->
                     List.map
-                      (compile_pred ~use_index ~cache client conn ~scheme_of lv probes)
+                      (compile_pred ~use_index client conn ~scheme_of lv probes)
                       (preds_at plan lv.lv_label))
                   lvs
               in
@@ -806,19 +803,19 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
           let next_seed = ref 0x09a7 in
           ( [],
             fun () ->
-              run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs
+              run_anchor_fetch ~drop_tid:drop client conn ~scheme_of q plan lvs
                 m.compiled masks ~make_fetcher:(fun ~wanted lv ->
                   let seed = !next_seed in
                   incr next_seed;
-                  oram_fetcher ~cache client conn ~scheme_of q plan oram_touches ~seed ~wanted
+                  oram_fetcher client conn ~scheme_of q plan oram_touches ~seed ~wanted
                     lv) )
         | lvs, masks, `Binning bin_size ->
           ( [],
             fun () ->
-              run_anchor_fetch ~drop_tid:drop ~cache client conn ~scheme_of q plan lvs
+              run_anchor_fetch ~drop_tid:drop client conn ~scheme_of q plan lvs
                 m.compiled masks
                 ~make_fetcher:
-                  (binning_fetcher ~cache client conn ~scheme_of q plan bin_size
+                  (binning_fetcher client conn ~scheme_of q plan bin_size
                      bin_retrieved) )
       in
       let reconstruct_wire = wire_delta wr0 (wire_at ()) in
@@ -859,7 +856,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
      | [] -> ()
      | reads ->
        Span.with_ ~name:"query.client_decrypt" @@ fun () ->
-       fetch_shared ~cache client conn ~scheme_of reads);
+       fetch_shared client conn ~scheme_of reads);
     (* Pass two, per member: read its rows from the shared windows (or
        run its own partner fetches), then build the trace record. Inside
        a batch each member gets its own query window, indexed like the

@@ -18,27 +18,20 @@
     {!trace} record is built and published as [exec.query.*] counters.
     {!run_conn} is {!run_batch} of one query. Every executable query's
     filters ship in ONE [Wire.Q_batch] round trip, a lone query's as a
-    batch of one, and the server walks each touched leaf once. Two
-    choices depend on the batch, and both are read from the batch
-    itself, never from a knob:
-
-    {ol
-    {- {e Query windows.} With exactly one executable (planned) query,
-       a single query window opens before [Describe]; no batch is
-       announced and [exec.batch.*] do not move. With two or more, each
-       query gets its own window inside a [batch.begin]/[batch.end]
-       pair, opened after the shared fetch rounds, and
-       [exec.batch.{count,queries}] tick.}
-    {- {e Mapping cache.} With two or more executable queries, token
-       minting and cell decrypts go through the client's crypto-free
-       mapping cache, so later members reuse what earlier ones minted
-       and decrypted; [exec.mapping_cache.*] move. A lone executable
-       query leaves the cache alone: it neither reads nor fills it, and
-       those counters do not move.}}
+    batch of one, and the server walks each touched leaf once. One
+    choice depends on the batch, and it is read from the batch itself,
+    never from a knob: its query windows. With exactly one executable
+    (planned) query, a single query window opens before [Describe]; no
+    batch is announced and [exec.batch.*] do not move. With two or more,
+    each query gets its own window inside a [batch.begin]/[batch.end]
+    pair, opened after the shared fetch rounds, and
+    [exec.batch.{count,queries}] tick.
 
     Every member resolves its own leaves, in plan order, exactly as a
-    lone query does; reuse across members comes from the connection's
-    tid-column memo and the client's tid cache. Members share their
+    lone query does; reuse across members and across queries comes from
+    the connection's tid-column memo, the client's tid cache and the
+    client's per-column crypto memo ([Enc_relation.crypto_memo_cap]),
+    which every query reads, alone or batched. Members share their
     fetch windows: after the filter round, every member that is not an
     [`Oram] or [`Binning] member over several leaves is reconstructed
     first, then one [Wire.Fetch_rows] per distinct (leaf, fetched
@@ -107,8 +100,8 @@ val run_conn :
   Query.t ->
   (Relation.t * trace, string) result
 (** Execute one query against a server connection: {!run_batch} of
-    [[q]], so its filters cross in the single-query encoding and the
-    mapping cache stays off. The trace's [wire_*] fields are the
+    [[q]], so its filters cross in the single-query encoding. The
+    trace's [wire_*] fields are the
     connection's traffic delta across the query (Describe through the
     last fetch).
 
@@ -138,10 +131,10 @@ val run_conn :
     without a round trip, while Describe announces the tid digest that
     array was checked against; a re-installed or changed column has
     another digest and is fetched, checked and decrypted afresh. To run
-    a query cold, call [Enc_relation.bump_key_epoch] first. Both the tid
-    cache and the mapping cache are keyed by key epoch and input bytes,
-    so re-encryption and tampered cells always miss, and answers are the
-    same warm or cold.
+    a query's tid work cold, call [Enc_relation.bump_key_epoch] first.
+    The tid cache is keyed by key epoch and physical identity, and the
+    crypto memo's PHE table by ciphertext bytes, so re-encryption and
+    tampered cells always miss, and answers are the same warm or cold.
 
     The answer's columns follow the query's projection order; row order
     is unspecified.
@@ -170,9 +163,8 @@ val run_batch :
 (** Execute K queries as one pass, positionally: answers (and per-query
     planner errors) come back in request order, each with a full
     {!trace}, bag-identical to K {!run_conn} calls. Options as for
-    {!run_conn}. The mapping cache is on exactly when two or more
-    queries are executable, so a batch of one is {!run_conn} in its
-    cache use as well as on the wire.
+    {!run_conn}. A batch of one is {!run_conn}, on the wire and in every
+    counter it moves.
 
     Trace accounting is exact: each trace carries its own minting and
     reconstruction traffic, the shared traffic (Describe, the filter

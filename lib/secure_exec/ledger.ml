@@ -104,8 +104,8 @@ type report = {
   index_misses : int;
   tid_cache_hits : int;
   tid_cache_misses : int;
-  mapping_cache_hits : int;
-  mapping_cache_misses : int;
+  crypto_memo_hits : int;
+  crypto_memo_misses : int;
   batches : int;
   batch_queries : int;
   query_metrics : (string * int) list list;
@@ -147,8 +147,8 @@ let report t =
     index_misses = moved "exec.eq_index.builds";
     tid_cache_hits = moved "exec.join.tid_cache.hits";
     tid_cache_misses = moved "exec.join.tid_cache.misses";
-    mapping_cache_hits = moved "exec.mapping_cache.hits";
-    mapping_cache_misses = moved "exec.mapping_cache.misses";
+    crypto_memo_hits = moved "exec.mapping_cache.hits";
+    crypto_memo_misses = moved "exec.mapping_cache.misses";
     batches = moved "exec.batch.count";
     batch_queries = moved "exec.batch.queries";
     query_metrics = List.rev t.query_metrics }
@@ -173,9 +173,9 @@ let pp_report fmt r =
   if r.tid_cache_hits + r.tid_cache_misses > 0 then
     Format.fprintf fmt "  tid-decrypt cache: %d hits, %d misses@," r.tid_cache_hits
       r.tid_cache_misses;
-  if r.mapping_cache_hits + r.mapping_cache_misses > 0 then
-    Format.fprintf fmt "  mapping cache: %d hits, %d misses@," r.mapping_cache_hits
-      r.mapping_cache_misses;
+  if r.crypto_memo_hits + r.crypto_memo_misses > 0 then
+    Format.fprintf fmt "  crypto memo: %d hits, %d misses@," r.crypto_memo_hits
+      r.crypto_memo_misses;
   if r.batches > 0 then
     Format.fprintf fmt "  batches: %d (%d queries)@," r.batches r.batch_queries;
   Format.fprintf fmt "@]"

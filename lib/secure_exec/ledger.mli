@@ -29,8 +29,8 @@ val query :
   ?mode:Executor.mode -> ?use_index:bool ->
   t -> Query.t -> (Snf_relational.Relation.t * Executor.trace, string) result
 (** Execute and record: {!query_batch} of [[q]], which runs as
-    {!System.query} would, mapping cache off. Failed (unplannable)
-    queries are not recorded. *)
+    {!System.query} would. Failed (unplannable) queries are not
+    recorded. *)
 
 val query_batch :
   ?mode:Executor.mode -> ?use_index:bool ->
@@ -87,12 +87,14 @@ type report = {
         [Enc_relation.decrypt_tids_cached] bumps *)
   tid_cache_misses : int;              (** tid-decrypt cache misses (bulk
                                            decrypts actually performed) *)
-  mapping_cache_hits : int;
-    (** crypto-free mapping cache hits since [create] — delta of the
-        process-wide ["exec.mapping_cache.hits"] counter [Enc_relation]'s
-        memoized token minting and cell decrypts bump *)
-  mapping_cache_misses : int;          (** mapping-cache misses (crypto
-                                           actually performed) *)
+  crypto_memo_hits : int;
+    (** lookups the client's crypto memo answered since [create] —
+        delta of the process-wide ["exec.mapping_cache.hits"] counter
+        that [Enc_relation]'s OPE/ORE order parts (onion checks and
+        tokens) and PHE cell decrypts bump, alone or batched *)
+  crypto_memo_misses : int;            (** crypto-memo misses (crypto
+                                           actually performed), from
+                                           ["exec.mapping_cache.misses"] *)
   batches : int;
     (** batches of two or more executable queries since [create] —
         delta of the process-wide ["exec.batch.count"] counter. A lone

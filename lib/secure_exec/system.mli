@@ -151,10 +151,11 @@ val query_batch :
   owner -> Query.t list -> (Relation.t * Executor.trace, string) result list
 (** K queries through one shared pass over the owner's connection
     ([Executor.run_batch]): one [Wire.Q_batch] round trip for all
-    filters, one shared oblivious alignment per leaf set that two or
-    more of them join, and the crypto-free mapping cache, each when two
-    or more queries are executable. Positional results; answers
-    bag-identical to K {!query} calls, and a batch of one is {!query}. *)
+    filters and one shared oblivious alignment per leaf set that two or
+    more of them join. Every query, alone or batched, reads the client's
+    one crypto memo ([Enc_relation.crypto_memo_cap]). Positional results;
+    answers bag-identical to K {!query} calls, and a batch of one is
+    {!query}. *)
 
 val record_wire_trace : (unit -> 'a) -> 'a * Snf_obs.Wiretrace.trace
 (** Run [f] with the SNFT wire-trace recorder on and return what the
