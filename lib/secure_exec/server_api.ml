@@ -34,6 +34,9 @@ let ph_fetch = phase_counters "fetch"
 let ph_oram = phase_counters "oram"
 let ph_phe = phase_counters "phe"
 
+let phases =
+  List.map (fun p -> p.p_name) [ ph_admin; ph_probe; ph_filter; ph_fetch; ph_oram; ph_phe ]
+
 (* --- the server side ------------------------------------------------------ *)
 
 type store_view = {

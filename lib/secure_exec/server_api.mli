@@ -129,7 +129,11 @@ val stats : conn -> wire_stats
 (** Cumulative traffic on this connection. The same quantities are also
     accumulated in the process-wide counters [exec.wire.requests] /
     [exec.wire.bytes_up] / [exec.wire.bytes_down] and per-phase
-    [exec.wire.{admin,probe,filter,fetch,oram,phe}.*]. *)
+    [exec.wire.<phase>.*] for each of {!phases}. *)
+
+val phases : string list
+(** The wire phases every request is counted under, in order: [admin],
+    [probe], [filter], [fetch], [oram], [phe]. *)
 
 val exchange_raw : conn -> string -> string
 (** One raw serialized-request -> serialized-response round trip,

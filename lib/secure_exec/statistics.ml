@@ -105,8 +105,6 @@ let eq_selectivity t ~leaf ~attr =
 
 (* --- wire-byte EWMAs --------------------------------------------------------- *)
 
-let phases = [ "admin"; "probe"; "filter"; "fetch"; "oram"; "phe" ]
-
 (* Seeds for a cold EWMA: rough per-request byte shape of each phase, so
    the first plans of a session are still ordered sensibly. *)
 let cold_estimate = function
@@ -120,7 +118,7 @@ let observe_wire t =
     let v n = Metrics.value (Metrics.counter (Printf.sprintf "exec.wire.%s.%s" phase n)) in
     (v "requests", v "bytes_up" + v "bytes_down")
   in
-  let fresh = List.map (fun p -> (p, sample p)) phases in
+  let fresh = List.map (fun p -> (p, sample p)) Server_api.phases in
   Mutex.protect t.lock (fun () ->
       List.iter
         (fun (p, (reqs, bytes)) ->
