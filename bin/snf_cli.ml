@@ -96,14 +96,13 @@ let ensure_writable flag = function
        exit 2)
 
 (* [--wire-trace-out]: run [f] under an SNFT recording and write the
-   trace, binary framing for .snft paths, JSON otherwise. *)
+   trace as an SNFT JSON document. *)
 let with_wire_trace out f =
   match out with
   | None -> f ()
   | Some path ->
     let v, trace = Snf_exec.System.record_wire_trace f in
-    if Filename.check_suffix path ".snft" then Snf_obs.Wiretrace.write_binary ~path trace
-    else Snf_obs.Wiretrace.write_json ~path trace;
+    Snf_obs.Wiretrace.write_json ~path trace;
     Printf.printf "-- wrote %s (SNFT wire trace, %d events)\n" path
       (List.length trace.Snf_obs.Wiretrace.events);
     v
@@ -325,9 +324,8 @@ let query_cmd =
            ~doc:"Record the SNFT wire trace — every client/server message \
                  of the run, with sizes, tags and ciphertext-level \
                  summaries (the honest-but-curious server's transcript) — \
-                 and write it here: binary framing if FILE ends in .snft, \
-                 JSON otherwise. Feed it to the leakage profiler or the \
-                 trace-replay adversary.")
+                 and write it here as an SNFT JSON document. Feed it to \
+                 the leakage profiler or the trace-replay adversary.")
   in
   let backend_arg =
     (* mem | disk | socket:ADDR | sharded:N[:KIND] — socket dials a
@@ -757,8 +755,7 @@ let check_cmd =
     Arg.(value & opt (some string) None & info [ "wire-trace-out" ] ~docv:"FILE"
            ~doc:"Record the SNFT wire trace of the whole soak — every \
                  client/server message across every representation and \
-                 backend — and write it here (binary if FILE ends in \
-                 .snft, JSON otherwise).")
+                 backend — and write it here as an SNFT JSON document.")
   in
   let planner_arg =
     Arg.(value

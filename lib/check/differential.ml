@@ -125,10 +125,13 @@ let batch_counter_mismatches ?planned traces deltas =
          else
            Some (Printf.sprintf "%s: traces sum to %d, counter moved %d" n want got))
 
-let snft_bytes (tr : Snf_obs.Wiretrace.trace) =
-  Snf_obs.Wiretrace.to_binary_string
+(* Two recorded traces that agree once timestamps are zeroed. *)
+let same_untimed (a : Snf_obs.Wiretrace.trace) (b : Snf_obs.Wiretrace.trace) =
+  let untimed (tr : Snf_obs.Wiretrace.trace) =
     { tr with
       events = List.map (fun e -> { e with Snf_obs.Wiretrace.ts_us = 0.0 }) tr.events }
+  in
+  Snf_obs.Wiretrace.equal (untimed a) (untimed b)
 
 (* The [Fetch_tids] rounds of a recorded trace, and the trace without
    them, rounds and sequence numbers renumbered densely as the recorder
@@ -161,7 +164,7 @@ let split_fetch_tids (tr : Snf_obs.Wiretrace.trace) =
    are held under the digests Describe announces and their tid orders
    are cached, so it sends no [Fetch_tids] and runs no sorting network.
    Everything else must repeat: the outcome, the answer, and the SNFT
-   bytes once timestamps are zeroed and the first run's [Fetch_tids]
+   trace once timestamps are zeroed and the first run's [Fetch_tids]
    rounds are removed, with the wire counts short by exactly those
    rounds. *)
 let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
@@ -187,16 +190,16 @@ let warm_repeat_mismatches (first, first_snft) (repeat, repeat_snft) =
    | _ -> [ "warm repeat disagrees with the first run on the outcome" ])
   @
   if refetched > 0 then [ Printf.sprintf "warm repeat still sent %d Fetch_tids" refetched ]
-  else if snft_bytes first_rest = snft_bytes repeat_rest then []
+  else if same_untimed first_rest repeat_rest then []
   else
-    [ "warm repeat SNFT bytes differ from the first run's without its Fetch_tids rounds" ]
+    [ "warm repeat SNFT trace differs from the first run's without its Fetch_tids rounds" ]
 
 (* A batch of one must be indistinguishable from the single query run
    from the same cache state: the same trace record up to the planner's
    cache outcome (a hit prices no candidates, so [d_enumerated] follows
    [d_cache]), the same counter deltas apart from timing series (the
    crypto memo's counters included: both runs start warm and read it
-   alike) and the same SNFT bytes once timestamps are zeroed. *)
+   alike) and the same SNFT trace once timestamps are zeroed. *)
 let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
     (batched : Executor.trace) batched_snft batched_deltas =
   let normal (t : Executor.trace) =
@@ -220,8 +223,8 @@ let batch_of_one_mismatches (single : Executor.trace) single_snft single_deltas
       (List.sort_uniq String.compare
          (List.map fst (untimed single_deltas @ untimed batched_deltas)))
   @
-  if snft_bytes single_snft = snft_bytes batched_snft then []
-  else [ "batch-of-one SNFT bytes differ from the single query's" ]
+  if same_untimed single_snft batched_snft then []
+  else [ "batch-of-one SNFT trace differs from the single query's" ]
 
 let chunks n l =
   let n = max 1 n in

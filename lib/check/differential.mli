@@ -102,15 +102,14 @@ val run_instance :
     ([System.query_checked]), twice. The repeat starts warm and must
     match the first run's outcome and answer, send no [Fetch_tids], run
     0 comparisons over 0 network rows, and have the first run's SNFT
-    bytes (timestamps zeroed) and wire counts once the first run's
+    trace (timestamps zeroed) and wire counts once the first run's
     [Fetch_tids] rounds are removed. The batch of one must then
     reproduce the repeat: the same outcome, the same trace record
     field-for-field except the planner's cache outcome ([d_cache], and
     the [d_enumerated] it implies), the same counter deltas except
     [time.*] series (the crypto memo's [exec.mapping_cache.*] included:
     both runs start warm, so both read the memo alike), and the same
-    SNFT bytes with timestamps
-    zeroed. Each of these runs is recorded with
+    SNFT trace with timestamps zeroed. Each of these runs is recorded with
     [System.record_wire_trace], which nests, so the checks hold in full
     under an enclosing recording too. Disagreements are tagged
     ["batch"]. With a twin backend ([`Rotate], [`Socket],

@@ -180,134 +180,9 @@ let of_json j =
 
 let write_json ~path t = Export.write ~path (to_json t)
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 let read_json ~path =
-  match read_file path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | s ->
     let* j = Json.of_string s in
     of_json j
-
-(* --- binary codec ----------------------------------------------------------------
-   Little-endian, self-contained (no dependency on the Wire store codec:
-   that would invert the library layering). Ints are full 64-bit LE so
-   [-1] mark tags and float bit patterns share one primitive. *)
-
-let magic = "SNFT"
-
-let w_i64 buf x =
-  for i = 0 to 7 do
-    Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical x (8 * i)) 0xFFL)))
-  done
-
-let w_int buf n = w_i64 buf (Int64.of_int n)
-let w_f64 buf f = w_i64 buf (Int64.bits_of_float f)
-
-let w_str buf s =
-  w_int buf (String.length s);
-  Buffer.add_string buf s
-
-let w_event buf e =
-  Buffer.add_char buf
-    (match e.dir with Up -> '\000' | Down -> '\001' | Mark -> '\002');
-  w_int buf e.seq;
-  w_int buf e.round;
-  w_int buf e.tag;
-  w_int buf e.bytes;
-  w_str buf e.phase;
-  w_f64 buf e.ts_us;
-  w_int buf (List.length e.summary);
-  List.iter
-    (fun (k, v) ->
-      w_str buf k;
-      w_str buf v)
-    e.summary
-
-let to_binary_string t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf (Char.chr t.trace_version);
-  List.iter (w_event buf) t.events;
-  Buffer.contents buf
-
-let write_binary ~path t =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc magic;
-      output_char oc (Char.chr t.trace_version);
-      let buf = Buffer.create 256 in
-      List.iter
-        (fun e ->
-          Buffer.clear buf;
-          w_event buf e;
-          Buffer.output_buffer oc buf)
-        t.events)
-
-exception Bin_error of string
-
-let of_binary_string s =
-  let pos = ref 0 in
-  let fail msg = raise (Bin_error msg) in
-  let take n =
-    if n < 0 || !pos + n > String.length s then fail "truncated SNFT stream";
-    let sub = String.sub s !pos n in
-    pos := !pos + n;
-    sub
-  in
-  let r_i64 () =
-    let b = take 8 in
-    let x = ref 0L in
-    for i = 7 downto 0 do
-      x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Char.code b.[i]))
-    done;
-    !x
-  in
-  let r_int () = Int64.to_int (r_i64 ()) in
-  let r_f64 () = Int64.float_of_bits (r_i64 ()) in
-  let r_str () = take (r_int ()) in
-  let r_event () =
-    let dir =
-      match (take 1).[0] with
-      | '\000' -> Up
-      | '\001' -> Down
-      | '\002' -> Mark
-      | c -> fail (Printf.sprintf "unknown direction byte %d" (Char.code c))
-    in
-    let seq = r_int () in
-    let round = r_int () in
-    let tag = r_int () in
-    let bytes = r_int () in
-    let phase = r_str () in
-    let ts_us = r_f64 () in
-    let n = r_int () in
-    if n < 0 || n > String.length s then fail "garbled summary count";
-    let summary =
-      List.init n (fun _ ->
-          let k = r_str () in
-          (k, r_str ()))
-    in
-    { seq; round; dir; phase; tag; bytes; summary; ts_us }
-  in
-  try
-    if take 4 <> magic then fail "not an SNFT stream (bad magic)";
-    let v = Char.code (take 1).[0] in
-    if v <> version then fail (Printf.sprintf "unsupported SNFT version %d" v);
-    let events = ref [] in
-    while !pos < String.length s do
-      events := r_event () :: !events
-    done;
-    Ok { trace_version = v; events = List.rev !events }
-  with Bin_error msg -> Error msg
-
-let read_binary ~path =
-  match read_file path with
-  | exception Sys_error msg -> Error msg
-  | s -> of_binary_string s

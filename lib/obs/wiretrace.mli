@@ -13,16 +13,14 @@
     query's filters cross in one [Q_batch] round trip, whether it runs
     alone or in a batch. Rounds are therefore recorded in program order,
     and {!record} returns them in the order they arrived. With a pinned
-    {!Clock} the trace is byte-identical for any [SNF_DOMAINS]; with the
-    real clock, identical up to timestamps.
+    {!Clock} the trace, and so its JSON text, is identical for any
+    [SNF_DOMAINS]; with the real clock, identical up to timestamps.
 
-    {2 Formats}
+    {2 Format}
 
-    SNFT version {!version} has two isomorphic encodings: a JSON
-    document [{"snft": 1, "events": [...]}] in the [Export] idiom, and a
-    streaming binary form (magic ["SNFT"], version byte, then
-    self-delimiting event frames — {!write_binary} emits frame by frame,
-    so a crashed run keeps every completed event). *)
+    SNFT version {!version} is one JSON document in the [Export] idiom:
+    [{"snft": 1, "events": [...]}], one object per event with the fields
+    of {!event}. A trace is written once its recording has closed. *)
 
 val version : int
 
@@ -77,20 +75,12 @@ val record_round :
 val mark : ?summary:(string * string) list -> string -> unit
 (** Record a boundary annotation (e.g. ["query.begin"]). *)
 
-(** {2 Codecs} *)
+(** {2 Codec} *)
 
 val to_json : trace -> Json.t
 val of_json : Json.t -> (trace, string) result
 
 val write_json : path:string -> trace -> unit
 val read_json : path:string -> (trace, string) result
-
-val to_binary_string : trace -> string
-val of_binary_string : string -> (trace, string) result
-
-val write_binary : path:string -> trace -> unit
-(** Streams one self-delimiting frame per event. *)
-
-val read_binary : path:string -> (trace, string) result
 
 val equal : trace -> trace -> bool

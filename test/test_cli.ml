@@ -172,23 +172,19 @@ let query_wire_trace () =
     [ "query"; "--csv"; csv; "--enc"; "code=DET"; "--select"; "id";
       "--where"; "code=c1"; "--wire-trace-out"; out ]
   in
-  (* JSON by extension: a decodable SNFT document. *)
-  let json = Filename.temp_file "snf_cli_test" ".json" in
-  Fun.protect ~finally:(fun () -> Sys.remove json) (fun () ->
-      check_int "--wire-trace-out json exits 0" 0 (fst (run (base json)));
-      match Snf_obs.Wiretrace.read_json ~path:json with
-      | Error e -> Alcotest.failf "trace is not SNFT JSON: %s" e
-      | Ok trace ->
-        check_bool "trace has events" true (trace.Snf_obs.Wiretrace.events <> []));
-  (* .snft extension selects the binary frames. *)
-  let snft = Filename.temp_file "snf_cli_test" ".snft" in
-  Fun.protect ~finally:(fun () -> Sys.remove snft) (fun () ->
-      check_int "--wire-trace-out .snft exits 0" 0 (fst (run (base snft)));
-      match Snf_obs.Wiretrace.read_binary ~path:snft with
-      | Error e -> Alcotest.failf "trace is not binary SNFT: %s" e
-      | Ok trace ->
-        check_bool "binary trace has events" true
-          (trace.Snf_obs.Wiretrace.events <> []))
+  (* Every path gets the one SNFT encoding, a JSON document, whatever
+     its suffix. *)
+  List.iter
+    (fun suffix ->
+      let path = Filename.temp_file "snf_cli_test" suffix in
+      Fun.protect ~finally:(fun () -> Sys.remove path) (fun () ->
+          check_int ("--wire-trace-out " ^ suffix ^ " exits 0") 0 (fst (run (base path)));
+          match Snf_obs.Wiretrace.read_json ~path with
+          | Error e -> Alcotest.failf "%s trace is not SNFT JSON: %s" suffix e
+          | Ok trace ->
+            check_bool (suffix ^ " trace has events") true
+              (trace.Snf_obs.Wiretrace.events <> [])))
+    [ ".json"; ".snft" ]
 
 let trace_out_unwritable () =
   with_csv @@ fun csv ->
@@ -215,15 +211,15 @@ let trace_out_unwritable () =
   check_bool "check message names the flag" true (contains err "--out")
 
 let check_wire_trace () =
-  let out = Filename.temp_file "snf_cli_test" ".snft" in
+  let out = Filename.temp_file "snf_cli_test" ".json" in
   Fun.protect ~finally:(fun () -> Sys.remove out) @@ fun () ->
   let code, _ =
     run [ "check"; "--seed"; "3"; "--queries"; "10"; "--rows"; "8";
           "--faults"; "false"; "--wire-trace-out"; out ]
   in
   check_int "check --wire-trace-out exits 0" 0 code;
-  match Snf_obs.Wiretrace.read_binary ~path:out with
-  | Error e -> Alcotest.failf "soak trace is not binary SNFT: %s" e
+  match Snf_obs.Wiretrace.read_json ~path:out with
+  | Error e -> Alcotest.failf "soak trace is not SNFT JSON: %s" e
   | Ok trace ->
     check_bool "soak trace has events" true (trace.Snf_obs.Wiretrace.events <> [])
 
@@ -416,7 +412,7 @@ let suite =
       check_rotate_with_metrics;
     Alcotest.test_case "query --batch FILE: shared pass, exit 2 on malformed"
       `Slow query_batch_file;
-    Alcotest.test_case "query --wire-trace-out json|.snft" `Slow query_wire_trace;
+    Alcotest.test_case "query --wire-trace-out json|.snft, both JSON" `Slow query_wire_trace;
     Alcotest.test_case "unwritable output paths exit 2" `Quick trace_out_unwritable;
     Alcotest.test_case "check --wire-trace-out records the soak" `Slow
       check_wire_trace;
