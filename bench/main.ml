@@ -294,6 +294,13 @@ let ablation title render () =
   section ("Ablation: " ^ title);
   print_string (render ())
 
+(* Also a gate: every mode answers every query as the plaintext oracle. *)
+let run_ablation_modes () =
+  section "Ablation: reconstruction modes (measured)";
+  let table, failures = Ablations.modes_checked () in
+  print_string table;
+  if failures <> [] then failwith ("ablation-modes: " ^ String.concat "; " failures)
+
 (* Also a gate: both arms oracle-correct, and the scan arm moves no
    exec.eq_index.* counter. *)
 let run_ablation_index () =
@@ -331,24 +338,24 @@ let run_sweeps () =
   List.iter
     (fun n ->
       let prng = Snf_crypto.Prng.create 3 in
-      let oram = Snf_exec.Path_oram.create ~num_blocks:n ~block_size:32 prng in
+      let oram = Snf_reference.Path_oram.create ~num_blocks:n ~block_size:32 prng in
       for i = 0 to n - 1 do
-        Snf_exec.Path_oram.write oram i (String.make 32 'x')
+        Snf_reference.Path_oram.write oram i (String.make 32 'x')
       done;
-      let before = Snf_exec.Path_oram.bucket_touches oram in
+      let before = Snf_reference.Path_oram.bucket_touches oram in
       let accesses = 2_000 in
       let (), dt =
         time (fun () ->
             for i = 0 to accesses - 1 do
-              ignore (Snf_exec.Path_oram.read oram (i * 37 mod n))
+              ignore (Snf_reference.Path_oram.read oram (i * 37 mod n))
             done)
       in
       Printf.printf "  n=%6d  touches/access=%5.1f  time/access=%6.1f µs\n" n
-        (float_of_int (Snf_exec.Path_oram.bucket_touches oram - before)
+        (float_of_int (Snf_reference.Path_oram.bucket_touches oram - before)
         /. float_of_int accesses)
         (dt /. float_of_int accesses *. 1e6))
     [ 64; 256; 1024; 4096; 16384 ];
-  (* One Oram_fetch as the server runs it: install n blocks in one pass
+  (* One fetch through a tree built for it: install n blocks in one pass
      ([Path_oram.of_blocks]), then read k distinct slots. The stash is
      sampled after the install and after every read. The install is timed
      next to the one-write-per-block install it replaced, which leaves
@@ -369,25 +376,25 @@ let run_sweeps () =
         dt /. float_of_int fetches *. 1e6
       in
       let by_writes prng =
-        let oram = Snf_exec.Path_oram.create ~num_blocks:n ~block_size:32 prng in
-        Array.iteri (Snf_exec.Path_oram.write oram) blocks;
+        let oram = Snf_reference.Path_oram.create ~num_blocks:n ~block_size:32 prng in
+        Array.iteri (Snf_reference.Path_oram.write oram) blocks;
         oram
       in
       Printf.printf "  n=%5d  install: one pass %8.1f µs | one write per block %8.1f µs\n" n
-        (install_us (fun prng -> Snf_exec.Path_oram.of_blocks ~block_size:32 prng blocks))
+        (install_us (fun prng -> Snf_reference.Path_oram.of_blocks ~block_size:32 prng blocks))
         (install_us by_writes);
       List.iter
         (fun k ->
           let worst = ref 0 and total = ref 0 in
           for fetch = 1 to fetches do
             let prng = Snf_crypto.Prng.create fetch in
-            let oram = Snf_exec.Path_oram.of_blocks ~block_size:32 prng blocks in
-            let peak = ref (Snf_exec.Path_oram.stash_size oram) in
+            let oram = Snf_reference.Path_oram.of_blocks ~block_size:32 prng blocks in
+            let peak = ref (Snf_reference.Path_oram.stash_size oram) in
             let slots = Array.init n Fun.id in
             Snf_crypto.Prng.shuffle prng slots;
             for j = 0 to k - 1 do
-              ignore (Snf_exec.Path_oram.read oram slots.(j));
-              peak := max !peak (Snf_exec.Path_oram.stash_size oram)
+              ignore (Snf_reference.Path_oram.read oram slots.(j));
+              peak := max !peak (Snf_reference.Path_oram.stash_size oram)
             done;
             worst := max !worst !peak;
             total := !total + !peak
@@ -2296,7 +2303,7 @@ let targets =
     ("ablation-semantics", ablation "semantics" Ablations.semantics);
     ("ablation-horizontal", ablation "horizontal partitioning" Ablations.horizontal);
     ("ablation-workload", ablation "workload-aware partitioning" Ablations.workload);
-    ("ablation-modes", ablation "reconstruction modes (measured)" Ablations.modes);
+    ("ablation-modes", run_ablation_modes);
     ("ablation-index", run_ablation_index);
     ("ablation-dynamic", ablation "dynamic inserts" Ablations.dynamic);
     ("ablation-knowledge", ablation "knowledge acquisition" Ablations.knowledge);

@@ -5,7 +5,7 @@
     The adversary model is an honest-but-curious server replaying its own
     transcript: it sees token identities (ciphertext fingerprints or OPE
     ordinals), filter masks with slot positions, explicit fetch slots,
-    index-probe answers and ORAM touch counts — exactly the
+    and index-probe answers — exactly the
     {!Snf_obs.Leakage.query_view} decoding — plus {e auxiliary}
     knowledge: a joint plaintext sample with the same distribution as the
     outsourced relation (the standard aux assumption of

@@ -144,7 +144,7 @@ let drop_leaf t ~leaf =
 (* The two keys trade classes in the column's form, in place: what a
    probe or an equality filter reads for one key is the other's slots. *)
 let poison_index t ~leaf ~attr ~key_a ~key_b =
-  match (Enc_relation.column (Enc_relation.find_leaf t leaf) attr).Enc_relation.form with
+  match Enc_relation.form (Enc_relation.column (Enc_relation.find_leaf t leaf) attr) with
   | Some { Enc_relation.key_classes = keys; _ } when Hashtbl.length keys > 0 ->
     let classes k = Option.value (Hashtbl.find_opt keys k) ~default:[] in
     let a = classes key_a and b = classes key_b in

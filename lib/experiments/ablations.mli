@@ -7,9 +7,10 @@
       a conditional-dependence workload (§IV-A).
     - {b workload}: workload-aware local search vs workload-oblivious
       non-repeating on a skewed query mix (§V-B).
-    - {b modes}: measured counters of the three reconstruction mechanisms
-      (sort-merge / ORAM / binning) on the same query set — the measured
-      counterpart to Figure 3's model-based estimates. *)
+    - {b modes}: measured counters and wire bytes of the three
+      reconstruction mechanisms (sort-merge / ORAM / binning) on the
+      same query set — the measured counterpart to Figure 3's
+      model-based estimates. *)
 
 val semantics : ?rows:int -> ?seed:int -> unit -> string
 
@@ -18,6 +19,11 @@ val horizontal : unit -> string
 val workload : ?seed:int -> unit -> string
 
 val modes : ?rows:int -> ?seed:int -> unit -> string
+
+val modes_checked : ?rows:int -> ?seed:int -> unit -> string * string list
+(** {!modes}'s table and the modes that failed, [[]] when none: a mode
+    fails when some query errs or answers other than the plaintext
+    oracle. *)
 
 val index : ?rows:int -> ?seed:int -> unit -> string
 (** §V-D "leakage as indexing": server predicate work with and without

@@ -34,7 +34,6 @@ type query_view = {
   q_masks : mask_obs list;
   q_fetches : fetch_obs list;
   q_probes : (string * string * int array option) list;
-  q_oram : (string * int) list;
   q_leaves : string list;
   q_in_batch : bool;
 }
@@ -181,7 +180,6 @@ type builder = {
   mutable b_masks : mask_obs list;
   mutable b_fetches : fetch_obs list;
   mutable b_probes : (string * string * int array option) list;
-  mutable b_oram : (string * int) list;
   b_in_batch : bool;
 }
 
@@ -190,7 +188,6 @@ let new_builder in_batch =
     b_masks = [];
     b_fetches = [];
     b_probes = [];
-    b_oram = [];
     b_in_batch = in_batch }
 
 let finish idx b =
@@ -198,15 +195,13 @@ let finish idx b =
     List.sort_uniq compare
       (List.map (fun m -> m.m_leaf) b.b_masks
       @ List.map (fun f -> f.f_leaf) b.b_fetches
-      @ List.map (fun (l, _, _) -> l) b.b_probes
-      @ List.map fst b.b_oram)
+      @ List.map (fun (l, _, _) -> l) b.b_probes)
   in
   { q_index = idx;
     q_tokens = List.rev b.b_tokens;
     q_masks = List.rev b.b_masks;
     q_fetches = List.rev b.b_fetches;
     q_probes = List.rev b.b_probes;
-    q_oram = List.rev b.b_oram;
     q_leaves = leaves;
     q_in_batch = b.b_in_batch }
 
@@ -328,14 +323,6 @@ let queries (trace : Wiretrace.trace) =
       match !current with
       | Some b -> b.b_fetches <- fetch_of u :: b.b_fetches
       | None -> if !in_batch then pending_fetches := fetch_of u :: !pending_fetches)
-    | 7 -> (
-      (* Oram_fetch: the touches of its k reads, install excluded *)
-      match !current with
-      | None -> ()
-      | Some b ->
-        let leaf = Option.value ~default:"" (find "leaf" u.summary) in
-        let touches = Option.value ~default:0 (find_int "touches" d.summary) in
-        b.b_oram <- (leaf, touches) :: b.b_oram)
     | 11 -> (
       let ops = batch_groups_of_summary u.summary in
       let masks = batch_masks_of_summary d.summary in
@@ -389,7 +376,6 @@ type profile = {
   p_volumes : (int * int) list;
   p_volume_distinct : int;
   p_slots_fetched : int;
-  p_oram_touches : int;
   p_batches : int;
   p_batch_queries : int;
 }
@@ -416,7 +402,7 @@ let profile trace =
   let bump tbl key = Hashtbl.replace tbl key (1 + try Hashtbl.find tbl key with Not_found -> 0) in
   let cooccur = Hashtbl.create 64 in
   let volumes = Hashtbl.create 64 in
-  let oram_touches = ref 0 and batch_queries = ref 0 in
+  let batch_queries = ref 0 in
   (* Tokens from every round, not from the query windows: inside a batch
      the index probes run before any window opens. *)
   List.iter
@@ -436,7 +422,6 @@ let profile trace =
       in
       pairs v.q_leaves;
       List.iter (fun m -> bump volumes m.m_matched) v.q_masks;
-      List.iter (fun (_, t) -> oram_touches := !oram_touches + t) v.q_oram;
       if v.q_in_batch then incr batch_queries)
     views;
   let totals tbl =
@@ -462,7 +447,6 @@ let profile trace =
     p_volumes = vols;
     p_volume_distinct = List.length vols;
     p_slots_fetched = !slots_fetched;
-    p_oram_touches = !oram_touches;
     p_batches = !batches;
     p_batch_queries = !batch_queries }
 
@@ -480,6 +464,5 @@ let publish p =
   c "exec.leak.cooccur.events" p.p_cooccur_events;
   c "exec.leak.volume.distinct" p.p_volume_distinct;
   c "exec.leak.fetch.slots" p.p_slots_fetched;
-  c "exec.leak.oram.touches" p.p_oram_touches;
   c "exec.leak.batches" p.p_batches;
   c "exec.leak.batch.queries" p.p_batch_queries

@@ -48,8 +48,6 @@ type query_view = {
   q_fetches : fetch_obs list;
   q_probes : (string * string * int array option) list;
       (** index probes: leaf, attr, returned slots (None = no index) *)
-  q_oram : (string * int) list;
-      (** ORAM fetches: leaf, bucket touches of the fetch's reads *)
   q_leaves : string list;  (** distinct leaves touched, sorted *)
   q_in_batch : bool;
 }
@@ -123,7 +121,6 @@ type profile = {
       (** explicit slots requested via Fetch_rows, counted once per
           round, as tokens are: a shared round attached to several
           member views is not multiplied by them *)
-  p_oram_touches : int;
   p_batches : int;
       (** [batch.begin] marks: batches of two or more executable
           queries. A lone query's [Q_batch] of one is not a batch. *)

@@ -33,7 +33,7 @@ type event = {
   seq : int;  (** position in the trace, from 0 *)
   round : int;  (** round-trip id; an Up/Down pair shares one *)
   dir : dir;
-  phase : string;  (** wire phase (admin/probe/filter/fetch/oram/phe), or the mark label *)
+  phase : string;  (** wire phase (admin/probe/filter/fetch/phe), or the mark label *)
   tag : int;  (** SNFM message tag; [-1] for marks *)
   bytes : int;  (** serialized message length; [0] for marks *)
   summary : (string * string) list;

@@ -26,21 +26,23 @@ let name = "disk"
 let dir t = t.dir
 
 (* --- manifest codec --------------------------------------------------------
-   SNFD version 3, in [Wire.Prim] primitives (integers are varints):
+   SNFD version 4, in [Wire.Prim] primitives (integers are varints):
 
-     "SNFD" | u8 version = 3 | string relation name | nat Paillier n
+     "SNFD" | u8 version = 4 | string relation name | nat Paillier n
      | int entry count | per entry, in stored leaf order:
          string label | int row count | string tid digest (16 bytes)
          | string leaf file name
 
    The tid digest ([Wire.tids_digest]) is computed once at Install, so
    Describe answers from the manifest without paging a leaf in. Version 1
-   had no digests, and version 2 wrote 8-byte integers in the manifest
-   and its SNFE version 1 leaf files; a manifest of either is refused
+   had no digests, version 2 wrote 8-byte integers in the manifest and
+   its SNFE version 1 leaf files, and version 3's digests are over SNFM
+   6 bytes, which a client on SNFM 7 would read as a tid column that
+   disagrees with its description; a manifest of any of them is refused
    like any unknown version, and the store must be installed again. *)
 
 let manifest_magic = "SNFD"
-let manifest_version = 3
+let manifest_version = 4
 let manifest_file = "manifest.snfd"
 let manifest_path d = Filename.concat d manifest_file
 

@@ -456,11 +456,6 @@ let dispatch t conns (req : Wire.request) : Wire.response =
         Array.iteri (fun j tid -> out.(lm.lm_locals.(s).(j)) <- tid) tids)
       rs;
     Wire.R_tids out
-  | Wire.Oram_fetch _ ->
-    (* An ORAM fetch needs no store state: the sealed blocks arrive in
-       the request and never touch shard rows, so shard 0 serves it
-       whole and the response bytes are exactly a single backend's. *)
-    shard_call t conns 0 req
   | Wire.Phe_sum { leaf; _ } ->
     let m, lm = leaf_meta t leaf in
     let rs =

@@ -37,9 +37,7 @@
        itself runs — modular multiplication is commutative and
        associative, and ciphertext bytes are canonical — with group
        lists merged on {!Enc_relation.canonical_key} in the same
-       ascending order the server emits.}
-    {- [Oram_fetch] forwards verbatim to shard 0: the request carries
-       every block the ORAM holds, and no tree outlives it.}}
+       ascending order the server emits.}}
 
     Because the merged responses are byte-identical, everything above
     the connection — executor, oblivious join, caches, SNFT

@@ -2,20 +2,17 @@ type params = {
   compare_ns : float;
   row_crypt_ns : float;
   row_io_ns : float;
-  oram_bucket_ns : float;
   scan_cell_ns : float;
 }
 
 (* Calibration: Secure-Yannakakis-class oblivious joins process ~10^5 rows
    in tens of seconds => ~10 µs per row-touch dominated by oblivious
    memory movement and MAC-ed re-encryption; enclave compare-exchanges are
-   two orders cheaper; Path ORAM bucket touches cost a crypto op plus a
-   cache-hostile access. *)
+   two orders cheaper. *)
 let default =
   { compare_ns = 150.0;
     row_crypt_ns = 2_000.0;
     row_io_ns = 500.0;
-    oram_bucket_ns = 4_000.0;
     scan_cell_ns = 120.0 }
 
 let ns = 1e-9
@@ -51,13 +48,11 @@ let query_seconds p ~rows ~plan =
   in
   scans +. joins
 
-let trace_seconds p ~comparisons ~rows_processed ~scanned_cells ~oram_bucket_touches
-    ~retrieved_rows =
+let trace_seconds p ~comparisons ~rows_processed ~scanned_cells ~retrieved_rows =
   ns
   *. ((float_of_int comparisons *. p.compare_ns)
      +. (float_of_int rows_processed *. (p.row_crypt_ns +. p.row_io_ns))
      +. (float_of_int scanned_cells *. p.scan_cell_ns)
-     +. (float_of_int oram_bucket_touches *. p.oram_bucket_ns)
      +. (float_of_int retrieved_rows *. (p.row_io_ns +. p.row_crypt_ns)))
 
 (* --- statistics-driven plan pricing ------------------------------------------ *)

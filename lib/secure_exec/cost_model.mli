@@ -13,7 +13,6 @@ type params = {
   compare_ns : float;      (** one in-enclave compare-exchange *)
   row_crypt_ns : float;    (** decrypt+re-encrypt one row crossing the enclave *)
   row_io_ns : float;       (** fetch one row from server storage *)
-  oram_bucket_ns : float;  (** touch one ORAM bucket *)
   scan_cell_ns : float;    (** one server-side ciphertext predicate eval *)
 }
 
@@ -38,9 +37,10 @@ val query_seconds :
 
 val trace_seconds :
   params ->
-  comparisons:int -> rows_processed:int -> scanned_cells:int ->
-  oram_bucket_touches:int -> retrieved_rows:int -> float
-(** Estimate from {e measured} executor counters rather than plan shape. *)
+  comparisons:int -> rows_processed:int -> scanned_cells:int -> retrieved_rows:int -> float
+(** Estimate from {e measured} executor counters rather than plan shape.
+    [retrieved_rows] are partner rows an anchor path fetched: the binning
+    path's whole bins, the ORAM path's whole partner leaves. *)
 
 val plan_seconds : ?params:params -> Statistics.t -> Planner.plan -> float
 (** Price one candidate plan from server-visible statistics: full-leaf

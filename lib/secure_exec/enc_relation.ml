@@ -38,8 +38,8 @@ type cell =
   | C_ore of { ore : Ore.ciphertext; payload : string }
   | C_nat of Nat.t
 
-(* A deterministic column's equality classes, built with the column
-   (see [make_column]); the mli documents each field. *)
+(* A deterministic column's equality classes, built on the column's
+   first server read (see [form]); the mli documents each field. *)
 type form = {
   class_of : int array;
   class_rep : cell array;
@@ -49,7 +49,14 @@ type form = {
   canonical : bool;
 }
 
-type enc_column = { attr : string; scheme : Scheme.kind; cells : cell array; form : form option }
+(* [built] holds the form once a read has built it; it stays [None] for
+   a scheme that has none. *)
+type enc_column = {
+  attr : string;
+  scheme : Scheme.kind;
+  cells : cell array;
+  built : form option Atomic.t;
+}
 
 type enc_leaf = {
   label : string;
@@ -138,9 +145,8 @@ let canonical_key scheme (cell : cell) =
   | _ -> None
 
 (* Equal cells have equal canonical keys, so the key map is built from
-   the class representatives alone. Each slot is given its class's
-   representative, which makes a stored column share one cell per
-   class however it was decoded. *)
+   the class representatives alone. The cells were interned when the
+   column was made, so each already is its class's representative. *)
 let form_of_cells scheme cells =
   let class_of, class_rep = classes_of_cells cells in
   let classes = Array.length class_rep in
@@ -153,8 +159,7 @@ let form_of_cells scheme cells =
   Array.iteri
     (fun slot c ->
       run_slots.(fill.(c)) <- slot;
-      fill.(c) <- fill.(c) + 1;
-      if cells.(slot) != class_rep.(c) then cells.(slot) <- class_rep.(c))
+      fill.(c) <- fill.(c) + 1)
     class_of;
   let key_classes = Hashtbl.create (if scheme = Scheme.Ore then 1 else classes) in
   let canonical = ref (scheme <> Scheme.Ore) in
@@ -168,19 +173,40 @@ let form_of_cells scheme cells =
     done;
   { class_of; class_rep; run_start; run_slots; key_classes; canonical = !canonical }
 
+(* Each slot is given its class's representative, which makes a stored
+   column share one cell per class however it was decoded. *)
 let make_column ~attr ~scheme cells =
-  let form =
-    if not (deterministic scheme) then None
-    else begin
-      Metrics.incr m_idx_builds;
-      Some (form_of_cells scheme cells)
-    end
-  in
-  { attr; scheme; cells; form }
+  if deterministic scheme then begin
+    let class_of, class_rep = classes_of_cells cells in
+    Array.iteri
+      (fun slot c -> if cells.(slot) != class_rep.(c) then cells.(slot) <- class_rep.(c))
+      class_of
+  end;
+  { attr; scheme; cells; built = Atomic.make None }
+
+(* Network server workers may read one column at once: the first to
+   find no form builds it under [build_mutex], and the others wait for
+   that build, so a column is built and counted once. *)
+let build_mutex = Mutex.create ()
+
+let form col =
+  if not (deterministic col.scheme) then None
+  else
+    match Atomic.get col.built with
+    | Some _ as f -> f
+    | None ->
+      Mutex.protect build_mutex (fun () ->
+          match Atomic.get col.built with
+          | Some _ as f -> f
+          | None ->
+            Metrics.incr m_idx_builds;
+            let f = Some (form_of_cells col.scheme col.cells) in
+            Atomic.set col.built f;
+            f)
 
 (* The client's key schedule: every subkey a column or a leaf can need,
    derived from the keyring once per client instead of on every cell
-   decrypt, token, row position and seal (one derivation is a dozen
+   decrypt, token and row position (one derivation is a dozen
    SipHash calls). Entries depend only on the master and the path, so
    they stay valid across key epochs. *)
 type column_keys = {
@@ -218,8 +244,6 @@ type leaf_keys = {
   k_tid_rng : Prf.key;
   k_shuffle : Prf.key;  (* the leaf's row permutation *)
   k_binning : Prf.key;
-  k_oram_seal : Ndet.key;
-  k_oram_rng : Prf.key;
 }
 
 type tid_entry = {
@@ -276,7 +300,7 @@ let client_paillier c = c.paillier
    the encrypted tid would protect nothing. The permutation is derived
    from the keyring, so the owner (and the enclave) can compute a tid's
    slot directly. Randomness discipline for bulk encryption: every
-   randomized cell (and tid, and sealed ORAM block) draws from a private
+   randomized cell (and tid) draws from a private
    stream derived from (keyring, leaf, attr, slot), never from the shared
    client PRNG, so ciphertexts depend only on the master key and the
    cell's position — bit-identical under any domain count (see
@@ -302,9 +326,7 @@ let derive_leaf_keys c ~leaf =
   { k_tid = Keyring.ndet_key kr (at Partition.tid_name);
     k_tid_rng = Keyring.derive kr (at "__tidrng");
     k_shuffle = Keyring.derive kr (at "__shuffle");
-    k_binning = Keyring.derive kr (at "__binning");
-    k_oram_seal = Keyring.ndet_key kr (at "__oramseal");
-    k_oram_rng = Keyring.derive kr (at "__oramrng") }
+    k_binning = Keyring.derive kr (at "__binning") }
 
 let scheduled c table key derive =
   Mutex.protect c.schedule_mutex (fun () ->
@@ -361,28 +383,6 @@ let tid_at_with (lk : leaf_keys) ~rows slot =
 let tid_at c ~leaf ~rows slot = tid_at_with (leaf_keys c ~leaf) ~rows slot
 
 let binning_key c ~leaf = (leaf_keys c ~leaf).k_binning
-
-(* ORAM blocks travel to the server sealed: the server stores and serves
-   opaque authenticated ciphertexts, so block contents leak nothing beyond
-   their (padded, uniform) length and the access pattern the ORAM already
-   hides. A block's IV is the first draw of a generator keyed by its
-   slot, and the tag covers the IV, so the slot is sealed into the block:
-   an authentic block opens only at the slot it was sealed for, and the
-   binding adds no byte to the wire. *)
-let oram_rng lk slot = Parallel.item_prng ~key:lk.k_oram_rng slot
-
-let oram_seal c ~leaf ~slot payload =
-  let lk = leaf_keys c ~leaf in
-  Ndet.encrypt ~rng:(oram_rng lk slot) lk.k_oram_seal payload
-
-let oram_open c ~leaf ~slot block =
-  let lk = leaf_keys c ~leaf in
-  let iv = Prng.bytes (oram_rng lk slot) 8 in
-  if String.length block < 8 || not (String.equal (String.sub block 0 8) iv) then
-    Integrity.fail ~leaf ~where:"oram"
-      (Printf.sprintf "ORAM block was not sealed for slot %d" slot);
-  try Ndet.decrypt lk.k_oram_seal block
-  with Invalid_argument msg -> Integrity.fail ~leaf ~where:"oram" msg
 
 (* A DET, OPE or ORE cell is a function of the column keys and the
    value alone, so each distinct value of such a column is encrypted
@@ -715,7 +715,7 @@ let phe_sum pk leaf attr =
 
 let canonical_form (col : enc_column) =
   match (col.scheme : Scheme.kind) with
-  | Scheme.Plain | Scheme.Det | Scheme.Ope -> col.form
+  | Scheme.Plain | Scheme.Det | Scheme.Ope -> form col
   | Scheme.Ndet | Scheme.Phe | Scheme.Ore -> None
 
 let eq_index leaf ~attr =

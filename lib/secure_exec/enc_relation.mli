@@ -45,8 +45,8 @@ type form = {
 (** The one server-side form of a deterministic (Plain, DET, OPE, ORE)
     column: its equal-cell classes, their slots, and for the schemes
     whose ciphertexts are canonical per plaintext, the classes of each
-    key. It is built with the column ({!make_column}) from nothing but
-    the column's own cells — the equality pattern they show anyway, the
+    key. It is built on the column's first server read ({!form}) from
+    nothing but the column's own cells — the equality pattern they show anyway, the
     same argument as [Q_store_stats] — and is never serialized. The
     arrays and the table are server state like the cells beside them:
     a filter tests every slot it keeps, a coded fetch every row it
@@ -57,19 +57,30 @@ type enc_column = private {
   attr : string;
   scheme : Scheme.kind;
   cells : cell array;
-  form : form option;  (** [Some] exactly for a {!deterministic} scheme *)
+  built : form option Atomic.t;
+      (** the form, once {!form} has built it; read it through {!form} *)
 }
 (** Built only by {!make_column}, so a column's form always comes from
     its own cells. *)
 
 val make_column : attr:string -> scheme:Scheme.kind -> cell array -> enc_column
-(** The column, with its {!form} when the scheme is {!deterministic}: one
-    hash per cell, then a counting pass, about two words per cell. The
-    column adopts [cells]: each slot is given its class's representative
-    (an equal cell, so every byte the column serializes to is unchanged)
-    and callers must not write to the array afterwards. Each form built
-    moves the process-wide counter ["exec.eq_index.builds"] by one: at
-    outsourcing, at an Install decode, at a disk page-in. *)
+(** The column, with no form yet. The column adopts [cells]: when the
+    scheme is {!deterministic}, each slot is given its class's
+    representative (an equal cell, so every byte the column serializes
+    to is unchanged, and a decoded column holds one cell per class),
+    one hash per cell; callers must not write to the array afterwards.
+    A copy nothing serves, such as the owner's under a disk, socket or
+    sharded binding, never builds its forms. *)
+
+val form : enc_column -> form option
+(** The column's {!form}: [Some] exactly for a {!deterministic} scheme,
+    built on the first call, about two words per cell, and the same
+    physical value on every later call. Builds are safe from any domain:
+    concurrent first calls build once. Each build moves the process-wide
+    counter ["exec.eq_index.builds"] by one. The server builds a form on
+    its first read of the column that needs one: an index probe, an
+    equality filter, a fetch coded from the classes, [Q_store_stats]
+    and [Group_sum]. *)
 
 type enc_leaf = {
   label : string;
@@ -88,9 +99,9 @@ type client
 (** The data owner's side: keyring, Paillier keypair, decode caches and
     a key schedule. Every subkey of a [(leaf, attr)] column (DET, NDET,
     OPE, ORE, cell randomness, PHE pool) and of a leaf (tid, tid
-    randomness, row shuffle, binning, ORAM seal) is derived from the
-    keyring once, on first use, and reused by every later cell, token,
-    row position and seal; lookups are safe from any domain. *)
+    randomness, row shuffle, binning) is derived from the
+    keyring once, on first use, and reused by every later cell, token
+    and row position; lookups are safe from any domain. *)
 
 val make_client :
   ?seed:int -> ?paillier_prime_bits:int ->
@@ -239,17 +250,6 @@ val binning_key : client -> leaf:string -> Snf_crypto.Prf.key
 (** Key for the per-leaf binning permutation ([Binning.schedule]); derived
     from the keyring so client and enclave agree without communication. *)
 
-val oram_seal : client -> leaf:string -> slot:int -> string -> string
-(** Authenticated (NDET) sealing of an ORAM block before it is installed
-    on the server: the server stores opaque uniform-length ciphertexts.
-    Randomness is derived from (leaf, slot), so sealed blocks are
-    bit-identical for any domain count. *)
-
-val oram_open : client -> leaf:string -> slot:int -> string -> string
-(** Unseal a block fetched from the server for [slot].
-    @raise Integrity.Corruption (where ["oram"]) on authentication
-    failure, or if the block was sealed for another slot. *)
-
 val decrypt_leaf : client -> enc_leaf -> Relation.t
 (** Rows in stored order, tid first (attribute [Snf_core.Partition.tid_name]),
     with original value types. *)
@@ -328,7 +328,7 @@ val eq_index : enc_leaf -> attr:string -> form option
     column's form when its scheme is Plain, DET or OPE; [None] for NDET,
     PHE and ORE. Each [Some] moves the process-wide counter
     ["exec.eq_index.hits"] by one. Equality filters read
-    [column.form] directly and move no counter, so a store's counters
+    {!form} directly and move no counter, so a store's counters
     do not depend on its filter traffic. Consumers needing per-store
     numbers take counter deltas around their calls.
     @raise Not_found on an unknown attribute. *)

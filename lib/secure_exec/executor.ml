@@ -3,7 +3,6 @@ module Metrics = Snf_obs.Metrics
 module Span = Snf_obs.Span
 module Wiretrace = Snf_obs.Wiretrace
 module Partition = Snf_core.Partition
-module Ndet = Snf_crypto.Ndet
 
 (* Query-level totals, published once per executed query from the same
    values that land in [trace] — the Snf_obs totals therefore match the
@@ -441,15 +440,6 @@ let synthetic_leaf conn (lv : leaf_view) =
 
 (* --- anchor + fetch reconstructions (ORAM / binning) --------------------- *)
 
-(* The ORAM fetcher's rows by tid, compared as ints and hashed by value:
-   no [caml_hash] or [caml_compare] call per row. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash t = t land max_int
-end)
-
 (* Partner-leaf access plumbing shared by the ORAM and binning paths: for a
    tid, retrieve the decrypted values of the attrs this query needs from
    that leaf. *)
@@ -458,50 +448,25 @@ type fetcher = {
   leaf_label : string;
 }
 
-(* ORAM partner access over the boundary: fetch the partner's needed
-   ciphertexts once, decrypt and seal them into uniform blocks, and send
-   them with the slots of the wanted tids in one Oram_fetch. The server
-   builds a Path ORAM from the blocks, reads one block per anchor
-   survivor and drops the tree: it observes the install, one
-   root-to-leaf bucket path per read and nothing else. *)
-let oram_fetcher client conn ~scheme_of q plan oram_touches ~seed ~wanted
-    (lv : leaf_view) =
+(* ORAM partner access as the linear-scan (trivial) ORAM: fetch every
+   row of the partner's needed attributes in one window and answer each
+   wanted tid from it at the tid's row position. The server sees a read
+   of the whole partner and nothing that tells the wanted rows apart;
+   only wanted rows are decrypted. *)
+let oram_fetcher client conn ~scheme_of q plan retrieved ~wanted:_ (lv : leaf_view) =
   let label = lv.lv_label in
   let needed = needed_attrs_of_leaf q plan label in
   let n = lv.lv_rows in
-  let columns =
-    if n = 0 then []
-    else
-      let w =
-        window client conn ~scheme_of ~label ~attrs:needed ~slots:(Array.init n Fun.id)
-      in
-      List.map (fun a -> (a, values w a)) needed
+  let w =
+    if n = 0 then no_window
+    else window client conn ~scheme_of ~label ~attrs:needed ~slots:(Array.init n Fun.id)
   in
-  let payloads =
-    Array.init n (fun slot ->
-        Marshal.to_string (List.map (fun (a, vs) -> (a, vs.(slot))) columns) [])
-  in
-  let block_size = Array.fold_left (fun m p -> max m (String.length p)) 1 payloads in
-  let pad s = s ^ String.make (block_size - String.length s) '\x00' in
-  let blocks =
-    Array.mapi (fun slot p -> Enc_relation.oram_seal client ~leaf:label ~slot (pad p)) payloads
-  in
-  let slots =
-    Array.of_list
-      (List.map (fun tid -> Enc_relation.row_position client ~leaf:label ~rows:n tid) wanted)
-  in
-  let sealed, touches =
-    Server_api.oram_fetch conn ~leaf:label ~seed
-      ~block_size:(Ndet.ciphertext_length block_size) ~blocks ~slots
-  in
-  oram_touches := !oram_touches + touches;
-  let rows = Int_tbl.create (Array.length sealed) in
-  List.iteri
-    (fun i tid ->
-      let data = Enc_relation.oram_open client ~leaf:label ~slot:slots.(i) sealed.(i) in
-      Int_tbl.replace rows tid (Marshal.from_string data 0 : (string * Value.t) list))
-    wanted;
-  { leaf_label = label; fetch = Int_tbl.find rows }
+  if w.w_cols <> [] then retrieved := !retrieved + n;
+  { leaf_label = label;
+    fetch =
+      (fun tid ->
+        let slot = Enc_relation.row_position client ~leaf:label ~rows:n tid in
+        List.map (fun a -> (a, value w a slot)) needed) }
 
 let check_binned_slot ~key ~universe (s : Binning.schedule) slot =
   let bin = Binning.assign ~key ~universe ~bin_size:s.Binning.bin_size slot in
@@ -779,7 +744,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
       in
       let scanned = List.fold_left (fun acc (_, s) -> acc + s) 0 per_leaf in
       let stats = Oblivious_join.fresh_stats () in
-      let oram_touches = ref 0 in
+      let oram_retrieved = ref 0 in
       let bin_retrieved = ref 0 in
       let wr0 = wire_at () in
       let reads, run =
@@ -797,18 +762,11 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
         | lvs, masks, `Sort_merge ->
           shared "sort_merge" (fun () -> sort_merge_matches stats lvs masks)
         | lvs, masks, `Oram ->
-          (* One Oram_fetch per partner; seeds are fixed by partner
-             order, so the bucket-touch trace is deterministic and
-             backend-independent. *)
-          let next_seed = ref 0x09a7 in
           ( [],
             fun () ->
               run_anchor_fetch ~drop_tid:drop client conn ~scheme_of q plan lvs
-                m.compiled masks ~make_fetcher:(fun ~wanted lv ->
-                  let seed = !next_seed in
-                  incr next_seed;
-                  oram_fetcher client conn ~scheme_of q plan oram_touches ~seed ~wanted
-                    lv) )
+                m.compiled masks ~make_fetcher:(oram_fetcher client conn ~scheme_of q plan
+                                                  oram_retrieved) )
         | lvs, masks, `Binning bin_size ->
           ( [],
             fun () ->
@@ -833,7 +791,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
             index_probes = m.probes;
             comparisons = stats.Oblivious_join.comparisons;
             rows_processed = stats.Oblivious_join.rows_processed;
-            oram_bucket_touches = !oram_touches;
+            oram_bucket_touches = 0;
             binning_retrieved = !bin_retrieved;
             result_rows = Relation.cardinality result;
             wire_requests;
@@ -843,7 +801,7 @@ let run_batch ?(mode = `Sort_merge) ?planner ?(use_index = false) ?drop_tid clie
               Cost_model.trace_seconds Cost_model.default
                 ~comparisons:stats.Oblivious_join.comparisons
                 ~rows_processed:stats.Oblivious_join.rows_processed ~scanned_cells:scanned
-                ~oram_bucket_touches:!oram_touches ~retrieved_rows:!bin_retrieved } )
+                ~retrieved_rows:(!oram_retrieved + !bin_retrieved) } )
       in
       (reads, finish)
     in

@@ -49,9 +49,10 @@
       rank and the selection mask bit at every slot the orders name
       ([Oblivious_join.lockstep]); leaves the pass cannot align raise
       [Integrity.Corruption];
-    - [`Oram] — anchor-leaf selection, partner rows fetched through a
-      Path ORAM the server builds and reads in one [Oram_fetch] per
-      partner;
+    - [`Oram] — anchor-leaf selection, each partner read whole in one
+      [Fetch_rows] (the linear-scan ORAM) and the wanted rows taken
+      from that window at their row positions, so the server sees no
+      subset of a partner's rows;
     - [`Binning of bin_size] — partner rows fetched by fixed-size keyed
       bins (PANDA-style), decoys included.
 
@@ -80,13 +81,18 @@ type trace = {
                                     this query built — 0 when all were
                                     cached *)
   rows_processed : int;         (** rows through oblivious networks *)
-  oram_bucket_touches : int;
+  oram_bucket_touches : int;    (** 0 in every mode: [`Oram] runs no
+                                    tree. Kept for the readers of the
+                                    field. *)
   binning_retrieved : int;      (** rows fetched incl. decoys *)
   result_rows : int;
   wire_requests : int;          (** client→server messages this query *)
   wire_bytes_up : int;          (** serialized request bytes this query *)
   wire_bytes_down : int;        (** serialized response bytes this query *)
-  estimated_seconds : float;    (** via [Cost_model.trace_seconds] *)
+  estimated_seconds : float;    (** via [Cost_model.trace_seconds]; an
+                                    [`Oram] query's whole-partner
+                                    fetches and a [`Binning] query's
+                                    bins price as retrieved rows *)
 }
 
 val run_conn :

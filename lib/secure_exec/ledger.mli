@@ -78,9 +78,8 @@ type report = {
         and the index ablation reads) *)
   index_misses : int;
     (** forms built since [create] (["exec.eq_index.builds"]): one per
-        deterministic column each time a store or leaf is decoded —
-        Install, a disk page-in — or outsourced; a query on an adopted
-        in-memory store builds none *)
+        deterministic column of a store, leaf copy or paged-in leaf, on
+        the server's first read of the column that needs its form *)
   tid_cache_hits : int;
     (** join tid-decrypt cache hits since [create] — delta of the
         process-wide ["exec.join.tid_cache.hits"] counter

@@ -1,7 +1,6 @@
 module Metrics = Snf_obs.Metrics
 module Wiretrace = Snf_obs.Wiretrace
 module Leakage = Snf_obs.Leakage
-module Prng = Snf_crypto.Prng
 module Paillier = Snf_crypto.Paillier
 module Scheme = Snf_crypto.Scheme
 
@@ -31,11 +30,10 @@ let ph_admin = phase_counters "admin"
 let ph_probe = phase_counters "probe"
 let ph_filter = phase_counters "filter"
 let ph_fetch = phase_counters "fetch"
-let ph_oram = phase_counters "oram"
 let ph_phe = phase_counters "phe"
 
 let phases =
-  List.map (fun p -> p.p_name) [ ph_admin; ph_probe; ph_filter; ph_fetch; ph_oram; ph_phe ]
+  List.map (fun p -> p.p_name) [ ph_admin; ph_probe; ph_filter; ph_fetch; ph_phe ]
 
 (* --- the server side ------------------------------------------------------ *)
 
@@ -65,7 +63,7 @@ let check_slots ~rows slots =
 
 (* The form and key an [F_eq] reads its slots from, when it can. *)
 let index_key (col : Enc_relation.enc_column) tok =
-  match (tok, col.Enc_relation.scheme, col.Enc_relation.form) with
+  match (tok, col.Enc_relation.scheme, Enc_relation.form col) with
   | (Enc_relation.Eq_det _, Scheme.Det, Some f | Enc_relation.Eq_ord _, Scheme.Ope, Some f)
     when f.Enc_relation.canonical ->
     Option.map (fun key -> (f, key)) (Enc_relation.index_key_of_token tok)
@@ -127,8 +125,8 @@ let eval_filter (l : Enc_relation.enc_leaf) ops =
 let fetch_column (l : Enc_relation.enc_leaf) slots attr =
   let col = Enc_relation.column l attr in
   let cells = col.Enc_relation.cells in
-  match col.Enc_relation.form with
-  | Some { Enc_relation.class_of; class_rep; _ } when Array.length slots > Wire.small_rows ->
+  match if Array.length slots > Wire.small_rows then Enc_relation.form col else None with
+  | Some { Enc_relation.class_of; class_rep; _ } ->
     Wire.code_rows ~classes:(Array.length class_rep) (Array.length slots)
       ~class_of:(fun i ->
         let s = slots.(i) in
@@ -169,13 +167,6 @@ let dispatch view (req : Wire.request) : Wire.response =
     check_slots ~rows:l.Enc_relation.row_count slots;
     Wire.R_rows (Array.of_list (List.map (fetch_column l slots) attrs))
   | Wire.Fetch_tids { leaf } -> Wire.R_tids (view.leaf leaf).Enc_relation.tids
-  | Wire.Oram_fetch { leaf = _; seed; block_size; blocks; slots } ->
-    (* One partner's ORAM round, start to finish: the tree lives only for
-       this request, so a session keeps no ORAM state between requests. *)
-    check_slots ~rows:(Array.length blocks) slots;
-    let oram = Path_oram.of_blocks ~block_size (Prng.create seed) blocks in
-    let blocks = Array.map (Path_oram.read oram) slots in
-    Wire.R_oram { blocks; touches = Path_oram.bucket_touches oram }
   | Wire.Phe_sum { leaf; attr } ->
     let l = view.leaf leaf in
     Wire.R_nat (Enc_relation.phe_sum (view.paillier ()) l attr)
@@ -313,10 +304,7 @@ let stats conn =
    fixed layout that does not follow the SNFM version) — the trace
    carries token {e identity}, never token bytes;
    order-revealing ordinals are logged as-is because their numeric order
-   IS what the server sees. The ORAM fetch's slots are withheld: they
-   model the client-held position map, whose output the simulator's
-   in-process ORAM ships in the clear only as an artifact (the raw bytes
-   still count; the access pattern is the [touches] in the response). *)
+   IS what the server sees. Nothing the server receives is withheld. *)
 
 let op_desc op =
   match op with
@@ -350,10 +338,6 @@ let summarize_request (req : Wire.request) =
   | Wire.Fetch_rows { leaf; attrs; slots } ->
     [ ("leaf", leaf); ("attrs", String.concat "," attrs); ("slots", Leakage.slots_csv slots) ]
   | Wire.Fetch_tids { leaf } -> [ ("leaf", leaf) ]
-  | Wire.Oram_fetch { leaf; block_size; blocks; _ } ->
-    [ ("leaf", leaf);
-      ("blocks", string_of_int (Array.length blocks));
-      ("block_size", string_of_int block_size) ]
   | Wire.Phe_sum { leaf; attr } -> [ ("leaf", leaf); ("attr", attr) ]
   | Wire.Group_sum { leaf; group_by; sum } ->
     [ ("leaf", leaf); ("group_by", group_by); ("sum", sum) ]
@@ -386,7 +370,6 @@ let summarize_response (resp : Wire.response) =
       ("rows", string_of_int (if Array.length cols = 0 then 0 else Wire.column_length cols.(0)))
     ]
   | Wire.R_tids tids -> [ ("n", string_of_int (Array.length tids)) ]
-  | Wire.R_oram { touches; _ } -> [ ("touches", string_of_int touches) ]
   | Wire.R_groups groups -> [ ("groups", string_of_int (List.length groups)) ]
   | Wire.R_error { not_found; _ } ->
     [ ("error", if not_found then "not_found" else "invalid") ]
@@ -500,14 +483,6 @@ let fetch_tids conn ~leaf ~digest =
           Hashtbl.replace conn.tid_memo leaf (digest, tids));
       tids
     | _ -> protocol_error "Fetch_tids")
-
-let oram_fetch conn ~leaf ~seed ~block_size ~blocks ~slots =
-  match call conn ph_oram (Wire.Oram_fetch { leaf; seed; block_size; blocks; slots }) with
-  | Wire.R_oram { blocks; touches } ->
-    if Array.length blocks <> Array.length slots then
-      Integrity.fail ~leaf ~where:"oram" "ORAM answer count disagrees with the slots read";
-    (blocks, touches)
-  | _ -> protocol_error "Oram_fetch"
 
 let phe_sum conn ~leaf ~attr =
   match call conn ph_phe (Wire.Phe_sum { leaf; attr }) with

@@ -13,7 +13,7 @@
     backend's dispatch loop, byte/request accounting (global and
     per-phase [exec.wire.*] counters plus per-connection {!stats}) and
     the client's tid-column memo. The server half keeps no state between
-    requests: an ORAM tree lives for one [Oram_fetch]. Answers are
+    requests. Answers are
     backend-invisible by construction: both ends of every exchange are
     the same serialized bytes regardless of how the backend stores its
     leaves. *)
@@ -22,9 +22,9 @@
     [leaf] may page from disk and must validate what it loads
     (raising [Integrity.Corruption]); [eq_index] must read the leaf's
     column through [Enc_relation.eq_index], so the index hit counter
-    stays backend-independent. Every form is built with its column
-    ([Enc_relation.make_column]) when the backend decodes or adopts a
-    store, so no view call builds one. [describe]/[leaf] raise
+    stays backend-independent. A form is built on the first read of its
+    column that needs it ([Enc_relation.form]), whichever request that
+    is, and kept with the column. [describe]/[leaf] raise
     [Not_found] or [Invalid_argument] on unknown names / empty
     stores. *)
 type store_view = {
@@ -66,8 +66,7 @@ exception Busy
 
 val check_slots : rows:int -> int array -> unit
 (** Every slot a request names ([F_slots], [Fetch_rows]) must lie in
-    [\[0, rows)] of its leaf, and every slot an [Oram_fetch] reads in
-    [\[0, blocks)].
+    [\[0, rows)] of its leaf.
     @raise Invalid_argument naming the first slot outside, with the one
     message every backend answers with. *)
 
@@ -100,9 +99,8 @@ val session_handler : store_view -> string -> string
 (** The server half of {!connect}: {!serve} over {!dispatch} against the
     view.
 
-    A handler keeps no state between requests: an [Oram_fetch] builds its
-    tree, reads its slots and drops it, so every answer depends only on
-    the request and the view. A network server runs one handler per
+    A handler keeps no state between requests, so every answer depends
+    only on the request and the view. A network server runs one handler per
     accepted socket against a shared view. *)
 
 val connect : (module BACKEND with type t = 'a) -> 'a -> conn
@@ -133,7 +131,7 @@ val stats : conn -> wire_stats
 
 val phases : string list
 (** The wire phases every request is counted under, in order: [admin],
-    [probe], [filter], [fetch], [oram], [phe]. *)
+    [probe], [filter], [fetch], [phe]. *)
 
 val exchange_raw : conn -> string -> string
 (** One raw serialized-request -> serialized-response round trip,
@@ -205,18 +203,6 @@ val fetch_tids : conn -> leaf:string -> digest:string -> string array
     so a re-installed store or a changed column is fetched again. Skipping
     the round trip tells the server only that this connection fetched the
     leaf before, which its own request history already shows. *)
-
-val oram_fetch :
-  conn -> leaf:string -> seed:int -> block_size:int -> blocks:string array ->
-  slots:int array -> string array * int
-(** One partner's ORAM round in one round trip ([Wire.Oram_fetch]): the
-    server installs the sealed blocks into a Path ORAM seeded by [seed],
-    reads [slots] in order and drops the tree. Returns the sealed block
-    of each slot, in [slots] order, and the bucket touches of those
-    reads alone.
-    @raise Integrity.Corruption (where ["oram"]) if the answer holds a
-    different number of blocks than [slots].
-    @raise Invalid_argument if a slot lies outside [blocks]. *)
 
 val phe_sum : conn -> leaf:string -> attr:string -> Snf_bignum.Nat.t
 

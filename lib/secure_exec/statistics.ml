@@ -110,7 +110,6 @@ let eq_selectivity t ~leaf ~attr =
 let cold_estimate = function
   | "fetch" -> 2048.0
   | "filter" -> 512.0
-  | "oram" -> 4096.0
   | _ -> 128.0
 
 let observe_wire t =

@@ -156,8 +156,7 @@ let r_mask c =
    - 1, gaps: any other strictly ascending array. The count, the first
      slot, then each slot less its predecessor less one.
    - 0, plain: an array that is not strictly ascending (index answers
-     cross descending; ORAM reads keep their order and repeats). The
-     count, then each slot.
+     cross descending). The count, then each slot.
 
    The reader refuses an array in any form but the one its content
    selects, so every slot array has exactly one encoding. *)
@@ -420,10 +419,13 @@ let load path =
 
 (* The request/response grammar of the client/server boundary
    ([Server_api]). Same primitive discipline as the store image, separate
-   magic so a message can never be confused with a database image. *)
+   magic so a message can never be confused with a database image.
+   Version 7 retired the ORAM round: request tag 7 and response tag 6
+   are unassigned, and a message carrying either is refused like any
+   unknown tag. *)
 
 let msg_magic = "SNFM"
-let msg_version = 6
+let msg_version = 7
 
 type filter_op =
   | F_slots of int array
@@ -436,13 +438,6 @@ type request =
   | Index_probe of { leaf : string; attr : string; key : string option }
   | Fetch_rows of { leaf : string; attrs : string list; slots : int array }
   | Fetch_tids of { leaf : string }
-  | Oram_fetch of {
-      leaf : string;
-      seed : int;
-      block_size : int;
-      blocks : string array;
-      slots : int array;
-    }
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
   | Q_batch of { queries : (string * filter_op list) list list }
@@ -466,7 +461,6 @@ type response =
   | R_slots of int array option
   | R_rows of rows_column array
   | R_tids of string array
-  | R_oram of { blocks : string array; touches : int }
   | R_nat of Nat.t
   | R_groups of (Enc_relation.cell * Nat.t) list
   | R_error of { not_found : bool; msg : string }
@@ -561,7 +555,6 @@ let request_tag = function
   | Index_probe _ -> 3
   | Fetch_rows _ -> 5
   | Fetch_tids _ -> 6
-  | Oram_fetch _ -> 7
   | Phe_sum _ -> 9
   | Group_sum _ -> 10
   | Q_batch _ -> 11
@@ -573,7 +566,6 @@ let response_tag = function
   | R_slots _ -> 2
   | R_rows _ -> 4
   | R_tids _ -> 5
-  | R_oram _ -> 6
   | R_nat _ -> 7
   | R_groups _ -> 8
   | R_error _ -> 9
@@ -611,13 +603,6 @@ let w_request buf = function
   | Fetch_tids { leaf } ->
     w_u8 buf 6;
     w_string buf leaf
-  | Oram_fetch { leaf; seed; block_size; blocks; slots } ->
-    w_u8 buf 7;
-    w_string buf leaf;
-    w_int buf seed;
-    w_int buf block_size;
-    w_array w_string buf blocks;
-    w_slots buf slots
   | Phe_sum { leaf; attr } ->
     w_u8 buf 9;
     w_string buf leaf;
@@ -649,12 +634,6 @@ let r_request c =
     let attrs = r_list r_string c in
     Fetch_rows { leaf; attrs; slots = r_slots c }
   | 6 -> Fetch_tids { leaf = r_string c }
-  | 7 ->
-    let leaf = r_string c in
-    let seed = r_int c in
-    let block_size = r_int c in
-    let blocks = r_array r_string c in
-    Oram_fetch { leaf; seed; block_size; blocks; slots = r_slots c }
   | 9 ->
     let leaf = r_string c in
     Phe_sum { leaf; attr = r_string c }
@@ -840,10 +819,6 @@ let w_response buf = function
   | R_tids tids ->
     w_u8 buf 5;
     w_array w_string buf tids
-  | R_oram { blocks; touches } ->
-    w_u8 buf 6;
-    w_array w_string buf blocks;
-    w_int buf touches
   | R_nat n ->
     w_u8 buf 7;
     w_nat buf n
@@ -890,9 +865,6 @@ let r_response c =
   | 2 -> R_slots (r_option r_slots c)
   | 4 -> R_rows (r_array r_rows_column c)
   | 5 -> R_tids (r_array r_string c)
-  | 6 ->
-    let blocks = r_array r_string c in
-    R_oram { blocks; touches = r_int c }
   | 7 -> R_nat (r_nat c)
   | 8 ->
     R_groups

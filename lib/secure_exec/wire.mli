@@ -10,10 +10,10 @@
        binary image of [Enc_relation.t] — the artifact the owner actually
        ships to the cloud. Contains only ciphertexts, public parameters
        and structural metadata, no key material. The column forms
-       (equality classes and key maps) are not serialized; every decode
-       rebuilds them from what the image already reveals (the disk
-       backend proves this claim).}
-    {- the {e message codec} (magic ["SNFM"], version 6): every
+       (equality classes and key maps) are not serialized; a decoded
+       column builds its form from what the image already reveals on
+       its first server read (the disk backend proves this claim).}
+    {- the {e message codec} (magic ["SNFM"], version 7): every
        request/response crossing the [Server_api] trust boundary. The
        serialized bytes ARE the access-pattern leakage the paper reasons
        about — what a network observer (or the honest-but-curious
@@ -62,7 +62,7 @@ val leaf_of_string : string -> Enc_relation.enc_leaf
     the operational semantics and DESIGN.md §Server boundary for the
     per-message leakage account.
 
-    A slot set ([F_slots], [Fetch_rows], [Oram_fetch], [R_slots]) is an
+    A slot set ([F_slots], [Fetch_rows], [R_slots]) is an
     [int array]. It crosses under a one-byte form its content selects:
 
     {ul
@@ -73,8 +73,7 @@ val leaf_of_string : string -> Enc_relation.enc_leaf
     {- 1, gaps: any other strictly ascending array. The count, the first
        slot, then each slot less its predecessor less one.}
     {- 0, plain: an array that is not strictly ascending (an index answer
-       crosses descending; an ORAM read list keeps its order and
-       repeats). The count, then each slot.}}
+       crosses descending). The count, then each slot.}}
 
     The form is a function of the array, so it adds no leakage: the
     server decodes the array either way. *)
@@ -98,19 +97,6 @@ type request =
           backend-independent *)
   | Fetch_rows of { leaf : string; attrs : string list; slots : int array }
   | Fetch_tids of { leaf : string }
-  | Oram_fetch of {
-      leaf : string;
-      seed : int;
-      block_size : int;
-      blocks : string array;
-      slots : int array;
-    }
-      (** one partner's whole ORAM round: the server builds a Path ORAM
-          from [seed], writes the sealed [blocks] (block [i] at id [i]),
-          reads [slots] in request order and drops the tree. It sees the
-          install followed by one uniform root-to-leaf path per slot.
-          [slots] may be empty; a slot outside [blocks] is rejected
-          before anything is built. *)
   | Phe_sum of { leaf : string; attr : string }
   | Group_sum of { leaf : string; group_by : string; sum : string }
   | Q_batch of { queries : (string * filter_op list) list list }
@@ -187,10 +173,6 @@ type response =
       (** one column per requested attribute, in request order, each in
           the request's slot order *)
   | R_tids of string array
-  | R_oram of { blocks : string array; touches : int }
-      (** answer to {!Oram_fetch}: one sealed block per requested slot,
-          in request order, and the bucket touches of those reads alone
-          (the install's writes are not counted) *)
   | R_nat of Snf_bignum.Nat.t
   | R_groups of (Enc_relation.cell * Snf_bignum.Nat.t) list
   | R_error of { not_found : bool; msg : string }
@@ -264,8 +246,9 @@ val tids_digest : string array -> string
 val request_tag : request -> int
 val response_tag : response -> int
 (** The constructor's wire tag (requests 0–12, responses 0–13),
-    mirrored in SNFT trace events. Request tags 1, 4 and 8 and response
-    tag 3 are unassigned and decode as unknown tags. *)
+    mirrored in SNFT trace events. Request tags 1, 4, 7 and 8 and
+    response tags 3 and 6 are unassigned and decode as unknown tags;
+    request 7 and response 6 were the ORAM round that SNFM 7 retired. *)
 
 val token_fingerprint : filter_op -> string
 (** The SNFT name of a filter op: the first 16 hex digits of the MD5 of

@@ -1,8 +1,5 @@
 module Prng = Snf_crypto.Prng
 
-let m_accesses = Snf_obs.Metrics.counter "exec.oram.accesses"
-let m_bucket_touches = Snf_obs.Metrics.counter "exec.oram.bucket_touches"
-
 (* Blocks are fixed size, so every payload lives in one flat byte store
    at [id * block_size] and only block ids move: the tree is one flat run
    of 32-bit ids indexed by [heap_index * Z + slot] (-1 = empty slot), and
@@ -146,8 +143,6 @@ let check_id t id =
    at the given offset while the block sits in the stash. *)
 let access t id payload =
   t.accesses <- t.accesses + 1;
-  Snf_obs.Metrics.incr m_accesses;
-  let touches0 = t.touches in
   let x = t.position.(id) in
   if t.accesses > Array.length t.observed then
     t.observed <- grown t.observed (max 16 (2 * Array.length t.observed)) 0;
@@ -169,7 +164,6 @@ let access t id payload =
   if not (in_stash t id) then stash_push t id;
   let result = payload (id * t.block_size) in
   write_back t x;
-  Snf_obs.Metrics.add m_bucket_touches (t.touches - touches0);
   result
 
 let read t id =

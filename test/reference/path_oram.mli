@@ -1,9 +1,9 @@
-(** Path ORAM (Stefanov et al., CCS'13).
+(** Path ORAM (Stefanov et al., CCS'13), kept beside the test oracles.
 
-    The oblivious-reconstruction substrate of §III-B: when a query touches
-    several sub-relations, the enclave fetches the partner rows through
-    ORAM so the server cannot correlate which tid of one leaf matches which
-    row of another. The implementation is the textbook protocol: a complete
+    The executor's [`Oram] arm reads every partner row (the linear-scan,
+    trivial ORAM) and runs no tree. This module is the tree a client-held
+    ORAM would run, for the [oblivious] and [access-pattern] tests and the
+    [sweeps] bench rows that time it. The implementation is the textbook protocol: a complete
     binary tree of buckets ([bucket_size] blocks each, default Z = 4), a
     client-side position map and stash, uniform leaf remap on every access,
     greedy path write-back.
@@ -11,8 +11,7 @@
     All randomness comes from the caller's seeded [Prng.t]: one leaf draw
     per block at [create], in block order, and one remap draw per access.
     {!of_blocks} installs a whole block array in one pass with exactly
-    the draws of [create] plus one [write] per block, which is how the
-    server builds each [Oram_fetch]'s tree.
+    the draws of [create] plus one [write] per block.
     The access sequence the "server" observes is the sequence of
     root-to-leaf paths, available via [paths_observed] for the
     access-pattern tests.
@@ -42,8 +41,8 @@ val of_blocks : ?bucket_size:int -> block_size:int -> Snf_crypto.Prng.t -> strin
     what [create] followed by one [write] per block in id order draws, so
     every later access returns the same bytes, observes the same paths and
     touches the same buckets as after those writes. The install itself is
-    no access: it observes no path and counts no access or bucket touch
-    (here or in [exec.oram.*]). Each block sits in the deepest bucket of
+    no access: it observes no path and counts no access or bucket touch.
+    Each block sits in the deepest bucket of
     its path with a free slot, or in the stash when the path is full.
     @raise Invalid_argument as [create] does, or if a block is not
     [block_size] bytes. *)
@@ -56,7 +55,7 @@ val write : t -> int -> string -> unit
 
 val access_count : t -> int
 val bucket_touches : t -> int
-(** Total buckets read+written — the physical I/O the cost model charges. *)
+(** Total buckets read+written by accesses. *)
 
 val stash_size : t -> int
 (** Current overflow stash occupancy (bounded with overwhelming

@@ -1,6 +1,6 @@
 open Snf_attack
 module Prng = Snf_crypto.Prng
-module Path_oram = Snf_exec.Path_oram
+module Path_oram = Snf_reference.Path_oram
 
 let t name f = Alcotest.test_case name `Quick f
 

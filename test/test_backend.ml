@@ -333,9 +333,10 @@ let test_reinstall_refetches () =
     (fst (run "after re-install"))
 
 (* A disk store written before manifests carried tid digests (SNFD
-   version 1), or with 8-byte integers (SNFD version 2, over SNFE
-   version 1 leaf files), is refused on reopen; a version-3 store reopens
-   and describes itself unchanged. *)
+   version 1), with 8-byte integers (SNFD version 2, over SNFE version 1
+   leaf files), or with tid digests over SNFM 6 bytes (SNFD version 3),
+   is refused on reopen; a version-4 store reopens and describes itself
+   unchanged. *)
 let test_v1_manifest_refused () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -345,11 +346,11 @@ let test_v1_manifest_refused () =
   Server_api.install conn (Wire.to_string o.System.enc);
   let dir = Backend_disk.dir b in
   let reopened = Server_api.connect (module Backend_disk) (Backend_disk.create ~dir ()) in
-  Alcotest.(check string) "a version-3 store reopens as described" (describe_bytes conn)
+  Alcotest.(check string) "a version-4 store reopens as described" (describe_bytes conn)
     (describe_bytes reopened);
   Server_api.close reopened;
   let manifest = Filename.concat dir "manifest.snfd" in
-  let v3 = In_channel.with_open_bin manifest In_channel.input_all in
+  let v4 = In_channel.with_open_bin manifest In_channel.input_all in
   let enc = o.System.enc in
   let leaves = enc.Enc_relation.leaves in
   let name = enc.Enc_relation.relation_name in
@@ -378,7 +379,10 @@ let test_v1_manifest_refused () =
     Buffer.contents buf
   in
   let write s = Out_channel.with_open_bin manifest (fun oc -> Out_channel.output_string oc s) in
-  Fun.protect ~finally:(fun () -> write v3) @@ fun () ->
+  (* Version 3 had version 4's layout. *)
+  let v3 = Bytes.of_string v4 in
+  Bytes.set v3 4 '\003';
+  Fun.protect ~finally:(fun () -> write v4) @@ fun () ->
   List.iter
     (fun (v, bytes) ->
       write bytes;
@@ -386,7 +390,8 @@ let test_v1_manifest_refused () =
         (Printf.sprintf "a version-%d manifest is refused" v)
         (Invalid_argument (Printf.sprintf "Backend_disk: unsupported manifest version %d" v))
         (fun () -> ignore (Backend_disk.create ~dir ())))
-    [ (1, old_manifest 1 ~digests:false); (2, old_manifest 2 ~digests:true) ]
+    [ (1, old_manifest 1 ~digests:false); (2, old_manifest 2 ~digests:true);
+      (3, Bytes.to_string v3) ]
 
 let suite =
   [ t "mem/disk parity: bags, counters, wire traffic" test_mem_disk_parity;

@@ -154,8 +154,8 @@ let two_leaf_owner () =
   let g = Snf_deps.Dep_graph.declare_independent g "Income" "ZipCode" in
   System.outsource ~name:"golden2" ~graph:g r policy
 
-(* The serialized store (every tid, cell and Paillier ciphertext), row
-   positions and ORAM seals, under 1 and 2 domains: identical to each
+(* The serialized store (every tid, cell and Paillier ciphertext) and row
+   positions, under 1 and 2 domains: identical to each
    other and to the digests recorded before the key schedule existed.
    The image digests were re-recorded when SNFE went to version 2
    (varint integers); the content the images decode to was pinned
@@ -175,8 +175,6 @@ let test_outsource_golden_across_domains () =
       let leaf = (List.hd o.System.enc.Enc_relation.leaves).Enc_relation.label in
       Alcotest.(check string) (tag "row positions") "6fb0b94adc45807084d9db569ffc39d0"
         (md5 (ints (Enc_relation.row_position c ~leaf ~rows:40) (range 40)));
-      Alcotest.(check string) (tag "ORAM seals") "c9b436cb4a891db1f101f3874a0c56b5"
-        (md5 (cat (fun s -> Enc_relation.oram_seal c ~leaf:"x" ~slot:s (msg s)) (range 20)));
       let o2 = two_leaf_owner () in
       Fun.protect ~finally:(fun () -> System.release o2) @@ fun () ->
       Alcotest.(check int) (tag "two leaves") 2 (List.length o2.System.enc.Enc_relation.leaves);
@@ -363,12 +361,7 @@ let test_tamper_detected () =
          decrypt "level" (Enc_relation.C_ore { ore; payload = flip_byte payload 9 }))
    | _ -> Alcotest.fail "ORE cell expected");
   expect_corruption "tid" (fun () ->
-      Enc_relation.decrypt_tid c ~leaf (flip_byte l.Enc_relation.tids.(0) 10));
-  expect_corruption "ORAM seal" (fun () ->
-      Enc_relation.oram_open c ~leaf ~slot:3
-        (flip_byte (Enc_relation.oram_seal c ~leaf ~slot:3 "block") 12));
-  expect_corruption "ORAM block opened at another slot" (fun () ->
-      Enc_relation.oram_open c ~leaf ~slot:4 (Enc_relation.oram_seal c ~leaf ~slot:3 "block"))
+      Enc_relation.decrypt_tid c ~leaf (flip_byte l.Enc_relation.tids.(0) 10))
 
 (* --- the onion-check memo ------------------------------------------------------ *)
 
@@ -488,28 +481,25 @@ let test_clients_never_share_keys () =
     let tok scheme = Enc_relation.eq_token c ~leaf ~attr ~scheme v in
     ( (tok Scheme.Det, tok Scheme.Ope, tok Scheme.Ore),
       Enc_relation.binning_key c ~leaf,
-      List.init 64 (Enc_relation.row_position c ~leaf ~rows:64),
-      Enc_relation.oram_seal c ~leaf ~slot:0 "block" )
+      List.init 64 (Enc_relation.row_position c ~leaf ~rows:64) )
   in
-  let (ta, ka, pa, sa) = profile a in
-  let (tb, kb, pb, sb) = profile b in
-  let (ta', ka', pa', sa') = profile a' in
+  let (ta, ka, pa) = profile a in
+  let (tb, kb, pb) = profile b in
+  let (ta', ka', pa') = profile a' in
   let (dta, ota, rta) = ta and (dtb, otb, rtb) = tb in
   Alcotest.(check bool) "DET tokens differ" true (dta <> dtb);
   Alcotest.(check bool) "OPE tokens differ" true (ota <> otb);
   Alcotest.(check bool) "ORE tokens differ" true (rta <> rtb);
   Alcotest.(check bool) "binning keys differ" true (ka <> kb);
   Alcotest.(check bool) "row permutations differ" true (pa <> pb);
-  Alcotest.(check bool) "ORAM seals differ" true (sa <> sb);
   Alcotest.(check bool) "same master, same schedule" true
-    (ta = ta' && ka = ka' && pa = pa' && sa = sa');
+    (ta = ta' && ka = ka' && pa = pa');
   (* b's warm schedule cannot open a's ciphertexts *)
   expect_corruption "foreign DET cell" (fun () ->
       match dta with
       | Some (Enc_relation.Eq_det ct) ->
         Enc_relation.decrypt_cell b ~leaf ~attr ~scheme:Scheme.Det (Enc_relation.C_bytes ct)
       | _ -> Alcotest.fail "DET token expected");
-  expect_corruption "foreign ORAM block" (fun () -> Enc_relation.oram_open b ~leaf ~slot:0 sa);
   let o = all_schemes_owner ~name:"shared" ~master:"master-a" () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
   let l = List.hd o.System.enc.Enc_relation.leaves in
@@ -529,7 +519,7 @@ let suite =
     prop_label_matches_sprintf;
     t "label digits at the int edges" test_label_edge_ints;
     t "minor-heap budgets of the hot primitives" test_allocation_budgets;
-    t "tampered DET/NDET/OPE/ORE/tid/ORAM ciphertexts raise Corruption" test_tamper_detected;
+    t "tampered DET/NDET/OPE/ORE/tid ciphertexts raise Corruption" test_tamper_detected;
     t "a flipped order part of a memoised OPE/ORE value raises Corruption"
       test_memoised_onion_flip_detected;
     t "more distinct ordinals than the order memo holds: correct and bounded"

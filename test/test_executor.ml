@@ -43,7 +43,12 @@ let test_trace_accounting () =
    | Error e -> Alcotest.fail e);
   (match System.query ~mode:`Oram o cross with
    | Ok (_, tr) ->
-     Alcotest.(check bool) "oram touches counted" true (tr.Executor.oram_bucket_touches > 0);
+     Alcotest.(check int) "the linear-scan ORAM touches no bucket" 0
+       tr.Executor.oram_bucket_touches;
+     Alcotest.(check bool) "the whole-partner fetch is priced" true
+       (tr.Executor.estimated_seconds
+       > Cost_model.trace_seconds Cost_model.default ~comparisons:0 ~rows_processed:0
+           ~scanned_cells:tr.Executor.scanned_cells ~retrieved_rows:0);
      Alcotest.(check int) "no network rows in oram mode" 0 tr.Executor.rows_processed
    | Error e -> Alcotest.fail e);
   (match System.query ~mode:(`Binning 3) o cross with

@@ -135,9 +135,9 @@ let test_cost_model () =
     > Snf_exec.Cost_model.chain_join_seconds p [ 500; 500 ]);
   Alcotest.(check bool) "trace estimate monotone in counters" true
     (Snf_exec.Cost_model.trace_seconds p ~comparisons:1000 ~rows_processed:100
-       ~scanned_cells:100 ~oram_bucket_touches:10 ~retrieved_rows:10
+       ~scanned_cells:100 ~retrieved_rows:10
     > Snf_exec.Cost_model.trace_seconds p ~comparisons:10 ~rows_processed:10
-        ~scanned_cells:10 ~oram_bucket_touches:1 ~retrieved_rows:1)
+        ~scanned_cells:10 ~retrieved_rows:1)
 
 let suite =
   [ t "table 1 shape" test_table1_shape;

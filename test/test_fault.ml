@@ -55,8 +55,8 @@ let det_system name =
         Snf_core.Partition.leaf "l1" [ ("B", Scheme.Ndet) ] ]
     r policy
 
-let expect_corruption ~where ?use_index owner q =
-  match System.query_checked ?use_index owner q with
+let expect_corruption ~where ?mode ?use_index owner q =
+  match System.query_checked ?mode ?use_index owner q with
   | Error (`Corruption c) ->
     check_string "corruption site" where c.Integrity.where;
     check_bool "printable" true (String.length (Integrity.to_string c) > 0)
@@ -97,6 +97,38 @@ let dropped_leaf_where () =
   let enc = Fault.drop_leaf owner.System.enc ~leaf:"l1" in
   expect_corruption ~where:"store" { owner with System.enc } scan
 
+(* The same damage under the anchor paths, [`Oram] and [`Binning 4]. In
+   [det_system]'s scan both leaves keep every row, so [l0] anchors and
+   [l1] is the partner, whose wanted rows are all of its rows: a flipped
+   partner cell, a truncated partner and a dropped partner end in typed
+   corruption, as does a flipped anchor cell. The anchor paths link rows
+   through the client's keyed row permutation and read no tid
+   ciphertext, so a flipped or swapped tid is damage no query on them
+   touches: it must leave the answer oracle-correct. *)
+let anchor_paths_detect mode () =
+  let owner name = det_system ("fault-anchor " ^ name) in
+  let cases =
+    [ ("cell", "partner cell", fun enc -> fst (Fault.flip_cell ~seed:4 enc ~leaf:"l1" ~attr:"B"));
+      ("cell", "anchor cell", fun enc -> fst (Fault.flip_cell ~seed:4 enc ~leaf:"l0" ~attr:"A"));
+      ("leaf", "truncated partner", fun enc -> Fault.truncate_leaf enc ~leaf:"l1");
+      ("store", "dropped partner", fun enc -> Fault.drop_leaf enc ~leaf:"l1") ]
+  in
+  List.iter
+    (fun (where, name, damage) ->
+      let o = owner name in
+      expect_corruption ~where ~mode { o with System.enc = damage o.System.enc } scan)
+    cases;
+  List.iter
+    (fun (name, damage) ->
+      let o = owner name in
+      match System.query_checked ~mode { o with System.enc = damage o.System.enc } scan with
+      | Ok (ans, _) -> check_same_bag (name ^ ": oracle-correct") (System.reference o scan) ans
+      | Error (`Corruption c) ->
+        Alcotest.failf "%s: a tid no anchor path reads raised %s" name (Integrity.to_string c)
+      | Error (`Plan e) -> Alcotest.fail e)
+    [ ("flipped partner tid", fun enc -> fst (Fault.flip_tid ~seed:4 enc ~leaf:"l1"));
+      ("swapped partner tids", fun enc -> Fault.swap_tids ~seed:4 enc ~leaf:"l1") ]
+
 (* Swap the index entries of A = 1 and A = 2, then ask for A = 1. With
    [use_index] the swap reaches the client through a probe; without, an
    equality filter is answered from the same index on the server, which
@@ -135,7 +167,7 @@ let remapped_class_where () =
       (Snf_core.Policy.create [ ("A", Scheme.Det) ])
   in
   let col = Enc_relation.column (Enc_relation.find_leaf owner.System.enc "l0") "A" in
-  let form = Option.get col.Enc_relation.form in
+  let form = Option.get (Enc_relation.form col) in
   let class_of = form.Enc_relation.class_of in
   let slot = rows - 1 in
   let remapped = (class_of.(slot) + 1) mod Array.length form.Enc_relation.class_rep in
@@ -195,7 +227,7 @@ let poisoned_keys_group_sum () =
 let remapped_class_group_sum () =
   let owner = group_system "fault-group-class" in
   let col = Enc_relation.column (Enc_relation.find_leaf owner.System.enc "l0") "A" in
-  let form = Option.get col.Enc_relation.form in
+  let form = Option.get (Enc_relation.form col) in
   let class_of = form.Enc_relation.class_of in
   class_of.(7) <- (class_of.(7) + 1) mod Array.length form.Enc_relation.class_rep;
   match group_sum owner with
@@ -290,6 +322,10 @@ let suite =
     Alcotest.test_case "duplicated tid → where=tid" `Quick duplicated_tid_where;
     Alcotest.test_case "truncated leaf → where=leaf" `Quick truncated_leaf_where;
     Alcotest.test_case "dropped leaf → where=store" `Quick dropped_leaf_where;
+    Alcotest.test_case "partner damage under oram → typed corruption" `Quick
+      (anchor_paths_detect `Oram);
+    Alcotest.test_case "partner damage under binning(4) → typed corruption" `Quick
+      (anchor_paths_detect (`Binning 4));
     Alcotest.test_case "stale index → where=index" `Quick stale_index_where;
     Alcotest.test_case "key mismatch → where=cell" `Quick key_mismatch_where;
     Alcotest.test_case "honest store never flagged" `Quick honest_store_unflagged;

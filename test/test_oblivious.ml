@@ -1,4 +1,5 @@
 open Snf_exec
+module Path_oram = Snf_reference.Path_oram
 module Prng = Snf_crypto.Prng
 
 let t name f = Alcotest.test_case name `Quick f

@@ -1,8 +1,6 @@
-(* Server-side ORAM without server state: each partner of an anchor fetch
-   is one [Oram_fetch] that installs, reads and drops its tree, so a
-   session answers every fetch as a fresh session would. Blocks are bound
-   to their slots, and the leakage profile counts the touches of the
-   reads the executor charged. *)
+(* The ORAM arm as the server sees it: each partner of an anchor fetch is
+   read whole in one Fetch_rows, so nothing the server receives tells the
+   wanted partner rows apart. *)
 
 open Snf_relational
 open Snf_exec
@@ -12,12 +10,14 @@ module Leakage = Snf_obs.Leakage
 
 let t name f = Alcotest.test_case name `Quick f
 
+let rows = 12
+
 (* One attribute per leaf, so the select list picks the partners. *)
 let owner () =
   let r =
     Relation.create
       (Schema.of_attributes (List.map Attribute.int [ "A"; "B"; "C"; "D" ]))
-      (List.init 12 (fun i ->
+      (List.init rows (fun i ->
            [| Value.Int (i mod 4); Value.Int (i mod 3); Value.Int i; Value.Int (i * 7) |]))
   in
   let policy =
@@ -42,95 +42,52 @@ let queries =
     Query.point ~select:[ "D" ] [ ("C", Value.Int 5) ];
     Query.point ~select:[ "B"; "C" ] [ ("A", Value.Int 3) ] ]
 
-let is_fetch up =
-  match Wire.request_of_string up with Wire.Oram_fetch _ -> true | _ -> false
-
-(* A connection over [serve] that hands every ORAM round trip to [spy]. *)
-let spied_conn serve spy =
-  Server_api.connect_handler ~name:"mem" ~close:ignore ~handle:(fun up ->
-      let down = serve up in
-      if is_fetch up then spy up down;
-      down)
-
-let test_session_holds_no_tree () =
+(* The ORAM arm is the linear-scan ORAM: in the server's view of each
+   query, every partner leaf is read whole, by one Fetch_rows naming all
+   of its rows, and no request names a strict subset of a partner's
+   slots. Only the anchor's own fetch names chosen rows, as on every
+   path. No round of the retired ORAM phase crosses. *)
+let test_partners_read_whole () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
-  let view = Backend_mem.view (Backend_mem.of_store o.System.enc) in
-  let rounds = ref [] in
-  let conn =
-    spied_conn (Server_api.session_handler view) (fun up down ->
-        rounds := (up, down) :: !rounds)
-  in
-  let rep = o.System.plan.Snf_core.Normalizer.representation in
-  List.iteri
-    (fun i q ->
-      let before = List.length !rounds in
-      match Executor.run_conn ~mode:`Oram o.System.client conn rep q with
-      | Error e -> Alcotest.failf "query %d: %s" i e
-      | Ok (ans, tr) ->
-        Helpers.check_same_bag (Printf.sprintf "query %d oracle-correct" i)
-          (System.reference o q) ans;
-        Alcotest.(check int)
-          (Printf.sprintf "query %d: one ORAM round trip per partner" i)
-          (List.length tr.Executor.plan.Planner.leaves - 1)
-          (List.length !rounds - before))
-    queries;
-  (* Every fetch, replayed newest first on a session that never saw the
-     others, gets the same bytes back: nothing of an earlier fetch
-     outlives it. *)
-  let fresh = Server_api.session_handler view in
-  List.iteri
-    (fun i (up, down) ->
-      Alcotest.(check string)
-        (Printf.sprintf "fetch %d answered as by a fresh session" i)
-        down (fresh up))
-    !rounds
-
-(* A server answering each slot with the authentic block of the next
-   slot: every block it returns opens under the leaf's key, so only the
-   slot binding can tell. The query must fail typed, never answer. *)
-let test_swapped_block_is_corruption () =
-  let o = owner () in
-  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
-  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.of_store o.System.enc)) in
-  let conn =
-    Server_api.connect_handler ~name:"mem" ~close:ignore ~handle:(fun up ->
-        let down = serve up in
-        match (Wire.request_of_string up, Wire.response_of_string down) with
-        | Wire.Oram_fetch { blocks; slots; _ }, Wire.R_oram { touches; _ } ->
-          let n = Array.length blocks in
-          Wire.response_to_string
-            (Wire.R_oram
-               { blocks = Array.map (fun s -> blocks.((s + 1) mod n)) slots;
-                 touches })
-        | _ -> down)
-  in
-  let rep = o.System.plan.Snf_core.Normalizer.representation in
-  match Executor.run_conn ~mode:`Oram o.System.client conn rep (List.hd queries) with
-  | Ok (ans, _) ->
-    Alcotest.failf "swapped blocks answered %d rows instead of failing"
-      (Relation.cardinality ans)
-  | Error e -> Alcotest.failf "swapped blocks: planner error %s" e
-  | exception Integrity.Corruption c ->
-    Alcotest.(check string) "typed corruption in the ORAM" "oram" c.Integrity.where
-
-(* The leakage profile's ORAM touches are what the executor charged: the
-   reads of every fetch, not the tree's install writes. *)
-let test_profile_touches_match_traces () =
-  let o = owner () in
-  Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
-  let charged, trace =
+  let leaf_of attr = "l" ^ string_of_int (Char.code attr.[0] - Char.code 'A') in
+  let answers, trace =
     System.record_wire_trace (fun () ->
-        List.fold_left
-          (fun acc q ->
+        List.map
+          (fun q ->
             match System.query ~mode:`Oram o q with
-            | Ok (_, tr) -> acc + tr.Executor.oram_bucket_touches
+            | Ok (ans, _) -> Relation.cardinality ans
             | Error e -> Alcotest.fail e)
-          0 queries)
+          queries)
   in
-  Alcotest.(check bool) "the queries touch buckets" true (charged > 0);
-  Alcotest.(check int) "profile touches = traced touches" charged
-    (Leakage.profile trace).Leakage.p_oram_touches
+  Alcotest.(check int) "every query answered" (List.length queries) (List.length answers);
+  List.iter
+    (fun (e : Wiretrace.event) ->
+      Alcotest.(check bool) "no ORAM round" false (e.Wiretrace.phase = "oram"))
+    trace.Wiretrace.events;
+  let views = Leakage.queries trace in
+  Alcotest.(check int) "one view per query" (List.length queries) (List.length views);
+  List.iter2
+    (fun (q : Query.t) (v : Leakage.query_view) ->
+      let anchor = List.map (fun p -> leaf_of (Query.pred_attr p)) q.Query.where in
+      let partners =
+        List.sort_uniq String.compare
+          (List.filter (fun l -> not (List.mem l anchor)) (List.map leaf_of q.Query.select))
+      in
+      List.iter
+        (fun partner ->
+          let fetches = List.filter (fun f -> f.Leakage.f_leaf = partner) v.Leakage.q_fetches in
+          Alcotest.(check int)
+            (Printf.sprintf "query %d: one fetch of partner %s" v.Leakage.q_index partner)
+            1 (List.length fetches);
+          List.iter
+            (fun f ->
+              Alcotest.(check (array int))
+                (Printf.sprintf "query %d: partner %s read whole" v.Leakage.q_index partner)
+                (Array.init rows Fun.id) f.Leakage.f_slots)
+            fetches)
+        partners)
+    queries views
 
 (* SNFT trace of the sequence above with timestamps zeroed. Re-recorded
    when Describe began carrying tid digests, and again when each partner
@@ -143,7 +100,9 @@ let test_profile_touches_match_traces () =
    version 6 (varint integers and slot forms): only byte counts moved.
    The pin is the digest of the trace's SNFT JSON text since the binary
    encoding was deleted; it was recorded beside the binary digest, on
-   the same run. *)
+   the same run. Re-recorded when SNFM 7 retired the ORAM round: each
+   partner is one whole-leaf Fetch_rows instead of that fetch plus an
+   Oram_fetch. *)
 let test_trace_pinned () =
   let o = owner () in
   Fun.protect ~finally:(fun () -> System.release o) @@ fun () ->
@@ -160,13 +119,12 @@ let test_trace_pinned () =
   let events =
     List.map (fun e -> { e with Wiretrace.ts_us = 0.0 }) trace.Wiretrace.events
   in
-  Alcotest.(check int) "events" 58 (List.length events);
-  Alcotest.(check string) "trace JSON text" "f1dc897fab38bcf5a1cf7ee38f520134"
+  Alcotest.(check int) "events" 44 (List.length events);
+  Alcotest.(check string) "trace JSON text" "14bcd03f30d8e06f5b2a8bea6629d17f"
     (Digest.to_hex
        (Digest.string (Snf_obs.Json.to_string (Wiretrace.to_json { trace with Wiretrace.events }))))
 
 let suite =
-  [ t "a session holds no tree after the fetch that built it" test_session_holds_no_tree;
-    t "a block answered for another slot is corruption" test_swapped_block_is_corruption;
-    t "profile ORAM touches equal the executor's" test_profile_touches_match_traces;
+  [ t "partners are read whole, and no request names a subset of them"
+      test_partners_read_whole;
     t "ORAM SNFT trace bytes pinned" test_trace_pinned ]

@@ -236,14 +236,18 @@ let observe_view o =
    byte counts alone, and [pinned_view] below does not move. A single
    query's trace is pinned by the digest of its SNFT JSON text since the
    binary encoding was deleted; each such digest was first recorded
-   beside the binary one, on the same run. *)
+   beside the binary one, on the same run. Re-recorded when SNFM 7
+   retired the ORAM round: only the ORAM single moved, which now reads
+   its partner in one whole-leaf Fetch_rows and sends no Oram_fetch (its
+   record's estimate now prices that fetch); the version byte is in no
+   digest here. *)
 let pinned =
   [ "1-leaf point: json 1fa9322849704dbd608827ae720b5b0e trace 7b56bd7fbc6a853c2d92b47b83e3edb5";
     "1-leaf range: json 8e0de99d48027ae9ddc431194016ed32 trace 0cfb00d61dca6546a0ed352c2a39529e";
     "2-leaf sort-merge: json 856d785d6570f34a2ba8c02dc132b8cf trace b41af048a415609e82f196ac912ecc90";
     "3-leaf sort-merge: json e1c66a03105f53b3ecc11a46cf8b9065 trace ffefac7bb3663ba9117bb20a345c94c9";
     "2-leaf sort-merge, warm: json 964a2f0839c4e89b1fac83272fb73ad9 trace a524dda0b40d3a26db1813630fac6808";
-    "oram: json 17142d36c4a437547f3cbac83393f516 trace d6c2e2247ad43fe6f71dd879da9a41a3";
+    "oram: json 2f41a9671abea637ef226ce47591a87a trace 2f70e5f7d45b17d7126974df6ddd2949";
     "binning 16: json e154fd235e4951ba933e6f1b1e0f9bfd trace 960c43df4a3b037393f6f4953f2816f5";
     "index 1-leaf: json 4b5eee469d3b949406f2a0f35ca1eae8 trace ebb6ad6069b0ec3bfc6668e5c9d594fe";
     "index 2-leaf: json 5065d12c751cdfdce4a68ed8e9280e82 trace caf6bc811945ffdd767a6e01f4dce317";
@@ -351,14 +355,16 @@ let test_pinned backend domains () =
 (* Recorded before fetched columns crossed dictionary-coded: that change
    moved R_rows bytes only, so this bytes-free view must not move with
    it. Its batch windows were re-recorded with [pinned]'s when batch
-   members began to share their fetch windows; no single case moved. *)
+   members began to share their fetch windows; no single case moved.
+   Its ORAM single was re-recorded with [pinned]'s when the ORAM round
+   was retired. *)
 let pinned_view =
   [ "1-leaf point: view 139d66f69b76ccc79e459c8176eb3d8f";
     "1-leaf range: view c26d56e621c0f8d119abb6c0988e3d86";
     "2-leaf sort-merge: view 8e12bd6014fe871ba3b3900b0dd8fedb";
     "3-leaf sort-merge: view b6ba5c430100fd29ff52e0bd71bff108";
     "2-leaf sort-merge, warm: view a73b3e9c971a10c0e33944c0b61f1a8f";
-    "oram: view 4bd834c2b8a554ec62f5aa8fed641020";
+    "oram: view 58a4eb924c6cd253a1c7ca3bb17a7520";
     "binning 16: view c21ecaa3d7aaee0722df3b65cc28492c";
     "index 1-leaf: view b4feb3da8dbc59cd3e7bb6828450a296";
     "index 2-leaf: view c7ea5b3545e6a76f02b1fe65fa3fd678";

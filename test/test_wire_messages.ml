@@ -95,13 +95,6 @@ let gen_request =
         (Gen.pair gen_label (Gen.list_size (Gen.int_bound 4) gen_attr))
         gen_slots;
       Gen.map (fun leaf -> Wire.Fetch_tids { leaf }) gen_label;
-      Gen.map3
-        (fun (leaf, seed) (block_size, blocks) slots ->
-          Wire.Oram_fetch { leaf; seed; block_size; blocks; slots })
-        (Gen.pair gen_label Gen.nat)
-        (Gen.pair (Gen.int_range 1 64)
-           (Gen.map Array.of_list (Gen.list_size (Gen.int_bound 6) gen_blob)))
-        gen_slots;
       Gen.map2 (fun leaf attr -> Wire.Phe_sum { leaf; attr }) gen_label gen_attr;
       Gen.map2
         (fun leaf (group_by, sum) -> Wire.Group_sum { leaf; group_by; sum })
@@ -158,10 +151,6 @@ let gen_response =
       Gen.map
         (fun tids -> Wire.R_tids (Array.of_list tids))
         (Gen.list_size (Gen.int_bound 6) gen_blob);
-      Gen.map2
-        (fun blocks touches -> Wire.R_oram { blocks = Array.of_list blocks; touches })
-        (Gen.list_size (Gen.int_bound 6) gen_blob)
-        Gen.nat;
       Gen.map (fun n -> Wire.R_nat n) gen_nat;
       Gen.map
         (fun gs -> Wire.R_groups gs)
@@ -214,11 +203,6 @@ let sample_requests =
                   Wire.F_range ("b", Enc_relation.Rng_ore (ore, ore)) ] ) ] ] };
     Wire.Fetch_rows { leaf = "R"; attrs = [ "a"; "b" ]; slots = [| 1; 3 |] };
     Wire.Fetch_tids { leaf = "R" };
-    Wire.Oram_fetch
-      { leaf = "R"; seed = 0x09a7; block_size = 8;
-        blocks = [| "blk0\x00\x00\x00\x00"; "blk1\x01\x01\x01\x01" |];
-        slots = [| 1; 0; 1 |] };
-    Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = [||] };
     Wire.Phe_sum { leaf = "R"; attr = "amount" };
     Wire.Group_sum { leaf = "R"; group_by = "a"; sum = "amount" };
     Wire.Q_batch { queries = [] };
@@ -255,8 +239,6 @@ let sample_responses =
            { dict = [| Enc_relation.C_bytes "d0"; Enc_relation.C_ord { ord = 3; payload = "" } |];
              codes = Array.init 34 (fun i -> if i = 2 then 1 else 0) } |];
     Wire.R_tids [| "t0"; "t1\x00" |];
-    Wire.R_oram { blocks = [||]; touches = 0 };
-    Wire.R_oram { blocks = [| "sealed0"; "sealed1" |]; touches = 42 };
     Wire.R_nat (Nat.of_int 99991);
     Wire.R_groups
       [ (Enc_relation.C_bytes "g1", Nat.of_int 10);
@@ -560,13 +542,12 @@ let encode_form form a =
 
 (* R_slots (Some a): magic (4) + version (1) + tag (1) + option (1),
    then the slot array. *)
-let r_slots_header = "SNFM\x06\x02\x01"
+let r_slots_header = "SNFM\x07\x02\x01"
 
 let slots_roundtrip a =
   let bytes = Wire.response_to_string (Wire.R_slots (Some a)) in
   let requests =
     [ Wire.Fetch_rows { leaf = "R"; attrs = [ "a" ]; slots = a };
-      Wire.Oram_fetch { leaf = "R"; seed = 1; block_size = 4; blocks = [||]; slots = a };
       Wire.Q_batch { queries = [ [ ("R", [ Wire.F_slots a ]) ] ] } ]
   in
   Char.code bytes.[7] = selected_form a
@@ -643,13 +624,35 @@ let test_deleted_tags_rejected () =
     (Invalid_argument "Wire: unknown response tag 3") (fun () ->
       ignore (Wire.response_of_string (with_tag (Wire.response_to_string Wire.R_unit) 3)))
 
+(* SNFM 7 retired the ORAM round. An ORAM fetch as SNFM 6 laid it out
+   (leaf, seed, block size, sealed blocks, slots) and its answer (sealed
+   blocks, touches), framed as SNFM 7, are unknown messages: tag 7 and
+   tag 6 name nothing. *)
+let test_oram_tags_rejected () =
+  let frame tag body = "SNFM\x07" ^ String.make 1 (Char.chr tag) ^ body in
+  let oram_fetch = frame 7 ("\x01R" ^ "\x07" ^ "\x04" ^ "\x01\x04blk0" ^ "\x02\x01\x01") in
+  let r_oram = frame 6 ("\x01\x04blk0" ^ "\x2a") in
+  Alcotest.check_raises "an Oram_fetch"
+    (Invalid_argument "Wire: unknown request tag 7") (fun () ->
+      ignore (Wire.request_of_string oram_fetch));
+  Alcotest.check_raises "an R_oram"
+    (Invalid_argument "Wire: unknown response tag 6") (fun () ->
+      ignore (Wire.response_of_string r_oram));
+  Alcotest.check_raises "request tag 7, no body"
+    (Invalid_argument "Wire: unknown request tag 7") (fun () ->
+      ignore (Wire.request_of_string (frame 7 "")));
+  Alcotest.check_raises "response tag 6, no body"
+    (Invalid_argument "Wire: unknown response tag 6") (fun () ->
+      ignore (Wire.response_of_string (frame 6 "")))
+
 (* {1 Versions and tid digests}
 
    Byte 4 of every message is the SNFM version. Version 1 described
    leaves without tid digests, and version 2 still had a separate
    shape-check request and a two-message ORAM (install, then one read per
    slot), version 3 still had a per-leaf filter request and its mask
-   response, and version 5 wrote every integer as an 8-byte word; a
+   response, version 5 wrote every integer as an 8-byte word, and
+   version 6 still had the ORAM round (Oram_fetch, R_oram); a
    message of any version but the current one is rejected whole, never
    read under the wrong grammar. The store image carries its own SNFE
    version byte, also at byte 4: version 1 wrote 8-byte words. *)
@@ -676,9 +679,9 @@ let test_other_versions_rejected () =
             (Printf.sprintf "%s at version %d" what v)
             (Invalid_argument (Printf.sprintf "Wire: unsupported message version %d" v))
             (fun () -> ignore (Wire.response_of_string (with_version bytes v))))
-      [ 0; 1; 2; 3; 4; 5; current + 1; 255 ]
+      [ 0; 1; 2; 3; 4; 5; 6; current + 1; 255 ]
   in
-  Alcotest.(check int) "messages are SNFM version 6" 6
+  Alcotest.(check int) "messages are SNFM version 7" 7
     (version_of (Wire.request_to_string Wire.Describe));
   List.iteri (fun i r -> check (Printf.sprintf "response %d" i) (Wire.response_to_string r))
     sample_responses;
@@ -767,45 +770,6 @@ let test_token_fingerprint_layout () =
         Wire.F_range ("c", Enc_relation.Rng_ore (ore, ore)),
         "\x02" ^ word 1 ^ "c\x02" ^ word 3 ^ "\x00\x01\x02" ^ word 3 ^ "\x00\x01\x02" );
       ("slots", Wire.F_slots [| 9; 2 |], "\x00" ^ word 2 ^ word 9 ^ word 2) ]
-
-(* {1 The ORAM fetch, served}
-
-   One [Oram_fetch] round trip against a server session: the blocks of
-   the requested slots come back in request order (repeats included), an
-   empty slot list reads nothing, and a slot outside the blocks or a
-   block of the wrong size is a typed [R_error] rather than a crash or an
-   empty answer. *)
-
-let test_oram_fetch_served () =
-  let serve = Server_api.session_handler (Backend_mem.view (Backend_mem.empty ())) in
-  let blocks = Array.init 5 (fun i -> String.make 8 (Char.chr (Char.code 'a' + i))) in
-  let fetch ?(blocks = blocks) slots =
-    Wire.response_of_string
-      (serve
-         (Wire.request_to_string
-            (Wire.Oram_fetch { leaf = "R"; seed = 7; block_size = 8; blocks; slots })))
-  in
-  (match fetch [| 3; 0; 3 |] with
-   | Wire.R_oram { blocks = got; touches } ->
-     Alcotest.(check (array string)) "blocks in request order"
-       [| blocks.(3); blocks.(0); blocks.(3) |] got;
-     Alcotest.(check bool) "touches count the three reads only" true
-       (touches > 0 && touches mod 3 = 0)
-   | _ -> Alcotest.fail "not an R_oram");
-  (match fetch [||] with
-   | Wire.R_oram { blocks = [||]; touches = 0 } -> ()
-   | _ -> Alcotest.fail "empty slots: expected R_oram with no blocks and no touches");
-  List.iter
-    (fun slots ->
-      match fetch slots with
-      | Wire.R_error { not_found = false; _ } -> ()
-      | _ -> Alcotest.failf "slot set %s: expected a typed R_error"
-               (Snf_obs.Leakage.slots_csv slots))
-    [ [| 5 |]; [| 0; 99 |] ];
-  match fetch ~blocks:(Array.append blocks [| "short" |]) [| 0 |] with
-  | Wire.R_error { not_found = false; msg } ->
-    Alcotest.(check string) "a block of the wrong size" "Path_oram: wrong block size" msg
-  | _ -> Alcotest.fail "a block of the wrong size: expected a typed R_error"
 
 (* {1 Dictionary-coded R_rows} *)
 
@@ -915,7 +879,6 @@ let test_malformed_coded_rejected () =
 
 let suite =
   [ t "every constructor roundtrips" test_every_constructor_roundtrips;
-    t "an ORAM fetch is served in one round trip" test_oram_fetch_served;
     t "messages of another version rejected" test_other_versions_rejected;
     t "tid digests: R_tids bytes, 16 bytes on the wire" test_tids_digest;
     t "token fingerprints over the SNFM 5 layout" test_token_fingerprint_layout;
@@ -930,6 +893,7 @@ let suite =
     Helpers.qtest ~count:300 "slot arrays in another form rejected" gen_slot_array
       other_forms_rejected;
     t "the deleted filter tags are unknown" test_deleted_tags_rejected;
+    t "the retired ORAM tags are unknown under SNFM 7" test_oram_tags_rejected;
     Helpers.qtest ~count:300 "random requests roundtrip" gen_request
       req_roundtrips;
     Helpers.qtest ~count:300 "random responses roundtrip" gen_response

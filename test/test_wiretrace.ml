@@ -115,7 +115,6 @@ let every_request =
     probe;
     Wire.Fetch_rows { leaf = ""; attrs = []; slots = [||] };
     Wire.Fetch_tids { leaf = "" };
-    Wire.Oram_fetch { leaf = ""; seed = 0; block_size = 0; blocks = [||]; slots = [||] };
     Wire.Phe_sum { leaf = ""; attr = "" };
     Wire.Group_sum { leaf = ""; group_by = ""; sum = "" };
     Wire.Q_batch { queries = [] };

@@ -264,7 +264,7 @@ let test_access_score_order_invariant () =
   in
   let token key = { Leakage.t_attr = "zip"; t_kind = `Eq; t_scheme = "det"; t_key = key } in
   let empty =
-    { Leakage.q_index = 0; q_tokens = []; q_masks = []; q_fetches = []; q_probes = []; q_oram = [];
+    { Leakage.q_index = 0; q_tokens = []; q_masks = []; q_fetches = []; q_probes = [];
       q_leaves = [ "L" ]; q_in_batch = false }
   in
   (* access fixture *)
